@@ -72,7 +72,7 @@ func main() {
 				peer := p.Rank() + cfg.SocketsPerNode
 				for it := 0; it < *iters; it++ {
 					if p.Node() == 0 {
-						p.Send(peer, 100+it, int64(size), buf, ppn)
+						p.SendPayload(peer, 100+it, int64(size), mpi.Payload{Words: buf}, ppn)
 					} else {
 						p.Recv(p.Rank()-cfg.SocketsPerNode, 100+it)
 					}

@@ -64,6 +64,26 @@ func TestRootAllocsFlatAcrossRoots(t *testing.T) {
 	}
 }
 
+// TestRootAllocsOriginalBounded: the unoptimized level is the
+// message-count-bound one — a private ring allgather of np-1 steps plus a
+// pairwise alltoallv per level — so it is where a per-message allocation
+// shows. With typed message payloads and pooled message cells a warm
+// root allocates only per-level tables (407 objects measured on this
+// 8-rank world; 831 while every ring step boxed its segment), and the
+// count must not grow root over root.
+func TestRootAllocsOriginalBounded(t *testing.T) {
+	opts := optOptions(OptOriginal)
+	first := rootAllocs(t, opts, nil)
+	again := rootAllocs(t, opts, nil)
+	if again > first {
+		t.Errorf("per-root allocations grew across roots: %g then %g", first, again)
+	}
+	const bound = 500
+	if first > bound {
+		t.Errorf("OptOriginal root allocates %g objects, want <= %d — a per-message allocation is back", first, bound)
+	}
+}
+
 // TestCheckpointAllocsPooled: with an armed-but-never-firing crash plan
 // the engine checkpoints at every level boundary; the two generations
 // must come from the rank's pool, so the steady-state per-root count

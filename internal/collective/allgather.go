@@ -73,13 +73,12 @@ func (g *Group) allgatherRingStreams(p *mpi.Proc, buf []uint64, l Layout, stream
 		sendID := (me - s + n) % n
 		recvID := (me - s - 1 + n) % n
 		seg := l.seg(buf, sendID)
-		m := p.SendRecv(next, tagRing+s, int64(len(seg))*8, ringSeg{id: sendID, data: seg},
+		m := p.SendRecvPayload(next, tagRing+s, int64(len(seg))*8, mpi.Payload{ID: sendID, Words: seg},
 			prev, tagRing+s, streams)
-		in := m.Payload.(ringSeg)
-		if in.id != recvID {
+		if m.Payload.ID != recvID {
 			panic("collective: ring allgather received unexpected segment")
 		}
-		copy(l.seg(buf, in.id), in.data)
+		copy(l.seg(buf, recvID), m.Payload.Words)
 	}
 }
 
@@ -108,17 +107,15 @@ func (g *Group) allgatherRingStreamsC(p *mpi.Proc, buf []uint64, l Layout, strea
 
 	pl, ns := c.Encode(l.seg(buf, me))
 	p.Compute(ns)
-	cur := encSeg{id: me, pl: pl}
+	cur := mpi.Payload{ID: me, Wire: pl}
 	for s := 0; s < n-1; s++ {
 		recvID := (me - s - 1 + n) % n
-		m := p.SendRecvWire(next, tagRingC+s, cur.pl.WireBytes, cur.pl.RawBytes, cur,
-			prev, tagRingC+s, streams)
-		in := m.Payload.(encSeg)
-		if in.id != recvID {
+		m := p.SendRecvWire(next, tagRingC+s, cur, prev, tagRingC+s, streams)
+		cur = m.Payload
+		if cur.ID != recvID {
 			panic("collective: compressed ring received unexpected segment")
 		}
-		p.Compute(c.Decode(l.seg(buf, in.id), in.pl))
-		cur = in
+		p.Compute(c.Decode(l.seg(buf, cur.ID), cur.Wire))
 	}
 }
 
@@ -157,7 +154,7 @@ func (g *Group) AllgatherRecDouble(p *mpi.Proc, buf []uint64, l Layout) {
 		}
 		m := p.SendRecv(g.ranks[partner], tagRecDouble+k, payload.words()*8, payload,
 			g.ranks[partner], tagRecDouble+k, streams[me])
-		in := m.Payload.(blocks)
+		in := m.Payload.Any.(blocks)
 		for j, id := range in.ids {
 			if id != theirs[j] {
 				panic("collective: recursive doubling received unexpected segment")
@@ -185,15 +182,15 @@ func (g *Group) AllreduceSumInt64(p *mpi.Proc, x int64) int64 {
 			sum = x
 			for i := 1; i < n; i++ {
 				m := p.Recv(g.ranks[i], tagAllreduce)
-				sum += m.Payload.(int64)
+				sum += m.Payload.Scalar
 			}
 			for i := 1; i < n; i++ {
-				p.Send(g.ranks[i], tagAllreduce+1, 8, sum, 1)
+				p.SendPayload(g.ranks[i], tagAllreduce+1, 8, mpi.Payload{Scalar: sum}, 1)
 			}
 		} else {
-			p.Send(g.ranks[0], tagAllreduce, 8, x, 1)
+			p.SendPayload(g.ranks[0], tagAllreduce, 8, mpi.Payload{Scalar: x}, 1)
 			m := p.Recv(g.ranks[0], tagAllreduce+1)
-			sum = m.Payload.(int64)
+			sum = m.Payload.Scalar
 		}
 		p.Obs().Collective("allreduce", t0, p.Clock())
 		return sum
@@ -204,8 +201,9 @@ func (g *Group) AllreduceSumInt64(p *mpi.Proc, x int64) int64 {
 	for k := 0; k < steps; k++ {
 		d := 1 << uint(k)
 		partner := g.ranks[me^d]
-		m := p.SendRecv(partner, tagAllreduce+2+k, 8, sum, partner, tagAllreduce+2+k, xor[k][me])
-		sum += m.Payload.(int64)
+		m := p.SendRecvPayload(partner, tagAllreduce+2+k, 8, mpi.Payload{Scalar: sum},
+			partner, tagAllreduce+2+k, xor[k][me])
+		sum += m.Payload.Scalar
 	}
 	p.Obs().Collective("allreduce", t0, p.Clock())
 	return sum

@@ -30,13 +30,9 @@ func (g *Group) AllgathervInt64(p *mpi.Proc, mine []int64) [][]int64 {
 		sendID := (me - s + n) % n
 		recvID := (me - s - 1 + n) % n
 		payload := out[sendID]
-		m := p.SendRecv(next, tagGatherList+s, int64(len(payload))*8, payload,
+		m := p.SendRecvPayload(next, tagGatherList+s, int64(len(payload))*8, mpi.Payload{Vals: payload},
 			prev, tagGatherList+s, streams)
-		if m.Payload == nil {
-			out[recvID] = nil
-			continue
-		}
-		out[recvID] = m.Payload.([]int64)
+		out[recvID] = m.Payload.Vals
 	}
 	p.Obs().Collective("allgatherv-list", t0, p.Clock())
 	return out
@@ -65,19 +61,17 @@ func (g *Group) AllgathervInt64Compressed(p *mpi.Proc, mine []int64, out [][]int
 	t0 := p.Clock()
 	pl, ns := c.EncodeList(mine)
 	p.Compute(ns)
-	cur := encSeg{id: me, pl: pl}
+	cur := mpi.Payload{ID: me, Wire: pl}
 	for s := 0; s < n-1; s++ {
 		recvID := (me - s - 1 + n) % n
-		m := p.SendRecvWire(next, tagListC+s, cur.pl.WireBytes, cur.pl.RawBytes, cur,
-			prev, tagListC+s, streams)
-		in := m.Payload.(encSeg)
-		if in.id != recvID {
+		m := p.SendRecvWire(next, tagListC+s, cur, prev, tagListC+s, streams)
+		cur = m.Payload
+		if cur.ID != recvID {
 			panic("collective: compressed list ring received unexpected list")
 		}
 		var dns float64
-		out[recvID], dns = c.DecodeList(in.pl, out[recvID][:0])
+		out[recvID], dns = c.DecodeList(cur.Wire, out[recvID][:0])
 		p.Compute(dns)
-		cur = in
 	}
 	p.Obs().Collective("allgatherv-list-comp", t0, p.Clock())
 	return out

@@ -11,6 +11,7 @@ import (
 
 	"numabfs/internal/fault"
 	"numabfs/internal/mpi"
+	"numabfs/internal/wire"
 )
 
 // allgatherAllocs measures the allocations of one ring allgather across
@@ -52,5 +53,102 @@ func TestTransportAllocParityOnCollectives(t *testing.T) {
 	lossy := fault.Lossy(3, 0.05)
 	if got := allgatherAllocs(t, &lossy); got != base {
 		t.Errorf("loss plan changed allocations: %g vs %g per run (protocol must charge analytically)", got, base)
+	}
+}
+
+// allocsPerCall returns what one more steady-state call of body costs,
+// in heap allocations per rank: the difference between a World.Run
+// making 1+extra calls and one making a single call, so everything a
+// run pays once (goroutine spawns, WaitGroup) cancels out. A barrier
+// separates the calls, as the engines' level-end allreduce does, so a
+// fast rank never re-encodes into codec scratch a slow one still reads.
+func allocsPerCall(w *mpi.World, body func(p *mpi.Proc)) float64 {
+	const extra = 8
+	run := func(calls int) func() {
+		return func() {
+			w.Run(func(p *mpi.Proc) {
+				for i := 0; i < calls; i++ {
+					body(p)
+					p.Barrier()
+				}
+			})
+		}
+	}
+	run(2)() // warm-up: message pools, lazily grown scratch, stream tables
+	one := testing.AllocsPerRun(5, run(1))
+	many := testing.AllocsPerRun(5, run(1+extra))
+	return (many - one) / extra / float64(w.NumProcs())
+}
+
+// TestCollectiveStepsDoNotAllocate pins the typed-payload message path
+// on the collectives the engines run every level: a 16-rank world makes
+// every ring and pairwise exchange 15 steps deep and every subgroup ring
+// 3 steps x 4 chunks, and a call may only allocate what it allocates
+// once per call (its result table, its sub-layouts) — 0 per step. One
+// boxed payload per step, the state before this bound, reads 15 here.
+func TestCollectiveStepsDoNotAllocate(t *testing.T) {
+	const words = 1024
+	w := testWorld(t, 4, 4)
+	np := w.NumProcs()
+	g := WorldGroup(w)
+	nc := NewNodeComm(w)
+	l := EvenLayout(words, np)
+	bufs := make([][]uint64, np)
+	codecs := make([]*wire.Codec, np)
+	lists := make([][][]int64, np)
+	ovs := make([]Overlap, np)
+	for r := range bufs {
+		bufs[r] = make([]uint64, words)
+		fillVaried(bufs[r], l, r)
+		codecs[r] = newTestCodec()
+		lists[r] = make([][]int64, np)
+		for d := range lists[r] {
+			lists[r][d] = []int64{int64(r), int64(d)}
+		}
+	}
+	// Looked up once: SharedWords formats its region name per call.
+	inq := make([][]uint64, np)
+	w.Run(func(p *mpi.Proc) {
+		inq[p.Rank()] = p.SharedWords("alloc-inq", words)
+		fillVaried(inq[p.Rank()], l, p.Rank())
+	})
+	own := func(p *mpi.Proc) []uint64 {
+		me := p.Rank()
+		return bufs[me][l.Displs[me] : l.Displs[me]+l.Counts[me]]
+	}
+
+	cases := []struct {
+		name string
+		// perCall is the call's fixed allocation count per rank.
+		perCall float64
+		body    func(p *mpi.Proc)
+	}{
+		{"AllgatherRing", 0, func(p *mpi.Proc) { g.AllgatherRing(p, bufs[p.Rank()], l) }},
+		{"AllgatherRingCompressed", 0, func(p *mpi.Proc) {
+			g.AllgatherRingCompressed(p, bufs[p.Rank()], l, codecs[p.Rank()])
+		}},
+		{"AllreduceSumInt64", 0, func(p *mpi.Proc) { g.AllreduceSumInt64(p, int64(p.Rank())) }},
+		// The result table indexed by source position.
+		{"AlltoallvInt64", 1, func(p *mpi.Proc) { g.AlltoallvInt64(p, lists[p.Rank()]) }},
+		// The sub-layout's counts and displacements.
+		{"ParallelAllgatherInPlace", 2, func(p *mpi.Proc) { nc.ParallelAllgatherInPlace(p, inq[p.Rank()], l) }},
+		{"ParallelAllgatherInPlaceCompressed", 2, func(p *mpi.Proc) {
+			nc.ParallelAllgatherInPlaceCompressed(p, inq[p.Rank()], l, codecs[p.Rank()])
+		}},
+		// The segmented rings (the overlap level's pipeline), 4 chunks per
+		// segment, raw and compressed.
+		{"ParallelAllgatherSegmented", 2, func(p *mpi.Proc) {
+			nc.ParallelAllgatherSegmented(p, inq[p.Rank()], own(p), l, 4, nil, &ovs[p.Rank()])
+		}},
+		{"ParallelAllgatherSegmentedC", 2, func(p *mpi.Proc) {
+			nc.ParallelAllgatherSegmentedC(p, inq[p.Rank()], own(p), l, 4, codecs[p.Rank()], nil, &ovs[p.Rank()])
+		}},
+	}
+	for _, c := range cases {
+		// The counts repeat exactly; the quarter only absorbs a stray
+		// runtime allocation landing inside one of the measured runs.
+		if got := allocsPerCall(w, c.body); got > c.perCall+0.25 {
+			t.Errorf("%s: %g allocations per call per rank, want %g (0 per step)", c.name, got, c.perCall)
+		}
 	}
 }

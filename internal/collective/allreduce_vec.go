@@ -10,10 +10,11 @@ import (
 // every other collective family (allgather.go's table).
 const tagAllreduceV = 0xD000
 
-// laneVec is the wire payload of AllreduceSumVec64. It travels by value:
-// boxing into the message's `any` copies the array, so a receiver's read
-// can never race the sender's next mutation of its accumulator — the
-// property the scalar allreduce gets for free from int64 payloads.
+// laneVec is the wire payload of AllreduceSumVec64. It travels by value
+// through the message's untyped hatch: boxing into `any` copies the
+// array, so a receiver's read can never race the sender's next mutation
+// of its accumulator — the property the scalar allreduce gets for free
+// from its int64 payload. (A typed Vals slice would alias x instead.)
 type laneVec [64]int64
 
 // AllreduceSumVec64 sums a 64-element int64 vector over the group,
@@ -35,7 +36,7 @@ func (g *Group) AllreduceSumVec64(p *mpi.Proc, x *[64]int64) {
 		if me == 0 {
 			for i := 1; i < n; i++ {
 				m := p.Recv(g.ranks[i], tagAllreduceV)
-				in := m.Payload.(laneVec)
+				in := m.Payload.Any.(laneVec)
 				for k := range x {
 					x[k] += in[k]
 				}
@@ -46,7 +47,7 @@ func (g *Group) AllreduceSumVec64(p *mpi.Proc, x *[64]int64) {
 		} else {
 			p.Send(g.ranks[0], tagAllreduceV, bytes, laneVec(*x), 1)
 			m := p.Recv(g.ranks[0], tagAllreduceV+1)
-			*x = [64]int64(m.Payload.(laneVec))
+			*x = [64]int64(m.Payload.Any.(laneVec))
 		}
 		p.Obs().Collective("allreduce-vec", t0, p.Clock())
 		return
@@ -58,7 +59,7 @@ func (g *Group) AllreduceSumVec64(p *mpi.Proc, x *[64]int64) {
 		partner := g.ranks[me^d]
 		m := p.SendRecv(partner, tagAllreduceV+2+k, bytes, laneVec(*x),
 			partner, tagAllreduceV+2+k, xor[k][me])
-		in := m.Payload.(laneVec)
+		in := m.Payload.Any.(laneVec)
 		for j := range x {
 			x[j] += in[j]
 		}

@@ -31,11 +31,9 @@ func (g *Group) AlltoallvInt64(p *mpi.Proc, send [][]int64) [][]int64 {
 		// ranks owning frontier hubs carry data, so a rank's transfer
 		// contends with its own outbound and inbound streams (2), not
 		// with every co-located rank's empty synchronization message.
-		m := p.SendRecv(g.ranks[dst], tagAlltoall+s, int64(len(payload))*8, payload,
+		m := p.SendRecvPayload(g.ranks[dst], tagAlltoall+s, int64(len(payload))*8, mpi.Payload{Vals: payload},
 			g.ranks[src], tagAlltoall+s, 2)
-		if m.Payload != nil {
-			recv[src] = m.Payload.([]int64)
-		}
+		recv[src] = m.Payload.Vals
 	}
 	p.Obs().Collective("alltoallv", t0, p.Clock())
 	return recv
@@ -68,14 +66,13 @@ func (g *Group) AlltoallvInt64Compressed(p *mpi.Proc, send [][]int64, out [][]in
 		// Same stream count as the raw pairwise exchange: sparse BFS fold
 		// steps contend with the rank's own two streams, not with every
 		// co-located rank.
-		m := p.SendRecvWire(g.ranks[dst], tagAlltoallC+s, pl.WireBytes, pl.RawBytes, encSeg{id: me, pl: pl},
+		m := p.SendRecvWire(g.ranks[dst], tagAlltoallC+s, mpi.Payload{ID: me, Wire: pl},
 			g.ranks[src], tagAlltoallC+s, 2)
-		in := m.Payload.(encSeg)
-		if in.id != src {
+		if m.Payload.ID != src {
 			panic("collective: compressed alltoallv received unexpected vector")
 		}
 		var dns float64
-		out[src], dns = c.DecodeList(in.pl, out[src][:0])
+		out[src], dns = c.DecodeList(m.Payload.Wire, out[src][:0])
 		p.Compute(dns)
 	}
 	p.Obs().Collective("alltoallv-comp", t0, p.Clock())

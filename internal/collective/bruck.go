@@ -41,7 +41,7 @@ func (g *Group) AllgatherBruck(p *mpi.Proc, buf []uint64, l Layout) {
 		}
 		m := p.SendRecv(g.ranks[dst], tagBruck+step, payload.words()*8, payload,
 			g.ranks[src], tagBruck+step, streams[me])
-		in := m.Payload.(blocks)
+		in := m.Payload.Any.(blocks)
 		for j, id := range in.ids {
 			if want := (src + j) % n; id != want {
 				panic("collective: Bruck allgather received unexpected segment")

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"numabfs/internal/mpi"
-	"numabfs/internal/wire"
 )
 
 // Group is an ordered set of ranks that communicate collectively.
@@ -164,27 +163,16 @@ func (g *Group) xorStreams() [][]int {
 	return g.xorStr
 }
 
-// blocks is the payload of allgather-family messages: segment ids and
-// their word data. The receiver copies each segment into place.
+// blocks is the payload of the multi-segment allgather steps (recursive
+// doubling, Bruck, binomial gather): segment ids and their word data.
+// The receiver copies each segment into place. It is genuinely
+// variable-shaped, so it travels through the message's untyped hatch
+// (one boxing allocation per step, log n steps); the single-segment
+// rings use the typed mpi.Payload fields (ID + Words, or ID + Wire) and
+// allocate nothing.
 type blocks struct {
 	ids  []int
 	data [][]uint64
-}
-
-// ringSeg is the payload of one ring-allgather step: the single
-// segment being forwarded. (The ring previously boxed a blocks value
-// with one-element id and data slices — three heap allocations per
-// step per rank in the hottest collective.)
-type ringSeg struct {
-	id   int
-	data []uint64
-}
-
-// encSeg is ringSeg's compressed counterpart: one wire-encoded segment
-// (or vertex list) with its id.
-type encSeg struct {
-	id int
-	pl wire.Payload
 }
 
 func (b blocks) words() int64 {

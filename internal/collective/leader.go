@@ -113,7 +113,7 @@ func (nc *NodeComm) IsLeader(p *mpi.Proc) bool { return nc.leaderOf[p.Node()] ==
 // index, plus — when it is its node's last member — every leftover sub it
 // stands in for. The rings run sequentially in ascending index; every
 // member orders them the same way, so the pipeline of rendezvous
-// mailboxes can never deadlock across rings.
+// slots can never deadlock across rings.
 func (nc *NodeComm) subRange(p *mpi.Proc) (lo, hi int) {
 	i := nc.idxOnNode[p.Rank()]
 	if i == len(nc.members[p.Node()])-1 {
@@ -225,11 +225,11 @@ func (nc *NodeComm) SharedInQueueAllgather(p *mpi.Proc, shared []uint64, seg []u
 		p.Compute(float64(len(seg)*8) / p.World().Config().ShmCopyBW)
 		for _, child := range mine[1:] {
 			m := p.Recv(child, tagGather)
-			copy(l.seg(shared, nc.World.Pos(child)), m.Payload.([]uint64))
+			copy(l.seg(shared, nc.World.Pos(child)), m.Payload.Words)
 		}
 	} else {
 		// Children copy concurrently; the leader serializes receives.
-		p.Send(nc.leaderOf[p.Node()], tagGather, int64(len(seg))*8, seg, len(mine)-1)
+		p.SendPayload(nc.leaderOf[p.Node()], tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
 	}
 	st.GatherNs = p.Clock() - t0
 

@@ -42,11 +42,11 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 		p.Compute(float64(l.Counts[me]*8) / cfg.ShmCopyBW)
 		for _, child := range mine[1:] {
 			m := p.Recv(child, tagPipe-1)
-			copy(l.seg(stage, nc.World.Pos(child)), m.Payload.([]uint64))
+			copy(l.seg(stage, nc.World.Pos(child)), m.Payload.Words)
 		}
 	} else {
 		seg := l.seg(buf, me)
-		p.Send(nc.leaderOf[p.Node()], tagPipe-1, int64(len(seg))*8, seg, len(mine)-1)
+		p.SendPayload(nc.leaderOf[p.Node()], tagPipe-1, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
 	}
 	st.GatherNs = p.Clock() - t0
 
@@ -87,9 +87,9 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 				recvID := (meL - s - 1 + n) % n
 				seg := nl.seg(stage, sendID)
 				t0 = p.Clock()
-				m := p.SendRecv(next, tagPipe+1000+s, int64(len(seg))*8, seg,
+				m := p.SendRecvPayload(next, tagPipe+1000+s, int64(len(seg))*8, mpi.Payload{Words: seg},
 					prev, tagPipe+1000+s, 2)
-				copy(nl.seg(stage, recvID), m.Payload.([]uint64))
+				copy(nl.seg(stage, recvID), m.Payload.Words)
 				st.InterNs += p.Clock() - t0
 				notify(s + 1)
 			}

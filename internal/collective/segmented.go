@@ -64,22 +64,6 @@ func (o *Overlap) Efficiency() float64 {
 	return o.HiddenNs / t
 }
 
-// segChunk is one pipelined ring message: chunk q of origin segment id,
-// travelling raw. Forwarded chunks alias the origin's buffer, which is
-// stable for the whole collective.
-type segChunk struct {
-	id, q int
-	data  []uint64
-}
-
-// encChunk is segChunk's compressed counterpart. The payload bytes live
-// in the origin's per-slot codec scratch (wire.EncodeSlot), stable until
-// the origin's next collective — forwarding never re-encodes.
-type encChunk struct {
-	id, q int
-	pl    wire.Payload
-}
-
 // segChunkCount clamps the requested chunk count to what the layout and
 // the tag space support: at least 1, at most the smallest non-empty
 // segment (so no chunk is empty), at most 256 (the flattened step×chunk
@@ -114,13 +98,18 @@ func chunkSpan(l Layout, id, q, Q int) (int64, int64) {
 // flight: wait on pair k, post pair k+1, then decode and scan chunk k
 // while pair k+1's transfer runs. Send k+1 always forwards data whose
 // receive completed at k+1-Q ≤ k, so the pipeline can never deadlock on
-// the capacity-1 mailboxes, and the per-chunk Wait bracketing splits
+// the capacity-1 slots, and the per-chunk Wait bracketing splits
 // every transfer into hidden and exposed time via Request.BeginNs/EndNs.
-// A nil codec runs the raw path (forwarding received aliases, like the
-// blocking ring); onChunk, when non-nil, is called with every finalized
-// word range — own chunks first, right after the pipeline starts, so
-// their scan overlaps the first transfer — and returns compute ns to
-// charge.
+// One pipelined message is a typed mpi.Payload: chunk Q of origin
+// segment ID, as raw Words (forwarded chunks alias the origin's buffer,
+// stable for the whole collective) or, with a codec, as a Wire payload
+// whose bytes live in the origin's per-slot scratch (wire.EncodeSlot,
+// stable until the origin's next collective — forwarding never
+// re-encodes). A nil codec runs the raw path (forwarding received
+// aliases, like the blocking ring); onChunk, when non-nil, is called
+// with every finalized word range — own chunks first, right after the
+// pipeline starts, so their scan overlaps the first transfer — and
+// returns compute ns to charge.
 func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, streams, chunks int, c *wire.Codec, onChunk func(w0, w1 int64) float64, ov *Overlap) {
 	Q := segChunkCount(l, chunks)
 	ov.Segments = Q
@@ -151,7 +140,6 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 	}
 	holdRaw := ov.holdRaw[:Q]
 	holdEnc := ov.holdEnc[:Q]
-	var msgs [2]mpi.Msg
 
 	postPair := func(k int) (*mpi.Request, *mpi.Request) {
 		s, q := k/Q, k%Q
@@ -168,8 +156,7 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 			} else {
 				pl = holdEnc[q]
 			}
-			sr = p.IsendWire(next, tag, pl.WireBytes, pl.RawBytes,
-				encChunk{id: sendID, q: q, pl: pl}, streams)
+			sr = p.IsendWire(next, tag, mpi.Payload{ID: sendID, Q: q, Wire: pl}, streams)
 		} else {
 			var data []uint64
 			if s == 0 {
@@ -178,10 +165,10 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 			} else {
 				data = holdRaw[q]
 			}
-			sr = p.Isend(next, tag, int64(len(data))*8,
-				segChunk{id: sendID, q: q, data: data}, streams)
+			sr = p.IsendPayload(next, tag, int64(len(data))*8,
+				mpi.Payload{ID: sendID, Q: q, Words: data}, streams)
 		}
-		return sr, p.Irecv(prev, tag, &msgs[k%2])
+		return sr, p.Irecv(prev, tag, nil)
 	}
 
 	sr, rr := postPair(0)
@@ -212,36 +199,27 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 		}
 		ov.SegEndNs = append(ov.SegEndNs, rr.EndNs)
 
-		// Extract and stash the payload before posting pair k+1 (its send
-		// may read hold slot q for a deeper forward in a later iteration;
-		// the in-flight message keeps its own copy of the value).
-		var id, cq int
-		var inRaw []uint64
-		var inEnc wire.Payload
-		if c != nil {
-			in := msgs[k%2].Payload.(encChunk)
-			id, cq, inEnc = in.id, in.q, in.pl
-			holdEnc[q] = inEnc
-		} else {
-			in := msgs[k%2].Payload.(segChunk)
-			id, cq, inRaw = in.id, in.q, in.data
-			holdRaw[q] = inRaw
-		}
-		if id != recvID || cq != q {
+		// Extract and stash the payload before posting pair k+1: the
+		// pooled Request's message is only valid until then, and the
+		// pair's send may read hold slot q for a deeper forward in a later
+		// iteration (the in-flight message keeps its own copy of the value).
+		in := rr.Msg().Payload
+		if in.ID != recvID || in.Q != q {
 			panic(fmt.Sprintf("collective: segmented ring expected chunk %d/%d, got %d/%d",
-				recvID, q, id, cq))
+				recvID, q, in.ID, in.Q))
 		}
+		holdRaw[q], holdEnc[q] = in.Words, in.Wire
 
 		if k+1 < K {
 			sr, rr = postPair(k + 1)
 		}
 
 		// Chunk k is final: land it and scan it while pair k+1 flies.
-		w0, w1 := chunkSpan(l, id, cq, Q)
+		w0, w1 := chunkSpan(l, in.ID, in.Q, Q)
 		if c != nil {
-			p.Compute(c.Decode(buf[w0:w1], inEnc))
+			p.Compute(c.Decode(buf[w0:w1], in.Wire))
 		} else {
-			copy(buf[w0:w1], inRaw)
+			copy(buf[w0:w1], in.Words)
 		}
 		if onChunk != nil {
 			p.Compute(onChunk(w0, w1))

@@ -47,7 +47,7 @@ func (g *Group) GatherBinomial(p *mpi.Proc, buf []uint64, l Layout, rootPos int)
 		if v&(2*d-1) == 0 && v+d < n {
 			child := g.ranks[(v+d+rootPos)%n]
 			m := p.Recv(child, tagGather+k)
-			in := m.Payload.(blocks)
+			in := m.Payload.Any.(blocks)
 			for j, id := range in.ids {
 				copy(l.seg(buf, id), in.data[j])
 			}
@@ -83,11 +83,11 @@ func (g *Group) BcastBinomial(p *mpi.Proc, buf []uint64, total int64, rootPos in
 		switch {
 		case v%(2*d) == 0 && v+d < n:
 			dst := g.ranks[(v+d+rootPos)%n]
-			p.Send(dst, tagBcast+k, total*8, buf[:total], streams[me])
+			p.SendPayload(dst, tagBcast+k, total*8, mpi.Payload{Words: buf[:total]}, streams[me])
 		case v%(2*d) == d:
 			src := g.ranks[(v-d+rootPos)%n]
 			m := p.Recv(src, tagBcast+k)
-			copy(buf[:total], m.Payload.([]uint64))
+			copy(buf[:total], m.Payload.Words)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func Fig4(s Spec) (*Table, error) {
 						peer := p.Rank() + cfg.SocketsPerNode // same local rank, node 1
 						for it := 0; it < iters; it++ {
 							if p.Node() == 0 {
-								p.Send(peer, 9000+it, size, buf, ppn)
+								p.SendPayload(peer, 9000+it, size, mpi.Payload{Words: buf}, ppn)
 							} else {
 								p.Recv(p.Rank()-cfg.SocketsPerNode, 9000+it)
 							}

@@ -114,13 +114,13 @@ func shareDegreeAllgather(cfg machine.Config, words int64, k int) (float64, erro
 			copy(buf[l.Displs[me]:], seg)
 			for j := 1; j < k; j++ {
 				m := p.Recv(me+j, tag)
-				child := m.Payload.([]uint64)
+				child := m.Payload.Words
 				copy(buf[l.Displs[me+j]:l.Displs[me+j]+int64(len(child))], child)
 			}
 			lg.AllgatherRing(p, buf, ll)
 		} else {
 			leader := me - me%k
-			p.Send(leader, tag, int64(len(seg))*8, seg, k-1)
+			p.SendPayload(leader, tag, int64(len(seg))*8, mpi.Payload{Words: seg}, k-1)
 		}
 		p.NodeBarrier()
 	})

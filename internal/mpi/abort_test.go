@@ -36,7 +36,7 @@ func TestAbortReleasesBlockedSendAndPost(t *testing.T) {
 	err := w.TryRun(func(p *Proc) {
 		switch p.Rank() {
 		case 0:
-			// The Isend fills the capacity-1 mailbox to rank 1; the Send
+			// The Isend fills the one slot to rank 1; the Send
 			// then blocks inside post, the Isend's Wait inside await.
 			// Neither is ever matched.
 			req := p.Isend(1, 1, 8, nil, 1)
@@ -154,7 +154,7 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 	err := w.TryRun(func(p *Proc) {
 		switch p.Rank() {
 		case 0:
-			// Leave a posted message behind in rank 1's mailbox.
+			// Leave a posted message behind in rank 1's slot.
 			p.Isend(1, 9, 8, nil, 1)
 			p.Barrier()
 		case 5:
@@ -166,7 +166,7 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 	if err == nil {
 		t.Fatal("first attempt should fail")
 	}
-	// The next attempt reuses the same world: the abort channel is
+	// The next attempt reuses the same world: the abort flag is
 	// re-armed, the poisoned barriers are rebuilt and the orphaned
 	// message is drained, so fresh sends and barriers work.
 	w.PrepareRecovery()

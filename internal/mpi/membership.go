@@ -57,7 +57,7 @@ func (w *World) Park(ranks []int) {
 }
 
 // Shrink removes permanently dead ranks from the world and advances the
-// epoch. Their mailboxes are drained (a dead rank may have left a
+// epoch. Their slots are emptied (a dead rank may have left a
 // posted message no one will take) and the barriers are rebuilt over
 // the survivors; a node losing its last rank drops out of the barrier
 // combiner entirely.
@@ -67,7 +67,7 @@ func (w *World) Shrink(dead []int) {
 			panic(fmt.Sprintf("mpi: Shrink(%d): rank already parked or dead", r))
 		}
 		w.live[r] = false
-		w.drainMail(r)
+		w.clearSlots(r)
 	}
 	w.epoch++
 	w.rebuildMembership()
@@ -86,25 +86,9 @@ func (w *World) Promote(spare, dead int) {
 	}
 	w.live[spare] = true
 	w.live[dead] = false
-	w.drainMail(dead)
+	w.clearSlots(dead)
 	w.epoch++
 	w.rebuildMembership()
-}
-
-// drainMail empties every mailbox to and from rank r.
-func (w *World) drainMail(r int) {
-	for s := range w.mail[r] {
-		select {
-		case <-w.mail[r][s]:
-		default:
-		}
-	}
-	for d := range w.mail {
-		select {
-		case <-w.mail[d][r]:
-		default:
-		}
-	}
 }
 
 // rebuildMembership recomputes the live counts and rebuilds both

@@ -49,7 +49,7 @@ func TestSendRecvTransfersPayloadAndAdvancesClocks(t *testing.T) {
 			p.Send(5, 7, 4*8, []uint64{1, 2, 3, 4}, 1)
 		case 5:
 			m := p.Recv(0, 7)
-			got = m.Payload.([]uint64)
+			got = m.Payload.Any.([]uint64)
 			if m.Src != 0 || m.Bytes != 32 {
 				t.Errorf("Msg = %+v", m)
 			}
@@ -120,7 +120,7 @@ func TestSendRecvRingDoesNotDeadlock(t *testing.T) {
 		prev := (me - 1 + n) % n
 		for s := 0; s < 3; s++ {
 			m := p.SendRecv(next, 100+s, 64, []uint64{uint64(me)}, prev, 100+s, 1)
-			if v := m.Payload.([]uint64)[0]; v != uint64(prev) {
+			if v := m.Payload.Any.([]uint64)[0]; v != uint64(prev) {
 				t.Errorf("rank %d step %d: got %d want %d", me, s, v, prev)
 			}
 		}

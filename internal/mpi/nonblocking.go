@@ -16,8 +16,7 @@ type Request struct {
 	done bool
 
 	// send fields
-	ack       chan float64
-	sendBytes int64
+	sent *message
 
 	// recv fields
 	isRecv    bool
@@ -44,30 +43,37 @@ func (r *Request) Msg() Msg { return r.msg }
 // Isend posts a nonblocking send. The transfer is timestamped with the
 // clock at post time, so computation between Isend and Wait genuinely
 // overlaps the transfer: Wait only advances the clock if the rendezvous
-// finishes after the rank's own work.
+// finishes after the rank's own work. Like Send, it blocks while an
+// earlier message to dst has not been received yet. The untyped payload
+// arrives as Msg.Payload.Any; hot paths use IsendPayload.
 func (p *Proc) Isend(dst, tag int, bytes int64, payload any, streams int) *Request {
-	return p.IsendWire(dst, tag, bytes, bytes, payload, streams)
+	return p.isend(dst, tag, bytes, bytes, &Payload{Any: payload}, streams)
 }
 
-// IsendWire is Isend for an encoded payload: wireBytes cross the
-// simulated network and drive the transfer cost, rawBytes is the
-// logical (pre-encoding) size recorded by the raw-volume counters —
-// the nonblocking counterpart of SendRecvWire.
-func (p *Proc) IsendWire(dst, tag int, wireBytes, rawBytes int64, payload any, streams int) *Request {
+// IsendPayload is Isend with a typed payload, which boxes nothing.
+func (p *Proc) IsendPayload(dst, tag int, bytes int64, pl Payload, streams int) *Request {
+	return p.isend(dst, tag, bytes, bytes, &pl, streams)
+}
+
+// IsendWire is IsendPayload for an encoded payload: pl.Wire's WireBytes
+// cross the simulated network and drive the transfer cost, its RawBytes
+// are the logical (pre-encoding) size recorded by the raw-volume
+// counters — the nonblocking counterpart of SendRecvWire.
+func (p *Proc) IsendWire(dst, tag int, pl Payload, streams int) *Request {
+	return p.isend(dst, tag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, streams)
+}
+
+func (p *Proc) isend(dst, tag int, wireBytes, rawBytes int64, pl *Payload, streams int) *Request {
 	if dst == p.rank {
 		panic(fmt.Sprintf("mpi: rank %d isend to self", p.rank))
 	}
 	p.checkCrash()
-	m := message{
-		src: p.rank, tag: tag, bytes: wireBytes, raw: rawBytes, streams: streams,
-		payload: payload, sent: p.clock, ack: p.getAck(),
-	}
+	m := p.newMessage(tag, wireBytes, rawBytes, streams, pl)
 	p.post(dst, m)
 	p.sentBytes += wireBytes
 	p.countMsg(dst, wireBytes, rawBytes)
 	r := p.getReq()
-	r.ack = m.ack
-	r.sendBytes = wireBytes
+	r.sent = m
 	return r
 }
 
@@ -99,8 +105,8 @@ func (r *Request) Wait() {
 	p := r.p
 	start := p.clock
 	if !r.isRecv {
-		end := p.await(r.ack)
-		p.putAck(r.ack)
+		end := p.await(r.sent)
+		p.putMessage(r.sent)
 		if end > p.clock {
 			p.clock = end
 		}
@@ -108,19 +114,11 @@ func (r *Request) Wait() {
 		p.putReq(r)
 		return
 	}
-	m := p.take(r.src)
-	if m.tag != r.tag {
-		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", p.rank, r.tag, r.src, m.tag))
-	}
-	begin := maxf(m.sent, r.postClock)
-	recvEnd, sendEnd := p.deliver(m, begin)
-	m.ack <- sendEnd
-	r.BeginNs, r.EndNs = begin, recvEnd
-	if recvEnd > p.clock {
-		p.clock = recvEnd
+	r.BeginNs, r.EndNs = p.receive(r.src, r.tag, r.postClock, &r.msg)
+	if r.EndNs > p.clock {
+		p.clock = r.EndNs
 	}
 	p.commNs += p.clock - start
-	r.msg = Msg{Src: m.src, Tag: m.tag, Bytes: m.bytes, Payload: m.payload}
 	if r.out != nil {
 		*r.out = r.msg
 	}

@@ -13,7 +13,7 @@ func TestIsendIrecvDeliverPayload(t *testing.T) {
 			var m Msg
 			req := p.Irecv(0, 3, &m)
 			req.Wait()
-			if m.Src != 0 || m.Bytes != 32 || m.Payload.([]uint64)[0] != 9 {
+			if m.Src != 0 || m.Bytes != 32 || m.Payload.Any.([]uint64)[0] != 9 {
 				t.Errorf("Msg = %+v", m)
 			}
 		}

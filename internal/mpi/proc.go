@@ -2,36 +2,28 @@ package mpi
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"numabfs/internal/fault"
 	"numabfs/internal/obs"
 )
-
-// message is an in-flight transfer. ack carries the rendezvous end time
-// back to the sender so both clocks agree. bytes is what crosses the
-// wire; raw is the logical (pre-compression) size, equal to bytes
-// except for encoded payloads posted via SendRecvWire.
-type message struct {
-	src, tag int
-	bytes    int64
-	raw      int64
-	streams  int
-	payload  any
-	sent     float64 // sender's clock when the send was posted
-	ack      chan float64
-}
 
 // Msg is a received message as seen by the application.
 type Msg struct {
 	Src     int
 	Tag     int
 	Bytes   int64
-	Payload any
+	Payload Payload
 }
 
 // Proc is one simulated MPI rank. All methods must be called from the
 // rank's own goroutine (inside World.Run's body).
 type Proc struct {
+	// parked and wake are the rank's park/wake primitive (rendezvous.go)
+	// — the only Proc state other ranks' goroutines touch.
+	parked atomic.Uint32
+	wake   chan struct{}
+
 	w     *World
 	rank  int
 	node  int
@@ -46,15 +38,12 @@ type Proc struct {
 	// recorder) unless World.AttachObs was called.
 	obs *obs.Rank
 
-	// ackFree is the rank's free-list of rendezvous ack channels. Every
-	// blocking or nonblocking send needs a one-shot channel for the
-	// receiver to return the transfer end time on; recycling them keeps
-	// the Send/Recv hot path allocation-free. Only the owning rank's
-	// goroutine touches the list: channels are taken before posting and
-	// returned after a successful await, so a pooled channel is always
-	// empty. Channels in flight during an abort unwind are simply
-	// dropped.
-	ackFree []chan float64
+	// msgFree is the rank's free-list of message cells (rendezvous.go).
+	// Only the owning rank's goroutine touches the list: a cell is taken
+	// before posting and returned after its acknowledgement was awaited,
+	// when the receiver no longer holds it. Cells in flight during an
+	// abort unwind are simply dropped.
+	msgFree []*message
 
 	// reqFree is the rank's free-list of nonblocking Requests: Wait
 	// returns a completed Request here, Isend/Irecv draw from it. Only
@@ -64,19 +53,6 @@ type Proc struct {
 	// flight during an abort unwind are simply dropped.
 	reqFree []*Request
 }
-
-// getAck takes an ack channel from the free-list, or allocates one.
-func (p *Proc) getAck() chan float64 {
-	if n := len(p.ackFree); n > 0 {
-		ch := p.ackFree[n-1]
-		p.ackFree = p.ackFree[:n-1]
-		return ch
-	}
-	return make(chan float64, 1)
-}
-
-// putAck returns a consumed ack channel to the free-list.
-func (p *Proc) putAck(ch chan float64) { p.ackFree = append(p.ackFree, ch) }
 
 // getReq takes a Request from the free-list (reset to zero state), or
 // allocates one.
@@ -182,52 +158,27 @@ func (p *Proc) RestoreClock(ns float64) { p.clock = ns }
 // memory system) during the enclosing collective step; the caller — the
 // collective implementation — knows its own structure. Send blocks until
 // the matching Recv completes and advances the clock to the transfer end.
+// The untyped payload arrives as Msg.Payload.Any; hot paths use
+// SendPayload.
 func (p *Proc) Send(dst, tag int, bytes int64, payload any, streams int) {
+	p.SendPayload(dst, tag, bytes, Payload{Any: payload}, streams)
+}
+
+// SendPayload is Send with a typed payload, which boxes nothing.
+func (p *Proc) SendPayload(dst, tag int, bytes int64, pl Payload, streams int) {
 	if dst == p.rank {
 		panic(fmt.Sprintf("mpi: rank %d send to self", p.rank))
 	}
 	p.checkCrash()
 	start := p.clock
-	m := message{
-		src: p.rank, tag: tag, bytes: bytes, raw: bytes, streams: streams,
-		payload: payload, sent: p.clock, ack: p.getAck(),
-	}
+	m := p.newMessage(tag, bytes, bytes, streams, &pl)
 	p.post(dst, m)
-	end := p.await(m.ack)
-	p.putAck(m.ack)
+	end := p.await(m)
+	p.putMessage(m)
 	p.clock = end
 	p.commNs += end - start
 	p.sentBytes += bytes
 	p.countMsg(dst, bytes, bytes)
-}
-
-// post delivers a message to dst's mailbox, failing if the job aborts.
-func (p *Proc) post(dst int, m message) {
-	select {
-	case p.w.mail[dst][p.rank] <- m:
-	case <-p.w.abort:
-		panic(errAborted{})
-	}
-}
-
-// await waits for a rendezvous acknowledgement, failing on abort.
-func (p *Proc) await(ack chan float64) float64 {
-	select {
-	case end := <-ack:
-		return end
-	case <-p.w.abort:
-		panic(errAborted{})
-	}
-}
-
-// take receives the next message from src, failing on abort.
-func (p *Proc) take(src int) message {
-	select {
-	case m := <-p.w.mail[p.rank][src]:
-		return m
-	case <-p.w.abort:
-		panic(errAborted{})
-	}
 }
 
 // Recv receives the next message from src, which must carry tag (the
@@ -240,58 +191,68 @@ func (p *Proc) Recv(src, tag int) Msg {
 	}
 	p.checkCrash()
 	start := p.clock
+	var msg Msg
+	_, recvEnd := p.receive(src, tag, p.clock, &msg)
+	p.clock = recvEnd
+	p.commNs += recvEnd - start
+	return msg
+}
+
+// receive takes the next message from src, prices its delivery from the
+// later of the sender's post and ready (when this side arrived), and
+// completes the rendezvous. It stores the message into out and returns
+// the transfer's begin and end on this side; the caller advances its own
+// clock.
+func (p *Proc) receive(src, tag int, ready float64, out *Msg) (begin, recvEnd float64) {
 	m := p.take(src)
 	if m.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", p.rank, tag, src, m.tag))
 	}
-	begin := maxf(m.sent, p.clock)
+	begin = maxf(m.sent, ready)
 	recvEnd, sendEnd := p.deliver(m, begin)
-	m.ack <- sendEnd
-	p.clock = recvEnd
-	p.commNs += recvEnd - start
-	return Msg{Src: m.src, Tag: m.tag, Bytes: m.bytes, Payload: m.payload}
+	out.Src, out.Tag, out.Bytes, out.Payload = m.src, m.tag, m.bytes, m.payload
+	p.complete(m, sendEnd)
+	return begin, recvEnd
 }
 
 // SendRecv posts a send to dst and a receive from src concurrently and
 // completes both, as MPI_Sendrecv does. Ring exchanges need this: with
-// blocking Send alone, a cycle of ranks would deadlock.
+// blocking Send alone, a cycle of ranks would deadlock. The untyped
+// payload arrives as Msg.Payload.Any; hot paths use SendRecvPayload.
 func (p *Proc) SendRecv(dst, sendTag int, bytes int64, payload any, src, recvTag int, streams int) Msg {
-	return p.sendRecv(dst, sendTag, bytes, bytes, payload, src, recvTag, streams)
+	return p.sendRecv(dst, sendTag, bytes, bytes, &Payload{Any: payload}, src, recvTag, streams)
 }
 
-// SendRecvWire is SendRecv for an encoded payload: wireBytes cross the
-// simulated network and drive the transfer cost, while rawBytes — the
-// logical, pre-encoding size — is recorded by the raw-volume counters,
-// so one run exposes both the compressed and the uncompressed volume.
-func (p *Proc) SendRecvWire(dst, sendTag int, wireBytes, rawBytes int64, payload any, src, recvTag int, streams int) Msg {
-	return p.sendRecv(dst, sendTag, wireBytes, rawBytes, payload, src, recvTag, streams)
+// SendRecvPayload is SendRecv with a typed payload, which boxes nothing.
+func (p *Proc) SendRecvPayload(dst, sendTag int, bytes int64, pl Payload, src, recvTag int, streams int) Msg {
+	return p.sendRecv(dst, sendTag, bytes, bytes, &pl, src, recvTag, streams)
 }
 
-func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, payload any, src, recvTag int, streams int) Msg {
+// SendRecvWire is SendRecvPayload for an encoded payload: pl.Wire's
+// WireBytes cross the simulated network and drive the transfer cost,
+// while its RawBytes — the logical, pre-encoding size — are recorded by
+// the raw-volume counters, so one run exposes both the compressed and
+// the uncompressed volume.
+func (p *Proc) SendRecvWire(dst, sendTag int, pl Payload, src, recvTag int, streams int) Msg {
+	return p.sendRecv(dst, sendTag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, src, recvTag, streams)
+}
+
+func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, recvTag int, streams int) (in Msg) {
 	p.checkCrash()
 	start := p.clock
-	m := message{
-		src: p.rank, tag: sendTag, bytes: wire, raw: raw, streams: streams,
-		payload: payload, sent: p.clock, ack: p.getAck(),
-	}
+	m := p.newMessage(sendTag, wire, raw, streams, pl)
 	p.post(dst, m)
 
-	// Receive inline while the send waits for its ack.
-	in := p.take(src)
-	if in.tag != recvTag {
-		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", p.rank, recvTag, src, in.tag))
-	}
-	begin := maxf(in.sent, p.clock)
-	recvEnd, inSendEnd := p.deliver(in, begin)
-	in.ack <- inSendEnd
+	// Receive inline while the send waits for its acknowledgement.
+	_, recvEnd := p.receive(src, recvTag, p.clock, &in)
 
-	sendEnd := p.await(m.ack)
-	p.putAck(m.ack)
+	sendEnd := p.await(m)
+	p.putMessage(m)
 	p.clock = maxf(recvEnd, sendEnd)
 	p.commNs += p.clock - start
 	p.sentBytes += wire
 	p.countMsg(dst, wire, raw)
-	return Msg{Src: in.src, Tag: in.tag, Bytes: in.bytes, Payload: in.payload}
+	return in
 }
 
 // Barrier synchronizes all ranks: every clock advances to the maximum

@@ -12,11 +12,19 @@
 // The result is deterministic: virtual time depends only on the machine
 // configuration, the algorithm and the input — never on host scheduling
 // or host core count.
+//
+// On the host, a message moves through a per-(dst, src) slot published
+// with one atomic store, is acknowledged through the pooled cell that
+// carried it, and blocked ranks park on a per-rank wake channel: a
+// steady-state message allocates nothing and takes no lock shared
+// between ranks. rendezvous.go has the protocol and its ordering
+// argument; DESIGN.md §6 places it in the host-performance architecture.
 package mpi
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"numabfs/internal/fault"
 	"numabfs/internal/machine"
@@ -41,8 +49,11 @@ type World struct {
 	inj *fault.Injector
 
 	procs []*Proc
-	// mail[dst][src] carries messages from src to dst.
-	mail [][]chan message
+	// slots[dst*np+src] is the rendezvous slot carrying messages from src
+	// to dst (rendezvous.go): nil when empty, else the one posted message
+	// dst has not completed yet. One flat array of np*np pointers, 128 KiB
+	// at 128 ranks.
+	slots []atomic.Pointer[message]
 
 	globalBarrier *shardedBarrier
 	nodeBarriers  []*barrier
@@ -58,11 +69,12 @@ type World struct {
 	maxLivePPN int
 	epoch      int
 
-	// abort is closed when any rank panics, releasing ranks blocked in
+	// jobAborted is set when any rank panics, releasing ranks blocked in
 	// communication (MPI job-abort semantics: one failing rank brings
-	// the whole job down instead of deadlocking its partners).
-	abort     chan struct{}
-	abortOnce sync.Once
+	// the whole job down instead of deadlocking its partners). Parked
+	// ranks learn of it through one wake token each (rendezvous.go).
+	jobAborted   atomic.Bool
+	jobAbortOnce sync.Once
 
 	shmMu      sync.Mutex
 	shmRegions map[string][]uint64
@@ -76,10 +88,15 @@ type errAborted struct{}
 
 func (errAborted) Error() string { return "mpi: job aborted by another rank's failure" }
 
-// doAbort releases every blocked rank.
+// doAbort releases every blocked rank: the flag first, then one wake
+// per rank — unconditional, so it also reaches a rank between its
+// parked store and its block — then the barriers.
 func (w *World) doAbort() {
-	w.abortOnce.Do(func() {
-		close(w.abort)
+	w.jobAbortOnce.Do(func() {
+		w.jobAborted.Store(true)
+		for _, p := range w.procs {
+			p.wakeNow()
+		}
 		w.globalBarrier.abortAll()
 		for _, b := range w.nodeBarriers {
 			b.abortAll()
@@ -99,19 +116,10 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 		cfg:        cfg,
 		pl:         pl,
 		net:        simnet.New(cfg),
-		abort:      make(chan struct{}),
+		slots:      make([]atomic.Pointer[message], np*np),
 		shmRegions: make(map[string][]uint64),
 	}
 	w.inj = w.net.Injector()
-	w.mail = make([][]chan message, np)
-	for d := range w.mail {
-		w.mail[d] = make([]chan message, np)
-		for s := range w.mail[d] {
-			// Capacity 1 lets the sender post and block on the ack,
-			// avoiding a second handshake for the common case.
-			w.mail[d][s] = make(chan message, 1)
-		}
-	}
 	w.live = make([]bool, np)
 	for r := range w.live {
 		w.live[r] = true
@@ -122,6 +130,7 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 	w.procs = make([]*Proc, np)
 	for r := 0; r < np; r++ {
 		w.procs[r] = &Proc{
+			wake:  make(chan struct{}, 1),
 			w:     w,
 			rank:  r,
 			node:  r / pl.ProcsPerNode,
@@ -183,7 +192,7 @@ func (w *World) Run(body func(p *Proc)) {
 // rank), never whichever goroutine the host scheduler unblocked first —
 // while a programming bug keeps its descriptive wrapped panic and takes
 // precedence over any concurrent fault. After a failed attempt the world
-// is re-armed (abort channel, barriers, mailboxes), so a recovery
+// is re-armed (abort flag, barriers, slots, wake tokens), so a recovery
 // attempt can reuse it.
 func (w *World) TryRun(body func(p *Proc)) error {
 	w.resetAbort()
@@ -233,25 +242,27 @@ func (w *World) TryRun(body func(p *Proc)) error {
 	return nil
 }
 
-// resetAbort re-arms the abort machinery after a failed attempt: a fresh
-// abort channel, fresh barriers (an aborted barrier generation is
-// poisoned), and drained mailboxes (a crashed rank may have left a
-// posted message no one will ever take). A no-op unless an abort fired.
+// resetAbort re-arms the abort machinery after a failed attempt: the
+// flag is cleared, the barriers are rebuilt (an aborted barrier
+// generation is poisoned), every slot is emptied (a crashed rank may
+// have left a posted message no one will ever take), and every rank's
+// parked flag and leftover wake token are cleared. A no-op unless an
+// abort fired.
 func (w *World) resetAbort() {
-	select {
-	case <-w.abort:
-	default:
+	if !w.jobAborted.Load() {
 		return
 	}
-	w.abort = make(chan struct{})
-	w.abortOnce = sync.Once{}
+	w.jobAborted.Store(false)
+	w.jobAbortOnce = sync.Once{}
 	w.rebuildMembership()
-	for d := range w.mail {
-		for s := range w.mail[d] {
-			select {
-			case <-w.mail[d][s]:
-			default:
-			}
+	for i := range w.slots {
+		w.slots[i].Store(nil)
+	}
+	for _, p := range w.procs {
+		p.parked.Store(0)
+		select {
+		case <-p.wake:
+		default:
 		}
 	}
 }
