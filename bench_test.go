@@ -21,7 +21,6 @@ import (
 	"numabfs/internal/experiments"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
-	"numabfs/internal/rmat"
 )
 
 // benchSpec sizes the figure benches: small enough for -benchtime=1x
@@ -106,16 +105,37 @@ func BenchmarkBFSRoot(b *testing.B) {
 	}
 }
 
-// BenchmarkRMATGeneration measures edge generation throughput.
-func BenchmarkRMATGeneration(b *testing.B) {
-	p := rmat.Graph500(20)
-	b.ReportAllocs()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		u, v := p.EdgeAt(int64(i))
-		sink += u + v
-	}
-	_ = sink
+// BenchmarkKernel1 measures Graph500 kernel 1 as every CLI run, uncached
+// experiment cell and benchmark set-up pays it: NewRunner + Setup (R-MAT
+// generation, owner routing, alltoallv, CSR build) on a 2-node cluster,
+// for the 1-D and the 2-D engine. Its parts are timed next to their
+// code: rmat's BenchmarkEdgeAt/BenchmarkEdges, graph's BenchmarkBuildCSR.
+func BenchmarkKernel1(b *testing.B) {
+	const scale = 16
+	cfg := numabfs.ScaledCluster(scale, scale+12).WithNodes(2)
+	cfg.WeakNode = -1
+	params := numabfs.Graph500Params(scale)
+	b.Run("1d", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := numabfs.NewRunner(cfg, numabfs.PPN8Bind, params, numabfs.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.Setup()
+		}
+	})
+	b.Run("2d", func(b *testing.B) {
+		b.ReportAllocs()
+		grid := numabfs.DefaultGrid(2 * cfg.SocketsPerNode)
+		for i := 0; i < b.N; i++ {
+			r, err := numabfs.NewRunner2D(cfg, numabfs.PPN8Bind, grid, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.Setup()
+		}
+	})
 }
 
 // BenchmarkBitmapCheck measures the bottom-up inner loop's primitive:

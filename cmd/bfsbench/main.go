@@ -14,6 +14,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -527,6 +528,9 @@ func main() {
 		t, err := d.run(spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bfsbench: fig %s: %v\n", d.key, err)
+			if errors.Is(err, graph500.ErrTooManyRoots) {
+				os.Exit(2) // a bad -roots/-batch value, not a failed run
+			}
 			os.Exit(1)
 		}
 		fmt.Println(t.String())

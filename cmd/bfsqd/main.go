@@ -199,7 +199,12 @@ func main() {
 
 	// Calibrate capacity from one full batch of this policy's size, then
 	// offer -rate times it.
-	calib := r.RunBatch(params.Roots(*batchSz, r.HasEdgeGlobal))
+	calibRoots, err := graph500.DrawRoots(params, *batchSz, r.HasEdgeGlobal)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bfsqd: -batch: %v\n", err)
+		os.Exit(2)
+	}
+	calib := r.RunBatch(calibRoots)
 	capacityQPS := float64(*batchSz) / (calib.TimeNs / 1e9)
 	fillNs := *fillTimeout
 	if fillNs == 0 {

@@ -10,6 +10,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -172,6 +173,9 @@ func main() {
 	res, err := numabfs.Run(bench)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "graph500: %v\n", err)
+		if errors.Is(err, numabfs.ErrTooManyRoots) {
+			os.Exit(2) // a bad -roots value, not a failed run
+		}
 		os.Exit(1)
 	}
 

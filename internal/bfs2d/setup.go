@@ -2,11 +2,10 @@ package bfs2d
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"numabfs/internal/bitmap"
 	"numabfs/internal/collective"
+	"numabfs/internal/graph"
 	"numabfs/internal/mpi"
 	"numabfs/internal/omp"
 	"numabfs/internal/wire"
@@ -48,20 +47,13 @@ func (r *Runner) Setup() {
 		lo := ne * cell / int64(cells)
 		hi := ne * (cell + 1) / int64(cells)
 
-		send := make([][]int64, cells)
-		route := func(u, v int64) {
+		// Adjacency (u, v) goes to the cell at (row of v's block, column
+		// of u).
+		send := graph.RouteEdges(r.Params, lo, hi, cells, func(u, v int64) int {
 			j := int(u / (int64(r.Grid.R) * r.blockSize))
 			i := int(v/r.blockSize) % r.Grid.R
-			send[j*r.Grid.R+i] = append(send[j*r.Grid.R+i], u, v)
-		}
-		for e := lo; e < hi; e++ {
-			u, v := r.Params.EdgeAt(e)
-			if u == v {
-				continue
-			}
-			route(u, v)
-			route(v, u)
-		}
+			return j*r.Grid.R + i
+		})
 		p.Compute(float64(hi-lo) * float64(r.Params.Scale) * 6 * cfg.CPUOpNs)
 
 		recv := r.grid.AlltoallvInt64(p, send)
@@ -69,50 +61,14 @@ func (r *Runner) Setup() {
 		i, j := r.gridOf(me)
 		cLo, cHi := r.colRange(j)
 		width := cHi - cLo
+		csr := graph.BuildCSRFrom(cLo, cHi, recv, true)
 		rs := &rankState{
 			r: r, i: i, j: j,
 			team:   omp.TeamFor(cfg, r.pl),
-			rowPtr: make([]int64, width+1),
+			rowPtr: csr.RowPtr,
+			col:    csr.Col,
 		}
-		// Counting pass, fill, per-row sort + dedup.
-		var pairs []int64
-		for _, vec := range recv {
-			pairs = append(pairs, vec...)
-		}
-		for k := 0; k+1 < len(pairs); k += 2 {
-			rs.rowPtr[pairs[k]-cLo+1]++
-		}
-		for w := int64(0); w < width; w++ {
-			rs.rowPtr[w+1] += rs.rowPtr[w]
-		}
-		rs.col = make([]int64, rs.rowPtr[width])
-		fill := make([]int64, width)
-		for k := 0; k+1 < len(pairs); k += 2 {
-			u := pairs[k] - cLo
-			rs.col[rs.rowPtr[u]+fill[u]] = pairs[k+1]
-			fill[u]++
-		}
-		kept := int64(0)
-		newPtr := make([]int64, width+1)
-		for u := int64(0); u < width; u++ {
-			row := rs.col[rs.rowPtr[u]:rs.rowPtr[u+1]]
-			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-			var prev int64 = -1
-			for _, v := range row {
-				if v != prev {
-					rs.col[kept] = v
-					kept++
-					prev = v
-				}
-			}
-			newPtr[u+1] = kept
-		}
-		rs.col = rs.col[:kept]
-		rs.rowPtr = newPtr
-
-		m := float64(len(pairs) / 2)
-		logd := math.Log2(1 + m/math.Max(1, float64(width)))
-		p.Compute(m*16/cfg.MemBWPerSocket + m*logd*4*cfg.CPUOpNs)
+		p.Compute(graph.BuildCostNs(cfg, recv, width))
 
 		rs.parent = make([]int64, r.blockSize)
 		if r.Compress {

@@ -49,7 +49,10 @@ func ExtCrossover(s Spec) (*Table, error) {
 					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("crossover 1-D nodes=%d", nodes)))
 				}
 				r.Setup()
-				roots := r.Params.Roots(cs.Roots, r.HasEdgeGlobal)
+				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
+				if err != nil {
+					return fmt.Errorf("crossover 1-D: %w", err)
+				}
 				var teps, times []float64
 				for _, root := range roots {
 					res := r.RunRoot(root)
@@ -82,7 +85,10 @@ func ExtCrossover(s Spec) (*Table, error) {
 					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("crossover 2-D %dx%d nodes=%d", grid.R, grid.C, nodes)))
 				}
 				r.Setup()
-				roots := r.Params.Roots(cs.Roots, r.HasEdgeGlobal)
+				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
+				if err != nil {
+					return fmt.Errorf("crossover 2-D: %w", err)
+				}
 				var teps, times []float64
 				for _, root := range roots {
 					res := r.RunRoot(root)

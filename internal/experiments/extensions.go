@@ -50,7 +50,10 @@ func Ext2D(s Spec) (*Table, error) {
 						r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("ext2d 1-D %s nodes=%d", mode, nodes)))
 					}
 					r.Setup()
-					roots := r.Params.Roots(cs.Roots, r.HasEdgeGlobal)
+					roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
+					if err != nil {
+						return fmt.Errorf("ext2d 1-D %s: %w", mode, err)
+					}
 					var teps, comm []float64
 					for _, root := range roots {
 						res := r.RunRoot(root)
@@ -80,7 +83,10 @@ func Ext2D(s Spec) (*Table, error) {
 					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("ext2d 2-D %dx%d nodes=%d", grid.R, grid.C, nodes)))
 				}
 				r.Setup()
-				roots := r.Params.Roots(cs.Roots, r.HasEdgeGlobal)
+				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
+				if err != nil {
+					return fmt.Errorf("ext2d 2-D: %w", err)
+				}
 				var teps, comm []float64
 				for _, root := range roots {
 					res := r.RunRoot(root)

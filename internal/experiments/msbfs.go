@@ -93,7 +93,10 @@ func ExtMSBFS(s Spec) (*Table, error) {
 			if err != nil {
 				return fmt.Errorf("msbfs %s: %w", opt, err)
 			}
-			roots := cs.msbfsConfig(opt).Params.Roots(b, r.HasEdgeGlobal)
+			roots, err := graph500.DrawRoots(cs.msbfsConfig(opt).Params, b, r.HasEdgeGlobal)
+			if err != nil {
+				return fmt.Errorf("msbfs %s: %w", opt, err)
+			}
 			br := r.RunBatch(roots)
 			if err := graph500.ValidateBatch(r, roots); err != nil {
 				return fmt.Errorf("msbfs %s: %w", opt, err)
@@ -206,7 +209,11 @@ func ExtMSBFSLoad(s Spec) (*Table, error) {
 			// default fill timeout are expressed against it, so the sweep
 			// stresses the same operating points at every scale. Virtual
 			// time is deterministic, so the calibration is too.
-			calib := r.RunBatch(gc.Params.Roots(b, r.HasEdgeGlobal))
+			calibRoots, err := graph500.DrawRoots(gc.Params, b, r.HasEdgeGlobal)
+			if err != nil {
+				return fmt.Errorf("msbfs-load %s: %w", c.label, err)
+			}
+			calib := r.RunBatch(calibRoots)
 			capacityQPS := float64(b) / (calib.TimeNs / 1e9)
 			fillNs := cs.FillTimeoutNs
 			if fillNs == 0 {

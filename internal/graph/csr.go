@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is the local adjacency structure of one rank: the out-neighbour
@@ -49,43 +49,74 @@ func (c *CSR) BytesApprox() int64 {
 // kept or deduplicated according to dedup (Graph500 permits multigraphs;
 // the reference BFS implementations deduplicate during construction).
 func BuildCSR(lo, hi int64, pairs []int64, dedup bool) *CSR {
-	if len(pairs)%2 != 0 {
-		panic("graph: odd pair slice")
-	}
+	return BuildCSRFrom(lo, hi, [][]int64{pairs}, dedup)
+}
+
+// BuildCSRFrom is BuildCSR over several pair vectors — the shape an
+// alltoallv delivers, one vector per sender — read where they lie. It is
+// the one CSR construction in the repository: the 1-D engines reach it
+// through BuildDistributed, the 2-D engine calls it on its column range,
+// BuildGlobal on the whole vertex set. The result does not depend on how
+// the pairs are split over vectors, and Col's backing array is exactly
+// the pre-dedup adjacency count.
+func BuildCSRFrom(lo, hi int64, vecs [][]int64, dedup bool) *CSR {
 	n := hi - lo
 	c := &CSR{Lo: lo, Hi: hi, RowPtr: make([]int64, n+1)}
-	// Counting pass.
-	for k := 0; k < len(pairs); k += 2 {
-		u, v := pairs[k], pairs[k+1]
-		if u < lo || u >= hi {
-			panic(fmt.Sprintf("graph: source %d outside [%d, %d)", u, lo, hi))
+	// Counting pass: RowPtr[i+1] = degree of row i, then its prefix sum
+	// turns RowPtr[i] into the start of row i.
+	for _, pairs := range vecs {
+		if len(pairs)%2 != 0 {
+			panic("graph: odd pair slice")
 		}
-		if u == v {
-			continue
+		for k := 0; k < len(pairs); k += 2 {
+			u, v := pairs[k], pairs[k+1]
+			if u < lo || u >= hi {
+				panic(fmt.Sprintf("graph: source %d outside [%d, %d)", u, lo, hi))
+			}
+			if u != v {
+				c.RowPtr[u-lo+1]++
+			}
 		}
-		c.RowPtr[u-lo+1]++
 	}
 	for i := int64(0); i < n; i++ {
 		c.RowPtr[i+1] += c.RowPtr[i]
 	}
 	c.Col = make([]int64, c.RowPtr[n])
-	fill := make([]int64, n)
-	for k := 0; k < len(pairs); k += 2 {
-		u, v := pairs[k], pairs[k+1]
-		if u == v {
-			continue
+	// Fill pass: RowPtr[i] is row i's write cursor, so it ends the pass
+	// as the end of row i — the start of row i+1; shift it back down.
+	for _, pairs := range vecs {
+		for k := 0; k < len(pairs); k += 2 {
+			u, v := pairs[k], pairs[k+1]
+			if u != v {
+				c.Col[c.RowPtr[u-lo]] = v
+				c.RowPtr[u-lo]++
+			}
 		}
-		i := u - lo
-		c.Col[c.RowPtr[i]+fill[i]] = v
-		fill[i]++
 	}
-	// Sort each row; optionally deduplicate in place.
+	copy(c.RowPtr[1:], c.RowPtr[:n])
+	c.RowPtr[0] = 0
+	// Sort each row; deduplicating compacts Col towards its front in the
+	// same sweep, rewriting RowPtr behind the read position.
+	var start, kept int64
 	for i := int64(0); i < n; i++ {
-		row := c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		end := c.RowPtr[i+1]
+		row := c.Col[start:end]
+		slices.Sort(row)
+		if dedup {
+			var prev int64 = -1
+			for _, v := range row {
+				if v != prev {
+					c.Col[kept] = v
+					kept++
+					prev = v
+				}
+			}
+			c.RowPtr[i+1] = kept
+		}
+		start = end
 	}
 	if dedup {
-		c = c.dedup()
+		c.Col = c.Col[:kept]
 	}
 	return c
 }
@@ -107,26 +138,5 @@ func MergeCSR(a, b *CSR) *CSR {
 	}
 	out.Col = make([]int64, 0, len(a.Col)+len(b.Col))
 	out.Col = append(append(out.Col, a.Col...), b.Col...)
-	return out
-}
-
-// dedup removes duplicate adjacencies from sorted rows, rebuilding the
-// CSR compactly.
-func (c *CSR) dedup() *CSR {
-	n := c.Hi - c.Lo
-	out := &CSR{Lo: c.Lo, Hi: c.Hi, RowPtr: make([]int64, n+1)}
-	col := make([]int64, 0, len(c.Col))
-	for i := int64(0); i < n; i++ {
-		row := c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
-		var prev int64 = -1
-		for _, v := range row {
-			if v != prev {
-				col = append(col, v)
-				prev = v
-			}
-		}
-		out.RowPtr[i+1] = int64(len(col))
-	}
-	out.Col = col
 	return out
 }

@@ -6,17 +6,8 @@ import "numabfs/internal/rmat"
 // the scales the examples and validator use, and the ground truth the
 // distributed construction must agree with.
 func BuildGlobal(p rmat.Params, dedup bool) *CSR {
-	n := p.NumVertices()
-	ne := p.NumEdges()
-	pairs := make([]int64, 0, 4*ne)
-	for i := int64(0); i < ne; i++ {
-		u, v := p.EdgeAt(i)
-		if u == v {
-			continue
-		}
-		pairs = append(pairs, u, v, v, u)
-	}
-	return BuildCSR(0, n, pairs, dedup)
+	one := RouteEdges(p, 0, p.NumEdges(), 1, func(_, _ int64) int { return 0 })
+	return BuildCSRFrom(0, p.NumVertices(), one, dedup)
 }
 
 // ReferenceBFS runs a sequential BFS over a global CSR and returns the

@@ -7,6 +7,7 @@
 package graph500
 
 import (
+	"errors"
 	"fmt"
 
 	"numabfs/internal/bfs"
@@ -20,6 +21,27 @@ import (
 
 // DefaultRoots is the number of BFS iterations the spec prescribes.
 const DefaultRoots = 64
+
+// ErrTooManyRoots is the error DrawRoots wraps. The CLIs exit 2 on it:
+// it is a bad -roots or -batch value, not a failed run.
+var ErrTooManyRoots = errors.New("more roots requested than vertices with an edge")
+
+// DrawRoots is the root rule behind every -roots and -batch flag: n
+// distinct vertices with at least one incident edge, as params.Roots
+// draws them. Roots panics when the graph has fewer than n such vertices,
+// so a count that comes from outside the program is checked here first.
+func DrawRoots(params rmat.Params, n int, hasEdge func(v int64) bool) ([]int64, error) {
+	rooted := 0
+	for v := int64(0); v < params.NumVertices() && rooted < n; v++ {
+		if hasEdge(v) {
+			rooted++
+		}
+	}
+	if rooted < n {
+		return nil, fmt.Errorf("%w: want %d, the scale-%d graph has %d", ErrTooManyRoots, n, params.Scale, rooted)
+	}
+	return params.Roots(n, hasEdge), nil
+}
 
 // Config describes one benchmark run.
 type Config struct {
@@ -127,7 +149,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-	roots := cfg.Params.Roots(cfg.NumRoots, runner.HasEdgeGlobal)
+	roots, err := DrawRoots(cfg.Params, cfg.NumRoots, runner.HasEdgeGlobal)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{Config: cfg, SetupNs: runner.SetupNs}
 	teps := make([]float64, 0, len(roots))

@@ -1,6 +1,8 @@
 package graph500
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,5 +193,29 @@ func TestLevelsMatchesRelaxation(t *testing.T) {
 	}
 	if level[root] != 0 {
 		t.Fatalf("root level = %d", level[root])
+	}
+}
+
+// TestDrawRootsChecksTheCount: exactly as many roots as there are rooted
+// vertices is a valid draw (and equals rmat's); one more is
+// ErrTooManyRoots — from DrawRoots and from Run — where Roots alone
+// would panic.
+func TestDrawRootsChecksTheCount(t *testing.T) {
+	params := rmat.Graph500(8)
+	hasEdge := func(v int64) bool { return v%4 == 1 } // 64 rooted vertices
+	roots, err := DrawRoots(params, 64, hasEdge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := params.Roots(64, hasEdge); !slices.Equal(roots, want) {
+		t.Fatalf("DrawRoots = %v, rmat draws %v", roots, want)
+	}
+	if _, err := DrawRoots(params, 65, hasEdge); !errors.Is(err, ErrTooManyRoots) {
+		t.Fatalf("65 roots of 64 rooted vertices: err = %v", err)
+	}
+	cfg := testConfig(12)
+	cfg.NumRoots = 1 << 12
+	if _, err := Run(cfg); !errors.Is(err, ErrTooManyRoots) {
+		t.Fatalf("Run with more roots than vertices: err = %v", err)
 	}
 }

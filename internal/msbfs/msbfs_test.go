@@ -3,6 +3,7 @@ package msbfs
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"numabfs/internal/bfs"
@@ -324,5 +325,25 @@ func TestValidateOptionsGates(t *testing.T) {
 	o.Recovery = bfs.RecoverShrink
 	if err := ValidateOptions(o); err == nil {
 		t.Error("shrink recovery accepted")
+	}
+}
+
+// TestSetupMatchesGlobal: the batched engine's kernel 1 is
+// graph.BuildDistributed — its per-rank CSRs are the rows of the
+// sequential global build, and its virtual construction time is the
+// value pinned before kernel 1's host path was rebuilt.
+func TestSetupMatchesGlobal(t *testing.T) {
+	const scale = 12
+	r := newTestRunner(t, scale, bfs.DefaultOptions())
+	ref := graph.BuildGlobal(rmat.Graph500(scale), true)
+	for _, csr := range r.CSRs() {
+		for v := csr.Lo; v < csr.Hi; v++ {
+			if got, want := csr.Neighbors(v), ref.Neighbors(v); !slices.Equal(got, want) {
+				t.Fatalf("vertex %d: neighbours %v, want %v", v, got, want)
+			}
+		}
+	}
+	if want := 623097.9936047075; r.SetupNs != want {
+		t.Errorf("SetupNs = %v, want %v", r.SetupNs, want)
 	}
 }

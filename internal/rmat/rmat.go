@@ -12,6 +12,7 @@ package rmat
 
 import (
 	"fmt"
+	"slices"
 
 	"numabfs/internal/xrand"
 )
@@ -86,36 +87,18 @@ func (p Params) Validate() error {
 // vertex scrambling. Self-loops are possible, as in the reference
 // generator; graph construction drops them.
 func (p Params) EdgeAt(i int64) (u, v int64) {
-	// A private stream per edge keeps generation order-independent.
-	rng := xrand.NewXoshiro256(mix(p.Seed, uint64(i)))
-	ab := p.A + p.B
-	acNorm := p.C / (p.C + p.D)
-	aNorm := p.A / ab
-	for bit := p.Scale - 1; bit >= 0; bit-- {
-		// Noise on the quadrant probabilities, as in the Graph500
-		// reference, prevents exact self-similarity artifacts.
-		f1 := 0.95 + 0.1*rng.Float64()
-		f2 := 0.95 + 0.1*rng.Float64()
-		r := rng.Float64()
-		if r > ab*f1/(ab*f1+(1-ab)) {
-			u |= 1 << uint(bit)
-			if rng.Float64() > acNorm*f2/(acNorm*f2+(1-acNorm)) {
-				v |= 1 << uint(bit)
-			}
-		} else if rng.Float64() > aNorm*f2/(aNorm*f2+(1-aNorm)) {
-			v |= 1 << uint(bit)
-		}
-	}
-	if p.Scramble {
-		return p.ScrambleVertex(u), p.ScrambleVertex(v)
-	}
-	return u, v
+	g := p.generator()
+	return g.edge(i)
 }
 
-// Edges appends edges [lo, hi) to dst (as endpoint pairs) and returns it.
+// Edges appends edges [lo, hi) to dst (as endpoint pairs) and returns it:
+// the block form of EdgeAt, which derives the per-instance constants
+// once per call and allocates nothing when dst has room.
 func (p Params) Edges(dst []int64, lo, hi int64) []int64 {
+	g := p.generator()
+	dst = slices.Grow(dst, int(2*max(hi-lo, 0)))
 	for i := lo; i < hi; i++ {
-		u, v := p.EdgeAt(i)
+		u, v := g.edge(i)
 		dst = append(dst, u, v)
 	}
 	return dst
@@ -124,16 +107,86 @@ func (p Params) Edges(dst []int64, lo, hi int64) []int64 {
 // ScrambleVertex applies a seeded bijection on [0, 2^Scale): two rounds
 // of multiply-by-odd and xorshift, both invertible modulo a power of two.
 func (p Params) ScrambleVertex(v int64) int64 {
-	mask := uint64(p.NumVertices() - 1)
-	x := uint64(v) & mask
-	k1 := (mix(p.Seed, 0xa5a5a5a5) | 1) // odd multiplier
-	k2 := (mix(p.Seed, 0x5a5a5a5a) | 1)
-	half := uint(p.Scale+1) / 2
-	x = (x * k1) & mask
-	x ^= (x >> half)
-	x = (x * k2) & mask
-	x ^= (x >> half)
-	return int64(x & mask)
+	g := p.generator()
+	return int64(g.scrambleVertex(uint64(v)))
+}
+
+// generator is a Params with everything that does not depend on the
+// edge index worked out once. Per level of the descent the u bit is set
+// when a draw exceeds the (noised) share ab of the two upper quadrants,
+// the v bit when another exceeds the left quadrant's share of the chosen
+// half: vt[0] = a/(a+b) above, vt[1] = c/(c+d) below. cab and cvt are
+// the complements the noise formula divides by; k1 and k2 the odd
+// multipliers of the vertex bijection.
+type generator struct {
+	seed, k1, k2, mask uint64
+	scale              int
+	half               uint
+	ab, cab            float64
+	vt, cvt            [2]float64
+	scramble           bool
+}
+
+func (p Params) generator() generator {
+	ab := p.A + p.B
+	acNorm := p.C / (p.C + p.D)
+	aNorm := p.A / ab
+	return generator{
+		seed: p.Seed, k1: mix(p.Seed, 0xa5a5a5a5) | 1, k2: mix(p.Seed, 0x5a5a5a5a) | 1,
+		mask: uint64(p.NumVertices() - 1), scale: p.Scale, half: uint(p.Scale+1) / 2,
+		ab: ab, cab: 1 - ab,
+		vt: [2]float64{aNorm, acNorm}, cvt: [2]float64{1 - aNorm, 1 - acNorm},
+		scramble: p.Scramble,
+	}
+}
+
+// edge descends the recursive matrix one level per bit, high bit first.
+// A level consumes four draws of the edge's private stream, always in
+// this order: the noise factors f1 and f2 (as in the Graph500 reference,
+// they prevent exact self-similarity artifacts), the u-bit draw, the
+// v-bit draw. The v-bit threshold is selected from the two-entry table
+// by the u bit rather than branched on — the quadrant choice is close to
+// a coin flip and mispredicts a quarter of the time — and the stream's
+// state stays in locals for the whole descent.
+func (g *generator) edge(i int64) (int64, int64) {
+	// A private stream per edge keeps generation order-independent.
+	s0, s1, s2, s3 := xrand.SeedXoshiro256(mix(g.seed, uint64(i)))
+	ab, cab := g.ab, g.cab
+	var u, v uint64
+	for bit := g.scale - 1; bit >= 0; bit-- {
+		var d1, d2, du, dv uint64
+		d1, s0, s1, s2, s3 = xrand.StepXoshiro256(s0, s1, s2, s3)
+		d2, s0, s1, s2, s3 = xrand.StepXoshiro256(s0, s1, s2, s3)
+		du, s0, s1, s2, s3 = xrand.StepXoshiro256(s0, s1, s2, s3)
+		dv, s0, s1, s2, s3 = xrand.StepXoshiro256(s0, s1, s2, s3)
+		f1 := 0.95 + 0.1*xrand.UnitFloat64(d1)
+		f2 := 0.95 + 0.1*xrand.UnitFloat64(d2)
+		ub := bit01(xrand.UnitFloat64(du) > ab*f1/(ab*f1+cab))
+		t, ct := g.vt[ub], g.cvt[ub]
+		vb := bit01(xrand.UnitFloat64(dv) > t*f2/(t*f2+ct))
+		u, v = u<<1|ub, v<<1|vb
+	}
+	if g.scramble {
+		u, v = g.scrambleVertex(u), g.scrambleVertex(v)
+	}
+	return int64(u), int64(v)
+}
+
+// bit01 is a comparison's result as an integer: a flag-set instruction,
+// not a branch.
+func bit01(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (g *generator) scrambleVertex(x uint64) uint64 {
+	x &= g.mask
+	x = (x * g.k1) & g.mask
+	x ^= x >> g.half
+	x = (x * g.k2) & g.mask
+	return x ^ x>>g.half
 }
 
 // mix combines a seed and an index into a well-distributed 64-bit value.

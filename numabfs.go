@@ -134,6 +134,10 @@ type Benchmark = graph500.Config
 // Result is the outcome of a benchmark run.
 type Result = graph500.Result
 
+// ErrTooManyRoots is what Run wraps when NumRoots exceeds the number of
+// vertices that have an edge.
+var ErrTooManyRoots = graph500.ErrTooManyRoots
+
 // Run executes a benchmark: builds the distributed graph (kernel 1),
 // runs BFS from each root (kernel 2), validates if requested, and
 // aggregates TEPS and the per-phase breakdown.
