@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"numabfs/internal/bitmap"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 	"numabfs/internal/trace"
@@ -13,7 +14,6 @@ import (
 // Returns the allreduced size and edge sum of the next frontier.
 func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	r := rs.r
-	var nfLocal, mfLocal int64
 
 	// Clear the owned out_queue segment (a streaming memset).
 	wlo := r.wordLayout.Displs[rs.pos]
@@ -29,44 +29,9 @@ func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	rs.rec.PhaseSpan(trace.BUComp, rs.levels, tc, p.Clock())
 
 	// Computation: scan unvisited owned vertices.
-	inqLoc, sumLoc := r.inqLoc(), r.sumLoc()
-	res := rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
-		var edges, sumChecks, inqChecks, found int64
-		for i := lo; i < hi; i++ {
-			if rs.parent[i] >= 0 {
-				continue
-			}
-			v := rs.csr.Lo + i
-			for _, u := range rs.csr.Neighbors(v) {
-				edges++
-				sumChecks++
-				if rs.inSum.CoveredZero(u) {
-					continue // the summary proved in_queue[u] == 0
-				}
-				inqChecks++
-				if rs.inQ.Get(u) {
-					rs.parent[i] = u
-					rs.outQ.Set(v)
-					found++
-					nfLocal++
-					d := rs.csr.Degree(v)
-					mfLocal += d
-					rs.visitedCount++
-					rs.visitedEdges += d
-					break
-				}
-			}
-		}
-		load.Random = append(load.Random,
-			machine.Access{Count: sumChecks, StructBytes: r.sumBytes, Loc: sumLoc},
-			machine.Access{Count: inqChecks, StructBytes: r.inqBytes, Loc: inqLoc},
-			machine.Access{Count: found, StructBytes: rs.parentBytes(), Loc: r.pl.PrivateLoc},
-		)
-		// Parent scan + adjacency stream.
-		load.SeqBytes = (hi-lo)*8 + edges*8
-		load.SeqLoc = r.pl.GraphLoc
-		load.CPUOps = edges*2 + (hi - lo)
-	})
+	count0, edges0 := rs.visitedCount, rs.visitedEdges
+	res := rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, rs.bottomUpScan)
+	nfLocal, mfLocal := rs.visitedCount-count0, rs.visitedEdges-edges0
 	tc = p.Clock()
 	p.Compute(res.Ns)
 	rs.bd.Add(trace.BUComp, res.Ns)
@@ -87,6 +52,37 @@ func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	mf = r.AllGroup.AllreduceSumInt64(p, mfLocal)
 	rs.chargeComm(p, trace.BUComm, t0, x0)
 	return nf, mf
+}
+
+// bottomUpScan runs the scan kernel over owned vertices [lo, hi), one
+// omp chunk. The candidate mask of each 64 vertices — unvisited, with a
+// non-empty row — is derived from the parent and row-pointer arrays, so
+// there is no stored mask to checkpoint, restore or re-own.
+func (rs *rankState) bottomUpScan(lo, hi int64, load *machine.PhaseLoad) {
+	r := rs.r
+	sc := bitmap.BottomUpScan{RowPtr: rs.csr.RowPtr, Col: rs.csr.Col, Front: rs.inQ, Sum: rs.inSum, Keep: 63, Drop: 63}
+	for base := lo; base < hi; base += 64 {
+		p, rp := rs.parent[base:min(base+64, hi)], sc.RowPtr[base:]
+		var mask uint64
+		for b := range p {
+			mask |= uint64(p[b]&(rp[b]-rp[b+1])) >> 63 << uint(b)
+		}
+		for k, i := range sc.Rows[:sc.Word(base, mask)] {
+			rs.parent[i] = sc.Nbrs[k]
+			rs.outQ.Set(rs.csr.Lo + i)
+			rs.visitedEdges += sc.RowPtr[i+1] - sc.RowPtr[i]
+		}
+	}
+	rs.visitedCount += sc.Hits
+	load.Random = append(load.Random,
+		machine.Access{Count: sc.Edges, StructBytes: r.sumBytes, Loc: r.sumLoc()},
+		machine.Access{Count: sc.Probes, StructBytes: r.inqBytes, Loc: r.inqLoc()},
+		machine.Access{Count: sc.Hits, StructBytes: rs.parentBytes(), Loc: r.pl.PrivateLoc},
+	)
+	// Parent scan + adjacency stream.
+	load.SeqBytes = (hi-lo)*8 + sc.Edges*8
+	load.SeqLoc = r.pl.GraphLoc
+	load.CPUOps = sc.Edges*2 + (hi - lo)
 }
 
 // outLoc is where this rank's out_queue segment lives.

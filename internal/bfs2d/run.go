@@ -1,6 +1,9 @@
 package bfs2d
 
 import (
+	"math/bits"
+
+	"numabfs/internal/bitmap"
 	"numabfs/internal/collective"
 	"numabfs/internal/fault"
 	"numabfs/internal/machine"
@@ -591,44 +594,11 @@ func (rs *rankState) rebuildSummary(p *mpi.Proc, ph trace.Phase) {
 // size.
 func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 	r := rs.r
-	cLo, _ := r.colRange(rs.j)
-	width := int64(r.Grid.R) * r.blockSize
-
 	send := rs.sendCol
 	for i := range send {
 		send[i] = send[i][:0]
 	}
-	res := rs.team.For(width, omp.DefaultChunk, func(lo, hi int64, load *machine.PhaseLoad) {
-		var cSum, cRow, cEdges, cFound int64
-		for u := lo; u < hi; u++ {
-			if rs.colVisited.Get(u) {
-				continue
-			}
-			for _, v := range rs.col[rs.rowPtr[u]:rs.rowPtr[u+1]] {
-				cEdges++
-				jc := int(v / (int64(r.Grid.R) * r.blockSize))
-				si := int64(jc)*r.blockSize + v%r.blockSize
-				cSum++
-				if rs.rowSum.CoveredZero(si) {
-					continue
-				}
-				cRow++
-				if rs.rowFront.Get(si) {
-					cFound++
-					iu := int(u / r.blockSize)
-					send[iu] = append(send[iu], u+cLo, v)
-					break
-				}
-			}
-		}
-		load.Random = []machine.Access{
-			{Count: cSum, StructBytes: rs.rowSum.Bytes(), Loc: r.pl.PrivateLoc},
-			{Count: cRow, StructBytes: rs.rowFront.Bytes(), Loc: r.pl.PrivateLoc},
-		}
-		load.SeqBytes = (hi-lo)/8 + cEdges*8 + cFound*16
-		load.SeqLoc = r.pl.GraphLoc
-		load.CPUOps = cEdges*2 + (hi - lo)
-	})
+	res := rs.team.For(int64(r.Grid.R)*r.blockSize, omp.DefaultChunk, rs.buScan)
 	tc := p.Clock()
 	p.Compute(res.Ns)
 	rs.charge(trace.BUComp, tc, p.Clock())
@@ -679,6 +649,29 @@ func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 	nf := all.AllreduceSumInt64(p, nfLocal)
 	rs.chargeComm(p, trace.BUComm, t0, x0)
 	return nf
+}
+
+// buScan runs the scan kernel over column-relative vertices [lo, hi),
+// one omp chunk (whole words of colVisited: block sizes are multiples of
+// 64), queueing every found (child, parent) for the fold to the child's
+// owner. Block size and column width divide 2^scale: powers of two.
+func (rs *rankState) buScan(lo, hi int64, load *machine.PhaseLoad) {
+	r := rs.r
+	cLo, cHi := r.colRange(rs.j)
+	sc := bitmap.BottomUpScan{RowPtr: rs.rowPtr, Col: rs.col, Front: rs.rowFront, Sum: rs.rowSum,
+		Keep: uint(bits.TrailingZeros64(uint64(r.blockSize))), Drop: uint(bits.TrailingZeros64(uint64(cHi - cLo)))}
+	for base := lo; base < hi; base += 64 {
+		for k, u := range sc.Rows[:sc.Word(base, ^rs.colVisited.Words()[base>>6])] {
+			rs.sendCol[u>>sc.Keep] = append(rs.sendCol[u>>sc.Keep], u+cLo, sc.Nbrs[k])
+		}
+	}
+	load.Random = append(load.Random,
+		machine.Access{Count: sc.Edges, StructBytes: rs.rowSum.Bytes(), Loc: r.pl.PrivateLoc},
+		machine.Access{Count: sc.Probes, StructBytes: rs.rowFront.Bytes(), Loc: r.pl.PrivateLoc},
+	)
+	load.SeqBytes = (hi-lo)/8 + sc.Edges*8 + sc.Hits*16
+	load.SeqLoc = r.pl.GraphLoc
+	load.CPUOps = sc.Edges*2 + (hi - lo)
 }
 
 // clearOwnSegments zeroes the rank's own block segment in the column

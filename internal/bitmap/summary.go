@@ -1,6 +1,9 @@
 package bitmap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DefaultGranularity is the summary granularity used by the Graph500
 // reference code: one summary bit per 64-bit word of the base bitmap.
@@ -57,13 +60,17 @@ func (s *Summary) Bytes() int64 { return s.bits.Bytes() }
 // to be all-zero (summary bit clear). The caller may skip reading the base
 // bitmap when it returns true.
 func (s *Summary) CoveredZero(i int64) bool {
-	return !s.bits.Get(i / s.g)
+	return !s.bits.Get(s.granule(i))
 }
 
-// MarkBase records that base bit i has been set, setting the covering
-// summary bit. Safe for a single writer; use Rebuild after bulk updates.
-func (s *Summary) MarkBase(i int64) {
-	s.bits.Set(i / s.g)
+// granule returns the index of the summary bit covering base bit i, by
+// a shift rather than a 64-bit divide when g is a power of two (the
+// bottom-up scans call it once per edge).
+func (s *Summary) granule(i int64) int64 {
+	if s.g&(s.g-1) == 0 {
+		return i >> uint(bits.TrailingZeros64(uint64(s.g)))
+	}
+	return i / s.g
 }
 
 // Rebuild recomputes the summary from the base bitmap. This is what the

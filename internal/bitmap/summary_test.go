@@ -46,17 +46,6 @@ func TestSummaryZeroFraction(t *testing.T) {
 	}
 }
 
-func TestSummaryMarkBase(t *testing.T) {
-	s := NewSummary(1024, 128)
-	s.MarkBase(200)
-	if s.CoveredZero(255) || s.CoveredZero(128) {
-		t.Fatal("granule [128,256) should be marked")
-	}
-	if !s.CoveredZero(127) || !s.CoveredZero(256) {
-		t.Fatal("neighbouring granules should stay zero")
-	}
-}
-
 func TestSummaryRebuildRange(t *testing.T) {
 	const n, g = 2048, 128
 	b := New(n)
@@ -167,5 +156,38 @@ func TestZeroFractionMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSummaryGranuleMatchesDivision: the shift taken at power-of-two
+// granularities and the divide left for the others give the index plain
+// division gives, for every base bit including the last, partial granule
+// — and CoveredZero reads exactly that summary bit.
+func TestSummaryGranuleMatchesDivision(t *testing.T) {
+	const n = 3*4096 + 100 // last granule partial at every g below
+	for _, g := range []int64{64, 128, 192, 256, 4096} {
+		s := NewSummary(n, g)
+		if want := (n + g - 1) / g; s.Len() != want {
+			t.Fatalf("g=%d: %d summary bits, want %d", g, s.Len(), want)
+		}
+		for i := int64(0); i < n; i++ {
+			if got := s.granule(i); got != i/g {
+				t.Fatalf("g=%d: granule(%d) = %d, want %d", g, i, got, i/g)
+			}
+		}
+		base := New(n)
+		for _, i := range []int64{g - 1, g, 2*g + 5, n - 1} {
+			if !s.CoveredZero(i) {
+				t.Fatalf("g=%d: fresh summary covers bit %d as set", g, i)
+			}
+			base.Set(i)
+			s.Bits().Set(i / g)
+			if s.CoveredZero(i) || s.CoveredZero(i/g*g) {
+				t.Fatalf("g=%d: granule %d set but bit %d reads covered-zero", g, i/g, i)
+			}
+		}
+		if !s.Consistent(base) {
+			t.Fatalf("g=%d: summary inconsistent with its base", g)
+		}
 	}
 }

@@ -107,26 +107,5 @@ func ValidateBatchIdentity(r *msbfs.Runner, roots []int64) error {
 // runner's parent trees (-1 unreached), for tests comparing against the
 // sequential reference BFS.
 func LaneLevels(r *msbfs.Runner, l int, root int64) []int64 {
-	parent := r.LaneParents(l)
-	level := make([]int64, len(parent))
-	for i := range level {
-		level[i] = -1
-	}
-	if parent[root] < 0 {
-		return level
-	}
-	level[root] = 0
-	for changed := true; changed; {
-		changed = false
-		for v := range parent {
-			if level[v] >= 0 || parent[v] < 0 {
-				continue
-			}
-			if pl := level[parent[v]]; pl >= 0 {
-				level[v] = pl + 1
-				changed = true
-			}
-		}
-	}
-	return level
+	return treeLevels(r.LaneParents(l), root)
 }

@@ -2,7 +2,7 @@ package graph500
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"numabfs/internal/bfs"
 	"numabfs/internal/graph"
@@ -37,40 +37,13 @@ func ValidateRun(r *bfs.Runner, root int64) error {
 // csrs the distributed graph (per-member edge checks run on positions,
 // not world ranks: spares own nothing and a shrink removes a position).
 func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
-	n := int64(len(parent))
 	if parent[root] != root {
 		return fmt.Errorf("root %d has parent %d, want itself", root, parent[root])
 	}
 
-	// Derive levels by relaxation; depth passes suffice and a pass
-	// without progress with unvisited-but-parented vertices means a
-	// cycle or orphaned subtree.
-	level := make([]int64, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[root] = 0
-	pending := int64(0)
-	for v := int64(0); v < n; v++ {
-		if parent[v] >= 0 && v != root {
-			pending++
-		}
-	}
-	for pending > 0 {
-		progressed := int64(0)
-		for v := int64(0); v < n; v++ {
-			if level[v] >= 0 || parent[v] < 0 {
-				continue
-			}
-			if pl := level[parent[v]]; pl >= 0 {
-				level[v] = pl + 1
-				progressed++
-			}
-		}
-		if progressed == 0 {
-			return fmt.Errorf("%d vertices have parents but are unreachable from the root (cycle in tree)", pending)
-		}
-		pending -= progressed
+	level, err := connectedLevels(parent, root)
+	if err != nil {
+		return err
 	}
 
 	for _, csr := range csrs {
@@ -79,8 +52,7 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 			row := csr.Neighbors(v)
 			if pv := parent[v]; pv >= 0 && v != root {
 				// Rule 2: the tree edge must be a graph edge.
-				i := sort.Search(len(row), func(i int) bool { return row[i] >= pv })
-				if i >= len(row) || row[i] != pv {
+				if _, ok := slices.BinarySearch(row, pv); !ok {
 					return fmt.Errorf("tree edge (%d, %d) is not a graph edge", v, pv)
 				}
 				// Rule 3: exactly one level apart.
@@ -116,24 +88,64 @@ func Levels(r *bfs.Runner, root int64) []int64 {
 		lo, _ := r.Part.Range(rank)
 		copy(parent[lo:lo+int64(len(pa))], pa)
 	}
-	level := make([]int64, n)
+	return treeLevels(parent, root)
+}
+
+// connectedLevels is treeLevels for a validator: a vertex with a parent
+// but no path of parents to the root (a cycle or an orphaned subtree) is
+// an error.
+func connectedLevels(parent []int64, root int64) ([]int64, error) {
+	level := treeLevels(parent, root)
+	var orphans int64
+	for v, l := range level {
+		if l < 0 && parent[v] >= 0 {
+			orphans++
+		}
+	}
+	if orphans > 0 {
+		return nil, fmt.Errorf("%d vertices have parents but are unreachable from the root (cycle in tree)", orphans)
+	}
+	return level, nil
+}
+
+// treeLevels derives every vertex's depth below root from a parent array
+// (-1 = no parent) by one memoized parent chase: follow the chain up to
+// the root or an already resolved ancestor, then unwind it assigning
+// depths — O(n) overall, where a fixed-point relaxation rescans all n
+// vertices once per BFS level. A chain that ends at a parentless vertex
+// or closes on itself is not connected to the root: its vertices are
+// marked dead so no later chase walks them again, and come back as -1
+// (as does everything when the root itself has no parent).
+func treeLevels(parent []int64, root int64) []int64 {
+	const unset, dead = -1, -2
+	level := make([]int64, len(parent))
 	for i := range level {
-		level[i] = -1
+		level[i] = unset
 	}
-	if parent[root] < 0 {
-		return level
+	if parent[root] >= 0 {
+		level[root] = 0
 	}
-	level[root] = 0
-	for changed := true; changed; {
-		changed = false
-		for v := int64(0); v < n; v++ {
-			if level[v] >= 0 || parent[v] < 0 {
-				continue
+	var chain []int64
+	for v := range parent {
+		chain = chain[:0]
+		u := int64(v)
+		// Chain members are marked dead while the chase runs, so running
+		// into one of them (a cycle) stops it like any dead end.
+		for level[u] == unset && parent[u] >= 0 {
+			level[u] = dead
+			chain = append(chain, u)
+			u = parent[u]
+		}
+		if base := level[u]; base >= 0 {
+			for k := len(chain) - 1; k >= 0; k-- {
+				base++
+				level[chain[k]] = base
 			}
-			if pl := level[parent[v]]; pl >= 0 {
-				level[v] = pl + 1
-				changed = true
-			}
+		}
+	}
+	for i, l := range level {
+		if l == dead {
+			level[i] = unset
 		}
 	}
 	return level

@@ -27,35 +27,9 @@ func ValidateRun2D(r *bfs2d.Runner, root int64) error {
 		return fmt.Errorf("root %d has parent %d, want itself", root, parent[root])
 	}
 
-	// Derive levels by relaxation; depth passes suffice and a pass
-	// without progress with unvisited-but-parented vertices means a
-	// cycle or orphaned subtree.
-	level := make([]int64, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[root] = 0
-	pending := int64(0)
-	for v := int64(0); v < n; v++ {
-		if parent[v] >= 0 && v != root {
-			pending++
-		}
-	}
-	for pending > 0 {
-		progressed := int64(0)
-		for v := int64(0); v < n; v++ {
-			if level[v] >= 0 || parent[v] < 0 {
-				continue
-			}
-			if pl := level[parent[v]]; pl >= 0 {
-				level[v] = pl + 1
-				progressed++
-			}
-		}
-		if progressed == 0 {
-			return fmt.Errorf("%d vertices have parents but are unreachable from the root (cycle in tree)", pending)
-		}
-		pending -= progressed
+	level, err := connectedLevels(parent, root)
+	if err != nil {
+		return err
 	}
 
 	// Rules 2 and 3 over the parent tree.
@@ -73,7 +47,6 @@ func ValidateRun2D(r *bfs2d.Runner, root int64) error {
 	}
 
 	// Rule 4 over every stored directed adjacency.
-	var err error
 	for rank := 0; rank < r.Grid.R*r.Grid.C && err == nil; rank++ {
 		r.EachStoredEdge(rank, func(u, v int64) {
 			if err != nil {

@@ -62,14 +62,17 @@ func (t Team) For(n, chunk int64, body func(lo, hi int64, load *machine.PhaseLoa
 		threads = 1
 	}
 	workerNs := make([]float64, threads)
-	var agg machine.PhaseLoad
+	// One PhaseLoad and one Random backing array serve every chunk.
+	var buf [4]machine.Access
+	var load machine.PhaseLoad
+	agg := machine.PhaseLoad{Random: make([]machine.Access, 0, len(buf)*int((n+chunk-1)/chunk))}
 	var ci int64
 	for lo := int64(0); lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		var load machine.PhaseLoad
+		load = machine.PhaseLoad{Random: buf[:0]}
 		body(lo, hi, &load)
 		workerNs[ci%int64(threads)] += t.Cfg.PhaseTime(load, 1, t.SocketsUsed, t.BWShare)
 		agg.Add(load)

@@ -119,3 +119,27 @@ func TestTeamFor(t *testing.T) {
 		t.Fatalf("TeamFor(bind) = %+v", tm)
 	}
 }
+
+// TestForAllocatesPerRegion: every chunk is handed the same PhaseLoad
+// over one reused Random backing array and the aggregate is sized up
+// front, so a region allocates a fixed handful of objects however many
+// chunks it has, and the aggregate still lists every chunk's accesses in
+// chunk order.
+func TestForAllocatesPerRegion(t *testing.T) {
+	tm := team(8)
+	body := func(lo, hi int64, load *machine.PhaseLoad) {
+		load.Random = append(load.Random,
+			machine.Access{Count: lo, StructBytes: 8},
+			machine.Access{Count: hi, StructBytes: 8},
+			machine.Access{Count: hi - lo, StructBytes: 8})
+	}
+	few := testing.AllocsPerRun(10, func() { tm.For(2*64, 64, body) })
+	many := testing.AllocsPerRun(10, func() { tm.For(512*64, 64, body) })
+	if many != few || many > 4 {
+		t.Fatalf("%v allocations for 2 chunks, %v for 512; want the same, at most 4", few, many)
+	}
+	res := tm.For(3*64, 64, body)
+	if len(res.Load.Random) != 9 || res.Load.Random[3].Count != 64 || res.Load.Random[7].Count != 192 {
+		t.Fatalf("aggregate Random = %+v, want the three chunks' accesses in order", res.Load.Random)
+	}
+}

@@ -25,8 +25,8 @@ import (
 
 // Query is one root request with a virtual arrival time.
 type Query struct {
-	ID      int
-	Root    int64
+	ID       int
+	Root     int64
 	ArriveNs float64
 }
 

@@ -173,22 +173,22 @@ func (b *Breakdown) Scale(f float64) {
 // -json — stay self-describing.
 func (b Breakdown) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
-		TDCompNs    float64 `json:"td_comp_ns"`
-		TDCommNs    float64 `json:"td_comm_ns"`
-		BUCompNs    float64 `json:"bu_comp_ns"`
-		BUCommNs    float64 `json:"bu_comm_ns"`
-		SwitchNs    float64 `json:"switch_ns"`
-		StallNs     float64 `json:"stall_ns"`
-		CkptNs      float64 `json:"ckpt_ns"`
-		RecoveryNs  float64 `json:"recovery_ns"`
-		XportNs     float64 `json:"xport_ns"`
-		OverlapNs   float64 `json:"overlap_ns"`
+		TDCompNs     float64 `json:"td_comp_ns"`
+		TDCommNs     float64 `json:"td_comm_ns"`
+		BUCompNs     float64 `json:"bu_comp_ns"`
+		BUCommNs     float64 `json:"bu_comm_ns"`
+		SwitchNs     float64 `json:"switch_ns"`
+		StallNs      float64 `json:"stall_ns"`
+		CkptNs       float64 `json:"ckpt_ns"`
+		RecoveryNs   float64 `json:"recovery_ns"`
+		XportNs      float64 `json:"xport_ns"`
+		OverlapNs    float64 `json:"overlap_ns"`
 		OverlapExpNs float64 `json:"overlap_exposed_ns"`
-		ReownNs     float64 `json:"reown_ns"`
-		TotalNs     float64 `json:"total_ns"`
-		TDLevels    int     `json:"td_levels"`
-		BULevels    int     `json:"bu_levels"`
-		BUCommCount int     `json:"bu_comm_count"`
+		ReownNs      float64 `json:"reown_ns"`
+		TotalNs      float64 `json:"total_ns"`
+		TDLevels     int     `json:"td_levels"`
+		BULevels     int     `json:"bu_levels"`
+		BUCommCount  int     `json:"bu_comm_count"`
 	}{
 		TDCompNs: b.Ns[TDComp], TDCommNs: b.Ns[TDComm],
 		BUCompNs: b.Ns[BUComp], BUCommNs: b.Ns[BUComm],

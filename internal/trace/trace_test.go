@@ -113,7 +113,7 @@ func TestBreakdownMarshalJSON(t *testing.T) {
 		"td_comp_ns": 10, "td_comm_ns": 0, "bu_comp_ns": 0, "bu_comm_ns": 40,
 		"switch_ns": 0, "stall_ns": 5, "ckpt_ns": 0, "recovery_ns": 0,
 		"reown_ns": 0, "xport_ns": 0, "overlap_ns": 0, "overlap_exposed_ns": 0,
-		"total_ns": 55,
+		"total_ns":  55,
 		"td_levels": 2, "bu_levels": 3, "bu_comm_count": 3,
 	}
 	if len(m) != len(want) {

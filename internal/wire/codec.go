@@ -73,7 +73,7 @@ type Codec struct {
 	// knob; never chooses RLE).
 	SparseMaxDensity float64
 
-	buf   []byte
+	buf []byte
 	// slots are additional scratch buffers for pipelined collectives
 	// (EncodeSlot): a segmented ring keeps several of this rank's
 	// encoded chunks in flight at once — possibly several hops

@@ -152,22 +152,22 @@ func TestDecodeErrors(t *testing.T) {
 	seg := []uint64{1, 0, ^uint64(0)}
 	dst := make([]uint64, len(seg))
 	cases := map[string][]byte{
-		"empty":             {},
-		"unknown-format":    {0x7f, 1, 2, 3},
-		"auto-header":       {byte(FormatAuto)},
-		"dense-short":       Append(nil, FormatDense, seg)[:8],
-		"dense-long":        append(Append(nil, FormatDense, seg), 0),
-		"sparse-no-count":   {byte(FormatSparse), 1, 0},
-		"sparse-short":      {byte(FormatSparse), 2, 0, 0, 0, 5, 0, 0, 0},
-		"sparse-oob-index":  {byte(FormatSparse), 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
-		"rle-truncated":     {byte(FormatRLE)},
-		"rle-overflow":      {byte(FormatRLE), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
-		"rle-no-literals":   {byte(FormatRLE), 0, 3},
-		"rle-trailing":      append(Append(nil, FormatRLE, seg), 0xab),
-		"list-not-list":     {byte(FormatDense)},
-		"list-short-count":  {byte(FormatList), 0x80},
-		"list-short-delta":  {byte(FormatList), 2, 2},
-		"list-trailing":     append(AppendList(nil, []int64{3}), 0xcd),
+		"empty":            {},
+		"unknown-format":   {0x7f, 1, 2, 3},
+		"auto-header":      {byte(FormatAuto)},
+		"dense-short":      Append(nil, FormatDense, seg)[:8],
+		"dense-long":       append(Append(nil, FormatDense, seg), 0),
+		"sparse-no-count":  {byte(FormatSparse), 1, 0},
+		"sparse-short":     {byte(FormatSparse), 2, 0, 0, 0, 5, 0, 0, 0},
+		"sparse-oob-index": {byte(FormatSparse), 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff},
+		"rle-truncated":    {byte(FormatRLE)},
+		"rle-overflow":     {byte(FormatRLE), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
+		"rle-no-literals":  {byte(FormatRLE), 0, 3},
+		"rle-trailing":     append(Append(nil, FormatRLE, seg), 0xab),
+		"list-not-list":    {byte(FormatDense)},
+		"list-short-count": {byte(FormatList), 0x80},
+		"list-short-delta": {byte(FormatList), 2, 2},
+		"list-trailing":    append(AppendList(nil, []int64{3}), 0xcd),
 	}
 	for name, data := range cases {
 		if name[:4] == "list" {
