@@ -22,7 +22,7 @@ func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	for i := range own {
 		own[i] = 0
 	}
-	clr := rs.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: rs.outLoc()})
+	clr := rs.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc})
 	tc := p.Clock()
 	p.Compute(clr)
 	rs.bd.Add(trace.BUComp, clr)
@@ -75,22 +75,14 @@ func (rs *rankState) bottomUpScan(lo, hi int64, load *machine.PhaseLoad) {
 	}
 	rs.visitedCount += sc.Hits
 	load.Random = append(load.Random,
-		machine.Access{Count: sc.Edges, StructBytes: r.sumBytes, Loc: r.sumLoc()},
-		machine.Access{Count: sc.Probes, StructBytes: r.inqBytes, Loc: r.inqLoc()},
+		machine.Access{Count: sc.Edges, StructBytes: r.sumBytes, Loc: r.SumLoc},
+		machine.Access{Count: sc.Probes, StructBytes: r.inqBytes, Loc: r.InqLoc},
 		machine.Access{Count: sc.Hits, StructBytes: rs.parentBytes(), Loc: r.pl.PrivateLoc},
 	)
 	// Parent scan + adjacency stream.
 	load.SeqBytes = (hi-lo)*8 + sc.Edges*8
 	load.SeqLoc = r.pl.GraphLoc
 	load.CPUOps = sc.Edges*2 + (hi - lo)
-}
-
-// outLoc is where this rank's out_queue segment lives.
-func (rs *rankState) outLoc() machine.Locality {
-	if rs.r.Opts.Opt >= OptShareAll {
-		return rs.r.sharedLoc()
-	}
-	return rs.r.pl.PrivateLoc
 }
 
 // switchToBottomUp converts the queued frontier (rs.next) into the
@@ -113,9 +105,9 @@ func (rs *rankState) switchToBottomUp(p *mpi.Proc) {
 	}
 	rs.next = rs.next[:0]
 	load := machine.PhaseLoad{
-		Random:   []machine.Access{{Count: frontier, StructBytes: wcnt * 8, Loc: rs.outLoc()}},
+		Random:   []machine.Access{{Count: frontier, StructBytes: wcnt * 8, Loc: r.OutLoc}},
 		SeqBytes: wcnt * 8,
-		SeqLoc:   rs.outLoc(),
+		SeqLoc:   r.OutLoc,
 	}
 	p.Compute(rs.team.Parallel(load))
 
@@ -136,7 +128,7 @@ func (rs *rankState) switchToTopDown(p *mpi.Proc) {
 	rs.queue = rs.inQ.AppendSetBits(rs.queue[:0], lo, hi)
 	load := machine.PhaseLoad{
 		SeqBytes: (hi - lo) / 8,
-		SeqLoc:   r.inqLoc(),
+		SeqLoc:   r.InqLoc,
 		CPUOps:   int64(len(rs.queue)) * 2,
 	}
 	p.Compute(rs.team.Parallel(load))

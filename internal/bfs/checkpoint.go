@@ -122,10 +122,10 @@ func (rs *rankState) saveCheckpoint(p *mpi.Proc, st *loopState) {
 	ck.inq, ck.sum = ck.inq[:0], ck.sum[:0]
 	ck.stable = false
 	if st.bottomUp {
-		if r.Opts.Opt < OptShareInQueue || r.NC.IsLeader(p) {
+		if !r.InqShared || r.NC.IsLeader(p) {
 			ck.inq = append(ck.inq, rs.inQ.Words()...)
 		}
-		if r.Opts.Opt < OptShareAll || r.NC.IsLeader(p) {
+		if !r.OutShared || r.NC.IsLeader(p) {
 			ck.sum = append(ck.sum, rs.inSum.Bits().Words()...)
 		}
 	}

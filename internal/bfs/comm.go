@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"numabfs/internal/collective"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 )
@@ -10,48 +11,12 @@ import (
 // sit in its owned out_queue segment; on return every rank's in_queue
 // view holds the full new frontier bitmap.
 func (rs *rankState) allgatherInQueue(p *mpi.Proc) {
-	r := rs.r
-	wlo := r.wordLayout.Displs[rs.pos]
-	wcnt := r.wordLayout.Counts[rs.pos]
-	ownOut := rs.outQ.Words()[wlo : wlo+wcnt]
-
-	switch r.Opts.Opt {
-	case OptOriginal:
-		// Stage the owned segment into the private in_queue, then the
-		// MPI library's default allgather over all ranks.
-		copy(rs.inQ.Words()[wlo:wlo+wcnt], ownOut)
-		p.Compute(rs.team.Parallel(machine.PhaseLoad{
-			SeqBytes: wcnt * 16, SeqLoc: r.pl.PrivateLoc,
-		}))
-		r.AllGroup.Allgather(p, rs.inQ.Words(), r.wordLayout)
-
-	case OptShareInQueue:
-		// Children send their private segments to the node leader, which
-		// assembles the node-shared in_queue; no broadcast back.
-		r.NC.SharedInQueueAllgather(p, rs.inQ.Words(), ownOut, r.wordLayout)
-
-	case OptShareAll:
-		// out_queue is node-shared too: the leader reads children's
-		// segments directly; neither gather nor broadcast.
-		r.NC.SharedAllAgather(p, rs.inQ.Words(), rs.outQ.Words(), r.wordLayout)
-
-	case OptParAllgather:
-		// Per-socket subgroups allgather concurrently into the shared
-		// in_queue; each rank contributes its own (shared) out segment.
-		r.NC.ParallelAllgather(p, rs.inQ.Words(), ownOut, r.wordLayout)
-
-	case OptCompressedAllgather:
-		// Parallelized allgather with each subgroup segment travelling
-		// in the codec's adaptive wire format (sparse at low frontier
-		// density, RLE/dense near saturation).
-		r.NC.ParallelAllgatherCompressed(p, rs.inQ.Words(), ownOut, r.wordLayout, rs.inqCodec)
-
-	case OptOverlapAllgather:
-		// The compressed parallel allgather pipelined in chunks, with the
-		// summary-share rebuild of each chunk running under the next
-		// chunk's transfer (internal/bfs/overlap.go).
-		rs.overlapAllgatherInQueue(p, ownOut)
+	x := collective.Exchange{Codec: rs.inqCodec}
+	if x.Chunks = rs.r.Chunks(); x.Chunks > 0 {
+		rs.overlapAllgatherInQueue(p, x)
+		return
 	}
+	rs.r.AllgatherFrontier(p, rs.team, rs.inQ.Words(), rs.outQ.Words(), rs.r.wordLayout, rs.pos, x)
 }
 
 // allgatherSummary rebuilds this rank's share of in_queue_summary from
@@ -59,56 +24,27 @@ func (rs *rankState) allgatherInQueue(p *mpi.Proc) {
 // second, much smaller allgather of Fig. 1.
 func (rs *rankState) allgatherSummary(p *mpi.Proc) {
 	r := rs.r
-
-	// This rank's summary share in summary words -> base bit range.
-	bitLo, bitHi := rs.shareBits(rs.pos)
-	if r.Opts.Opt >= OptOverlapAllgather {
+	bitLo, bitHi := rs.shareBits()
+	if r.Chunks() > 0 {
 		// Most of the share was rebuilt chunk-by-chunk inside the
 		// pipelined allgather; only the gaps remain.
 		rs.rebuildShareGaps(p, bitLo, bitHi)
 	} else {
-		written := rs.inSum.RebuildRange(rs.inQ, bitLo, bitHi)
+		var written int64
+		if bitLo < bitHi {
+			written = rs.inSum.RebuildRange(rs.inQ, bitLo, bitHi)
+		}
 		p.Compute(rs.team.Parallel(machine.PhaseLoad{
 			SeqBytes: (bitHi-bitLo)/8 + written*8,
-			SeqLoc:   r.inqLoc(),
+			SeqLoc:   r.InqLoc,
 		}))
 	}
-
-	sumWords := rs.inSum.Bits().Words()
-	switch r.Opts.Opt {
-	case OptOriginal, OptShareInQueue:
-		// Private summary: the default allgather distributes the shares.
-		r.AllGroup.Allgather(p, sumWords, r.sumLayout)
-	case OptShareAll:
-		// Shared summary, contributions rebuilt in place.
-		r.NC.SharedInPlaceAllgather(p, sumWords, r.sumLayout)
-	case OptParAllgather:
-		r.NC.ParallelAllgatherInPlace(p, sumWords, r.sumLayout)
-	case OptCompressedAllgather, OptOverlapAllgather:
-		// The summary is orders of magnitude smaller than in_queue, but
-		// it is also far sparser early on — the same codec pays off.
-		// (The summary exchange stays blocking at level 6: it is too
-		// small for chunking to hide anything.)
-		r.NC.ParallelAllgatherInPlaceCompressed(p, sumWords, r.sumLayout, rs.sumCodec)
-	}
+	r.AllgatherSummary(p, rs.inSum.Bits().Words(), r.sumLayout, rs.sumCodec)
 }
 
-// shareBits returns the base-bit range [bitLo, bitHi) of a partition
-// position's in_queue_summary share (granule-aligned; clamped to the
-// vertex count).
-func (rs *rankState) shareBits(pos int) (int64, int64) {
+// shareBits returns the base-bit range of this rank's in_queue_summary
+// share: a summary word covers 64 granules.
+func (rs *rankState) shareBits() (int64, int64) {
 	r := rs.r
-	g := r.Opts.Granularity
-	n := r.Params.NumVertices()
-	slo := r.sumLayout.Displs[pos]
-	scnt := r.sumLayout.Counts[pos]
-	bitLo := slo * 64 * g
-	bitHi := (slo + scnt) * 64 * g
-	if bitLo > n {
-		bitLo = n
-	}
-	if bitHi > n {
-		bitHi = n
-	}
-	return bitLo, bitHi
+	return ShareRange(r.sumLayout, rs.pos, 64*r.Opts.Granularity, r.Params.NumVertices())
 }

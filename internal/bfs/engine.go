@@ -21,12 +21,13 @@ import (
 // graph, and the per-rank state. Build one with NewRunner, call Setup
 // once (kernel 1), then RunRoot for each BFS root (kernel 2).
 type Runner struct {
-	W        *mpi.World
-	NC       *collective.NodeComm
+	W *mpi.World
+	// Ladder carries Opts and NC, and what the optimization level
+	// decides about the frontier buffers and their allgathers.
+	Ladder
 	AllGroup *collective.Group
 	Part     graph.Partition
 	Params   rmat.Params
-	Opts     Options
 
 	cfg machine.Config
 	pl  machine.Placement
@@ -90,8 +91,6 @@ type rankState struct {
 	outQ  *bitmap.Bitmap  // full bitmap; only the owned segment is written
 	inSum *bitmap.Summary // summary of inQ
 
-	sumSeg []uint64 // staging for this rank's summary share (Par variant)
-
 	// inqCodec/sumCodec are the rank's wire codecs for the compressed
 	// allgather level (nil below OptCompressedAllgather). One codec per
 	// collective purpose: each holds its own encode scratch, and a
@@ -101,7 +100,7 @@ type rankState struct {
 	sumCodec *wire.Codec
 
 	queue, next []int64   // top-down frontier queues (owned vertices)
-	send        [][]int64 // top-down owner-routing buffers
+	send, recv  [][]int64 // top-down owner-routing buffers and the retained result table
 
 	visitedEdges int64 // sum of degrees of vertices this rank visited
 	visitedCount int64
@@ -166,8 +165,8 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	// stay contiguous, which the node communicator requires.
 	r := &Runner{
 		W:      w,
+		Ladder: NewLadder(opts, pl),
 		Params: params,
-		Opts:   opts,
 		cfg:    cfg,
 		pl:     pl,
 	}
@@ -257,40 +256,12 @@ func (r *Runner) CSRs() []*graph.CSR {
 	return out
 }
 
-// sharedLoc is the locality of a node-shared structure: with one rank per
-// node "shared" degenerates to the rank's own interleaved memory.
-func (r *Runner) sharedLoc() machine.Locality {
-	if r.pl.ProcsPerNode == 1 {
-		return r.pl.PrivateLoc
-	}
-	return machine.NodeShared
-}
-
-// inqLoc returns where in_queue lives under the current optimization.
-func (r *Runner) inqLoc() machine.Locality {
-	if r.Opts.Opt >= OptShareInQueue {
-		return r.sharedLoc()
-	}
-	return r.pl.PrivateLoc
-}
-
-// sumLoc returns where in_queue_summary lives: the summaries are shared
-// from the ShareAll level on ("Share all means in_queue, out_queue,
-// in_queue_summary, and out_queue_summary are all shared" — Fig. 9).
-func (r *Runner) sumLoc() machine.Locality {
-	if r.Opts.Opt >= OptShareAll {
-		return r.sharedLoc()
-	}
-	return r.pl.PrivateLoc
-}
-
 // Setup runs distributed construction (kernel 1) and allocates per-rank
 // BFS state. Must be called exactly once before RunRoot.
 func (r *Runner) Setup() {
 	n := r.Params.NumVertices()
 	words := (n + 63) / 64
 	sumWords := r.sumLayout.TotalWords()
-	opt := r.Opts.Opt
 	r.W.Run(func(p *mpi.Proc) {
 		pos := r.posOf[p.Rank()]
 		var csr *graph.CSR
@@ -307,37 +278,24 @@ func (r *Runner) Setup() {
 		}
 		rs.parent = make([]int64, csr.NumLocal())
 
-		// in_queue: shared per node from ShareInQueue on.
-		if opt >= OptShareInQueue {
+		if r.InqShared {
 			rs.inQ = bitmap.FromWords(p.SharedWords("in_queue", words), n)
 		} else {
 			rs.inQ = bitmap.New(n)
 		}
-		// out_queue and the summaries: shared from ShareAll on.
-		if opt >= OptShareAll {
+		if r.OutShared {
 			rs.outQ = bitmap.FromWords(p.SharedWords("out_queue", words), n)
 			rs.inSum = summaryFromWords(p.SharedWords("in_summary", sumWords), n, r.Opts.Granularity)
 		} else {
 			rs.outQ = bitmap.New(n)
 			rs.inSum = bitmap.NewSummary(n, r.Opts.Granularity)
 		}
-		rs.sumSeg = make([]uint64, r.sumLayout.Counts[pos])
 		rs.send = make([][]int64, len(r.members))
-		if opt >= OptCompressedAllgather {
-			rs.inqCodec = &wire.Codec{
-				Team: rs.team, Loc: r.inqLoc(),
-				Force:            r.Opts.WireFormat,
-				SparseMaxDensity: r.Opts.WireSparseDensity,
-			}
-			rs.sumCodec = &wire.Codec{
-				Team: rs.team, Loc: r.sumLoc(),
-				Force:            r.Opts.WireFormat,
-				SparseMaxDensity: r.Opts.WireSparseDensity,
-			}
-		}
-		if opt >= OptOverlapAllgather {
+		rs.inqCodec = r.Codec(rs.team, r.InqLoc)
+		rs.sumCodec = r.Codec(rs.team, r.SumLoc)
+		if r.Chunks() > 0 {
 			rs.ovChunk = rs.onOverlapChunk
-			rs.ovBitLo, rs.ovBitHi = rs.shareBits(pos)
+			rs.ovBitLo, rs.ovBitHi = rs.shareBits()
 		}
 		r.states[pos] = rs
 	})

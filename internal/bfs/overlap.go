@@ -1,16 +1,11 @@
 package bfs
 
 import (
+	"numabfs/internal/collective"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 	"numabfs/internal/trace"
 )
-
-// defaultOverlapSegments is the pipeline chunk count when
-// Options.OverlapSegments is 0: two chunks already let each transfer
-// hide the previous chunk's decode and summary rebuild without paying
-// much extra per-message latency.
-const defaultOverlapSegments = 2
 
 // bitSpan is a granule-aligned base-bit interval [lo, hi) of this rank's
 // in_queue_summary share whose rebuild already ran during the pipelined
@@ -28,17 +23,12 @@ type bitSpan struct{ lo, hi int64 }
 // the collective's closing node barrier (allgatherSummary rebuilds
 // those gaps). The hidden/exposed split lands in the Overlap phase and
 // the rank's observability counters.
-func (rs *rankState) overlapAllgatherInQueue(p *mpi.Proc, ownOut []uint64) {
-	r := rs.r
-	segs := r.Opts.OverlapSegments
-	if segs == 0 {
-		segs = defaultOverlapSegments
-	}
+func (rs *rankState) overlapAllgatherInQueue(p *mpi.Proc, x collective.Exchange) {
 	rs.ovDone = rs.ovDone[:0]
 	rs.ovRunStart, rs.ovRunEnd = -1, -1
 	rs.ovReb = 0
-	r.NC.ParallelAllgatherSegmentedC(p, rs.inQ.Words(), ownOut, r.wordLayout,
-		segs, rs.inqCodec, rs.ovChunk, &rs.ov)
+	x.OnChunk, x.Overlap = rs.ovChunk, &rs.ov
+	rs.r.AllgatherFrontier(p, rs.team, rs.inQ.Words(), rs.outQ.Words(), rs.r.wordLayout, rs.pos, x)
 	rs.bd.Add(trace.Overlap, rs.ov.HiddenNs)
 	rs.bd.OverlapExposedNs += rs.ov.ExposedNs
 	rs.rec.Overlap(rs.ov.HiddenNs, rs.ov.ExposedNs)
@@ -93,7 +83,7 @@ func (rs *rankState) onOverlapChunk(w0, w1 int64) float64 {
 	rs.addDoneSpan(from, target)
 	return rs.team.Parallel(machine.PhaseLoad{
 		SeqBytes: (target-from)/8 + written*8,
-		SeqLoc:   r.inqLoc(),
+		SeqLoc:   r.InqLoc,
 	})
 }
 
@@ -139,6 +129,6 @@ func (rs *rankState) rebuildShareGaps(p *mpi.Proc, bitLo, bitHi int64) {
 	}
 	p.Compute(rs.team.Parallel(machine.PhaseLoad{
 		SeqBytes: bytes + written*8,
-		SeqLoc:   r.inqLoc(),
+		SeqLoc:   r.InqLoc,
 	}))
 }

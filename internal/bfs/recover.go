@@ -215,10 +215,9 @@ func (r *Runner) refreshLayouts() {
 	r.wordLayout = collective.SegLayout(r.Part.WordOffsets())
 	r.sumLayout = collective.EvenLayout(r.sumBytes/8, active)
 	for _, rs := range r.states {
-		rs.sumSeg = make([]uint64, r.sumLayout.Counts[rs.pos])
 		rs.send = make([][]int64, active)
-		if r.Opts.Opt >= OptOverlapAllgather {
-			rs.ovBitLo, rs.ovBitHi = rs.shareBits(rs.pos)
+		if r.Chunks() > 0 {
+			rs.ovBitLo, rs.ovBitHi = rs.shareBits()
 		}
 	}
 }

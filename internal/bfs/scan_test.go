@@ -32,7 +32,7 @@ import (
 // receives a copy of every chunk's PhaseLoad.
 func referenceBottomUpScan(rs *rankState, chunks *[]machine.PhaseLoad) (res omp.Result, nfLocal, mfLocal int64) {
 	r := rs.r
-	inqLoc, sumLoc := r.inqLoc(), r.sumLoc()
+	inqLoc, sumLoc := r.InqLoc, r.SumLoc
 	res = rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
 		var edges, sumChecks, inqChecks, found int64
 		for i := lo; i < hi; i++ {

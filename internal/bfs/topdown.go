@@ -62,13 +62,13 @@ func (rs *rankState) topDownLevel(p *mpi.Proc) (nf, mf int64) {
 
 	// Communication: route discovered pairs to their owners.
 	t0, x0 := p.Clock(), p.XportNs()
-	recv := r.AllGroup.AlltoallvInt64(p, rs.send)
+	rs.recv = r.AllGroup.AlltoallvInt64Into(p, rs.send, rs.recv, nil)
 	rs.chargeComm(p, trace.TDComm, t0, x0)
 
 	// Process received pairs (charged as top-down computation: the owner
 	// re-checks visitation just as the reference code does).
 	var pairs int64
-	for src, vec := range recv {
+	for src, vec := range rs.recv {
 		if src == me {
 			continue
 		}

@@ -192,14 +192,13 @@ type rankState struct {
 	levels     int
 	levelStats []trace.LevelStat
 
-	// codec and lists are the compressed-expand machinery (nil/empty
-	// when Compress is off): the codec encodes the rank's frontier list
-	// once per level, lists is the reused per-column receive scratch.
-	// foldCodec serves the fold alltoallv (one codec per collective
-	// purpose — fold payloads alias its slot scratch while expand
-	// payloads alias codec's), and foldOutRow/foldOutCol are the reused
-	// decode scratch for the row (top-down) and column (bottom-up)
-	// folds.
+	// codec (nil when Compress is off) encodes the rank's frontier list
+	// once per level for the expand; foldCodec serves the fold alltoallv
+	// (one codec per collective purpose — fold payloads alias its slot
+	// scratch while expand payloads alias codec's). lists and
+	// foldOutRow/foldOutCol are the retained result tables of the expand
+	// and of the row (top-down) and column (bottom-up) folds, decode
+	// scratch under a codec.
 	codec      *wire.Codec
 	lists      [][]int64
 	foldCodec  *wire.Codec

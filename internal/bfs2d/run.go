@@ -289,15 +289,9 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 // processor column, returning the per-source-position vertex lists.
 func (rs *rankState) expand(p *mpi.Proc, col *collective.Group) [][]int64 {
 	t0, x0 := p.Clock(), p.XportNs()
-	var lists [][]int64
-	if rs.codec != nil {
-		rs.lists = col.AllgathervInt64Compressed(p, rs.frontier, rs.lists, rs.codec)
-		lists = rs.lists
-	} else {
-		lists = col.AllgathervInt64(p, rs.frontier)
-	}
+	rs.lists = col.AllgathervInt64(p, rs.frontier, rs.lists, rs.codec)
 	rs.chargeComm(p, trace.TDComm, t0, x0)
-	return lists
+	return rs.lists
 }
 
 // tdScanFold runs the top-down local scan, the row fold and the
@@ -353,13 +347,8 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 	// FOLD: route candidates along the grid row to their owners.
 	rs.stallBarrier(p, trace.TDComm)
 	t0, x0 := p.Clock(), p.XportNs()
-	var recv [][]int64
-	if rs.foldCodec != nil {
-		rs.foldOutRow = row.AlltoallvInt64Compressed(p, send, rs.foldOutRow, rs.foldCodec)
-		recv = rs.foldOutRow
-	} else {
-		recv = row.AlltoallvInt64(p, send)
-	}
+	rs.foldOutRow = row.AlltoallvInt64Into(p, send, rs.foldOutRow, rs.foldCodec)
+	recv := rs.foldOutRow
 	rs.chargeComm(p, trace.TDComm, t0, x0)
 
 	// Resolve visitation at the owners.
@@ -605,13 +594,8 @@ func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 
 	rs.stallBarrier(p, trace.BUComm)
 	t0, x0 := p.Clock(), p.XportNs()
-	var recv [][]int64
-	if rs.foldCodec != nil {
-		rs.foldOutCol = col.AlltoallvInt64Compressed(p, send, rs.foldOutCol, rs.foldCodec)
-		recv = rs.foldOutCol
-	} else {
-		recv = col.AlltoallvInt64(p, send)
-	}
+	rs.foldOutCol = col.AlltoallvInt64Into(p, send, rs.foldOutCol, rs.foldCodec)
+	recv := rs.foldOutCol
 	rs.chargeComm(p, trace.BUComm, t0, x0)
 
 	// Resolve at the owners: clear the owned frontier segments, then

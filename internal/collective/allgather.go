@@ -51,52 +51,34 @@ func (g *Group) Allgather(p *mpi.Proc, buf []uint64, l Layout) {
 // member i forwards the segment it received at step s-1 (starting with
 // its own) to its successor. Total traffic is m*(n-1) bytes — Eq. (1).
 func (g *Group) AllgatherRing(p *mpi.Proc, buf []uint64, l Layout) {
-	// The send topology is the same in every step: i -> i+1.
-	t0 := p.Clock()
-	g.allgatherRingStreams(p, buf, l, g.ringStreams()[g.Pos(p.Rank())])
-	p.Obs().Collective("allgather-ring", t0, p.Clock())
-}
-
-// allgatherRingStreams is AllgatherRing with an explicit stream count,
-// used by the parallelized allgather where several subgroups run
-// concurrently and each must account for the others' NIC streams.
-func (g *Group) allgatherRingStreams(p *mpi.Proc, buf []uint64, l Layout, streams int) {
-	n := g.Size()
-	if n == 1 {
-		return
-	}
-	me := g.Pos(p.Rank())
-	next := g.ranks[(me+1)%n]
-	prev := g.ranks[(me-1+n)%n]
-
-	for s := 0; s < n-1; s++ {
-		sendID := (me - s + n) % n
-		recvID := (me - s - 1 + n) % n
-		seg := l.seg(buf, sendID)
-		m := p.SendRecvPayload(next, tagRing+s, int64(len(seg))*8, mpi.Payload{ID: sendID, Words: seg},
-			prev, tagRing+s, streams)
-		if m.Payload.ID != recvID {
-			panic("collective: ring allgather received unexpected segment")
-		}
-		copy(l.seg(buf, recvID), m.Payload.Words)
-	}
+	g.exchangeRing(p, buf, l, Exchange{})
 }
 
 // AllgatherRingCompressed is AllgatherRing with each segment travelling
-// in the codec's wire formats: every member encodes its own segment
-// once, and receivers decode into place, then forward the still-encoded
-// payload. Wire bytes drive the modelled transfer cost while the
-// network's raw counters keep Eq. (1)'s logical volume visible, so one
-// run exposes the compression saving.
+// in the codec's wire formats. Wire bytes drive the modelled transfer
+// cost while the network's raw counters keep Eq. (1)'s logical volume
+// visible, so one run exposes the compression saving.
 func (g *Group) AllgatherRingCompressed(p *mpi.Proc, buf []uint64, l Layout, c *wire.Codec) {
-	t0 := p.Clock()
-	g.allgatherRingStreamsC(p, buf, l, g.ringStreams()[g.Pos(p.Rank())], c)
-	p.Obs().Collective("allgather-ring-comp", t0, p.Clock())
+	g.exchangeRing(p, buf, l, Exchange{Codec: c})
 }
 
-// allgatherRingStreamsC is the compressed ring with an explicit stream
-// count (the parallelized allgather's subgroups pass their own).
-func (g *Group) allgatherRingStreamsC(p *mpi.Proc, buf []uint64, l Layout, streams int, c *wire.Codec) {
+// exchangeRing is the whole-group ring under an exchange description:
+// the send topology is the same in every step (i -> i+1), so the
+// stream counts come from the cached ring table.
+func (g *Group) exchangeRing(p *mpi.Proc, buf []uint64, l Layout, x Exchange) {
+	t0 := p.Clock()
+	x.ring(p, g, buf, l, g.ringStreams()[g.Pos(p.Rank())])
+	p.Obs().Collective(labels[labelRing][x.variant(false)], t0, p.Clock())
+}
+
+// allgatherRing is the blocking ring driver, with an explicit stream
+// count (the parallelized allgather's concurrent subgroups each account
+// for the others' NIC streams). A nil codec moves raw words: every step
+// sends the member's own copy of the segment it forwards. With a codec
+// every member encodes its own segment once, and receivers decode into
+// place — before posting the next step; the pipelined driver posts
+// first — then forward the still-encoded payload.
+func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, streams int, c *wire.Codec) {
 	n := g.Size()
 	if n == 1 {
 		return
@@ -105,17 +87,29 @@ func (g *Group) allgatherRingStreamsC(p *mpi.Proc, buf []uint64, l Layout, strea
 	next := g.ranks[(me+1)%n]
 	prev := g.ranks[(me-1+n)%n]
 
-	pl, ns := c.Encode(l.seg(buf, me))
-	p.Compute(ns)
-	cur := mpi.Payload{ID: me, Wire: pl}
+	cur := mpi.Payload{ID: me}
+	if c != nil {
+		var ns float64
+		cur.Wire, ns = c.Encode(l.seg(buf, me))
+		p.Compute(ns)
+	}
 	for s := 0; s < n-1; s++ {
-		recvID := (me - s - 1 + n) % n
-		m := p.SendRecvWire(next, tagRingC+s, cur, prev, tagRingC+s, streams)
-		cur = m.Payload
-		if cur.ID != recvID {
-			panic("collective: compressed ring received unexpected segment")
+		var m mpi.Msg
+		if c != nil {
+			m = p.SendRecvWire(next, tagRingC+s, cur, prev, tagRingC+s, streams)
+		} else {
+			cur.Words = l.seg(buf, cur.ID)
+			m = p.SendRecvPayload(next, tagRing+s, int64(len(cur.Words))*8, cur, prev, tagRing+s, streams)
 		}
-		p.Compute(c.Decode(l.seg(buf, cur.ID), cur.Wire))
+		cur = m.Payload
+		if cur.ID != (me-s-1+n)%n {
+			panic("collective: ring allgather received unexpected segment")
+		}
+		if c != nil {
+			p.Compute(c.Decode(l.seg(buf, cur.ID), cur.Wire))
+		} else {
+			copy(l.seg(buf, cur.ID), cur.Words)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func TestAllgathervInt64(t *testing.T) {
 		for k := range mine {
 			mine[k] = int64(me*1000 + k)
 		}
-		out := g.AllgathervInt64(p, mine)
+		out := g.AllgathervInt64(p, mine, nil, nil)
 		for src := 0; src < n; src++ {
 			if len(out[src]) != src {
 				t.Errorf("rank %d: len(out[%d]) = %d, want %d", me, src, len(out[src]), src)
@@ -36,7 +36,7 @@ func TestAllgathervInt64SingleMember(t *testing.T) {
 	w := testWorld(t, 1, 1)
 	g := WorldGroup(w)
 	w.Run(func(p *mpi.Proc) {
-		out := g.AllgathervInt64(p, []int64{7, 8})
+		out := g.AllgathervInt64(p, []int64{7, 8}, nil, nil)
 		if len(out) != 1 || len(out[0]) != 2 || out[0][1] != 8 {
 			t.Errorf("out = %v", out)
 		}
@@ -56,7 +56,7 @@ func TestAllgathervInt64Property(t *testing.T) {
 			for k := range mine {
 				mine[k] = int64(me)<<8 | int64(k)
 			}
-			out := g.AllgathervInt64(p, mine)
+			out := g.AllgathervInt64(p, mine, nil, nil)
 			for src := 0; src < g.Size(); src++ {
 				if len(out[src]) != int(lens[src]%5) {
 					ok = false

@@ -96,6 +96,7 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 	bufs := make([][]uint64, np)
 	codecs := make([]*wire.Codec, np)
 	lists := make([][][]int64, np)
+	recvs := make([][][]int64, np)
 	ovs := make([]Overlap, np)
 	for r := range bufs {
 		bufs[r] = make([]uint64, words)
@@ -112,11 +113,6 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 		inq[p.Rank()] = p.SharedWords("alloc-inq", words)
 		fillVaried(inq[p.Rank()], l, p.Rank())
 	})
-	own := func(p *mpi.Proc) []uint64 {
-		me := p.Rank()
-		return bufs[me][l.Displs[me] : l.Displs[me]+l.Counts[me]]
-	}
-
 	cases := []struct {
 		name string
 		// perCall is the call's fixed allocation count per rank.
@@ -128,8 +124,12 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 			g.AllgatherRingCompressed(p, bufs[p.Rank()], l, codecs[p.Rank()])
 		}},
 		{"AllreduceSumInt64", 0, func(p *mpi.Proc) { g.AllreduceSumInt64(p, int64(p.Rank())) }},
-		// The result table indexed by source position.
+		// The result table indexed by source position — unless the caller
+		// retains it, as the engines' top-down levels do.
 		{"AlltoallvInt64", 1, func(p *mpi.Proc) { g.AlltoallvInt64(p, lists[p.Rank()]) }},
+		{"AlltoallvInt64Into", 0, func(p *mpi.Proc) {
+			recvs[p.Rank()] = g.AlltoallvInt64Into(p, lists[p.Rank()], recvs[p.Rank()], nil)
+		}},
 		// The sub-layout's counts and displacements.
 		{"ParallelAllgatherInPlace", 2, func(p *mpi.Proc) { nc.ParallelAllgatherInPlace(p, inq[p.Rank()], l) }},
 		{"ParallelAllgatherInPlaceCompressed", 2, func(p *mpi.Proc) {
@@ -137,11 +137,12 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 		}},
 		// The segmented rings (the overlap level's pipeline), 4 chunks per
 		// segment, raw and compressed.
-		{"ParallelAllgatherSegmented", 2, func(p *mpi.Proc) {
-			nc.ParallelAllgatherSegmented(p, inq[p.Rank()], own(p), l, 4, nil, &ovs[p.Rank()])
+		{"ParallelPipelined", 2, func(p *mpi.Proc) {
+			nc.Allgather(p, SchemeParallel, inq[p.Rank()], bufs[p.Rank()], l, Exchange{Chunks: 4, Overlap: &ovs[p.Rank()]})
 		}},
-		{"ParallelAllgatherSegmentedC", 2, func(p *mpi.Proc) {
-			nc.ParallelAllgatherSegmentedC(p, inq[p.Rank()], own(p), l, 4, codecs[p.Rank()], nil, &ovs[p.Rank()])
+		{"ParallelPipelinedCompressed", 2, func(p *mpi.Proc) {
+			nc.Allgather(p, SchemeParallel, inq[p.Rank()], bufs[p.Rank()], l,
+				Exchange{Codec: codecs[p.Rank()], Chunks: 4, Overlap: &ovs[p.Rank()]})
 		}},
 	}
 	for _, c := range cases {

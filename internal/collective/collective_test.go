@@ -219,32 +219,13 @@ func TestLeaderAllgather(t *testing.T) {
 	w.Run(func(p *mpi.Proc) {
 		buf := make([]uint64, 640)
 		fillOwn(buf, l, p.Rank())
-		st := nc.LeaderAllgather(p, buf, l)
+		st := nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
 		checkFull(t, "leader", p.Rank(), buf, l)
 		if p.LocalRank() != 0 && st.InterNs != 0 {
 			t.Errorf("child rank %d charged inter time %g", p.Rank(), st.InterNs)
 		}
 		if st.BcastNs <= 0 {
 			t.Errorf("rank %d: BcastNs = %g, want > 0", p.Rank(), st.BcastNs)
-		}
-	})
-}
-
-func TestSharedInQueueAllgather(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 640
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		for i := range seg {
-			seg[i] = uint64(p.Rank())<<32 | uint64(i)
-		}
-		st := nc.SharedInQueueAllgather(p, shared, seg, l)
-		checkFull(t, "shared-inq", p.Rank(), shared, l)
-		if st.BcastNs != 0 {
-			t.Errorf("rank %d: BcastNs = %g, want 0 (eliminated)", p.Rank(), st.BcastNs)
 		}
 	})
 }
@@ -260,24 +241,8 @@ func TestSharedAllAgather(t *testing.T) {
 		// Each rank stages its own segment in the node-shared out region.
 		fillOwn(sharedOut, l, p.Rank())
 		p.NodeBarrier()
-		nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+		nc.Allgather(p, SchemeSharedAll, sharedIn, sharedOut, l, Exchange{})
 		checkFull(t, "shared-all", p.Rank(), sharedIn, l)
-	})
-}
-
-func TestParallelAllgather(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 640
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		for i := range seg {
-			seg[i] = uint64(p.Rank())<<32 | uint64(i)
-		}
-		nc.ParallelAllgather(p, shared, seg, l)
-		checkFull(t, "parallel", p.Rank(), shared, l)
 	})
 }
 
@@ -311,7 +276,7 @@ func TestPipelinedOverlapHelpsButSharingWins(t *testing.T) {
 	leader := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
 		w.Run(func(p *mpi.Proc) {
 			buf := make([]uint64, words)
-			nc.LeaderAllgather(p, buf, l)
+			nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
 		})
 	})
 	pipelined := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
@@ -325,7 +290,7 @@ func TestPipelinedOverlapHelpsButSharingWins(t *testing.T) {
 			sharedIn := p.SharedWords("inq", words)
 			sharedOut := p.SharedWords("outq", words)
 			p.NodeBarrier()
-			nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+			nc.Allgather(p, SchemeSharedAll, sharedIn, sharedOut, l, Exchange{})
 		})
 	})
 	if !(pipelined < leader) {
@@ -364,8 +329,7 @@ func TestEq2ParallelVolume(t *testing.T) {
 	l := EvenLayout(words, w.NumProcs())
 	w.Run(func(p *mpi.Proc) {
 		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		nc.ParallelAllgather(p, shared, seg, l)
+		nc.Allgather(p, SchemeParallel, shared, make([]uint64, words), l, Exchange{})
 	})
 	vol := w.Net().Volume()
 	m := int64(words * 8)
@@ -392,14 +356,13 @@ func TestLeaderAllgatherCheaperWhenShared(t *testing.T) {
 	leader := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
 		w.Run(func(p *mpi.Proc) {
 			buf := make([]uint64, words)
-			nc.LeaderAllgather(p, buf, l)
+			nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
 		})
 	})
 	sharedIn := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
 		w.Run(func(p *mpi.Proc) {
 			shared := p.SharedWords("inq", words)
-			seg := make([]uint64, l.Counts[p.Rank()])
-			nc.SharedInQueueAllgather(p, shared, seg, l)
+			nc.Allgather(p, SchemeSharedIn, shared, make([]uint64, words), l, Exchange{})
 		})
 	})
 	sharedAll := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
@@ -407,14 +370,13 @@ func TestLeaderAllgatherCheaperWhenShared(t *testing.T) {
 			sharedIn := p.SharedWords("inq", words)
 			sharedOut := p.SharedWords("outq", words)
 			p.NodeBarrier()
-			nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+			nc.Allgather(p, SchemeSharedAll, sharedIn, sharedOut, l, Exchange{})
 		})
 	})
 	par := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {
 		w.Run(func(p *mpi.Proc) {
 			shared := p.SharedWords("inq", words)
-			seg := make([]uint64, l.Counts[p.Rank()])
-			nc.ParallelAllgather(p, shared, seg, l)
+			nc.Allgather(p, SchemeParallel, shared, make([]uint64, words), l, Exchange{})
 		})
 	})
 	if !(sharedIn < leader) {

@@ -106,52 +106,6 @@ func TestAllgatherRingCompressed(t *testing.T) {
 	}
 }
 
-func TestParallelAllgatherCompressed(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 640
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		for i := range seg {
-			seg[i] = variedWord(p.Rank(), i)
-		}
-		nc.ParallelAllgatherCompressed(p, shared, seg, l, newTestCodec())
-		checkVaried(t, "parallel-comp", p.Rank(), shared, l)
-	})
-}
-
-func TestParallelAllgatherInPlaceCompressed(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 644
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		fillVaried(shared, l, p.Rank())
-		p.NodeBarrier()
-		nc.ParallelAllgatherInPlaceCompressed(p, shared, l, newTestCodec())
-		checkVaried(t, "parallel-inplace-comp", p.Rank(), shared, l)
-	})
-}
-
-func TestLeaderAllgatherCompressed(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 640
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		buf := make([]uint64, words)
-		fillVaried(buf, l, p.Rank())
-		st := nc.LeaderAllgatherCompressed(p, buf, l, newTestCodec())
-		checkVaried(t, "leader-comp", p.Rank(), buf, l)
-		if p.LocalRank() != 0 && st.InterNs != 0 {
-			t.Errorf("child rank %d charged inter time %g", p.Rank(), st.InterNs)
-		}
-	})
-}
-
 func TestAllgathervInt64Compressed(t *testing.T) {
 	w := testWorld(t, 2, 3)
 	g := WorldGroup(w)
@@ -165,7 +119,7 @@ func TestAllgathervInt64Compressed(t *testing.T) {
 		var out [][]int64
 		// Two rounds: the second reuses out, the engine's steady state.
 		for round := 0; round < 2; round++ {
-			out = g.AllgathervInt64Compressed(p, mine, out, newTestCodec())
+			out = g.AllgathervInt64(p, mine, out, newTestCodec())
 			for src := 0; src < n; src++ {
 				if len(out[src]) != src*7 {
 					t.Errorf("round %d rank %d: len(out[%d]) = %d, want %d",
@@ -240,11 +194,9 @@ func TestEq2ParallelVolumeCompressed(t *testing.T) {
 	l := EvenLayout(words, w.NumProcs())
 	w.Run(func(p *mpi.Proc) {
 		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		for i := range seg {
-			seg[i] = variedWord(p.Rank(), i)
-		}
-		nc.ParallelAllgatherCompressed(p, shared, seg, l, newTestCodec())
+		src := make([]uint64, words)
+		fillVaried(src, l, p.Rank())
+		nc.Allgather(p, SchemeParallel, shared, src, l, Exchange{Codec: newTestCodec()})
 	})
 	vol := w.Net().Volume()
 	m := int64(words * 8)

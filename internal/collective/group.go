@@ -14,6 +14,11 @@
 //   - pairwise-exchange alltoallv for the top-down phase, and a scalar
 //     allreduce for frontier counting and termination.
 //
+// The three node-aware families and the library default are the schemes
+// of one entry point, NodeComm.Allgather; whether segments travel
+// encoded and whether the rings are pipelined is its Exchange argument,
+// not a further function per combination.
+//
 // All collectives are SPMD: every member of the group calls the same
 // function with its own mpi.Proc.
 package collective

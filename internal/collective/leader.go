@@ -31,11 +31,7 @@ type NodeComm struct {
 
 // NewNodeComm builds the node communicator over all ranks of world w.
 func NewNodeComm(w *mpi.World) *NodeComm {
-	ranks := make([]int, w.NumProcs())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return NewNodeCommRanks(w, ranks)
+	return NewNodeCommRanks(w, WorldGroup(w).Ranks())
 }
 
 // NewNodeCommRanks builds the node communicator over an explicit member
@@ -159,37 +155,162 @@ type StepTimes struct {
 // Total returns the summed step time.
 func (t StepTimes) Total() float64 { return t.GatherNs + t.InterNs + t.BcastNs }
 
-func (t *StepTimes) add(o StepTimes) {
-	t.GatherNs += o.GatherNs
-	t.InterNs += o.InterNs
-	t.BcastNs += o.BcastNs
+// Scheme is a rung of the paper's allgather ladder: which ranks move the
+// data between nodes, and which intra-node steps sharing has removed.
+type Scheme int
+
+const (
+	// SchemeLibrary is the MPI library's default allgather over all
+	// members, blind to node boundaries (Group.Allgather; the ring under
+	// a codec or the pipelined schedule, which only the ring has).
+	SchemeLibrary Scheme = iota
+	// SchemeLeader is the prior-work baseline of Fig. 5a (Mamidala et
+	// al.): binomial gather of each node's segments to its leader, ring
+	// between leaders, binomial broadcast of the full buffer back. The
+	// intra-node steps stay raw under a codec: they move through shared
+	// memory, where the bandwidth gap compression exploits does not exist.
+	SchemeLeader
+	// SchemeSharedIn is the paper's first optimization (Fig. 5b with only
+	// in_queue shared): dst is one node-shared buffer; children still
+	// send their segments to the leader, which assembles them in dst,
+	// but the broadcast disappears — children see the result through the
+	// shared mapping after a node barrier.
+	SchemeSharedIn
+	// SchemeSharedAll is "Share all" (Fig. 5b): the source is node-shared
+	// too, so the leader copies the node's whole slice itself — no
+	// gather, no broadcast.
+	SchemeSharedAll
+	// SchemeParallel is Section III.B (Fig. 7): each node's j-th members
+	// form subgroup j; every subgroup ring-allgathers its members'
+	// segments into the node-shared dst, all subgroups concurrently, so
+	// every NIC carries PPN streams. Total traffic is m*(np/ppn - 1) —
+	// Eq. (2).
+	SchemeParallel
+)
+
+// stage copies segment i of src into place in dst at shared-copy
+// bandwidth.
+func stage(p *mpi.Proc, dst, src []uint64, l Layout, i int) {
+	copy(l.seg(dst, i), l.seg(src, i))
+	p.Compute(float64(l.Counts[i]*8) / p.World().Config().ShmCopyBW)
 }
 
-// LeaderAllgather is the prior-work baseline of Fig. 5a (Mamidala et
-// al.): gather each node's segments to its leader, ring-allgather between
-// leaders, broadcast the full buffer back to the children. buf is each
-// rank's private full-size buffer with its own segment (layout l, indexed
-// by world group position) already in place.
-func (nc *NodeComm) LeaderAllgather(p *mpi.Proc, buf []uint64, l Layout) StepTimes {
+// Allgather is the node-aware allgatherv over the communicator's members
+// under scheme s and send path x: on return every member's view of dst
+// holds all segments of layout l (indexed by World position). src is the
+// full-length buffer holding the contributions at their layout positions
+// — each rank's own segment, or under SchemeSharedAll one node-shared
+// buffer with the whole node's slice; nil means they are already in
+// place in dst. Staged, the schemes stage as the paper's variants do; in
+// place, the shared schemes wait at a node barrier for the node's
+// writers instead (both then run the same steps). dst is a private
+// buffer under the library and leader schemes, node-shared otherwise.
+func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout, x Exchange) StepTimes {
 	var st StepTimes
 	node := nc.Nodes[p.Node()]
+	me := nc.World.Pos(p.Rank())
+	leader := nc.IsLeader(p)
 	tc := p.Clock()
-
-	t0 := p.Clock()
-	node.GatherBinomial(p, buf, nc.localView(l, p.Node()), 0)
-	st.GatherNs = p.Clock() - t0
-
-	if nc.IsLeader(p) {
-		t0 = p.Clock()
-		nc.Leaders.AllgatherRing(p, buf, nc.nodeLayout(l))
-		st.InterNs = p.Clock() - t0
+	if x.Chunks > 0 {
+		x.Overlap.reset()
 	}
 
-	t0 = p.Clock()
-	node.BcastBinomial(p, buf, l.TotalWords(), 0)
-	st.BcastNs = p.Clock() - t0
-	p.Obs().Collective("leader-allgather", tc, p.Clock())
+	switch s {
+	case SchemeLibrary:
+		if src != nil {
+			stage(p, dst, src, l, me)
+		}
+		if x.Codec == nil && x.Chunks == 0 {
+			nc.World.Allgather(p, dst, l)
+		} else {
+			nc.World.exchangeRing(p, dst, l, x)
+		}
+		return st
+
+	case SchemeLeader:
+		if src != nil {
+			stage(p, dst, src, l, me)
+		}
+		node.GatherBinomial(p, dst, nc.localView(l, p.Node()), 0)
+		st.GatherNs = p.Clock() - tc
+		if leader {
+			t0 := p.Clock()
+			nc.Leaders.exchangeRing(p, dst, nc.nodeLayout(l), x)
+			st.InterNs = p.Clock() - t0
+		}
+		t0 := p.Clock()
+		node.BcastBinomial(p, dst, l.TotalWords(), 0)
+		st.BcastNs = p.Clock() - t0
+
+	case SchemeSharedIn, SchemeSharedAll:
+		var nl Layout
+		if leader {
+			nl = nc.nodeLayout(l)
+		}
+		mine := nc.members[p.Node()]
+		switch {
+		case src == nil:
+			node.barrierVia(p)
+		case s == SchemeSharedAll:
+			if leader {
+				stage(p, dst, src, nl, nc.nodePos[p.Node()])
+			}
+		case leader:
+			stage(p, dst, src, l, me)
+			for _, child := range mine[1:] {
+				m := p.Recv(child, tagGather)
+				copy(l.seg(dst, nc.World.Pos(child)), m.Payload.Words)
+			}
+		default:
+			// Children copy concurrently; the leader serializes receives.
+			seg := l.seg(src, me)
+			p.SendPayload(nc.leaderOf[p.Node()], tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
+		}
+		if src != nil {
+			st.GatherNs = p.Clock() - tc
+		}
+		if leader {
+			// Own-node data is in dst already; remote arrivals land there
+			// as the ring progresses.
+			t0 := p.Clock()
+			nc.Leaders.exchangeRing(p, dst, nl, x)
+			st.InterNs = p.Clock() - t0
+		}
+		// No broadcast: a node barrier makes the shared result visible
+		// (children wait for the leader here).
+		t0 := p.Clock()
+		node.barrierVia(p)
+		st.InterNs += p.Clock() - t0
+		if src == nil {
+			st.InterNs = p.Clock() - tc // the writers' barrier included
+		}
+
+	case SchemeParallel:
+		if src != nil {
+			stage(p, dst, src, l, me)
+		}
+		lo, hi := nc.subRange(p)
+		for j := lo; j <= hi; j++ {
+			x.ring(p, nc.Subs[j], dst, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
+		}
+		st.InterNs = p.Clock() - tc
+		t0 := p.Clock()
+		node.barrierVia(p)
+		st.InterNs += p.Clock() - t0
+	}
+	p.Obs().Collective(labels[s][x.variant(src == nil)], tc, p.Clock())
 	return st
+}
+
+// ParallelAllgatherInPlace is the raw in-place parallel allgather, by
+// the name the repository benchmark's probes call it.
+func (nc *NodeComm) ParallelAllgatherInPlace(p *mpi.Proc, shared []uint64, l Layout) StepTimes {
+	return nc.Allgather(p, SchemeParallel, shared, nil, l, Exchange{})
+}
+
+// ParallelAllgatherInPlaceCompressed is the same under a codec.
+func (nc *NodeComm) ParallelAllgatherInPlaceCompressed(p *mpi.Proc, shared []uint64, l Layout, c *wire.Codec) StepTimes {
+	return nc.Allgather(p, SchemeParallel, shared, nil, l, Exchange{Codec: c})
 }
 
 // localView returns the layout of node n's members as a group-local
@@ -201,156 +322,6 @@ func (nc *NodeComm) localView(l Layout, n int) Layout {
 		Counts: l.Counts[first : first+cnt],
 		Displs: l.Displs[first : first+cnt],
 	}
-}
-
-// SharedInQueueAllgather is the paper's first optimization (Fig. 5b with
-// only in_queue shared): buf is one node-shared buffer; children still
-// gather their segments to the leader (step 1), leaders allgather on the
-// shared buffer (step 2), and the broadcast disappears — children see the
-// result through the shared mapping after a node barrier.
-func (nc *NodeComm) SharedInQueueAllgather(p *mpi.Proc, shared []uint64, seg []uint64, l Layout) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	me := nc.World.Pos(p.Rank())
-	tc := p.Clock()
-
-	// Step 1: children send their segment to the leader, which writes it
-	// into the shared buffer. The leader's own segment is copied by its
-	// compute phase already (seg aliases shared for the leader when the
-	// caller stages directly; otherwise copy here).
-	t0 := p.Clock()
-	mine := nc.members[p.Node()]
-	if nc.IsLeader(p) {
-		copy(l.seg(shared, me), seg)
-		p.Compute(float64(len(seg)*8) / p.World().Config().ShmCopyBW)
-		for _, child := range mine[1:] {
-			m := p.Recv(child, tagGather)
-			copy(l.seg(shared, nc.World.Pos(child)), m.Payload.Words)
-		}
-	} else {
-		// Children copy concurrently; the leader serializes receives.
-		p.SendPayload(nc.leaderOf[p.Node()], tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
-	}
-	st.GatherNs = p.Clock() - t0
-
-	if nc.IsLeader(p) {
-		t0 = p.Clock()
-		nc.Leaders.AllgatherRing(p, shared, nc.nodeLayout(l))
-		st.InterNs = p.Clock() - t0
-	}
-
-	// No step 3: a node barrier makes the shared result visible.
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.BcastNs = 0
-	st.InterNs += p.Clock() - t0 // children wait for the leader here
-	p.Obs().Collective("shared-inq-allgather", tc, p.Clock())
-	return st
-}
-
-// SharedAllAgather is the paper's "Share all" variant (Fig. 5b): both
-// out_queue and in_queue are node-shared, so the leader reads children's
-// segments directly from the shared out region — no gather, no broadcast.
-// sharedOut holds the node's contribution at the node's displacement;
-// sharedIn receives the full result.
-func (nc *NodeComm) SharedAllAgather(p *mpi.Proc, sharedIn, sharedOut []uint64, l Layout) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	nl := nc.nodeLayout(l)
-	tc := p.Clock()
-
-	if nc.IsLeader(p) {
-		// Copy the node's slice from the shared out region in place; this
-		// is a local memory copy, charged at shared-copy bandwidth.
-		t0 := p.Clock()
-		n := nc.nodePos[p.Node()]
-		copy(nl.seg(sharedIn, n), nl.seg(sharedOut, n))
-		p.Compute(float64(nl.Counts[n]*8) / p.World().Config().ShmCopyBW)
-		st.GatherNs = p.Clock() - t0
-
-		t0 = p.Clock()
-		// The ring sources segments straight from the shared regions:
-		// own-node data from sharedIn (just staged), remote arrivals land
-		// in sharedIn as the ring progresses.
-		nc.Leaders.AllgatherRing(p, sharedIn, nl)
-		st.InterNs = p.Clock() - t0
-	}
-
-	t0 := p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("shared-all-allgather", tc, p.Clock())
-	return st
-}
-
-// ParallelAllgather is the paper's Section III.B scheme (Fig. 7): each
-// node's j-th members across all nodes form subgroup j; each subgroup
-// ring-allgathers its members' segments into the node-shared buffer, all
-// subgroups concurrently, so every NIC carries PPN streams. Total traffic
-// is m*(np/ppn - 1) — Eq. (2). seg is the rank's own segment (copied into
-// the shared buffer first).
-func (nc *NodeComm) ParallelAllgather(p *mpi.Proc, shared []uint64, seg []uint64, l Layout) StepTimes {
-	var st StepTimes
-	me := nc.World.Pos(p.Rank())
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	copy(l.seg(shared, me), seg)
-	p.Compute(float64(l.Counts[me]*8) / p.World().Config().ShmCopyBW)
-
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreams(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather", tc, p.Clock())
-	return st
-}
-
-// SharedInPlaceAllgather allgathers a fully node-shared buffer whose
-// per-rank contributions are already written in place (each rank wrote
-// its own segment into the shared region): a node barrier waits for the
-// writers, the leaders exchange node slices, and a final node barrier
-// publishes the result. This is the "Share all" path for the summary
-// bitmaps, which every rank rebuilds directly into the shared region.
-func (nc *NodeComm) SharedInPlaceAllgather(p *mpi.Proc, shared []uint64, l Layout) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	t0 := p.Clock()
-	node.barrierVia(p)
-	if nc.IsLeader(p) {
-		nc.Leaders.AllgatherRing(p, shared, nc.nodeLayout(l))
-	}
-	node.barrierVia(p)
-	st.InterNs = p.Clock() - t0
-	p.Obs().Collective("shared-inplace-allgather", t0, p.Clock())
-	return st
-}
-
-// ParallelAllgatherInPlace is ParallelAllgather for contributions already
-// staged in the shared buffer (no copy step).
-func (nc *NodeComm) ParallelAllgatherInPlace(p *mpi.Proc, shared []uint64, l Layout) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreams(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-inplace", tc, p.Clock())
-	return st
 }
 
 // subLayout returns the layout of subgroup j's members' segments within
@@ -369,83 +340,6 @@ func (nc *NodeComm) subLayout(sub *Group, l Layout, j int) Layout {
 		}
 	}
 	return Layout{Counts: counts, Displs: displs}
-}
-
-// ParallelAllgatherCompressed is ParallelAllgather with every subgroup
-// segment travelling in the codec's adaptive wire formats — the fifth
-// optimization level (OptCompressedAllgather), stacking Romera-style
-// frontier compression on the paper's parallelized allgather. The
-// staging copy and the node barrier are unchanged; only the inter-node
-// rings carry encoded payloads.
-func (nc *NodeComm) ParallelAllgatherCompressed(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	me := nc.World.Pos(p.Rank())
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	copy(l.seg(shared, me), seg)
-	p.Compute(float64(l.Counts[me]*8) / p.World().Config().ShmCopyBW)
-
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreamsC(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p), c)
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-comp", tc, p.Clock())
-	return st
-}
-
-// ParallelAllgatherInPlaceCompressed is ParallelAllgatherInPlace with
-// compressed subgroup rings (contributions already staged in the
-// shared buffer).
-func (nc *NodeComm) ParallelAllgatherInPlaceCompressed(p *mpi.Proc, shared []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreamsC(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p), c)
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-inplace-comp", tc, p.Clock())
-	return st
-}
-
-// LeaderAllgatherCompressed is LeaderAllgather with the inter-node
-// leader ring carrying encoded payloads. The intra-node gather and
-// broadcast stay raw: they move through shared memory, where the
-// bandwidth gap compression exploits does not exist.
-func (nc *NodeComm) LeaderAllgatherCompressed(p *mpi.Proc, buf []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	node.GatherBinomial(p, buf, nc.localView(l, p.Node()), 0)
-	st.GatherNs = p.Clock() - t0
-
-	if nc.IsLeader(p) {
-		t0 = p.Clock()
-		nc.Leaders.AllgatherRingCompressed(p, buf, nc.nodeLayout(l), c)
-		st.InterNs = p.Clock() - t0
-	}
-
-	t0 = p.Clock()
-	node.BcastBinomial(p, buf, l.TotalWords(), 0)
-	st.BcastNs = p.Clock() - t0
-	p.Obs().Collective("leader-allgather-comp", tc, p.Clock())
-	return st
 }
 
 // barrierVia runs a node barrier through the proc (helper so group code

@@ -47,25 +47,13 @@ func TestNodeCommRanksRejectsScatteredNode(t *testing.T) {
 	NewNodeCommRanks(w, []int{0, 1, 4, 2})
 }
 
-// runUneven parks the non-members of a 2x4 world so only the member
-// list runs, then executes body on every member.
+// runUneven runs body on every member of a 2x4 world whose non-members
+// are parked.
 func runUneven(t *testing.T, members []int, body func(nc *NodeComm, p *mpi.Proc, pos int)) {
 	t.Helper()
-	w := testWorld(t, 2, 4)
-	in := make(map[int]bool)
-	for _, r := range members {
-		in[r] = true
-	}
-	var parked []int
-	for r := 0; r < w.NumProcs(); r++ {
-		if !in[r] {
-			parked = append(parked, r)
-		}
-	}
-	w.Park(parked)
-	nc := NewNodeCommRanks(w, members)
-	w.Run(func(p *mpi.Proc) {
-		body(nc, p, nc.World.Pos(p.Rank()))
+	e := newAgEnv(t, agGeo{nodes: 2, ppn: 4, members: members, words: int64(len(members))})
+	e.w.Run(func(p *mpi.Proc) {
+		body(e.nc, p, e.g.Pos(p.Rank()))
 	})
 }
 
@@ -82,7 +70,7 @@ func TestNodeCommRanksUnevenNodesComplete(t *testing.T) {
 		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
 			buf := make([]uint64, words)
 			fillOwn(buf, l, pos)
-			nc.LeaderAllgather(p, buf, l)
+			nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
 			checkFull(t, "leader-uneven", p.Rank(), buf, l)
 		})
 	})
@@ -97,22 +85,18 @@ func TestNodeCommRanksUnevenNodesComplete(t *testing.T) {
 	t.Run("shared-inq", func(t *testing.T) {
 		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
 			shared := p.SharedWords("inq", words)
-			seg := make([]uint64, l.Counts[pos])
-			for i := range seg {
-				seg[i] = uint64(pos)<<32 | uint64(i)
-			}
-			nc.SharedInQueueAllgather(p, shared, seg, l)
+			src := make([]uint64, words)
+			fillOwn(src, l, pos)
+			nc.Allgather(p, SchemeSharedIn, shared, src, l, Exchange{})
 			checkFull(t, "shared-inq-uneven", p.Rank(), shared, l)
 		})
 	})
 	t.Run("parallel", func(t *testing.T) {
 		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
 			shared := p.SharedWords("inq", words)
-			seg := make([]uint64, l.Counts[pos])
-			for i := range seg {
-				seg[i] = uint64(pos)<<32 | uint64(i)
-			}
-			nc.ParallelAllgather(p, shared, seg, l)
+			src := make([]uint64, words)
+			fillOwn(src, l, pos)
+			nc.Allgather(p, SchemeParallel, shared, src, l, Exchange{})
 			checkFull(t, "parallel-uneven", p.Rank(), shared, l)
 		})
 	})
@@ -127,7 +111,7 @@ func TestNodeCommRanksSingleNodeSurvives(t *testing.T) {
 	runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
 		buf := make([]uint64, words)
 		fillOwn(buf, l, pos)
-		st := nc.LeaderAllgather(p, buf, l)
+		st := nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
 		checkFull(t, "single-node", p.Rank(), buf, l)
 		if st.InterNs != 0 {
 			t.Errorf("rank %d charged inter time %g with one populated node", p.Rank(), st.InterNs)

@@ -13,14 +13,14 @@ const tagPipe = 0x9000
 //
 // The paper's argument — "if the intra-node communication cost is even
 // higher than that of inter-node, overlapping will not help" (Section V)
-// — is directly measurable against LeaderAllgather and the shared
-// variants: the pipelined total approaches max(inter, pull) + one chunk
+// — is directly measurable against SchemeLeader and the shared
+// schemes: the pipelined total approaches max(inter, pull) + one chunk
 // of fill, which is still bounded below by the per-child copy time that
 // sharing eliminates outright.
 //
 // buf is each rank's private full-size buffer with its own segment in
-// place (like LeaderAllgather); on return every rank's buf holds all
-// segments.
+// place (as under SchemeLeader with a nil src); on return every rank's
+// buf holds all segments.
 func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout) StepTimes {
 	var st StepTimes
 	node := nc.Nodes[p.Node()]

@@ -137,7 +137,7 @@ func Fig6(s Spec) (*Table, error) {
 			steps := make([]collective.StepTimes, wLdr.NumProcs())
 			wLdr.Run(func(p *mpi.Proc) {
 				buf := make([]uint64, words)
-				steps[p.Rank()] = nc.LeaderAllgather(p, buf, lay)
+				steps[p.Rank()] = nc.Allgather(p, collective.SchemeLeader, buf, nil, lay, collective.Exchange{})
 			})
 			// Report the mean across ranks (children have zero inter time).
 			for _, st := range steps {

@@ -71,6 +71,21 @@ func TestRunWithSingleRankPerNode(t *testing.T) {
 	}
 }
 
+func TestRunGranularityOffGranuleBoundary(t *testing.T) {
+	// 192 does not divide 4096 vertices: all but the first rank's summary
+	// share clamps away to an empty range at the (unaligned) end of the
+	// bitmap, which must skip the rebuild, not panic in RebuildRange.
+	cfg := testConfig(12)
+	cfg.Opts.Granularity = 192
+	cfg.NumRoots = 2
+	for opt := bfs.OptOriginal; opt <= bfs.OptOverlapAllgather; opt++ {
+		cfg.Opts.Opt = opt
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("opt %s: %v", opt, err)
+		}
+	}
+}
+
 func TestRunDefaultsRoots(t *testing.T) {
 	cfg := testConfig(12)
 	cfg.NumRoots = 0

@@ -18,7 +18,6 @@ import (
 // never because another lane is dense there.
 func (ls *laneState) bottomUpSweep(p *mpi.Proc, buMask uint64, nfL, mfL *[64]int64) {
 	r := ls.r
-	inqLoc, sumLoc := r.inqLoc(), r.sumLoc()
 	res := ls.team.For(ls.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
 		var edges, sumChecks, planeChecks, found int64
 		for i := lo; i < hi; i++ {
@@ -60,8 +59,8 @@ func (ls *laneState) bottomUpSweep(p *mpi.Proc, buMask uint64, nfL, mfL *[64]int
 			}
 		}
 		load.Random = append(load.Random,
-			machine.Access{Count: sumChecks, StructBytes: r.sumBytes, Loc: sumLoc},
-			machine.Access{Count: planeChecks, StructBytes: r.planeBytes, Loc: inqLoc},
+			machine.Access{Count: sumChecks, StructBytes: r.sumBytes, Loc: r.SumLoc},
+			machine.Access{Count: planeChecks, StructBytes: r.planeBytes, Loc: r.InqLoc},
 			machine.Access{Count: found, StructBytes: ls.visBytes(), Loc: r.pl.PrivateLoc},
 		)
 		// Visited-word scan + adjacency stream.

@@ -2,6 +2,7 @@ package msbfs
 
 import (
 	"numabfs/internal/bfs"
+	"numabfs/internal/collective"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 	"numabfs/internal/trace"
@@ -23,7 +24,7 @@ func (ls *laneState) publishFrontier(p *mpi.Proc, needPlane bool) {
 		t0 := p.Clock()
 		copy(ls.inPlane.Words()[wlo:wlo+wcnt], ls.outPlane.Words()[wlo:wlo+wcnt])
 		p.Compute(ls.team.Parallel(machine.PhaseLoad{
-			SeqBytes: wcnt * 16, SeqLoc: r.inqLoc(),
+			SeqBytes: wcnt * 16, SeqLoc: r.InqLoc,
 		}))
 		ls.charge(trace.Switch, t0, p.Clock())
 		return
@@ -38,47 +39,12 @@ func (ls *laneState) publishFrontier(p *mpi.Proc, needPlane bool) {
 	ls.rec.PhaseSpan(trace.Stall, ls.levels, t0, t0+wait)
 	ls.rec.PhaseSpan(trace.BUComm, ls.levels, t0+wait, p.Clock())
 	t0, x0 := p.Clock(), p.XportNs()
-	ls.allgatherPlane(p)
+	r.AllgatherFrontier(p, ls.team, ls.inPlane.Words(), ls.outPlane.Words(), r.planeLayout, ls.pos,
+		collective.Exchange{Codec: ls.planeCodec})
 	ls.allgatherSummary(p)
 	ls.chargeComm(p, trace.BUComm, t0, x0)
 	ls.rounds++
 	ls.bd.BUCommCount++
-}
-
-// allgatherPlane distributes the next frontier plane under the
-// configured optimization level — bfs.allgatherInQueue verbatim, with
-// lane-plane words in place of bitmap words (the plane layout follows
-// the vertex partition, so each variant applies unchanged).
-func (ls *laneState) allgatherPlane(p *mpi.Proc) {
-	r := ls.r
-	wlo := r.planeLayout.Displs[ls.pos]
-	wcnt := r.planeLayout.Counts[ls.pos]
-	ownOut := ls.outPlane.Words()[wlo : wlo+wcnt]
-
-	switch r.Opts.Opt {
-	case bfs.OptOriginal:
-		// Stage the owned segment into the private in-plane, then the
-		// MPI library's default allgather over all ranks.
-		copy(ls.inPlane.Words()[wlo:wlo+wcnt], ownOut)
-		p.Compute(ls.team.Parallel(machine.PhaseLoad{
-			SeqBytes: wcnt * 16, SeqLoc: r.pl.PrivateLoc,
-		}))
-		r.AllGroup.Allgather(p, ls.inPlane.Words(), r.planeLayout)
-
-	case bfs.OptShareInQueue:
-		r.NC.SharedInQueueAllgather(p, ls.inPlane.Words(), ownOut, r.planeLayout)
-
-	case bfs.OptShareAll:
-		r.NC.SharedAllAgather(p, ls.inPlane.Words(), ls.outPlane.Words(), r.planeLayout)
-
-	case bfs.OptParAllgather:
-		r.NC.ParallelAllgather(p, ls.inPlane.Words(), ownOut, r.planeLayout)
-
-	case bfs.OptCompressedAllgather:
-		// A plane segment is a bitmap of 64·n bits whose density is the
-		// mean lane density — the adaptive codec applies as-is.
-		r.NC.ParallelAllgatherCompressed(p, ls.inPlane.Words(), ownOut, r.planeLayout, ls.planeCodec)
-	}
 }
 
 // allgatherSummary rebuilds this rank's share of the lane summary from
@@ -87,40 +53,15 @@ func (ls *laneState) allgatherPlane(p *mpi.Proc) {
 func (ls *laneState) allgatherSummary(p *mpi.Proc) {
 	r := ls.r
 
-	vLo, vHi := ls.shareVerts(ls.pos)
-	written := ls.inSum.RebuildRange(ls.inPlane, vLo, vHi)
+	// One summary word per granule of Granularity vertices.
+	vLo, vHi := bfs.ShareRange(r.sumLayout, ls.pos, r.Opts.Granularity, r.Params.NumVertices())
+	var written int64
+	if vLo < vHi {
+		written = ls.inSum.RebuildRange(ls.inPlane, vLo, vHi)
+	}
 	p.Compute(ls.team.Parallel(machine.PhaseLoad{
 		SeqBytes: (vHi-vLo)*8 + written*8,
-		SeqLoc:   r.inqLoc(),
+		SeqLoc:   r.InqLoc,
 	}))
-
-	sumWords := ls.inSum.Plane().Words()
-	switch r.Opts.Opt {
-	case bfs.OptOriginal, bfs.OptShareInQueue:
-		r.AllGroup.Allgather(p, sumWords, r.sumLayout)
-	case bfs.OptShareAll:
-		r.NC.SharedInPlaceAllgather(p, sumWords, r.sumLayout)
-	case bfs.OptParAllgather:
-		r.NC.ParallelAllgatherInPlace(p, sumWords, r.sumLayout)
-	case bfs.OptCompressedAllgather:
-		r.NC.ParallelAllgatherInPlaceCompressed(p, sumWords, r.sumLayout, ls.sumCodec)
-	}
-}
-
-// shareVerts returns the vertex range [vLo, vHi) of a rank's
-// lane-summary share (granule-aligned; clamped to the vertex count).
-// The summary layout is in granule words, one word per granule.
-func (ls *laneState) shareVerts(pos int) (int64, int64) {
-	r := ls.r
-	g := r.Opts.Granularity
-	n := r.Params.NumVertices()
-	vLo := r.sumLayout.Displs[pos] * g
-	vHi := (r.sumLayout.Displs[pos] + r.sumLayout.Counts[pos]) * g
-	if vLo > n {
-		vLo = n
-	}
-	if vHi > n {
-		vHi = n
-	}
-	return vLo, vHi
+	r.AllgatherSummary(p, ls.inSum.Plane().Words(), r.sumLayout, ls.sumCodec)
 }

@@ -58,12 +58,14 @@ func ValidateOptions(o bfs.Options) error {
 // Runner owns one simulated multi-source BFS job. Build with NewRunner,
 // call Setup once (kernel 1), then RunBatch per batch of up to 64 roots.
 type Runner struct {
-	W        *mpi.World
-	NC       *collective.NodeComm
+	W *mpi.World
+	// Ladder carries Opts and NC, and what the optimization level
+	// decides about the planes and their allgathers — the same rungs as
+	// bfs's in_queue/out_queue/summary.
+	bfs.Ladder
 	AllGroup *collective.Group
 	Part     graph.Partition
 	Params   rmat.Params
-	Opts     bfs.Options
 
 	cfg machine.Config
 	pl  machine.Placement
@@ -113,12 +115,13 @@ type laneState struct {
 	inSum    *bitmap.LaneSummary // lane summary of inPlane
 
 	// planeCodec/sumCodec are the compressed-allgather wire codecs (nil
-	// below OptCompressedAllgather), one per collective purpose as in
-	// bfs.
+	// below OptCompressedAllgather), one per collective purpose.
 	planeCodec *wire.Codec
 	sumCodec   *wire.Codec
 
-	send [][]int64 // top-down owner routing: (child, parent, laneMask) triples
+	// Top-down owner routing: (child, parent, laneMask) triples out, and
+	// the retained table of what arrived.
+	send, recv [][]int64
 
 	visitedEdges [64]int64 // per lane: degrees of vertices this rank visited
 	visitedCount [64]int64
@@ -153,8 +156,8 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	}
 	r := &Runner{
 		W:      w,
+		Ladder: bfs.NewLadder(opts, pl),
 		Params: params,
-		Opts:   opts,
 		cfg:    cfg,
 		pl:     pl,
 	}
@@ -222,42 +225,11 @@ func (r *Runner) CSRs() []*graph.CSR {
 	return out
 }
 
-// sharedLoc / inqLoc / sumLoc mirror bfs: the lane plane lives where
-// in_queue lives, the lane summary where in_queue_summary lives.
-func (r *Runner) sharedLoc() machine.Locality {
-	if r.pl.ProcsPerNode == 1 {
-		return r.pl.PrivateLoc
-	}
-	return machine.NodeShared
-}
-
-func (r *Runner) inqLoc() machine.Locality {
-	if r.Opts.Opt >= bfs.OptShareInQueue {
-		return r.sharedLoc()
-	}
-	return r.pl.PrivateLoc
-}
-
-func (r *Runner) sumLoc() machine.Locality {
-	if r.Opts.Opt >= bfs.OptShareAll {
-		return r.sharedLoc()
-	}
-	return r.pl.PrivateLoc
-}
-
-func (ls *laneState) outLoc() machine.Locality {
-	if ls.r.Opts.Opt >= bfs.OptShareAll {
-		return ls.r.sharedLoc()
-	}
-	return ls.r.pl.PrivateLoc
-}
-
 // Setup runs distributed construction (kernel 1) and allocates the
 // per-rank lane state. Must be called exactly once before RunBatch.
 func (r *Runner) Setup() {
 	n := r.Params.NumVertices()
 	granules := r.sumLayout.TotalWords()
-	opt := r.Opts.Opt
 	r.W.Run(func(p *mpi.Proc) {
 		pos := p.Rank()
 		var csr *graph.CSR
@@ -278,15 +250,12 @@ func (r *Runner) Setup() {
 		}
 		ls.vis = make([]uint64, csr.NumLocal())
 
-		// The frontier plane is shared per node from ShareInQueue on; the
-		// next-frontier plane and the lane summary from ShareAll on —
-		// the same ladder rungs as bfs's in_queue/out_queue/summary.
-		if opt >= bfs.OptShareInQueue {
+		if r.InqShared {
 			ls.inPlane = bitmap.PlaneFromWords(p.SharedWords("ms_in_plane", n), n)
 		} else {
 			ls.inPlane = bitmap.NewLanePlane(n)
 		}
-		if opt >= bfs.OptShareAll {
+		if r.OutShared {
 			ls.outPlane = bitmap.PlaneFromWords(p.SharedWords("ms_out_plane", n), n)
 			ls.inSum = bitmap.WrapLaneSummary(
 				bitmap.PlaneFromWords(p.SharedWords("ms_in_summary", granules), granules),
@@ -296,18 +265,8 @@ func (r *Runner) Setup() {
 			ls.inSum = bitmap.NewLaneSummary(n, r.Opts.Granularity)
 		}
 		ls.send = make([][]int64, len(r.states))
-		if opt >= bfs.OptCompressedAllgather {
-			ls.planeCodec = &wire.Codec{
-				Team: ls.team, Loc: r.inqLoc(),
-				Force:            r.Opts.WireFormat,
-				SparseMaxDensity: r.Opts.WireSparseDensity,
-			}
-			ls.sumCodec = &wire.Codec{
-				Team: ls.team, Loc: r.sumLoc(),
-				Force:            r.Opts.WireFormat,
-				SparseMaxDensity: r.Opts.WireSparseDensity,
-			}
-		}
+		ls.planeCodec = r.Codec(ls.team, r.InqLoc)
+		ls.sumCodec = r.Codec(ls.team, r.SumLoc)
 		r.states[pos] = ls
 	})
 	r.SetupNs = r.W.MaxClock()

@@ -184,9 +184,9 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 		ls.visitedEdges[l] = d
 	}
 	p.Compute(ls.team.Parallel(machine.PhaseLoad{
-		Random:   []machine.Access{{Count: owned, StructBytes: wcnt * 8, Loc: ls.outLoc()}},
+		Random:   []machine.Access{{Count: owned, StructBytes: wcnt * 8, Loc: r.OutLoc}},
 		SeqBytes: wcnt * 8,
-		SeqLoc:   ls.outLoc(),
+		SeqLoc:   r.OutLoc,
 	}))
 	ls.charge(trace.Switch, t0, p.Clock())
 
@@ -252,7 +252,7 @@ func (ls *laneState) clearOwnedOut(p *mpi.Proc, buLevel bool) {
 	if buLevel {
 		ph = trace.BUComp
 	}
-	ns := ls.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: ls.outLoc()})
+	ns := ls.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc})
 	tc := p.Clock()
 	p.Compute(ns)
 	ls.charge(ph, tc, p.Clock())

@@ -71,13 +71,13 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 	// Route discovered triples to their owners — one alltoallv for the
 	// whole batch where sequential runs pay one per lane.
 	t0, x0 := p.Clock(), p.XportNs()
-	recv := r.AllGroup.AlltoallvInt64(p, ls.send)
+	ls.recv = r.AllGroup.AlltoallvInt64Into(p, ls.send, ls.recv, nil)
 	ls.chargeComm(p, trace.TDComm, t0, x0)
 
 	// Process received triples in sender-position order (the owner
 	// re-checks visitation lane by lane, as bfs does bit by bit).
 	var triples int64
-	for src, vec := range recv {
+	for src, vec := range ls.recv {
 		if src == me {
 			continue
 		}
