@@ -22,35 +22,28 @@ func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	for i := range own {
 		own[i] = 0
 	}
-	clr := rs.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc})
-	tc := p.Clock()
-	p.Compute(clr)
-	rs.bd.Add(trace.BUComp, clr)
-	rs.rec.PhaseSpan(trace.BUComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.BUComp, rs.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc}))
 
 	// Computation: scan unvisited owned vertices.
 	count0, edges0 := rs.visitedCount, rs.visitedEdges
 	res := rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, rs.bottomUpScan)
 	nfLocal, mfLocal := rs.visitedCount-count0, rs.visitedEdges-edges0
-	tc = p.Clock()
-	p.Compute(res.Ns)
-	rs.bd.Add(trace.BUComp, res.Ns)
-	rs.rec.PhaseSpan(trace.BUComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.BUComp, res.Ns)
 
-	rs.stallBarrier(p, trace.BUComm)
+	rs.StallBarrier(p, trace.BUComm)
 
 	// Communication: the two allgathers of Fig. 1.
 	t0, x0 := p.Clock(), p.XportNs()
 	rs.allgatherInQueue(p)
 	rs.allgatherSummary(p)
-	rs.chargeComm(p, trace.BUComm, t0, x0)
-	rs.bd.BUCommCount++
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
+	rs.Breakdown.BUCommCount++
 
 	// Frontier accounting.
 	t0, x0 = p.Clock(), p.XportNs()
-	nf = r.AllGroup.AllreduceSumInt64(p, nfLocal)
-	mf = r.AllGroup.AllreduceSumInt64(p, mfLocal)
-	rs.chargeComm(p, trace.BUComm, t0, x0)
+	nf = r.NC.World.AllreduceSumInt64(p, nfLocal)
+	mf = r.NC.World.AllreduceSumInt64(p, mfLocal)
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
 	return nf, mf
 }
 
@@ -115,7 +108,7 @@ func (rs *rankState) switchToBottomUp(p *mpi.Proc) {
 	p.Barrier()
 	rs.allgatherInQueue(p)
 	rs.allgatherSummary(p)
-	rs.charge(trace.Switch, t0, p.Clock())
+	rs.Charge(trace.Switch, t0, p.Clock())
 }
 
 // switchToTopDown extracts the owned slice of the freshly allgathered
@@ -132,5 +125,5 @@ func (rs *rankState) switchToTopDown(p *mpi.Proc) {
 		CPUOps:   int64(len(rs.queue)) * 2,
 	}
 	p.Compute(rs.team.Parallel(load))
-	rs.charge(trace.Switch, t0, p.Clock())
+	rs.Charge(trace.Switch, t0, p.Clock())
 }

@@ -106,15 +106,15 @@ func (rs *rankState) recycleCkpt(ck *checkpoint) {
 // (one level older) stays a generation everyone completed.
 func (rs *rankState) saveCheckpoint(p *mpi.Proc, st *loopState) {
 	r := rs.r
-	if !r.ckptOn {
+	if !r.CrashPlanned() {
 		return
 	}
 	t0 := p.Clock()
 	ck := rs.newCkpt()
-	ck.level = rs.levels
+	ck.level = rs.Levels
 	ck.st = *st
-	ck.bd = rs.bd
-	ck.levelStats = append(ck.levelStats[:0], rs.levelStats...)
+	ck.bd = rs.Breakdown
+	ck.levelStats = append(ck.levelStats[:0], rs.LevelStats...)
 	ck.parent = append(ck.parent[:0], rs.parent...)
 	ck.queue = append(ck.queue[:0], rs.queue...)
 	ck.visitedCount = rs.visitedCount
@@ -138,11 +138,10 @@ func (rs *rankState) saveCheckpoint(p *mpi.Proc, st *loopState) {
 		SeqBytes: ck.bytes() * 2,
 		SeqLoc:   r.pl.PrivateLoc,
 	}))
-	rs.bd.Add(trace.Ckpt, p.Clock()-t0)
-	rs.rec.PhaseSpan(trace.Ckpt, rs.levels, t0, p.Clock())
-	rs.rec.GaugeAdd(obs.GaugeCkptBytes, t0, float64(ck.bytes()))
+	rs.Charge(trace.Ckpt, t0, p.Clock())
+	rs.Rec.GaugeAdd(obs.GaugeCkptBytes, t0, float64(ck.bytes()))
 	ck.clock = p.Clock()
-	ck.bd = rs.bd
+	ck.bd = rs.Breakdown
 }
 
 // recoveryTarget returns the level every rank can restore after the
@@ -170,21 +169,15 @@ func (r *Runner) recoveryTarget(pos int) int {
 // barrier are charged to the Recovery phase.
 func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *loopState {
 	r := rs.r
-	rs.rec = p.Obs()
 	if target < 0 {
 		rs.recycleCkpt(rs.ckptCur)
 		rs.recycleCkpt(rs.ckptPrev)
 		rs.ckptCur, rs.ckptPrev = nil, nil
-		// The rerun restarts at the detection-timeout floor (plus any
-		// parked re-own transfer): that dead time is the recovery cost.
-		// reset() is about to wipe bd, so the charges are parked and
-		// folded back in right after (initRoot).
-		p.RestoreClock(floor + rs.pendingReownNs)
-		rs.pendingRecoveryNs = floor
-		rs.rec.PhaseSpan(trace.Recovery, 0, 0, floor)
-		rs.rec.FaultEvent("recover", p.Clock())
+		rs.Rerun(p, floor)
+		rs.Rec.FaultEvent("recover", p.Clock())
 		return nil
 	}
+	rs.Rec = p.Obs()
 	var ck *checkpoint
 	switch {
 	case rs.ckptCur != nil && rs.ckptCur.level == target:
@@ -209,9 +202,9 @@ func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *
 	p.RestoreClock(start)
 
 	// Roll the algorithm state back to the snapshot.
-	rs.bd = ck.bd
-	rs.levels = ck.level
-	rs.levelStats = append(rs.levelStats[:0], ck.levelStats...)
+	rs.Breakdown = ck.bd
+	rs.Levels = ck.level
+	rs.LevelStats = append(rs.LevelStats[:0], ck.levelStats...)
 	copy(rs.parent, ck.parent)
 	rs.queue = append(rs.queue[:0], ck.queue...)
 	rs.next = rs.next[:0]
@@ -224,16 +217,10 @@ func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *
 		copy(rs.inSum.Bits().Words(), ck.sum)
 	}
 
-	if rs.pendingReownNs > 0 {
-		// Survivor repartitioning: the re-own transfer (adjacency re-fetch
-		// through the kernel-1 cache, checkpoint handoff from the dead
-		// rank's node scratch) runs before the rollback copy.
-		t0 := p.Clock()
-		p.RestoreClock(t0 + rs.pendingReownNs)
-		rs.bd.Add(trace.Reown, rs.pendingReownNs)
-		rs.rec.PhaseSpan(trace.Reown, rs.levels, t0, p.Clock())
-		rs.pendingReownNs = 0
-	}
+	// Survivor repartitioning: the re-own transfer (adjacency re-fetch
+	// through the kernel-1 cache, checkpoint handoff from the dead rank's
+	// node scratch) runs before the rollback copy.
+	rs.PayReown(p)
 
 	// Charge the rollback copy, then barrier: ranks restoring shared
 	// bitmaps (the node leaders) must finish writing before anyone
@@ -245,9 +232,8 @@ func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *
 		SeqLoc:   r.pl.PrivateLoc,
 	}))
 	p.Barrier()
-	rs.bd.Add(trace.Recovery, p.Clock()-reStart)
-	rs.rec.PhaseSpan(trace.Recovery, rs.levels, reStart, p.Clock())
-	rs.rec.FaultEvent("recover", p.Clock())
+	rs.Charge(trace.Recovery, reStart, p.Clock())
+	rs.Rec.FaultEvent("recover", p.Clock())
 
 	st := ck.st
 	return &st

@@ -193,7 +193,7 @@ func TestCheckpointCostOnlyWhenCrashPlanned(t *testing.T) {
 	params := rmat.Graph500(scale)
 	plan := fault.Plan{Stragglers: []fault.Straggler{{Rank: 0, Factor: 1.5}}}
 	r, res := runWithPlan(t, testConfig(scale, 2, 4), params, &plan)
-	if r.ckptOn {
+	if r.CrashPlanned() {
 		t.Fatal("checkpointing on without a scheduled crash")
 	}
 	if ck := res.Breakdown.Ns[trace.Ckpt]; ck != 0 {

@@ -29,9 +29,9 @@ func (rs *rankState) overlapAllgatherInQueue(p *mpi.Proc, x collective.Exchange)
 	rs.ovReb = 0
 	x.OnChunk, x.Overlap = rs.ovChunk, &rs.ov
 	rs.r.AllgatherFrontier(p, rs.team, rs.inQ.Words(), rs.outQ.Words(), rs.r.wordLayout, rs.pos, x)
-	rs.bd.Add(trace.Overlap, rs.ov.HiddenNs)
-	rs.bd.OverlapExposedNs += rs.ov.ExposedNs
-	rs.rec.Overlap(rs.ov.HiddenNs, rs.ov.ExposedNs)
+	rs.Breakdown.Add(trace.Overlap, rs.ov.HiddenNs)
+	rs.Breakdown.OverlapExposedNs += rs.ov.ExposedNs
+	rs.Rec.Overlap(rs.ov.HiddenNs, rs.ov.ExposedNs)
 }
 
 // onOverlapChunk is the segmented allgather's per-chunk hook: in_queue

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"numabfs/internal/collective"
-	"numabfs/internal/graph"
 	"numabfs/internal/obs"
 )
 
@@ -31,8 +30,8 @@ import (
 // live in node-local scratch that outlives the process (the standard
 // diskless-checkpointing arrangement), so a same-node spare adopts them
 // at shared-memory bandwidth and a remote absorber pulls them over one
-// NIC stream. The modelled transfer cost is parked in pendingReownNs
-// and charged to the Reown phase by the restore path.
+// NIC stream. The modelled transfer cost is parked on the member's
+// ledger (ParkReown) and charged to the Reown phase by the restore path.
 
 // ckptAt returns the generation saved at `level`, or nil.
 func (rs *rankState) ckptAt(level int) *checkpoint {
@@ -44,19 +43,6 @@ func (rs *rankState) ckptAt(level int) *checkpoint {
 	}
 	return nil
 }
-
-// reownCostNs prices pulling `bytes` of a dead rank's node-scratch state
-// to dstNode: shared-memory copy bandwidth on the same node, one NIC
-// stream plus the inter-node latency across nodes.
-func (r *Runner) reownCostNs(bytes int64, srcNode, dstNode int) float64 {
-	if srcNode == dstNode {
-		return float64(bytes) / r.cfg.ShmCopyBW
-	}
-	return r.cfg.InterNodeAlphaNs + float64(bytes)/r.cfg.PerStreamBW
-}
-
-// nodeOf returns the physical node of a world rank.
-func (r *Runner) nodeOf(rank int) int { return rank / r.W.ProcsPerNode() }
 
 // shrinkAfter removes the permanently dead rank from the job: the
 // partition loses its position, a contiguous survivor absorbs its
@@ -70,20 +56,22 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 		panic(fmt.Sprintf("bfs: cannot shrink away rank %d, the last member", deadRank))
 	}
 	deadPos := r.posOf[deadRank]
-	deadNode := r.nodeOf(deadRank)
+	deadNode := r.W.Proc(deadRank).Node()
 	ds := r.states[deadPos]
 
 	// The dead node's leader before the surgery, for the shared-bitmap
 	// snapshot handoff below.
 	oldLeader := -1
 	for _, m := range r.members {
-		if r.nodeOf(m) == deadNode {
+		if r.W.Proc(m).Node() == deadNode {
 			oldLeader = m
 			break
 		}
 	}
 
-	newPart, absPos := r.Part.RemoveRank(deadPos)
+	// Re-own the adjacency: the dead range's CSR is concatenated onto
+	// the absorber's.
+	absPos, merged, lost := r.RemoveRank(deadPos)
 	r.members = append(r.members[:deadPos], r.members[deadPos+1:]...)
 	r.states = append(r.states[:deadPos], r.states[deadPos+1:]...)
 	r.posOf[deadRank] = -1
@@ -93,20 +81,11 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 	for pos, rs := range r.states {
 		rs.pos = pos
 	}
-	r.Part = newPart
 
 	as := r.states[absPos]
 	absRank := r.members[absPos]
-
-	// Re-own the adjacency: the dead range's CSR is concatenated onto
-	// the absorber's (position 0 dying means the successor absorbs and
-	// the dead range comes first).
-	reownBytes := ds.csr.BytesApprox()
-	if deadPos == 0 {
-		as.csr = graph.MergeCSR(ds.csr, as.csr)
-	} else {
-		as.csr = graph.MergeCSR(as.csr, ds.csr)
-	}
+	reownBytes := lost.BytesApprox()
+	as.csr = merged
 	as.parent = make([]int64, as.csr.NumLocal())
 
 	if target >= 0 {
@@ -138,7 +117,7 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 		if oldLeader == deadRank {
 			var nl *rankState
 			for _, rank := range r.members {
-				if r.nodeOf(rank) == deadNode {
+				if r.W.Proc(rank).Node() == deadNode {
 					nl = r.states[r.posOf[rank]]
 					break
 				}
@@ -155,12 +134,12 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 						nlck.sum = append(nlck.sum[:0], dck.sum...)
 						handoff += int64(len(dck.sum)) * 8
 					}
-					nl.pendingReownNs += r.reownCostNs(handoff, deadNode, deadNode)
+					nl.ParkReown(r.ReownCostNs(handoff, deadNode, deadNode))
 				}
 			}
 		}
 	}
-	as.pendingReownNs += r.reownCostNs(reownBytes, deadNode, r.nodeOf(absRank))
+	as.ParkReown(r.ReownCostNs(reownBytes, deadNode, r.W.Proc(absRank).Node()))
 
 	r.refreshLayouts()
 	r.W.Shrink([]int{deadRank})
@@ -175,7 +154,7 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 // bandwidth. Reports false — caller falls back to shrinkAfter — when the
 // node has no spare left. Call between runs only.
 func (r *Runner) promoteSpare(deadRank int, floor float64) bool {
-	node := r.nodeOf(deadRank)
+	node := r.W.Proc(deadRank).Node()
 	if len(r.nodeSpares[node]) == 0 {
 		return false
 	}
@@ -186,7 +165,6 @@ func (r *Runner) promoteSpare(deadRank int, floor float64) bool {
 	r.members[deadPos] = spare
 	r.posOf[deadRank] = -1
 	r.posOf[spare] = deadPos
-	r.AllGroup = collective.NewGroup(r.W, r.members)
 	r.NC = collective.NewNodeCommRanks(r.W, r.members)
 
 	// The spare re-binds the slot's state wholesale; the partition map
@@ -199,7 +177,7 @@ func (r *Runner) promoteSpare(deadRank int, floor float64) bool {
 	if rs.ckptPrev != nil {
 		bytes += rs.ckptPrev.bytes()
 	}
-	rs.pendingReownNs += r.reownCostNs(bytes, node, node)
+	rs.ParkReown(r.ReownCostNs(bytes, node, node))
 
 	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
 	r.W.Proc(r.members[0]).Obs().GaugeSet(obs.GaugeLiveRanks, floor, float64(len(r.members)))
@@ -210,7 +188,6 @@ func (r *Runner) promoteSpare(deadRank int, floor float64) bool {
 // state's layout-derived scratch after a shrink changed the partition.
 func (r *Runner) refreshLayouts() {
 	active := len(r.members)
-	r.AllGroup = collective.NewGroup(r.W, r.members)
 	r.NC = collective.NewNodeCommRanks(r.W, r.members)
 	r.wordLayout = collective.SegLayout(r.Part.WordOffsets())
 	r.sumLayout = collective.EvenLayout(r.sumBytes/8, active)

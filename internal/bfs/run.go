@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"numabfs/internal/mpi"
-	"numabfs/internal/obs"
 	"numabfs/internal/trace"
 )
 
@@ -22,20 +21,9 @@ func (rs *rankState) runBFS(p *mpi.Proc, root int64) {
 func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	r := rs.r
 	rs.reset()
-	rs.rec = p.Obs()
-	if rs.pendingRecoveryNs > 0 {
-		// Full-rerun crash recovery: attribute the detection-timeout
-		// floor the clocks restarted from (restoreCheckpoint parked it
-		// because reset just wiped bd).
-		rs.bd.Add(trace.Recovery, rs.pendingRecoveryNs)
-		rs.pendingRecoveryNs = 0
-	}
-	if rs.pendingReownNs > 0 {
-		// Survivor repartitioning before the first checkpoint: the re-own
-		// cost was parked by the shrink/promotion surgery.
-		rs.bd.Add(trace.Reown, rs.pendingReownNs)
-		rs.pendingReownNs = 0
-	}
+	// A rerun after a crash that predates the first checkpoint folds the
+	// parked detection floor and re-own cost back in here.
+	rs.Reset(p)
 
 	lo := rs.csr.Lo
 	nfLocal, mfLocal := int64(0), int64(0)
@@ -49,9 +37,9 @@ func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	// The initial frontier's size/edges (known to all via allreduce; the
 	// reference code knows them implicitly, we pay two scalar messages).
 	t0, x0 := p.Clock(), p.XportNs()
-	nf := r.AllGroup.AllreduceSumInt64(p, nfLocal)
-	mf := r.AllGroup.AllreduceSumInt64(p, mfLocal)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	nf := r.NC.World.AllreduceSumInt64(p, nfLocal)
+	mf := r.NC.World.AllreduceSumInt64(p, mfLocal)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 
 	st := &loopState{
 		bottomUp:           r.Opts.Mode == ModeBottomUp,
@@ -75,26 +63,19 @@ func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 	r := rs.r
 	for st.nf > 0 {
-		rs.levels++
+		rs.Levels++
 		levelStart := p.Clock()
 		var dnf, dmf int64
 		if st.bottomUp {
 			dnf, dmf = rs.bottomUpLevel(p)
-			rs.bd.BULevels++
+			rs.Breakdown.BULevels++
 		} else {
 			dnf, dmf = rs.topDownLevel(p)
-			rs.bd.TDLevels++
+			rs.Breakdown.TDLevels++
 		}
 		st.nf, st.mf = dnf, dmf
 		st.visitedEdgesGlobal += dmf
-		rs.levelStats = append(rs.levelStats, trace.LevelStat{
-			Level: rs.levels, BottomUp: st.bottomUp, NF: st.nf, MF: st.mf,
-			Ns: p.Clock() - levelStart,
-		})
-		rs.rec.LevelSpan(st.bottomUp, rs.levels, levelStart, p.Clock())
-		rs.rec.GaugeSet(obs.GaugeFrontier, p.Clock(), float64(st.nf))
-		rs.rec.GaugeSet(obs.GaugeFrontierDensity, p.Clock(),
-			float64(st.nf)/float64(r.Params.NumVertices()))
+		rs.EndLevel(p, levelStart, st.bottomUp, st.nf, st.mf, r.Params.NumVertices())
 		if st.nf == 0 {
 			break
 		}
@@ -105,18 +86,13 @@ func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 				rs.promoteNext()
 			}
 		case !st.bottomUp:
-			// Hybrid switching, Beamer-style. Top-down only hands over
-			// to bottom-up while the frontier is still growing — in the
-			// final shrinking levels the unexplored-edge count is tiny
-			// and the threshold would otherwise flap back and forth.
-			unexplored := r.totalEdges - st.visitedEdgesGlobal
-			if st.nf > st.prevNf && float64(st.mf) > float64(unexplored)/r.Opts.Alpha {
+			if r.GoBottomUp(st.nf, st.prevNf, st.mf, st.visitedEdgesGlobal, r.Opts.Alpha) {
 				rs.switchToBottomUp(p)
 				st.bottomUp = true
 			} else {
 				rs.promoteNext()
 			}
-		case float64(st.nf) < float64(r.Params.NumVertices())/r.Opts.Beta:
+		case r.GoTopDown(st.nf, r.Opts.Beta):
 			rs.switchToTopDown(p)
 			st.bottomUp = false
 		}
@@ -136,48 +112,9 @@ func (rs *rankState) reset() {
 	rs.next = rs.next[:0]
 	rs.visitedEdges = 0
 	rs.visitedCount = 0
-	rs.bd = trace.Breakdown{}
-	rs.levels = 0
-	rs.levelStats = rs.levelStats[:0]
 }
 
 // promoteNext makes the freshly discovered frontier current (top-down).
 func (rs *rankState) promoteNext() {
 	rs.queue, rs.next = rs.next, rs.queue[:0]
-}
-
-// stallBarrier separates computation from communication the way the
-// paper's profiling does: the wait at the barrier is load-imbalance stall
-// (Fig. 11), the dissemination rounds themselves are communication.
-func (rs *rankState) stallBarrier(p *mpi.Proc, comm trace.Phase) {
-	t0 := p.Clock()
-	wait := p.Barrier()
-	rs.bd.Add(trace.Stall, wait)
-	rs.bd.Add(comm, p.Clock()-t0-wait)
-	rs.rec.PhaseSpan(trace.Stall, rs.levels, t0, t0+wait)
-	rs.rec.PhaseSpan(comm, rs.levels, t0+wait, p.Clock())
-}
-
-// charge adds the [start, end) interval to phase ph and, when tracing
-// is on, records it as a span at the current level. The breakdown is
-// charged end-start exactly as the untraced accumulator was, so results
-// are bit-identical either way.
-func (rs *rankState) charge(ph trace.Phase, start, end float64) {
-	rs.bd.Add(ph, end-start)
-	rs.rec.PhaseSpan(ph, rs.levels, start, end)
-}
-
-// chargeComm is charge for a communication section: the reliable
-// transport's stall accrued inside it (retransmission waits,
-// resequencer holds, ack round-trips) is carved into trace.Xport, so
-// lossy-link protocol time never masquerades as algorithmic
-// communication in the breakdown. x0 is p.XportNs() sampled at the
-// section start; with no loss plan the delta is exactly 0.0 and the
-// charge is bit-identical to charge().
-func (rs *rankState) chargeComm(p *mpi.Proc, ph trace.Phase, t0, x0 float64) {
-	end := p.Clock()
-	dx := p.XportNs() - x0
-	rs.bd.Add(trace.Xport, dx)
-	rs.bd.Add(ph, end-t0-dx)
-	rs.rec.PhaseSpan(ph, rs.levels, t0, end)
 }

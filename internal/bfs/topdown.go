@@ -52,18 +52,14 @@ func (rs *rankState) topDownLevel(p *mpi.Proc) (nf, mf int64) {
 		SeqLoc:   r.pl.GraphLoc,
 		CPUOps:   edges * 3,
 	}
-	ns := rs.team.ForBalanced(edges, tdChunk, load)
-	tc := p.Clock()
-	p.Compute(ns)
-	rs.bd.Add(trace.TDComp, ns)
-	rs.rec.PhaseSpan(trace.TDComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(edges, tdChunk, load))
 
-	rs.stallBarrier(p, trace.TDComm)
+	rs.StallBarrier(p, trace.TDComm)
 
 	// Communication: route discovered pairs to their owners.
 	t0, x0 := p.Clock(), p.XportNs()
-	rs.recv = r.AllGroup.AlltoallvInt64Into(p, rs.send, rs.recv, nil)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.recv = r.NC.World.AlltoallvInt64Into(p, rs.send, rs.recv, nil)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 
 	// Process received pairs (charged as top-down computation: the owner
 	// re-checks visitation just as the reference code does).
@@ -88,17 +84,13 @@ func (rs *rankState) topDownLevel(p *mpi.Proc) (nf, mf int64) {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   pairs * 2,
 	}
-	ns = rs.team.ForBalanced(pairs, tdChunk, proc)
-	tc = p.Clock()
-	p.Compute(ns)
-	rs.bd.Add(trace.TDComp, ns)
-	rs.rec.PhaseSpan(trace.TDComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(pairs, tdChunk, proc))
 
 	// Frontier accounting for termination and the hybrid switch.
 	t0, x0 = p.Clock(), p.XportNs()
-	nf = r.AllGroup.AllreduceSumInt64(p, nfLocal)
-	mf = r.AllGroup.AllreduceSumInt64(p, mfLocal)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	nf = r.NC.World.AllreduceSumInt64(p, nfLocal)
+	mf = r.NC.World.AllreduceSumInt64(p, mfLocal)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 	return nf, mf
 }
 

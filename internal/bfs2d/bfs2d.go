@@ -27,14 +27,12 @@ import (
 	"fmt"
 
 	"numabfs/internal/bitmap"
+	"numabfs/internal/chassis"
 	"numabfs/internal/collective"
-	"numabfs/internal/fault"
 	"numabfs/internal/machine"
-	"numabfs/internal/mpi"
 	"numabfs/internal/obs"
 	"numabfs/internal/omp"
 	"numabfs/internal/rmat"
-	"numabfs/internal/trace"
 	"numabfs/internal/wire"
 )
 
@@ -98,9 +96,12 @@ func DefaultGrid(np int) Grid {
 // Runner is the 2-D BFS engine. Build with NewRunner, call Setup once,
 // then RunRoot per source.
 type Runner struct {
-	W      *mpi.World
-	Grid   Grid
-	Params rmat.Params
+	// Core is the world, the fault/obs plumbing, the crash-retry loop and
+	// the result tail. A scheduled rank crash is survived by rerunning
+	// from the root with clocks floored at detection time — the 2-D
+	// engine keeps no level-boundary checkpoints.
+	chassis.Core
+	Grid Grid
 
 	// Compress routes the level loop's collectives through the wire
 	// codecs: the expand phase's frontier vertex lists and the fold
@@ -153,28 +154,18 @@ type Runner struct {
 	colLayout collective.Layout
 	rowLayout collective.Layout
 
+	// states is indexed by world rank; parked spares and dead ranks hold
+	// nil.
 	states []*rankState
-
-	// totalEdges is the number of stored directed adjacencies across all
-	// ranks, used by the hybrid switch heuristic.
-	totalEdges int64
 
 	// alpha/beta/granularity are the resolved knobs (Setup).
 	alpha, beta float64
 	granularity int64
-
-	// faults is the active fault plan (InjectFaults); crashOn marks that
-	// the plan schedules rank crashes, enabling the full-rerun recovery
-	// path in RunRoot.
-	faults  fault.Plan
-	crashOn bool
-
-	// SetupNs is the virtual construction time.
-	SetupNs float64
 }
 
 // rankState is one rank's 2-D state.
 type rankState struct {
+	chassis.Ledger
 	r    *Runner
 	i, j int
 	team omp.Team
@@ -187,10 +178,7 @@ type rankState struct {
 	// Owned vertex block state.
 	parent []int64
 
-	frontier   []int64 // owned frontier entering the next level
-	bd         trace.Breakdown
-	levels     int
-	levelStats []trace.LevelStat
+	frontier []int64 // owned frontier entering the next level
 
 	// codec (nil when Compress is off) encodes the rank's frontier list
 	// once per level for the expand; foldCodec serves the fold alltoallv
@@ -227,13 +215,6 @@ type rankState struct {
 	colCodec   *wire.Codec
 	rowCodec   *wire.Codec
 
-	// pendingRecoveryNs carries the full-rerun crash-recovery cost (the
-	// detection-timeout floor) across reset(), which wipes bd.
-	// pendingReownNs carries the promoted spare's cell re-own transfer
-	// cost the same way (charged to the Reown phase).
-	pendingRecoveryNs float64
-	pendingReownNs    float64
-
 	// sent stamps deduplicate fold candidates: a vertex discovered by
 	// several local frontier sources is sent to its owner once per level
 	// (Buluç & Madduri's optimization — the column aggregates R blocks'
@@ -242,9 +223,6 @@ type rankState struct {
 	// "already sent this level".
 	sent      []int64
 	sentStamp int64
-
-	// rec is the rank's observability stream (nil = tracing off).
-	rec *obs.Rank
 }
 
 // NewRunner builds a 2-D runner covering every rank of the placement.
@@ -262,17 +240,16 @@ func NewRunner(cfg machine.Config, policy machine.Policy, grid Grid, params rmat
 // full-rerun recovery, like a transient one — the 2-D engine never
 // shrinks the grid.
 func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, params rmat.Params, spares int) (*Runner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	if spares < 0 {
 		return nil, fmt.Errorf("bfs2d: negative spare count %d", spares)
 	}
-	pl := machine.PlacementFor(cfg, policy)
-	w := mpi.NewWorld(cfg, pl)
+	r := &Runner{Grid: grid, cfg: cfg}
+	var err error
+	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers, true); err != nil {
+		return nil, err
+	}
+	w := r.W
+	r.pl = w.Placement()
 	np := w.NumProcs()
 	if grid.R*grid.C != np-spares {
 		return nil, fmt.Errorf("bfs2d: grid %dx%d does not match %d ranks (%d spares)", grid.R, grid.C, np, spares)
@@ -282,11 +259,7 @@ func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, param
 	if n%int64(cells) != 0 {
 		return nil, fmt.Errorf("bfs2d: %d vertices not divisible by %d grid cells", n, cells)
 	}
-	r := &Runner{
-		W: w, Grid: grid, Params: params,
-		cfg: cfg, pl: pl,
-		blockSize: n / int64(cells),
-	}
+	r.blockSize = n / int64(cells)
 	r.cellRank = make([]int, cells)
 	r.rankCell = make([]int, np)
 	for c := 0; c < cells; c++ {
@@ -302,6 +275,17 @@ func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, param
 	r.rebuildGroups()
 	r.states = make([]*rankState, np)
 	return r, nil
+}
+
+// ledgers appends the cells' ledgers in world-rank order, the order
+// their breakdowns are averaged in.
+func (r *Runner) ledgers(buf []*chassis.Ledger) []*chassis.Ledger {
+	for _, rs := range r.states {
+		if rs != nil {
+			buf = append(buf, &rs.Ledger)
+		}
+	}
+	return buf
 }
 
 // rebuildGroups derives the grid, column and row groups from the
@@ -330,7 +314,7 @@ func (r *Runner) rebuildGroups() {
 // promote swaps an available spare into the dead rank's grid cell,
 // parking the modelled re-own cost of the spare adopting the cell's
 // state (adjacency and parent block) out of node scratch in the moved
-// state's pendingReownNs. Reports false — the caller reruns with the
+// state's ledger. Reports false — the caller reruns with the
 // dead rank in place — when no spare is left or the dead rank holds no
 // cell.
 func (r *Runner) promote(dead int, floor float64) bool {
@@ -339,10 +323,10 @@ func (r *Runner) promote(dead int, floor float64) bool {
 	}
 	// Prefer a spare on the dead rank's node (scratch adoption at
 	// shared-memory bandwidth); otherwise take the first one.
-	deadNode := dead / r.W.ProcsPerNode()
+	deadNode := r.W.Proc(dead).Node()
 	pick := 0
 	for k, s := range r.spares {
-		if s/r.W.ProcsPerNode() == deadNode {
+		if r.W.Proc(s).Node() == deadNode {
 			pick = k
 			break
 		}
@@ -362,38 +346,11 @@ func (r *Runner) promote(dead int, floor float64) bool {
 	rs := r.states[dead]
 	r.states[spare], r.states[dead] = rs, nil
 	bytes := int64(len(rs.col))*8 + int64(len(rs.rowPtr))*8 + int64(len(rs.parent))*8
-	if spare/r.W.ProcsPerNode() == deadNode {
-		rs.pendingReownNs += float64(bytes) / r.cfg.ShmCopyBW
-	} else {
-		rs.pendingReownNs += r.cfg.InterNodeAlphaNs + float64(bytes)/r.cfg.PerStreamBW
-	}
+	rs.ParkReown(r.ReownCostNs(bytes, deadNode, r.W.Proc(spare).Node()))
 
 	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
 	r.W.Proc(r.cellRank[0]).Obs().GaugeSet(obs.GaugeLiveRanks, floor, float64(len(r.cellRank)))
 	return true
-}
-
-// AttachObs routes the runner's world through an observability session
-// (per-rank span timelines and communication counters). Call before
-// Setup so construction is recorded too; tracing never advances virtual
-// time.
-func (r *Runner) AttachObs(s *obs.Session) { r.W.AttachObs(s) }
-
-// InjectFaults installs a deterministic fault plan (internal/fault) for
-// all subsequent RunRoot calls: bandwidth degradation, stragglers,
-// jitter and lossy links perturb the modelled times exactly as in the
-// 1-D engine; a scheduled rank crash enables full-rerun recovery — the
-// 2-D engine has no level-boundary checkpoints, so a crashed iteration
-// restarts from the root with clocks floored at detection time. Call
-// after Setup. The machine's configured weak node persists underneath
-// the plan.
-func (r *Runner) InjectFaults(plan fault.Plan) error {
-	if err := r.W.InjectFaults(plan); err != nil {
-		return err
-	}
-	r.faults = plan
-	r.crashOn = len(plan.Crashes) > 0
-	return nil
 }
 
 // rankOf maps grid coordinates to the rank currently holding the cell:

@@ -1,5 +1,11 @@
 package bfs2d
 
+import (
+	"slices"
+
+	"numabfs/internal/graph"
+)
+
 // HasEdgeGlobal reports whether vertex v has any stored adjacency, by
 // consulting the processor column that stores v's out-edges. Used for
 // Graph500-style root selection.
@@ -40,50 +46,10 @@ func (r *Runner) Parents() []int64 {
 }
 
 // Levels reconstructs the global level array from the per-rank parent
-// blocks left by the last RunRoot (-1 for unreached vertices). Used by
-// the validator-style tests and the experiment drivers.
-//
-// Each vertex's depth is resolved by chasing the parent chain until it
-// reaches the root or an already-resolved ancestor, then unwinding the
-// chase memoizing every vertex on it — a single O(n) pass overall,
-// where the old fixed-point relaxation rescanned all n vertices once
-// per BFS level. A chain longer than n vertices means the parent array
-// contains a cycle not anchored at the root; those vertices (and any
-// vertex whose chain leads into such a cycle, or to an unreached
-// parent) stay -1, exactly as the relaxation left them.
-func (r *Runner) Levels(root int64) []int64 {
-	parent := r.Parents()
-	n := int64(len(parent))
-	level := make([]int64, n)
-	for i := range level {
-		level[i] = -1
-	}
-	if parent[root] < 0 {
-		return level
-	}
-	level[root] = 0
-	chain := make([]int64, 0, 64)
-	for v := int64(0); v < n; v++ {
-		if level[v] >= 0 || parent[v] < 0 {
-			continue
-		}
-		chain = chain[:0]
-		u := v
-		for level[u] < 0 && parent[u] >= 0 && int64(len(chain)) <= n {
-			chain = append(chain, u)
-			u = parent[u]
-		}
-		base := level[u] // -1 when the chase hit a cycle or an unreached vertex
-		if base < 0 {
-			continue
-		}
-		for k := len(chain) - 1; k >= 0; k-- {
-			base++
-			level[chain[k]] = base
-		}
-	}
-	return level
-}
+// blocks left by the last RunRoot (-1 for unreached vertices, and for
+// any vertex whose parent chain does not lead to the root). Used by the
+// validator-style tests and the experiment drivers.
+func (r *Runner) Levels(root int64) []int64 { return graph.TreeLevels(r.Parents(), root) }
 
 // BlockSize returns the number of vertices per owned block.
 func (r *Runner) BlockSize() int64 { return r.blockSize }
@@ -97,17 +63,8 @@ func (r *Runner) HasEdge(u, v int64) bool {
 	i := int(v/r.blockSize) % r.Grid.R
 	rs := r.states[r.rankOf(i, j)]
 	cLo, _ := r.colRange(j)
-	row := rs.col[rs.rowPtr[u-cLo]:rs.rowPtr[u-cLo+1]]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if row[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(row) && row[lo] == v
+	_, ok := slices.BinarySearch(rs.col[rs.rowPtr[u-cLo]:rs.rowPtr[u-cLo+1]], v)
+	return ok
 }
 
 // EachStoredEdge calls f for every directed adjacency (u, v) stored at

@@ -4,61 +4,17 @@ import (
 	"math/bits"
 
 	"numabfs/internal/bitmap"
+	"numabfs/internal/chassis"
 	"numabfs/internal/collective"
-	"numabfs/internal/fault"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
-	"numabfs/internal/obs"
 	"numabfs/internal/omp"
-	"numabfs/internal/simnet"
 	"numabfs/internal/trace"
-	"numabfs/internal/wire"
 )
 
-// RootResult summarizes one 2-D BFS iteration. The fields mirror
-// bfs.RootResult so the two engines diff cleanly (obsdiff, the
-// crossover experiment): Wire, Xport and Faults are zero/empty for a
-// clean uncompressed run, exactly as in the 1-D engine.
-type RootResult struct {
-	Root           int64
-	TimeNs         float64
-	Visited        int64
-	TraversedEdges int64
-	TEPS           float64
-	Levels         int
-	Breakdown      trace.Breakdown // mean across ranks
-	// LevelStats is the frontier growth curve (rank 0's view; the
-	// frontier values are allreduced and identical everywhere). MF is
-	// filled in hybrid/bottom-up modes, where the switch heuristic pays
-	// for the frontier-edge allreduce; pure top-down leaves it 0 rather
-	// than perturb the historical cost model.
-	LevelStats []trace.LevelStat
-	// CommBytes is the exact total network volume (intra + inter) of
-	// the iteration, for comparison with the 1-D engine. With Compress
-	// on these are wire bytes; RawCommBytes is the logical volume
-	// (identical to CommBytes when compression is off).
-	CommBytes    int64
-	RawCommBytes int64
-	// Wire aggregates every rank's codec decisions for the iteration
-	// (expand lists, fold pairs and bottom-up bitmap segments); zero
-	// unless Compress is set.
-	Wire wire.Stats
-	// Xport is the reliable-transport ledger of the iteration; all-zero
-	// unless the fault plan declares lossy links.
-	Xport simnet.Xport
-	// Faults lists the rank crashes this iteration survived via
-	// full-rerun recovery, in recovery order. When non-empty,
-	// CommBytes/RawCommBytes and Wire include the lost attempts'
-	// partial traffic, as in the 1-D engine.
-	Faults []*mpi.FaultError
-	// MTTRNs is the summed modelled repair time of the survived faults:
-	// detection delay (crash to heartbeat-lease expiry) plus the cell
-	// re-own transfer when a spare was promoted.
-	MTTRNs float64
-	// Epoch is the world-view number the iteration finished in: 0 until
-	// a promotion replaced a permanently dead rank.
-	Epoch int
-}
+// RootResult summarizes one 2-D BFS iteration: the 1-D engine's type, so
+// the two engines diff cleanly (obsdiff, the crossover experiment).
+type RootResult = chassis.Result
 
 // RunRoot runs one 2-D BFS from root. Rank clocks are reset, so TimeNs
 // is the iteration's virtual duration. Under an active crash plan the
@@ -68,91 +24,34 @@ func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[r.cellRank[0]] == nil {
 		panic("bfs2d: RunRoot before Setup")
 	}
-	r.W.ResetClocks()
-	for _, rs := range r.states {
-		if rs == nil {
-			continue
-		}
-		rs.pendingRecoveryNs, rs.pendingReownNs = 0, 0
-		for _, c := range []*wire.Codec{rs.codec, rs.foldCodec, rs.colCodec, rs.rowCodec} {
-			if c != nil {
-				c.ResetStats()
-			}
-		}
-	}
-	var faults []*mpi.FaultError
-	var mttrNs float64
-	err := r.W.TryRun(func(p *mpi.Proc) {
-		rs := r.states[p.Rank()]
-		rs.run(p, r.grid, root)
-	})
-	for attempt := 0; err != nil; attempt++ {
-		f, ok := err.(*mpi.FaultError)
-		if !ok || f.Kind != fault.KindCrash || !r.crashOn || attempt >= len(r.faults.Crashes) {
-			panic(err)
-		}
-		faults = append(faults, f)
-		inj := r.W.Injector()
-		inj.Disarm(f.Rank, f.AtNs)
-		var floor float64
+	res := RootResult{Root: root}
+	res.Faults, res.MTTRNs = r.Run(func(p *mpi.Proc) {
+		r.states[p.Rank()].run(p, r.grid, root)
+	}, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
 		if f.Permanent {
-			// Permanent death: the survivors learn of it when the dead
-			// rank's heartbeat lease expires. With a spare available its
-			// grid cell is remapped; otherwise the dead rank reruns in
-			// place (the 2-D engine never shrinks the grid).
-			floor = inj.DetectionTimeNs(f.AtNs)
-			r.W.Proc(f.Rank).Obs().FaultEvent("detect", floor)
+			// With a spare available the dead rank's grid cell is
+			// remapped; otherwise it reruns in place (the 2-D engine
+			// never shrinks the grid).
 			r.promote(f.Rank, floor)
-		} else {
-			floor = f.AtNs + inj.DetectTimeoutNs()
 		}
-		var maxReown float64
-		for _, rs := range r.states {
-			if rs != nil && rs.pendingReownNs > maxReown {
-				maxReown = rs.pendingReownNs
-			}
-		}
-		mttrNs += (floor - f.AtNs) + maxReown
-		r.W.PrepareRecovery()
-		err = r.W.TryRun(func(p *mpi.Proc) {
+		return func(p *mpi.Proc) {
 			rs := r.states[p.Rank()]
-			// Full-rerun recovery: clocks restart at the detection floor
-			// (plus any parked cell re-own transfer), and the floor is
-			// charged to the Recovery phase once run()'s reset has wiped
-			// the breakdown.
-			p.RestoreClock(floor + rs.pendingReownNs)
-			rs.pendingRecoveryNs = floor
-			rec := p.Obs()
-			rec.PhaseSpan(trace.Recovery, 0, 0, floor)
-			rec.FaultEvent("recover", floor)
+			rs.Rerun(p, floor)
+			rs.Rec.FaultEvent("recover", floor)
 			rs.run(p, r.grid, root)
-		})
-	}
-	res := RootResult{
-		Root: root, TimeNs: r.W.MaxClock(), Faults: faults,
-		MTTRNs: mttrNs, Epoch: r.W.Epoch(),
-	}
-	cells := r.Grid.R * r.Grid.C
-	var bd trace.Breakdown
-	for _, rs := range r.states {
-		if rs == nil {
-			continue
 		}
-		bd.Merge(rs.bd)
-		for _, pa := range rs.parent {
-			if pa >= 0 {
-				res.Visited++
-			}
-		}
-		if rs.levelsRun() > res.Levels {
-			res.Levels = rs.levelsRun()
-		}
-	}
+	})
+	res.Epoch = r.W.Epoch()
 	// Traversed edges: sum local adjacencies whose source was visited;
 	// every undirected edge is stored twice across the grid.
 	for _, rs := range r.states {
 		if rs == nil {
 			continue
+		}
+		for _, pa := range rs.parent {
+			if pa >= 0 {
+				res.Visited++
+			}
 		}
 		cLo, cHi := r.colRange(rs.j)
 		for u := cLo; u < cHi; u++ {
@@ -162,30 +61,7 @@ func (r *Runner) RunRoot(root int64) RootResult {
 		}
 	}
 	res.TraversedEdges /= 2
-	bd.Scale(1 / float64(cells))
-	cell0 := r.states[r.cellRank[0]]
-	bd.TDLevels = cell0.bd.TDLevels
-	bd.BULevels = cell0.bd.BULevels
-	bd.BUCommCount = cell0.bd.BUCommCount
-	res.Breakdown = bd
-	res.LevelStats = append([]trace.LevelStat(nil), cell0.levelStats...)
-	vol := r.W.Net().Volume()
-	res.CommBytes = vol.IntraBytes + vol.InterBytes
-	res.RawCommBytes = vol.RawIntraBytes + vol.RawInterBytes
-	res.Xport = vol.Xport
-	for _, rs := range r.states {
-		if rs == nil {
-			continue
-		}
-		for _, c := range []*wire.Codec{rs.codec, rs.foldCodec, rs.colCodec, rs.rowCodec} {
-			if c != nil {
-				res.Wire.Add(c.Stats())
-			}
-		}
-	}
-	if res.TimeNs > 0 {
-		res.TEPS = float64(res.TraversedEdges) / (res.TimeNs / 1e9)
-	}
+	r.Finish(&res.Summary, &r.states[r.cellRank[0]].Ledger)
 	return res
 }
 
@@ -194,24 +70,14 @@ func (rs *rankState) parentOf(v int64) int64 {
 	return rs.parent[v-rs.ownLo()]
 }
 
-// levelsRun reports how many levels this rank recorded.
-func (rs *rankState) levelsRun() int { return rs.levels }
-
 // run executes the lockstep level loop on this rank. All control
 // decisions (mode switch, termination) derive from allreduced values,
 // so the collective call pattern is identical across ranks.
 func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	r := rs.r
 	rs.reset()
-	rs.rec = p.Obs()
-	if rs.pendingRecoveryNs > 0 {
-		rs.bd.Add(trace.Recovery, rs.pendingRecoveryNs)
-		rs.pendingRecoveryNs = 0
-	}
-	if rs.pendingReownNs > 0 {
-		rs.bd.Add(trace.Reown, rs.pendingReownNs)
-		rs.rec.PhaseSpan(trace.Reown, 0, p.Clock()-rs.pendingReownNs, p.Clock())
-		rs.pendingReownNs = 0
+	if reown := rs.Reset(p); reown > 0 {
+		rs.Rec.PhaseSpan(trace.Reown, 0, p.Clock()-reown, p.Clock())
 	}
 
 	lo := rs.ownLo()
@@ -223,7 +89,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	}
 	t0, x0 := p.Clock(), p.XportNs()
 	nf := all.AllreduceSumInt64(p, nfLocal)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 
 	col := r.cols[rs.j]
 	row := r.rows[rs.i]
@@ -234,12 +100,11 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	}
 	prevNf := nf
 	var visitedEdgesGlobal int64
-	n := float64(r.Params.NumVertices())
 
 	for nf > 0 {
-		rs.levels++
+		rs.Levels++
 		levelStart := p.Clock()
-		if r.Mode == ModeHybrid && bottomUp && float64(nf) < n/r.beta {
+		if r.Mode == ModeHybrid && bottomUp && r.GoTopDown(nf, r.beta) {
 			rs.switchToTopDown(p)
 			bottomUp = false
 		}
@@ -255,11 +120,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 				mf := rs.hybridAccount(p, all, lists)
 				rs.backfillMF(mf)
 				visitedEdgesGlobal += mf
-				// Beamer-style hand-over, as in the 1-D engine: only while
-				// the frontier still grows, to keep the tail levels from
-				// flapping.
-				unexplored := r.totalEdges - visitedEdgesGlobal
-				if r.Mode == ModeHybrid && nf > prevNf && float64(mf) > float64(unexplored)/r.alpha {
+				if r.Mode == ModeHybrid && r.GoBottomUp(nf, prevNf, mf, visitedEdgesGlobal, r.alpha) {
 					rs.switchToBottomUp(p, row)
 					bottomUp = true
 					dnf = rs.buScanFold(p, all, col)
@@ -271,17 +132,12 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 		}
 		prevNf, nf = nf, dnf
 		if bottomUp {
-			rs.bd.BULevels++
+			rs.Breakdown.BULevels++
 		} else {
-			rs.bd.TDLevels++
+			rs.Breakdown.TDLevels++
 		}
-		rs.levelStats = append(rs.levelStats, trace.LevelStat{
-			Level: rs.levels, BottomUp: bottomUp, NF: nf,
-			Ns: p.Clock() - levelStart,
-		})
-		rs.rec.LevelSpan(bottomUp, rs.levels, levelStart, p.Clock())
-		rs.rec.GaugeSet(obs.GaugeFrontier, p.Clock(), float64(nf))
-		rs.rec.GaugeSet(obs.GaugeFrontierDensity, p.Clock(), float64(nf)/n)
+		// MF is backfilled one expand later, where the 2-D layout learns it.
+		rs.EndLevel(p, levelStart, bottomUp, nf, 0, r.Params.NumVertices())
 	}
 }
 
@@ -290,7 +146,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 func (rs *rankState) expand(p *mpi.Proc, col *collective.Group) [][]int64 {
 	t0, x0 := p.Clock(), p.XportNs()
 	rs.lists = col.AllgathervInt64(p, rs.frontier, rs.lists, rs.codec)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 	return rs.lists
 }
 
@@ -338,18 +194,14 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 		SeqLoc:   r.pl.GraphLoc,
 		CPUOps:   edges * 3,
 	}
-	ns := rs.team.ForBalanced(edges, 256, load)
-	tc := p.Clock()
-	p.Compute(ns)
-	rs.bd.Add(trace.TDComp, ns)
-	rs.rec.PhaseSpan(trace.TDComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(edges, 256, load))
 
 	// FOLD: route candidates along the grid row to their owners.
-	rs.stallBarrier(p, trace.TDComm)
+	rs.StallBarrier(p, trace.TDComm)
 	t0, x0 := p.Clock(), p.XportNs()
 	rs.foldOutRow = row.AlltoallvInt64Into(p, send, rs.foldOutRow, rs.foldCodec)
 	recv := rs.foldOutRow
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 
 	// Resolve visitation at the owners.
 	rs.frontier = rs.frontier[:0]
@@ -373,15 +225,11 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   pairs * 2,
 	}
-	ns = rs.team.ForBalanced(pairs, 256, proc)
-	tc = p.Clock()
-	p.Compute(ns)
-	rs.bd.Add(trace.TDComp, ns)
-	rs.rec.PhaseSpan(trace.TDComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(pairs, 256, proc))
 
 	t0, x0 = p.Clock(), p.XportNs()
 	nf := all.AllreduceSumInt64(p, nfLocal)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 	return nf
 }
 
@@ -408,15 +256,11 @@ func (rs *rankState) hybridAccount(p *mpi.Proc, all *collective.Group, lists [][
 		},
 		CPUOps: 2 * frontierLen,
 	}
-	ns := rs.team.ForBalanced(frontierLen, 256, load)
-	tc := p.Clock()
-	p.Compute(ns)
-	rs.bd.Add(trace.TDComp, ns)
-	rs.rec.PhaseSpan(trace.TDComp, rs.levels, tc, p.Clock())
+	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(frontierLen, 256, load))
 
 	t0, x0 := p.Clock(), p.XportNs()
 	mf := all.AllreduceSumInt64(p, mfLocal)
-	rs.chargeComm(p, trace.TDComm, t0, x0)
+	rs.ChargeComm(p, trace.TDComm, t0, x0)
 	return mf
 }
 
@@ -424,8 +268,8 @@ func (rs *rankState) hybridAccount(p *mpi.Proc, all *collective.Group, lists [][
 // level stat that discovered it (the edge count only becomes known one
 // expand later in the 2-D layout).
 func (rs *rankState) backfillMF(mf int64) {
-	if k := len(rs.levelStats); k > 0 {
-		rs.levelStats[k-1].MF = mf
+	if k := len(rs.LevelStats); k > 0 {
+		rs.LevelStats[k-1].MF = mf
 	}
 }
 
@@ -446,9 +290,7 @@ func (rs *rankState) seedBottomUp(p *mpi.Proc, root int64) {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   r.blockSize / 32,
 	}
-	tc := p.Clock()
-	p.Compute(rs.team.Parallel(load))
-	rs.charge(trace.Switch, tc, p.Clock())
+	rs.Compute(p, trace.Switch, rs.team.Parallel(load))
 }
 
 // switchToBottomUp converts the just-expanded top-down frontier to the
@@ -473,13 +315,11 @@ func (rs *rankState) switchToBottomUp(p *mpi.Proc, row *collective.Group) {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   r.blockSize/64 + int64(len(rs.frontier)),
 	}
-	tc := p.Clock()
-	p.Compute(rs.team.Parallel(conv))
-	rs.charge(trace.Switch, tc, p.Clock())
+	rs.Compute(p, trace.Switch, rs.team.Parallel(conv))
 
 	t0, x0 := p.Clock(), p.XportNs()
 	rs.rowAllgather(p, row)
-	rs.chargeComm(p, trace.Switch, t0, x0)
+	rs.ChargeComm(p, trace.Switch, t0, x0)
 	rs.rebuildSummary(p, trace.Switch)
 }
 
@@ -499,9 +339,7 @@ func (rs *rankState) switchToTopDown(p *mpi.Proc) {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   r.blockSize / 64,
 	}
-	tc := p.Clock()
-	p.Compute(rs.team.Parallel(load))
-	rs.charge(trace.Switch, tc, p.Clock())
+	rs.Compute(p, trace.Switch, rs.team.Parallel(load))
 }
 
 // buExpand runs a bottom-up level's communication prologue: allgather
@@ -518,7 +356,7 @@ func (rs *rankState) buExpand(p *mpi.Proc, all, col, row *collective.Group) int6
 	} else {
 		col.Allgather(p, rs.colFront.Words(), r.colLayout)
 	}
-	rs.chargeComm(p, trace.BUComm, t0, x0)
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
 
 	// Fold the column frontier into the visited set and count its
 	// stored edges (the hybrid heuristic's mf).
@@ -536,18 +374,16 @@ func (rs *rankState) buExpand(p *mpi.Proc, all, col, row *collective.Group) int6
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   rs.colFront.Bytes()/8 + cnf,
 	}
-	tc := p.Clock()
-	p.Compute(rs.team.Parallel(load))
-	rs.charge(trace.BUComp, tc, p.Clock())
+	rs.Compute(p, trace.BUComp, rs.team.Parallel(load))
 
 	t0, x0 = p.Clock(), p.XportNs()
 	mf := all.AllreduceSumInt64(p, mfLocal)
-	rs.chargeComm(p, trace.BUComm, t0, x0)
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
 
 	t0, x0 = p.Clock(), p.XportNs()
 	rs.rowAllgather(p, row)
-	rs.chargeComm(p, trace.BUComm, t0, x0)
-	rs.bd.BUCommCount++
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
+	rs.Breakdown.BUCommCount++
 	rs.rebuildSummary(p, trace.BUComp)
 	return mf
 }
@@ -572,9 +408,7 @@ func (rs *rankState) rebuildSummary(p *mpi.Proc, ph trace.Phase) {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   rs.rowFront.Bytes() / 8,
 	}
-	tc := p.Clock()
-	p.Compute(rs.team.Parallel(load))
-	rs.charge(ph, tc, p.Clock())
+	rs.Compute(p, ph, rs.team.Parallel(load))
 }
 
 // buScanFold runs the bottom-up scan over the column's unvisited
@@ -588,15 +422,13 @@ func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 		send[i] = send[i][:0]
 	}
 	res := rs.team.For(int64(r.Grid.R)*r.blockSize, omp.DefaultChunk, rs.buScan)
-	tc := p.Clock()
-	p.Compute(res.Ns)
-	rs.charge(trace.BUComp, tc, p.Clock())
+	rs.Compute(p, trace.BUComp, res.Ns)
 
-	rs.stallBarrier(p, trace.BUComm)
+	rs.StallBarrier(p, trace.BUComm)
 	t0, x0 := p.Clock(), p.XportNs()
 	rs.foldOutCol = col.AlltoallvInt64Into(p, send, rs.foldOutCol, rs.foldCodec)
 	recv := rs.foldOutCol
-	rs.chargeComm(p, trace.BUComm, t0, x0)
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
 
 	// Resolve at the owners: clear the owned frontier segments, then
 	// mark the newly discovered vertices. Source-position order makes
@@ -624,14 +456,11 @@ func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   pairs * 2,
 	}
-	ns := rs.team.ForBalanced(pairs, 256, proc)
-	tc = p.Clock()
-	p.Compute(ns)
-	rs.charge(trace.BUComp, tc, p.Clock())
+	rs.Compute(p, trace.BUComp, rs.team.ForBalanced(pairs, 256, proc))
 
 	t0, x0 = p.Clock(), p.XportNs()
 	nf := all.AllreduceSumInt64(p, nfLocal)
-	rs.chargeComm(p, trace.BUComm, t0, x0)
+	rs.ChargeComm(p, trace.BUComm, t0, x0)
 	return nf
 }
 
@@ -673,48 +502,12 @@ func (rs *rankState) clearOwnSegments() {
 	}
 }
 
-// stallBarrier separates computation from communication as the paper's
-// profiling does: the wait at the barrier is load-imbalance stall, the
-// dissemination rounds themselves are communication.
-func (rs *rankState) stallBarrier(p *mpi.Proc, comm trace.Phase) {
-	t0 := p.Clock()
-	wait := p.Barrier()
-	rs.bd.Add(trace.Stall, wait)
-	rs.bd.Add(comm, p.Clock()-t0-wait)
-	rs.rec.PhaseSpan(trace.Stall, rs.levels, t0, t0+wait)
-	rs.rec.PhaseSpan(comm, rs.levels, t0+wait, p.Clock())
-}
-
-// charge adds the [start, end) interval to phase ph and, when tracing
-// is on, records it as a span at the current level.
-func (rs *rankState) charge(ph trace.Phase, start, end float64) {
-	rs.bd.Add(ph, end-start)
-	rs.rec.PhaseSpan(ph, rs.levels, start, end)
-}
-
-// chargeComm is charge for a communication section: the reliable
-// transport's stall accrued inside it is carved into trace.Xport, so
-// lossy-link protocol time never masquerades as algorithmic
-// communication. x0 is p.XportNs() sampled at the section start; with
-// no loss plan the delta is exactly 0.0 and the charge is bit-identical
-// to charge().
-func (rs *rankState) chargeComm(p *mpi.Proc, ph trace.Phase, t0, x0 float64) {
-	end := p.Clock()
-	dx := p.XportNs() - x0
-	rs.bd.Add(trace.Xport, dx)
-	rs.bd.Add(ph, end-t0-dx)
-	rs.rec.PhaseSpan(ph, rs.levels, t0, end)
-}
-
 // reset clears per-root state.
 func (rs *rankState) reset() {
 	for i := range rs.parent {
 		rs.parent[i] = -1
 	}
 	rs.frontier = rs.frontier[:0]
-	rs.bd = trace.Breakdown{}
-	rs.levels = 0
-	rs.levelStats = rs.levelStats[:0]
 	if rs.colVisited != nil {
 		rs.colVisited.Reset()
 	}

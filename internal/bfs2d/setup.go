@@ -76,6 +76,7 @@ func (r *Runner) Setup() {
 			rs.lists = make([][]int64, r.Grid.R)
 			rs.foldCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
 			rs.foldOutRow = make([][]int64, r.Grid.C)
+			rs.Track(rs.codec, rs.foldCodec)
 		}
 		if r.Mode != ModeTopDown {
 			rs.colVisited = bitmap.New(width)
@@ -87,6 +88,7 @@ func (r *Runner) Setup() {
 				rs.colCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
 				rs.rowCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
 				rs.foldOutCol = make([][]int64, r.Grid.R)
+				rs.Track(rs.colCodec, rs.rowCodec)
 			}
 		}
 		rs.sendRow = make([][]int64, r.Grid.C)
@@ -96,14 +98,13 @@ func (r *Runner) Setup() {
 		}
 		r.states[me] = rs
 	})
-	r.SetupNs = r.W.MaxClock()
-	r.W.ResetClocks()
-	r.totalEdges = 0
+	var edges int64
 	for _, rs := range r.states {
 		if rs != nil {
-			r.totalEdges += int64(len(rs.col))
+			edges += int64(len(rs.col))
 		}
 	}
+	r.EndSetup(edges)
 }
 
 // neighbors returns the locally stored adjacency of global vertex u

@@ -5,9 +5,11 @@ import (
 
 	"numabfs/internal/bfs"
 	"numabfs/internal/bfs2d"
+	"numabfs/internal/chassis"
 	"numabfs/internal/engine"
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
+	"numabfs/internal/obs"
 	"numabfs/internal/rmat"
 	"numabfs/internal/stats"
 )
@@ -29,41 +31,23 @@ func ExtCrossover(s Spec) (*Table, error) {
 		Columns: []string{"2 nodes", "4 nodes", "8 nodes"},
 	}
 
-	type point struct{ teps, timeNs float64 }
 	// Slots: series-major — 1-D hybrid, 2-D hybrid.
-	points := make([]point, 2*len(nodesSweep))
+	points := make([]engineStats, 2*len(nodesSweep))
 	var cells []cell
 	for ni, nodes := range nodesSweep {
 		slot, nodes := ni, nodes
 		cells = append(cells, cell{
 			label: fmt.Sprintf("1-D/%dn", nodes),
 			run: func(cs Spec) error {
-				scale := cs.scaleFor(nodes)
 				opts := bfs.DefaultOptions()
 				opts.Opt = bfs.OptCompressedAllgather
-				r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(scale), opts)
+				r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(cs.scaleFor(nodes)), opts)
 				if err != nil {
 					return fmt.Errorf("crossover 1-D: %w", err)
 				}
-				if cs.Obs != nil {
-					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("crossover 1-D nodes=%d", nodes)))
-				}
-				r.Setup()
-				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
-				if err != nil {
-					return fmt.Errorf("crossover 1-D: %w", err)
-				}
-				var teps, times []float64
-				for _, root := range roots {
-					res := r.RunRoot(root)
-					if err := graph500.ValidateRun(r, root); err != nil {
-						return fmt.Errorf("crossover 1-D nodes=%d root=%d: %w", nodes, root, err)
-					}
-					teps = append(teps, res.TEPS)
-					times = append(times, res.TimeNs)
-				}
-				points[slot] = point{stats.HarmonicMean(teps), stats.Mean(times)}
-				return nil
+				points[slot], err = cs.runEngine(fmt.Sprintf("crossover 1-D nodes=%d", nodes), r, r.Params,
+					func(root int64) error { return graph500.ValidateRun(r, root) })
+				return err
 			},
 		})
 	}
@@ -72,34 +56,17 @@ func ExtCrossover(s Spec) (*Table, error) {
 		cells = append(cells, cell{
 			label: fmt.Sprintf("2-D/%dn", nodes),
 			run: func(cs Spec) error {
-				scale := cs.scaleFor(nodes)
 				cfg := cs.clusterConfig(nodes)
 				grid := bfs2d.DefaultGrid(nodes * cfg.SocketsPerNode)
-				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(scale))
+				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(cs.scaleFor(nodes)))
 				if err != nil {
 					return fmt.Errorf("crossover 2-D: %w", err)
 				}
 				r.Mode = bfs2d.ModeHybrid
 				r.Compress = true
-				if cs.Obs != nil {
-					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("crossover 2-D %dx%d nodes=%d", grid.R, grid.C, nodes)))
-				}
-				r.Setup()
-				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
-				if err != nil {
-					return fmt.Errorf("crossover 2-D: %w", err)
-				}
-				var teps, times []float64
-				for _, root := range roots {
-					res := r.RunRoot(root)
-					if err := graph500.ValidateRun2D(r, root); err != nil {
-						return fmt.Errorf("crossover 2-D nodes=%d root=%d: %w", nodes, root, err)
-					}
-					teps = append(teps, res.TEPS)
-					times = append(times, res.TimeNs)
-				}
-				points[slot] = point{stats.HarmonicMean(teps), stats.Mean(times)}
-				return nil
+				points[slot], err = cs.runEngine(fmt.Sprintf("crossover 2-D %dx%d nodes=%d", grid.R, grid.C, nodes), r, r.Params,
+					func(root int64) error { return graph500.ValidateRun2D(r, root) })
+				return err
 			},
 		})
 	}
@@ -140,4 +107,45 @@ func ExtCrossover(s Spec) (*Table, error) {
 		"every root of every cell passed Graph500 tree validation (1-D and 2-D validators)",
 		"the selector prices both engines from the machine model alone (internal/engine), no trial runs")
 	return t, nil
+}
+
+// rootEngine is what runEngine drives: either root-at-a-time engine
+// (bfs.Runner, bfs2d.Runner), freshly built and not yet set up.
+type rootEngine interface {
+	AttachObs(*obs.Session)
+	Setup()
+	HasEdgeGlobal(v int64) bool
+	RunRoot(root int64) chassis.Result
+}
+
+// engineStats is one cell of the engine-comparison tables, over the
+// cell's roots: harmonic-mean TEPS, mean iteration time, and mean
+// communication volume in MB.
+type engineStats struct{ teps, timeNs, commMB float64 }
+
+// runEngine runs one engine cell: the observability session (named
+// label), Setup, cs.Roots roots drawn by the Graph500 rule, and one
+// RunRoot per root — each tree checked by validate when non-nil.
+func (cs Spec) runEngine(label string, r rootEngine, params rmat.Params, validate func(root int64) error) (engineStats, error) {
+	if cs.Obs != nil {
+		r.AttachObs(cs.Obs.NewSession(label))
+	}
+	r.Setup()
+	roots, err := graph500.DrawRoots(params, cs.Roots, r.HasEdgeGlobal)
+	if err != nil {
+		return engineStats{}, fmt.Errorf("%s: %w", label, err)
+	}
+	var teps, times, comm []float64
+	for _, root := range roots {
+		res := r.RunRoot(root)
+		if validate != nil {
+			if err := validate(root); err != nil {
+				return engineStats{}, fmt.Errorf("%s root=%d: %w", label, root, err)
+			}
+		}
+		teps = append(teps, res.TEPS)
+		times = append(times, res.TimeNs)
+		comm = append(comm, float64(res.CommBytes))
+	}
+	return engineStats{stats.HarmonicMean(teps), stats.Mean(times), stats.Mean(comm) / (1 << 20)}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
-	"numabfs/internal/stats"
 )
 
 // Ext2D compares the paper's 1-D hybrid BFS against the two-dimensional
@@ -27,10 +26,9 @@ func Ext2D(s Spec) (*Table, error) {
 		Columns: []string{"2 nodes", "4 nodes", "8 nodes"},
 	}
 
-	type point struct{ teps, comm float64 }
 	// Slots: series-major — 1-D top-down, 1-D hybrid, 2-D — matching the
 	// sequential schedule.
-	points := make([]point, 3*len(nodesSweep))
+	points := make([]engineStats, 3*len(nodesSweep))
 	var cells []cell
 	for si, mode := range []bfs.Mode{bfs.ModeTopDown, bfs.ModeHybrid} {
 		for ni, nodes := range nodesSweep {
@@ -39,29 +37,14 @@ func Ext2D(s Spec) (*Table, error) {
 			cells = append(cells, cell{
 				label: fmt.Sprintf("1-D %s/%dn", mode, nodes),
 				run: func(cs Spec) error {
-					scale := cs.scaleFor(nodes)
 					opts := bfs.DefaultOptions()
 					opts.Mode = mode
-					r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(scale), opts)
+					r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(cs.scaleFor(nodes)), opts)
 					if err != nil {
 						return fmt.Errorf("ext2d 1-D %s: %w", mode, err)
 					}
-					if cs.Obs != nil {
-						r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("ext2d 1-D %s nodes=%d", mode, nodes)))
-					}
-					r.Setup()
-					roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
-					if err != nil {
-						return fmt.Errorf("ext2d 1-D %s: %w", mode, err)
-					}
-					var teps, comm []float64
-					for _, root := range roots {
-						res := r.RunRoot(root)
-						teps = append(teps, res.TEPS)
-						comm = append(comm, float64(res.CommBytes))
-					}
-					points[slot] = point{stats.HarmonicMean(teps), stats.Mean(comm) / (1 << 20)}
-					return nil
+					points[slot], err = cs.runEngine(fmt.Sprintf("ext2d 1-D %s nodes=%d", mode, nodes), r, r.Params, nil)
+					return err
 				},
 			})
 		}
@@ -72,29 +55,14 @@ func Ext2D(s Spec) (*Table, error) {
 		cells = append(cells, cell{
 			label: fmt.Sprintf("2-D/%dn", nodes),
 			run: func(cs Spec) error {
-				scale := cs.scaleFor(nodes)
 				cfg := cs.clusterConfig(nodes)
 				grid := bfs2d.DefaultGrid(nodes * cfg.SocketsPerNode)
-				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(scale))
+				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(cs.scaleFor(nodes)))
 				if err != nil {
 					return fmt.Errorf("ext2d 2-D: %w", err)
 				}
-				if cs.Obs != nil {
-					r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("ext2d 2-D %dx%d nodes=%d", grid.R, grid.C, nodes)))
-				}
-				r.Setup()
-				roots, err := graph500.DrawRoots(r.Params, cs.Roots, r.HasEdgeGlobal)
-				if err != nil {
-					return fmt.Errorf("ext2d 2-D: %w", err)
-				}
-				var teps, comm []float64
-				for _, root := range roots {
-					res := r.RunRoot(root)
-					teps = append(teps, res.TEPS)
-					comm = append(comm, float64(res.CommBytes))
-				}
-				points[slot] = point{stats.HarmonicMean(teps), stats.Mean(comm) / (1 << 20)}
-				return nil
+				points[slot], err = cs.runEngine(fmt.Sprintf("ext2d 2-D %dx%d nodes=%d", grid.R, grid.C, nodes), r, r.Params, nil)
+				return err
 			},
 		})
 	}
@@ -102,7 +70,7 @@ func Ext2D(s Spec) (*Table, error) {
 		return nil, err
 	}
 
-	row := func(series int, f func(point) float64) []float64 {
+	row := func(series int, f func(engineStats) float64) []float64 {
 		vals := make([]float64, len(nodesSweep))
 		for i := range nodesSweep {
 			vals[i] = f(points[series*len(nodesSweep)+i])
@@ -110,16 +78,16 @@ func Ext2D(s Spec) (*Table, error) {
 		return vals
 	}
 	td, hy, d2 := 0, 1, 2
-	t.AddRow("1-D top-down TEPS", row(td, func(p point) float64 { return p.teps })...)
-	t.AddRow("2-D top-down TEPS", row(d2, func(p point) float64 { return p.teps })...)
-	t.AddRow("1-D hybrid TEPS", row(hy, func(p point) float64 { return p.teps })...)
-	t.AddRow("1-D top-down comm MB", row(td, func(p point) float64 { return p.comm })...)
-	t.AddRow("2-D top-down comm MB", row(d2, func(p point) float64 { return p.comm })...)
-	t.AddRow("1-D hybrid comm MB", row(hy, func(p point) float64 { return p.comm })...)
+	t.AddRow("1-D top-down TEPS", row(td, func(p engineStats) float64 { return p.teps })...)
+	t.AddRow("2-D top-down TEPS", row(d2, func(p engineStats) float64 { return p.teps })...)
+	t.AddRow("1-D hybrid TEPS", row(hy, func(p engineStats) float64 { return p.teps })...)
+	t.AddRow("1-D top-down comm MB", row(td, func(p engineStats) float64 { return p.commMB })...)
+	t.AddRow("2-D top-down comm MB", row(d2, func(p engineStats) float64 { return p.commMB })...)
+	t.AddRow("1-D hybrid comm MB", row(hy, func(p engineStats) float64 { return p.commMB })...)
 	ratio := make([]float64, len(nodesSweep))
 	for i := range ratio {
-		tdComm := points[td*len(nodesSweep)+i].comm
-		d2Comm := points[d2*len(nodesSweep)+i].comm
+		tdComm := points[td*len(nodesSweep)+i].commMB
+		d2Comm := points[d2*len(nodesSweep)+i].commMB
 		if d2Comm > 0 {
 			ratio[i] = tdComm / d2Comm
 		}

@@ -3,6 +3,7 @@ package graph500
 import (
 	"fmt"
 
+	"numabfs/internal/graph"
 	"numabfs/internal/msbfs"
 )
 
@@ -19,44 +20,8 @@ func NewBatchRunner(cfg Config) (*msbfs.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Obs != nil {
-		label := fmt.Sprintf("msbfs %s %s g=%d scale=%d nodes=%d",
-			cfg.Policy, cfg.Opts.Opt, cfg.Opts.Granularity,
-			cfg.Params.Scale, cfg.Machine.Nodes)
-		sess := cfg.Obs.NewSession(label)
-		if cfg.SampleNs > 0 {
-			sess.EnableSampling(cfg.SampleNs)
-		}
-		runner.AttachObs(sess)
-	}
-	if cfg.Cache != nil {
-		k := cacheKeyOf(cfg)
-		e, leader := cfg.Cache.acquire(k)
-		if leader {
-			committed := false
-			defer func() {
-				if !committed {
-					cfg.Cache.abandon(k, e)
-				}
-			}()
-			runner.Setup()
-			cfg.Cache.commit(e, runner.CSRs(), runner.SetupNs)
-			committed = true
-		} else {
-			if csrs, setupNs, ok := e.wait(); ok {
-				if err := runner.UsePrebuilt(csrs, setupNs); err != nil {
-					return nil, err
-				}
-			}
-			runner.Setup()
-		}
-	} else {
-		runner.Setup()
-	}
-	if cfg.Faults != nil {
-		if err := runner.InjectFaults(*cfg.Faults); err != nil {
-			return nil, err
-		}
+	if err := prepare(cfg, "msbfs ", &runner.Core, &runner.Graph1D, runner.Setup); err != nil {
+		return nil, err
 	}
 	return runner, nil
 }
@@ -107,5 +72,5 @@ func ValidateBatchIdentity(r *msbfs.Runner, roots []int64) error {
 // runner's parent trees (-1 unreached), for tests comparing against the
 // sequential reference BFS.
 func LaneLevels(r *msbfs.Runner, l int, root int64) []int64 {
-	return treeLevels(r.LaneParents(l), root)
+	return graph.TreeLevels(r.LaneParents(l), root)
 }

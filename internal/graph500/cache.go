@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
@@ -66,6 +67,39 @@ func cacheKeyOf(cfg Config) graphKey {
 		machine: cfg.Machine, policy: cfg.Policy, params: cfg.Params,
 		dedup: cfg.Opts.Dedup, spares: cfg.Opts.SpareRanks,
 	}
+}
+
+// setup runs a runner's Setup through the cache (nil = no cache, plain
+// setup): the key's first requester builds and publishes its CSRs and
+// construction time, later ones install the published build first, so
+// their Setup skips kernel 1.
+func (c *GraphCache) setup(k graphKey, core *chassis.Core, g *chassis.Graph1D, setup func()) error {
+	if c == nil {
+		setup()
+		return nil
+	}
+	e, leader := c.acquire(k)
+	if leader {
+		// If setup panics before the commit, release the claim so waiting
+		// followers don't hang.
+		committed := false
+		defer func() {
+			if !committed {
+				c.abandon(k, e)
+			}
+		}()
+		setup()
+		c.commit(e, g.CSRs(), core.SetupNs)
+		committed = true
+		return nil
+	}
+	if csrs, setupNs, ok := e.wait(); ok {
+		if err := g.UsePrebuilt(csrs, setupNs); err != nil {
+			return err
+		}
+	}
+	setup()
+	return nil
 }
 
 // acquire claims the key. The first requester gets leader=true — it must

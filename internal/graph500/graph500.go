@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
@@ -99,6 +100,28 @@ type Result struct {
 	MTTRNs float64
 }
 
+// prepare wires a freshly built 1-D runner (single-root or batched: both
+// are a chassis Core over a Graph1D) under a benchmark Config and runs
+// its setup: the observability session, labelled prefix + the cell's
+// coordinates; kernel 1 through the graph cache; then the fault plan.
+func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph1D, setup func()) error {
+	if cfg.Obs != nil {
+		sess := cfg.Obs.NewSession(fmt.Sprintf("%s%s %s g=%d scale=%d nodes=%d", prefix,
+			cfg.Policy, cfg.Opts.Opt, cfg.Opts.Granularity, cfg.Params.Scale, cfg.Machine.Nodes))
+		if cfg.SampleNs > 0 {
+			sess.EnableSampling(cfg.SampleNs)
+		}
+		c.AttachObs(sess)
+	}
+	if err := cfg.Cache.setup(cacheKeyOf(cfg), c, g, setup); err != nil {
+		return err
+	}
+	if cfg.Faults != nil {
+		return c.InjectFaults(*cfg.Faults)
+	}
+	return nil
+}
+
 // Run executes the benchmark.
 func Run(cfg Config) (*Result, error) {
 	if cfg.NumRoots == 0 {
@@ -108,46 +131,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Obs != nil {
-		label := fmt.Sprintf("%s %s g=%d scale=%d nodes=%d",
-			cfg.Policy, cfg.Opts.Opt, cfg.Opts.Granularity,
-			cfg.Params.Scale, cfg.Machine.Nodes)
-		sess := cfg.Obs.NewSession(label)
-		if cfg.SampleNs > 0 {
-			sess.EnableSampling(cfg.SampleNs)
-		}
-		runner.AttachObs(sess)
-	}
-	if cfg.Cache != nil {
-		k := cacheKeyOf(cfg)
-		e, leader := cfg.Cache.acquire(k)
-		if leader {
-			// Build and publish; if anything below panics before the
-			// commit, release the claim so waiting followers don't hang.
-			committed := false
-			defer func() {
-				if !committed {
-					cfg.Cache.abandon(k, e)
-				}
-			}()
-			runner.Setup()
-			cfg.Cache.commit(e, runner.CSRs(), runner.SetupNs)
-			committed = true
-		} else {
-			if csrs, setupNs, ok := e.wait(); ok {
-				if err := runner.UsePrebuilt(csrs, setupNs); err != nil {
-					return nil, err
-				}
-			}
-			runner.Setup()
-		}
-	} else {
-		runner.Setup()
-	}
-	if cfg.Faults != nil {
-		if err := runner.InjectFaults(*cfg.Faults); err != nil {
-			return nil, err
-		}
+	if err := prepare(cfg, "", &runner.Core, &runner.Graph1D, runner.Setup); err != nil {
+		return nil, err
 	}
 	roots, err := DrawRoots(cfg.Params, cfg.NumRoots, runner.HasEdgeGlobal)
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"numabfs/internal/graph"
 )
 
-// relaxLevels is the fixed-point relaxation treeLevels replaced: one
+// relaxLevels is the fixed-point relaxation graph.TreeLevels replaced: one
 // pass over all vertices per BFS level until nothing changes.
 func relaxLevels(parent []int64, root int64) []int64 {
 	level := make([]int64, len(parent))
@@ -58,7 +60,7 @@ func TestTreeLevelsMatchesRelaxation(t *testing.T) {
 			parent[root] = root
 		}
 		want := relaxLevels(parent, root)
-		if got := treeLevels(parent, root); !slices.Equal(got, want) {
+		if got := graph.TreeLevels(parent, root); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d root=%d):\nparent %v\n   got %v\n  want %v", trial, n, root, parent, got, want)
 		}
 		var orphans int

@@ -19,17 +19,18 @@ import (
 //     one, and never joins a visited vertex to an unvisited one (so the
 //     visited set is exactly the root's connected component).
 func ValidateRun(r *bfs.Runner, root int64) error {
-	n := r.Params.NumVertices()
-	parent := make([]int64, n)
-	for rank, pa := range r.ParentArrays() {
-		lo, _ := r.Part.Range(rank)
+	return validateTree(globalParents(r), root, r.CSRs())
+}
+
+// globalParents assembles the global parent array from a runner's
+// per-member blocks.
+func globalParents(r *bfs.Runner) []int64 {
+	parent := make([]int64, r.Params.NumVertices())
+	for pos, pa := range r.ParentArrays() {
+		lo, _ := r.Part.Range(pos)
 		copy(parent[lo:lo+int64(len(pa))], pa)
 	}
-	csrs := make([]*graph.CSR, len(r.ParentArrays()))
-	for pos := range csrs {
-		csrs[pos] = r.State(pos).CSR
-	}
-	return validateTree(parent, root, csrs)
+	return parent
 }
 
 // validateTree is the specification core shared by the single-root and
@@ -60,17 +61,9 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 					return fmt.Errorf("vertex %d at level %d but parent %d at level %d", v, level[v], pv, level[pv])
 				}
 			}
-			// Rule 4: graph edges span at most one level; visited and
-			// unvisited vertices are never adjacent.
 			for _, u := range row {
-				lv, lu := level[v], level[u]
-				switch {
-				case lv < 0 && lu < 0:
-					// both outside the component: fine
-				case lv < 0 || lu < 0:
-					return fmt.Errorf("edge (%d, %d) joins visited and unvisited vertices (levels %d, %d)", v, u, lv, lu)
-				case lv-lu > 1 || lu-lv > 1:
-					return fmt.Errorf("edge (%d, %d) spans levels %d and %d", v, u, lv, lu)
+				if lv, lu := level[v], level[u]; !levelsAdjacent(lv, lu) {
+					return rule4Error(v, u, lv, lu)
 				}
 			}
 		}
@@ -78,24 +71,34 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 	return nil
 }
 
+// levelsAdjacent is rule 4 for one graph edge whose endpoints sit at
+// levels lv and lu (-1 = outside the component): graph edges span at most
+// one level, and visited and unvisited vertices are never adjacent.
+// Small enough to inline into the validators' per-edge loops.
+func levelsAdjacent(lv, lu int64) bool {
+	return (lv^lu) >= 0 && uint64(lv-lu+1) <= 2 // same side of the component, at most one apart
+}
+
+// rule4Error describes the edge (v, u) that failed levelsAdjacent.
+func rule4Error(v, u, lv, lu int64) error {
+	if lv < 0 || lu < 0 {
+		return fmt.Errorf("edge (%d, %d) joins visited and unvisited vertices (levels %d, %d)", v, u, lv, lu)
+	}
+	return fmt.Errorf("edge (%d, %d) spans levels %d and %d", v, u, lv, lu)
+}
+
 // Levels reconstructs the global level array from a runner's parent
 // arrays (for tests comparing against the sequential reference BFS).
 // Unreached vertices get -1.
 func Levels(r *bfs.Runner, root int64) []int64 {
-	n := r.Params.NumVertices()
-	parent := make([]int64, n)
-	for rank, pa := range r.ParentArrays() {
-		lo, _ := r.Part.Range(rank)
-		copy(parent[lo:lo+int64(len(pa))], pa)
-	}
-	return treeLevels(parent, root)
+	return graph.TreeLevels(globalParents(r), root)
 }
 
-// connectedLevels is treeLevels for a validator: a vertex with a parent
-// but no path of parents to the root (a cycle or an orphaned subtree) is
-// an error.
+// connectedLevels is graph.TreeLevels for a validator: a vertex with a
+// parent but no path of parents to the root (a cycle or an orphaned
+// subtree) is an error.
 func connectedLevels(parent []int64, root int64) ([]int64, error) {
-	level := treeLevels(parent, root)
+	level := graph.TreeLevels(parent, root)
 	var orphans int64
 	for v, l := range level {
 		if l < 0 && parent[v] >= 0 {
@@ -106,47 +109,4 @@ func connectedLevels(parent []int64, root int64) ([]int64, error) {
 		return nil, fmt.Errorf("%d vertices have parents but are unreachable from the root (cycle in tree)", orphans)
 	}
 	return level, nil
-}
-
-// treeLevels derives every vertex's depth below root from a parent array
-// (-1 = no parent) by one memoized parent chase: follow the chain up to
-// the root or an already resolved ancestor, then unwind it assigning
-// depths — O(n) overall, where a fixed-point relaxation rescans all n
-// vertices once per BFS level. A chain that ends at a parentless vertex
-// or closes on itself is not connected to the root: its vertices are
-// marked dead so no later chase walks them again, and come back as -1
-// (as does everything when the root itself has no parent).
-func treeLevels(parent []int64, root int64) []int64 {
-	const unset, dead = -1, -2
-	level := make([]int64, len(parent))
-	for i := range level {
-		level[i] = unset
-	}
-	if parent[root] >= 0 {
-		level[root] = 0
-	}
-	var chain []int64
-	for v := range parent {
-		chain = chain[:0]
-		u := int64(v)
-		// Chain members are marked dead while the chase runs, so running
-		// into one of them (a cycle) stops it like any dead end.
-		for level[u] == unset && parent[u] >= 0 {
-			level[u] = dead
-			chain = append(chain, u)
-			u = parent[u]
-		}
-		if base := level[u]; base >= 0 {
-			for k := len(chain) - 1; k >= 0; k-- {
-				base++
-				level[chain[k]] = base
-			}
-		}
-	}
-	for i, l := range level {
-		if l == dead {
-			level[i] = unset
-		}
-	}
-	return level
 }

@@ -49,17 +49,8 @@ func ValidateRun2D(r *bfs2d.Runner, root int64) error {
 	// Rule 4 over every stored directed adjacency.
 	for rank := 0; rank < r.Grid.R*r.Grid.C && err == nil; rank++ {
 		r.EachStoredEdge(rank, func(u, v int64) {
-			if err != nil {
-				return
-			}
-			lu, lv := level[u], level[v]
-			switch {
-			case lu < 0 && lv < 0:
-				// both outside the component: fine
-			case lu < 0 || lv < 0:
-				err = fmt.Errorf("edge (%d, %d) joins visited and unvisited vertices (levels %d, %d)", u, v, lu, lv)
-			case lu-lv > 1 || lv-lu > 1:
-				err = fmt.Errorf("edge (%d, %d) spans levels %d and %d", u, v, lu, lv)
+			if lu, lv := level[u], level[v]; err == nil && !levelsAdjacent(lu, lv) {
+				err = rule4Error(u, v, lu, lv)
 			}
 		})
 	}

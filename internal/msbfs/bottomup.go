@@ -68,7 +68,5 @@ func (ls *laneState) bottomUpSweep(p *mpi.Proc, buMask uint64, nfL, mfL *[64]int
 		load.SeqLoc = r.pl.GraphLoc
 		load.CPUOps = edges*2 + (hi - lo)
 	})
-	tc := p.Clock()
-	p.Compute(res.Ns)
-	ls.charge(trace.BUComp, tc, p.Clock())
+	ls.Compute(p, trace.BUComp, res.Ns)
 }

@@ -26,25 +26,20 @@ func (ls *laneState) publishFrontier(p *mpi.Proc, needPlane bool) {
 		p.Compute(ls.team.Parallel(machine.PhaseLoad{
 			SeqBytes: wcnt * 16, SeqLoc: r.InqLoc,
 		}))
-		ls.charge(trace.Switch, t0, p.Clock())
+		ls.Charge(trace.Switch, t0, p.Clock())
 		return
 	}
 	// Synchronize before touching shared buffers (as bfs's bottom-up
 	// conversion does), then the two allgathers of Fig. 1 — once per
 	// level for the whole batch.
-	t0 := p.Clock()
-	wait := p.Barrier()
-	ls.bd.Add(trace.Stall, wait)
-	ls.bd.Add(trace.BUComm, p.Clock()-t0-wait)
-	ls.rec.PhaseSpan(trace.Stall, ls.levels, t0, t0+wait)
-	ls.rec.PhaseSpan(trace.BUComm, ls.levels, t0+wait, p.Clock())
+	ls.StallBarrier(p, trace.BUComm)
 	t0, x0 := p.Clock(), p.XportNs()
 	r.AllgatherFrontier(p, ls.team, ls.inPlane.Words(), ls.outPlane.Words(), r.planeLayout, ls.pos,
 		collective.Exchange{Codec: ls.planeCodec})
 	ls.allgatherSummary(p)
-	ls.chargeComm(p, trace.BUComm, t0, x0)
+	ls.ChargeComm(p, trace.BUComm, t0, x0)
 	ls.rounds++
-	ls.bd.BUCommCount++
+	ls.Breakdown.BUCommCount++
 }
 
 // allgatherSummary rebuilds this rank's share of the lane summary from

@@ -26,15 +26,13 @@ import (
 
 	"numabfs/internal/bfs"
 	"numabfs/internal/bitmap"
+	"numabfs/internal/chassis"
 	"numabfs/internal/collective"
-	"numabfs/internal/fault"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
-	"numabfs/internal/obs"
 	"numabfs/internal/omp"
 	"numabfs/internal/rmat"
-	"numabfs/internal/trace"
 	"numabfs/internal/wire"
 )
 
@@ -58,14 +56,16 @@ func ValidateOptions(o bfs.Options) error {
 // Runner owns one simulated multi-source BFS job. Build with NewRunner,
 // call Setup once (kernel 1), then RunBatch per batch of up to 64 roots.
 type Runner struct {
-	W *mpi.World
-	// Ladder carries Opts and NC, and what the optimization level
-	// decides about the planes and their allgathers — the same rungs as
-	// bfs's in_queue/out_queue/summary.
+	// Core is the world, the fault/obs plumbing and the result tail
+	// (crash plans are rejected: the batched engine has no recovery
+	// path); Graph1D the partition and the per-rank CSRs, the very ones
+	// bfs builds.
+	chassis.Core
+	chassis.Graph1D
+	// Ladder carries Opts and NC (NC.World is the group of all ranks),
+	// and what the optimization level decides about the planes and their
+	// allgathers — the same rungs as bfs's in_queue/out_queue/summary.
 	bfs.Ladder
-	AllGroup *collective.Group
-	Part     graph.Partition
-	Params   rmat.Params
 
 	cfg machine.Config
 	pl  machine.Placement
@@ -81,21 +81,11 @@ type Runner struct {
 	sumBytes   int64 // full lane-summary size
 
 	states []*laneState
-
-	totalEdges int64
-
-	// SetupNs is the virtual time of distributed construction.
-	SetupNs float64
-
-	faults fault.Plan
-
-	prebuilt   []*graph.CSR
-	prebuiltNs float64
 }
 
-// laneState is the per-rank algorithm state. Unlike bfs.rankState there
-// is no spare/recovery indirection: position == rank.
+// laneState is the per-rank algorithm state; partition position == rank.
 type laneState struct {
+	chassis.Ledger
 	r    *Runner
 	pos  int
 	csr  *graph.CSR
@@ -127,47 +117,29 @@ type laneState struct {
 	visitedCount [64]int64
 	laneLevels   [64]int // per lane: level count at termination
 
-	bd         trace.Breakdown
-	levels     int
-	rounds     int64 // plane+summary allgather boundaries this batch
-	levelStats []trace.LevelStat
-
-	rec *obs.Rank
+	rounds int64 // plane+summary allgather boundaries this batch
 }
 
 // NewRunner builds a batched runner over cfg with the given placement
 // policy. Options follow bfs semantics restricted by ValidateOptions.
 func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, opts bfs.Options) (*Runner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	if err := ValidateOptions(opts); err != nil {
 		return nil, err
 	}
-	pl := machine.PlacementFor(cfg, policy)
-	w := mpi.NewWorld(cfg, pl)
-	np := w.NumProcs()
+	r := &Runner{cfg: cfg}
+	var err error
+	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers, false); err != nil {
+		return nil, err
+	}
+	r.pl = r.W.Placement()
+	r.Ladder = bfs.NewLadder(opts, r.pl)
+	np := r.W.NumProcs()
 	n := params.NumVertices()
 	if n < int64(np)*64 {
 		return nil, fmt.Errorf("msbfs: scale %d too small for %d ranks (need >= 64 vertices per rank)", params.Scale, np)
 	}
-	r := &Runner{
-		W:      w,
-		Ladder: bfs.NewLadder(opts, pl),
-		Params: params,
-		cfg:    cfg,
-		pl:     pl,
-	}
-	ranks := make([]int, np)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	r.Part = graph.NewPartition(n, np)
-	r.AllGroup = collective.NewGroup(w, ranks)
-	r.NC = collective.NewNodeCommRanks(w, ranks)
+	r.Graph1D = chassis.NewGraph1D(n, np)
+	r.NC = collective.NewNodeComm(r.W)
 	// One plane word per vertex: the plane layout IS the vertex
 	// partition, so the same allgather code that moves bitmap words
 	// moves lane words.
@@ -183,46 +155,12 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	return r, nil
 }
 
-// InjectFaults installs a deterministic fault plan for subsequent
-// RunBatch calls: degradation, stragglers, jitter and lossy links
-// compose with the batched engine exactly as with bfs. Crash plans are
-// rejected — the engine has no checkpoint/recovery path.
-func (r *Runner) InjectFaults(plan fault.Plan) error {
-	if len(plan.Crashes) > 0 {
-		return fmt.Errorf("msbfs: crash plans not supported (no checkpointing in the batched engine)")
+// ledgers appends the ranks' ledgers in rank order.
+func (r *Runner) ledgers(buf []*chassis.Ledger) []*chassis.Ledger {
+	for _, ls := range r.states {
+		buf = append(buf, &ls.Ledger)
 	}
-	if err := r.W.InjectFaults(plan); err != nil {
-		return err
-	}
-	r.faults = plan
-	return nil
-}
-
-// AttachObs routes the runner's world through an observability session.
-// Call before Setup. Tracing never advances virtual time.
-func (r *Runner) AttachObs(s *obs.Session) { r.W.AttachObs(s) }
-
-// UsePrebuilt installs per-rank CSRs cached from an earlier build with
-// identical parameters (internal/graph500's graph cache — a bfs build
-// with the same scale/seed/rank count produces the same partition, so
-// its CSRs are directly shareable). Call before Setup.
-func (r *Runner) UsePrebuilt(csrs []*graph.CSR, setupNs float64) error {
-	if len(csrs) != len(r.states) {
-		return fmt.Errorf("msbfs: prebuilt CSRs for %d ranks, world has %d", len(csrs), len(r.states))
-	}
-	r.prebuilt = csrs
-	r.prebuiltNs = setupNs
-	return nil
-}
-
-// CSRs returns each rank's CSR (aliases; read-only during traversal).
-// Valid after Setup; used to populate the graph cache.
-func (r *Runner) CSRs() []*graph.CSR {
-	out := make([]*graph.CSR, len(r.states))
-	for i, ls := range r.states {
-		out[i] = ls.csr
-	}
-	return out
+	return buf
 }
 
 // Setup runs distributed construction (kernel 1) and allocates the
@@ -232,12 +170,7 @@ func (r *Runner) Setup() {
 	granules := r.sumLayout.TotalWords()
 	r.W.Run(func(p *mpi.Proc) {
 		pos := p.Rank()
-		var csr *graph.CSR
-		if r.prebuilt != nil {
-			csr = r.prebuilt[pos]
-		} else {
-			csr = graph.BuildDistributed(p, r.AllGroup, r.Part, r.Params, r.Opts.Dedup)
-		}
+		csr := r.Build(p, r.NC.World, pos, r.Params, r.Opts.Dedup)
 		ls := &laneState{
 			r:    r,
 			pos:  pos,
@@ -267,24 +200,10 @@ func (r *Runner) Setup() {
 		ls.send = make([][]int64, len(r.states))
 		ls.planeCodec = r.Codec(ls.team, r.InqLoc)
 		ls.sumCodec = r.Codec(ls.team, r.SumLoc)
+		ls.Track(ls.planeCodec, ls.sumCodec)
 		r.states[pos] = ls
 	})
-	r.SetupNs = r.W.MaxClock()
-	if r.prebuilt != nil {
-		r.SetupNs = r.prebuiltNs
-	}
-	r.W.ResetClocks()
-	r.totalEdges = 0
-	for _, ls := range r.states {
-		r.totalEdges += ls.csr.NumEdges()
-	}
-}
-
-// HasEdgeGlobal reports whether vertex v has any incident edge (Graph500
-// root selection).
-func (r *Runner) HasEdgeGlobal(v int64) bool {
-	ls := r.states[r.Part.Owner(v)]
-	return ls.csr.HasEdge(v)
+	r.Built(&r.Core)
 }
 
 // LaneParents assembles lane l's global parent array (length

@@ -1,10 +1,6 @@
 package msbfs
 
-import (
-	"numabfs/internal/simnet"
-	"numabfs/internal/trace"
-	"numabfs/internal/wire"
-)
+import "numabfs/internal/chassis"
 
 // LaneResult is one lane's (one root's) view of a batch.
 type LaneResult struct {
@@ -20,44 +16,28 @@ type LaneResult struct {
 
 // BatchResult summarizes one multi-source batch.
 type BatchResult struct {
-	Roots  []int64
-	TimeNs float64 // virtual wall time of the whole batch
-	Levels int     // level count of the longest-running lane
+	Roots []int64
+	// Summary is the batch as a whole: TimeNs its virtual wall time,
+	// Levels the longest-running lane's level count, TraversedEdges /
+	// Visited / TEPS the aggregate over all lanes (the batch traversed
+	// this many (lane, edge) pairs in TimeNs), LevelStats the batch
+	// frontier curve with NF/MF summed across lanes.
+	chassis.Summary
 	// AllgatherRounds is the number of plane+summary allgather
 	// boundaries the batch performed — the figure of merit: sequential
 	// runs pay their rounds per root, the batch pays each round once
 	// for all 64 lanes.
 	AllgatherRounds int64
 	Lanes           []LaneResult
-	// TraversedEdges / Visited / TEPS aggregate all lanes: the batch
-	// traversed this many (lane, edge) pairs in TimeNs.
-	TraversedEdges int64
-	Visited        int64
-	TEPS           float64
-	Breakdown      trace.Breakdown // mean across ranks
-	// LevelStats is the batch frontier curve (rank 0's view; NF/MF are
-	// summed across lanes).
-	LevelStats []trace.LevelStat
-	// CommBytes / RawCommBytes / Wire / Xport as in bfs.RootResult.
-	CommBytes    int64
-	RawCommBytes int64
-	Wire         wire.Stats
-	Xport        simnet.Xport
 }
 
 // assemble gathers the per-rank lane states into a BatchResult.
 func (r *Runner) assemble(roots []int64) BatchResult {
 	res := BatchResult{
-		Roots:  append([]int64(nil), roots...),
-		TimeNs: r.W.MaxClock(),
+		Roots: append([]int64(nil), roots...),
+		Lanes: make([]LaneResult, len(roots)),
 	}
-	res.Lanes = make([]LaneResult, len(roots))
-	var bd trace.Breakdown
 	for _, ls := range r.states {
-		bd.Merge(ls.bd)
-		if ls.levels > res.Levels {
-			res.Levels = ls.levels
-		}
 		for l := range roots {
 			res.Lanes[l].TraversedEdges += ls.visitedEdges[l]
 			res.Lanes[l].Visited += ls.visitedCount[l]
@@ -68,31 +48,15 @@ func (r *Runner) assemble(roots []int64) BatchResult {
 		lr.Root = root
 		lr.TraversedEdges /= 2 // both endpoints counted
 		lr.Levels = r.states[0].laneLevels[l]
-		if res.TimeNs > 0 {
-			lr.TEPS = float64(lr.TraversedEdges) / (res.TimeNs / 1e9)
-		}
 		res.TraversedEdges += lr.TraversedEdges
 		res.Visited += lr.Visited
 	}
-	bd.Scale(1 / float64(len(r.states)))
-	bd.TDLevels = r.states[0].bd.TDLevels
-	bd.BULevels = r.states[0].bd.BULevels
-	bd.BUCommCount = r.states[0].bd.BUCommCount
-	res.Breakdown = bd
-	res.AllgatherRounds = r.states[0].rounds
-	res.LevelStats = append([]trace.LevelStat(nil), r.states[0].levelStats...)
-	vol := r.W.Net().Volume()
-	res.CommBytes = vol.IntraBytes + vol.InterBytes
-	res.RawCommBytes = vol.RawIntraBytes + vol.RawInterBytes
-	res.Xport = vol.Xport
-	for _, ls := range r.states {
-		if ls.planeCodec != nil {
-			res.Wire.Add(ls.planeCodec.Stats())
-			res.Wire.Add(ls.sumCodec.Stats())
+	r.Finish(&res.Summary, &r.states[0].Ledger)
+	if res.TimeNs > 0 {
+		for l := range res.Lanes {
+			res.Lanes[l].TEPS = float64(res.Lanes[l].TraversedEdges) / (res.TimeNs / 1e9)
 		}
 	}
-	if res.TimeNs > 0 {
-		res.TEPS = float64(res.TraversedEdges) / (res.TimeNs / 1e9)
-	}
+	res.AllgatherRounds = r.states[0].rounds
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"numabfs/internal/bfs"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
-	"numabfs/internal/obs"
 	"numabfs/internal/trace"
 )
 
@@ -38,20 +37,9 @@ func (r *Runner) RunBatch(roots []int64) BatchResult {
 	if len(roots) == 0 || len(roots) > 64 {
 		panic(fmt.Sprintf("msbfs: batch of %d roots outside [1, 64]", len(roots)))
 	}
-	r.W.ResetClocks()
-	for _, ls := range r.states {
-		if ls.planeCodec != nil {
-			ls.planeCodec.ResetStats()
-			ls.sumCodec.ResetStats()
-		}
-	}
-	if err := r.W.TryRun(func(p *mpi.Proc) {
-		r.states[p.Rank()].runBatch(p, roots)
-	}); err != nil {
-		// No checkpoint path here: a transport fault that exhausts its
-		// retry budget (or a programming bug) is terminal.
-		panic(err)
-	}
+	// No repair: a transport fault that exhausts its retry budget (or a
+	// programming bug) is terminal.
+	r.Run(func(p *mpi.Proc) { r.states[p.Rank()].runBatch(p, roots) }, nil)
 	return r.assemble(roots)
 }
 
@@ -60,7 +48,7 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 	r := ls.r
 	st := ls.initBatch(p, roots)
 	for st.active != 0 {
-		ls.levels++
+		ls.Levels++
 		levelStart := p.Clock()
 		tdMask := st.active &^ st.bu
 		buMask := st.active & st.bu
@@ -71,11 +59,11 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 		ls.clearOwnedOut(p, buMask != 0)
 		if tdMask != 0 {
 			ls.topDownSweep(p, tdMask, &nfL, &mfL)
-			ls.bd.TDLevels++
+			ls.Breakdown.TDLevels++
 		}
 		if buMask != 0 {
 			ls.bottomUpSweep(p, buMask, &nfL, &mfL)
-			ls.bd.BULevels++
+			ls.Breakdown.BULevels++
 		}
 
 		commPh := trace.TDComm
@@ -83,14 +71,14 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 		if buLevel {
 			commPh = trace.BUComm
 		}
-		ls.stallBarrier(p, commPh)
+		ls.StallBarrier(p, commPh)
 
 		// Frontier accounting: two 64-lane vector allreduces replace the
 		// 2·len(roots) scalar allreduces sequential runs pay per level.
 		t0, x0 := p.Clock(), p.XportNs()
-		r.AllGroup.AllreduceSumVec64(p, &nfL)
-		r.AllGroup.AllreduceSumVec64(p, &mfL)
-		ls.chargeComm(p, commPh, t0, x0)
+		r.NC.World.AllreduceSumVec64(p, &nfL)
+		r.NC.World.AllreduceSumVec64(p, &mfL)
+		ls.ChargeComm(p, commPh, t0, x0)
 
 		// Per-lane termination: finished lanes drop out of every
 		// subsequent sweep (their plane bits stay zero — an empty
@@ -104,17 +92,10 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 			levMF += mfL[l]
 			if nfL[l] == 0 {
 				st.active &^= 1 << uint(l)
-				ls.laneLevels[l] = ls.levels
+				ls.laneLevels[l] = ls.Levels
 			}
 		}
-		ls.levelStats = append(ls.levelStats, trace.LevelStat{
-			Level: ls.levels, BottomUp: buLevel, NF: levNF, MF: levMF,
-			Ns: p.Clock() - levelStart,
-		})
-		ls.rec.LevelSpan(buLevel, ls.levels, levelStart, p.Clock())
-		ls.rec.GaugeSet(obs.GaugeFrontier, p.Clock(), float64(levNF))
-		ls.rec.GaugeSet(obs.GaugeFrontierDensity, p.Clock(),
-			float64(levNF)/float64(r.Params.NumVertices()*int64(ls.nl)))
+		ls.EndLevel(p, levelStart, buLevel, levNF, levMF, r.Params.NumVertices()*int64(ls.nl))
 		if st.active == 0 {
 			break
 		}
@@ -128,11 +109,10 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 				l := bits.TrailingZeros64(m)
 				bit := uint64(1) << uint(l)
 				if st.bu&bit == 0 {
-					unexplored := r.totalEdges - st.visEdges[l]
-					if st.nf[l] > st.prevNf[l] && float64(st.mf[l]) > float64(unexplored)/r.Opts.Alpha {
+					if r.GoBottomUp(st.nf[l], st.prevNf[l], st.mf[l], st.visEdges[l], r.Opts.Alpha) {
 						st.bu |= bit
 					}
-				} else if float64(st.nf[l]) < float64(r.Params.NumVertices())/r.Opts.Beta {
+				} else if r.GoTopDown(st.nf[l], r.Opts.Beta) {
 					st.bu &^= bit
 				}
 			}
@@ -153,7 +133,7 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	r := ls.r
 	ls.reset(len(roots))
-	ls.rec = p.Obs()
+	ls.Reset(p)
 
 	// Seed the owned roots into the out-plane (cleared owned segment
 	// first, as at every level).
@@ -188,12 +168,12 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 		SeqBytes: wcnt * 8,
 		SeqLoc:   r.OutLoc,
 	}))
-	ls.charge(trace.Switch, t0, p.Clock())
+	ls.Charge(trace.Switch, t0, p.Clock())
 
 	t0, x0 := p.Clock(), p.XportNs()
-	r.AllGroup.AllreduceSumVec64(p, &nfL)
-	r.AllGroup.AllreduceSumVec64(p, &mfL)
-	ls.chargeComm(p, trace.TDComm, t0, x0)
+	r.NC.World.AllreduceSumVec64(p, &nfL)
+	r.NC.World.AllreduceSumVec64(p, &mfL)
+	ls.ChargeComm(p, trace.TDComm, t0, x0)
 
 	st := &batchState{active: ls.all}
 	if r.Opts.Mode == bfs.ModeBottomUp {
@@ -232,10 +212,7 @@ func (ls *laneState) reset(nl int) {
 	ls.visitedEdges = [64]int64{}
 	ls.visitedCount = [64]int64{}
 	ls.laneLevels = [64]int{}
-	ls.bd = trace.Breakdown{}
-	ls.levels = 0
 	ls.rounds = 0
-	ls.levelStats = ls.levelStats[:0]
 }
 
 // clearOwnedOut zeroes the owned out-plane segment (a streaming memset,
@@ -252,10 +229,7 @@ func (ls *laneState) clearOwnedOut(p *mpi.Proc, buLevel bool) {
 	if buLevel {
 		ph = trace.BUComp
 	}
-	ns := ls.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc})
-	tc := p.Clock()
-	p.Compute(ns)
-	ls.charge(ph, tc, p.Clock())
+	ls.Compute(p, ph, ls.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc}))
 }
 
 // claim visits owned vertex v with parent u for every lane of w not yet
@@ -280,27 +254,4 @@ func (ls *laneState) claim(v, u int64, w uint64, nfL, mfL *[64]int64) {
 		ls.visitedCount[l]++
 		ls.visitedEdges[l] += d
 	}
-}
-
-// stallBarrier / charge / chargeComm mirror bfs's phase attribution.
-func (ls *laneState) stallBarrier(p *mpi.Proc, comm trace.Phase) {
-	t0 := p.Clock()
-	wait := p.Barrier()
-	ls.bd.Add(trace.Stall, wait)
-	ls.bd.Add(comm, p.Clock()-t0-wait)
-	ls.rec.PhaseSpan(trace.Stall, ls.levels, t0, t0+wait)
-	ls.rec.PhaseSpan(comm, ls.levels, t0+wait, p.Clock())
-}
-
-func (ls *laneState) charge(ph trace.Phase, start, end float64) {
-	ls.bd.Add(ph, end-start)
-	ls.rec.PhaseSpan(ph, ls.levels, start, end)
-}
-
-func (ls *laneState) chargeComm(p *mpi.Proc, ph trace.Phase, t0, x0 float64) {
-	end := p.Clock()
-	dx := p.XportNs() - x0
-	ls.bd.Add(trace.Xport, dx)
-	ls.bd.Add(ph, end-t0-dx)
-	ls.rec.PhaseSpan(ph, ls.levels, t0, end)
 }

@@ -61,18 +61,15 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 	if items < ownedN {
 		items = ownedN // the plane scan itself when frontiers are tiny
 	}
-	ns := ls.team.ForBalanced(items, tdChunk, load)
-	tc := p.Clock()
-	p.Compute(ns)
-	ls.charge(trace.TDComp, tc, p.Clock())
+	ls.Compute(p, trace.TDComp, ls.team.ForBalanced(items, tdChunk, load))
 
-	ls.stallBarrier(p, trace.TDComm)
+	ls.StallBarrier(p, trace.TDComm)
 
 	// Route discovered triples to their owners — one alltoallv for the
 	// whole batch where sequential runs pay one per lane.
 	t0, x0 := p.Clock(), p.XportNs()
-	ls.recv = r.AllGroup.AlltoallvInt64Into(p, ls.send, ls.recv, nil)
-	ls.chargeComm(p, trace.TDComm, t0, x0)
+	ls.recv = r.NC.World.AlltoallvInt64Into(p, ls.send, ls.recv, nil)
+	ls.ChargeComm(p, trace.TDComm, t0, x0)
 
 	// Process received triples in sender-position order (the owner
 	// re-checks visitation lane by lane, as bfs does bit by bit).
@@ -94,8 +91,5 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 		SeqLoc:   r.pl.PrivateLoc,
 		CPUOps:   triples * 3,
 	}
-	ns = ls.team.ForBalanced(triples, tdChunk, proc)
-	tc = p.Clock()
-	p.Compute(ns)
-	ls.charge(trace.TDComp, tc, p.Clock())
+	ls.Compute(p, trace.TDComp, ls.team.ForBalanced(triples, tdChunk, proc))
 }
