@@ -6,12 +6,16 @@ package chassis_test
 // the level structure and the parent arrays — into one FNV-1a hash. The
 // hashes were captured with this very file on the commit before
 // internal/chassis existed (three hand-aligned Runners); the chassis
-// must reproduce them bit for bit.
+// must reproduce them bit for bit. The crash cases were re-captured once
+// since, when mpi began to abort a failed job at quiescence: how far a
+// doomed attempt gets is a function of the plan from then on, so its
+// traffic joined the hash (every other field of theirs was unchanged).
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"numabfs/internal/bfs"
@@ -36,7 +40,7 @@ func goldenConfig() machine.Config {
 type traversal struct {
 	timeNs     float64
 	bd         trace.Breakdown
-	comm, raw  int64 // -1 under a crash: lost attempts' traffic is host-racy
+	comm, raw  int64 // lost attempts' traffic included
 	levels     int
 	levelStats []trace.LevelStat
 	mttrNs     float64
@@ -103,6 +107,16 @@ func bfsRunner(t *testing.T, opts bfs.Options) (*bfs.Runner, int64) {
 	return r, params.Roots(1, r.HasEdgeGlobal)[0]
 }
 
+// bfsTraversal is what the goldens pin of a 1-D run (a clean one has no
+// repair time and stays on epoch 0).
+func bfsTraversal(r *bfs.Runner, res bfs.RootResult) traversal {
+	return traversal{
+		timeNs: res.TimeNs, bd: res.Breakdown, comm: res.CommBytes, raw: res.RawCommBytes,
+		levels: res.Levels, levelStats: res.LevelStats,
+		mttrNs: res.MTTRNs, epoch: res.Epoch, parents: r.ParentArrays(),
+	}
+}
+
 var goldenBFS = map[string]uint64{
 	"clean/Original":               0x7ce167ee9bc06d7,
 	"clean/Share in_queue":         0xee63399657111324,
@@ -110,12 +124,13 @@ var goldenBFS = map[string]uint64{
 	"clean/Par allgather":          0xa073077205c66d98,
 	"clean/Compressed allgather":   0x5695a040f0b6210e,
 	"clean/Overlap allgather":      0x89fc67aa735e3f55,
-	"crash/rerun/permanent=true":   0x80c3c05fe6ca824f,
-	"crash/rerun/permanent=false":  0xc8a0ee2a8f7b3539,
-	"crash/shrink/permanent=true":  0x1570282455326342,
-	"crash/shrink/permanent=false": 0xc8a0ee2a8f7b3539,
-	"crash/spare/permanent=true":   0xa02585a620630e9b,
-	"crash/spare/permanent=false":  0xe94bdf15f4393fbd,
+	"crash/rerun/permanent=true":   0x70723ce599f6047,
+	"crash/rerun/permanent=false":  0x971106b6d3e44b01,
+	"crash/shrink/permanent=true":  0x822b758fa1514825,
+	"crash/shrink/permanent=false": 0x971106b6d3e44b01,
+	"crash/spare/permanent=true":   0x58a508a8f0041dcc,
+	"crash/spare/permanent=false":  0x57cf9eeac697c762,
+	"crash/shrink/two":             0xced6536955fee366,
 }
 
 // TestGoldenBFS: the 1-D engine, clean at all six optimization levels,
@@ -128,10 +143,7 @@ func TestGoldenBFS(t *testing.T) {
 		opts.Opt = opt
 		r, root := bfsRunner(t, opts)
 		res := r.RunRoot(root)
-		checkGolden(t, "clean/"+opt.String(), traversal{
-			timeNs: res.TimeNs, bd: res.Breakdown, comm: res.CommBytes, raw: res.RawCommBytes,
-			levels: res.Levels, levelStats: res.LevelStats, parents: r.ParentArrays(),
-		}.hash(), goldenBFS)
+		checkGolden(t, "clean/"+opt.String(), bfsTraversal(r, res).hash(), goldenBFS)
 	}
 	for _, rec := range []bfs.Recovery{bfs.RecoverRerun, bfs.RecoverShrink, bfs.RecoverSpare} {
 		opts := bfs.DefaultOptions()
@@ -152,12 +164,49 @@ func TestGoldenBFS(t *testing.T) {
 			if len(res.Faults) != 1 {
 				t.Fatalf("%s: %d faults survived, want 1", rec, len(res.Faults))
 			}
-			checkGolden(t, fmt.Sprintf("crash/%s/permanent=%v", rec, permanent), traversal{
-				timeNs: res.TimeNs, bd: res.Breakdown, comm: -1, raw: -1,
-				levels: res.Levels, levelStats: res.LevelStats,
-				mttrNs: res.MTTRNs, epoch: res.Epoch, parents: r.ParentArrays(),
-			}.hash(), goldenBFS)
+			checkGolden(t, fmt.Sprintf("crash/%s/permanent=%v", rec, permanent), bfsTraversal(r, res).hash(), goldenBFS)
 		}
+	}
+}
+
+// TestGoldenBFSTwoCrashes: two permanent crashes 2 % of the clean time
+// apart, under survivor repartitioning. Which of them a doomed attempt
+// reports first — and with it the recovery order, the re-own transfers
+// and TimeNs — must be the earlier one on every host schedule.
+func TestGoldenBFSTwoCrashes(t *testing.T) {
+	opts := bfs.DefaultOptions()
+	opts.Opt = bfs.OptCompressedAllgather
+	opts.Recovery = bfs.RecoverShrink
+	clean, root := bfsRunner(t, opts)
+	cleanNs := clean.RunRoot(root).TimeNs
+	plan := fault.Plan{Crashes: []fault.Crash{
+		{Rank: 2, AtNs: 0.5 * cleanNs, Permanent: true},
+		{Rank: 6, AtNs: 0.52 * cleanNs, Permanent: true},
+	}}
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < 40; i++ {
+				// A shrink is for good: every run needs its own runner,
+				// over the clean one's graph.
+				r, err := bfs.NewRunner(goldenConfig(), machine.PPN8Bind, rmat.Graph500(goldenScale), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.UsePrebuilt(clean.CSRs(), clean.SetupNs); err != nil {
+					t.Fatal(err)
+				}
+				r.Setup()
+				if err := r.InjectFaults(plan); err != nil {
+					t.Fatal(err)
+				}
+				res := r.RunRoot(root)
+				if len(res.Faults) != 2 || res.Faults[0].Rank != 2 {
+					t.Fatalf("GOMAXPROCS=%d run %d: recovered %v, want rank 2 then rank 6", procs, i, res.Faults)
+				}
+				checkGolden(t, "crash/shrink/two", bfsTraversal(r, res).hash(), goldenBFS)
+			}
+		}()
 	}
 }
 
@@ -168,8 +217,8 @@ var goldenBFS2D = map[string]uint64{
 	"clean/hybrid/compress=true":     0x48abfe064357f1f2,
 	"clean/bottom-up/compress=false": 0xad2e91d029feef4c,
 	"clean/bottom-up/compress=true":  0x3a47f3958c9be985,
-	"crash/rerun":                    0x4d0c1feea6bf07f6,
-	"crash/spare":                    0xd5f9033de5996671,
+	"crash/rerun":                    0x243fb5461e2186ee,
+	"crash/spare":                    0xdd0771c3affcbf09,
 }
 
 // TestGoldenBFS2D: the 2-D engine's three direction policies, raw and
@@ -186,15 +235,11 @@ func TestGoldenBFS2D(t *testing.T) {
 		return r, params.Roots(1, r.HasEdgeGlobal)[0]
 	}
 	of := func(r *bfs2d.Runner, res bfs2d.RootResult) traversal {
-		tr := traversal{
+		return traversal{
 			timeNs: res.TimeNs, bd: res.Breakdown, comm: res.CommBytes, raw: res.RawCommBytes,
 			levels: res.Levels, levelStats: res.LevelStats,
 			mttrNs: res.MTTRNs, epoch: res.Epoch, parents: r.ParentArrays(),
 		}
-		if len(res.Faults) > 0 {
-			tr.comm, tr.raw = -1, -1
-		}
-		return tr
 	}
 	for _, mode := range []bfs2d.Mode{bfs2d.ModeTopDown, bfs2d.ModeHybrid, bfs2d.ModeBottomUp} {
 		for _, compress := range []bool{false, true} {

@@ -66,11 +66,11 @@ func diffCleanVsShrink(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
 
 // recoveryAttribution renders the deterministic core of the clean-vs-
 // shrink diff: the recovery and re-own phases (charged analytically at
-// rollback, so bit-stable) and the run's fault/epoch summary. The rest
-// of the diff — the doomed attempt's partial compute spans and byte
-// counters — is real but host-racy (how far each rank got before the
-// abort released it depends on the host schedule; see the fault-
-// injection notes in README.md), so it stays out of the golden.
+// rollback) and the run's fault/epoch summary. The rest of the diff —
+// the doomed attempt's partial compute spans and byte counters — is
+// just as reproducible (a failed job stops at quiescence, so how far
+// each rank got is a function of the plan; see the fault-injection
+// notes in README.md) but is not what this golden is about.
 func recoveryAttribution(d *obs.RunDiff, res bfs.RootResult) string {
 	var b strings.Builder
 	s := d.Sessions[0]

@@ -2,12 +2,14 @@ package mpi
 
 // Abort-path tests: one rank failing must release every partner blocked
 // in communication — these paths are load-bearing under rank-crash
-// injection (internal/fault), where a scheduled crash unwinds one rank
-// while the others sit in rendezvous or barriers. Each test's TryRun
+// injection (internal/fault), where a scheduled crash removes one rank
+// and the others end up in rendezvous or barriers it will never
+// complete. Each test's TryRun
 // return doubles as the liveness assertion: TryRun only returns after
 // every rank goroutine has exited, so a hung partner is a test timeout.
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -108,26 +110,63 @@ func TestTryRunReturnsFaultError(t *testing.T) {
 	}
 }
 
+// TestTryRunPicksEarliestFaultDeterministically: when several crashes
+// can fire in one attempt the reported fault must be the earliest
+// virtual time, ties broken by rank — never whichever rank goroutine the
+// host scheduler happened to run, or unwind, first.
 func TestTryRunPicksEarliestFaultDeterministically(t *testing.T) {
-	// Both crashes fire in the same attempt (both ranks reach their crash
-	// time inside the same Compute). The reported fault must be the
-	// earliest virtual time, ties broken by rank — never whichever rank
-	// goroutine the host scheduler happened to unwind first.
-	for i := 0; i < 20; i++ {
-		w := testWorld(t, 1)
-		plan := fault.Plan{Crashes: []fault.Crash{
-			{Rank: 3, AtNs: 50},
-			{Rank: 1, AtNs: 50},
-			{Rank: 0, AtNs: 70},
-		}}
-		if err := w.InjectFaults(plan); err != nil {
-			t.Fatal(err)
-		}
-		err := w.TryRun(func(p *Proc) { p.Compute(1e6) })
-		f, ok := err.(*FaultError)
-		if !ok || f.Rank != 1 || f.AtNs != 50 {
-			t.Fatalf("iteration %d: TryRun = %v, want rank 1 at 50", i, err)
-		}
+	for _, tc := range []struct {
+		name    string
+		crashes []fault.Crash
+		body    func(p *Proc)
+		want    fault.Crash
+	}{
+		// All three ranks reach their crash time inside the same Compute.
+		{"same-compute",
+			[]fault.Crash{{Rank: 3, AtNs: 50}, {Rank: 1, AtNs: 50}, {Rank: 0, AtNs: 70}},
+			func(p *Proc) { p.Compute(1e6) },
+			fault.Crash{Rank: 1, AtNs: 50}},
+		// The later crash fires first on the host, with rank 0 already
+		// blocked on each crashing rank, and the earlier one has a
+		// transfer to complete before its Compute: a job brought down by
+		// the first crash to fire unwinds ranks 3 and 1 in that transfer
+		// and never sees the crash at 50.
+		{"later-crash-fires-first",
+			[]fault.Crash{{Rank: 1, AtNs: 50}, {Rank: 2, AtNs: 60}},
+			func(p *Proc) {
+				switch p.Rank() {
+				case 0:
+					p.Recv(1, 1)
+					p.Recv(2, 1)
+				case 1:
+					for i := 0; i < 5000; i++ {
+						runtime.Gosched()
+					}
+					p.Send(3, 2, 8, nil, 1)
+					p.Compute(100)
+				case 2:
+					p.Compute(100)
+				case 3:
+					p.Recv(1, 2)
+				}
+			},
+			fault.Crash{Rank: 1, AtNs: 50}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			atProcs(t, func(t *testing.T) {
+				for i := 0; i < 50; i++ {
+					w := testWorld(t, 1)
+					if err := w.InjectFaults(fault.Plan{Crashes: tc.crashes}); err != nil {
+						t.Fatal(err)
+					}
+					err := w.TryRun(tc.body)
+					f, ok := err.(*FaultError)
+					if !ok || f.Rank != tc.want.Rank || f.AtNs != tc.want.AtNs {
+						t.Fatalf("round %d: TryRun = %v, want rank %d at %g", i, err, tc.want.Rank, tc.want.AtNs)
+					}
+				}
+			})
+		})
 	}
 }
 
@@ -167,7 +206,7 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 		t.Fatal("first attempt should fail")
 	}
 	// The next attempt reuses the same world: the abort flag is
-	// re-armed, the poisoned barriers are rebuilt and the orphaned
+	// re-armed, the half-arrived barrier is rebuilt and the orphaned
 	// message is drained, so fresh sends and barriers work.
 	w.PrepareRecovery()
 	err = w.TryRun(func(p *Proc) {

@@ -1,63 +1,56 @@
 package mpi
 
-import "sync"
+import (
+	"math"
+	"sync/atomic"
+)
 
-// barrier is a reusable N-party barrier that also computes the maximum
-// virtual clock among arrivals — the semantics of a barrier in virtual
-// time. A parity buffer publishes each generation's result: a rank cannot
-// be two generations ahead of any other, so two slots suffice.
+// barrier is a reusable barrier over a fixed set of ranks that also
+// computes the maximum virtual clock among arrivals — the semantics of
+// a barrier in virtual time. The same type over the live ranks of the
+// world backs Proc.Barrier and over the live ranks of a node
+// Proc.NodeBarrier; its modelled cost is charged by those callers.
+//
+// An arrival folds its clock into cur and then counts itself. The last
+// one publishes the maximum, resets the arrival state, bumps the
+// generation and wakes the members; every other one waits, through its
+// own waitFor, for the generation to move. The atomics are sequentially
+// consistent, so the last arrival's load of cur follows every fold, and
+// a waiter that sees the new generation sees the published result and
+// the reset. A parity buffer holds the result: a rank cannot be two
+// generations ahead of any other, so two slots suffice.
+//
+// Clocks are non-negative, so the order of their IEEE-754 bit patterns
+// is their numeric order and the running maximum is an integer one.
 type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     uint64
-	cur     float64    // max clock accumulating for the current generation
+	members []*Proc
+	arrived atomic.Int32
+	cur     atomic.Uint64 // max clock bits accumulating for the current generation
+	gen     atomic.Uint64
 	result  [2]float64 // published max per generation parity
-	aborted bool       // job aborted: release and fail all waiters
 }
 
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// sync blocks until all n parties have arrived and returns the maximum
-// clock among them. If the job aborts while waiting, it panics with
-// errAborted so the rank unwinds.
-func (b *barrier) sync(clock float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		panic(errAborted{})
-	}
-	gen := b.gen
-	if clock > b.cur {
-		b.cur = clock
-	}
-	b.arrived++
-	if b.arrived == b.n {
-		b.result[gen&1] = b.cur
-		b.cur = 0
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return b.result[gen&1]
-	}
-	for b.gen == gen {
-		b.cond.Wait()
-		if b.aborted {
-			panic(errAborted{})
+// sync blocks p until every member has arrived and returns the maximum
+// clock among them.
+func (b *barrier) sync(p *Proc, clock float64) float64 {
+	gen := b.gen.Load()
+	for bits := math.Float64bits(clock); ; {
+		old := b.cur.Load()
+		if bits <= old || b.cur.CompareAndSwap(old, bits) {
+			break
 		}
 	}
-	return b.result[gen&1]
-}
-
-// abortAll releases every waiter with a failure.
-func (b *barrier) abortAll() {
-	b.mu.Lock()
-	b.aborted = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	if int(b.arrived.Add(1)) < len(b.members) {
+		p.waitFor(func() bool { return b.gen.Load() != gen })
+		return b.result[gen&1]
+	}
+	max := math.Float64frombits(b.cur.Load())
+	b.result[gen&1] = max
+	b.cur.Store(0)
+	b.arrived.Store(0)
+	b.gen.Store(gen + 1)
+	for _, m := range b.members {
+		m.wakeIfParked()
+	}
+	return max
 }

@@ -7,10 +7,10 @@ import "fmt"
 // default; Park removes hot spares from the schedule before the first
 // run, Shrink removes permanently dead ranks mid-job, and Promote swaps
 // a parked spare in for a dead rank. Every membership change rebuilds
-// the sharded global barrier and the per-node barriers over the live
-// populations, so barrier pricing and the combiner's party counts track
-// the epoch — at full membership the shapes (and modelled costs) are
-// bit-identical to the historical fixed-world ones.
+// the world barrier and the per-node barriers over the live ranks, so
+// barrier pricing and the barriers' member lists track the epoch — at
+// full membership the modelled costs are bit-identical to the
+// historical fixed-world ones.
 //
 // Mutators must only be called when no rank goroutine is running
 // (between Run/TryRun attempts), like Injector.Disarm.
@@ -57,17 +57,16 @@ func (w *World) Park(ranks []int) {
 }
 
 // Shrink removes permanently dead ranks from the world and advances the
-// epoch. Their slots are emptied (a dead rank may have left a
-// posted message no one will take) and the barriers are rebuilt over
-// the survivors; a node losing its last rank drops out of the barrier
-// combiner entirely.
+// epoch. The barriers are rebuilt over the survivors — a node losing
+// its last rank drops out of the barrier's inter-node rounds entirely —
+// and no slot needs emptying: the failed attempt that found them dead
+// emptied them all.
 func (w *World) Shrink(dead []int) {
 	for _, r := range dead {
 		if !w.live[r] {
 			panic(fmt.Sprintf("mpi: Shrink(%d): rank already parked or dead", r))
 		}
 		w.live[r] = false
-		w.clearSlots(r)
 	}
 	w.epoch++
 	w.rebuildMembership()
@@ -86,20 +85,24 @@ func (w *World) Promote(spare, dead int) {
 	}
 	w.live[spare] = true
 	w.live[dead] = false
-	w.clearSlots(dead)
 	w.epoch++
 	w.rebuildMembership()
 }
 
-// rebuildMembership recomputes the live counts and rebuilds both
-// barrier levels over them.
+// rebuildMembership recomputes the live counts and rebuilds the world
+// barrier and the node barriers over the live ranks.
 func (w *World) rebuildMembership() {
+	w.globalBarrier = &barrier{}
 	for n := range w.liveOnNode {
 		w.liveOnNode[n] = 0
+		w.nodeBarriers[n] = &barrier{}
 	}
 	for r, ok := range w.live {
 		if ok {
-			w.liveOnNode[r/w.pl.ProcsPerNode]++
+			p := w.procs[r]
+			w.liveOnNode[p.node]++
+			w.globalBarrier.members = append(w.globalBarrier.members, p)
+			w.nodeBarriers[p.node].members = append(w.nodeBarriers[p.node].members, p)
 		}
 	}
 	w.liveNodes, w.maxLivePPN = 0, 0
@@ -110,9 +113,5 @@ func (w *World) rebuildMembership() {
 		if c > w.maxLivePPN {
 			w.maxLivePPN = c
 		}
-	}
-	w.globalBarrier = newShardedBarrierCounts(w.liveOnNode)
-	for n := range w.nodeBarriers {
-		w.nodeBarriers[n] = newBarrier(w.liveOnNode[n])
 	}
 }

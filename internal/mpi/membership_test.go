@@ -112,7 +112,7 @@ func TestMembershipMisusePanics(t *testing.T) {
 	}
 }
 
-// TestShrunkenWorldStaysDeterministic: the rebuilt sharded barrier over
+// TestShrunkenWorldStaysDeterministic: the rebuilt barriers over
 // survivors must yield identical virtual clocks on every run.
 func TestShrunkenWorldStaysDeterministic(t *testing.T) {
 	run := func() []float64 {

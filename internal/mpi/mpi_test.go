@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -147,6 +148,58 @@ func TestBarrierSynchronizesToMaxAndReportsWait(t *testing.T) {
 		if w.Proc(r).Clock() != c {
 			t.Fatalf("clock mismatch after barrier: rank %d", r)
 		}
+	}
+}
+
+// TestBarrierMaxOverLiveRanks drives the one barrier type through
+// several generations at the geometries membership produces: every live
+// rank must observe the maximum over all of them — not over its node —
+// whatever the per-node populations, and a single-node world must not
+// wait for anybody else. Ranks arrive spread over virtual time, the
+// slowest one changing every generation, so a result read from the
+// wrong parity slot shows.
+func TestBarrierMaxOverLiveRanks(t *testing.T) {
+	const gens = 5
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		dead  []int
+	}{
+		{"full", 4, nil},
+		{"uneven-nodes", 4, []int{1, 2, 3, 6, 15}}, // populations 1, 3, 4, 3
+		{"node-emptied", 2, []int{4, 5, 6, 7}},
+		{"single-node", 1, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			atProcs(t, func(t *testing.T) {
+				w := testWorld(t, tc.nodes)
+				if tc.dead != nil {
+					w.Shrink(tc.dead)
+				}
+				live := w.LiveRanks()
+				w.Run(func(p *Proc) {
+					for g := 0; g < gens; g++ {
+						slowest := live[g%len(live)]
+						work := float64(p.Rank() + 1)
+						if p.Rank() == slowest {
+							work = 1000
+						}
+						// Everybody left the last barrier at the same clock,
+						// so the slowest rank's 1000 is the maximum again.
+						p.Compute(work)
+						if wait, want := p.Barrier(), 1000-work; wait != want {
+							panic(fmt.Sprintf("generation %d: waited %g, want %g", g, wait, want))
+						}
+					}
+				})
+				c := w.Proc(live[0]).Clock()
+				for _, r := range live {
+					if w.Proc(r).Clock() != c {
+						t.Fatalf("rank %d left the last barrier at %g, rank %d at %g", r, w.Proc(r).Clock(), live[0], c)
+					}
+				}
+			})
+		})
 	}
 }
 

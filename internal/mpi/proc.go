@@ -16,6 +16,16 @@ type Msg struct {
 	Payload Payload
 }
 
+// Phases of Proc.parked (rendezvous.go, "Park/wake"). The odd ones are
+// the quiet ones — nothing happens to such a rank unless another rank
+// makes it happen — and a waker claims the two highest.
+const (
+	parkNone      = iota // running, or claimed by a waker
+	parkGone             // its body returned, crashed or unwound
+	parkAnnounced        // about to block: will look at its condition once more
+	parkCommitted        // blocked on the wake channel, or about to; the bits above number the park
+)
+
 // Proc is one simulated MPI rank. All methods must be called from the
 // rank's own goroutine (inside World.Run's body).
 type Proc struct {
@@ -23,6 +33,7 @@ type Proc struct {
 	// — the only Proc state other ranks' goroutines touch.
 	parked atomic.Uint32
 	wake   chan struct{}
+	parks  uint32 // committed parks so far; the rank's own
 
 	w     *World
 	rank  int
@@ -267,7 +278,7 @@ func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, rec
 func (p *Proc) Barrier() float64 {
 	p.checkCrash()
 	start := p.clock
-	max := p.w.globalBarrier.sync(p.node, p.clock)
+	max := p.w.globalBarrier.sync(p, p.clock)
 	// Dissemination depth follows the live epoch: at full membership
 	// these counts equal ProcsPerNode and Nodes exactly.
 	cost := float64(ceilLog2(p.w.maxLivePPN)) * p.w.cfg.IntraNodeAlphaNs
@@ -283,7 +294,7 @@ func (p *Proc) Barrier() float64 {
 func (p *Proc) NodeBarrier() float64 {
 	p.checkCrash()
 	start := p.clock
-	max := p.w.nodeBarriers[p.node].sync(p.clock)
+	max := p.w.nodeBarriers[p.node].sync(p, p.clock)
 	rounds := ceilLog2(p.w.liveOnNode[p.node])
 	p.clock = max + float64(rounds)*p.w.cfg.IntraNodeAlphaNs
 	p.commNs += p.clock - start

@@ -30,30 +30,47 @@ import (
 // cell and publish it in the very same slot, and a late clear would
 // erase that next message.
 //
-// Park/wake. A rank that finds its condition false (slot still full,
-// slot still empty, done not set) parks: it stores parked=1, checks the
-// condition again, and only then blocks on its own capacity-1 wake
-// channel. Whoever makes a condition true stores it first and then
-// loads the target's parked flag, sending a wake token (without
-// blocking) only when it reads 1. Go's atomics are sequentially
-// consistent, so of "waiter stores parked, loads condition" and "waker
+// Park/wake. waitFor is the only place a rank goroutine blocks: the
+// three waits of this file and the barrier's wait for its generation
+// (barrier.go) all go through it. A rank that finds its condition false
+// (slot still full, slot still empty, done not set, generation not
+// moved) announces a park in its parked word, checks the condition
+// again, commits the park by compare-and-swap and only then blocks on
+// its own capacity-1 wake channel. Whoever makes a condition true stores
+// it first and then loads the target's parked word; finding a park, it
+// claims it by compare-and-swap back to none, and sends a wake token if
+// what it claimed was committed. Go's atomics are sequentially
+// consistent, so of "waiter announces, loads condition" and "waker
 // stores condition, loads parked" at least one load sees the other
-// side's store: either the waiter sees the condition and does not
-// block, or the waker sees parked and sends the token. Both may happen;
-// the token is then stale, the next park returns at once, and the wait
-// loop re-checks its condition — a spurious wake-up, never a lost one.
-// A rank waits on one condition at a time but may be woken for any
-// (its message was taken, its send was completed, a message arrived),
-// which the same loop absorbs. Nothing spins or yields: a blocked rank
-// is a goroutine blocked on a channel receive.
+// side's store: either the waiter sees the condition and withdraws, or
+// the waker sees the park and claims it — and a waiter whose park was
+// claimed before it could commit does not block but looks again. So
+// exactly the committed parks get a token, one each: the channel is
+// empty whenever a rank commits, the claimer's send never blocks, and a
+// rank whose word says committed stays blocked until some running rank
+// claims it. A rank waits on one condition at a time but may be woken
+// for any (its message was taken, its send was completed, a message
+// arrived, a barrier it has since left released), which the wait loop
+// absorbs by re-checking. Nothing spins or yields: a blocked rank is a
+// goroutine blocked on a channel receive.
 //
-// Abort. A failing rank stores the world's abort flag and then sends
-// every rank one wake token, parked or not. A rank already parked
-// receives it (or an earlier stale one), wakes, and finds the flag on
-// its next pass; a rank that has not parked yet loads the flag after
-// storing parked and never blocks. Either way it unwinds with
-// errAborted. resetAbort clears the flag, every slot, every parked
-// flag and every leftover token before the world is reused.
+// Quiescence. A rank's word is quiet when it says committed or gone
+// (its body returned, crashed or unwound), and the world is quiescent
+// when every live rank's is: nobody runs, so nobody will claim anybody,
+// and nothing can change any more. Nothing looks for that until a
+// modelled fault has fired; from then on every rank that commits a park
+// or goes checks, after saying so in its word, by reading every word
+// twice (World.abortIfQuiescent). Each commit takes a new park number, so
+// a word that reads the same both times did not change in between, and
+// if all are quiet and unchanged they were all quiet at the instant
+// between the two passes — the checking rank included, which does
+// nothing but check. The last rank to go quiet finds everybody else
+// already there, so a quiescent world is always noticed.
+//
+// Abort. Storing the world's abort flag and waking what is parked is
+// all of it: a committed rank is claimed and finds the flag on its next
+// pass; a rank that has not committed yet loads the flag after
+// announcing and never blocks. Either way it unwinds with errAborted.
 
 // Payload is what a message carries, as a concrete value so that the
 // hot collectives box nothing: a segment id and chunk index (meaning
@@ -94,14 +111,6 @@ func (w *World) slot(dst, src int) *atomic.Pointer[message] {
 	return &w.slots[dst*len(w.procs)+src]
 }
 
-// clearSlots empties every slot to and from rank r.
-func (w *World) clearSlots(r int) {
-	for o := range w.procs {
-		w.slot(r, o).Store(nil)
-		w.slot(o, r).Store(nil)
-	}
-}
-
 // newMessage takes a cell from the rank's free-list (or allocates one)
 // and fills it for posting at the current clock. The payload travels by
 // pointer between the exported entry points and here, and from the cell
@@ -130,34 +139,41 @@ func (p *Proc) putMessage(m *message) { p.msgFree = append(p.msgFree, m) }
 // is only built on the slow path (it never escapes, so it costs no
 // allocation).
 func (p *Proc) waitFor(ready func() bool) {
+	w := p.w
 	for !ready() {
-		p.parked.Store(1)
-		if ready() {
-			p.parked.Store(0)
-			return
-		}
-		if p.w.jobAborted.Load() {
-			p.parked.Store(0)
+		p.parked.Store(parkAnnounced)
+		if ok := ready(); ok || w.jobAborted.Load() {
+			p.parked.Store(parkNone)
+			if ok {
+				return
+			}
 			panic(errAborted{})
 		}
+		p.parks++
+		if !p.parked.CompareAndSwap(parkAnnounced, p.parks<<2|parkCommitted) {
+			continue // claimed meanwhile: something changed, look again
+		}
+		if w.faultFired.Load() {
+			w.abortIfQuiescent()
+		}
 		<-p.wake
-		p.parked.Store(0)
 	}
 }
 
 // wakeIfParked is the waker's half of the protocol: call it after
 // storing the condition p may be waiting for.
 func (p *Proc) wakeIfParked() {
-	if p.parked.Load() != 0 {
-		p.wakeNow()
-	}
-}
-
-// wakeNow leaves one wake token for p unless one is already pending.
-func (p *Proc) wakeNow() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
+	for {
+		s := p.parked.Load()
+		if s < parkAnnounced {
+			return
+		}
+		if p.parked.CompareAndSwap(s, parkNone) {
+			if s != parkAnnounced {
+				p.wake <- struct{}{}
+			}
+			return
+		}
 	}
 }
 

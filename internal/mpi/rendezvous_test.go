@@ -1,11 +1,12 @@
 package mpi
 
-// Tests of the slot rendezvous and the park/wake primitive
-// (rendezvous.go). They all run at GOMAXPROCS 1, 2 and 8 — one P forces
-// every wait through a park, eight on a two-core box maximizes
-// preemption between a waker's store and its parked load — and the CI
-// race step runs this package whole. As in abort_test.go, TryRun
-// returning is the liveness assertion: a lost wake-up is a test timeout.
+// Tests of the slot rendezvous, the barrier and the park/wake primitive
+// under both (rendezvous.go, barrier.go). They all run at GOMAXPROCS 1,
+// 2 and 8 — one P forces every wait through a park, eight on a two-core
+// box maximizes preemption between a waker's store and its parked load
+// — and the CI race step runs this package whole. As in abort_test.go,
+// TryRun returning is the liveness assertion: a lost wake-up is a test
+// timeout.
 
 import (
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"numabfs/internal/fault"
 	"numabfs/internal/machine"
 )
 
@@ -41,6 +43,8 @@ var blockSites = []struct {
 	{"wait-send", func(p *Proc) { p.Isend(1, 1, 8, nil, 1).Wait() }},
 	{"wait-recv", func(p *Proc) { p.Irecv(1, 1, nil).Wait() }},
 	{"sendrecv", func(p *Proc) { p.SendRecv(1, 1, 8, nil, 1, 1, 1) }},
+	{"barrier", func(p *Proc) { p.Barrier() }},
+	{"node-barrier", func(p *Proc) { p.NodeBarrier() }},
 }
 
 // TestAbortReleasesEverySite races a failing rank against a rank
@@ -70,8 +74,9 @@ func TestAbortReleasesEverySite(t *testing.T) {
 
 // TestAbortFlagStopsRankBeforeItParks is the deterministic half of the
 // abort argument: a rank that reaches a wait site after the flag was
-// stored (its wake token possibly consumed long ago) must see the flag
-// on the check between its parked store and its block, and unwind.
+// stored — nobody will wake it, an abort only wakes what is parked —
+// must see the flag on the check between its parked store and its
+// block, and unwind.
 func TestAbortFlagStopsRankBeforeItParks(t *testing.T) {
 	for _, site := range blockSites {
 		w := testWorld(t, 1)
@@ -80,13 +85,12 @@ func TestAbortFlagStopsRankBeforeItParks(t *testing.T) {
 				return
 			}
 			w.doAbort()
-			<-p.wake // the abort's own token: the rank now has nothing to wake it
 			defer func() {
 				if _, ok := recover().(errAborted); !ok {
 					panic("blocked call did not unwind with errAborted")
 				}
 				if p.parked.Load() != 0 {
-					panic("aborted wait left the parked flag set")
+					panic("wait cut short by the abort left the parked word set")
 				}
 			}()
 			site.rank0(p)
@@ -99,8 +103,8 @@ func TestAbortFlagStopsRankBeforeItParks(t *testing.T) {
 
 // TestWorldReusable100xAfterFailedTryRun alternates a failing attempt
 // that leaves the world as dirty as it gets — a full slot nobody takes,
-// ranks parked in every kind of wait, the abort's wake tokens — with a
-// clean attempt that must see none of it.
+// ranks parked in every kind of wait, both barriers half arrived — with
+// a clean attempt that must see none of it.
 func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		w := testWorld(t, 2)
@@ -117,6 +121,8 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 					p.Send(3, 1, 8, nil, 1) // parked in await
 				case 3:
 					p.Barrier()
+				case 4:
+					p.NodeBarrier()
 				case 5:
 					panic("boom")
 				default:
@@ -127,16 +133,15 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 				t.Fatalf("attempt %d: TryRun = %v, want rank 5 panic", i, err)
 			}
 
-			w.resetAbort()
 			for _, p := range w.procs {
-				if p.parked.Load() != 0 || len(p.wake) != 0 {
-					t.Fatalf("attempt %d: rank %d kept parked=%d, %d wake tokens after resetAbort",
+				if p.parked.Load() != parkGone || len(p.wake) != 0 {
+					t.Fatalf("attempt %d: rank %d kept parked=%d, %d wake tokens after the failed attempt",
 						i, p.rank, p.parked.Load(), len(p.wake))
 				}
 			}
 			for j := range w.slots {
 				if w.slots[j].Load() != nil {
-					t.Fatalf("attempt %d: slot %d->%d still full after resetAbort", i, j%np, j/np)
+					t.Fatalf("attempt %d: slot %d->%d still full after the failed attempt", i, j%np, j/np)
 				}
 			}
 
@@ -150,6 +155,7 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 					}
 				}
 				p.Barrier()
+				p.NodeBarrier()
 			})
 			if err != nil {
 				t.Fatalf("clean attempt %d: %v", i, err)
@@ -158,10 +164,51 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 	})
 }
 
+// TestWorldReusable100xAfterCrashNobodyWaitedFor: a crash whose
+// survivors all run to completion aborts nothing, yet leaves a posted
+// message in a slot. The re-arm is keyed on the attempt having failed,
+// not on an abort having fired, so the retry sees a clean world.
+func TestWorldReusable100xAfterCrashNobodyWaitedFor(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		w := testWorld(t, 1)
+		for i := 0; i < 100; i++ {
+			if err := w.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Rank: 0, AtNs: 5}}}); err != nil {
+				t.Fatal(err)
+			}
+			err := w.TryRun(func(p *Proc) {
+				if p.Rank() == 0 {
+					p.Isend(1, 1000+i, 8, nil, 1) // orphaned: rank 1 returns without receiving
+					p.Compute(10)                 // the crash fires here
+				}
+			})
+			f, ok := err.(*FaultError)
+			if !ok || f.Rank != 0 || f.AtNs != 5 {
+				t.Fatalf("attempt %d: TryRun = %v, want rank 0 crashing at 5", i, err)
+			}
+			w.Injector().Disarm(f.Rank, f.AtNs)
+			w.PrepareRecovery()
+			err = w.TryRun(func(p *Proc) {
+				switch p.Rank() {
+				case 0:
+					p.SendPayload(1, i, 8, Payload{Scalar: int64(i)}, 1)
+				case 1:
+					if m := p.Recv(0, i); m.Payload.Scalar != int64(i) {
+						panic(fmt.Sprintf("stale message leaked into retry: %+v", m))
+					}
+				}
+				p.NodeBarrier()
+			})
+			if err != nil {
+				t.Fatalf("retry %d: %v", i, err)
+			}
+		}
+	})
+}
+
 // TestShrinkAndPromoteClearDeadRanksSlots: a permanently dead rank's
 // posted message, and a survivor's message to it, must not outlive the
-// membership surgery (the abort's resetAbort would clear them too, but
-// only at the next TryRun — surgery runs in between).
+// failed attempt — membership surgery, and whatever runs after it, starts
+// from empty slots.
 func TestShrinkAndPromoteClearDeadRanksSlots(t *testing.T) {
 	const dead, spare = 2, 7
 	for _, promote := range []bool{false, true} {

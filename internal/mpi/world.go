@@ -15,10 +15,16 @@
 //
 // On the host, a message moves through a per-(dst, src) slot published
 // with one atomic store, is acknowledged through the pooled cell that
-// carried it, and blocked ranks park on a per-rank wake channel: a
+// carried it, and a blocked rank — in a transfer or in a barrier — parks
+// on its own wake channel, the one way a rank goroutine blocks: a
 // steady-state message allocates nothing and takes no lock shared
-// between ranks. rendezvous.go has the protocol and its ordering
-// argument; DESIGN.md §6 places it in the host-performance architecture.
+// between ranks. A job fails at quiescence: a modelled crash only
+// removes its rank, the others run until each has returned, crashed or
+// blocked for good, and only when nobody can run does the job abort and
+// report the earliest crash. Where every rank stops is then a function
+// of the plan and the input, not of host scheduling. rendezvous.go has
+// the protocol and its ordering argument; DESIGN.md §6 places it in the
+// host-performance architecture.
 package mpi
 
 import (
@@ -55,7 +61,9 @@ type World struct {
 	// at 128 ranks.
 	slots []atomic.Pointer[message]
 
-	globalBarrier *shardedBarrier
+	// globalBarrier spans the live ranks of the world (its members are
+	// what TryRun schedules), nodeBarriers[n] those of node n.
+	globalBarrier *barrier
 	nodeBarriers  []*barrier
 
 	// Membership (membership.go): live[r] marks rank r as scheduled by
@@ -69,12 +77,21 @@ type World struct {
 	maxLivePPN int
 	epoch      int
 
-	// jobAborted is set when any rank panics, releasing ranks blocked in
-	// communication (MPI job-abort semantics: one failing rank brings
-	// the whole job down instead of deadlocking its partners). Parked
-	// ranks learn of it through one wake token each (rendezvous.go).
-	jobAborted   atomic.Bool
-	jobAbortOnce sync.Once
+	// jobAborted releases ranks blocked in communication (MPI job-abort
+	// semantics: a failed job comes down instead of deadlocking the
+	// failed rank's partners). A programming-bug panic sets it at once;
+	// a modelled fault sets faultFired, after which the ranks look for
+	// quiescence and the one that finds it sets jobAborted. Every park
+	// reads both and nothing writes them while a job is healthy.
+	jobAborted atomic.Bool
+	faultFired atomic.Bool
+
+	// What the running attempt has recorded of its own failure, under
+	// failMu: the modelled faults that fired and the first
+	// programming-bug panic.
+	failMu sync.Mutex
+	faults []*fault.Error
+	bug    error
 
 	shmMu      sync.Mutex
 	shmRegions map[string][]uint64
@@ -86,22 +103,65 @@ type World struct {
 // errAborted is the panic value delivered to ranks released by an abort.
 type errAborted struct{}
 
-func (errAborted) Error() string { return "mpi: job aborted by another rank's failure" }
+func (errAborted) Error() string { return "mpi: job brought down by another rank's failure" }
 
-// doAbort releases every blocked rank: the flag first, then one wake
-// per rank — unconditional, so it also reaches a rank between its
-// parked store and its block — then the barriers.
+// doAbort releases every blocked rank: the flag first, then a wake for
+// what is parked. A rank about to park finds the flag by itself.
 func (w *World) doAbort() {
-	w.jobAbortOnce.Do(func() {
-		w.jobAborted.Store(true)
-		for _, p := range w.procs {
-			p.wakeNow()
+	w.jobAborted.Store(true)
+	for _, p := range w.procs {
+		p.wakeIfParked()
+	}
+}
+
+// leave is a rank goroutine's exit: it records how the body ended and
+// marks the rank gone. A modelled fault aborts nothing by itself — the
+// survivors run on until the world is quiescent — while a programming
+// bug brings the job down at once.
+func (w *World) leave(p *Proc) {
+	switch e := recover().(type) {
+	case nil, errAborted:
+	case *fault.Error:
+		w.failMu.Lock()
+		w.faults = append(w.faults, e)
+		w.failMu.Unlock()
+		w.faultFired.Store(true)
+	default:
+		w.failMu.Lock()
+		if w.bug == nil {
+			w.bug = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, e)
 		}
-		w.globalBarrier.abortAll()
-		for _, b := range w.nodeBarriers {
-			b.abortAll()
+		w.failMu.Unlock()
+		w.doAbort()
+	}
+	p.parked.Store(parkGone)
+	if w.faultFired.Load() {
+		w.abortIfQuiescent()
+	}
+}
+
+// abortIfQuiescent aborts the job if no live rank can run any more:
+// every one is blocked or gone, and was at one and the same instant
+// (rendezvous.go, "Quiescence"). Called, once a fault has fired, by
+// every rank that has just committed a park or gone; the parked ranks
+// it releases unwind, and their own calls find the flag.
+func (w *World) abortIfQuiescent() {
+	if w.jobAborted.Load() {
+		return
+	}
+	ranks := w.globalBarrier.members
+	seen := make([]uint32, len(ranks))
+	for i, p := range ranks {
+		if seen[i] = p.parked.Load(); seen[i]&1 == 0 {
+			return
 		}
-	})
+	}
+	for i, p := range ranks {
+		if p.parked.Load() != seen[i] {
+			return
+		}
+	}
+	w.doAbort()
 }
 
 // NewWorld builds a world of pl.Procs(cfg) ranks over cfg. Rank r lives
@@ -126,7 +186,6 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 	}
 	w.liveOnNode = make([]int, cfg.Nodes)
 	w.nodeBarriers = make([]*barrier, cfg.Nodes)
-	w.rebuildMembership()
 	w.procs = make([]*Proc, np)
 	for r := 0; r < np; r++ {
 		w.procs[r] = &Proc{
@@ -137,6 +196,7 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 			local: r % pl.ProcsPerNode,
 		}
 	}
+	w.rebuildMembership()
 	return w
 }
 
@@ -187,83 +247,66 @@ func (w *World) Run(body func(p *Proc)) {
 }
 
 // TryRun is Run returning the job's failure instead of panicking. A
-// modelled rank crash surfaces as a *FaultError — when several ranks
-// crash in one attempt, deterministically the earliest (ties broken by
-// rank), never whichever goroutine the host scheduler unblocked first —
-// while a programming bug keeps its descriptive wrapped panic and takes
-// precedence over any concurrent fault. After a failed attempt the world
-// is re-armed (abort flag, barriers, slots, wake tokens), so a recovery
-// attempt can reuse it.
+// modelled fault (rank crash, dead link) takes its own rank out and
+// nothing else: the other ranks run until each has returned, crashed
+// too or blocked on something no remaining rank will provide, and only
+// then — when no rank can run — does the job abort and TryRun return the
+// earliest fault (ties broken by rank) as a *FaultError. Every wait
+// names its slot or barrier, so how far each rank gets, which crashes
+// fire in the attempt and so which one is reported depend on the plan
+// and the input alone, never on which goroutine the host ran first. A
+// programming bug aborts the job at once, keeps its descriptive wrapped
+// panic and takes precedence over any concurrent fault. After any failed
+// attempt the world is re-armed, so a recovery attempt can reuse it. (A
+// program that deadlocks with no fault and no panic still hangs.)
 func (w *World) TryRun(body func(p *Proc)) error {
-	w.resetAbort()
+	ranks := w.globalBarrier.members
+	for _, p := range ranks {
+		p.parked.Store(parkNone)
+	}
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var faults []*fault.Error
-	panics := make(chan error, len(w.procs))
-	for _, p := range w.procs {
-		if !w.live[p.rank] {
-			continue
-		}
+	for _, p := range ranks {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					switch e := r.(type) {
-					case errAborted:
-					case *fault.Error:
-						mu.Lock()
-						faults = append(faults, e)
-						mu.Unlock()
-					default:
-						panics <- fmt.Errorf("mpi: rank %d panicked: %v", p.rank, r)
-					}
-					w.doAbort()
-				}
-			}()
+			defer w.leave(p)
 			body(p)
 		}(p)
 	}
 	wg.Wait()
-	select {
-	case err := <-panics:
-		return err
-	default:
-	}
-	if len(faults) > 0 {
-		first := faults[0]
-		for _, f := range faults[1:] {
+
+	var err error
+	switch {
+	case w.bug != nil:
+		err = w.bug
+	case len(w.faults) > 0:
+		first := w.faults[0]
+		for _, f := range w.faults[1:] {
 			if f.AtNs < first.AtNs || (f.AtNs == first.AtNs && f.Rank < first.Rank) {
 				first = f
 			}
 		}
-		return first
+		err = first
 	}
-	return nil
+	if err != nil {
+		w.rearm()
+	}
+	return err
 }
 
-// resetAbort re-arms the abort machinery after a failed attempt: the
-// flag is cleared, the barriers are rebuilt (an aborted barrier
-// generation is poisoned), every slot is emptied (a crashed rank may
-// have left a posted message no one will ever take), and every rank's
-// parked flag and leftover wake token are cleared. A no-op unless an
-// abort fired.
-func (w *World) resetAbort() {
-	if !w.jobAborted.Load() {
-		return
-	}
+// rearm makes the world reusable after a failed attempt, whether it
+// ended in an abort or not — a crash whose survivors all ran to
+// completion aborts nothing yet may leave a posted message nobody took. The failure record and
+// the flags are cleared, the barriers rebuilt and every slot emptied.
+// Wake tokens need nothing: every committed park was claimed and every
+// claim's token consumed before its goroutine could exit.
+func (w *World) rearm() {
+	w.faults, w.bug = nil, nil
 	w.jobAborted.Store(false)
-	w.jobAbortOnce = sync.Once{}
+	w.faultFired.Store(false)
 	w.rebuildMembership()
 	for i := range w.slots {
 		w.slots[i].Store(nil)
-	}
-	for _, p := range w.procs {
-		p.parked.Store(0)
-		select {
-		case <-p.wake:
-		default:
-		}
 	}
 }
 
