@@ -1,9 +1,6 @@
 package bitmap
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // LaneBits is the lane capacity of a plane word: one 64-bit word per
 // vertex carries one bit per concurrent BFS source (MS-BFS lane).
@@ -60,39 +57,6 @@ func (p *LanePlane) Word(v int64) uint64 { return p.words[v] }
 // Or sets the lanes of mask at vertex v.
 func (p *LanePlane) Or(v int64, mask uint64) { p.words[v] |= mask }
 
-// SetWord replaces vertex v's lane word.
-func (p *LanePlane) SetWord(v int64, w uint64) { p.words[v] = w }
-
-// ResetRange zeroes the lane words of vertices [lo, hi).
-func (p *LanePlane) ResetRange(lo, hi int64) {
-	for v := lo; v < hi; v++ {
-		p.words[v] = 0
-	}
-}
-
-// LaneCounts adds the per-lane population of vertices [lo, hi) into dst:
-// dst[l] accumulates the number of vertices whose lane-l bit is set.
-func (p *LanePlane) LaneCounts(dst *[LaneBits]int64, lo, hi int64) {
-	for v := lo; v < hi; v++ {
-		w := p.words[v]
-		for w != 0 {
-			l := bits.TrailingZeros64(w)
-			dst[l]++
-			w &= w - 1
-		}
-	}
-}
-
-// AnyMasked reports whether any vertex in [lo, hi) has a lane of mask set.
-func (p *LanePlane) AnyMasked(mask uint64, lo, hi int64) bool {
-	for v := lo; v < hi; v++ {
-		if p.words[v]&mask != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // LaneSummary is the multi-source counterpart of Summary: one lane word
 // per granule of g vertices, the OR of the granule's plane words. Because
 // the OR preserves per-lane structure, a zero bit l in a summary word
@@ -141,7 +105,7 @@ func (s *LaneSummary) Bytes() int64 { return s.plane.Bytes() }
 // be empty in every lane of mask. True means the caller may skip reading
 // the base plane for all those lanes at once.
 func (s *LaneSummary) CoveredZero(v int64, mask uint64) bool {
-	return s.plane.words[v/s.g]&mask == 0
+	return s.plane.words[granule(v, s.g)]&mask == 0
 }
 
 // RebuildRange recomputes the summary words covering vertices [lo, hi)

@@ -13,20 +13,8 @@ func TestLanePlaneBasics(t *testing.T) {
 	if p.Word(5) != (1<<3)|(1<<7) {
 		t.Fatalf("word(5) = %#x", p.Word(5))
 	}
-	if !p.AnyMasked(1<<7, 0, 130) {
-		t.Fatal("AnyMasked missed lane 7")
-	}
-	if p.AnyMasked(1<<9, 0, 129) {
-		t.Fatal("AnyMasked false positive (lane 9 only at vertex 129)")
-	}
-	var counts [LaneBits]int64
-	p.LaneCounts(&counts, 0, 130)
-	if counts[3] != 2 || counts[7] != 2 || counts[9] != 1 {
-		t.Fatalf("lane counts: %v %v %v", counts[3], counts[7], counts[9])
-	}
-	p.ResetRange(0, 130)
-	if p.AnyMasked(^uint64(0), 0, 130) {
-		t.Fatal("ResetRange left bits behind")
+	if p.Word(129) != ^uint64(0) || p.Word(6) != 0 {
+		t.Fatalf("word(129) = %#x, word(6) = %#x", p.Word(129), p.Word(6))
 	}
 }
 
@@ -87,7 +75,7 @@ func TestLaneSummaryRebuildRange(t *testing.T) {
 		t.Fatal("rebuilt granule missing lane 9")
 	}
 	// Clearing the plane and rebuilding the range must clear the word.
-	p.SetWord(70, 0)
+	p.Words()[70] = 0
 	s.RebuildRange(p, 64, 128)
 	if !s.CoveredZero(70, ^uint64(0)) {
 		t.Fatal("rebuilt granule not cleared")

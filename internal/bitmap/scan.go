@@ -45,7 +45,7 @@ func (sc *BottomUpScan) Word(base int64, mask uint64) (hits int) {
 			v := col[k]
 			k++
 			si := v>>(sc.Drop&63)<<(sc.Keep&63) | v&(1<<(sc.Keep&63)-1)
-			if g := sc.Sum.granule(si); sum[g>>6]>>(uint(g)&63)&1 != 0 {
+			if g := granule(si, sc.Sum.g); sum[g>>6]>>(uint(g)&63)&1 != 0 {
 				sc.Probes++
 				if front[si>>6]>>(uint(si)&63)&1 != 0 {
 					rows[hits], nbrs[hits] = i, v // hits <= the slot just read

@@ -60,17 +60,18 @@ func (s *Summary) Bytes() int64 { return s.bits.Bytes() }
 // to be all-zero (summary bit clear). The caller may skip reading the base
 // bitmap when it returns true.
 func (s *Summary) CoveredZero(i int64) bool {
-	return !s.bits.Get(s.granule(i))
+	return !s.bits.Get(granule(i, s.g))
 }
 
-// granule returns the index of the summary bit covering base bit i, by
-// a shift rather than a 64-bit divide when g is a power of two (the
-// bottom-up scans call it once per edge).
-func (s *Summary) granule(i int64) int64 {
-	if s.g&(s.g-1) == 0 {
-		return i >> uint(bits.TrailingZeros64(uint64(s.g)))
+// granule returns the index of the granule of g covering base position
+// i — summary bit or lane-summary word alike — by a shift rather than a
+// 64-bit divide when g is a power of two (the bottom-up scans call it
+// once per edge).
+func granule(i, g int64) int64 {
+	if g&(g-1) == 0 {
+		return i >> uint(bits.TrailingZeros64(uint64(g)))
 	}
-	return i / s.g
+	return i / g
 }
 
 // Rebuild recomputes the summary from the base bitmap. This is what the

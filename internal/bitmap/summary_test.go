@@ -162,7 +162,8 @@ func TestZeroFractionMonotoneProperty(t *testing.T) {
 // TestSummaryGranuleMatchesDivision: the shift taken at power-of-two
 // granularities and the divide left for the others give the index plain
 // division gives, for every base bit including the last, partial granule
-// — and CoveredZero reads exactly that summary bit.
+// — and CoveredZero reads exactly that summary bit, or that lane-summary
+// word.
 func TestSummaryGranuleMatchesDivision(t *testing.T) {
 	const n = 3*4096 + 100 // last granule partial at every g below
 	for _, g := range []int64{64, 128, 192, 256, 4096} {
@@ -171,7 +172,7 @@ func TestSummaryGranuleMatchesDivision(t *testing.T) {
 			t.Fatalf("g=%d: %d summary bits, want %d", g, s.Len(), want)
 		}
 		for i := int64(0); i < n; i++ {
-			if got := s.granule(i); got != i/g {
+			if got := granule(i, g); got != i/g {
 				t.Fatalf("g=%d: granule(%d) = %d, want %d", g, i, got, i/g)
 			}
 		}
@@ -188,6 +189,21 @@ func TestSummaryGranuleMatchesDivision(t *testing.T) {
 		}
 		if !s.Consistent(base) {
 			t.Fatalf("g=%d: summary inconsistent with its base", g)
+		}
+	}
+	// Lane summary: word gi holds lane gi%64 only, so a vertex must see
+	// its own granule's lane and not its successor's.
+	for _, g := range []int64{64, 192, 256} {
+		ls := NewLaneSummary(n, g)
+		words := ls.Plane().Words()
+		for gi := range words {
+			words[gi] = 1 << (gi & 63)
+		}
+		for v := int64(0); v < n; v++ {
+			own, next := uint64(1)<<(v/g&63), uint64(1)<<((v/g+1)&63)
+			if ls.CoveredZero(v, own) || !ls.CoveredZero(v, next) {
+				t.Fatalf("g=%d: vertex %d does not read lane-summary word %d", g, v, v/g)
+			}
 		}
 	}
 }

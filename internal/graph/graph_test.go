@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +26,37 @@ func TestPartitionBasics(t *testing.T) {
 	}
 	if total != 1024 {
 		t.Fatalf("ranges cover %d vertices, want 1024", total)
+	}
+}
+
+// TestOwnerMatchesSearch: the shift (power-of-two chunk), the divide
+// (any other uniform chunk) and the binary search (after RemoveRank) all
+// name the rank whose Offsets() range holds v, for every v.
+func TestOwnerMatchesSearch(t *testing.T) {
+	check := func(name string, p Partition) {
+		t.Helper()
+		offs := p.Offsets()
+		for v := int64(0); v < p.N; v++ {
+			want := sort.Search(p.NP, func(r int) bool { return offs[r+1] > v })
+			if got := p.Owner(v); got != want {
+				t.Fatalf("%s: Owner(%d) = %d, want %d", name, v, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		n     int64
+		np    int
+		shift bool
+	}{{1 << 12, 16, true}, {1 << 12, 3, false}, {1000, 7, false}, {1 << 14, 128, true}} {
+		p := NewPartition(c.n, c.np)
+		if (p.shift != 0) != c.shift {
+			t.Errorf("(%d, %d): shift %d, want a shift: %v", c.n, c.np, p.shift, c.shift)
+		}
+		check(fmt.Sprintf("(%d, %d)", c.n, c.np), p)
+		for _, r := range []int{0, c.np / 2, c.np - 1} {
+			q, _ := p.RemoveRank(r)
+			check(fmt.Sprintf("(%d, %d) without rank %d", c.n, c.np, r), q)
+		}
 	}
 }
 

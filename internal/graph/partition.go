@@ -6,7 +6,10 @@
 // reference BFS used by the validator and the tests.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Partition is a 1-D block partition of vertices [0, N) over NP ranks.
 // Rank boundaries are aligned to 64 vertices so that each rank's slice of
@@ -18,9 +21,12 @@ type Partition struct {
 	NP   int
 	offs []int64 // len NP+1; rank r owns [offs[r], offs[r+1])
 	// uniform marks the equal-chunk NewPartition shape, enabling
-	// Owner's single-division fast path; survivor repartitioning
-	// (RemoveRank) clears it and Owner binary-searches instead.
+	// Owner's single-division fast path, and shift is log2 of such a
+	// chunk when it is a power of two (0 otherwise; a chunk is >= 64);
+	// survivor repartitioning (RemoveRank) may clear both, and Owner
+	// binary-searches instead.
 	uniform bool
+	shift   uint8
 }
 
 // NewPartition builds the partition. It panics if N < NP (every rank
@@ -40,25 +46,40 @@ func NewPartition(n int64, np int) Partition {
 		}
 		offs[r] = o
 	}
-	return Partition{N: n, NP: np, offs: offs, uniform: true}
+	return Partition{N: n, NP: np, offs: offs}.indexed()
+}
+
+// indexed returns p with Owner's fast paths set from its boundaries.
+func (p Partition) indexed() Partition {
+	p.uniform = p.isUniform()
+	if c := p.offs[1] - p.offs[0]; p.uniform && c > 0 && c&(c-1) == 0 {
+		p.shift = uint8(bits.TrailingZeros64(uint64(c)))
+	}
+	return p
 }
 
 // Owner returns the rank owning vertex v. Uniform partitions (every
 // chunk the size of the first — the NewPartition shape) resolve with
-// one division; non-uniform ones (after RemoveRank merges a dead rank's
-// range into a neighbour) fall back to a binary search over the
-// boundaries.
+// one shift when the chunk is a power of two, else one division;
+// non-uniform ones (after RemoveRank merges a dead rank's range into a
+// neighbour) fall back to a binary search over the boundaries. Owner
+// runs once per edge in the top-down sweeps and kernel 1's routing;
+// the shift path inlines.
 func (p Partition) Owner(v int64) int {
+	if p.shift != 0 {
+		return min(int(v>>p.shift), p.NP-1)
+	}
+	return p.ownerSlow(v)
+}
+
+// ownerSlow is Owner without a power-of-two chunk.
+func (p Partition) ownerSlow(v int64) int {
 	chunk := p.offs[1] - p.offs[0]
 	if chunk == 0 {
 		return 0
 	}
 	if p.uniform {
-		r := int(v / chunk)
-		if r >= p.NP {
-			r = p.NP - 1
-		}
-		return r
+		return min(int(v/chunk), p.NP-1)
 	}
 	// Binary search: the largest r with offs[r] <= v.
 	lo, hi := 0, p.NP-1
@@ -102,9 +123,7 @@ func (p Partition) RemoveRank(r int) (Partition, int) {
 	np := p.NP - 1
 	// The merged chunk breaks uniformity unless every chunk already
 	// matched it; recompute conservatively.
-	out := Partition{N: p.N, NP: np, offs: offs}
-	out.uniform = out.isUniform()
-	return out, absorber
+	return Partition{N: p.N, NP: np, offs: offs}.indexed(), absorber
 }
 
 // isUniform reports whether offs[r] == min(r*chunk, N) for every r —

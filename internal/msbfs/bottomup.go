@@ -1,8 +1,6 @@
 package msbfs
 
 import (
-	"math/bits"
-
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 	"numabfs/internal/trace"
@@ -17,56 +15,54 @@ import (
 // a granule is skipped for exactly the pending lanes it is empty in,
 // never because another lane is dense there.
 func (ls *laneState) bottomUpSweep(p *mpi.Proc, buMask uint64, nfL, mfL *[64]int64) {
-	r := ls.r
-	res := ls.team.For(ls.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
-		var edges, sumChecks, planeChecks, found int64
-		for i := lo; i < hi; i++ {
-			pend := buMask &^ ls.vis[i]
-			if pend == 0 {
-				continue
-			}
-			v := ls.csr.Lo + i
-			var d int64 // v's degree, fetched lazily on the first hit
-			for _, u := range ls.csr.Neighbors(v) {
-				edges++
-				sumChecks++
-				if ls.inSum.CoveredZero(u, pend) {
-					continue // the summary proved every pending lane empty here
-				}
-				planeChecks++
-				hit := ls.inPlane.Word(u) & pend
-				if hit == 0 {
-					continue
-				}
-				ls.vis[i] |= hit
-				ls.outPlane.Or(v, hit)
-				if d == 0 {
-					d = ls.csr.Degree(v)
-				}
-				for m := hit; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros64(m)
-					ls.parent[l][i] = u
-					nfL[l]++
-					mfL[l] += d
-					ls.visitedCount[l]++
-					ls.visitedEdges[l] += d
-				}
-				found++
-				pend &^= hit
-				if pend == 0 {
-					break
-				}
-			}
-		}
-		load.Random = append(load.Random,
-			machine.Access{Count: sumChecks, StructBytes: r.sumBytes, Loc: r.SumLoc},
-			machine.Access{Count: planeChecks, StructBytes: r.planeBytes, Loc: r.InqLoc},
-			machine.Access{Count: found, StructBytes: ls.visBytes(), Loc: r.pl.PrivateLoc},
-		)
-		// Visited-word scan + adjacency stream.
-		load.SeqBytes = (hi-lo)*8 + edges*8
-		load.SeqLoc = r.pl.GraphLoc
-		load.CPUOps = edges*2 + (hi - lo)
+	res := ls.team.For(ls.csr.NumLocal(), ls.r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
+		ls.bottomUpChunk(lo, hi, buMask, nfL, mfL, load)
 	})
 	ls.Compute(p, trace.BUComp, res.Ns)
+}
+
+// bottomUpChunk is the sweep over owned vertices [lo, hi). A hit writes
+// only the lane records; the row's resolved lanes are settled once,
+// after the row.
+func (ls *laneState) bottomUpChunk(lo, hi int64, buMask uint64, nfL, mfL *[64]int64, load *machine.PhaseLoad) {
+	r := ls.r
+	var edges, sumChecks, planeChecks, found int64
+	for i := lo; i < hi; i++ {
+		pend := buMask &^ ls.vis[i]
+		if pend == 0 {
+			continue
+		}
+		var got uint64
+		for _, u := range ls.csr.Neighbors(ls.csr.Lo + i) {
+			edges++
+			sumChecks++
+			if ls.inSum.CoveredZero(u, pend) {
+				continue // the summary proved every pending lane empty here
+			}
+			planeChecks++
+			hit := ls.inPlane.Word(u) & pend
+			if hit == 0 {
+				continue
+			}
+			ls.adopt(i, u, hit)
+			got |= hit
+			found++
+			pend &^= hit
+			if pend == 0 {
+				break
+			}
+		}
+		if got != 0 {
+			ls.settle(i, got, nfL, mfL)
+		}
+	}
+	load.Random = append(load.Random,
+		machine.Access{Count: sumChecks, StructBytes: r.sumBytes, Loc: r.SumLoc},
+		machine.Access{Count: planeChecks, StructBytes: r.planeBytes, Loc: r.InqLoc},
+		machine.Access{Count: found, StructBytes: ls.visBytes(), Loc: r.pl.PrivateLoc},
+	)
+	// Visited-word scan + adjacency stream.
+	load.SeqBytes = (hi-lo)*8 + edges*8
+	load.SeqLoc = r.pl.GraphLoc
+	load.CPUOps = edges*2 + (hi - lo)
 }

@@ -94,11 +94,12 @@ type laneState struct {
 	nl  int    // lanes in the current batch
 	all uint64 // mask of the current batch's lanes
 
-	// parent[l][i] is owned vertex (Lo+i)'s parent in lane l's tree, -1
-	// unvisited. vis[i] is the vertex's visited lane word — the bitwise
-	// union of the 64 single-source visited maps.
-	parent [][]int64
+	// vis[i] is owned vertex (Lo+i)'s visited lane word, the union of the
+	// 64 single-source visited maps. Its parent in lane l's tree is the
+	// lane record parent[i<<6|l], valid only where vis[i] has bit l set:
+	// a batch clears vis alone, so other records are stale.
 	vis    []uint64
+	parent []int64
 
 	inPlane  *bitmap.LanePlane   // full frontier plane over all vertices
 	outPlane *bitmap.LanePlane   // next frontier; only the owned segment is written
@@ -177,11 +178,8 @@ func (r *Runner) Setup() {
 			csr:  csr,
 			team: omp.TeamFor(r.cfg, r.pl),
 		}
-		ls.parent = make([][]int64, bitmap.LaneBits)
-		for l := range ls.parent {
-			ls.parent[l] = make([]int64, csr.NumLocal())
-		}
 		ls.vis = make([]uint64, csr.NumLocal())
+		ls.parent = make([]int64, csr.NumLocal()*bitmap.LaneBits)
 
 		if r.InqShared {
 			ls.inPlane = bitmap.PlaneFromWords(p.SharedWords("ms_in_plane", n), n)
@@ -207,12 +205,18 @@ func (r *Runner) Setup() {
 }
 
 // LaneParents assembles lane l's global parent array (length
-// NumVertices; -1 unvisited). Valid after RunBatch, until the next one.
+// NumVertices; -1 wherever lane l's visited bit is clear, whatever an
+// earlier batch left in the record). Valid after RunBatch, until the next one.
 func (r *Runner) LaneParents(l int) []int64 {
 	out := make([]int64, r.Params.NumVertices())
 	for pos, ls := range r.states {
 		lo, _ := r.Part.Range(pos)
-		copy(out[lo:], ls.parent[l])
+		for i, w := range ls.vis {
+			out[lo+int64(i)] = -1
+			if w>>uint(l)&1 != 0 {
+				out[lo+int64(i)] = ls.parent[i<<6|l]
+			}
+		}
 	}
 	return out
 }

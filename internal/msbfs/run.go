@@ -73,6 +73,11 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 		}
 		ls.StallBarrier(p, commPh)
 
+		// This rank's visited totals, before the allreduces overwrite them.
+		for l := range nfL {
+			ls.visitedCount[l] += nfL[l]
+			ls.visitedEdges[l] += mfL[l]
+		}
 		// Frontier accounting: two 64-lane vector allreduces replace the
 		// 2·len(roots) scalar allreduces sequential runs pay per level.
 		t0, x0 := p.Clock(), p.XportNs()
@@ -155,13 +160,10 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 		bit := uint64(1) << uint(l)
 		i := root - lo
 		ls.vis[i] |= bit
-		ls.parent[l][i] = root
-		d := ls.csr.Degree(root)
+		ls.parent[i<<6|int64(l)] = root
 		ls.outPlane.Or(root, bit)
 		nfL[l] = 1
-		mfL[l] = d
-		ls.visitedCount[l] = 1
-		ls.visitedEdges[l] = d
+		mfL[l] = ls.csr.Degree(root)
 	}
 	p.Compute(ls.team.Parallel(machine.PhaseLoad{
 		Random:   []machine.Access{{Count: owned, StructBytes: wcnt * 8, Loc: r.OutLoc}},
@@ -170,6 +172,7 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	}))
 	ls.Charge(trace.Switch, t0, p.Clock())
 
+	ls.visitedCount, ls.visitedEdges = nfL, mfL
 	t0, x0 := p.Clock(), p.XportNs()
 	r.NC.World.AllreduceSumVec64(p, &nfL)
 	r.NC.World.AllreduceSumVec64(p, &mfL)
@@ -188,8 +191,9 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	return st
 }
 
-// reset clears per-batch state for a batch of nl lanes. The planes need
-// no full clearing: the owned out-plane segment is cleared every level,
+// reset clears per-batch state for a batch of nl lanes. The lane
+// records need no clearing: a record counts only under its visited bit.
+// Nor do the planes: the owned out-plane segment is cleared every level,
 // top-down reads only the owned in-plane segment (fully overwritten by
 // publishFrontier), and bottom-up levels are always preceded by a full
 // plane+summary allgather.
@@ -200,17 +204,9 @@ func (ls *laneState) reset(nl int) {
 	} else {
 		ls.all = (uint64(1) << uint(nl)) - 1
 	}
-	for l := 0; l < nl; l++ {
-		p := ls.parent[l]
-		for i := range p {
-			p[i] = -1
-		}
-	}
 	for i := range ls.vis {
 		ls.vis[i] = 0
 	}
-	ls.visitedEdges = [64]int64{}
-	ls.visitedCount = [64]int64{}
 	ls.laneLevels = [64]int{}
 	ls.rounds = 0
 }
@@ -233,25 +229,37 @@ func (ls *laneState) clearOwnedOut(p *mpi.Proc, buLevel bool) {
 }
 
 // claim visits owned vertex v with parent u for every lane of w not yet
-// holding v; accumulates per-lane frontier counters. The caller
-// sequences claims canonically (ascending owned vertex order for local
-// claims, sender-position order for remote ones), which makes each
-// lane's winning parent independent of what the other lanes do.
+// holding v. The caller sequences claims canonically (ascending owned
+// vertex order for local claims, sender-position order for remote
+// ones), which makes each lane's winning parent independent of what the
+// other lanes do.
 func (ls *laneState) claim(v, u int64, w uint64, nfL, mfL *[64]int64) {
 	i := v - ls.csr.Lo
-	nw := w &^ ls.vis[i]
-	if nw == 0 {
-		return
+	if nw := w &^ ls.vis[i]; nw != 0 {
+		ls.adopt(i, u, nw)
+		ls.settle(i, nw, nfL, mfL)
 	}
-	ls.vis[i] |= nw
-	ls.outPlane.Or(v, nw)
+}
+
+// adopt writes u as owned vertex Lo+i's parent in every lane of m.
+func (ls *laneState) adopt(i, u int64, m uint64) {
+	rec := ls.parent[i<<6 : i<<6+64]
+	for ; m != 0; m &= m - 1 {
+		rec[bits.TrailingZeros64(m)&63] = u // &63 is a no-op that drops the bounds check
+	}
+}
+
+// settle marks the lanes of got visited at owned vertex Lo+i, in the
+// next frontier and in the level's frontier counters: one degree load
+// and one bump per lane, however many hits it took to resolve them.
+func (ls *laneState) settle(i int64, got uint64, nfL, mfL *[64]int64) {
+	v := ls.csr.Lo + i
+	ls.vis[i] |= got
+	ls.outPlane.Or(v, got)
 	d := ls.csr.Degree(v)
-	for m := nw; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		ls.parent[l][i] = u
+	for ; got != 0; got &= got - 1 {
+		l := bits.TrailingZeros64(got)
 		nfL[l]++
 		mfL[l] += d
-		ls.visitedCount[l]++
-		ls.visitedEdges[l] += d
 	}
 }
