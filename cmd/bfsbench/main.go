@@ -31,44 +31,6 @@ import (
 	"numabfs/internal/obs"
 )
 
-// driver pairs a -fig key with its experiment.
-type driver struct {
-	key string
-	run func(experiments.Spec) (*experiments.Table, error)
-}
-
-// drivers lists every experiment in display order.
-var drivers = []driver{
-	{"3", experiments.Fig3},
-	{"4", experiments.Fig4},
-	{"6", experiments.Fig6},
-	{"9", experiments.Fig9},
-	{"10", experiments.Fig10},
-	{"11", experiments.Fig11},
-	{"12", experiments.Fig12},
-	{"13", experiments.Fig13},
-	{"14", experiments.Fig14},
-	{"15", experiments.Fig15},
-	{"16", experiments.Fig16},
-	{"algcmp", experiments.AlgorithmComparison},
-	{"levels", experiments.LevelProfile},
-	{"2d", experiments.Ext2D},
-	{"crossover", experiments.ExtCrossover},
-	{"compression", experiments.ExtCompression},
-	{"faults", experiments.ExtFaults},
-	{"availability", experiments.ExtAvailability},
-	{"loss", experiments.ExtLoss},
-	{"overlap", experiments.ExtOverlap},
-	{"msbfs", experiments.ExtMSBFS},
-	{"msbfs-load", experiments.ExtMSBFSLoad},
-	{"timeline", experiments.Timeline},
-	{"abl-allgather", experiments.AblationAllgather},
-	{"abl-compression", experiments.AblationCompression},
-	{"abl-hybrid", experiments.AblationHybrid},
-	{"abl-overlap", experiments.AblationOverlap},
-	{"abl-sharedegree", experiments.AblationShareDegree},
-}
-
 // benchRecord is one experiment's entry in a -bench-json file: the
 // driver key, the host wall-clock it took, and the full table so byte
 // and TEPS columns can be diffed between commits.
@@ -90,11 +52,11 @@ type benchFile struct {
 	Records   []benchRecord `json:"records"`
 }
 
-// driverFor returns the driver registered under key, or nil.
-func driverFor(key string) *driver {
-	for i := range drivers {
-		if drivers[i].key == key {
-			return &drivers[i]
+// driverFor returns the figure registered under key, or nil.
+func driverFor(key string) *experiments.Figure {
+	for i := range experiments.Figures {
+		if experiments.Figures[i].Key == key {
+			return &experiments.Figures[i]
 		}
 	}
 	return nil
@@ -137,9 +99,9 @@ func benchCheck(path string, want []string, weak bool, parallel int, ledger *exp
 			continue
 		}
 		start := time.Now()
-		got, err := d.run(spec)
+		got, err := d.Run(spec)
 		if err != nil {
-			return drifted, fmt.Errorf("fig %s: %w", rec.Fig, err)
+			return drifted, fmt.Errorf("fig %w", err)
 		}
 		host := time.Since(start)
 		checked++
@@ -288,9 +250,9 @@ func validateBatchFlags(f batchFlags) []string {
 // figKeys returns every valid -fig value, including the special keys
 // that select no driver ("table1") or all of them ("all").
 func figKeys() []string {
-	keys := make([]string, 0, len(drivers)+2)
-	for _, d := range drivers {
-		keys = append(keys, d.key)
+	keys := make([]string, 0, len(experiments.Figures)+2)
+	for _, f := range experiments.Figures {
+		keys = append(keys, f.Key)
 	}
 	return append(keys, "table1", "all")
 }
@@ -520,14 +482,14 @@ func main() {
 	}
 	var tables []*experiments.Table
 	var records []benchRecord
-	for _, d := range drivers {
-		if !match(d.key) {
+	for _, f := range experiments.Figures {
+		if !match(f.Key) {
 			continue
 		}
 		start := time.Now()
-		t, err := d.run(spec)
+		t, err := f.Run(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bfsbench: fig %s: %v\n", d.key, err)
+			fmt.Fprintf(os.Stderr, "bfsbench: fig %v\n", err)
 			if errors.Is(err, graph500.ErrTooManyRoots) {
 				os.Exit(2) // a bad -roots/-batch value, not a failed run
 			}
@@ -536,7 +498,7 @@ func main() {
 		fmt.Println(t.String())
 		tables = append(tables, t)
 		if *benchJSON != "" {
-			records = append(records, benchRecord{Fig: d.key, HostNs: time.Since(start).Nanoseconds(), Table: t})
+			records = append(records, benchRecord{Fig: f.Key, HostNs: time.Since(start).Nanoseconds(), Table: t})
 		}
 	}
 	writeLedger()

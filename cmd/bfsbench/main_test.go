@@ -13,7 +13,7 @@ import (
 
 func TestFigKeys(t *testing.T) {
 	keys := figKeys()
-	if len(keys) != len(drivers)+2 {
+	if len(keys) != len(experiments.Figures)+2 {
 		t.Fatalf("keys = %v", keys)
 	}
 	seen := make(map[string]bool)
@@ -165,7 +165,7 @@ func TestDriverForLoss(t *testing.T) {
 		t.Fatal("loss driver not registered")
 	}
 	if d := driverFor("bogus"); d != nil {
-		t.Fatalf("bogus key resolved to %q", d.key)
+		t.Fatalf("bogus key resolved to %q", d.Key)
 	}
 }
 

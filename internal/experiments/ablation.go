@@ -8,12 +8,13 @@ import (
 	"numabfs/internal/mpi"
 )
 
-// allgatherAblation times one in_queue-sized allgather over the full
-// 16-node, 128-rank cluster under each algorithm: ring (the library's
-// long-message choice and the paper's Eq. 1 regime), recursive doubling,
-// and Bruck. Run at both the in_queue and the summary payload size, the
-// two allgathers of Fig. 1.
-func allgatherAblation(s Spec) (*Table, error) {
+// AblationAllgather times one in_queue-sized allgather over the full
+// 16-node, 128-rank cluster under each algorithm — the Thakur-Gropp
+// selection ablated: ring (the library's long-message choice and the
+// paper's Eq. 1 regime), recursive doubling, and Bruck, against the
+// library default the BFS uses. Run at both the in_queue and the
+// summary payload size, the two allgathers of Fig. 1.
+func AblationAllgather(s Spec) (*Table, error) {
 	const nodes = 16
 	scale := s.scaleFor(nodes)
 	cfg := s.clusterConfig(nodes)
@@ -42,34 +43,27 @@ func allgatherAblation(s Spec) (*Table, error) {
 		{"library default", (*collective.Group).Allgather},
 	}
 	sizes := []int64{inqWords, sumWords}
-	us := make([]float64, len(algos)*len(sizes))
-	var cells []cell
-	for ai, a := range algos {
-		for wi, words := range sizes {
-			slot := ai*len(sizes) + wi
-			a, words := a, words
-			cells = append(cells, cell{
-				label: fmt.Sprintf("%s/%dw", a.label, words),
-				run: func(cs Spec) error {
-					pl := machine.PlacementFor(cfg, machine.PPN8Bind)
-					w := mpi.NewWorld(cfg, pl)
-					g := collective.WorldGroup(w)
-					l := collective.EvenLayout(words, g.Size())
-					w.Run(func(p *mpi.Proc) {
-						buf := make([]uint64, words)
-						a.fn(g, p, buf, l)
-					})
-					us[slot] = w.MaxClock() / 1e3
-					return nil
-				},
-			})
+	var cells []string
+	for _, a := range algos {
+		for _, words := range sizes {
+			cells = append(cells, fmt.Sprintf("%s/%dw", a.label, words))
 		}
 	}
-	if err := s.runCells("abl-allgather", cells); err != nil {
+	us, err := gather(s, cells, func(_ Spec, i int) (float64, error) {
+		fn, words := algos[i/len(sizes)].fn, sizes[i%len(sizes)]
+		w := mpi.NewWorld(cfg, machine.PlacementFor(cfg, machine.PPN8Bind))
+		g := collective.WorldGroup(w)
+		l := collective.EvenLayout(words, g.Size())
+		w.Run(func(p *mpi.Proc) {
+			fn(g, p, make([]uint64, words), l)
+		})
+		return w.MaxClock() / 1e3, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for ai, a := range algos {
-		t.AddRow(a.label, us[ai*len(sizes):(ai+1)*len(sizes)]...)
+	for ai, row := range rows(us, len(sizes)) {
+		t.AddRow(algos[ai].label, row...)
 	}
 	t.Notes = append(t.Notes,
 		"Thakur-Gropp: recursive doubling wins short payloads, ring the long ones; the library default switches at the threshold")

@@ -43,9 +43,7 @@ func availPolicies() []availPolicy {
 // full Graph500 validation suite.
 func ExtAvailability(s Spec) (*Table, error) {
 	const nodes = 2
-	scale := s.scaleFor(nodes)
-	variants := faultVariants()
-	policies := availPolicies()
+	vs := compressedVariants()
 	// Crash schedule: ranks on both nodes (ranks 0-7 are node 0, 8-15
 	// node 1 at ppn=8), at fixed fractions of the clean mean iteration.
 	// Neither rank is a reserved spare (those are the last rank of each
@@ -53,117 +51,79 @@ func ExtAvailability(s Spec) (*Table, error) {
 	crashRanks := []int{2, 10}
 	crashFracs := []float64{0.45, 0.7}
 
-	t := &Table{
-		Name: "Ext. availability",
-		Title: fmt.Sprintf("degraded-mode completion under permanent rank deaths (%d nodes, scale %d, validated)",
-			nodes, scale),
-		Columns: []string{
-			"teps x1", "time x1", "mttr ms x1",
-			"teps x2", "time x2", "mttr ms x2",
-		},
-	}
-
 	// First batch: one crash-free baseline per (level, spare
 	// reservation). Rerun and shrink share the spares=0 partition; the
 	// spare policy runs on one fewer active rank per node, so both its
 	// baseline and its cached graph differ.
 	spareSet := []int{0, 1}
-	var baseCells []cellRun
-	for _, v := range variants {
-		for _, sp := range spareSet {
-			v, sp := v, sp
-			baseCells = append(baseCells, cellRun{
-				label: fmt.Sprintf("%s/base spares=%d", v.label, sp),
-				run: func(cs Spec) (*graph500.Result, error) {
-					opts := bfs.DefaultOptions()
-					opts.Opt = v.opt
-					opts.SpareRanks = sp
-					cs.Faults = nil
-					res, err := cs.run(nodes, v.policy, opts)
-					if err != nil {
-						return nil, fmt.Errorf("ext availability %s baseline (spares=%d): %w", v.label, sp, err)
-					}
-					return res, nil
-				},
-			})
-		}
-	}
-	bases, err := s.collect("availability", baseCells)
-	if err != nil {
-		return nil, err
-	}
-	baseFor := func(vi int, pol availPolicy) *graph500.Result {
-		return bases[vi*len(spareSet)+pol.spares]
-	}
-
-	// Second batch: the crash cells. Their plans depend on the baseline
-	// mean times, so they cannot join the first batch. Validation is
-	// forced on — the point of the figure is that every degraded run
-	// still produces a correct BFS tree.
-	var cells []cellRun
-	for vi, v := range variants {
-		for _, pol := range policies {
-			base := baseFor(vi, pol)
-			for k := 1; k <= len(crashRanks); k++ {
-				v, pol, k := v, pol, k
-				plan := fault.Plan{}
-				for c := 0; c < k; c++ {
-					plan.Crashes = append(plan.Crashes, fault.Crash{
-						Rank:      crashRanks[c],
-						AtNs:      crashFracs[c] * base.MeanTimeNs,
-						Permanent: true,
-					})
-				}
-				cells = append(cells, cellRun{
-					label: fmt.Sprintf("%s/%s x%d", v.label, pol.label, k),
-					run: func(cs Spec) (*graph500.Result, error) {
-						opts := bfs.DefaultOptions()
-						opts.Opt = v.opt
-						opts.Recovery = pol.recovery
-						opts.SpareRanks = pol.spares
-						cs.Faults = &plan
-						cs.Validate = true
-						res, err := cs.run(nodes, v.policy, opts)
-						if err != nil {
-							return nil, fmt.Errorf("ext availability %s/%s x%d: %w", v.label, pol.label, k, err)
-						}
-						if res.Faults != k {
-							return nil, fmt.Errorf("ext availability %s/%s: %d crash(es) scheduled, %d fired",
-								v.label, pol.label, k, res.Faults)
-						}
-						return res, nil
-					},
-				})
-			}
-		}
-	}
-	results, err := s.collect("availability", cells)
+	bases, err := s.collect(cross(vs, spareSet, func(v variant, spares int) cell {
+		opts := optsAt(v.opt)
+		opts.SpareRanks = spares
+		cfg := s.config(nodes, v.policy, opts)
+		cfg.Faults = nil
+		return cell{fmt.Sprintf("%s/base spares=%d", v.label, spares), cfg}
+	}))
 	if err != nil {
 		return nil, err
 	}
 
-	idx := 0
-	for vi, v := range variants {
-		for _, pol := range policies {
-			base := baseFor(vi, pol)
-			vals := make([]float64, 0, 2*3)
-			for k := 1; k <= len(crashRanks); k++ {
-				res := results[idx]
-				idx++
-				vals = append(vals,
-					res.HarmonicTEPS/base.HarmonicTEPS,
-					res.MeanTimeNs/base.MeanTimeNs,
-					res.MTTRNs/1e6)
+	// Second batch: the crash cells, one row of crash counts per (level,
+	// policy). Their plans depend on the baseline mean times, so they
+	// cannot join the first batch. Validation is forced on — the point
+	// of the figure is that every degraded run still produces a correct
+	// BFS tree.
+	var cells []cell
+	var rowLabels []string
+	var rowBases []*graph500.Result
+	for vi, v := range vs {
+		for _, pol := range availPolicies() {
+			base := bases[vi*len(spareSet)+pol.spares]
+			rowLabels = append(rowLabels, fmt.Sprintf("%s / %s", v.label, pol.label))
+			rowBases = append(rowBases, base)
+			crashes := make([]fault.Crash, len(crashRanks))
+			for c, rank := range crashRanks {
+				crashes[c] = fault.Crash{Rank: rank, AtNs: crashFracs[c] * base.MeanTimeNs, Permanent: true}
 			}
-			t.AddRow(fmt.Sprintf("%s / %s", v.label, pol.label), vals...)
+			for k := 1; k <= len(crashes); k++ {
+				opts := optsAt(v.opt)
+				opts.Recovery, opts.SpareRanks = pol.recovery, pol.spares
+				cfg := s.config(nodes, v.policy, opts)
+				cfg.Faults, cfg.Validate = &fault.Plan{Crashes: crashes[:k:k]}, true
+				cells = append(cells, cell{fmt.Sprintf("%s/%s x%d", v.label, pol.label, k), cfg})
+			}
 		}
 	}
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
+	}
 
-	t.Notes = append(t.Notes,
-		"teps/time columns are relative to the same optimization level and spare reservation without crashes (spare-policy baselines park one rank per node)",
-		fmt.Sprintf("crashes are permanent: rank %d at %.0f%% and rank %d at %.0f%% of the clean mean iteration, on different nodes",
-			crashRanks[0], 100*crashFracs[0], crashRanks[1], 100*crashFracs[1]),
-		"mttr = heartbeat-lease detection latency + the longest survivor re-own transfer; rerun restarts the dead rank in place, shrink finishes on the surviving membership, spare promotes a parked same-node rank",
-		"every degraded run passes full Graph500 validation")
+	t := &Table{
+		Name: "Ext. availability",
+		Title: fmt.Sprintf("degraded-mode completion under permanent rank deaths (%d nodes, scale %d, validated)",
+			nodes, s.scaleFor(nodes)),
+		Columns: []string{
+			"teps x1", "time x1", "mttr ms x1",
+			"teps x2", "time x2", "mttr ms x2",
+		},
+		Notes: []string{
+			"teps/time columns are relative to the same optimization level and spare reservation without crashes (spare-policy baselines park one rank per node)",
+			fmt.Sprintf("crashes are permanent: rank %d at %.0f%% and rank %d at %.0f%% of the clean mean iteration, on different nodes",
+				crashRanks[0], 100*crashFracs[0], crashRanks[1], 100*crashFracs[1]),
+			"mttr = heartbeat-lease detection latency + the longest survivor re-own transfer; rerun restarts the dead rank in place, shrink finishes on the surviving membership, spare promotes a parked same-node rank",
+			"every degraded run passes full Graph500 validation",
+		},
+	}
+	for i, row := range rows(res, len(crashRanks)) {
+		base := rowBases[i]
+		var vals []float64
+		for k, r := range row {
+			if r.Faults != k+1 {
+				return nil, fmt.Errorf("%s: %d crash(es) scheduled, %d fired", cells[i*len(row)+k].label, k+1, r.Faults)
+			}
+			vals = append(vals, r.HarmonicTEPS/base.HarmonicTEPS, r.MeanTimeNs/base.MeanTimeNs, r.MTTRNs/1e6)
+		}
+		t.AddRow(rowLabels[i], vals...)
+	}
 	return t, nil
 }

@@ -5,40 +5,34 @@ import (
 
 	"numabfs/internal/bfs"
 	"numabfs/internal/graph500"
-	"numabfs/internal/machine"
 	"numabfs/internal/stats"
 	"numabfs/internal/wire"
 )
 
-// commStats averages the per-root communication ledgers of one run:
-// wire and raw MB per iteration, plus mean segment counts per format.
-type commStats struct {
-	wireMB, rawMB float64
-	segs          [wire.NumFormats]float64
+// perRoot is the mean of f over the run's roots.
+func perRoot(r *graph500.Result, f func(bfs.RootResult) float64) float64 {
+	xs := make([]float64, len(r.PerRoot))
+	for i, rr := range r.PerRoot {
+		xs[i] = f(rr)
+	}
+	return stats.Mean(xs)
 }
 
-func commStatsOf(per []bfs.RootResult) commStats {
-	var cs commStats
-	var wireB, rawB []float64
-	for _, rr := range per {
-		wireB = append(wireB, float64(rr.CommBytes))
-		rawB = append(rawB, float64(rr.RawCommBytes))
-		for f, n := range rr.Wire.Segments {
-			cs.segs[f] += float64(n)
-		}
-	}
-	cs.wireMB = stats.Mean(wireB) / (1 << 20)
-	cs.rawMB = stats.Mean(rawB) / (1 << 20)
-	for f := range cs.segs {
-		cs.segs[f] /= float64(len(per))
-	}
-	return cs
+// wireMB and rawMB are the encoded and logical communication volume per
+// root in MB.
+func wireMB(r *graph500.Result) float64 {
+	return perRoot(r, func(rr bfs.RootResult) float64 { return float64(rr.CommBytes) }) / (1 << 20)
 }
 
-// compressedVariants is ppn8Variants plus the fifth cumulative level.
-func compressedVariants() []variant {
-	return append(ppn8Variants(),
-		variant{"+ Compressed allgather", machine.PPN8Bind, bfs.OptCompressedAllgather})
+func rawMB(r *graph500.Result) float64 {
+	return perRoot(r, func(rr bfs.RootResult) float64 { return float64(rr.RawCommBytes) }) / (1 << 20)
+}
+
+// segments is the mean number of f-encoded segments per root.
+func segments(f wire.Format) func(*graph500.Result) float64 {
+	return func(r *graph500.Result) float64 {
+		return perRoot(r, func(rr bfs.RootResult) float64 { return float64(rr.Wire.Segments[f]) })
+	}
 }
 
 // ExtCompression evaluates the adaptive frontier compression of the
@@ -51,52 +45,32 @@ func compressedVariants() []variant {
 // big enough for the β (bandwidth) term to dominate the modelled
 // encode/decode scans — small scales show the crossover itself.
 func ExtCompression(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8, 16}
-	t := &Table{
-		Name:    "Ext. compression",
-		Title:   "Adaptive frontier compression for the bottom-up allgather, weak scaling",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes", "16 nodes"},
-	}
-
-	variants := compressedVariants()
-	results, err := s.collect("compression", sweepCells("ext compression", variants, nodesSweep))
+	vs := compressedVariants()
+	res, err := s.collect(s.sweep(vs, weakNodes))
 	if err != nil {
 		return nil, err
 	}
-
-	var parComm, compComm []float64
-	var wireMB, rawMB []float64
-	var dense, sparse, rle []float64
-	for i, v := range variants {
-		teps := make([]float64, 0, len(nodesSweep))
-		for j := range nodesSweep {
-			res := results[i*len(nodesSweep)+j]
-			teps = append(teps, res.HarmonicTEPS)
-			switch v.opt {
-			case bfs.OptParAllgather:
-				parComm = append(parComm, res.Breakdown.AvgBUCommNs()/1e6)
-			case bfs.OptCompressedAllgather:
-				compComm = append(compComm, res.Breakdown.AvgBUCommNs()/1e6)
-				cs := commStatsOf(res.PerRoot)
-				wireMB = append(wireMB, cs.wireMB)
-				rawMB = append(rawMB, cs.rawMB)
-				dense = append(dense, cs.segs[wire.FormatDense])
-				sparse = append(sparse, cs.segs[wire.FormatSparse])
-				rle = append(rle, cs.segs[wire.FormatRLE])
-			}
-		}
-		t.AddRow(v.label+" TEPS", teps...)
+	t := &Table{
+		Name:    "Ext. compression",
+		Title:   "Adaptive frontier compression for the bottom-up allgather, weak scaling",
+		Columns: nodeColumns(weakNodes),
+		Notes: []string{
+			"wire < raw MB is the compression saving; raw equals the uncompressed level's volume (Eq. 1/2 unchanged)",
+			"the per-format segment counts show the selector tracking the frontier's density across levels",
+		},
 	}
-	t.AddRow("Par allgather bu-comm (ms)", parComm...)
-	t.AddRow("Compressed bu-comm (ms)", compComm...)
-	t.AddRow("Compressed wire MB/root", wireMB...)
-	t.AddRow("Compressed raw MB/root", rawMB...)
-	t.AddRow("segments dense/root", dense...)
-	t.AddRow("segments sparse/root", sparse...)
-	t.AddRow("segments rle/root", rle...)
-	t.Notes = append(t.Notes,
-		"wire < raw MB is the compression saving; raw equals the uncompressed level's volume (Eq. 1/2 unchanged)",
-		"the per-format segment counts show the selector tracking the frontier's density across levels")
+	grid := rows(res, len(weakNodes))
+	for i, row := range grid {
+		t.AddRow(vs[i].label+" TEPS", project(row, teps)...)
+	}
+	comp := grid[compRung]
+	t.AddRow("Par allgather bu-comm (ms)", project(grid[parRung], buCommMs)...)
+	t.AddRow("Compressed bu-comm (ms)", project(comp, buCommMs)...)
+	t.AddRow("Compressed wire MB/root", project(comp, wireMB)...)
+	t.AddRow("Compressed raw MB/root", project(comp, rawMB)...)
+	t.AddRow("segments dense/root", project(comp, segments(wire.FormatDense))...)
+	t.AddRow("segments sparse/root", project(comp, segments(wire.FormatSparse))...)
+	t.AddRow("segments rle/root", project(comp, segments(wire.FormatRLE))...)
 	return t, nil
 }
 
@@ -107,18 +81,7 @@ func ExtCompression(s Spec) (*Table, error) {
 // volume — every other selector is one of its candidates.
 func AblationCompression(s Spec) (*Table, error) {
 	const nodes = 4
-	scale := s.scaleFor(nodes)
-	t := &Table{
-		Name:    "Abl. compression",
-		Title:   fmt.Sprintf("Wire-format selector ablation (%d nodes, scale %d)", nodes, scale),
-		Columns: []string{"TEPS", "wire MB", "raw MB", "bu-comm ms"},
-	}
-
-	type cfg struct {
-		label string
-		mod   func(*bfs.Options)
-	}
-	cfgs := []cfg{
+	cells := s.knobs(nodes, bfs.OptCompressedAllgather, []knob{
 		{"par-allgather (no codec)", func(o *bfs.Options) { o.Opt = bfs.OptParAllgather }},
 		{"adaptive (size-based)", func(o *bfs.Options) {}},
 		{"force dense", func(o *bfs.Options) { o.WireFormat = wire.FormatDense }},
@@ -127,31 +90,20 @@ func AblationCompression(s Spec) (*Table, error) {
 		{"threshold d<0.005", func(o *bfs.Options) { o.WireSparseDensity = 0.005 }},
 		{"threshold d<0.02", func(o *bfs.Options) { o.WireSparseDensity = 0.02 }},
 		{"threshold d<0.1", func(o *bfs.Options) { o.WireSparseDensity = 0.1 }},
-	}
-	cells := make([]cellRun, len(cfgs))
-	for i, c := range cfgs {
-		cells[i] = cellRun{label: c.label, run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Opt = bfs.OptCompressedAllgather
-			c.mod(&opts)
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("ablation compression %s: %w", c.label, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("abl-compression", cells)
+	})
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cfgs {
-		res := results[i]
-		cs := commStatsOf(res.PerRoot)
-		t.AddRow(c.label, res.HarmonicTEPS, cs.wireMB, cs.rawMB, res.Breakdown.AvgBUCommNs()/1e6)
+	t := &Table{
+		Name:    "Abl. compression",
+		Title:   fmt.Sprintf("Wire-format selector ablation (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
+		Columns: []string{"TEPS", "wire MB", "raw MB", "bu-comm ms"},
+		Notes: []string{
+			"the adaptive selector's wire MB lower-bounds every forced format and threshold rule",
+			"raw MB is constant across rows: compression changes the encoding, never the logical traffic",
+		},
 	}
-	t.Notes = append(t.Notes,
-		"the adaptive selector's wire MB lower-bounds every forced format and threshold rule",
-		"raw MB is constant across rows: compression changes the encoding, never the logical traffic")
+	t.addColumns(labels(cells), project(res, teps), project(res, wireMB), project(res, rawMB), project(res, buCommMs))
 	return t, nil
 }

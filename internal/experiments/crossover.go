@@ -28,49 +28,24 @@ func ExtCrossover(s Spec) (*Table, error) {
 	t := &Table{
 		Name:    "Ext. crossover",
 		Title:   "1-D/2-D crossover: measured winner vs model-driven selector",
-		Columns: []string{"2 nodes", "4 nodes", "8 nodes"},
+		Columns: nodeColumns(nodesSweep),
 	}
 
-	// Slots: series-major — 1-D hybrid, 2-D hybrid.
-	points := make([]engineStats, 2*len(nodesSweep))
-	var cells []cell
-	for ni, nodes := range nodesSweep {
-		slot, nodes := ni, nodes
-		cells = append(cells, cell{
-			label: fmt.Sprintf("1-D/%dn", nodes),
-			run: func(cs Spec) error {
-				opts := bfs.DefaultOptions()
-				opts.Opt = bfs.OptCompressedAllgather
-				r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(cs.scaleFor(nodes)), opts)
-				if err != nil {
-					return fmt.Errorf("crossover 1-D: %w", err)
-				}
-				points[slot], err = cs.runEngine(fmt.Sprintf("crossover 1-D nodes=%d", nodes), r, r.Params,
-					func(root int64) error { return graph500.ValidateRun(r, root) })
-				return err
-			},
-		})
+	// Cells: series-major — 1-D hybrid, then 2-D hybrid.
+	var cells []string
+	for _, series := range []string{"1-D", "2-D"} {
+		for _, nodes := range nodesSweep {
+			cells = append(cells, fmt.Sprintf("%s/%dn", series, nodes))
+		}
 	}
-	for ni, nodes := range nodesSweep {
-		slot, nodes := len(nodesSweep)+ni, nodes
-		cells = append(cells, cell{
-			label: fmt.Sprintf("2-D/%dn", nodes),
-			run: func(cs Spec) error {
-				cfg := cs.clusterConfig(nodes)
-				grid := bfs2d.DefaultGrid(nodes * cfg.SocketsPerNode)
-				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(cs.scaleFor(nodes)))
-				if err != nil {
-					return fmt.Errorf("crossover 2-D: %w", err)
-				}
-				r.Mode = bfs2d.ModeHybrid
-				r.Compress = true
-				points[slot], err = cs.runEngine(fmt.Sprintf("crossover 2-D %dx%d nodes=%d", grid.R, grid.C, nodes), r, r.Params,
-					func(root int64) error { return graph500.ValidateRun2D(r, root) })
-				return err
-			},
-		})
-	}
-	if err := s.runCells("crossover", cells); err != nil {
+	points, err := gather(s, cells, func(cs Spec, i int) (engineStats, error) {
+		nodes := nodesSweep[i%len(nodesSweep)]
+		if i < len(nodesSweep) {
+			return cs.run1D(fmt.Sprintf("crossover 1-D nodes=%d", nodes), nodes, optsAt(bfs.OptCompressedAllgather), true)
+		}
+		return cs.run2D("crossover", nodes, bfs2d.ModeHybrid, true, true)
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -122,6 +97,38 @@ type rootEngine interface {
 // cell's roots: harmonic-mean TEPS, mean iteration time, and mean
 // communication volume in MB.
 type engineStats struct{ teps, timeNs, commMB float64 }
+
+// run1D runs the 1-D engine on the cluster of nodes, its session named
+// label; validate checks every tree.
+func (cs Spec) run1D(label string, nodes int, opts bfs.Options, validate bool) (engineStats, error) {
+	r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(cs.scaleFor(nodes)), opts)
+	if err != nil {
+		return engineStats{}, err
+	}
+	var check func(int64) error
+	if validate {
+		check = func(root int64) error { return graph500.ValidateRun(r, root) }
+	}
+	return cs.runEngine(label, r, r.Params, check)
+}
+
+// run2D runs the 2-D engine on the default grid over the ranks of
+// nodes, its session named after fig and the grid; validate checks
+// every tree.
+func (cs Spec) run2D(fig string, nodes int, mode bfs2d.Mode, compress, validate bool) (engineStats, error) {
+	cfg := cs.clusterConfig(nodes)
+	grid := bfs2d.DefaultGrid(nodes * cfg.SocketsPerNode)
+	r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(cs.scaleFor(nodes)))
+	if err != nil {
+		return engineStats{}, err
+	}
+	r.Mode, r.Compress = mode, compress
+	var check func(int64) error
+	if validate {
+		check = func(root int64) error { return graph500.ValidateRun2D(r, root) }
+	}
+	return cs.runEngine(fmt.Sprintf("%s 2-D %dx%d nodes=%d", fig, grid.R, grid.C, nodes), r, r.Params, check)
+}
 
 // runEngine runs one engine cell: the observability session (named
 // label), Setup, cs.Roots roots drawn by the Graph500 rule, and one

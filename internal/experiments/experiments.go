@@ -3,6 +3,17 @@
 // rows or series on the simulated cluster. DESIGN.md carries the full
 // experiment index; EXPERIMENTS.md records paper-vs-measured values.
 //
+// A figure is a registry entry (Figures: the -fig key and the driver),
+// a list of cells and projectors. A cell is a label plus a complete
+// graph500.Config short of the fields the Spec owns; Spec.collect runs
+// the cells on the parallel runner, and projectors (TEPS, breakdown
+// shares, ratios to a baseline row) turn the results into columns.
+// Drivers that drive mpi or an engine directly — Fig4, Fig6,
+// AblationAllgather, AblationShareDegree, LevelProfile, Timeline,
+// Ext2D, ExtCrossover, ExtMSBFS and ExtMSBFSLoad — measure something a
+// graph500.Result does not carry, and stay plain functions over the
+// same runner.
+//
 // The paper runs graphs of scale 28 (one node) to 32 (sixteen nodes,
 // weak scaling). The drivers run the same sweeps at laptop scales on the
 // proportionally scaled machine model (machine.Scaled), which preserves
@@ -15,12 +26,10 @@ import (
 	"math"
 	"strings"
 
-	"numabfs/internal/bfs"
 	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
-	"numabfs/internal/rmat"
 	"numabfs/internal/trace"
 )
 
@@ -48,9 +57,12 @@ type Spec struct {
 	// exports.
 	SampleNs float64
 	// Faults, when non-nil, applies a deterministic fault plan
-	// (internal/fault) to every configuration the driver runs — the
-	// bfsbench -fault flag. ExtFaults builds its own plans and ignores
-	// this field.
+	// (internal/fault) to every graph500 cell the driver runs — the
+	// bfsbench -fault flag. ExtFaults, ExtLoss and ExtAvailability build
+	// their own plans and ignore it; Fig4, Fig6, AblationAllgather,
+	// AblationShareDegree, LevelProfile, Ext2D, ExtCrossover, ExtMSBFS
+	// and ExtMSBFSLoad drive mpi or an engine directly and run
+	// fault-free.
 	Faults *fault.Plan
 	// Cache, when non-nil, shares constructed graphs across every cell
 	// the driver runs: cells differing only in optimization level, knobs
@@ -80,11 +92,7 @@ type Spec struct {
 	FillTimeoutNs float64
 }
 
-// Quick returns a spec small enough for unit tests.
-func Quick() Spec { return Spec{BaseScale: 14, Roots: 2} }
-
-// Default returns the benchmark spec used by cmd/bfsbench and the
-// top-level benches.
+// Default returns the spec of the bfsbench flag defaults.
 func Default() Spec { return Spec{BaseScale: 16, Roots: 8} }
 
 // PaperBaseScale is the paper's one-node graph scale; its weak-scaling
@@ -105,22 +113,6 @@ func (s Spec) clusterConfig(nodes int) machine.Config {
 		cfg.WeakNode = -1
 	}
 	return cfg
-}
-
-// run executes one Graph500 benchmark configuration.
-func (s Spec) run(nodes int, policy machine.Policy, opts bfs.Options) (*graph500.Result, error) {
-	return graph500.Run(graph500.Config{
-		Machine:  s.clusterConfig(nodes),
-		Policy:   policy,
-		Params:   rmat.Graph500(s.scaleFor(nodes)),
-		Opts:     opts,
-		NumRoots: s.Roots,
-		Validate: s.Validate,
-		Obs:      s.Obs,
-		SampleNs: s.SampleNs,
-		Faults:   s.Faults,
-		Cache:    s.Cache,
-	})
 }
 
 // Table is a rendered experiment result: labelled rows of numeric cells,

@@ -390,13 +390,13 @@ func TestOverlapAcceptanceAtDefaultScale(t *testing.T) {
 	const nodes = 4
 	comp := bfs.DefaultOptions()
 	comp.Opt = bfs.OptCompressedAllgather
-	rc, err := s.run(nodes, machine.PPN8Bind, comp)
+	rc, err := graph500.Run(s.own(s.config(nodes, machine.PPN8Bind, comp)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ov := bfs.DefaultOptions()
 	ov.Opt = bfs.OptOverlapAllgather
-	ro, err := s.run(nodes, machine.PPN8Bind, ov)
+	ro, err := graph500.Run(s.own(s.config(nodes, machine.PPN8Bind, ov)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"numabfs/internal/bfs"
 	"numabfs/internal/bfs2d"
 	"numabfs/internal/graph500"
-	"numabfs/internal/machine"
-	"numabfs/internal/rmat"
 )
 
 // Ext2D compares the paper's 1-D hybrid BFS against the two-dimensional
@@ -23,91 +21,50 @@ func Ext2D(s Spec) (*Table, error) {
 	t := &Table{
 		Name:    "Ext. 2-D",
 		Title:   "1-D vs 2-D partitioning: TEPS and comm volume (MB/iteration)",
-		Columns: []string{"2 nodes", "4 nodes", "8 nodes"},
+		Columns: nodeColumns(nodesSweep),
 	}
 
-	// Slots: series-major — 1-D top-down, 1-D hybrid, 2-D — matching the
-	// sequential schedule.
-	points := make([]engineStats, 3*len(nodesSweep))
-	var cells []cell
-	for si, mode := range []bfs.Mode{bfs.ModeTopDown, bfs.ModeHybrid} {
-		for ni, nodes := range nodesSweep {
-			slot := si*len(nodesSweep) + ni
-			mode, nodes := mode, nodes
-			cells = append(cells, cell{
-				label: fmt.Sprintf("1-D %s/%dn", mode, nodes),
-				run: func(cs Spec) error {
-					opts := bfs.DefaultOptions()
-					opts.Mode = mode
-					r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, rmat.Graph500(cs.scaleFor(nodes)), opts)
-					if err != nil {
-						return fmt.Errorf("ext2d 1-D %s: %w", mode, err)
-					}
-					points[slot], err = cs.runEngine(fmt.Sprintf("ext2d 1-D %s nodes=%d", mode, nodes), r, r.Params, nil)
-					return err
-				},
-			})
+	// Cells: series-major — 1-D top-down, 1-D hybrid, 2-D.
+	modes := []bfs.Mode{bfs.ModeTopDown, bfs.ModeHybrid}
+	var cells []string
+	for _, series := range []string{"1-D " + modes[0].String(), "1-D " + modes[1].String(), "2-D"} {
+		for _, nodes := range nodesSweep {
+			cells = append(cells, fmt.Sprintf("%s/%dn", series, nodes))
 		}
 	}
-	for ni, nodes := range nodesSweep {
-		slot := 2*len(nodesSweep) + ni
-		nodes := nodes
-		cells = append(cells, cell{
-			label: fmt.Sprintf("2-D/%dn", nodes),
-			run: func(cs Spec) error {
-				cfg := cs.clusterConfig(nodes)
-				grid := bfs2d.DefaultGrid(nodes * cfg.SocketsPerNode)
-				r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, grid, rmat.Graph500(cs.scaleFor(nodes)))
-				if err != nil {
-					return fmt.Errorf("ext2d 2-D: %w", err)
-				}
-				points[slot], err = cs.runEngine(fmt.Sprintf("ext2d 2-D %dx%d nodes=%d", grid.R, grid.C, nodes), r, r.Params, nil)
-				return err
-			},
-		})
-	}
-	if err := s.runCells("2d", cells); err != nil {
+	points, err := gather(s, cells, func(cs Spec, i int) (engineStats, error) {
+		series, nodes := i/len(nodesSweep), nodesSweep[i%len(nodesSweep)]
+		if series == len(modes) {
+			return cs.run2D("ext2d", nodes, bfs2d.ModeTopDown, false, false)
+		}
+		opts := bfs.DefaultOptions()
+		opts.Mode = modes[series]
+		return cs.run1D(fmt.Sprintf("ext2d 1-D %s nodes=%d", opts.Mode, nodes), nodes, opts, false)
+	})
+	if err != nil {
 		return nil, err
 	}
 
-	row := func(series int, f func(engineStats) float64) []float64 {
-		vals := make([]float64, len(nodesSweep))
-		for i := range nodesSweep {
-			vals[i] = f(points[series*len(nodesSweep)+i])
-		}
-		return vals
-	}
-	td, hy, d2 := 0, 1, 2
-	t.AddRow("1-D top-down TEPS", row(td, func(p engineStats) float64 { return p.teps })...)
-	t.AddRow("2-D top-down TEPS", row(d2, func(p engineStats) float64 { return p.teps })...)
-	t.AddRow("1-D hybrid TEPS", row(hy, func(p engineStats) float64 { return p.teps })...)
-	t.AddRow("1-D top-down comm MB", row(td, func(p engineStats) float64 { return p.commMB })...)
-	t.AddRow("2-D top-down comm MB", row(d2, func(p engineStats) float64 { return p.commMB })...)
-	t.AddRow("1-D hybrid comm MB", row(hy, func(p engineStats) float64 { return p.commMB })...)
-	ratio := make([]float64, len(nodesSweep))
-	for i := range ratio {
-		tdComm := points[td*len(nodesSweep)+i].commMB
-		d2Comm := points[d2*len(nodesSweep)+i].commMB
-		if d2Comm > 0 {
-			ratio[i] = tdComm / d2Comm
+	grid := rows(points, len(nodesSweep))
+	td, hy, d2 := grid[0], grid[1], grid[2]
+	tepsOf := func(p engineStats) float64 { return p.teps }
+	commOf := func(p engineStats) float64 { return p.commMB }
+	t.AddRow("1-D top-down TEPS", project(td, tepsOf)...)
+	t.AddRow("2-D top-down TEPS", project(d2, tepsOf)...)
+	t.AddRow("1-D hybrid TEPS", project(hy, tepsOf)...)
+	t.AddRow("1-D top-down comm MB", project(td, commOf)...)
+	t.AddRow("2-D top-down comm MB", project(d2, commOf)...)
+	t.AddRow("1-D hybrid comm MB", project(hy, commOf)...)
+	reduction := make([]float64, len(nodesSweep))
+	for i := range reduction {
+		if d2[i].commMB > 0 {
+			reduction[i] = td[i].commMB / d2[i].commMB
 		}
 	}
-	t.AddRow("top-down comm reduction (1D/2D)", ratio...)
+	t.AddRow("top-down comm reduction (1D/2D)", reduction...)
 	t.Notes = append(t.Notes,
 		"related work (Buluc & Madduri): 2-D partitioning cut BFS communication ~3.5x over 1-D top-down",
 		"the hybrid row shows why the paper optimizes the hybrid instead: it avoids most top-down traffic outright")
-	return t, nil
-}
-
-// AblationAllgather compares the three allgather algorithms on the
-// in_queue-sized payload over the full 16-node cluster — the
-// Thakur-Gropp selection ablated. The BFS uses the library default; this
-// shows what each choice would cost.
-func AblationAllgather(s Spec) (*Table, error) {
-	t, err := allgatherAblation(s)
-	if err != nil {
-		return nil, fmt.Errorf("ablation allgather: %w", err)
-	}
 	return t, nil
 }
 
@@ -116,48 +73,30 @@ func AblationAllgather(s Spec) (*Table, error) {
 // the switching heuristic the paper inherits from Beamer et al.
 func AblationHybrid(s Spec) (*Table, error) {
 	const nodes = 4
-	scale := s.scaleFor(nodes)
-	t := &Table{
-		Name:    "Abl. hybrid",
-		Title:   fmt.Sprintf("Hybrid switch ablation (%d nodes, scale %d)", nodes, scale),
-		Columns: []string{"TEPS", "td levels", "bu levels"},
-	}
-	var cells []cellRun
-	var labels []string
+	var ks []knob
 	for _, mode := range []bfs.Mode{bfs.ModeTopDown, bfs.ModeBottomUp} {
-		mode := mode
-		labels = append(labels, fmt.Sprintf("pure %s", mode))
-		cells = append(cells, cellRun{label: fmt.Sprintf("pure %s", mode), run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Mode = mode
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s: %w", mode, err)
-			}
-			return res, nil
-		}})
+		ks = append(ks, knob{fmt.Sprintf("pure %s", mode), func(o *bfs.Options) { o.Mode = mode }})
 	}
 	for _, alpha := range []float64{2, 14, 30, 100} {
-		alpha := alpha
-		labels = append(labels, fmt.Sprintf("hybrid alpha=%g", alpha))
-		cells = append(cells, cellRun{label: fmt.Sprintf("alpha=%g", alpha), run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Alpha = alpha
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("ablation alpha=%g: %w", alpha, err)
-			}
-			return res, nil
-		}})
+		ks = append(ks, knob{fmt.Sprintf("alpha=%g", alpha), func(o *bfs.Options) { o.Alpha = alpha }})
 	}
-	results, err := s.collect("abl-hybrid", cells)
+	cells := s.knobs(nodes, bfs.OptOriginal, ks)
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range results {
-		t.AddRow(labels[i], res.HarmonicTEPS,
-			float64(res.Breakdown.TDLevels), float64(res.Breakdown.BULevels))
+	t := &Table{
+		Name:    "Abl. hybrid",
+		Title:   fmt.Sprintf("Hybrid switch ablation (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
+		Columns: []string{"TEPS", "td levels", "bu levels"},
+		Notes:   []string{"the hybrid beats both pure modes across the alpha range (Sec. II.A)"},
 	}
-	t.Notes = append(t.Notes, "the hybrid beats both pure modes across the alpha range (Sec. II.A)")
+	rowLabels := labels(cells)
+	for i := 2; i < len(rowLabels); i++ {
+		rowLabels[i] = "hybrid " + rowLabels[i]
+	}
+	t.addColumns(rowLabels, project(res, teps),
+		project(res, func(r *graph500.Result) float64 { return float64(r.Breakdown.TDLevels) }),
+		project(res, func(r *graph500.Result) float64 { return float64(r.Breakdown.BULevels) }))
 	return t, nil
 }

@@ -3,17 +3,24 @@ package experiments
 import (
 	"fmt"
 
-	"numabfs/internal/bfs"
 	"numabfs/internal/fault"
-	"numabfs/internal/graph500"
-	"numabfs/internal/machine"
 )
 
-// faultVariants is the five cumulative optimization levels, all at the
-// paper's ppn=8 bound placement, for the degradation sweep.
-func faultVariants() []variant {
-	return append(ppn8Variants(),
-		variant{"+ Compressed allgather", machine.PPN8Bind, bfs.OptCompressedAllgather})
+// planCol is one column of a fault sweep: its label and the plan its
+// cells run under (nil runs fault-free, whatever Spec.Faults says).
+type planCol struct {
+	label string
+	plan  *fault.Plan
+}
+
+// underPlans is the variants × plans product on nodes, labelled
+// "<variant>/<column>"; validate forces tree validation on every cell.
+func (s Spec) underPlans(nodes int, vs []variant, cols []planCol, validate bool) []cell {
+	return cross(vs, cols, func(v variant, c planCol) cell {
+		cfg := s.config(nodes, v.policy, optsAt(v.opt))
+		cfg.Faults, cfg.Validate = c.plan, validate
+		return cell{v.label + "/" + c.label, cfg}
+	})
 }
 
 // ExtFaults studies graceful degradation under deterministic fault
@@ -38,87 +45,53 @@ func ExtFaults(s Spec) (*Table, error) {
 	const nodes = 4
 	const slowNode = nodes - 1
 	factors := []float64{1.0, 0.8, 0.5, 0.25}
-	scale := s.scaleFor(nodes)
-
-	t := &Table{
-		Name:  "Ext. faults",
-		Title: fmt.Sprintf("TEPS retained under a degraded node (%d nodes, scale %d, node %d slowed)", nodes, scale, slowNode),
-		Columns: []string{
-			"bw x1.0", "bw x0.8", "bw x0.5", "bw x0.25",
-		},
-	}
-
-	variants := faultVariants()
-	var cells []cellRun
-	for _, v := range variants {
-		for _, f := range factors {
-			v, f := v, f
-			cells = append(cells, cellRun{
-				label: fmt.Sprintf("%s/x%g", v.label, f),
-				run: func(cs Spec) (*graph500.Result, error) {
-					opts := bfs.DefaultOptions()
-					opts.Opt = v.opt
-					if f != 1 {
-						plan := fault.WeakNode(slowNode, f)
-						cs.Faults = &plan
-					} else {
-						cs.Faults = nil
-					}
-					res, err := cs.run(nodes, v.policy, opts)
-					if err != nil {
-						return nil, fmt.Errorf("ext faults %s factor %g: %w", v.label, f, err)
-					}
-					return res, nil
-				},
-			})
+	cols := make([]planCol, len(factors))
+	for i, f := range factors {
+		cols[i].label = fmt.Sprintf("x%g", f)
+		if f != 1 {
+			plan := fault.WeakNode(slowNode, f)
+			cols[i].plan = &plan
 		}
 	}
-	results, err := s.collect("faults", cells)
+	vs := compressedVariants()
+	res, err := s.collect(s.underPlans(nodes, vs, cols, false))
 	if err != nil {
 		return nil, err
 	}
-
-	var base *graph500.Result // undegraded hybrid run for the crash row
-	for i, v := range variants {
-		baseline := results[i*len(factors)].HarmonicTEPS
-		if v.opt == bfs.OptParAllgather {
-			base = results[i*len(factors)]
-		}
-		retained := make([]float64, 0, len(factors))
-		for j := range factors {
-			retained = append(retained, results[i*len(factors)+j].HarmonicTEPS/baseline)
-		}
-		t.AddRow(v.label, retained...)
-	}
+	grid := rows(res, len(cols))
 
 	// Crash-recovery demonstration: kill rank 0 halfway through the
 	// mean iteration of the undegraded parallel-allgather run. The
 	// crash time is derived from modelled (virtual) time, so the row is
 	// as deterministic as every other. Its plan depends on the sweep's
 	// baseline result, so it is a second (single-cell) batch.
+	base := grid[parRung][0]
 	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 0, AtNs: 0.5 * base.MeanTimeNs}}}
-	crash, err := s.collect("faults", []cellRun{{label: "crash", run: func(cs Spec) (*graph500.Result, error) {
-		crashOpts := bfs.DefaultOptions()
-		crashOpts.Opt = bfs.OptParAllgather
-		cs.Faults = &plan
-		res, err := cs.run(nodes, machine.PPN8Bind, crashOpts)
-		if err != nil {
-			return nil, fmt.Errorf("ext faults crash row: %w", err)
-		}
-		return res, nil
-	}}})
+	par := vs[parRung]
+	crash := cell{"crash", s.config(nodes, par.policy, optsAt(par.opt))}
+	crash.cfg.Faults = &plan
+	crashed, err := s.collect([]cell{crash})
 	if err != nil {
 		return nil, err
 	}
-	res := crash[0]
-	if res.Faults == 0 {
-		return nil, fmt.Errorf("ext faults: scheduled crash at %.0f ns never fired", plan.Crashes[0].AtNs)
+	cr := crashed[0]
+	if cr.Faults == 0 {
+		return nil, fmt.Errorf("crash: scheduled crash at %.0f ns never fired", plan.Crashes[0].AtNs)
 	}
-	t.AddRow("Par allgather, rank crash", res.HarmonicTEPS/base.HarmonicTEPS, 0, 0, 0)
 
-	t.Notes = append(t.Notes,
-		"cells are harmonic-TEPS retained vs the same optimization level at full bandwidth (column 1 is 1.0 by construction)",
-		"the crash row kills rank 0 mid-iteration; the run completes via level-boundary checkpoint recovery (first column only)",
-		fmt.Sprintf("crash row survived %d crash(es); retained fraction includes detection timeout, rollback and checkpoint overhead", res.Faults))
+	t := &Table{
+		Name:    "Ext. faults",
+		Title:   fmt.Sprintf("TEPS retained under a degraded node (%d nodes, scale %d, node %d slowed)", nodes, s.scaleFor(nodes), slowNode),
+		Columns: []string{"bw x1.0", "bw x0.8", "bw x0.5", "bw x0.25"},
+		Notes: []string{
+			"cells are harmonic-TEPS retained vs the same optimization level at full bandwidth (column 1 is 1.0 by construction)",
+			"the crash row kills rank 0 mid-iteration; the run completes via level-boundary checkpoint recovery (first column only)",
+			fmt.Sprintf("crash row survived %d crash(es); retained fraction includes detection timeout, rollback and checkpoint overhead", cr.Faults),
+		},
+	}
+	for i, row := range grid {
+		t.AddRow(vs[i].label, retained(row)...)
+	}
+	t.AddRow("Par allgather, rank crash", cr.HarmonicTEPS/base.HarmonicTEPS, 0, 0, 0)
 	return t, nil
 }

@@ -6,25 +6,7 @@ import (
 	"numabfs/internal/bfs"
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
-	"numabfs/internal/trace"
 )
-
-// variant pairs a label with a policy and optimization level, in the
-// cumulative order of Fig. 9.
-type variant struct {
-	label  string
-	policy machine.Policy
-	opt    bfs.Opt
-}
-
-func ppn8Variants() []variant {
-	return []variant{
-		{"Original.ppn=8", machine.PPN8Bind, bfs.OptOriginal},
-		{"+ Share in_queue", machine.PPN8Bind, bfs.OptShareInQueue},
-		{"+ Share all", machine.PPN8Bind, bfs.OptShareAll},
-		{"+ Par allgather", machine.PPN8Bind, bfs.OptParAllgather},
-	}
-}
 
 // Fig9Granularities is the sweep behind the "+ Granularity" bar (the
 // paper reports the best of all tested granularities).
@@ -36,76 +18,33 @@ var Fig9Granularities = []int64{64, 128, 256, 512}
 // 2.44x overall.
 func Fig9(s Spec) (*Table, error) {
 	const nodes = 16
+	var cells []cell
+	for _, v := range append([]variant{ppn1}, ppn8Variants()...) {
+		cells = append(cells, cell{v.label, s.config(nodes, v.policy, optsAt(v.opt))})
+	}
+	rungs := len(cells)
+	// "+ Granularity": best of the sweep on top of Par allgather.
+	cells = append(cells, s.knobs(nodes, bfs.OptParAllgather, granularities(Fig9Granularities))...)
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
+	}
+	tp, rowLabels := project(res[:rungs], teps), labels(cells[:rungs])
+	best, bestG := 0.0, int64(0)
+	for i, g := range Fig9Granularities {
+		if r := res[rungs+i]; r.HarmonicTEPS > best {
+			best, bestG = r.HarmonicTEPS, g
+		}
+	}
+	tp = append(tp, best)
+	rowLabels = append(rowLabels, fmt.Sprintf("+ Granularity (best g=%d)", bestG))
 	t := &Table{
 		Name:    "Fig. 9",
 		Title:   fmt.Sprintf("Overview of all optimizations (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
 		Columns: []string{"TEPS", "vs ppn=1", "vs previous"},
+		Notes:   []string{"paper: 1.53x, +34.1%, +6.5%, +4.6%, then best granularity; 2.44x overall"},
 	}
-
-	variants := ppn8Variants()
-	cells := []cellRun{{label: "Original.ppn=1", run: func(cs Spec) (*graph500.Result, error) {
-		res, err := cs.run(nodes, machine.PPN1Interleave, bfs.DefaultOptions())
-		if err != nil {
-			return nil, fmt.Errorf("fig9 ppn=1: %w", err)
-		}
-		return res, nil
-	}}}
-	for _, v := range variants {
-		cells = append(cells, cellRun{label: v.label, run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Opt = v.opt
-			res, err := cs.run(nodes, v.policy, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig9 %s: %w", v.label, err)
-			}
-			return res, nil
-		}})
-	}
-	// "+ Granularity": best of the sweep on top of Par allgather.
-	for _, g := range Fig9Granularities {
-		cells = append(cells, cellRun{label: fmt.Sprintf("g=%d", g), run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Opt = bfs.OptParAllgather
-			opts.Granularity = g
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig9 granularity %d: %w", g, err)
-			}
-			return res, nil
-		}})
-	}
-	results, err := s.collect("9", cells)
-	if err != nil {
-		return nil, err
-	}
-
-	var teps []float64
-	var labels []string
-	teps = append(teps, results[0].HarmonicTEPS)
-	labels = append(labels, "Original.ppn=1")
-	for i, v := range variants {
-		teps = append(teps, results[1+i].HarmonicTEPS)
-		labels = append(labels, v.label)
-	}
-	best := 0.0
-	bestG := int64(0)
-	for i, g := range Fig9Granularities {
-		if r := results[1+len(variants)+i]; r.HarmonicTEPS > best {
-			best, bestG = r.HarmonicTEPS, g
-		}
-	}
-	teps = append(teps, best)
-	labels = append(labels, fmt.Sprintf("+ Granularity (best g=%d)", bestG))
-
-	for i := range teps {
-		prev := 1.0
-		if i > 0 {
-			prev = teps[i] / teps[i-1]
-		}
-		t.AddRow(labels[i], teps[i], teps[i]/teps[0], prev)
-	}
-	t.Notes = append(t.Notes,
-		"paper: 1.53x, +34.1%, +6.5%, +4.6%, then best granularity; 2.44x overall")
+	t.addColumns(rowLabels, tp, ratio(tp, tp[0]), stepwise(tp))
 	return t, nil
 }
 
@@ -116,73 +55,39 @@ func Fig9(s Spec) (*Table, error) {
 // grows ~2x per doubling; ppn=8 costs ~2.34x ppn=1 at 8 nodes; the
 // proportion grows from 12% to 54%.
 func Fig12(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8}
-	t := &Table{
-		Name:    "Fig. 12",
-		Title:   "Bottom-up communication cost, weak scaling (Original)",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes"},
-	}
-	var cells []cellRun
-	for _, nodes := range nodesSweep {
-		nodes := nodes
-		cells = append(cells,
-			cellRun{label: fmt.Sprintf("ppn1/%dn", nodes), run: func(cs Spec) (*graph500.Result, error) {
-				res, err := cs.run(nodes, machine.PPN1Interleave, bfs.DefaultOptions())
-				if err != nil {
-					return nil, fmt.Errorf("fig12 ppn1 %d nodes: %w", nodes, err)
-				}
-				return res, nil
-			}},
-			cellRun{label: fmt.Sprintf("ppn8/%dn", nodes), run: func(cs Spec) (*graph500.Result, error) {
-				res, err := cs.run(nodes, machine.PPN8Bind, bfs.DefaultOptions())
-				if err != nil {
-					return nil, fmt.Errorf("fig12 ppn8 %d nodes: %w", nodes, err)
-				}
-				return res, nil
-			}})
-	}
-	results, err := s.collect("12", cells)
+	nodes := weakNodes[:4]
+	policies := []variant{{"ppn1", machine.PPN1Interleave, bfs.OptOriginal}, {"ppn8", machine.PPN8Bind, bfs.OptOriginal}}
+	cells := cross(nodes, policies, func(n int, v variant) cell {
+		return cell{fmt.Sprintf("%s/%dn", v.label, n), s.config(n, v.policy, optsAt(v.opt))}
+	})
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
-	var ppn1, ppn8, prop []float64
-	for i := range nodesSweep {
-		r1, r8 := results[2*i], results[2*i+1]
-		ppn1 = append(ppn1, r1.Breakdown.AvgBUCommNs()/1e6)
-		ppn8 = append(ppn8, r8.Breakdown.AvgBUCommNs()/1e6)
-		prop = append(prop, r8.Breakdown.Proportion(trace.BUComm))
+	var ppn1s, ppn8s []*graph500.Result
+	for _, pair := range rows(res, len(policies)) {
+		ppn1s, ppn8s = append(ppn1s, pair[0]), append(ppn8s, pair[1])
 	}
-	t.AddRow("ppn=1.interleave comm phase (ms)", ppn1...)
-	t.AddRow("ppn=8.bind comm phase (ms)", ppn8...)
-	t.AddRow("ppn=8 bu-comm proportion", prop...)
-	t.Notes = append(t.Notes,
-		"paper: ppn=8 comm = 2.34x ppn=1 at 8 nodes; proportion 12% -> 54%")
+	t := &Table{Name: "Fig. 12", Title: "Bottom-up communication cost, weak scaling (Original)", Columns: nodeColumns(nodes),
+		Notes: []string{"paper: ppn=8 comm = 2.34x ppn=1 at 8 nodes; proportion 12% -> 54%"}}
+	t.AddRow("ppn=1.interleave comm phase (ms)", project(ppn1s, buCommMs)...)
+	t.AddRow("ppn=8.bind comm phase (ms)", project(ppn8s, buCommMs)...)
+	t.AddRow("ppn=8 bu-comm proportion", project(ppn8s, buShare)...)
 	return t, nil
 }
 
-// sweepCells declares one cell per (variant, node count), in
-// variant-major order — the sequential schedule the weak-scaling
-// figures always ran. errPrefix names the calling driver in error wraps.
-func sweepCells(errPrefix string, variants []variant, nodesSweep []int) []cellRun {
-	var cells []cellRun
-	for _, v := range variants {
-		for _, nodes := range nodesSweep {
-			v, nodes := v, nodes
-			cells = append(cells, cellRun{
-				label: fmt.Sprintf("%s/%dn", v.label, nodes),
-				run: func(cs Spec) (*graph500.Result, error) {
-					opts := bfs.DefaultOptions()
-					opts.Opt = v.opt
-					res, err := cs.run(nodes, v.policy, opts)
-					if err != nil {
-						return nil, fmt.Errorf("%s %s %d nodes: %w", errPrefix, v.label, nodes, err)
-					}
-					return res, nil
-				},
-			})
-		}
+// weakScaling fills t with one row per variant: proj of each of its
+// cells over the node sweep.
+func (s Spec) weakScaling(t *Table, vs []variant, nodes []int, proj func(*graph500.Result) float64) (*Table, error) {
+	res, err := s.collect(s.sweep(vs, nodes))
+	if err != nil {
+		return nil, err
 	}
-	return cells
+	t.Columns = nodeColumns(nodes)
+	for i, row := range rows(res, len(nodes)) {
+		t.AddRow(vs[i].label, project(row, proj)...)
+	}
+	return t, nil
 }
 
 // Fig13 reproduces the reduction of the average bottom-up communication
@@ -190,77 +95,26 @@ func sweepCells(errPrefix string, variants []variant, nodesSweep []int) []cellRu
 // shape: 4.07x reduction at 8 nodes; the 16-node point is polluted by
 // the weak node.
 func Fig13(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8, 16}
-	t := &Table{
-		Name:    "Fig. 13",
-		Title:   "Average bottom-up communication phase (ms), weak scaling",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes", "16 nodes"},
-	}
-	variants := ppn8Variants()
-	results, err := s.collect("13", sweepCells("fig13", variants, nodesSweep))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		row := make([]float64, 0, len(nodesSweep))
-		for j := range nodesSweep {
-			row = append(row, results[i*len(nodesSweep)+j].Breakdown.AvgBUCommNs()/1e6)
-		}
-		t.AddRow(v.label, row...)
-	}
-	t.Notes = append(t.Notes, "paper: all optimizations together cut 8-node comm 4.07x")
-	return t, nil
+	return s.weakScaling(&Table{Name: "Fig. 13", Title: "Average bottom-up communication phase (ms), weak scaling",
+		Notes: []string{"paper: all optimizations together cut 8-node comm 4.07x"}},
+		ppn8Variants(), weakNodes, buCommMs)
 }
 
 // Fig14 reproduces the proportion of total time spent in bottom-up
 // communication for each optimization level over 1..8 nodes. Paper
 // shape: 54% (Original) -> 18% (all optimizations) at 8 nodes.
 func Fig14(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8}
-	t := &Table{
-		Name:    "Fig. 14",
-		Title:   "Bottom-up communication proportion of total time",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes"},
-	}
-	variants := ppn8Variants()
-	results, err := s.collect("14", sweepCells("fig14", variants, nodesSweep))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range variants {
-		row := make([]float64, 0, len(nodesSweep))
-		for j := range nodesSweep {
-			row = append(row, results[i*len(nodesSweep)+j].Breakdown.Proportion(trace.BUComm))
-		}
-		t.AddRow(v.label, row...)
-	}
-	t.Notes = append(t.Notes, "paper: 54% -> 18% at 8 nodes")
-	return t, nil
+	return s.weakScaling(&Table{Name: "Fig. 14", Title: "Bottom-up communication proportion of total time",
+		Notes: []string{"paper: 54% -> 18% at 8 nodes"}},
+		ppn8Variants(), weakNodes[:4], buShare)
 }
 
 // Fig15 reproduces weak scalability in TEPS for each implementation from
 // 1 to 16 nodes. Paper shape: the communication optimizations scale
 // best; 8 -> 16 nodes is depressed by the weak node.
 func Fig15(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8, 16}
-	t := &Table{
-		Name:    "Fig. 15",
-		Title:   "Weak scalability (harmonic-mean TEPS)",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes", "16 nodes"},
-	}
-	all := append([]variant{{"Original.ppn=1", machine.PPN1Interleave, bfs.OptOriginal}}, ppn8Variants()...)
-	results, err := s.collect("15", sweepCells("fig15", all, nodesSweep))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range all {
-		row := make([]float64, 0, len(nodesSweep))
-		for j := range nodesSweep {
-			row = append(row, results[i*len(nodesSweep)+j].HarmonicTEPS)
-		}
-		t.AddRow(v.label, row...)
-	}
-	return t, nil
+	return s.weakScaling(&Table{Name: "Fig. 15", Title: "Weak scalability (harmonic-mean TEPS)"},
+		append([]variant{ppn1}, ppn8Variants()...), weakNodes, teps)
 }
 
 // Fig16Granularities is the granularity sweep of Fig. 16.
@@ -271,35 +125,15 @@ var Fig16Granularities = []int64{64, 128, 256, 512, 1024, 2048, 4096}
 // over 64), decaying beyond as the summary loses zero bits.
 func Fig16(s Spec) (*Table, error) {
 	const nodes = 16
-	t := &Table{
-		Name:    "Fig. 16",
-		Title:   fmt.Sprintf("Summary bitmap granularity sweep (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
-		Columns: []string{"TEPS", "vs g=64"},
-	}
-	cells := make([]cellRun, len(Fig16Granularities))
-	for i, g := range Fig16Granularities {
-		cells[i] = cellRun{label: fmt.Sprintf("g=%d", g), run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Opt = bfs.OptParAllgather
-			opts.Granularity = g
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig16 g=%d: %w", g, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("16", cells)
+	cells := s.knobs(nodes, bfs.OptParAllgather, granularities(Fig16Granularities))
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
-	var base float64
-	for i, g := range Fig16Granularities {
-		if g == 64 {
-			base = results[i].HarmonicTEPS
-		}
-		t.AddRow(fmt.Sprintf("g=%d", g), results[i].HarmonicTEPS, results[i].HarmonicTEPS/base)
-	}
-	t.Notes = append(t.Notes, "paper: peak at g=256, +10.2% over g=64")
+	t := &Table{Name: "Fig. 16", Columns: []string{"TEPS", "vs g=64"},
+		Title: fmt.Sprintf("Summary bitmap granularity sweep (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
+		Notes: []string{"paper: peak at g=256, +10.2% over g=64"}}
+	tp := project(res, teps) // the sweep starts at g=64
+	t.addColumns(labels(cells), tp, ratio(tp, tp[0]))
 	return t, nil
 }

@@ -33,46 +33,40 @@ func Fig4(s Spec) (*Table, error) {
 	cfg.WeakNode = -1
 	pl := machine.PlacementFor(cfg, machine.PPN8Bind)
 
-	bw := make([]float64, len(Fig4PPNs)*len(Fig4Sizes))
-	var cells []cell
-	for pi, ppn := range Fig4PPNs {
-		for si, size := range Fig4Sizes {
-			slot := pi*len(Fig4Sizes) + si
-			ppn, size := ppn, size
-			cells = append(cells, cell{
-				label: fmt.Sprintf("ppn=%d/%s", ppn, sizeLabel(size)),
-				run: func(cs Spec) error {
-					const iters = 8
-					w := mpi.NewWorld(cfg, pl)
-					words := size / 8
-					buf := make([]uint64, words)
-					w.Run(func(p *mpi.Proc) {
-						// Ranks 0..ppn-1 of node 0 stream to their counterparts
-						// on node 1; the rest idle.
-						if p.LocalRank() >= ppn {
-							return
-						}
-						peer := p.Rank() + cfg.SocketsPerNode // same local rank, node 1
-						for it := 0; it < iters; it++ {
-							if p.Node() == 0 {
-								p.SendPayload(peer, 9000+it, size, mpi.Payload{Words: buf}, ppn)
-							} else {
-								p.Recv(p.Rank()-cfg.SocketsPerNode, 9000+it)
-							}
-						}
-					})
-					totalBytes := float64(size) * float64(iters) * float64(ppn)
-					bw[slot] = totalBytes / w.MaxClock() // bytes/ns == GB/s
-					return nil
-				},
-			})
+	var cells []string
+	for _, ppn := range Fig4PPNs {
+		for _, size := range Fig4Sizes {
+			cells = append(cells, fmt.Sprintf("ppn=%d/%s", ppn, sizeLabel(size)))
 		}
 	}
-	if err := s.runCells("4", cells); err != nil {
+	bw, err := gather(s, cells, func(_ Spec, i int) (float64, error) {
+		const iters = 8
+		ppn, size := Fig4PPNs[i/len(Fig4Sizes)], Fig4Sizes[i%len(Fig4Sizes)]
+		w := mpi.NewWorld(cfg, pl)
+		buf := make([]uint64, size/8)
+		w.Run(func(p *mpi.Proc) {
+			// Ranks 0..ppn-1 of node 0 stream to their counterparts
+			// on node 1; the rest idle.
+			if p.LocalRank() >= ppn {
+				return
+			}
+			peer := p.Rank() + cfg.SocketsPerNode // same local rank, node 1
+			for it := 0; it < iters; it++ {
+				if p.Node() == 0 {
+					p.SendPayload(peer, 9000+it, size, mpi.Payload{Words: buf}, ppn)
+				} else {
+					p.Recv(p.Rank()-cfg.SocketsPerNode, 9000+it)
+				}
+			}
+		})
+		totalBytes := float64(size) * float64(iters) * float64(ppn)
+		return totalBytes / w.MaxClock(), nil // bytes/ns == GB/s
+	})
+	if err != nil {
 		return nil, err
 	}
-	for pi, ppn := range Fig4PPNs {
-		t.AddRow(fmt.Sprintf("ppn=%d", ppn), bw[pi*len(Fig4Sizes):(pi+1)*len(Fig4Sizes)]...)
+	for pi, row := range rows(bw, len(Fig4Sizes)) {
+		t.AddRow(fmt.Sprintf("ppn=%d", Fig4PPNs[pi]), row...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: 8 ppn saturates the 2x IB ports; 1 ppn reaches about half the peak")
@@ -115,50 +109,50 @@ func Fig6(s Spec) (*Table, error) {
 		mean  collective.StepTimes
 		ovNs  float64
 	}
-	results := make([]sizeResult, len(Fig6Sizes))
-	cells := make([]cell, len(Fig6Sizes))
+	cells := make([]string, len(Fig6Sizes))
 	for i, size := range Fig6Sizes {
-		i, size := i, size
-		cells[i] = cell{label: sizeLabel(size), run: func(cs Spec) error {
-			words := size / 8
-			// Default Open MPI allgather over all 128 ranks.
-			wDef := mpi.NewWorld(cfg, pl)
-			gDef := collective.WorldGroup(wDef)
-			lay := collective.EvenLayout(words, gDef.Size())
-			wDef.Run(func(p *mpi.Proc) {
-				buf := make([]uint64, words)
-				gDef.Allgather(p, buf, lay)
-			})
-			results[i].defNs = wDef.MaxClock()
-
-			// Leader-based allgather with per-step times.
-			wLdr := mpi.NewWorld(cfg, pl)
-			nc := collective.NewNodeComm(wLdr)
-			steps := make([]collective.StepTimes, wLdr.NumProcs())
-			wLdr.Run(func(p *mpi.Proc) {
-				buf := make([]uint64, words)
-				steps[p.Rank()] = nc.Allgather(p, collective.SchemeLeader, buf, nil, lay, collective.Exchange{})
-			})
-			// Report the mean across ranks (children have zero inter time).
-			for _, st := range steps {
-				results[i].mean.GatherNs += st.GatherNs / float64(len(steps))
-				results[i].mean.InterNs += st.InterNs / float64(len(steps))
-				results[i].mean.BcastNs += st.BcastNs / float64(len(steps))
-			}
-
-			// HierKNEM-style overlapped variant (Section V: overlap cannot
-			// hide intra-node cost when it exceeds inter-node).
-			wOv := mpi.NewWorld(cfg, pl)
-			ncOv := collective.NewNodeComm(wOv)
-			wOv.Run(func(p *mpi.Proc) {
-				buf := make([]uint64, words)
-				ncOv.LeaderAllgatherPipelined(p, buf, lay)
-			})
-			results[i].ovNs = wOv.MaxClock()
-			return nil
-		}}
+		cells[i] = sizeLabel(size)
 	}
-	if err := s.runCells("6", cells); err != nil {
+	results, err := gather(s, cells, func(_ Spec, i int) (sizeResult, error) {
+		var r sizeResult
+		words := Fig6Sizes[i] / 8
+		// Default Open MPI allgather over all 128 ranks.
+		wDef := mpi.NewWorld(cfg, pl)
+		gDef := collective.WorldGroup(wDef)
+		lay := collective.EvenLayout(words, gDef.Size())
+		wDef.Run(func(p *mpi.Proc) {
+			buf := make([]uint64, words)
+			gDef.Allgather(p, buf, lay)
+		})
+		r.defNs = wDef.MaxClock()
+
+		// Leader-based allgather with per-step times.
+		wLdr := mpi.NewWorld(cfg, pl)
+		nc := collective.NewNodeComm(wLdr)
+		steps := make([]collective.StepTimes, wLdr.NumProcs())
+		wLdr.Run(func(p *mpi.Proc) {
+			buf := make([]uint64, words)
+			steps[p.Rank()] = nc.Allgather(p, collective.SchemeLeader, buf, nil, lay, collective.Exchange{})
+		})
+		// Report the mean across ranks (children have zero inter time).
+		for _, st := range steps {
+			r.mean.GatherNs += st.GatherNs / float64(len(steps))
+			r.mean.InterNs += st.InterNs / float64(len(steps))
+			r.mean.BcastNs += st.BcastNs / float64(len(steps))
+		}
+
+		// HierKNEM-style overlapped variant (Section V: overlap cannot
+		// hide intra-node cost when it exceeds inter-node).
+		wOv := mpi.NewWorld(cfg, pl)
+		ncOv := collective.NewNodeComm(wOv)
+		wOv.Run(func(p *mpi.Proc) {
+			buf := make([]uint64, words)
+			ncOv.LeaderAllgatherPipelined(p, buf, lay)
+		})
+		r.ovNs = wOv.MaxClock()
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, size := range Fig6Sizes {

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"numabfs/internal/bfs"
-	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
-	"numabfs/internal/rmat"
 	"numabfs/internal/trace"
 )
 
@@ -16,91 +12,59 @@ import (
 // paper recommends in Section II.D. Paper shape: 1->8 cores ~6.98x near
 // linear; 8->64 cores only ~2.77x interleaved but ~6.31x bound.
 func Fig3(s Spec) (*Table, error) {
-	scale := s.scaleFor(1)
-	params := rmat.Graph500(scale)
-	type variant struct {
-		label   string
-		sockets int
-		cores   int
-		policy  machine.Policy
+	cores := func(label string, sockets, perSocket int, policy machine.Policy) cell {
+		c := cell{label, s.config(1, policy, bfs.DefaultOptions())}
+		c.cfg.Machine.SocketsPerNode, c.cfg.Machine.CoresPerSocket = sockets, perSocket
+		return c
 	}
-	variants := []variant{
-		{"1 core (1 socket, local)", 1, 1, machine.PPN1NoFlag},
-		{"8 cores (1 socket, local)", 1, 8, machine.PPN1NoFlag},
-		{"64 cores (8 sockets, interleave)", 8, 8, machine.PPN1Interleave},
-		{"64 cores (8 sockets, bind-to-socket)", 8, 8, machine.PPN8Bind},
+	cells := []cell{
+		cores("1 core (1 socket, local)", 1, 1, machine.PPN1NoFlag),
+		cores("8 cores (1 socket, local)", 1, 8, machine.PPN1NoFlag),
+		cores("64 cores (8 sockets, interleave)", 8, 8, machine.PPN1Interleave),
+		cores("64 cores (8 sockets, bind-to-socket)", 8, 8, machine.PPN8Bind),
+	}
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Name:    "Fig. 3",
 		Title:   "BFS speedup by core count and NUMA placement (single node)",
 		Columns: []string{"TEPS", "vs 1 core", "vs 8 cores"},
+		Notes:   []string{"paper: 8 cores = 6.98x of 1 core; 64 cores = 2.77x of 8 cores interleaved, 6.31x bound"},
 	}
-	opts := bfs.DefaultOptions()
-	cells := make([]cellRun, len(variants))
-	for i, v := range variants {
-		cells[i] = cellRun{label: v.label, run: func(cs Spec) (*graph500.Result, error) {
-			cfg := cs.clusterConfig(1)
-			cfg.Nodes = 1
-			cfg.SocketsPerNode = v.sockets
-			cfg.CoresPerSocket = v.cores
-			res, err := graph500.Run(graph500.Config{
-				Machine: cfg, Policy: v.policy, Params: params,
-				Opts: opts, NumRoots: cs.Roots, Validate: cs.Validate,
-				Obs: cs.Obs,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig3 %s: %w", v.label, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("3", cells)
-	if err != nil {
-		return nil, err
-	}
-	teps := make([]float64, len(variants))
-	for i := range variants {
-		teps[i] = results[i].HarmonicTEPS
-	}
-	for i, v := range variants {
-		t.AddRow(v.label, teps[i], teps[i]/teps[0], teps[i]/teps[1])
-	}
-	t.Notes = append(t.Notes,
-		"paper: 8 cores = 6.98x of 1 core; 64 cores = 2.77x of 8 cores interleaved, 6.31x bound")
+	tp := project(res, teps)
+	t.addColumns(labels(cells), tp, ratio(tp, tp[0]), ratio(tp, tp[1]))
 	return t, nil
+}
+
+// onOneNode declares one cell per policy on a single node at the
+// default options, labelled by policy.
+func (s Spec) onOneNode(policies ...machine.Policy) []cell {
+	cells := make([]cell, len(policies))
+	for i, p := range policies {
+		cells[i] = cell{p.String(), s.config(1, p, bfs.DefaultOptions())}
+	}
+	return cells
 }
 
 // Fig10 reproduces the execution-policy comparison on a single node:
 // ppn=1 without flags, ppn=1 interleaved, ppn=8 unbound, ppn=8 bound.
 // Paper shape: bind = 1.74x interleave = 2.08x ppn8-noflag; noflag worst.
 func Fig10(s Spec) (*Table, error) {
+	cells := s.onOneNode(machine.PPN1NoFlag, machine.PPN1Interleave, machine.PPN8NoFlag, machine.PPN8Bind)
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:    "Fig. 10",
 		Title:   "\"Original\" implementation under various execution policies (1 node)",
 		Columns: []string{"TEPS", "norm vs interleave"},
+		Notes:   []string{"paper: bind-to-socket = 1.74x of ppn=1.interleave and 2.08x of ppn=8.noflag"},
 	}
-	policies := []machine.Policy{
-		machine.PPN1NoFlag, machine.PPN1Interleave, machine.PPN8NoFlag, machine.PPN8Bind,
-	}
-	cells := make([]cellRun, len(policies))
-	for i, pol := range policies {
-		cells[i] = cellRun{label: pol.String(), run: func(cs Spec) (*graph500.Result, error) {
-			res, err := cs.run(1, pol, bfs.DefaultOptions())
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s: %w", pol, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("10", cells)
-	if err != nil {
-		return nil, err
-	}
-	for i, pol := range policies {
-		t.AddRow(pol.String(), results[i].HarmonicTEPS, results[i].HarmonicTEPS/results[1].HarmonicTEPS)
-	}
-	t.Notes = append(t.Notes,
-		"paper: bind-to-socket = 1.74x of ppn=1.interleave and 2.08x of ppn=8.noflag")
+	tp := project(res, teps)
+	t.addColumns(labels(cells), tp, ratio(tp, tp[1]))
 	return t, nil
 }
 
@@ -110,43 +74,31 @@ func Fig10(s Spec) (*Table, error) {
 // ~1.58x from the elimination of remote accesses; both computation
 // phases dominate the breakdown on one node.
 func Fig11(s Spec) (*Table, error) {
+	cells := s.onOneNode(machine.PPN1Interleave, machine.PPN8Bind)
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:  "Fig. 11",
 		Title: "Execution time breakdown (ms) and computation speedup (1 node)",
 		Columns: []string{
 			"td-comp", "td-comm", "bu-comp", "bu-comm", "switch", "stall", "total",
 		},
+		Notes:      []string{"paper: bottom-up computation speedup ~1.58x from binding"},
+		Breakdowns: make(map[string]trace.Breakdown),
 	}
-	t.Breakdowns = make(map[string]trace.Breakdown)
-	policies := []machine.Policy{machine.PPN1Interleave, machine.PPN8Bind}
-	cells := make([]cellRun, len(policies))
-	for i, pol := range policies {
-		cells[i] = cellRun{label: pol.String(), run: func(cs Spec) (*graph500.Result, error) {
-			res, err := cs.run(1, pol, bfs.DefaultOptions())
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %s: %w", pol, err)
-			}
-			return res, nil
-		}}
+	for i, c := range cells {
+		bd := res[i].Breakdown
+		t.Breakdowns[c.label] = bd
+		t.AddRow(c.label,
+			bd.Ns[trace.TDComp]/1e6, bd.Ns[trace.TDComm]/1e6,
+			bd.Ns[trace.BUComp]/1e6, bd.Ns[trace.BUComm]/1e6,
+			bd.Ns[trace.Switch]/1e6, bd.Ns[trace.Stall]/1e6,
+			bd.Total()/1e6)
 	}
-	results, err := s.collect("11", cells)
-	if err != nil {
-		return nil, err
-	}
-	var bds [2]trace.Breakdown
-	for i, pol := range policies {
-		bds[i] = results[i].Breakdown
-		t.Breakdowns[pol.String()] = results[i].Breakdown
-		t.AddRow(pol.String(),
-			bds[i].Ns[trace.TDComp]/1e6, bds[i].Ns[trace.TDComm]/1e6,
-			bds[i].Ns[trace.BUComp]/1e6, bds[i].Ns[trace.BUComm]/1e6,
-			bds[i].Ns[trace.Switch]/1e6, bds[i].Ns[trace.Stall]/1e6,
-			bds[i].Total()/1e6)
-	}
-	tdSpeedup := bds[0].Ns[trace.TDComp] / bds[1].Ns[trace.TDComp]
-	buSpeedup := bds[0].Ns[trace.BUComp] / bds[1].Ns[trace.BUComp]
-	t.AddRow("computation speedup (td, bu)", tdSpeedup, buSpeedup)
-	t.Notes = append(t.Notes, "paper: bottom-up computation speedup ~1.58x from binding")
+	il, bind := res[0].Breakdown.Ns, res[1].Breakdown.Ns
+	t.AddRow("computation speedup (td, bu)", il[trace.TDComp]/bind[trace.TDComp], il[trace.BUComp]/bind[trace.BUComp])
 	return t, nil
 }
 
@@ -155,62 +107,31 @@ func Fig11(s Spec) (*Table, error) {
 // bottom-up. Paper: hybrid = 27.3x top-down (pure MPI, 64 ranks) and
 // 4.7x bottom-up (8 ranks x 8 threads).
 func AlgorithmComparison(s Spec) (*Table, error) {
-	scale := s.scaleFor(1)
-	params := rmat.Graph500(scale)
+	mode := func(label string, m bfs.Mode) knob {
+		return knob{label, func(o *bfs.Options) { o.Mode = m }}
+	}
+	cells := s.knobs(1, bfs.OptOriginal, []knob{
+		mode("hybrid (8 ranks x 8 threads)", bfs.ModeHybrid),
+		mode("top-down (pure MPI, 64 ranks)", bfs.ModeTopDown),
+		mode("bottom-up (8 ranks x 8 threads)", bfs.ModeBottomUp),
+	})
+	// 64 single-thread MPI ranks: model each core as its own bandwidth
+	// domain with 1/8 of a socket's resources.
+	m := &cells[1].cfg.Machine
+	m.SocketsPerNode, m.CoresPerSocket = 64, 1
+	m.MemBWPerSocket /= 8
+	m.L3Bytes = max(m.L3Bytes/8, 64)
+	res, err := s.collect(cells)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:    "Sec. II.A",
 		Title:   "Hybrid vs pure top-down vs pure bottom-up (64-core node)",
 		Columns: []string{"TEPS", "hybrid speedup"},
+		Notes:   []string{"paper: hybrid 27.3x over top-down, 4.7x over bottom-up"},
 	}
-
-	type variant struct {
-		label   string
-		mode    bfs.Mode
-		pureMPI bool
-	}
-	variants := []variant{
-		{"hybrid (8 ranks x 8 threads)", bfs.ModeHybrid, false},
-		{"top-down (pure MPI, 64 ranks)", bfs.ModeTopDown, true},
-		{"bottom-up (8 ranks x 8 threads)", bfs.ModeBottomUp, false},
-	}
-	cells := make([]cellRun, len(variants))
-	for i, v := range variants {
-		cells[i] = cellRun{label: v.label, run: func(cs Spec) (*graph500.Result, error) {
-			cfg := cs.clusterConfig(1)
-			cfg.Nodes = 1
-			pol := machine.PPN8Bind
-			if v.pureMPI {
-				// 64 single-thread MPI ranks: model each core as its own
-				// bandwidth domain with 1/8 of a socket's resources.
-				cfg.SocketsPerNode = 64
-				cfg.CoresPerSocket = 1
-				cfg.MemBWPerSocket /= 8
-				cfg.L3Bytes /= 8
-				if cfg.L3Bytes < 64 {
-					cfg.L3Bytes = 64
-				}
-			}
-			opts := bfs.DefaultOptions()
-			opts.Mode = v.mode
-			res, err := graph500.Run(graph500.Config{
-				Machine: cfg, Policy: pol, Params: params,
-				Opts: opts, NumRoots: cs.Roots, Validate: cs.Validate,
-				Obs: cs.Obs,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("algcmp %s: %w", v.label, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("algcmp", cells)
-	if err != nil {
-		return nil, err
-	}
-	hybrid, td, bu := results[0].HarmonicTEPS, results[1].HarmonicTEPS, results[2].HarmonicTEPS
-	t.AddRow("hybrid (8 ranks x 8 threads)", hybrid, 1)
-	t.AddRow("top-down (pure MPI, 64 ranks)", td, hybrid/td)
-	t.AddRow("bottom-up (8 ranks x 8 threads)", bu, hybrid/bu)
-	t.Notes = append(t.Notes, "paper: hybrid 27.3x over top-down, 4.7x over bottom-up")
+	tp := project(res, teps)
+	t.addColumns(labels(cells), tp, []float64{1, tp[0] / tp[1], tp[0] / tp[2]})
 	return t, nil
 }

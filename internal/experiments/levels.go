@@ -19,28 +19,25 @@ func LevelProfile(s Spec) (*Table, error) {
 	scale := s.scaleFor(nodes)
 	params := rmat.Graph500(scale)
 
-	var res bfs.RootResult
-	var root int64
-	err := s.runCells("levels", []cell{{label: "profile", run: func(cs Spec) error {
+	out, err := gather(s, []string{"profile"}, func(cs Spec, _ int) (bfs.RootResult, error) {
 		r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, params, bfs.DefaultOptions())
 		if err != nil {
-			return fmt.Errorf("levels: %w", err)
+			return bfs.RootResult{}, err
 		}
 		if cs.Obs != nil {
 			r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("level profile nodes=%d scale=%d", nodes, scale)))
 		}
 		r.Setup()
-		root = params.Roots(1, r.HasEdgeGlobal)[0]
-		res = r.RunRoot(root)
-		return nil
-	}}})
+		return r.RunRoot(params.Roots(1, r.HasEdgeGlobal)[0]), nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	res := out[0]
 
 	t := &Table{
 		Name:    "Fig. 1 / Sec. II.B",
-		Title:   fmt.Sprintf("Hybrid BFS level profile (root %d, scale %d, %d nodes)", root, scale, nodes),
+		Title:   fmt.Sprintf("Hybrid BFS level profile (root %d, scale %d, %d nodes)", res.Root, scale, nodes),
 		Columns: []string{"bottom-up", "frontier", "frontier edges", "ms"},
 	}
 	var buVerts, buNs, totNs float64

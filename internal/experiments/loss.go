@@ -34,112 +34,56 @@ var lossRates = []float64{0, 0.005, 0.02, 0.05}
 func ExtLoss(s Spec) (*Table, error) {
 	const nodes = 4
 	const seed = 2026
-	scale := s.scaleFor(nodes)
-
-	t := &Table{
-		Name: "Ext. loss",
-		Title: fmt.Sprintf("TEPS retained under lossy links (%d nodes, scale %d, validated roots, seed %d)",
-			nodes, scale, seed),
-		Columns: []string{"clean", "loss 0%", "loss 0.5%", "loss 2%", "loss 5%"},
+	cols := []planCol{{"clean", nil}} // clean: transport not even compiled into the timing
+	for _, rate := range lossRates {
+		plan := fault.Lossy(seed, rate)
+		cols = append(cols, planCol{fmt.Sprintf("rate %g", rate), &plan})
 	}
-
-	type lossCell struct {
-		retained float64
-		timeNs   float64
-		retrans  int64
-		overhead int64
-		roots    int
-	}
-	variants := faultVariants()
-	nCols := len(lossRates) + 1 // clean + the rate sweep
-
-	var runs []cellRun
-	for _, v := range variants {
-		for i := -1; i < len(lossRates); i++ {
-			v, i := v, i
-			col := "clean"
-			if i >= 0 {
-				col = fmt.Sprintf("rate %g", lossRates[i])
-			}
-			runs = append(runs, cellRun{
-				label: fmt.Sprintf("%s/%s", v.label, col),
-				run: func(cs Spec) (*graph500.Result, error) {
-					opts := bfs.DefaultOptions()
-					opts.Opt = v.opt
-					cs.Validate = true // Graph500 tree validation is the oracle for every cell
-					if i >= 0 {
-						plan := fault.Lossy(seed, lossRates[i])
-						cs.Faults = &plan
-					} else {
-						cs.Faults = nil // clean: transport not even compiled into the timing
-					}
-					res, err := cs.run(nodes, v.policy, opts)
-					if err != nil {
-						return nil, fmt.Errorf("ext loss %s %s: %w", v.label, col, err)
-					}
-					return res, nil
-				},
-			})
-		}
-	}
-	results, err := s.collect("loss", runs)
+	vs := compressedVariants()
+	// Graph500 tree validation is the oracle for every cell.
+	res, err := s.collect(s.underPlans(nodes, vs, cols, true))
 	if err != nil {
 		return nil, err
 	}
-
-	cells := make(map[string][]lossCell, len(variants))
-	for vi, v := range variants {
-		row := make([]lossCell, 0, nCols)
-		baseline := results[vi*nCols].HarmonicTEPS
-		for i := 0; i < nCols; i++ {
-			res := results[vi*nCols+i]
-			c := lossCell{timeNs: res.MeanTimeNs, roots: len(res.PerRoot)}
-			for _, rr := range res.PerRoot {
-				c.retrans += rr.Xport.Retransmits
-				c.overhead += rr.Xport.OverheadBytes
-			}
-			c.retained = res.HarmonicTEPS / baseline
-			row = append(row, c)
-		}
-		cells[v.label] = row
-		vals := make([]float64, len(row))
-		for i, c := range row {
-			vals[i] = c.retained
-		}
-		t.AddRow(v.label, vals...)
-	}
-
-	// Transport-ledger rows for the baseline level: retransmissions and
-	// protocol overhead per root across the sweep. The clean column is
-	// zero by construction — no transport, no protocol bytes.
-	base := cells[variants[0].label]
-	retrans := make([]float64, len(base))
-	overMB := make([]float64, len(base))
-	for i, c := range base {
-		retrans[i] = float64(c.retrans) / float64(c.roots)
-		overMB[i] = float64(c.overhead) / float64(c.roots) / (1 << 20)
-	}
-	t.AddRow("Retransmits/root (Original)", retrans...)
-	t.AddRow("Overhead MiB/root (Original)", overMB...)
+	grid := rows(res, len(cols))
 
 	// Per-drop cost comparison between the largest-segment and the
 	// smallest-segment collective at the harshest rate.
-	perDrop := func(label string) float64 {
-		row := cells[label]
+	perDrop := func(row []*graph500.Result) float64 {
 		last := row[len(row)-1]
-		if last.retrans == 0 {
+		var retrans int64
+		for _, rr := range last.PerRoot {
+			retrans += rr.Xport.Retransmits
+		}
+		if retrans == 0 {
 			return 0
 		}
-		return (last.timeNs - row[0].timeNs) * float64(last.roots) / float64(last.retrans)
+		return (last.MeanTimeNs - row[0].MeanTimeNs) * float64(len(last.PerRoot)) / float64(retrans)
 	}
-	parDrop := perDrop("+ Par allgather")
-	cmpDrop := perDrop("+ Compressed allgather")
-
-	t.Notes = append(t.Notes,
-		"cells are harmonic-TEPS retained vs the same optimization level with no loss plan (column 1 is 1.0 by construction)",
-		"every cell validates each BFS tree against the Graph500 spec — integrity holds under every loss rate",
-		"the loss 0% column activates the reliable transport with zero loss: pure frame-header + ack protocol tax",
-		fmt.Sprintf("virtual time lost per dropped message at 5%%: par allgather %.0f ns vs compressed allgather %.0f ns — smaller segments make each retransmission cheaper", parDrop, cmpDrop),
-	)
+	t := &Table{
+		Name: "Ext. loss",
+		Title: fmt.Sprintf("TEPS retained under lossy links (%d nodes, scale %d, validated roots, seed %d)",
+			nodes, s.scaleFor(nodes), seed),
+		Columns: []string{"clean", "loss 0%", "loss 0.5%", "loss 2%", "loss 5%"},
+		Notes: []string{
+			"cells are harmonic-TEPS retained vs the same optimization level with no loss plan (column 1 is 1.0 by construction)",
+			"every cell validates each BFS tree against the Graph500 spec — integrity holds under every loss rate",
+			"the loss 0% column activates the reliable transport with zero loss: pure frame-header + ack protocol tax",
+			fmt.Sprintf("virtual time lost per dropped message at 5%%: par allgather %.0f ns vs compressed allgather %.0f ns — smaller segments make each retransmission cheaper",
+				perDrop(grid[parRung]), perDrop(grid[compRung])),
+		},
+	}
+	for i, row := range grid {
+		t.AddRow(vs[i].label, retained(row)...)
+	}
+	// Transport-ledger rows for the baseline level: retransmissions and
+	// protocol overhead per root across the sweep. The clean column is
+	// zero by construction — no transport, no protocol bytes.
+	t.AddRow("Retransmits/root (Original)", project(grid[0], func(r *graph500.Result) float64 {
+		return perRoot(r, func(rr bfs.RootResult) float64 { return float64(rr.Xport.Retransmits) })
+	})...)
+	t.AddRow("Overhead MiB/root (Original)", project(grid[0], func(r *graph500.Result) float64 {
+		return perRoot(r, func(rr bfs.RootResult) float64 { return float64(rr.Xport.OverheadBytes) }) / (1 << 20)
+	})...)
 	return t, nil
 }

@@ -31,37 +31,24 @@ const msbfsWorkloadSeed = 11
 // batchSize resolves Spec.Batch: 0 means the full 64 lanes, anything
 // else clamps to one uint64's worth.
 func (s Spec) batchSize() int {
-	b := s.Batch
-	if b == 0 {
-		b = 64
+	if s.Batch == 0 {
+		return 64
 	}
-	if b > 64 {
-		b = 64
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return min(max(s.Batch, 1), 64)
 }
 
 // msbfsConfig is the benchmark config of one MS-BFS cell: two nodes at
 // the spec's base scale (no weak scaling — the figure sweeps the
 // optimization ladder, not node count).
 func (s Spec) msbfsConfig(opt bfs.Opt) graph500.Config {
-	cfg := machine.Scaled(s.BaseScale, PaperBaseScale)
-	cfg.Nodes = 2
-	cfg.WeakNode = -1
-	opts := bfs.DefaultOptions()
-	opts.Opt = opt
-	return graph500.Config{
-		Machine:  cfg,
-		Policy:   machine.PPN8Bind,
-		Params:   rmat.Graph500(s.BaseScale),
-		Opts:     opts,
-		Obs:      s.Obs,
-		SampleNs: s.SampleNs,
-		Cache:    s.Cache,
-	}
+	cfg := s.own(graph500.Config{
+		Machine: machine.Scaled(s.BaseScale, PaperBaseScale),
+		Policy:  machine.PPN8Bind,
+		Params:  rmat.Graph500(s.BaseScale),
+		Opts:    optsAt(opt),
+	})
+	cfg.Machine.Nodes, cfg.Machine.WeakNode = 2, -1
+	return cfg
 }
 
 // ExtMSBFS compares one b-root batched traversal against b sequential
@@ -84,49 +71,44 @@ func ExtMSBFS(s Spec) (*Table, error) {
 		batchTEPS, batchNs, seqNs float64
 		batchRounds, seqRounds    int64
 	}
-	outs := make([]msbfsOut, len(msbfsOpts))
-	cells := make([]cell, len(msbfsOpts))
+	cells := make([]string, len(msbfsOpts))
 	for i, opt := range msbfsOpts {
-		i, opt := i, opt
-		cells[i] = cell{label: opt.String(), run: func(cs Spec) error {
-			r, err := graph500.NewBatchRunner(cs.msbfsConfig(opt))
-			if err != nil {
-				return fmt.Errorf("msbfs %s: %w", opt, err)
-			}
-			roots, err := graph500.DrawRoots(cs.msbfsConfig(opt).Params, b, r.HasEdgeGlobal)
-			if err != nil {
-				return fmt.Errorf("msbfs %s: %w", opt, err)
-			}
-			br := r.RunBatch(roots)
-			if err := graph500.ValidateBatch(r, roots); err != nil {
-				return fmt.Errorf("msbfs %s: %w", opt, err)
-			}
-			batched := make([][]int64, len(roots))
-			for l := range roots {
-				batched[l] = r.LaneParents(l)
-			}
-			var seqNs float64
-			var seqRounds int64
-			for l, root := range roots {
-				sr := r.RunBatch([]int64{root})
-				seqNs += sr.TimeNs
-				seqRounds += sr.AllgatherRounds
-				solo := r.LaneParents(0)
-				for v := range solo {
-					if solo[v] != batched[l][v] {
-						return fmt.Errorf("msbfs %s lane %d (root %d) vertex %d: batched parent %d, sequential parent %d",
-							opt, l, root, v, batched[l][v], solo[v])
-					}
+		cells[i] = opt.String()
+	}
+	outs, err := gather(s, cells, func(cs Spec, i int) (msbfsOut, error) {
+		gc := cs.msbfsConfig(msbfsOpts[i])
+		r, err := graph500.NewBatchRunner(gc)
+		if err != nil {
+			return msbfsOut{}, err
+		}
+		roots, err := graph500.DrawRoots(gc.Params, b, r.HasEdgeGlobal)
+		if err != nil {
+			return msbfsOut{}, err
+		}
+		br := r.RunBatch(roots)
+		if err := graph500.ValidateBatch(r, roots); err != nil {
+			return msbfsOut{}, err
+		}
+		batched := make([][]int64, len(roots))
+		for l := range roots {
+			batched[l] = r.LaneParents(l)
+		}
+		o := msbfsOut{batchTEPS: br.TEPS, batchNs: br.TimeNs, batchRounds: br.AllgatherRounds}
+		for l, root := range roots {
+			sr := r.RunBatch([]int64{root})
+			o.seqNs += sr.TimeNs
+			o.seqRounds += sr.AllgatherRounds
+			solo := r.LaneParents(0)
+			for v := range solo {
+				if solo[v] != batched[l][v] {
+					return msbfsOut{}, fmt.Errorf("lane %d (root %d) vertex %d: batched parent %d, sequential parent %d",
+						l, root, v, batched[l][v], solo[v])
 				}
 			}
-			outs[i] = msbfsOut{
-				batchTEPS: br.TEPS, batchNs: br.TimeNs, seqNs: seqNs,
-				batchRounds: br.AllgatherRounds, seqRounds: seqRounds,
-			}
-			return nil
-		}}
-	}
-	if err := s.runCells("msbfs", cells); err != nil {
+		}
+		return o, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, opt := range msbfsOpts {
@@ -170,67 +152,53 @@ func ExtMSBFSLoad(s Spec) (*Table, error) {
 		Columns: []string{"offered qps", "served qps", "mean fill", "p50 ms", "p95 ms", "p99 ms", "rounds/query"},
 	}
 	type loadCell struct {
-		label  string
-		policy func(fillNs float64) queryserv.Policy
-		load   float64
+		label    string
+		maxBatch int
+		load     float64
 	}
 	var cfgs []loadCell
+	var cells []string
 	for _, load := range msbfsLoadLevels {
-		load := load
-		cfgs = append(cfgs, loadCell{
-			label:  fmt.Sprintf("batch-1 immediate @ %gx", load),
-			policy: func(float64) queryserv.Policy { return queryserv.Policy{MaxBatch: 1} },
-			load:   load,
-		})
-		cfgs = append(cfgs, loadCell{
-			label: fmt.Sprintf("batch-%d fill @ %gx", b, load),
-			policy: func(fillNs float64) queryserv.Policy {
-				return queryserv.Policy{MaxBatch: b, FillTimeoutNs: fillNs}
-			},
-			load: load,
-		})
+		cfgs = append(cfgs,
+			loadCell{fmt.Sprintf("batch-1 immediate @ %gx", load), 1, load},
+			loadCell{fmt.Sprintf("batch-%d fill @ %gx", b, load), b, load})
+		cells = append(cells, cfgs[len(cfgs)-2].label, cfgs[len(cfgs)-1].label)
 	}
 	type loadOut struct {
 		offered float64
 		res     *queryserv.Result
 		queries int
 	}
-	outs := make([]loadOut, len(cfgs))
-	cells := make([]cell, len(cfgs))
-	for i, c := range cfgs {
-		i, c := i, c
-		cells[i] = cell{label: c.label, run: func(cs Spec) error {
-			gc := cs.msbfsConfig(bfs.OptCompressedAllgather)
-			r, err := graph500.NewBatchRunner(gc)
-			if err != nil {
-				return fmt.Errorf("msbfs-load %s: %w", c.label, err)
-			}
-			// Calibrate capacity from one full batch: offered load and the
-			// default fill timeout are expressed against it, so the sweep
-			// stresses the same operating points at every scale. Virtual
-			// time is deterministic, so the calibration is too.
-			calibRoots, err := graph500.DrawRoots(gc.Params, b, r.HasEdgeGlobal)
-			if err != nil {
-				return fmt.Errorf("msbfs-load %s: %w", c.label, err)
-			}
-			calib := r.RunBatch(calibRoots)
-			capacityQPS := float64(b) / (calib.TimeNs / 1e9)
-			fillNs := cs.FillTimeoutNs
-			if fillNs == 0 {
-				fillNs = 2 * calib.TimeNs
-			}
-			nq := msbfsLoadQueries(b)
-			queries := queryserv.PoissonWorkload(nq, c.load*capacityQPS,
-				msbfsWorkloadSeed, gc.Params.NumVertices(), r.HasEdgeGlobal)
-			res, err := queryserv.Serve(r, c.policy(fillNs), queries)
-			if err != nil {
-				return fmt.Errorf("msbfs-load %s: %w", c.label, err)
-			}
-			outs[i] = loadOut{offered: c.load * capacityQPS, res: res, queries: nq}
-			return nil
-		}}
-	}
-	if err := s.runCells("msbfs-load", cells); err != nil {
+	outs, err := gather(s, cells, func(cs Spec, i int) (loadOut, error) {
+		c := cfgs[i]
+		gc := cs.msbfsConfig(bfs.OptCompressedAllgather)
+		r, err := graph500.NewBatchRunner(gc)
+		if err != nil {
+			return loadOut{}, err
+		}
+		// Calibrate capacity from one full batch: offered load and the
+		// default fill timeout are expressed against it, so the sweep
+		// stresses the same operating points at every scale. Virtual
+		// time is deterministic, so the calibration is too.
+		calibRoots, err := graph500.DrawRoots(gc.Params, b, r.HasEdgeGlobal)
+		if err != nil {
+			return loadOut{}, err
+		}
+		calib := r.RunBatch(calibRoots)
+		capacityQPS := float64(b) / (calib.TimeNs / 1e9)
+		// A batch of one launches once the engine is free: the fill
+		// timeout only bounds waits for lane-mates.
+		policy := queryserv.Policy{MaxBatch: c.maxBatch, FillTimeoutNs: cs.FillTimeoutNs}
+		if policy.FillTimeoutNs == 0 {
+			policy.FillTimeoutNs = 2 * calib.TimeNs
+		}
+		nq := msbfsLoadQueries(b)
+		queries := queryserv.PoissonWorkload(nq, c.load*capacityQPS,
+			msbfsWorkloadSeed, gc.Params.NumVertices(), r.HasEdgeGlobal)
+		res, err := queryserv.Serve(r, policy, queries)
+		return loadOut{offered: c.load * capacityQPS, res: res, queries: nq}, err
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, c := range cfgs {
@@ -249,16 +217,7 @@ func ExtMSBFSLoad(s Spec) (*Table, error) {
 
 // msbfsLoadQueries sizes the load sweep's workload: a few batches'
 // worth of queries, capped to keep the batch-1 cells affordable.
-func msbfsLoadQueries(b int) int {
-	nq := 3 * b
-	if nq > 96 {
-		nq = 96
-	}
-	if nq < 8 {
-		nq = 8
-	}
-	return nq
-}
+func msbfsLoadQueries(b int) int { return min(max(3*b, 8), 96) }
 
 func fillNote(fillNs float64) string {
 	if fillNs == 0 {

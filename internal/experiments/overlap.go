@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"numabfs/internal/bfs"
-	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
-	"numabfs/internal/trace"
 )
 
 // overlapSegCounts is ExtOverlap's pipeline-depth sweep: how many chunks
@@ -33,101 +32,49 @@ const overlapDefaultSegs = 2
 // summary rebuild with them, so a cell only scores if its BFS tree is
 // provably correct.
 func ExtOverlap(s Spec) (*Table, error) {
-	nodesSweep := []int{1, 2, 4, 8, 16}
-	t := &Table{
-		Name:    "Ext. overlap",
-		Title:   "Pipelined bottom-up allgather: overlap vs compressed, weak scaling (validated roots)",
-		Columns: []string{"1 node", "2 nodes", "4 nodes", "8 nodes", "16 nodes"},
-	}
-
 	// Cells: the compressed baseline across the sweep, then each pipeline
-	// depth across the sweep (segs-major, matching the sequential order).
-	nN := len(nodesSweep)
-	var cells []cellRun
-	for _, nodes := range nodesSweep {
-		nodes := nodes
-		cells = append(cells, cellRun{
-			label: fmt.Sprintf("compressed/%dn", nodes),
-			run: func(cs Spec) (*graph500.Result, error) {
-				cs.Validate = true // Graph500 tree validation is the oracle for every cell
-				opts := bfs.DefaultOptions()
-				opts.Opt = bfs.OptCompressedAllgather
-				res, err := cs.run(nodes, machine.PPN8Bind, opts)
-				if err != nil {
-					return nil, fmt.Errorf("ext overlap compressed %d nodes: %w", nodes, err)
-				}
-				return res, nil
-			},
-		})
-	}
+	// depth across the sweep.
+	ks := []knob{{"compressed", func(o *bfs.Options) { o.Opt = bfs.OptCompressedAllgather }}}
 	for _, segs := range overlapSegCounts {
-		for _, nodes := range nodesSweep {
-			segs, nodes := segs, nodes
-			cells = append(cells, cellRun{
-				label: fmt.Sprintf("segs=%d/%dn", segs, nodes),
-				run: func(cs Spec) (*graph500.Result, error) {
-					cs.Validate = true
-					opts := bfs.DefaultOptions()
-					opts.Opt = bfs.OptOverlapAllgather
-					opts.OverlapSegments = segs
-					res, err := cs.run(nodes, machine.PPN8Bind, opts)
-					if err != nil {
-						return nil, fmt.Errorf("ext overlap segs=%d %d nodes: %w", segs, nodes, err)
-					}
-					return res, nil
-				},
-			})
-		}
+		ks = append(ks, knob{fmt.Sprintf("segs=%d", segs), func(o *bfs.Options) { o.OverlapSegments = segs }})
 	}
-	results, err := s.collect("overlap", cells)
+	cells := cross(ks, weakNodes, func(k knob, n int) cell {
+		cfg := s.config(n, machine.PPN8Bind, k.opts(bfs.OptOverlapAllgather))
+		cfg.Validate = true // Graph500 tree validation is the oracle for every cell
+		return cell{fmt.Sprintf("%s/%dn", k.label, n), cfg}
+	})
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
+	grid := rows(res, len(weakNodes))
+	comp, ov := grid[0], grid[1+slices.Index(overlapSegCounts, overlapDefaultSegs)]
 
-	compTeps := make([]float64, 0, nN)
-	compTime := make([]float64, 0, nN)
-	compProp := make([]float64, 0, nN)
-	for i := range nodesSweep {
-		res := results[i]
-		compTeps = append(compTeps, res.HarmonicTEPS)
-		compTime = append(compTime, res.MeanTimeNs)
-		compProp = append(compProp, res.Breakdown.Proportion(trace.BUComm))
+	t := &Table{
+		Name:    "Ext. overlap",
+		Title:   "Pipelined bottom-up allgather: overlap vs compressed, weak scaling (validated roots)",
+		Columns: nodeColumns(weakNodes),
+		Notes: []string{
+			"every cell validates each BFS tree against the Graph500 spec — the pipeline's reordered transfers never corrupt a traversal",
+			"the bu-comm proportion rows are the Figs. 12/14 curve: overlap flattens it by hiding transfers behind the per-chunk decode and summary rebuild",
+			"hidden vs exposed is the trace's attribution of the pipelined collective's transfer time; efficiency = hidden / (hidden + exposed)",
+			"speedup > 1 at >= 4 nodes is the tentpole acceptance: the overlap strictly reduces total virtual time where communication matters",
+		},
 	}
-	t.AddRow("+ Compressed allgather TEPS", compTeps...)
-
-	var overProp, hiddenMs, exposedMs, eff, speedup []float64
-	for si, segs := range overlapSegCounts {
-		teps := make([]float64, 0, nN)
-		for i := range nodesSweep {
-			res := results[nN+si*nN+i]
-			teps = append(teps, res.HarmonicTEPS)
-			if segs == overlapDefaultSegs {
-				hidden := res.Breakdown.Ns[trace.Overlap]
-				exposed := res.Breakdown.OverlapExposedNs
-				overProp = append(overProp, res.Breakdown.Proportion(trace.BUComm))
-				hiddenMs = append(hiddenMs, hidden/1e6)
-				exposedMs = append(exposedMs, exposed/1e6)
-				if tot := hidden + exposed; tot > 0 {
-					eff = append(eff, hidden/tot)
-				} else {
-					eff = append(eff, 0)
-				}
-				speedup = append(speedup, compTime[i]/res.MeanTimeNs)
-			}
-		}
-		t.AddRow(fmt.Sprintf("+ Overlap segs=%d TEPS", segs), teps...)
+	t.AddRow("+ Compressed allgather TEPS", project(comp, teps)...)
+	for i, segs := range overlapSegCounts {
+		t.AddRow(fmt.Sprintf("+ Overlap segs=%d TEPS", segs), project(grid[1+i], teps)...)
 	}
-	t.AddRow("Compressed bu-comm proportion", compProp...)
-	t.AddRow("Overlap bu-comm proportion", overProp...)
-	t.AddRow("Overlap hidden comm (ms)", hiddenMs...)
-	t.AddRow("Overlap exposed comm (ms)", exposedMs...)
-	t.AddRow("Overlap efficiency", eff...)
+	t.AddRow("Compressed bu-comm proportion", project(comp, buShare)...)
+	t.AddRow("Overlap bu-comm proportion", project(ov, buShare)...)
+	t.AddRow("Overlap hidden comm (ms)", project(ov, hiddenMs)...)
+	t.AddRow("Overlap exposed comm (ms)", project(ov, exposedMs)...)
+	t.AddRow("Overlap efficiency", project(ov, overlapEff)...)
+	speedup := make([]float64, len(comp))
+	for i := range comp {
+		speedup[i] = comp[i].MeanTimeNs / ov[i].MeanTimeNs
+	}
 	t.AddRow("Speedup vs compressed", speedup...)
-	t.Notes = append(t.Notes,
-		"every cell validates each BFS tree against the Graph500 spec — the pipeline's reordered transfers never corrupt a traversal",
-		"the bu-comm proportion rows are the Figs. 12/14 curve: overlap flattens it by hiding transfers behind the per-chunk decode and summary rebuild",
-		"hidden vs exposed is the trace's attribution of the pipelined collective's transfer time; efficiency = hidden / (hidden + exposed)",
-		"speedup > 1 at >= 4 nodes is the tentpole acceptance: the overlap strictly reduces total virtual time where communication matters")
 	return t, nil
 }
 
@@ -139,57 +86,29 @@ func ExtOverlap(s Spec) (*Table, error) {
 // performance knob).
 func AblationOverlap(s Spec) (*Table, error) {
 	const nodes = 4
-	scale := s.scaleFor(nodes)
-	t := &Table{
-		Name:    "Abl. overlap",
-		Title:   fmt.Sprintf("Pipeline-depth ablation of the overlapped allgather (%d nodes, scale %d)", nodes, scale),
-		Columns: []string{"TEPS", "time ms", "bu-comm ms", "hidden ms", "exposed ms", "efficiency"},
+	ks := []knob{{"compressed (no overlap)", func(o *bfs.Options) { o.Opt = bfs.OptCompressedAllgather }}}
+	for _, segs := range []int{1, 2, 4, 8, 16, 64} {
+		label := fmt.Sprintf("overlap segs=%d", segs)
+		if segs == overlapDefaultSegs {
+			label += " (default)"
+		}
+		ks = append(ks, knob{label, func(o *bfs.Options) { o.OverlapSegments = segs }})
 	}
-
-	type cfg struct {
-		label string
-		mod   func(*bfs.Options)
-	}
-	cfgs := []cfg{
-		{"compressed (no overlap)", func(o *bfs.Options) { o.Opt = bfs.OptCompressedAllgather }},
-		{"overlap segs=1", func(o *bfs.Options) { o.OverlapSegments = 1 }},
-		{"overlap segs=2 (default)", func(o *bfs.Options) { o.OverlapSegments = 2 }},
-		{"overlap segs=4", func(o *bfs.Options) { o.OverlapSegments = 4 }},
-		{"overlap segs=8", func(o *bfs.Options) { o.OverlapSegments = 8 }},
-		{"overlap segs=16", func(o *bfs.Options) { o.OverlapSegments = 16 }},
-		{"overlap segs=64", func(o *bfs.Options) { o.OverlapSegments = 64 }},
-	}
-	cells := make([]cellRun, len(cfgs))
-	for i, c := range cfgs {
-		c := c
-		cells[i] = cellRun{label: c.label, run: func(cs Spec) (*graph500.Result, error) {
-			opts := bfs.DefaultOptions()
-			opts.Opt = bfs.OptOverlapAllgather
-			c.mod(&opts)
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return nil, fmt.Errorf("ablation overlap %s: %w", c.label, err)
-			}
-			return res, nil
-		}}
-	}
-	results, err := s.collect("abl-overlap", cells)
+	cells := s.knobs(nodes, bfs.OptOverlapAllgather, ks)
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cfgs {
-		res := results[i]
-		hidden := res.Breakdown.Ns[trace.Overlap]
-		exposed := res.Breakdown.OverlapExposedNs
-		e := 0.0
-		if tot := hidden + exposed; tot > 0 {
-			e = hidden / tot
-		}
-		t.AddRow(c.label, res.HarmonicTEPS, res.MeanTimeNs/1e6,
-			res.Breakdown.AvgBUCommNs()/1e6, hidden/1e6, exposed/1e6, e)
+	t := &Table{
+		Name:    "Abl. overlap",
+		Title:   fmt.Sprintf("Pipeline-depth ablation of the overlapped allgather (%d nodes, scale %d)", nodes, s.scaleFor(nodes)),
+		Columns: []string{"TEPS", "time ms", "bu-comm ms", "hidden ms", "exposed ms", "efficiency"},
+		Notes: []string{
+			"every row computes the identical parent trees — pipeline depth is a pure performance knob",
+			"segment counts are clamped per collective to the smallest member segment, so very deep settings converge",
+		},
 	}
-	t.Notes = append(t.Notes,
-		"every row computes the identical parent trees — pipeline depth is a pure performance knob",
-		"segment counts are clamped per collective to the smallest member segment, so very deep settings converge")
+	t.addColumns(labels(cells), project(res, teps), project(res, timeMs), project(res, buCommMs),
+		project(res, hiddenMs), project(res, exposedMs), project(res, overlapEff))
 	return t, nil
 }

@@ -6,13 +6,12 @@ import (
 	"sync"
 	"time"
 
-	"numabfs/internal/graph500"
 	"numabfs/internal/obs"
 )
 
 // This file is the deterministic parallel cell runner. A figure driver
 // names its cells — one benchmark configuration each — up front instead
-// of running them inline; runCells farms the cells across Spec.Parallel
+// of running them inline; gather farms them across Spec.Parallel
 // host workers and commits every side effect (results, obs sessions,
 // host-time ledger entries, the returned error) in submission order.
 // Each cell already owns a private mpi.World and simnet.Network, so
@@ -22,55 +21,36 @@ import (
 // counters) and the obs recorder (replaced per cell and merged in
 // order).
 
-// cell is one schedulable unit of a figure driver. run receives the
-// cell's private Spec copy — its Obs recorder, when recording is on, is
-// a fresh per-cell one that the runner adopts into the parent recorder
-// in submission order after all cells finish.
-type cell struct {
-	label string
-	run   func(cs Spec) error
-}
-
-// workers returns the host-parallel width: Spec.Parallel, floored at 1
-// (the zero value preserves sequential behavior).
-func (s Spec) workers() int {
-	if s.Parallel < 1 {
-		return 1
-	}
-	return s.Parallel
-}
-
-// runCells executes the cells at the spec's parallel width. Sequential
-// mode (workers() == 1) runs in order and stops at the first error,
-// exactly like the pre-runner inline loops; parallel mode runs every
-// cell and returns the lowest-index error, so the error surfaced does
-// not depend on host scheduling. Obs sessions and ledger entries are
-// committed in cell-index order either way.
-func (s Spec) runCells(fig string, cells []cell) error {
-	n := len(cells)
-	specs := make([]Spec, n)
+// gather runs one cell per label at the spec's parallel width and
+// returns the cells' values in label order. run receives the cell's
+// private Spec copy — its Obs recorder, when recording is on, is a
+// fresh per-cell one that the runner adopts into the parent recorder in
+// submission order after all cells finish. Sequential mode
+// (Spec.Parallel 0 or 1) runs in order and stops at the first error;
+// parallel mode runs every cell and returns the lowest-index error, so
+// the error surfaced does not depend on host scheduling. A failed
+// cell's error names its label.
+func gather[T any](s Spec, labels []string, run func(cs Spec, i int) (T, error)) ([]T, error) {
+	n := len(labels)
+	out := make([]T, n)
 	recs := make([]*obs.Recorder, n)
 	errs := make([]error, n)
 	hostNs := make([]int64, n)
 	ran := make([]bool, n)
-	for i := range cells {
+	runOne := func(i int) {
 		cs := s
 		if s.Obs != nil {
 			recs[i] = obs.NewRecorder()
 			cs.Obs = recs[i]
 		}
-		specs[i] = cs
-	}
-
-	runOne := func(i int) {
 		ran[i] = true
 		t0 := time.Now()
-		errs[i] = cells[i].run(specs[i])
+		out[i], errs[i] = run(cs, i)
 		hostNs[i] = time.Since(t0).Nanoseconds()
 	}
 
-	if w := s.workers(); w == 1 {
-		for i := range cells {
+	if w := min(max(s.Parallel, 1), n); w <= 1 {
+		for i := range labels {
 			runOne(i)
 			if errs[i] != nil {
 				break
@@ -79,9 +59,6 @@ func (s Spec) runCells(fig string, cells []cell) error {
 	} else {
 		idx := make(chan int)
 		var wg sync.WaitGroup
-		if w > n {
-			w = n
-		}
 		for k := 0; k < w; k++ {
 			wg.Add(1)
 			go func() {
@@ -91,7 +68,7 @@ func (s Spec) runCells(fig string, cells []cell) error {
 				}
 			}()
 		}
-		for i := range cells {
+		for i := range labels {
 			idx <- i
 		}
 		close(idx)
@@ -100,15 +77,15 @@ func (s Spec) runCells(fig string, cells []cell) error {
 
 	// Commit side effects in submission order.
 	var firstErr error
-	for i := range cells {
+	for i, label := range labels {
 		if !ran[i] {
 			continue
 		}
 		if s.Ledger != nil {
-			s.Ledger.add(fig, cells[i].label, hostNs[i])
+			s.Ledger.add(CellTime{Cell: label, HostNs: hostNs[i]})
 		}
 		if firstErr == nil && errs[i] != nil {
-			firstErr = errs[i]
+			firstErr = fmt.Errorf("%s: %w", label, errs[i])
 		}
 		// Adopt even a failed cell's sessions: the sequential schedule
 		// records a session before the run fails, and exports must match.
@@ -116,30 +93,7 @@ func (s Spec) runCells(fig string, cells []cell) error {
 			s.Obs.Adopt(recs[i])
 		}
 	}
-	return firstErr
-}
-
-// cellRun is a cell producing a *graph500.Result.
-type cellRun struct {
-	label string
-	run   func(cs Spec) (*graph500.Result, error)
-}
-
-// collect runs result-producing cells and returns the results indexed by
-// cell, so drivers assemble tables from completed results in declaration
-// order no matter which host worker ran which cell.
-func (s Spec) collect(fig string, cells []cellRun) ([]*graph500.Result, error) {
-	results := make([]*graph500.Result, len(cells))
-	wrapped := make([]cell, len(cells))
-	for i := range cells {
-		i := i
-		wrapped[i] = cell{label: cells[i].label, run: func(cs Spec) error {
-			r, err := cells[i].run(cs)
-			results[i] = r
-			return err
-		}}
-	}
-	return results, s.runCells(fig, wrapped)
+	return out, firstErr
 }
 
 // CellTime is one ledger entry: the host wall-clock spent running one
@@ -162,9 +116,9 @@ type Ledger struct {
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
 
-func (l *Ledger) add(fig, cellLabel string, hostNs int64) {
+func (l *Ledger) add(c CellTime) {
 	l.mu.Lock()
-	l.cells = append(l.cells, CellTime{Fig: fig, Cell: cellLabel, HostNs: hostNs})
+	l.cells = append(l.cells, c)
 	l.mu.Unlock()
 }
 

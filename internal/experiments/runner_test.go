@@ -93,24 +93,16 @@ func TestParallelRunnerDeterministicUnderLoss(t *testing.T) {
 	lossy := func(parallel int) *Table {
 		s := Spec{BaseScale: 12, Roots: 1, Parallel: parallel, Cache: graph500.NewGraphCache()}
 		tab := &Table{Name: "loss-det", Columns: []string{"teps", "retrans"}}
-		var cells []cellRun
+		var cells []cell
 		for _, opt := range []bfs.Opt{bfs.OptParAllgather, bfs.OptCompressedAllgather} {
 			for _, rate := range []float64{0, 0.02} {
-				opt, rate := opt, rate
-				cells = append(cells, cellRun{
-					label: fmt.Sprintf("%v/%g", opt, rate),
-					run: func(cs Spec) (*graph500.Result, error) {
-						plan := fault.Lossy(7, rate)
-						cs.Faults = &plan
-						cs.Validate = true
-						opts := bfs.DefaultOptions()
-						opts.Opt = opt
-						return cs.run(2, machine.PPN8Bind, opts)
-					},
-				})
+				plan := fault.Lossy(7, rate)
+				cfg := s.config(2, machine.PPN8Bind, optsAt(opt))
+				cfg.Faults, cfg.Validate = &plan, true
+				cells = append(cells, cell{fmt.Sprintf("%v/%g", opt, rate), cfg})
 			}
 		}
-		results, err := s.collect("loss-det", cells)
+		results, err := s.collect(cells)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
@@ -135,19 +127,26 @@ func TestParallelRunnerDeterministicUnderLoss(t *testing.T) {
 func TestRunnerErrorDeterminism(t *testing.T) {
 	errA := errors.New("cell 1 failed")
 	errB := errors.New("cell 3 failed")
-	mk := func(ran *[4]bool) []cell {
-		return []cell{
-			{label: "ok", run: func(Spec) error { ran[0] = true; return nil }},
-			{label: "a", run: func(Spec) error { ran[1] = true; time.Sleep(20 * time.Millisecond); return errA }},
-			{label: "ok2", run: func(Spec) error { ran[2] = true; return nil }},
-			{label: "b", run: func(Spec) error { ran[3] = true; return errB }},
-		}
+	labels := []string{"ok", "a", "ok2", "b"}
+	run := func(s Spec, ran *[4]bool) error {
+		_, err := gather(s, labels, func(_ Spec, i int) (struct{}, error) {
+			ran[i] = true
+			switch i {
+			case 1:
+				time.Sleep(20 * time.Millisecond)
+				return struct{}{}, errA
+			case 3:
+				return struct{}{}, errB
+			}
+			return struct{}{}, nil
+		})
+		return err
 	}
 
 	var ranPar [4]bool
 	s := Spec{Parallel: 4}
 	// Cell 3's error lands long before cell 1's, but cell 1's must win.
-	if err := s.runCells("t", mk(&ranPar)); !errors.Is(err, errA) {
+	if err := run(s, &ranPar); !errors.Is(err, errA) {
 		t.Errorf("parallel: got %v, want %v", err, errA)
 	}
 	for i, r := range ranPar {
@@ -158,7 +157,7 @@ func TestRunnerErrorDeterminism(t *testing.T) {
 
 	var ranSeq [4]bool
 	s.Parallel = 1
-	if err := s.runCells("t", mk(&ranSeq)); !errors.Is(err, errA) {
+	if err := run(s, &ranSeq); !errors.Is(err, errA) {
 		t.Errorf("sequential: got %v, want %v", err, errA)
 	}
 	if ranSeq[2] || ranSeq[3] {
@@ -168,21 +167,25 @@ func TestRunnerErrorDeterminism(t *testing.T) {
 
 // TestRunnerObsAndLedgerOrder: with stub cells that each record a
 // session, the parent recorder's session order and the ledger's entry
-// order must match cell declaration order at any width.
+// order must match cell declaration order at any width, and every entry
+// carries the key of the figure that ran it.
 func TestRunnerObsAndLedgerOrder(t *testing.T) {
 	const n = 9
 	s := Spec{Parallel: 4, Obs: obs.NewRecorder(), Ledger: NewLedger()}
-	cells := make([]cell, n)
+	cells := make([]string, n)
 	for i := range cells {
-		i := i
-		cells[i] = cell{label: fmt.Sprintf("c%d", i), run: func(cs Spec) error {
+		cells[i] = fmt.Sprintf("c%d", i)
+	}
+	order := Figure{"order", func(s Spec) (*Table, error) {
+		_, err := gather(s, cells, func(cs Spec, i int) (int, error) {
 			// Stagger so late-indexed cells finish first.
 			time.Sleep(time.Duration(n-i) * 2 * time.Millisecond)
 			cs.Obs.NewSession(fmt.Sprintf("s%d", i))
-			return nil
-		}}
-	}
-	if err := s.runCells("order", cells); err != nil {
+			return i, nil
+		})
+		return nil, err
+	}}
+	if _, err := order.Run(s); err != nil {
 		t.Fatal(err)
 	}
 	sessions := s.Obs.Sessions()
@@ -211,16 +214,16 @@ func TestRunnerObsAndLedgerOrder(t *testing.T) {
 // speedup on simulation-bound figs is CI's host-budget concern.
 func TestRunnerDispatchesConcurrently(t *testing.T) {
 	const n, naplen = 8, 60 * time.Millisecond
-	cells := make([]cell, n)
+	cells := make([]string, n)
 	for i := range cells {
-		cells[i] = cell{label: fmt.Sprintf("nap%d", i), run: func(Spec) error {
-			time.Sleep(naplen)
-			return nil
-		}}
+		cells[i] = fmt.Sprintf("nap%d", i)
 	}
 	s := Spec{Parallel: n}
 	t0 := time.Now()
-	if err := s.runCells("nap", cells); err != nil {
+	if _, err := gather(s, cells, func(Spec, int) (bool, error) {
+		time.Sleep(naplen)
+		return true, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if wall := time.Since(t0); wall > time.Duration(n)*naplen/2 {

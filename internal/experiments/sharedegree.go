@@ -43,20 +43,14 @@ func AblationShareDegree(s Spec) (*Table, error) {
 		}
 		ks = append(ks, k)
 	}
-	commNs := make([]float64, len(ks))
-	cells := make([]cell, len(ks))
+	cells := make([]string, len(ks))
 	for i, k := range ks {
-		i, k := i, k
-		cells[i] = cell{label: fmt.Sprintf("k=%d", k), run: func(cs Spec) error {
-			ns, err := shareDegreeAllgather(cfg, words, k)
-			if err != nil {
-				return fmt.Errorf("share-degree k=%d: %w", k, err)
-			}
-			commNs[i] = ns
-			return nil
-		}}
+		cells[i] = fmt.Sprintf("k=%d", k)
 	}
-	if err := s.runCells("abl-sharedegree", cells); err != nil {
+	commNs, err := gather(s, cells, func(_ Spec, i int) (float64, error) {
+		return shareDegreeAllgather(cfg, words, ks[i])
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, k := range ks {

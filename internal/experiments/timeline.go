@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 )
@@ -39,52 +40,36 @@ func Timeline(s Spec) (*Table, error) {
 		},
 	}
 
-	cfgs := []struct {
-		label string
-		opt   bfs.Opt
-	}{
-		{"+ Compressed allgather", bfs.OptCompressedAllgather},
-		{"+ Overlap allgather", bfs.OptOverlapAllgather},
-	}
-	rows := make([][]float64, len(cfgs))
-	cells := make([]cell, len(cfgs))
-	for i, c := range cfgs {
-		i, c := i, c
-		cells[i] = cell{label: c.label, run: func(cs Spec) error {
-			rec := cs.Obs
-			if rec == nil {
-				// The sweep is about the gauges, so it records even when
-				// the CLI attached no recorder.
-				rec = obs.NewRecorder()
-				cs.Obs = rec
-			}
-			cs.SampleNs = sampleNs
-			// No graph cache: a cache hit would skip kernel-1 construction
-			// and shift the session's epoch, so the two rows' gauge streams
-			// would bucket-align differently. Building both keeps the
-			// timelines — and the obsdiff walkthrough over their exports —
-			// apples to apples; the modelled results are identical either
-			// way.
-			cs.Cache = nil
-			opts := bfs.DefaultOptions()
-			opts.Opt = c.opt
-			res, err := cs.run(nodes, machine.PPN8Bind, opts)
-			if err != nil {
-				return fmt.Errorf("timeline %s: %w", c.label, err)
-			}
-			sess := rec.Sessions()[len(rec.Sessions())-1]
-			g := gaugeDigest(sess, sampleNs)
-			rows[i] = []float64{res.HarmonicTEPS, res.MeanTimeNs / 1e6,
-				g.peakFrontier, g.peakDensity, g.interBytes / (1 << 20),
-				g.peakUtil, g.exposedNs / 1e6}
-			return nil
-		}}
-	}
-	if err := s.runCells("timeline", cells); err != nil {
+	cells := []string{"+ Compressed allgather", "+ Overlap allgather"}
+	levels := []bfs.Opt{bfs.OptCompressedAllgather, bfs.OptOverlapAllgather}
+	vals, err := gather(s, cells, func(cs Spec, i int) ([]float64, error) {
+		rec := cs.Obs
+		if rec == nil {
+			// The sweep is about the gauges, so it records even when
+			// the CLI attached no recorder.
+			rec = obs.NewRecorder()
+			cs.Obs = rec
+		}
+		cs.SampleNs = sampleNs
+		// No graph cache: a cache hit would skip kernel-1 construction
+		// and shift the session's epoch, so the two rows' gauge streams
+		// would bucket-align differently. Building both keeps the
+		// timelines — and the obsdiff walkthrough over their exports —
+		// apples to apples; the modelled results are identical either
+		// way.
+		cs.Cache = nil
+		res, err := graph500.Run(cs.own(cs.config(nodes, machine.PPN8Bind, optsAt(levels[i]))))
+		if err != nil {
+			return nil, err
+		}
+		sess := rec.Sessions()[len(rec.Sessions())-1]
+		return append([]float64{res.HarmonicTEPS, res.MeanTimeNs / 1e6}, gaugeRow(sess, sampleNs)...), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for i, c := range cfgs {
-		t.AddRow(c.label, rows[i]...)
+	for i, label := range cells {
+		t.AddRow(label, vals[i]...)
 	}
 	t.Notes = append(t.Notes,
 		"gauges are recorded on the virtual-time grid by the bfs/mpi/collective layers; recording reads clocks only, so TEPS matches the unsampled run bit for bit",
@@ -93,18 +78,11 @@ func Timeline(s Spec) (*Table, error) {
 	return t, nil
 }
 
-// gaugeDigest folds one session's gauge streams into the sweep's
-// headline numbers.
-type digest struct {
-	peakFrontier float64
-	peakDensity  float64
-	interBytes   float64
-	peakUtil     float64
-	exposedNs    float64
-}
-
-func gaugeDigest(sess *obs.Session, sampleNs float64) digest {
-	var d digest
+// gaugeRow folds one session's gauge streams into the sweep's headline
+// columns: peak frontier, peak density, inter-node MiB, peak link
+// utilization and exposed wait ms.
+func gaugeRow(sess *obs.Session, sampleNs float64) []float64 {
+	var peakFrontier, peakDensity, interBytes, peakUtil, exposedNs float64
 	linkCap := sess.LinkPeakBytesPerNs() * sampleNs
 	// Skip buckets that end inside the setup segment (before the first
 	// mark): the rows compare BFS traversal traffic, and kernel-1
@@ -113,32 +91,25 @@ func gaugeDigest(sess *obs.Session, sampleNs float64) digest {
 	if marks := sess.Marks(); len(marks) > 0 {
 		setupEnd = marks[0]
 	}
-	afterSetup := func(pt obs.GaugePoint) bool {
-		return (float64(pt.Bucket)+1)*sampleNs > setupEnd
-	}
 	for _, rk := range sess.Ranks() {
 		for _, pt := range rk.GaugeSeries(obs.GaugeFrontier) {
-			if pt.V > d.peakFrontier {
-				d.peakFrontier = pt.V
-			}
+			peakFrontier = max(peakFrontier, pt.V)
 		}
 		for _, pt := range rk.GaugeSeries(obs.GaugeFrontierDensity) {
-			if pt.V > d.peakDensity {
-				d.peakDensity = pt.V
-			}
+			peakDensity = max(peakDensity, pt.V)
 		}
 		for _, pt := range rk.GaugeSeries(obs.GaugeInterBytes) {
-			if !afterSetup(pt) {
+			if (float64(pt.Bucket)+1)*sampleNs <= setupEnd {
 				continue
 			}
-			d.interBytes += pt.V
-			if linkCap > 0 && pt.V/linkCap > d.peakUtil {
-				d.peakUtil = pt.V / linkCap
+			interBytes += pt.V
+			if linkCap > 0 {
+				peakUtil = max(peakUtil, pt.V/linkCap)
 			}
 		}
 		for _, pt := range rk.GaugeSeries(obs.GaugeExposedWait) {
-			d.exposedNs += pt.V
+			exposedNs += pt.V
 		}
 	}
-	return d
+	return []float64{peakFrontier, peakDensity, interBytes / (1 << 20), peakUtil, exposedNs / 1e6}
 }
