@@ -73,3 +73,22 @@ func TestRootCountAboveRootedVertices(t *testing.T) {
 		})
 	}
 }
+
+// TestScaleAbove32Rejected: the graph stores vertex ids in 32 bits, so a
+// scale above 32 is a bad flag value — one line and exit 2, before
+// anything the size of the graph is allocated.
+func TestScaleAbove32Rejected(t *testing.T) {
+	bin := buildCLIs(t, "./graph500")
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(bin, "graph500"), "-scale", "33", "-nodes", "1")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2\nstderr: %s", err, &stderr)
+	}
+	msg := strings.TrimSpace(stderr.String())
+	if stdout.Len() != 0 || !strings.Contains(msg, "scale 33 out of range") || strings.Contains(msg, "\n") {
+		t.Fatalf("stdout %q; stderr is not the one-line message:\n%s", &stdout, msg)
+	}
+}

@@ -153,6 +153,10 @@ func main() {
 	if *seed != 0 {
 		params = params.WithSeed(*seed)
 	}
+	if err := params.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "graph500: %v\n", err)
+		os.Exit(2)
+	}
 
 	var rec *numabfs.Recorder
 	if *traceOut != "" || *metrics || sampled {

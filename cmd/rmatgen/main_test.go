@@ -72,6 +72,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-scale", "8", "-from", "5", "-to", "3"},
 		{"-scale", "8", "-from", "-1"},
 		{"-scale", "0"},
+		{"-scale", "33"},
 		{"-scale", "41"},
 		{"-edgefactor", "0"},
 		{"-nosuchflag"},

@@ -40,7 +40,8 @@ func referenceBottomUpScan(rs *rankState, chunks *[]machine.PhaseLoad) (res omp.
 				continue
 			}
 			v := rs.csr.Lo + i
-			for _, u := range rs.csr.Neighbors(v) {
+			for _, w := range rs.csr.Neighbors(v) {
+				u := int64(w)
 				edges++
 				sumChecks++
 				if rs.inSum.CoveredZero(u) {

@@ -27,7 +27,8 @@ func (rs *rankState) topDownLevel(p *mpi.Proc) (nf, mf int64) {
 	me := rs.pos
 	var edges, localTries, remote int64
 	for _, u := range rs.queue {
-		for _, v := range rs.csr.Neighbors(u) {
+		for _, w := range rs.csr.Neighbors(u) {
+			v := int64(w)
 			edges++
 			if o := r.Part.Owner(v); o == me {
 				localTries++

@@ -173,7 +173,7 @@ type rankState struct {
 	// Local adjacency: for u in colRange (relative), neighbours v that
 	// fall into this grid row's blocks.
 	rowPtr []int64
-	col    []int64
+	col    []uint32
 
 	// Owned vertex block state.
 	parent []int64

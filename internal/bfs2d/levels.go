@@ -63,7 +63,7 @@ func (r *Runner) HasEdge(u, v int64) bool {
 	i := int(v/r.blockSize) % r.Grid.R
 	rs := r.states[r.rankOf(i, j)]
 	cLo, _ := r.colRange(j)
-	_, ok := slices.BinarySearch(rs.col[rs.rowPtr[u-cLo]:rs.rowPtr[u-cLo+1]], v)
+	_, ok := slices.BinarySearch(rs.col[rs.rowPtr[u-cLo]:rs.rowPtr[u-cLo+1]], uint32(v))
 	return ok
 }
 
@@ -77,7 +77,7 @@ func (r *Runner) EachStoredEdge(cell int, f func(u, v int64)) {
 	cLo, _ := r.colRange(rs.j)
 	for rel := int64(0); rel < int64(len(rs.rowPtr))-1; rel++ {
 		for _, v := range rs.col[rs.rowPtr[rel]:rs.rowPtr[rel+1]] {
-			f(cLo+rel, v)
+			f(cLo+rel, int64(v))
 		}
 	}
 }

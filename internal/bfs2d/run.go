@@ -167,7 +167,8 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 	for _, list := range lists {
 		frontierLen += int64(len(list))
 		for _, u := range list {
-			for _, v := range rs.neighbors(u) {
+			for _, w := range rs.neighbors(u) {
+				v := int64(w)
 				edges++
 				// v's owner sits in this grid row at column j(v).
 				jc := int(v / (int64(r.Grid.R) * r.blockSize))

@@ -40,7 +40,8 @@ func referenceBUScanFold(rs *rankState, chunks *[]machine.PhaseLoad) omp.Result 
 			if rs.colVisited.Get(u) {
 				continue
 			}
-			for _, v := range rs.col[rs.rowPtr[u]:rs.rowPtr[u+1]] {
+			for _, w := range rs.col[rs.rowPtr[u]:rs.rowPtr[u+1]] {
+				v := int64(w)
 				cEdges++
 				jc := int(v / (int64(r.Grid.R) * r.blockSize))
 				si := int64(jc)*r.blockSize + v%r.blockSize

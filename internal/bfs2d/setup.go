@@ -109,7 +109,7 @@ func (r *Runner) Setup() {
 
 // neighbors returns the locally stored adjacency of global vertex u
 // (which must lie in this rank's column range).
-func (rs *rankState) neighbors(u int64) []int64 {
+func (rs *rankState) neighbors(u int64) []uint32 {
 	cLo, _ := rs.r.colRange(rs.j)
 	i := u - cLo
 	return rs.col[rs.rowPtr[i]:rs.rowPtr[i+1]]

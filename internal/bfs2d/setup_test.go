@@ -30,11 +30,15 @@ func TestSetupGolden(t *testing.T) {
 		stored += int64(len(rs.col))
 		h := fnv.New64a()
 		var buf [8]byte
-		for _, s := range [][]int64{rs.rowPtr, rs.col} {
-			for _, x := range s {
-				binary.LittleEndian.PutUint64(buf[:], uint64(x))
-				h.Write(buf[:])
-			}
+		put := func(x int64) {
+			binary.LittleEndian.PutUint64(buf[:], uint64(x))
+			h.Write(buf[:])
+		}
+		for _, x := range rs.rowPtr {
+			put(x)
+		}
+		for _, x := range rs.col {
+			put(int64(x)) // hashed as the 8-byte ids the golden was taken over
 		}
 		if got := h.Sum64(); got != want[rank] {
 			t.Errorf("rank %d: adjacency hash %#x, want %#x", rank, got, want[rank])

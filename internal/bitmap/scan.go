@@ -7,9 +7,10 @@ import "math/bits"
 // neighbour in row order that is in Front, consulting Sum (Front's
 // summary) before every probe.
 type BottomUpScan struct {
-	RowPtr, Col []int64
-	Front       *Bitmap
-	Sum         *Summary
+	RowPtr []int64
+	Col    []uint32 // graph.CSR's 4-byte neighbour ids
+	Front  *Bitmap
+	Sum    *Summary
 	// Neighbour v is Front bit v>>Drop<<Keep | v&(1<<Keep-1): the 2-D row
 	// frontier cuts the processor-row bits [Keep, Drop) out of the id;
 	// Keep = Drop = 63 is the identity.
@@ -36,13 +37,13 @@ func (sc *BottomUpScan) Word(base int64, mask uint64) (hits int) {
 		i := base + int64(bits.TrailingZeros64(mask))
 		s := rowPtr[i]
 		rows[n&63] = i
-		nbrs[n&63] = col[min(s, last)]
+		nbrs[n&63] = int64(col[min(s, last)])
 		n += int(uint64(s-rowPtr[i+1]) >> 63)
 	}
 	for _, i := range rows[:n] {
 		k, end := rowPtr[i], rowPtr[i+1]
 		for k < end {
-			v := col[k]
+			v := int64(col[k])
 			k++
 			si := v>>(sc.Drop&63)<<(sc.Keep&63) | v&(1<<(sc.Keep&63)-1)
 			if g := granule(si, sc.Sum.g); sum[g>>6]>>(uint(g)&63)&1 != 0 {

@@ -29,7 +29,7 @@ func TestBottomUpScanWord(t *testing.T) {
 				deg = 1 + rng.Intn(5)
 			}
 			for k := 0; k < deg; k++ {
-				sc.Col = append(sc.Col, rng.Int63n(ids))
+				sc.Col = append(sc.Col, uint32(rng.Int63n(ids)))
 			}
 			sc.RowPtr[i+1] = int64(len(sc.Col))
 		}
@@ -52,7 +52,8 @@ func TestBottomUpScanWord(t *testing.T) {
 			if mask>>uint(b)&1 == 0 {
 				continue
 			}
-			for _, v := range sc.Col[sc.RowPtr[i]:sc.RowPtr[i+1]] {
+			for _, w := range sc.Col[sc.RowPtr[i]:sc.RowPtr[i+1]] {
+				v := int64(w)
 				wantEdges++
 				if sc.Sum.CoveredZero(index(v)) {
 					continue

@@ -8,11 +8,13 @@ import (
 // CSR is the local adjacency structure of one rank: the out-neighbour
 // lists of the vertices it owns, with global neighbour ids. The graph is
 // undirected, so every edge (u, v) appears in u's list on u's owner and
-// in v's list on v's owner.
+// in v's list on v's owner. Neighbour ids are stored in 4 bytes (scales
+// up to 32, as rmat.Params.Validate enforces); the modelled machine still
+// holds 8-byte ids, which BytesApprox prices. Readers widen at the use.
 type CSR struct {
-	Lo, Hi int64   // owned vertex range [Lo, Hi)
-	RowPtr []int64 // len Hi-Lo+1
-	Col    []int64 // global neighbour ids, sorted per row
+	Lo, Hi int64    // owned vertex range [Lo, Hi)
+	RowPtr []int64  // len Hi-Lo+1
+	Col    []uint32 // global neighbour ids, sorted per row
 }
 
 // NumLocal returns the number of owned vertices.
@@ -29,7 +31,7 @@ func (c *CSR) Degree(v int64) int64 {
 
 // Neighbors returns the neighbour list of owned vertex v (global id).
 // The returned slice aliases the CSR; do not modify.
-func (c *CSR) Neighbors(v int64) []int64 {
+func (c *CSR) Neighbors(v int64) []uint32 {
 	i := v - c.Lo
 	return c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
 }
@@ -37,8 +39,10 @@ func (c *CSR) Neighbors(v int64) []int64 {
 // HasEdge reports whether owned vertex v has at least one neighbour.
 func (c *CSR) HasEdge(v int64) bool { return c.Degree(v) > 0 }
 
-// BytesApprox returns the approximate memory footprint of the CSR, used
-// by the cost model to size the structure for cache modelling.
+// BytesApprox is the CSR's size in the Graph500 reference layout, 8 bytes
+// per row pointer and per neighbour id: the structure the cache and
+// bandwidth model prices (PhaseLoad.StructBytes, the re-own charge). It
+// is not the host footprint, whose Col holds 4-byte ids.
 func (c *CSR) BytesApprox() int64 {
 	return int64(len(c.RowPtr))*8 + int64(len(c.Col))*8
 }
@@ -81,14 +85,14 @@ func BuildCSRFrom(lo, hi int64, vecs [][]int64, dedup bool) *CSR {
 	for i := int64(0); i < n; i++ {
 		c.RowPtr[i+1] += c.RowPtr[i]
 	}
-	c.Col = make([]int64, c.RowPtr[n])
+	c.Col = make([]uint32, c.RowPtr[n])
 	// Fill pass: RowPtr[i] is row i's write cursor, so it ends the pass
 	// as the end of row i — the start of row i+1; shift it back down.
 	for _, pairs := range vecs {
 		for k := 0; k < len(pairs); k += 2 {
 			u, v := pairs[k], pairs[k+1]
 			if u != v {
-				c.Col[c.RowPtr[u-lo]] = v
+				c.Col[c.RowPtr[u-lo]] = uint32(v)
 				c.RowPtr[u-lo]++
 			}
 		}
@@ -105,10 +109,10 @@ func BuildCSRFrom(lo, hi int64, vecs [][]int64, dedup bool) *CSR {
 		if dedup {
 			var prev int64 = -1
 			for _, v := range row {
-				if v != prev {
+				if int64(v) != prev {
 					c.Col[kept] = v
 					kept++
-					prev = v
+					prev = int64(v)
 				}
 			}
 			c.RowPtr[i+1] = kept
@@ -136,7 +140,7 @@ func MergeCSR(a, b *CSR) *CSR {
 	for i, v := range b.RowPtr[1:] {
 		out.RowPtr[int64(len(a.RowPtr))+int64(i)] = v + shift
 	}
-	out.Col = make([]int64, 0, len(a.Col)+len(b.Col))
+	out.Col = make([]uint32, 0, len(a.Col)+len(b.Col))
 	out.Col = append(append(out.Col, a.Col...), b.Col...)
 	return out
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,12 +12,12 @@ import (
 // naiveRows is the construction BuildCSRFrom must equal, written the
 // slow obvious way: per source a list of neighbours, self-loops skipped,
 // sorted, and duplicates squeezed out when dedup is on.
-func naiveRows(lo, hi int64, vecs [][]int64, dedup bool) [][]int64 {
-	rows := make([][]int64, hi-lo)
+func naiveRows(lo, hi int64, vecs [][]int64, dedup bool) [][]uint32 {
+	rows := make([][]uint32, hi-lo)
 	for _, vec := range vecs {
 		for k := 0; k < len(vec); k += 2 {
 			if u, v := vec[k], vec[k+1]; u != v {
-				rows[u-lo] = append(rows[u-lo], v)
+				rows[u-lo] = append(rows[u-lo], uint32(v))
 			}
 		}
 	}
@@ -138,6 +139,37 @@ func TestRouteEdgesOrder(t *testing.T) {
 	}
 	if empty := RouteEdges(params, 7, 7, 2, dest); len(empty) != 2 || len(empty[0])+len(empty[1]) != 0 {
 		t.Fatalf("empty range routed %v", empty)
+	}
+}
+
+// TestBuildCSRHostBytes: one build allocates its 8-byte row pointers and
+// 4-byte columns and nothing else of size — the host layout, half the
+// bytes per adjacency of the modelled one. The slack covers the CSR
+// header and the allocator's page rounding of the two large arrays.
+func TestBuildCSRHostBytes(t *testing.T) {
+	params := rmat.Graph500(12)
+	n := params.NumVertices()
+	vecs := RouteEdges(params, 0, params.NumEdges(), 3, func(u, _ int64) int { return int(u % 3) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := BuildCSRFrom(0, n, vecs, true)
+	runtime.ReadMemStats(&after)
+	const slack = 16 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	if want := uint64(8*(n+1) + 4*int64(cap(c.Col)) + slack); got > want {
+		t.Fatalf("BuildCSRFrom allocated %d bytes for %d rows and %d adjacencies, want <= %d", got, n, cap(c.Col), want)
+	}
+}
+
+// TestBytesApproxIsModelLayout: BytesApprox is the Graph500 reference
+// layout the cost model prices — 8 bytes per row pointer and per
+// neighbour id — whatever the host stores.
+func TestBytesApproxIsModelLayout(t *testing.T) {
+	for _, dedup := range []bool{true, false} {
+		c := BuildGlobal(rmat.Graph500(10), dedup)
+		if got, want := c.BytesApprox(), 8*int64(len(c.RowPtr)+len(c.Col)); got != want {
+			t.Errorf("dedup=%v: BytesApprox = %d, want %d", dedup, got, want)
+		}
 	}
 }
 

@@ -106,15 +106,20 @@ func TestBuildGlobalGolden(t *testing.T) {
 }
 
 // hashCSR is FNV-1a-64 over the little-endian row pointers, then
-// columns.
-func hashCSR(rowPtr, col []int64) uint64 {
+// columns, each column widened to the 8 bytes it was hashed as when Col
+// held int64 ids.
+func hashCSR(rowPtr []int64, col []uint32) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, s := range [][]int64{rowPtr, col} {
-		for _, x := range s {
-			binary.LittleEndian.PutUint64(buf[:], uint64(x))
-			h.Write(buf[:])
-		}
+	put := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	for _, x := range rowPtr {
+		put(x)
+	}
+	for _, x := range col {
+		put(int64(x))
 	}
 	return h.Sum64()
 }

@@ -147,8 +147,8 @@ func TestBuildGlobalUndirected(t *testing.T) {
 	for v := int64(0); v < c.Hi; v++ {
 		for _, u := range c.Neighbors(v) {
 			found := false
-			for _, w := range c.Neighbors(u) {
-				if w == v {
+			for _, w := range c.Neighbors(int64(u)) {
+				if int64(w) == v {
 					found = true
 					break
 				}

@@ -27,8 +27,8 @@ func ReferenceBFS(c *CSR, root int64) (level, parent []int64) {
 	for depth := int64(1); len(frontier) > 0; depth++ {
 		var next []int64
 		for _, u := range frontier {
-			for _, v := range c.Neighbors(u) {
-				if level[v] < 0 {
+			for _, w := range c.Neighbors(u) {
+				if v := int64(w); level[v] < 0 {
 					level[v] = depth
 					parent[v] = u
 					next = append(next, v)

@@ -53,7 +53,7 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 			row := csr.Neighbors(v)
 			if pv := parent[v]; pv >= 0 && v != root {
 				// Rule 2: the tree edge must be a graph edge.
-				if _, ok := slices.BinarySearch(row, pv); !ok {
+				if _, ok := slices.BinarySearch(row, uint32(pv)); !ok {
 					return fmt.Errorf("tree edge (%d, %d) is not a graph edge", v, pv)
 				}
 				// Rule 3: exactly one level apart.
@@ -63,7 +63,7 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 			}
 			for _, u := range row {
 				if lv, lu := level[v], level[u]; !levelsAdjacent(lv, lu) {
-					return rule4Error(v, u, lv, lu)
+					return rule4Error(v, int64(u), lv, lu)
 				}
 			}
 		}

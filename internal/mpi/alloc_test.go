@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -167,5 +168,46 @@ func TestAckPoolRecycles(t *testing.T) {
 	}
 	if got.done.Load() != 0 || got.tag != 2 {
 		t.Fatalf("recycled cell not reset: done=%d tag=%d", got.done.Load(), got.tag)
+	}
+}
+
+// TestFreeListsPinNoPayload: after a run that exchanged large Vals
+// vectors, blocking and nonblocking, no pooled message cell or Request
+// still references them — an idle cell pinning the last vectors it
+// carried kept kernel 1's pair vectors alive after set-up.
+func TestFreeListsPinNoPayload(t *testing.T) {
+	w := testWorld(t, 1)
+	n := w.NumProcs()
+	w.Run(func(p *Proc) {
+		me := p.Rank()
+		next, prev := (me+1)%n, (me+n-1)%n
+		vals := make([]int64, 1<<16)
+		vals[0] = int64(me)
+		if m := p.SendRecvPayload(next, 1, 8<<16, Payload{Vals: vals}, prev, 1, 1); m.Payload.Vals[0] != int64(prev) {
+			panic("blocking exchange delivered the wrong vector")
+		}
+		rr := p.Irecv(prev, 2, nil)
+		sr := p.IsendPayload(next, 2, 8<<16, Payload{Vals: vals}, 1)
+		rr.Wait()
+		sr.Wait()
+		if rr.Msg().Payload.Vals[0] != int64(prev) {
+			panic("nonblocking exchange delivered the wrong vector")
+		}
+	})
+	for r := 0; r < n; r++ {
+		p := w.Proc(r)
+		if len(p.msgFree) == 0 || len(p.reqFree) == 0 {
+			t.Fatalf("rank %d: %d pooled cells, %d pooled Requests; want both pools used", r, len(p.msgFree), len(p.reqFree))
+		}
+		for k, m := range p.msgFree {
+			if !reflect.ValueOf(m.payload).IsZero() {
+				t.Errorf("rank %d: pooled cell %d still holds its payload", r, k)
+			}
+		}
+		for k, req := range p.reqFree {
+			if !reflect.ValueOf(req.msg).IsZero() {
+				t.Errorf("rank %d: pooled Request %d still holds its message", r, k)
+			}
+		}
 	}
 }

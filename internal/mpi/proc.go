@@ -60,8 +60,9 @@ type Proc struct {
 	// returns a completed Request here, Isend/Irecv draw from it. Only
 	// the owning rank's goroutine touches the list; a completed
 	// Request's fields stay readable until the rank's next nonblocking
-	// post (Request's doc comment carries the contract). Requests in
-	// flight during an abort unwind are simply dropped.
+	// post (Request's doc comment carries the contract); World.leave
+	// drops their messages when the body returns. Requests in flight
+	// during an abort unwind are simply dropped.
 	reqFree []*Request
 }
 

@@ -131,8 +131,12 @@ func (p *Proc) newMessage(tag int, wireBytes, rawBytes int64, streams int, pl *P
 	return m
 }
 
-// putMessage returns a completed cell to the free-list.
-func (p *Proc) putMessage(m *message) { p.msgFree = append(p.msgFree, m) }
+// putMessage returns a completed cell to the free-list, dropping its
+// payload so an idle cell pins none of the vectors it carried.
+func (p *Proc) putMessage(m *message) {
+	m.payload = Payload{}
+	p.msgFree = append(p.msgFree, m)
+}
 
 // waitFor parks the rank until ready reports true, failing if the job
 // aborts meanwhile. Callers test ready themselves first, so the closure

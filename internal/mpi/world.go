@@ -134,6 +134,11 @@ func (w *World) leave(p *Proc) {
 		w.failMu.Unlock()
 		w.doAbort()
 	}
+	// A pooled Request keeps its Msg readable until the rank's next post;
+	// there is none after the body, so drop what it would pin.
+	for _, r := range p.reqFree {
+		r.msg = Msg{}
+	}
 	p.parked.Store(parkGone)
 	if w.faultFired.Load() {
 		w.abortIfQuiescent()

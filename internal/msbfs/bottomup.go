@@ -33,7 +33,8 @@ func (ls *laneState) bottomUpChunk(lo, hi int64, buMask uint64, nfL, mfL *[64]in
 			continue
 		}
 		var got uint64
-		for _, u := range ls.csr.Neighbors(ls.csr.Lo + i) {
+		for _, w := range ls.csr.Neighbors(ls.csr.Lo + i) {
+			u := int64(w)
 			edges++
 			sumChecks++
 			if ls.inSum.CoveredZero(u, pend) {

@@ -85,7 +85,8 @@ func referenceBottomUpSweep(ls *laneState, m *laneMajor, buMask uint64, nfL, mfL
 			}
 			v := ls.csr.Lo + i
 			var d int64 // v's degree, fetched lazily on the first hit
-			for _, u := range ls.csr.Neighbors(v) {
+			for _, w := range ls.csr.Neighbors(v) {
+				u := int64(w)
 				edges++
 				sumChecks++
 				if ls.inSum.CoveredZero(u, pend) {
@@ -213,8 +214,8 @@ func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 				csr := r.states[src].csr
 				for v := csr.Lo; v < csr.Hi; v++ {
 					if w := front[v] & tdMask; w != 0 {
-						for _, u := range csr.Neighbors(v) {
-							if r.Part.Owner(u) == me {
+						for _, id := range csr.Neighbors(v) {
+							if u := int64(id); r.Part.Owner(u) == me {
 								claims[me] = append(claims[me], [3]int64{u, v, int64(w)})
 							}
 						}

@@ -34,7 +34,8 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 			continue
 		}
 		fverts++
-		for _, u := range ls.csr.Neighbors(v) {
+		for _, id := range ls.csr.Neighbors(v) {
+			u := int64(id)
 			edges++
 			if o := r.Part.Owner(u); o == me {
 				localTries++

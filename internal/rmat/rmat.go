@@ -67,8 +67,8 @@ func (p Params) NumEdges() int64 { return p.EdgeFactor << uint(p.Scale) }
 
 // Validate reports a parameter error, or nil.
 func (p Params) Validate() error {
-	if p.Scale < 1 || p.Scale > 40 {
-		return fmt.Errorf("rmat: scale %d out of range [1, 40]", p.Scale)
+	if p.Scale < 1 || p.Scale > 32 {
+		return fmt.Errorf("rmat: scale %d out of range [1, 32] (the graph stores vertex ids in 32 bits)", p.Scale)
 	}
 	if p.EdgeFactor < 1 {
 		return fmt.Errorf("rmat: edge factor %d < 1", p.EdgeFactor)

@@ -24,6 +24,7 @@ func TestGraph500Params(t *testing.T) {
 func TestValidateRejectsBadParams(t *testing.T) {
 	bad := []Params{
 		{Scale: 0, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05},
+		{Scale: 33, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05},
 		{Scale: 41, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, D: 0.05},
 		{Scale: 10, EdgeFactor: 0, A: 0.57, B: 0.19, C: 0.19, D: 0.05},
 		{Scale: 10, EdgeFactor: 16, A: 0.9, B: 0.19, C: 0.19, D: 0.05},
