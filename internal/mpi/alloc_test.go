@@ -4,13 +4,16 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"numabfs/internal/machine"
 )
 
 // mallocsDuring runs f and returns the number of heap allocations the
 // whole process performed meanwhile. The rendezvous paths run on rank
-// goroutines, so testing.AllocsPerRun (calling-goroutine only) cannot
-// see them; the global Mallocs counter can, at the cost of absorbing a
-// small fixed overhead from the world's goroutine spawns.
+// coroutines and worker goroutines, so testing.AllocsPerRun
+// (calling-goroutine only) cannot see them; the global Mallocs counter
+// can, at the cost of absorbing a small fixed overhead from the run's
+// worker spawns.
 func mallocsDuring(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -20,11 +23,32 @@ func mallocsDuring(f func()) uint64 {
 }
 
 // perRunAllocs bounds what one World.Run of the 4-rank test world may
-// allocate besides its messages: goroutine spawns, the WaitGroup, the
-// panics channel, scheduler bookkeeping — 13 to 19 objects measured, with
-// or without -race. It does not grow with the message count, which is
-// the point: the bounds below are this constant, not a share of msgs.
+// allocate besides its messages: the closures of the worker spawns, a
+// first run's worker, fiber and inbox growth, runtime bookkeeping. It
+// does not grow with the message count, which is the point: the bounds
+// below are this constant, not a share of msgs.
 const perRunAllocs = 64
+
+// TestRunAllocsIndependentOfRanks: a warm Run of the 128-rank Table I
+// world allocates a constant, not something per rank — the ranks run on
+// pooled coroutines and cached workers, and only the workers beyond the
+// calling goroutine are spawned. Measured: 0, 1 and 7-12 objects at 1, 2
+// and 8 workers, up to 28 under -race; a goroutine spawn per rank cost
+// 257.
+func TestRunAllocsIndependentOfRanks(t *testing.T) {
+	const bound = 48
+	atProcs(t, func(t *testing.T) {
+		cfg := machine.TableI()
+		cfg.WeakNode = -1
+		w := NewWorld(cfg, machine.PlacementFor(cfg, machine.PPN8Bind))
+		body := func(p *Proc) { p.Barrier() }
+		w.Run(body) // warm-up: workers, fibers, inboxes
+		allocs := mallocsDuring(func() { w.Run(body) })
+		if allocs > bound {
+			t.Fatalf("a %d-rank Run of one Barrier allocated %d objects, want <= %d", w.NumProcs(), allocs, bound)
+		}
+	})
+}
 
 // TestSendRecvHotPathDoesNotAllocPerMessage pins the allocation-free
 // rendezvous: after a warm-up run has populated the per-rank message

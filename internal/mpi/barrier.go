@@ -50,7 +50,7 @@ func (b *barrier) sync(p *Proc, clock float64) float64 {
 	b.arrived.Store(0)
 	b.gen.Store(gen + 1)
 	for _, m := range b.members {
-		m.wakeIfParked()
+		m.wakeIfParked(p)
 	}
 	return max
 }

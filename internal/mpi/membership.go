@@ -8,12 +8,8 @@ import "fmt"
 // run, Shrink removes permanently dead ranks mid-job, and Promote swaps
 // a parked spare in for a dead rank. Every membership change rebuilds
 // the world barrier and the per-node barriers over the live ranks, so
-// barrier pricing and the barriers' member lists track the epoch — at
-// full membership the modelled costs are bit-identical to the
-// historical fixed-world ones.
-//
-// Mutators must only be called when no rank goroutine is running
-// (between Run/TryRun attempts), like Injector.Disarm.
+// barrier pricing tracks the epoch. Mutators must only be called when
+// no rank is running (between Run/TryRun attempts).
 
 // Epoch returns the world-view number: 0 until the first Shrink or
 // Promote, incremented by each.

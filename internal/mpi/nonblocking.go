@@ -6,11 +6,9 @@ import "fmt"
 // a Request must be waited on exactly once.
 //
 // Requests are pooled per rank: Wait returns the Request to its rank's
-// free-list, and the rank's next Isend/Irecv may hand the same struct
-// back out. A completed Request's fields (BeginNs/EndNs, Msg) therefore
-// stay valid only until the rank's next nonblocking post — the
-// pipelined collectives read them immediately after Wait, before
-// posting the next chunk pair, which is the contract.
+// free-list, and the rank's next Isend/Irecv may hand it back out. A
+// completed Request's fields (BeginNs/EndNs, Msg) therefore stay valid
+// only until the rank's next nonblocking post.
 type Request struct {
 	p    *Proc
 	done bool
@@ -26,18 +24,15 @@ type Request struct {
 	msg       Msg
 
 	// BeginNs and EndNs bracket the completed transfer on the virtual
-	// timeline (recv side only; valid after Wait). Pipelined collectives
-	// diff them against the clock at Wait to split the transfer into
-	// hidden time (it ran under the rank's own computation) and exposed
-	// time (the rank stalled for it).
+	// timeline (recv side only; valid after Wait): pipelined collectives
+	// split it into hidden and exposed time against the clock at Wait.
 	BeginNs, EndNs float64
 }
 
 // Msg returns the received message (recv side only; valid after Wait,
-// until the rank's next nonblocking post). Callers that read the
-// message here instead of passing an out pointer to Irecv keep the hot
-// path allocation-free: a per-iteration out variable escapes to the
-// heap, the pooled Request's internal storage does not.
+// until the rank's next nonblocking post). Reading it here instead of
+// through an out pointer, which escapes, keeps the hot path
+// allocation-free.
 func (r *Request) Msg() Msg { return r.msg }
 
 // Isend posts a nonblocking send. The transfer is timestamped with the
@@ -55,10 +50,8 @@ func (p *Proc) IsendPayload(dst, tag int, bytes int64, pl Payload, streams int) 
 	return p.isend(dst, tag, bytes, bytes, &pl, streams)
 }
 
-// IsendWire is IsendPayload for an encoded payload: pl.Wire's WireBytes
-// cross the simulated network and drive the transfer cost, its RawBytes
-// are the logical (pre-encoding) size recorded by the raw-volume
-// counters — the nonblocking counterpart of SendRecvWire.
+// IsendWire is IsendPayload for an encoded payload, the nonblocking
+// counterpart of SendRecvWire.
 func (p *Proc) IsendWire(dst, tag int, pl Payload, streams int) *Request {
 	return p.isend(dst, tag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, streams)
 }

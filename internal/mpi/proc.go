@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"numabfs/internal/fault"
@@ -16,24 +17,23 @@ type Msg struct {
 	Payload Payload
 }
 
-// Phases of Proc.parked (rendezvous.go, "Park/wake"). The odd ones are
-// the quiet ones — nothing happens to such a rank unless another rank
-// makes it happen — and a waker claims the two highest.
+// Phases of Proc.parked (rendezvous.go, "Park/wake"). A waker claims
+// the two highest.
 const (
-	parkNone      = iota // running, or claimed by a waker
+	parkNone      = iota // running or runnable
 	parkGone             // its body returned, crashed or unwound
 	parkAnnounced        // about to block: will look at its condition once more
-	parkCommitted        // blocked on the wake channel, or about to; the bits above number the park
+	parkCommitted        // yielded to its worker, or about to
 )
 
 // Proc is one simulated MPI rank. All methods must be called from the
-// rank's own goroutine (inside World.Run's body).
+// rank's own turn at World.Run's body.
 type Proc struct {
-	// parked and wake are the rank's park/wake primitive (rendezvous.go)
-	// — the only Proc state other ranks' goroutines touch.
+	// parked is the rank's park word (rendezvous.go) — the only Proc
+	// state other ranks touch, besides handing a claimed rank to wk.
 	parked atomic.Uint32
-	wake   chan struct{}
-	parks  uint32 // committed parks so far; the rank's own
+	wk     *worker // the worker running the rank in this run (sched.go)
+	fib    *fiber  // the coroutine running its body in this run
 
 	w     *World
 	rank  int
@@ -49,20 +49,15 @@ type Proc struct {
 	// recorder) unless World.AttachObs was called.
 	obs *obs.Rank
 
-	// msgFree is the rank's free-list of message cells (rendezvous.go).
-	// Only the owning rank's goroutine touches the list: a cell is taken
-	// before posting and returned after its acknowledgement was awaited,
-	// when the receiver no longer holds it. Cells in flight during an
-	// abort unwind are simply dropped.
+	// msgFree is the rank's own free-list of message cells: a cell is
+	// taken before posting and returned once its acknowledgement was
+	// awaited. Cells in flight during an abort unwind are dropped.
 	msgFree []*message
 
-	// reqFree is the rank's free-list of nonblocking Requests: Wait
-	// returns a completed Request here, Isend/Irecv draw from it. Only
-	// the owning rank's goroutine touches the list; a completed
-	// Request's fields stay readable until the rank's next nonblocking
-	// post (Request's doc comment carries the contract); World.leave
-	// drops their messages when the body returns. Requests in flight
-	// during an abort unwind are simply dropped.
+	// reqFree is the rank's own free-list of nonblocking Requests: Wait
+	// returns a completed one, Isend/Irecv draw from it. A completed
+	// Request stays readable until the rank's next post (see Request);
+	// World.leave drops their messages when the body returns.
 	reqFree []*Request
 }
 
@@ -155,7 +150,7 @@ func (p *Proc) checkCrash() {
 // rewinding past work already charged) and the structured *fault.Error
 // unwinds through the abort machinery so blocked partners are released.
 func (p *Proc) crashAt(at float64) {
-	p.clock = maxf(p.clock, at)
+	p.clock = max(p.clock, at)
 	p.obs.FaultEvent("crash", p.clock)
 	panic(&fault.Error{Rank: p.rank, AtNs: at, Permanent: p.w.inj.CrashPermanent(p.rank, at)})
 }
@@ -167,11 +162,9 @@ func (p *Proc) RestoreClock(ns float64) { p.clock = ns }
 
 // Send transfers bytes of payload to dst under tag. streams is the number
 // of same-node ranks concurrently driving the contended resource (NIC or
-// memory system) during the enclosing collective step; the caller — the
-// collective implementation — knows its own structure. Send blocks until
+// memory system) during the enclosing collective step. Send blocks until
 // the matching Recv completes and advances the clock to the transfer end.
-// The untyped payload arrives as Msg.Payload.Any; hot paths use
-// SendPayload.
+// The payload arrives as Msg.Payload.Any; hot paths use SendPayload.
 func (p *Proc) Send(dst, tag int, bytes int64, payload any, streams int) {
 	p.SendPayload(dst, tag, bytes, Payload{Any: payload}, streams)
 }
@@ -220,7 +213,7 @@ func (p *Proc) receive(src, tag int, ready float64, out *Msg) (begin, recvEnd fl
 	if m.tag != tag {
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", p.rank, tag, src, m.tag))
 	}
-	begin = maxf(m.sent, ready)
+	begin = max(m.sent, ready)
 	recvEnd, sendEnd := p.deliver(m, begin)
 	out.Src, out.Tag, out.Bytes, out.Payload = m.src, m.tag, m.bytes, m.payload
 	p.complete(m, sendEnd)
@@ -241,10 +234,8 @@ func (p *Proc) SendRecvPayload(dst, sendTag int, bytes int64, pl Payload, src, r
 }
 
 // SendRecvWire is SendRecvPayload for an encoded payload: pl.Wire's
-// WireBytes cross the simulated network and drive the transfer cost,
-// while its RawBytes — the logical, pre-encoding size — are recorded by
-// the raw-volume counters, so one run exposes both the compressed and
-// the uncompressed volume.
+// WireBytes cross the simulated network, its RawBytes (the pre-encoding
+// size) go to the raw-volume counters.
 func (p *Proc) SendRecvWire(dst, sendTag int, pl Payload, src, recvTag int, streams int) Msg {
 	return p.sendRecv(dst, sendTag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, src, recvTag, streams)
 }
@@ -260,7 +251,7 @@ func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, rec
 
 	sendEnd := p.await(m)
 	p.putMessage(m)
-	p.clock = maxf(recvEnd, sendEnd)
+	p.clock = max(recvEnd, sendEnd)
 	p.commNs += p.clock - start
 	p.sentBytes += wire
 	p.countMsg(dst, wire, raw)
@@ -269,13 +260,10 @@ func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, rec
 
 // Barrier synchronizes all ranks: every clock advances to the maximum
 // arrival time plus the cost of a hierarchical dissemination barrier —
-// the ceilLog2(ppn) rounds that stay inside a node are charged at the
-// intra-node per-message overhead, and only the ceilLog2(Nodes) rounds
-// that cross the network pay the inter-node alpha. (Charging every
-// round at inter-node alpha, as a flat dissemination over all np ranks
-// would, overprices the barrier: MPI barriers on NUMA clusters combine
-// within the node over shared memory first.) It returns the rank's wait
-// time (max - own arrival), the "stall" of Fig. 11.
+// ceilLog2(ppn) rounds inside a node at the intra-node overhead, and
+// only ceilLog2(Nodes) rounds at the inter-node alpha, since MPI barriers
+// on NUMA clusters combine within the node first. It returns the rank's
+// wait time (max - own arrival), the "stall" of Fig. 11.
 func (p *Proc) Barrier() float64 {
 	p.checkCrash()
 	start := p.clock
@@ -310,17 +298,4 @@ func (p *Proc) SharedWords(name string, words int64) []uint64 {
 	return p.w.SharedWords(fmt.Sprintf("%s@node%d", name, p.node), words)
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func ceilLog2(n int) int {
-	r := 0
-	for v := 1; v < n; v <<= 1 {
-		r++
-	}
-	return r
-}
+func ceilLog2(n int) int { return bits.Len(uint(max(n, 1) - 1)) }

@@ -101,6 +101,62 @@ func TestAbortFlagStopsRankBeforeItParks(t *testing.T) {
 	}
 }
 
+// TestDeadlockReturnsStallError: a program that blocks for good with no
+// fault and no panic to blame ends in a StallError naming the parked
+// ranks — whether the cycle stays on one worker or crosses two — and Run
+// panics with it; the world is reusable afterwards.
+func TestDeadlockReturnsStallError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc)
+		want []int
+	}{
+		{"recv-each-other", func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				p.Recv(1, 1)
+			case 1:
+				p.Recv(0, 1)
+			}
+		}, []int{0, 1}},
+		{"recv-each-other-apart", func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				p.Recv(3, 1)
+			case 3:
+				p.Recv(0, 1)
+			}
+		}, []int{0, 3}},
+		{"return-before-barrier", func(p *Proc) {
+			if p.Rank() != 3 {
+				p.Barrier()
+			}
+		}, []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			atProcs(t, func(t *testing.T) {
+				w := testWorld(t, 1)
+				for round := 0; round < 20; round++ {
+					err := w.TryRun(tc.body)
+					se, ok := err.(*StallError)
+					if !ok || fmt.Sprint(se.Ranks) != fmt.Sprint(tc.want) {
+						t.Fatalf("round %d: TryRun = %v, want a StallError naming ranks %v", round, err, tc.want)
+					}
+					if err := w.TryRun(func(p *Proc) { p.Barrier() }); err != nil {
+						t.Fatalf("round %d: run after the deadlock: %v", round, err)
+					}
+				}
+				defer func() {
+					if _, ok := recover().(*StallError); !ok {
+						t.Fatal("Run did not panic with the StallError")
+					}
+				}()
+				w.Run(tc.body)
+			})
+		})
+	}
+}
+
 // TestWorldReusable100xAfterFailedTryRun alternates a failing attempt
 // that leaves the world as dirty as it gets — a full slot nobody takes,
 // ranks parked in every kind of wait, both barriers half arrived — with
@@ -134,10 +190,19 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 			}
 
 			for _, p := range w.procs {
-				if p.parked.Load() != parkGone || len(p.wake) != 0 {
-					t.Fatalf("attempt %d: rank %d kept parked=%d, %d wake tokens after the failed attempt",
-						i, p.rank, p.parked.Load(), len(p.wake))
+				if p.parked.Load() != parkGone || p.fib != nil {
+					t.Fatalf("attempt %d: rank %d kept parked=%d, fiber %p after the failed attempt",
+						i, p.rank, p.parked.Load(), p.fib)
 				}
+			}
+			for k, wk := range w.workers {
+				if wk.n != 0 || len(wk.inbox) != 0 || wk.idle || len(wk.wake) != 0 {
+					t.Fatalf("attempt %d: worker %d kept %d queued, %d in its inbox, idle=%v, %d wake tokens",
+						i, k, wk.n, len(wk.inbox), wk.idle, len(wk.wake))
+				}
+			}
+			if len(fibers.free) != fibers.made {
+				t.Fatalf("attempt %d: %d of %d fibers back in the pool", i, len(fibers.free), fibers.made)
 			}
 			for j := range w.slots {
 				if w.slots[j].Load() != nil {

@@ -7,34 +7,26 @@ import (
 )
 
 // This file is the reliable-transport layer under every point-to-point
-// delivery (Recv, SendRecv, Irecv.Wait — collectives are built on these,
-// so they inherit reliability for free). When the fault plan declares
-// lossy links (fault.Plan.Loss), inter-node messages travel as sequenced,
-// CRC-protected frames (wire.AppendFrame is the concrete codec) and the
-// receiver only acknowledges intact in-order data; dropped or corrupted
-// frames are retransmitted after a timeout with exponential backoff until
-// a retry budget is exhausted, which surfaces as a structured
-// *fault.Error (KindLinkLoss) through the same abort machinery as a rank
-// crash.
+// delivery (Recv, SendRecv, Irecv.Wait, and so every collective). When
+// the fault plan declares lossy links (fault.Plan.Loss), inter-node
+// messages travel as sequenced, CRC-protected frames (wire.AppendFrame)
+// and the receiver acknowledges only intact in-order data; dropped or
+// corrupted frames are retransmitted after a timeout with exponential
+// backoff until a retry budget runs out, which surfaces as a
+// *fault.Error (KindLinkLoss) through the same path as a rank crash.
 //
-// The protocol is charged analytically: instead of shuffling bytes per
-// attempt, the receiver — who under the simulator's rendezvous scheme
-// computes delivery timing for both sides — walks the attempt schedule
-// drawing each frame's fate from the deterministic transport hash
-// (fault.Injector.TransportDraw) and charges every attempt, duplicate
-// and ack to the virtual clock and the simnet ledgers. Draws hash the
-// message identity and attempt number, never a live counter, so fates
-// depend only on virtual time: repeats, GOMAXPROCS values and
-// crash-recovery replays all see the same losses. (Two messages posted
-// by one rank to one peer at the same clock with equal sizes share an
-// identity and thus a fate schedule; clocks advance between blocking
-// sends, so this only affects back-to-back equal-size Isends, where a
-// shared fate is indistinguishable from a correlated burst loss.)
-//
-// With no Loss events the transport is compiled in but bypassed on a
-// fast path that executes the exact pre-transport instruction sequence —
-// results, ledgers and allocation counts are bit-identical to a build
-// without this file.
+// The protocol is charged analytically: the receiver, which prices both
+// sides of a rendezvous, walks the attempt schedule, drawing each
+// frame's fate from the deterministic transport hash
+// (fault.Injector.TransportDraw) of the message identity and attempt
+// number — never a live counter — and charges every attempt, duplicate
+// and ack to the virtual clock and the simnet ledgers. Fates therefore
+// depend only on virtual time: repeats, GOMAXPROCS values and recovery
+// replays see the same losses. (Two equal-size messages one rank posts
+// to one peer at the same clock share a fate schedule; only back-to-back
+// Isends can, and a shared fate is indistinguishable from a burst loss.)
+// Without Loss events the fast path executes the pre-transport
+// instruction sequence: results, ledgers and allocations are unchanged.
 
 // rtoCapFactor bounds exponential backoff at this multiple of the base
 // retransmission timeout (TCP-style cap), so a transient brown-out

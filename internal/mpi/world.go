@@ -1,5 +1,5 @@
 // Package mpi is an execution-driven simulator of the MPI runtime the
-// paper's BFS is written against. Each rank is a goroutine executing the
+// paper's BFS is written against. Each rank is a coroutine executing the
 // real algorithm on real data; every rank carries a virtual clock in
 // nanoseconds. Computation advances a rank's clock by modelled phase
 // costs (internal/machine); point-to-point transfers rendezvous — the
@@ -13,18 +13,16 @@
 // configuration, the algorithm and the input — never on host scheduling
 // or host core count.
 //
-// On the host, a message moves through a per-(dst, src) slot published
-// with one atomic store, is acknowledged through the pooled cell that
-// carried it, and a blocked rank — in a transfer or in a barrier — parks
-// on its own wake channel, the one way a rank goroutine blocks: a
-// steady-state message allocates nothing and takes no lock shared
-// between ranks. A job fails at quiescence: a modelled crash only
-// removes its rank, the others run until each has returned, crashed or
-// blocked for good, and only when nobody can run does the job abort and
-// report the earliest crash. Where every rank stops is then a function
-// of the plan and the input, not of host scheduling. rendezvous.go has
-// the protocol and its ordering argument; DESIGN.md §6 places it in the
-// host-performance architecture.
+// On the host, ranks are coroutines on GOMAXPROCS workers (sched.go). A
+// message moves through a per-(dst, src) slot and is acknowledged
+// through the pooled cell that carried it; a blocked rank parks in its
+// own word and yields to its worker (rendezvous.go). A steady-state
+// message allocates nothing and takes no lock shared between ranks. A
+// job fails at quiescence, when no rank can run: a modelled crash only
+// removes its rank, and the job aborts with the earliest crash once the
+// others have returned, crashed or blocked for good — or, with nothing
+// to blame, with a StallError naming the deadlocked ranks. DESIGN.md §6
+// places both files in the host-performance architecture.
 package mpi
 
 import (
@@ -55,10 +53,8 @@ type World struct {
 	inj *fault.Injector
 
 	procs []*Proc
-	// slots[dst*np+src] is the rendezvous slot carrying messages from src
-	// to dst (rendezvous.go): nil when empty, else the one posted message
-	// dst has not completed yet. One flat array of np*np pointers, 128 KiB
-	// at 128 ranks.
+	// slots[dst*np+src] carries messages from src to dst (rendezvous.go):
+	// nil, or the one posted message dst has not completed yet.
 	slots []atomic.Pointer[message]
 
 	// globalBarrier spans the live ranks of the world (its members are
@@ -67,31 +63,31 @@ type World struct {
 	nodeBarriers  []*barrier
 
 	// Membership (membership.go): live[r] marks rank r as scheduled by
-	// Run/TryRun — parked spares and permanently dead ranks are not.
-	// The derived counts price barriers over the live epoch only, and
-	// epoch numbers the world views (0 = the view Run first saw;
-	// Shrink/Promote advance it).
+	// Run/TryRun, the counts price barriers over the live ranks, and
+	// epoch numbers the world views (Shrink/Promote advance it).
 	live       []bool
 	liveOnNode []int
 	liveNodes  int
 	maxLivePPN int
 	epoch      int
 
-	// jobAborted releases ranks blocked in communication (MPI job-abort
-	// semantics: a failed job comes down instead of deadlocking the
-	// failed rank's partners). A programming-bug panic sets it at once;
-	// a modelled fault sets faultFired, after which the ranks look for
-	// quiescence and the one that finds it sets jobAborted. Every park
-	// reads both and nothing writes them while a job is healthy.
+	// jobAborted releases ranks blocked in communication, as MPI's job
+	// abort does: a programming-bug panic sets it at once, the worker
+	// that finds the world quiescent otherwise (sched.go).
 	jobAborted atomic.Bool
-	faultFired atomic.Bool
 
 	// What the running attempt has recorded of its own failure, under
-	// failMu: the modelled faults that fired and the first
-	// programming-bug panic.
+	// failMu: the modelled faults that fired, the first programming-bug
+	// panic, and a deadlock found with neither.
 	failMu sync.Mutex
 	faults []*fault.Error
 	bug    error
+	stall  *StallError
+
+	// The scheduler (sched.go), kept across runs.
+	workers     []*worker
+	quiet       atomic.Int32
+	workersDone sync.WaitGroup
 
 	shmMu      sync.Mutex
 	shmRegions map[string][]uint64
@@ -110,14 +106,13 @@ func (errAborted) Error() string { return "mpi: job brought down by another rank
 func (w *World) doAbort() {
 	w.jobAborted.Store(true)
 	for _, p := range w.procs {
-		p.wakeIfParked()
+		p.wakeIfParked(nil)
 	}
 }
 
-// leave is a rank goroutine's exit: it records how the body ended and
-// marks the rank gone. A modelled fault aborts nothing by itself — the
-// survivors run on until the world is quiescent — while a programming
-// bug brings the job down at once.
+// leave is a rank body's exit: it records how the body ended and marks
+// the rank gone. A modelled fault aborts nothing by itself (the world
+// stops at quiescence), a programming bug brings the job down at once.
 func (w *World) leave(p *Proc) {
 	switch e := recover().(type) {
 	case nil, errAborted:
@@ -125,7 +120,6 @@ func (w *World) leave(p *Proc) {
 		w.failMu.Lock()
 		w.faults = append(w.faults, e)
 		w.failMu.Unlock()
-		w.faultFired.Store(true)
 	default:
 		w.failMu.Lock()
 		if w.bug == nil {
@@ -140,33 +134,6 @@ func (w *World) leave(p *Proc) {
 		r.msg = Msg{}
 	}
 	p.parked.Store(parkGone)
-	if w.faultFired.Load() {
-		w.abortIfQuiescent()
-	}
-}
-
-// abortIfQuiescent aborts the job if no live rank can run any more:
-// every one is blocked or gone, and was at one and the same instant
-// (rendezvous.go, "Quiescence"). Called, once a fault has fired, by
-// every rank that has just committed a park or gone; the parked ranks
-// it releases unwind, and their own calls find the flag.
-func (w *World) abortIfQuiescent() {
-	if w.jobAborted.Load() {
-		return
-	}
-	ranks := w.globalBarrier.members
-	seen := make([]uint32, len(ranks))
-	for i, p := range ranks {
-		if seen[i] = p.parked.Load(); seen[i]&1 == 0 {
-			return
-		}
-	}
-	for i, p := range ranks {
-		if p.parked.Load() != seen[i] {
-			return
-		}
-	}
-	w.doAbort()
 }
 
 // NewWorld builds a world of pl.Procs(cfg) ranks over cfg. Rank r lives
@@ -194,7 +161,6 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 	w.procs = make([]*Proc, np)
 	for r := 0; r < np; r++ {
 		w.procs[r] = &Proc{
-			wake:  make(chan struct{}, 1),
 			w:     w,
 			rank:  r,
 			node:  r / pl.ProcsPerNode,
@@ -223,9 +189,8 @@ func (w *World) Net() *simnet.Network { return w.net }
 // Injector returns the active fault injector (never nil).
 func (w *World) Injector() *fault.Injector { return w.inj }
 
-// InjectFaults installs a fault plan. The configuration's weak node is
-// folded in so it persists — the plan adds to the machine, it does not
-// replace it. Call between runs only; rank-scoped entries are validated
+// InjectFaults installs a fault plan on top of the configuration's weak
+// node. Call between runs only; rank-scoped entries are validated
 // against this world's size.
 func (w *World) InjectFaults(plan fault.Plan) error {
 	merged := fault.WeakNode(w.cfg.WeakNode, w.cfg.WeakNodeBWFactor).Merge(plan)
@@ -241,44 +206,30 @@ func (w *World) InjectFaults(plan fault.Plan) error {
 // Proc returns rank r. Intended for post-run inspection.
 func (w *World) Proc(r int) *Proc { return w.procs[r] }
 
-// Run executes body once per rank, each on its own goroutine, and blocks
+// Run executes body once per rank, each rank a coroutine, and blocks
 // until all ranks return. A panic in any rank aborts the whole job —
 // ranks blocked in communication are released, as MPI would — and the
-// first failure is re-raised on the caller with its rank attached.
+// first failure is re-raised on the caller with its rank attached, as is
+// a deadlock's *StallError.
 func (w *World) Run(body func(p *Proc)) {
 	if err := w.TryRun(body); err != nil {
 		panic(err)
 	}
 }
 
-// TryRun is Run returning the job's failure instead of panicking. A
+// TryRun is Run returning the job's failure instead of panicking; a body
+// may block the host only inside this package's calls (sched.go). A
 // modelled fault (rank crash, dead link) takes its own rank out and
-// nothing else: the other ranks run until each has returned, crashed
-// too or blocked on something no remaining rank will provide, and only
-// then — when no rank can run — does the job abort and TryRun return the
-// earliest fault (ties broken by rank) as a *FaultError. Every wait
-// names its slot or barrier, so how far each rank gets, which crashes
-// fire in the attempt and so which one is reported depend on the plan
-// and the input alone, never on which goroutine the host ran first. A
-// programming bug aborts the job at once, keeps its descriptive wrapped
-// panic and takes precedence over any concurrent fault. After any failed
-// attempt the world is re-armed, so a recovery attempt can reuse it. (A
-// program that deadlocks with no fault and no panic still hangs.)
+// nothing else: when no rank can run any more the job aborts and TryRun
+// returns the earliest fault (ties broken by rank) as a *FaultError.
+// Every wait names its slot or barrier, so which crashes fire and which
+// one is reported depend on the plan and the input alone, never on which
+// rank the host ran first. A programming bug aborts the job at once and
+// takes precedence over any fault; a job that stops blocked with neither
+// has deadlocked, and TryRun returns a *StallError. After any failed
+// attempt the world is re-armed, so a recovery attempt can reuse it.
 func (w *World) TryRun(body func(p *Proc)) error {
-	ranks := w.globalBarrier.members
-	for _, p := range ranks {
-		p.parked.Store(parkNone)
-	}
-	var wg sync.WaitGroup
-	for _, p := range ranks {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			defer w.leave(p)
-			body(p)
-		}(p)
-	}
-	wg.Wait()
+	w.schedule(body)
 
 	var err error
 	switch {
@@ -292,6 +243,8 @@ func (w *World) TryRun(body func(p *Proc)) error {
 			}
 		}
 		err = first
+	case w.stall != nil:
+		err = w.stall
 	}
 	if err != nil {
 		w.rearm()
@@ -301,14 +254,13 @@ func (w *World) TryRun(body func(p *Proc)) error {
 
 // rearm makes the world reusable after a failed attempt, whether it
 // ended in an abort or not — a crash whose survivors all ran to
-// completion aborts nothing yet may leave a posted message nobody took. The failure record and
-// the flags are cleared, the barriers rebuilt and every slot emptied.
-// Wake tokens need nothing: every committed park was claimed and every
-// claim's token consumed before its goroutine could exit.
+// completion aborts nothing yet may leave a posted message nobody took.
+// The failure record and the flag are cleared, the barriers rebuilt and
+// every slot emptied. The workers need nothing: each ran until every
+// rank of its share had finished, so no run list or inbox holds a rank.
 func (w *World) rearm() {
-	w.faults, w.bug = nil, nil
+	w.faults, w.bug, w.stall = nil, nil, nil
 	w.jobAborted.Store(false)
-	w.faultFired.Store(false)
 	w.rebuildMembership()
 	for i := range w.slots {
 		w.slots[i].Store(nil)
@@ -319,22 +271,16 @@ func (w *World) rearm() {
 // virtual wall time.
 func (w *World) MaxClock() float64 {
 	var m float64
-	for _, p := range w.procs {
-		if !w.live[p.rank] {
-			continue
-		}
-		if p.clock > m {
-			m = p.clock
-		}
+	for _, p := range w.globalBarrier.members {
+		m = max(m, p.clock)
 	}
 	return m
 }
 
 // AttachObs connects an observability session: every rank gets its own
-// span/counter stream (rank, node, socket). Call before Run — typically
-// right after NewWorld, so construction-phase collectives are recorded
-// too. Recording never advances virtual time, so results are identical
-// with and without a session attached.
+// span/counter stream (rank, node, socket). Call right after NewWorld so
+// construction-phase collectives are recorded too. Recording never
+// advances virtual time.
 func (w *World) AttachObs(s *obs.Session) {
 	w.obsSess = s
 	s.SetLinkPeak(w.net.PeakStreamBandwidth())
@@ -352,21 +298,15 @@ func (w *World) ResetClocks() {
 		// recorded so far ends at MaxClock, the next root restarts at 0.
 		w.obsSess.Advance(w.MaxClock())
 	}
-	for _, p := range w.procs {
-		p.clock = 0
-		p.commNs = 0
-		p.sentBytes = 0
-	}
+	w.PrepareRecovery()
 	w.net.ResetVolume()
 }
 
 // PrepareRecovery zeroes rank clocks and per-rank counters before a
-// crash-recovery attempt — but, unlike ResetClocks, neither advances the
-// observability epoch nor clears the network volume counters: the lost
-// attempt's traffic stays in the iteration totals (those bytes really
-// crossed the modelled network) and its spans stay on the timeline.
-// Recovery then restores each clock from the checkpoint via
-// Proc.RestoreClock.
+// crash-recovery attempt, which then restores each clock from the
+// checkpoint (Proc.RestoreClock). Unlike ResetClocks it keeps the
+// observability epoch and the network volume: the lost attempt's
+// traffic really crossed the modelled network.
 func (w *World) PrepareRecovery() {
 	for _, p := range w.procs {
 		p.clock = 0
