@@ -6,9 +6,12 @@
 //
 //	bfsbench -fig 9 -scale 16 -roots 8
 //	bfsbench -fig all -scale 14 -roots 2 -parallel 8
-//	bfsbench -fig 11 -trace out.json -metrics
+//	bfsbench -fig 11 -timeline run.jsonl -metrics
 //	bfsbench -fig 10 -cpuprofile cpu.pprof -cell-ledger -
 //	bfsbench -fig table1
+//
+// -timeline is the one observability export; obsdiff renders it
+// (obsdiff report|chrome|html|prom run.jsonl) and diffs two of them.
 package main
 
 import (
@@ -170,43 +173,24 @@ func tableDiff(want, got *experiments.Table) string {
 
 // obsFlags gathers the observability output settings for validation.
 type obsFlags struct {
-	metrics     bool
-	metricsOut  string
-	timeline    string
-	html        string
-	prom        string
-	sampleNs    float64
-	sampleNsSet bool // -sample-ns given explicitly
-	benchCheck  bool
+	metrics    bool
+	timeline   string
+	benchCheck bool
 }
 
 // validateObsFlags returns the usage errors in an output-flag
 // combination; any error means exit 2, like an unknown -fig key.
 func validateObsFlags(f obsFlags) []string {
+	if !f.benchCheck {
+		return nil
+	}
+	const why = " cannot be combined with -bench-check (the check runs no exportable experiment)"
 	var errs []string
-	if f.metrics && f.metricsOut != "" {
-		errs = append(errs, "-metrics and -metrics-out are mutually exclusive: the report goes to stdout or to the file, not both")
+	if f.timeline != "" {
+		errs = append(errs, "-timeline"+why)
 	}
-	if f.sampleNs <= 0 {
-		errs = append(errs, "-sample-ns must be positive")
-	}
-	if f.sampleNsSet && f.timeline == "" && f.html == "" && f.prom == "" {
-		errs = append(errs, "-sample-ns has no effect without -timeline, -report-html or -prom")
-	}
-	if f.benchCheck {
-		for _, c := range []struct{ name, val string }{
-			{"-metrics-out", f.metricsOut},
-			{"-timeline", f.timeline},
-			{"-report-html", f.html},
-			{"-prom", f.prom},
-		} {
-			if c.val != "" {
-				errs = append(errs, c.name+" cannot be combined with -bench-check (the check runs no exportable experiment)")
-			}
-		}
-		if f.metrics {
-			errs = append(errs, "-metrics cannot be combined with -bench-check (the check runs no exportable experiment)")
-		}
+	if f.metrics {
+		errs = append(errs, "-metrics"+why)
 	}
 	return errs
 }
@@ -301,13 +285,8 @@ func main() {
 	validate := flag.Bool("validate", false, "validate every BFS tree (slow)")
 	weak := flag.Bool("weaknode", true, "model the testbed's one weak node in 16-node runs")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline of every run to this file (open in chrome://tracing or Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the aggregated observability report (per-phase time, message counts by hop, barrier waits, critical path)")
-	metricsOut := flag.String("metrics-out", "", "write the aggregated observability report to this file instead of stdout (keeps -json output clean)")
-	timelineOut := flag.String("timeline", "", "write the run timeline (spans, counters, gauges) as a JSONL event stream to this file — the obsdiff input format")
-	htmlOut := flag.String("report-html", "", "write a self-contained HTML report (rank x phase heatmaps, gauge timelines) to this file")
-	promOut := flag.String("prom", "", "write a Prometheus-style text exposition of the run to this file")
-	sampleNs := flag.Float64("sample-ns", experiments.DefaultSampleNs, "virtual-time gauge sampling grid pitch in ns, used by -timeline/-report-html/-prom")
+	timelineOut := flag.String("timeline", "", "write the timeline of every run (spans, counters, gauges) as a JSONL event stream to this file; obsdiff renders it (report, chrome, html, prom) and diffs two of them")
 	benchJSON := flag.String("bench-json", "", "time each selected experiment and write a regression baseline (BENCH_<date>.json) to this file")
 	faultFile := flag.String("fault", "", "apply a deterministic fault plan (JSON, see internal/fault.Plan) to every run")
 	benchCheckFile := flag.String("bench-check", "", "rerun the experiments in a -bench-json baseline at its recorded scale/roots and fail on any table-value drift")
@@ -330,11 +309,9 @@ func main() {
 			strings.Join(quoted, ","), strings.Join(figKeys(), ","))
 		os.Exit(2)
 	}
-	sampleNsSet, batchSet, fillSet := false, false, false
+	batchSet, fillSet := false, false
 	flag.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
-		case "sample-ns":
-			sampleNsSet = true
 		case "batch":
 			batchSet = true
 		case "fill-timeout-ns":
@@ -342,10 +319,7 @@ func main() {
 		}
 	})
 	errs := validateObsFlags(obsFlags{
-		metrics: *metrics, metricsOut: *metricsOut,
-		timeline: *timelineOut, html: *htmlOut, prom: *promOut,
-		sampleNs: *sampleNs, sampleNsSet: sampleNsSet,
-		benchCheck: *benchCheckFile != "",
+		metrics: *metrics, timeline: *timelineOut, benchCheck: *benchCheckFile != "",
 	})
 	errs = append(errs, validateBatchFlags(batchFlags{
 		batch: *batch, fillTimeoutNs: *fillTimeout,
@@ -450,12 +424,11 @@ func main() {
 		Batch:         *batch,
 		FillTimeoutNs: *fillTimeout,
 	}
-	if *traceOut != "" || *metrics || *metricsOut != "" ||
-		*timelineOut != "" || *htmlOut != "" || *promOut != "" {
+	if *metrics || *timelineOut != "" {
 		spec.Obs = obs.NewRecorder()
 	}
-	if *timelineOut != "" || *htmlOut != "" || *promOut != "" {
-		spec.SampleNs = *sampleNs
+	if *timelineOut != "" {
+		spec.SampleNs = obs.DefaultSampleNs
 	}
 	if *faultFile != "" {
 		plan, err := loadFaultPlan(*faultFile)
@@ -533,23 +506,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bfsbench: wrote bench baseline to %s\n", *benchJSON)
 	}
 	if *metrics {
-		fmt.Print(spec.Obs.BuildReport().String())
+		fmt.Print(spec.Obs.Dump().Report().String())
 		hits, misses := spec.Cache.Stats()
 		fmt.Printf("graph cache: hits=%d misses=%d\n", hits, misses)
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(spec.Obs.BuildReport().String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bfsbench: metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bfsbench: wrote metrics report to %s\n", *metricsOut)
-	}
-	if *traceOut != "" {
-		if err := spec.Obs.WriteChromeTraceFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bfsbench: trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bfsbench: wrote Chrome trace to %s\n", *traceOut)
 	}
 	if *timelineOut != "" {
 		if err := spec.Obs.WriteTimelineFile(*timelineOut); err != nil {
@@ -557,19 +516,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "bfsbench: wrote timeline JSONL to %s\n", *timelineOut)
-	}
-	if *htmlOut != "" {
-		if err := spec.Obs.WriteHTMLReportFile(*htmlOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bfsbench: report-html: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bfsbench: wrote HTML report to %s\n", *htmlOut)
-	}
-	if *promOut != "" {
-		if err := spec.Obs.WritePromFile(*promOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bfsbench: prom: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bfsbench: wrote Prometheus exposition to %s\n", *promOut)
 	}
 }

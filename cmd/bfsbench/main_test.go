@@ -49,51 +49,30 @@ func TestUnknownFigs(t *testing.T) {
 }
 
 func TestValidateObsFlags(t *testing.T) {
-	ok := func(f obsFlags) obsFlags {
-		if f.sampleNs == 0 {
-			f.sampleNs = experiments.DefaultSampleNs
-		}
-		return f
-	}
 	valid := []obsFlags{
 		{},
 		{metrics: true},
-		{metricsOut: "m.txt"},
-		{timeline: "t.jsonl", sampleNsSet: true},
-		{html: "r.html", prom: "p.txt", sampleNsSet: true},
+		{timeline: "t.jsonl"},
+		{metrics: true, timeline: "t.jsonl"},
 		{benchCheck: true},
 	}
 	for _, f := range valid {
-		if errs := validateObsFlags(ok(f)); errs != nil {
+		if errs := validateObsFlags(f); errs != nil {
 			t.Errorf("valid combo %+v rejected: %v", f, errs)
 		}
 	}
 	invalid := []obsFlags{
-		{metrics: true, metricsOut: "m.txt"},
-		{timeline: "t.jsonl", sampleNs: -5, sampleNsSet: true},
-		{timeline: "t.jsonl", sampleNs: -experiments.DefaultSampleNs, sampleNsSet: true},
-		{sampleNsSet: true}, // explicit -sample-ns with no consumer
-		{benchCheck: true, metricsOut: "m.txt"},
-		{benchCheck: true, timeline: "t.jsonl", sampleNsSet: true},
-		{benchCheck: true, html: "r.html"},
-		{benchCheck: true, prom: "p.txt"},
+		{benchCheck: true, timeline: "t.jsonl"},
 		{benchCheck: true, metrics: true},
 	}
 	for _, f := range invalid {
-		fixed := f
-		if fixed.sampleNs == 0 {
-			fixed.sampleNs = experiments.DefaultSampleNs
-		}
-		if errs := validateObsFlags(fixed); len(errs) == 0 {
+		if errs := validateObsFlags(f); len(errs) == 0 {
 			t.Errorf("invalid combo %+v accepted", f)
 		}
 	}
 	// Each distinct problem reports its own line, so a doubly bad
 	// invocation prints both.
-	errs := validateObsFlags(obsFlags{
-		metrics: true, metricsOut: "m.txt",
-		sampleNs: -1, sampleNsSet: true, timeline: "t.jsonl",
-	})
+	errs := validateObsFlags(obsFlags{metrics: true, timeline: "t.jsonl", benchCheck: true})
 	if len(errs) != 2 {
 		t.Fatalf("want 2 errors, got %d: %v", len(errs), errs)
 	}

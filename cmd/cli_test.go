@@ -74,6 +74,26 @@ func TestRootCountAboveRootedVertices(t *testing.T) {
 	}
 }
 
+// TestTimelineReportMatchesMetrics: -timeline is the producers' one
+// observability export, so obsdiff's report of the file must be the
+// very report block -metrics printed in the same run.
+func TestTimelineReportMatchesMetrics(t *testing.T) {
+	bin := buildCLIs(t, "./graph500", "./obsdiff")
+	tl := filepath.Join(t.TempDir(), "t.jsonl")
+	g500, err := exec.Command(filepath.Join(bin, "graph500"),
+		"-scale", "12", "-nodes", "2", "-roots", "2", "-opt", "overlap", "-timeline", tl, "-metrics").Output()
+	if err != nil {
+		t.Fatalf("graph500: %v", err)
+	}
+	report, err := exec.Command(filepath.Join(bin, "obsdiff"), "report", tl).Output()
+	if err != nil {
+		t.Fatalf("obsdiff report: %v", err)
+	}
+	if !bytes.HasPrefix(report, []byte("== ")) || !bytes.HasSuffix(g500, report) {
+		t.Fatalf("obsdiff report is not graph500's -metrics block:\n--- graph500\n%s\n--- obsdiff report\n%s", g500, report)
+	}
+}
+
 // TestScaleAbove32Rejected: the graph stores vertex ids in 32 bits, so a
 // scale above 32 is a bad flag value — one line and exit 2, before
 // anything the size of the graph is allocated.

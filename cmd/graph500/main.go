@@ -18,6 +18,7 @@ import (
 
 	"numabfs"
 	"numabfs/internal/bfs"
+	"numabfs/internal/obs"
 	"numabfs/internal/trace"
 )
 
@@ -79,29 +80,9 @@ func main() {
 	seed := flag.Uint64("seed", 0, "graph seed (0 = default)")
 	levels := flag.Bool("levels", false, "print the frontier growth curve of the first root")
 	csvOut := flag.String("csv", "", "write per-root results as CSV to this file")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in chrome://tracing or Perfetto)")
 	metrics := flag.Bool("metrics", false, "print the aggregated observability report")
-	timelineOut := flag.String("timeline", "", "write the run timeline (spans, counters, gauges) as a JSONL event stream to this file — the obsdiff input format")
-	htmlOut := flag.String("report-html", "", "write a self-contained HTML report (rank x phase heatmaps, gauge timelines) to this file")
-	promOut := flag.String("prom", "", "write a Prometheus-style text exposition of the run to this file")
-	sampleNs := flag.Float64("sample-ns", 100_000, "virtual-time gauge sampling grid pitch in ns, used by -timeline/-report-html/-prom")
+	timelineOut := flag.String("timeline", "", "write the run timeline (spans, counters, gauges) as a JSONL event stream to this file; obsdiff renders it (report, chrome, html, prom) and diffs two of them")
 	flag.Parse()
-
-	if *sampleNs <= 0 {
-		fmt.Fprintln(os.Stderr, "graph500: -sample-ns must be positive")
-		os.Exit(2)
-	}
-	sampled := *timelineOut != "" || *htmlOut != "" || *promOut != ""
-	sampleNsSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "sample-ns" {
-			sampleNsSet = true
-		}
-	})
-	if sampleNsSet && !sampled {
-		fmt.Fprintln(os.Stderr, "graph500: -sample-ns has no effect without -timeline, -report-html or -prom")
-		os.Exit(2)
-	}
 
 	pol, ok := map[string]numabfs.Policy{
 		"noflag":     numabfs.PPN1NoFlag,
@@ -159,7 +140,7 @@ func main() {
 	}
 
 	var rec *numabfs.Recorder
-	if *traceOut != "" || *metrics || sampled {
+	if *metrics || *timelineOut != "" {
 		rec = numabfs.NewRecorder()
 	}
 	bench := numabfs.Benchmark{
@@ -171,8 +152,8 @@ func main() {
 		Validate: *validate,
 		Obs:      rec,
 	}
-	if sampled {
-		bench.SampleNs = *sampleNs
+	if *timelineOut != "" {
+		bench.SampleNs = obs.DefaultSampleNs
 	}
 	res, err := numabfs.Run(bench)
 	if err != nil {
@@ -205,14 +186,7 @@ func main() {
 		}
 	}
 	if *metrics {
-		fmt.Print(rec.BuildReport().String())
-	}
-	if *traceOut != "" {
-		if err := rec.WriteChromeTraceFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "graph500: trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "graph500: wrote Chrome trace to %s\n", *traceOut)
+		fmt.Print(rec.Dump().Report().String())
 	}
 	if *timelineOut != "" {
 		if err := rec.WriteTimelineFile(*timelineOut); err != nil {
@@ -220,20 +194,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "graph500: wrote timeline JSONL to %s\n", *timelineOut)
-	}
-	if *htmlOut != "" {
-		if err := rec.WriteHTMLReportFile(*htmlOut); err != nil {
-			fmt.Fprintf(os.Stderr, "graph500: report-html: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "graph500: wrote HTML report to %s\n", *htmlOut)
-	}
-	if *promOut != "" {
-		if err := rec.WritePromFile(*promOut); err != nil {
-			fmt.Fprintf(os.Stderr, "graph500: prom: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "graph500: wrote Prometheus text to %s\n", *promOut)
 	}
 	if *levels && len(res.PerRoot) > 0 {
 		fmt.Printf("\nfrontier growth (root %d):\n", res.PerRoot[0].Root)

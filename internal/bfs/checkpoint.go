@@ -139,7 +139,7 @@ func (rs *rankState) saveCheckpoint(p *mpi.Proc, st *loopState) {
 		SeqLoc:   r.pl.PrivateLoc,
 	}))
 	rs.Charge(trace.Ckpt, t0, p.Clock())
-	rs.Rec.GaugeAdd(obs.GaugeCkptBytes, t0, float64(ck.bytes()))
+	rs.Rec.Sample(obs.GaugeCkptBytes, t0, float64(ck.bytes()))
 	ck.clock = p.Clock()
 	ck.bd = rs.Breakdown
 }

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -41,8 +42,8 @@ func TestDeterministicAcrossHostParallelism(t *testing.T) {
 
 // TestDeterministicWithTracing extends the guarantee to observability:
 // recording must neither perturb virtual time nor itself depend on host
-// scheduling — the exported trace bytes are part of the deterministic
-// output.
+// scheduling — the exported timeline bytes (which every renderer reads)
+// are part of the deterministic output.
 func TestDeterministicWithTracing(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
@@ -52,15 +53,17 @@ func TestDeterministicWithTracing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := obs.NewRecorder()
-		r.AttachObs(rec.NewSession("determinism"))
+		sess := rec.NewSession("determinism")
+		sess.EnableSampling(obs.DefaultSampleNs)
+		r.AttachObs(sess)
 		r.Setup()
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		res := r.RunRoot(root)
-		data, err := rec.ChromeTraceJSON()
-		if err != nil {
+		var tl bytes.Buffer
+		if err := rec.Dump().WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
 		}
-		return res.TimeNs, res.Breakdown.Total(), data
+		return res.TimeNs, res.Breakdown.Total(), tl.Bytes()
 	}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -73,7 +76,7 @@ func TestDeterministicWithTracing(t *testing.T) {
 		t.Fatalf("results differ under tracing: (%g, %g) vs (%g, %g)", t1, b1, t4, b4)
 	}
 	if string(d1) != string(d4) {
-		t.Fatal("trace bytes depend on host parallelism")
+		t.Fatal("timeline bytes depend on host parallelism")
 	}
 
 	// And tracing must not change the numbers relative to an untraced run.

@@ -177,7 +177,7 @@ func TestCrashRecoveryCompletesWithSameTree(t *testing.T) {
 		if res.Breakdown.Ns[trace.Recovery] <= 0 {
 			t.Errorf("frac %g: no recovery time in breakdown", frac)
 		}
-		report := rec.BuildReport().String()
+		report := rec.Dump().Report().String()
 		if !strings.Contains(report, "fault events:") ||
 			!strings.Contains(report, "crash=1") || !strings.Contains(report, "recover=") {
 			t.Errorf("frac %g: metrics report missing fault events:\n%s", frac, report)

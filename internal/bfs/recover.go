@@ -145,7 +145,7 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 	r.W.Shrink([]int{deadRank})
 
 	r.W.Proc(absRank).Obs().FaultEvent("shrink", floor)
-	r.W.Proc(r.members[0]).Obs().GaugeSet(obs.GaugeLiveRanks, floor, float64(len(r.members)))
+	r.W.Proc(r.members[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.members)))
 }
 
 // promoteSpare swaps a parked same-node hot spare into the dead rank's
@@ -180,7 +180,7 @@ func (r *Runner) promoteSpare(deadRank int, floor float64) bool {
 	rs.ParkReown(r.ReownCostNs(bytes, node, node))
 
 	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
-	r.W.Proc(r.members[0]).Obs().GaugeSet(obs.GaugeLiveRanks, floor, float64(len(r.members)))
+	r.W.Proc(r.members[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.members)))
 	return true
 }
 

@@ -349,7 +349,7 @@ func (r *Runner) promote(dead int, floor float64) bool {
 	rs.ParkReown(r.ReownCostNs(bytes, deadNode, r.W.Proc(spare).Node()))
 
 	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
-	r.W.Proc(r.cellRank[0]).Obs().GaugeSet(obs.GaugeLiveRanks, floor, float64(len(r.cellRank)))
+	r.W.Proc(r.cellRank[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.cellRank)))
 	return true
 }
 

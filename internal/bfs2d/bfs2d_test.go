@@ -232,10 +232,10 @@ func TestObsRecordsSpans(t *testing.T) {
 		t.Fatalf("tracing changed 2-D results: %+v vs %+v", got, want)
 	}
 
-	sess := rec.Sessions()[0]
-	for _, rk := range sess.Ranks() {
+	sess := rec.Dump().Sessions[0]
+	for _, rk := range sess.Ranks {
 		var phases, levels int
-		for _, sp := range rk.Spans() {
+		for _, sp := range rk.Spans {
 			switch sp.Cat {
 			case obs.CatPhase:
 				phases++

@@ -8,6 +8,7 @@ package bfs2d
 // only time, never the traversal.
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -103,15 +104,17 @@ func TestBFS2DDeterministicWithTracing(t *testing.T) {
 		}
 		r.Mode = ModeHybrid
 		rec := obs.NewRecorder()
-		r.AttachObs(rec.NewSession("2d determinism"))
+		sess := rec.NewSession("2d determinism")
+		sess.EnableSampling(obs.DefaultSampleNs)
+		r.AttachObs(sess)
 		r.Setup()
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		res := r.RunRoot(root)
-		data, err := rec.ChromeTraceJSON()
-		if err != nil {
+		var tl bytes.Buffer
+		if err := rec.Dump().WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
 		}
-		return signature2d(r, res), data
+		return signature2d(r, res), tl.Bytes()
 	}
 	prev := runtime.GOMAXPROCS(1)
 	s1, d1 := run()
@@ -122,7 +125,7 @@ func TestBFS2DDeterministicWithTracing(t *testing.T) {
 		t.Fatalf("results differ under tracing:\n%.160s...\n%.160s...", s1, s4)
 	}
 	if string(d1) != string(d4) {
-		t.Fatal("2-D trace bytes depend on host parallelism")
+		t.Fatal("2-D timeline bytes depend on host parallelism")
 	}
 
 	r, res := runWithPlan2D(t, ModeHybrid, false, nil)
@@ -276,7 +279,7 @@ func TestBFS2DCrashRecoveryCompletesWithSameTree(t *testing.T) {
 		if res.Breakdown.Ns[trace.Recovery] <= 0 {
 			t.Errorf("frac %g: no recovery time in breakdown", frac)
 		}
-		report := rec.BuildReport().String()
+		report := rec.Dump().Report().String()
 		if !strings.Contains(report, "fault events:") ||
 			!strings.Contains(report, "crash=1") || !strings.Contains(report, "recover=") {
 			t.Errorf("frac %g: metrics report missing fault events:\n%s", frac, report)

@@ -164,6 +164,6 @@ func (l *Ledger) EndLevel(p *mpi.Proc, start float64, bottomUp bool, nf, mf, slo
 		Level: l.Levels, BottomUp: bottomUp, NF: nf, MF: mf, Ns: now - start,
 	})
 	l.Rec.LevelSpan(bottomUp, l.Levels, start, now)
-	l.Rec.GaugeSet(obs.GaugeFrontier, now, float64(nf))
-	l.Rec.GaugeSet(obs.GaugeFrontierDensity, now, float64(nf)/float64(slots))
+	l.Rec.Sample(obs.GaugeFrontier, now, float64(nf))
+	l.Rec.Sample(obs.GaugeFrontierDensity, now, float64(nf)/float64(slots))
 }

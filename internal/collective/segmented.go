@@ -217,7 +217,7 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 		sr.Wait()
 		if d := p.Clock() - waitStart; d > 0 {
 			ov.ExposedNs += d
-			p.Obs().GaugeAdd(obs.GaugeExposedWait, waitStart, d)
+			p.Obs().Sample(obs.GaugeExposedWait, waitStart, d)
 		}
 		if h := min(waitStart, rr.EndNs) - rr.BeginNs; h > 0 {
 			ov.HiddenNs += h

@@ -49,12 +49,11 @@ type Spec struct {
 	WeakNode bool
 	// Obs, when non-nil, records every benchmark configuration the
 	// driver runs into its own labeled session (span timelines, comm
-	// counters) for Chrome-trace export and the metrics report.
+	// counters) for the -timeline export and the metrics report.
 	Obs *obs.Recorder
 	// SampleNs, when positive, enables the virtual-time gauge grid at
-	// that bucket pitch on every recorded session (requires Obs) — the
-	// bfsbench -sample-ns flag feeding the timeline/HTML/Prometheus
-	// exports.
+	// that bucket pitch on every recorded session (requires Obs).
+	// bfsbench sets obs.DefaultSampleNs when -timeline is given.
 	SampleNs float64
 	// Faults, when non-nil, applies a deterministic fault plan
 	// (internal/fault) to every graph500 cell the driver runs — the

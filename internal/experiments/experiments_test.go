@@ -454,12 +454,12 @@ func TestTimelineShape(t *testing.T) {
 		}
 	}
 	// Both sessions recorded with sampling enabled, ready for obsdiff.
-	sessions := s.Obs.Sessions()
+	sessions := s.Obs.Dump().Sessions
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
 	for _, sess := range sessions {
-		if sess.Sampler() == nil {
+		if sess.BucketNs == 0 {
 			t.Errorf("session %q recorded without sampling", sess.Label)
 		}
 	}

@@ -70,7 +70,7 @@ func TestFig3OnSpecRunPath(t *testing.T) {
 	s := quick()
 	s.Cache = graph500.NewGraphCache()
 	s.Obs = obs.NewRecorder()
-	s.SampleNs = DefaultSampleNs
+	s.SampleNs = obs.DefaultSampleNs
 	for _, want := range [][2]int64{{0, 4}, {4, 4}} {
 		if _, err := Fig3(s); err != nil {
 			t.Fatal(err)
@@ -79,8 +79,8 @@ func TestFig3OnSpecRunPath(t *testing.T) {
 			t.Errorf("graph cache hits=%d misses=%d, want %d/%d", h, m, want[0], want[1])
 		}
 	}
-	for _, sess := range s.Obs.Sessions() {
-		if sess.Sampler() == nil {
+	for _, sess := range s.Obs.Dump().Sessions {
+		if sess.BucketNs == 0 {
 			t.Errorf("session %q recorded without sampling", sess.Label)
 		}
 	}

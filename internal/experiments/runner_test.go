@@ -34,9 +34,9 @@ func runFig10At(t *testing.T, parallel int) (*Table, *obs.Recorder, *Ledger) {
 
 // TestParallelRunnerDeterministic is the tentpole acceptance: a figure
 // driver run at -parallel 8 must be byte-identical to the sequential
-// run — rendered table, JSON table, Chrome-trace export (session order
-// and content), and the ledger's (fig, cell) sequence. Only HostNs may
-// differ.
+// run — rendered table, JSON table, timeline export (session order and
+// content; every renderer reads it), and the ledger's (fig, cell)
+// sequence. Only HostNs may differ.
 func TestParallelRunnerDeterministic(t *testing.T) {
 	seqTab, seqRec, seqLed := runFig10At(t, 1)
 	parTab, parRec, parLed := runFig10At(t, 8)
@@ -50,28 +50,16 @@ func TestParallelRunnerDeterministic(t *testing.T) {
 		t.Error("JSON tables differ between parallel widths")
 	}
 
-	seqTrace, err := seqRec.ChromeTraceJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parTrace, err := parRec.ChromeTraceJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqTrace, parTrace) {
-		t.Errorf("Chrome-trace exports differ between parallel widths (%d vs %d bytes)",
-			len(seqTrace), len(parTrace))
-	}
-
 	var seqTL, parTL bytes.Buffer
-	if err := seqRec.WriteTimelineJSONL(&seqTL); err != nil {
+	if err := seqRec.Dump().WriteJSONL(&seqTL); err != nil {
 		t.Fatal(err)
 	}
-	if err := parRec.WriteTimelineJSONL(&parTL); err != nil {
+	if err := parRec.Dump().WriteJSONL(&parTL); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqTL.Bytes(), parTL.Bytes()) {
-		t.Error("timeline JSONL exports differ between parallel widths")
+		t.Errorf("timeline JSONL exports differ between parallel widths (%d vs %d bytes)",
+			seqTL.Len(), parTL.Len())
 	}
 
 	seqCells, parCells := seqLed.Cells(), parLed.Cells()
@@ -188,7 +176,7 @@ func TestRunnerObsAndLedgerOrder(t *testing.T) {
 	if _, err := order.Run(s); err != nil {
 		t.Fatal(err)
 	}
-	sessions := s.Obs.Sessions()
+	sessions := s.Obs.Dump().Sessions
 	if len(sessions) != n {
 		t.Fatalf("sessions = %d, want %d", len(sessions), n)
 	}

@@ -9,12 +9,6 @@ import (
 	"numabfs/internal/obs"
 )
 
-// DefaultSampleNs is the gauge grid pitch the timeline demo (and the
-// bfsbench -sample-ns default) uses: 100µs of virtual time, fine enough
-// to resolve individual BFS levels at the test scales while keeping a
-// whole sweep's sample volume small.
-const DefaultSampleNs = 100_000
-
 // Timeline is the sampling-layer demo sweep (-fig timeline): run the
 // compressed allgather (level 5) and the overlapped allgather (level 6)
 // on a fixed 4-node cluster with the virtual-time gauge grid enabled,
@@ -28,7 +22,7 @@ func Timeline(s Spec) (*Table, error) {
 	scale := s.scaleFor(nodes)
 	sampleNs := s.SampleNs
 	if sampleNs <= 0 {
-		sampleNs = DefaultSampleNs
+		sampleNs = obs.DefaultSampleNs
 	}
 
 	t := &Table{
@@ -62,7 +56,8 @@ func Timeline(s Spec) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := rec.Sessions()[len(rec.Sessions())-1]
+		run := rec.Dump()
+		sess := run.Sessions[len(run.Sessions)-1]
 		return append([]float64{res.HarmonicTEPS, res.MeanTimeNs / 1e6}, gaugeRow(sess, sampleNs)...), nil
 	})
 	if err != nil {
@@ -81,24 +76,24 @@ func Timeline(s Spec) (*Table, error) {
 // gaugeRow folds one session's gauge streams into the sweep's headline
 // columns: peak frontier, peak density, inter-node MiB, peak link
 // utilization and exposed wait ms.
-func gaugeRow(sess *obs.Session, sampleNs float64) []float64 {
+func gaugeRow(sess *obs.RunSession, sampleNs float64) []float64 {
 	var peakFrontier, peakDensity, interBytes, peakUtil, exposedNs float64
-	linkCap := sess.LinkPeakBytesPerNs() * sampleNs
+	linkCap := sess.LinkPeak * sampleNs
 	// Skip buckets that end inside the setup segment (before the first
 	// mark): the rows compare BFS traversal traffic, and kernel-1
 	// construction bytes would otherwise swing with graph-cache hits.
 	setupEnd := 0.0
-	if marks := sess.Marks(); len(marks) > 0 {
-		setupEnd = marks[0]
+	if len(sess.Marks) > 0 {
+		setupEnd = sess.Marks[0]
 	}
-	for _, rk := range sess.Ranks() {
-		for _, pt := range rk.GaugeSeries(obs.GaugeFrontier) {
+	for _, rk := range sess.Ranks {
+		for _, pt := range rk.Gauges[obs.GaugeFrontier] {
 			peakFrontier = max(peakFrontier, pt.V)
 		}
-		for _, pt := range rk.GaugeSeries(obs.GaugeFrontierDensity) {
+		for _, pt := range rk.Gauges[obs.GaugeFrontierDensity] {
 			peakDensity = max(peakDensity, pt.V)
 		}
-		for _, pt := range rk.GaugeSeries(obs.GaugeInterBytes) {
+		for _, pt := range rk.Gauges[obs.GaugeInterBytes] {
 			if (float64(pt.Bucket)+1)*sampleNs <= setupEnd {
 				continue
 			}
@@ -107,7 +102,7 @@ func gaugeRow(sess *obs.Session, sampleNs float64) []float64 {
 				peakUtil = max(peakUtil, pt.V/linkCap)
 			}
 		}
-		for _, pt := range rk.GaugeSeries(obs.GaugeExposedWait) {
+		for _, pt := range rk.Gauges[obs.GaugeExposedWait] {
 			exposedNs += pt.V
 		}
 	}

@@ -1,10 +1,13 @@
 package graph500
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
 
+	"numabfs/internal/bfs"
+	"numabfs/internal/fault"
 	"numabfs/internal/obs"
 	"numabfs/internal/trace"
 )
@@ -47,7 +50,7 @@ func TestObsReportMatchesBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := cfg.Obs.BuildReport()
+	rep := cfg.Obs.Dump().Report()
 	if len(rep.Sessions) != 1 {
 		t.Fatalf("sessions = %d", len(rep.Sessions))
 	}
@@ -105,26 +108,31 @@ func TestObsReportMatchesBreakdown(t *testing.T) {
 
 // TestObsTraceDeterministicAcrossRuns pins the exporter's end-to-end
 // determinism: two identically seeded benchmark runs must export
-// byte-identical Chrome traces with one named track per rank and a
-// phase span for every phase of every level.
+// byte-identical timelines, whose Chrome rendering has one named track
+// per rank and a phase span for every phase of every level.
 func TestObsTraceDeterministicAcrossRuns(t *testing.T) {
-	runTrace := func() ([]byte, *Result) {
+	runTrace := func() (*obs.Run, []byte, *Result) {
 		cfg := testConfig(12)
 		cfg.Obs = obs.NewRecorder()
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := cfg.Obs.ChromeTraceJSON()
-		if err != nil {
+		run := cfg.Obs.Dump()
+		var tl bytes.Buffer
+		if err := run.WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
 		}
-		return data, res
+		return run, tl.Bytes(), res
 	}
-	a, res := runTrace()
-	b, _ := runTrace()
-	if string(a) != string(b) {
-		t.Fatal("same-seed runs exported different trace bytes")
+	run, tlA, res := runTrace()
+	_, tlB, _ := runTrace()
+	if !bytes.Equal(tlA, tlB) {
+		t.Fatal("same-seed runs exported different timeline bytes")
+	}
+	a, err := run.ChromeTraceJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !json.Valid(a) {
 		t.Fatal("invalid trace JSON")
@@ -183,5 +191,45 @@ func TestObsTraceDeterministicAcrossRuns(t *testing.T) {
 		if !all[p.String()] {
 			t.Errorf("no %s spans in trace", p)
 		}
+	}
+}
+
+// TestObsBoundRankIsPlantedStraggler: a rank whose computation runs 4x
+// slow arrives last at every level's barrier, so the report's critical
+// path must run through it at every level that stalls — not through
+// whichever rank an iteration-order tie-break happens to name. The run
+// is bottom-up only: there every rank scans its unvisited vertices
+// before the barrier, while a top-down level does its receive-side
+// work after it, where a rank with nothing to send arrives on time.
+func TestObsBoundRankIsPlantedStraggler(t *testing.T) {
+	const straggler = 5
+	cfg := testConfig(12)
+	cfg.Opts.Mode = bfs.ModeBottomUp
+	cfg.Obs = obs.NewRecorder()
+	cfg.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: straggler, Factor: 4}}}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	run := cfg.Obs.Dump()
+	stalls := make(map[int]bool)
+	for _, rk := range run.Sessions[0].Ranks {
+		for _, sp := range rk.Spans {
+			if sp.Cat == obs.CatPhase && sp.Name == trace.Stall.String() {
+				stalls[sp.Level] = true
+			}
+		}
+	}
+	checked := 0
+	for _, l := range run.Report().Sessions[0].Levels {
+		if !stalls[l.Level] {
+			continue
+		}
+		checked++
+		if l.BoundRank != straggler {
+			t.Errorf("level %d: bound rank %d, want the straggler %d", l.Level, l.BoundRank, straggler)
+		}
+	}
+	if checked < 3 {
+		t.Fatalf("only %d levels stalled; the check needs a deeper traversal", checked)
 	}
 }

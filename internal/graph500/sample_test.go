@@ -49,20 +49,20 @@ func TestSamplingDoesNotChangeResults(t *testing.T) {
 	}
 	// And the run must actually have recorded gauges: a zero-cost
 	// sampler that samples nothing would pass the identity trivially.
-	sess := cfg.Obs.Sessions()[0]
-	if sess.Sampler() == nil {
-		t.Fatal("SampleNs did not enable the sampler")
+	sess := cfg.Obs.Dump().Sessions[0]
+	if sess.BucketNs != cfg.SampleNs {
+		t.Fatalf("session grid %g ns, want SampleNs %g", sess.BucketNs, cfg.SampleNs)
 	}
 	frontier := false
-	for _, rk := range sess.Ranks() {
-		if len(rk.GaugeSeries(obs.GaugeFrontier)) > 0 {
+	for _, rk := range sess.Ranks {
+		if len(rk.Gauges[obs.GaugeFrontier]) > 0 {
 			frontier = true
 		}
 	}
 	if !frontier {
 		t.Fatal("no frontier gauge samples recorded")
 	}
-	if sess.LinkPeakBytesPerNs() <= 0 {
+	if sess.LinkPeak <= 0 {
 		t.Fatal("world did not publish the link peak")
 	}
 }
@@ -134,49 +134,34 @@ func TestObsdiffOverlapAcceptance(t *testing.T) {
 // TestExportsByteIdenticalAcrossRepeats pins end-to-end export
 // determinism on a real benchmark: identically configured runs,
 // executed under different GOMAXPROCS, must produce byte-identical
-// timeline JSONL, Prometheus text and HTML report output.
+// timeline JSONL — and with it every renderer, each a pure function of
+// the timeline.
 func TestExportsByteIdenticalAcrossRepeats(t *testing.T) {
-	export := func() (tl, prom, html []byte) {
+	export := func() []byte {
 		cfg := sampledConfig(12, bfs.OptOverlapAllgather)
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		var a, b, c bytes.Buffer
-		if err := cfg.Obs.WriteTimelineJSONL(&a); err != nil {
+		var tl bytes.Buffer
+		if err := cfg.Obs.Dump().WriteJSONL(&tl); err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Obs.WritePromText(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := cfg.Obs.WriteHTMLReport(&c); err != nil {
-			t.Fatal(err)
-		}
-		return a.Bytes(), b.Bytes(), c.Bytes()
+		return tl.Bytes()
 	}
-	tl1, prom1, html1 := export()
-
+	tl1 := export()
 	old := runtime.GOMAXPROCS(1)
-	tl2, prom2, html2 := export()
+	tl2 := export()
 	runtime.GOMAXPROCS(old)
-	tl3, prom3, html3 := export()
+	tl3 := export()
 
-	for _, cmp := range []struct {
-		name    string
-		a, b, c []byte
-	}{
-		{"timeline", tl1, tl2, tl3},
-		{"prom", prom1, prom2, prom3},
-		{"html", html1, html2, html3},
-	} {
-		if !bytes.Equal(cmp.a, cmp.b) {
-			t.Errorf("%s differs under GOMAXPROCS=1", cmp.name)
-		}
-		if !bytes.Equal(cmp.a, cmp.c) {
-			t.Errorf("%s differs across repeats", cmp.name)
-		}
-	}
-	if len(tl1) == 0 || len(prom1) == 0 || len(html1) == 0 {
+	if len(tl1) == 0 {
 		t.Fatal("empty export")
+	}
+	if !bytes.Equal(tl1, tl2) {
+		t.Error("timeline differs under GOMAXPROCS=1")
+	}
+	if !bytes.Equal(tl1, tl3) {
+		t.Error("timeline differs across repeats")
 	}
 
 	// The JSONL stream round-trips: a reloaded run diffed against the

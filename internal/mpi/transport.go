@@ -102,7 +102,7 @@ func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd,
 		net.CountXportOverhead(frame)
 		overheadBytes += frame
 		retrans++
-		p.obs.GaugeAdd(obs.GaugeRetransBacklog, sendAt, 1)
+		p.obs.Sample(obs.GaugeRetransBacklog, sendAt, 1)
 		if attempt >= budget {
 			at := sendAt + rto
 			net.CountXportEvents(retrans, corrupt, 0, 0, 0)

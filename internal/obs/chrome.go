@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // chromeEvent is one entry of the Chrome trace_event JSON array
@@ -29,16 +28,15 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTraceJSON renders the recorder's sessions as a Chrome
-// trace_event file. Sessions become processes (pid = session index + 1,
-// named by the session label); ranks become threads in rank order, so
-// every rank is one horizontal track. The output is byte-for-byte
-// deterministic for a deterministic recording: events are emitted in
-// session, rank, and record order, and args maps marshal with sorted
-// keys.
-func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
+// ChromeTraceJSON renders the run's sessions as a Chrome trace_event
+// file. Sessions become processes (pid = session index + 1, named by
+// the session label); ranks become threads in rank order, so every rank
+// is one horizontal track. The output is byte-for-byte deterministic
+// for a deterministic recording: events are emitted in session, rank,
+// and record order, and args maps marshal with sorted keys.
+func (run *Run) ChromeTraceJSON() ([]byte, error) {
 	var events []chromeEvent
-	for si, s := range r.Sessions() {
+	for si, s := range run.Sessions {
 		pid := si + 1
 		events = append(events, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
@@ -48,7 +46,7 @@ func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
 			Name: "process_sort_index", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]any{"sort_index": si},
 		})
-		for _, rk := range s.Ranks() {
+		for _, rk := range s.Ranks {
 			events = append(events, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: rk.ID,
 				Args: map[string]any{
@@ -60,8 +58,8 @@ func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
 				Args: map[string]any{"sort_index": rk.ID},
 			})
 		}
-		for _, rk := range s.Ranks() {
-			for _, sp := range rk.Spans() {
+		for _, rk := range s.Ranks {
+			for _, sp := range rk.Spans {
 				dur := (sp.End - sp.Start) / 1e3
 				ev := chromeEvent{
 					Name: sp.Name, Cat: sp.Cat, Ph: "X",
@@ -80,8 +78,8 @@ func (r *Recorder) ChromeTraceJSON() ([]byte, error) {
 }
 
 // WriteChromeTrace writes the trace_event JSON to w.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	data, err := r.ChromeTraceJSON()
+func (run *Run) WriteChromeTrace(w io.Writer) error {
+	data, err := run.ChromeTraceJSON()
 	if err != nil {
 		return err
 	}
@@ -89,11 +87,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return err
 }
 
-// WriteChromeTraceFile writes the trace_event JSON to path.
-func (r *Recorder) WriteChromeTraceFile(path string) error {
-	data, err := r.ChromeTraceJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
+// WriteChromeTrace writes the recorder's snapshot as trace_event JSON.
+// Readers go through Dump; this forward stays because the repository
+// benchmark (bench/adapter.go) times its export cost through it.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error { return r.Dump().WriteChromeTrace(w) }

@@ -35,7 +35,7 @@ func syntheticRecorder() *Recorder {
 }
 
 func TestChromeTraceGolden(t *testing.T) {
-	data, err := syntheticRecorder().ChromeTraceJSON()
+	data, err := syntheticRecorder().Dump().ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestChromeTraceGolden(t *testing.T) {
 // TestChromeTraceDeterminism pins the byte-for-byte determinism claim:
 // two identical recordings must export identically.
 func TestChromeTraceDeterminism(t *testing.T) {
-	a, err := syntheticRecorder().ChromeTraceJSON()
+	a, err := syntheticRecorder().Dump().ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := syntheticRecorder().ChromeTraceJSON()
+	b, err := syntheticRecorder().Dump().ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestChromeTraceDeterminism(t *testing.T) {
 // ts/dur in each rank's track, and name/sort metadata per process and
 // thread.
 func TestChromeTraceStructure(t *testing.T) {
-	data, err := syntheticRecorder().ChromeTraceJSON()
+	data, err := syntheticRecorder().Dump().ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

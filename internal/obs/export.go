@@ -6,15 +6,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
-// This file defines the portable run snapshot — the data model every
-// timeline consumer shares. A live Recorder dumps into a Run; a Run
+// This file defines the portable run snapshot — the one data model
+// every reader shares. A live Recorder dumps into a Run; a Run
 // serializes to a JSONL event stream (one self-describing JSON object
 // per line, for external tooling and for obsdiff); ReadRun parses the
-// stream back into the identical Run. The Prometheus and HTML exporters
-// and the run-diff profiler all operate on *Run, so a live recording
-// and a file loaded back are interchangeable.
+// stream back into the identical Run. The metrics report, the Chrome,
+// HTML and Prometheus renderers and the run-diff profiler all operate
+// on *Run, so a live recording and a file loaded back are
+// interchangeable: every renderer is a pure function of the stream.
 //
 // The stream is byte-deterministic for a deterministic recording:
 // lines are emitted in session, rank, and record order, struct fields
@@ -30,8 +32,16 @@ type RunSession struct {
 	Label    string
 	BucketNs float64 // sampling grid pitch; 0 when sampling was off
 	LinkPeak float64 // per-stream inter-node peak bandwidth (bytes/ns), 0 unknown
-	Marks    []float64
-	Ranks    []*RunRank
+	// Marks are the segment boundaries (end of setup, end of each root),
+	// ascending, for grouping spans by BFS iteration.
+	Marks []float64
+	Ranks []*RunRank
+}
+
+// segment returns the index of the segment a session-timeline instant
+// belongs to: 0 before the first mark, i after mark i-1.
+func (s *RunSession) segment(t float64) int {
+	return sort.Search(len(s.Marks), func(i int) bool { return s.Marks[i] > t })
 }
 
 // RunRank is one rank's snapshot.
@@ -49,16 +59,14 @@ type RunRank struct {
 // copied as recorded.
 func (r *Recorder) Dump() *Run {
 	run := &Run{}
-	for _, s := range r.Sessions() {
+	for _, s := range r.sessions {
 		rs := &RunSession{
 			Label:    s.Label,
+			BucketNs: s.bucketNs,
 			LinkPeak: s.linkPeak,
 			Marks:    append([]float64(nil), s.marks...),
 		}
-		if s.sampler != nil {
-			rs.BucketNs = s.sampler.BucketNs
-		}
-		for _, rk := range s.Ranks() {
+		for _, rk := range s.ranks {
 			rr := &RunRank{
 				ID: rk.ID, Node: rk.Node, Socket: rk.Socket,
 				Spans: append([]Span(nil), rk.spans...),
@@ -66,7 +74,7 @@ func (r *Recorder) Dump() *Run {
 			}
 			rr.Comm.BarrierWaits = append([]float64(nil), rk.comm.BarrierWaits...)
 			for g := Gauge(0); g < NumGauges; g++ {
-				rr.Gauges[g] = rk.GaugeSeries(g)
+				rr.Gauges[g] = rk.gaugeSeries(g)
 			}
 			rs.Ranks = append(rs.Ranks, rr)
 		}
@@ -221,18 +229,14 @@ func (run *Run) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteTimelineJSONL writes the recorder's snapshot as a JSONL stream.
-func (r *Recorder) WriteTimelineJSONL(w io.Writer) error {
-	return r.Dump().WriteJSONL(w)
-}
-
-// WriteTimelineFile writes the recorder's JSONL stream to path.
+// WriteTimelineFile writes the recorder's snapshot to path as a JSONL
+// stream — the one export the CLIs' -timeline flag produces.
 func (r *Recorder) WriteTimelineFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteTimelineJSONL(f); err != nil {
+	if err := r.Dump().WriteJSONL(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,8 +27,8 @@ func sampledRecorder() *Recorder {
 	r0.PhaseSpan(trace.TDComp, 0, 0, 120)
 	r0.PhaseSpan(trace.TDComm, 0, 120, 200)
 	r0.LevelSpan(false, 0, 0, 200)
-	r0.GaugeSet(GaugeFrontier, 200, 64)
-	r0.GaugeSet(GaugeFrontierDensity, 200, 0.25)
+	r0.Sample(GaugeFrontier, 200, 64)
+	r0.Sample(GaugeFrontierDensity, 200, 0.25)
 	r0.LinkTransfer(true, 500, 120, 200)
 	r0.CountMsg(HopInterNode, 500, 800)
 	r0.BarrierWait(12)
@@ -37,16 +38,16 @@ func sampledRecorder() *Recorder {
 	r1.LevelSpan(true, 0, 0, 200)
 	r1.Collective("allgather-pipelined", 10, 80)
 	r1.Overlap(55, 15)
-	r1.GaugeAdd(GaugeExposedWait, 70, 15)
-	r1.GaugeAdd(GaugeCkptBytes, 150, 4096)
+	r1.Sample(GaugeExposedWait, 70, 15)
+	r1.Sample(GaugeCkptBytes, 150, 4096)
 	r1.LinkTransfer(false, 320, 30, 60)
 	r1.BarrierWait(30)
 
 	s.Advance(200)
 	r0.PhaseSpan(trace.TDComp, 1, 0, 50)
-	r0.GaugeSet(GaugeFrontier, 50, 8)
+	r0.Sample(GaugeFrontier, 50, 8)
 	r1.Xport(2, 1, 0, 1, 3, 96, 44)
-	r1.GaugeAdd(GaugeRetransBacklog, 20, 2)
+	r1.Sample(GaugeRetransBacklog, 20, 2)
 
 	s2 := rec.NewSession("plain")
 	r := s2.AddRank(0, 1, 2)
@@ -57,10 +58,9 @@ func sampledRecorder() *Recorder {
 }
 
 func TestTimelineRoundTrip(t *testing.T) {
-	rec := sampledRecorder()
-	want := rec.Dump()
+	want := sampledRecorder().Dump()
 	var buf bytes.Buffer
-	if err := rec.WriteTimelineJSONL(&buf); err != nil {
+	if err := want.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRun(&buf)
@@ -74,7 +74,7 @@ func TestTimelineRoundTrip(t *testing.T) {
 
 func TestTimelineGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampledRecorder().WriteTimelineJSONL(&buf); err != nil {
+	if err := sampledRecorder().Dump().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "timeline_golden.jsonl", buf.Bytes())
@@ -82,7 +82,7 @@ func TestTimelineGolden(t *testing.T) {
 
 func TestPromGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampledRecorder().WritePromText(&buf); err != nil {
+	if err := sampledRecorder().Dump().WritePromText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "prom_golden.txt", buf.Bytes())
@@ -90,10 +90,42 @@ func TestPromGolden(t *testing.T) {
 
 func TestHTMLGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampledRecorder().WriteHTMLReport(&buf); err != nil {
+	if err := sampledRecorder().Dump().WriteHTMLReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "html_golden.html", buf.Bytes())
+}
+
+// TestRenderersReadTheTimeline: every renderer is a pure function of
+// the Run, so rendering the live snapshot and the JSONL stream read
+// back give identical bytes.
+func TestRenderersReadTheTimeline(t *testing.T) {
+	live := sampledRecorder().Dump()
+	var buf bytes.Buffer
+	if err := live.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadRun(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, render := range map[string]func(*Run, io.Writer) error{
+		"report": func(run *Run, w io.Writer) error { _, err := io.WriteString(w, run.Report().String()); return err },
+		"chrome": (*Run).WriteChromeTrace,
+		"html":   (*Run).WriteHTMLReport,
+		"prom":   (*Run).WritePromText,
+	} {
+		var a, b bytes.Buffer
+		if err := render(live, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := render(loaded, &b); err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: live and reloaded renderings differ (%d vs %d bytes)", name, a.Len(), b.Len())
+		}
+	}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -112,15 +144,15 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // identical recordings must export identical bytes.
 func TestExportDeterminism(t *testing.T) {
 	render := func() (jsonl, prom, html string) {
-		rec := sampledRecorder()
+		run := sampledRecorder().Dump()
 		var a, b, c bytes.Buffer
-		if err := rec.WriteTimelineJSONL(&a); err != nil {
+		if err := run.WriteJSONL(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WritePromText(&b); err != nil {
+		if err := run.WritePromText(&b); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WriteHTMLReport(&c); err != nil {
+		if err := run.WriteHTMLReport(&c); err != nil {
 			t.Fatal(err)
 		}
 		return a.String(), b.String(), c.String()
@@ -140,7 +172,7 @@ func TestExportDeterminism(t *testing.T) {
 
 func TestHTMLStructure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampledRecorder().WriteHTMLReport(&buf); err != nil {
+	if err := sampledRecorder().Dump().WriteHTMLReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -22,23 +22,23 @@ func TestRegenerateGolden(t *testing.T) {
 		}
 	}
 
-	chrome, err := syntheticRecorder().ChromeTraceJSON()
+	chrome, err := syntheticRecorder().Dump().ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	write("chrome_golden.json", chrome)
 
-	rec := sampledRecorder()
+	run := sampledRecorder().Dump()
 	var jsonl, prom, html bytes.Buffer
-	if err := rec.WriteTimelineJSONL(&jsonl); err != nil {
+	if err := run.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	write("timeline_golden.jsonl", jsonl.Bytes())
-	if err := rec.WritePromText(&prom); err != nil {
+	if err := run.WritePromText(&prom); err != nil {
 		t.Fatal(err)
 	}
 	write("prom_golden.txt", prom.Bytes())
-	if err := rec.WriteHTMLReport(&html); err != nil {
+	if err := run.WriteHTMLReport(&html); err != nil {
 		t.Fatal(err)
 	}
 	write("html_golden.html", html.Bytes())

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"os"
 )
 
 // Self-contained HTML report: rank×phase heatmaps and gauge timelines
@@ -180,22 +179,4 @@ func (run *Run) WriteHTMLReport(w io.Writer) error {
 	}
 	bw.WriteString("</body></html>\n")
 	return bw.Flush()
-}
-
-// WriteHTMLReport writes the recorder's snapshot as an HTML report.
-func (r *Recorder) WriteHTMLReport(w io.Writer) error {
-	return r.Dump().WriteHTMLReport(w)
-}
-
-// WriteHTMLReportFile writes the HTML report to path.
-func (r *Recorder) WriteHTMLReportFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteHTMLReport(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

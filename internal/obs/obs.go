@@ -4,10 +4,14 @@
 // profiling methodology (Figs. 11-14) is distilled from: one span per
 // phase of every BFS level on every rank, one span per collective call,
 // and per-rank communication counters (messages and bytes by NUMA hop
-// distance, barrier waits). Exporters turn the stream into a Chrome
-// trace_event file (internal/obs/chrome.go) and an aggregated metrics
-// report with critical-path and stall attribution
-// (internal/obs/report.go).
+// distance, barrier waits).
+//
+// The live types (Recorder, Session, Rank) only record. Every reader
+// works on the portable Run snapshot (internal/obs/export.go) that
+// Recorder.Dump takes and the -timeline JSONL stream round-trips: the
+// metrics report with critical-path and stall attribution (report.go),
+// the Chrome trace_event file (chrome.go), the HTML report (html.go),
+// the Prometheus exposition (prom.go) and the run diff (diff.go).
 //
 // Recording is disabled by default and zero-cost when off: every hook
 // in the hot paths is a method on a possibly-nil *Rank that returns
@@ -187,9 +191,6 @@ func (r *Recorder) NewSession(label string) *Session {
 	return s
 }
 
-// Sessions returns the recorder's sessions in creation order.
-func (r *Recorder) Sessions() []*Session { return r.sessions }
-
 // Adopt moves sub's sessions onto the end of r, preserving their order.
 // The parallel experiment runner gives every cell a private Recorder and
 // adopts them in submission order once all cells finish, so the merged
@@ -215,10 +216,10 @@ type Session struct {
 	// marks are the segment boundaries Advance recorded (end of setup,
 	// end of each root), for grouping spans by BFS iteration.
 	marks []float64
-	// sampler, when non-nil, turns on the virtual-time gauge grid
+	// bucketNs, when positive, turns on the virtual-time gauge grid
 	// (internal/obs/sample.go); linkPeak is the attaching world's
 	// per-stream inter-node peak bandwidth for utilization reporting.
-	sampler  *Sampler
+	bucketNs float64
 	linkPeak float64
 }
 
@@ -230,7 +231,9 @@ func (s *Session) AddRank(rank, node, socket int) *Rank {
 	return r
 }
 
-// Ranks returns the session's rank streams in rank order.
+// Ranks returns the session's rank streams in rank order. Readers use
+// Recorder.Dump; this accessor stays because the repository benchmark
+// (bench/adapter.go) counts live spans through it.
 func (s *Session) Ranks() []*Rank { return s.ranks }
 
 // Advance shifts the session timeline by d virtual ns and records a
@@ -243,24 +246,6 @@ func (s *Session) Advance(d float64) {
 	}
 	s.epoch += d
 	s.marks = append(s.marks, s.epoch)
-}
-
-// Marks returns the recorded segment boundaries (ascending).
-func (s *Session) Marks() []float64 { return s.marks }
-
-// segment returns the index of the segment a session-timeline instant
-// belongs to: 0 before the first mark, i after mark i-1.
-func (s *Session) segment(t float64) int {
-	lo, hi := 0, len(s.marks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.marks[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Rank records one simulated rank's spans and counters. All methods are
@@ -277,20 +262,13 @@ type Rank struct {
 	samples [NumGauges][]gaugeSample
 }
 
-// Spans returns the rank's recorded spans in record order.
+// Spans returns the rank's recorded spans in record order. Like
+// Session.Ranks, it stays for the repository benchmark's span count.
 func (r *Rank) Spans() []Span {
 	if r == nil {
 		return nil
 	}
 	return r.spans
-}
-
-// Comm returns the rank's communication counters.
-func (r *Rank) Comm() *Comm {
-	if r == nil {
-		return nil
-	}
-	return &r.comm
 }
 
 // span appends a span on the session timeline.

@@ -48,9 +48,6 @@ func TestNilRankNoOps(t *testing.T) {
 	if r.Spans() != nil {
 		t.Fatal("nil rank has spans")
 	}
-	if r.Comm() != nil {
-		t.Fatal("nil rank has comm counters")
-	}
 }
 
 func TestSessionEpochStitching(t *testing.T) {
@@ -84,14 +81,15 @@ func TestSessionEpochStitching(t *testing.T) {
 		t.Errorf("root-2 span = [%g, %g], want [150, 157]", sp[2].Start, sp[2].End)
 	}
 
-	if got := s.Marks(); len(got) != 2 || got[0] != 100 || got[1] != 150 {
+	rs := rec.Dump().Sessions[0]
+	if got := rs.Marks; len(got) != 2 || got[0] != 100 || got[1] != 150 {
 		t.Fatalf("marks = %v, want [100 150]", got)
 	}
 	for _, c := range []struct {
 		t    float64
 		want int
 	}{{0, 0}, {99.9, 0}, {100, 1}, {120, 1}, {150, 2}, {1e9, 2}} {
-		if got := s.segment(c.t); got != c.want {
+		if got := rs.segment(c.t); got != c.want {
 			t.Errorf("segment(%g) = %d, want %d", c.t, got, c.want)
 		}
 	}
@@ -110,7 +108,7 @@ func TestCommCounters(t *testing.T) {
 	rk.Collective("allreduce", 0, 1)
 	rk.Collective("allreduce", 2, 3)
 
-	c := rk.Comm()
+	c := rec.Dump().Sessions[0].Ranks[0].Comm
 	if c.Msgs[HopIntraNode] != 2 || c.Bytes[HopIntraNode] != 150 {
 		t.Errorf("intra-node = %d msgs / %d B", c.Msgs[HopIntraNode], c.Bytes[HopIntraNode])
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 
@@ -208,23 +207,4 @@ func (run *Run) WritePromText(w io.Writer) error {
 	}
 
 	return bw.Flush()
-}
-
-// WritePromText writes the recorder's snapshot as a Prometheus text
-// exposition.
-func (r *Recorder) WritePromText(w io.Writer) error {
-	return r.Dump().WritePromText(w)
-}
-
-// WritePromFile writes the Prometheus text exposition to path.
-func (r *Recorder) WritePromFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WritePromText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

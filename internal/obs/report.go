@@ -88,8 +88,9 @@ type LevelReport struct {
 	// MeanNs is the mean wall duration of the level (first span start
 	// to last span end across ranks).
 	MeanNs float64 `json:"mean_ns"`
-	// BoundRank is the rank that most often finished the level last —
-	// the critical path runs through it.
+	// BoundRank is the rank that most often arrived last at the level's
+	// closing barrier — the critical path runs through it. -1 when no
+	// instance of the level recorded a barrier stall.
 	BoundRank int `json:"bound_rank"`
 	// BoundPhase is that rank's dominant phase in the level.
 	BoundPhase string `json:"bound_phase"`
@@ -99,27 +100,31 @@ type LevelReport struct {
 
 // levelInstance is one (root, level) occurrence during aggregation.
 type levelInstance struct {
-	name      string
-	start     float64
-	end       float64
+	name  string
+	start float64
+	end   float64
+	// boundRank is the last arrival: the rank whose stall span (the wait
+	// at the level's barrier) starts latest, ties to the lowest rank.
+	// Every level span ends at that barrier, so level-span ends cannot
+	// tell the ranks apart. -1 until a stall span is seen.
 	boundRank int
-	boundEnd  float64
+	arrival   float64
 	stallNs   float64
 }
 
-// BuildReport aggregates the recorder's raw streams.
-func (r *Recorder) BuildReport() *Report {
+// Report aggregates the run's raw streams.
+func (run *Run) Report() *Report {
 	rep := &Report{}
-	for _, s := range r.Sessions() {
+	for _, s := range run.Sessions {
 		rep.Sessions = append(rep.Sessions, buildSessionReport(s))
 	}
 	return rep
 }
 
-func buildSessionReport(s *Session) SessionReport {
+func buildSessionReport(s *RunSession) SessionReport {
 	sr := SessionReport{
 		Label:   s.Label,
-		Ranks:   len(s.ranks),
+		Ranks:   len(s.Ranks),
 		PhaseNs: make(map[string]float64),
 		Msgs:    make(map[string]int64),
 		Bytes:   make(map[string]int64),
@@ -127,11 +132,11 @@ func buildSessionReport(s *Session) SessionReport {
 
 	var comm Comm
 	instances := make(map[[2]int]*levelInstance) // (segment, level) -> instance
-	sr.StallNsByRank = make([]float64, len(s.ranks))
+	sr.StallNsByRank = make([]float64, len(s.Ranks))
 
-	for _, rk := range s.ranks {
-		comm.merge(&rk.comm)
-		for _, sp := range rk.spans {
+	for _, rk := range s.Ranks {
+		comm.merge(&rk.Comm)
+		for _, sp := range rk.Spans {
 			switch sp.Cat {
 			case CatPhase:
 				sr.PhaseNs[sp.Name] += sp.End - sp.Start
@@ -140,32 +145,17 @@ func buildSessionReport(s *Session) SessionReport {
 				}
 			case CatLevel:
 				key := [2]int{s.segment(sp.Start), sp.Level}
-				li := instances[key]
-				if li == nil {
-					li = &levelInstance{
-						name: sp.Name, start: sp.Start, end: sp.End,
-						boundRank: rk.ID, boundEnd: sp.End,
-					}
-					instances[key] = li
+				if li := instances[key]; li == nil {
+					instances[key] = &levelInstance{name: sp.Name, start: sp.Start, end: sp.End, boundRank: -1}
 				} else {
-					if sp.Start < li.start {
-						li.start = sp.Start
-					}
-					if sp.End > li.end {
-						li.end = sp.End
-					}
-					// Strictly-later end wins, so ties go to the
-					// lowest rank (ranks are visited in order).
-					if sp.End > li.boundEnd {
-						li.boundEnd = sp.End
-						li.boundRank = rk.ID
-					}
+					li.start = min(li.start, sp.Start)
+					li.end = max(li.end, sp.End)
 				}
 			}
 		}
 	}
 	// Mean across ranks.
-	if n := float64(len(s.ranks)); n > 0 {
+	if n := float64(len(s.Ranks)); n > 0 {
 		for name := range sr.PhaseNs {
 			sr.PhaseNs[name] /= n
 		}
@@ -196,18 +186,18 @@ func buildSessionReport(s *Session) SessionReport {
 			"acks":             comm.Acks,
 		}
 		sr.XportOverheadBytes = comm.XportOverheadBys
-		sr.RetransStallNsByRank = make([]float64, len(s.ranks))
-		for _, rk := range s.ranks {
-			sr.RetransStallNsByRank[rk.ID] = rk.comm.XportOverheadNs
+		sr.RetransStallNsByRank = make([]float64, len(s.Ranks))
+		for _, rk := range s.Ranks {
+			sr.RetransStallNsByRank[rk.ID] = rk.Comm.XportOverheadNs
 		}
 	}
 	if comm.OverlapHiddenNs != 0 || comm.OverlapExposedNs != 0 {
 		sr.OverlapHiddenNs = comm.OverlapHiddenNs
 		sr.OverlapExposedNs = comm.OverlapExposedNs
-		sr.OverlapEffByRank = make([]float64, len(s.ranks))
-		for _, rk := range s.ranks {
-			if t := rk.comm.OverlapHiddenNs + rk.comm.OverlapExposedNs; t > 0 {
-				sr.OverlapEffByRank[rk.ID] = rk.comm.OverlapHiddenNs / t
+		sr.OverlapEffByRank = make([]float64, len(s.Ranks))
+		for _, rk := range s.Ranks {
+			if t := rk.Comm.OverlapHiddenNs + rk.Comm.OverlapExposedNs; t > 0 {
+				sr.OverlapEffByRank[rk.ID] = rk.Comm.OverlapHiddenNs / t
 			}
 		}
 	}
@@ -223,38 +213,50 @@ func buildSessionReport(s *Session) SessionReport {
 	return sr
 }
 
-// attributeLevels fills each instance's stall sum and bounding phase,
-// then folds the instances into per-level-index rows.
-func attributeLevels(s *Session, sr *SessionReport, instances map[[2]int]*levelInstance) {
+// attributeLevels fills each instance's stall sum, last arrival and
+// bounding phase, then folds the instances into per-level-index rows.
+func attributeLevels(s *RunSession, sr *SessionReport, instances map[[2]int]*levelInstance) {
 	if len(instances) == 0 {
 		return
 	}
-	// Second pass over phase spans: stall per instance, and the
-	// bounding rank's dominant phase.
-	boundPhase := make(map[[2]int]map[string]float64)
-	for _, rk := range s.ranks {
-		for _, sp := range rk.spans {
-			if sp.Cat != CatPhase {
-				continue
-			}
-			key := [2]int{s.segment(sp.Start), sp.Level}
-			li := instances[key]
-			if li == nil {
-				continue
-			}
-			if sp.Name == trace.Stall.String() {
-				li.stallNs += sp.End - sp.Start
-			}
-			if rk.ID == li.boundRank && sp.Name != trace.Stall.String() {
-				m := boundPhase[key]
-				if m == nil {
-					m = make(map[string]float64)
-					boundPhase[key] = m
+	stall := trace.Stall.String()
+	// phaseSpans calls f with every phase span inside a level instance.
+	phaseSpans := func(f func(rk *RunRank, sp Span, key [2]int, li *levelInstance)) {
+		for _, rk := range s.Ranks {
+			for _, sp := range rk.Spans {
+				if sp.Cat != CatPhase {
+					continue
 				}
-				m[sp.Name] += sp.End - sp.Start
+				key := [2]int{s.segment(sp.Start), sp.Level}
+				if li := instances[key]; li != nil {
+					f(rk, sp, key, li)
+				}
 			}
 		}
 	}
+	// Second pass: stall per instance, and its last arrival.
+	phaseSpans(func(rk *RunRank, sp Span, _ [2]int, li *levelInstance) {
+		if sp.Name != stall {
+			return
+		}
+		li.stallNs += sp.End - sp.Start
+		if li.boundRank < 0 || sp.Start > li.arrival || (sp.Start == li.arrival && rk.ID < li.boundRank) {
+			li.boundRank, li.arrival = rk.ID, sp.Start
+		}
+	})
+	// Third pass: the bounding rank's dominant phase.
+	boundPhase := make(map[[2]int]map[string]float64)
+	phaseSpans(func(rk *RunRank, sp Span, key [2]int, li *levelInstance) {
+		if rk.ID != li.boundRank || sp.Name == stall {
+			return
+		}
+		m := boundPhase[key]
+		if m == nil {
+			m = make(map[string]float64)
+			boundPhase[key] = m
+		}
+		m[sp.Name] += sp.End - sp.Start
+	})
 
 	// Fold instances by level index.
 	type agg struct {
@@ -293,7 +295,9 @@ func attributeLevels(s *Session, sr *SessionReport, instances map[[2]int]*levelI
 		a.Instances++
 		a.sumNs += li.end - li.start
 		a.sumStall += li.stallNs
-		a.rankVotes[li.boundRank]++
+		if li.boundRank >= 0 {
+			a.rankVotes[li.boundRank]++
+		}
 		for name, ns := range boundPhase[key] {
 			a.phaseVotes[name] += ns
 		}

@@ -33,14 +33,14 @@ func multiRootRecorder() *Recorder {
 	return rec
 }
 
-// TestReportDeterminism pins that BuildReport is byte-identical across
+// TestReportDeterminism pins that Run.Report is byte-identical across
 // repeats: the level fold must iterate instances in sorted order, not
 // map order, or float accumulation and row naming drift between runs.
 func TestReportDeterminism(t *testing.T) {
 	var wantText string
 	var wantJSON []byte
 	for i := 0; i < 20; i++ {
-		rep := multiRootRecorder().BuildReport()
+		rep := multiRootRecorder().Dump().Report()
 		text := rep.String()
 		j, err := json.Marshal(rep)
 		if err != nil {

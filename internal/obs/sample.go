@@ -16,13 +16,13 @@ import "sort"
 //
 // The contract matches the span recorder exactly: every hook is a
 // method on a possibly-nil *Rank that returns immediately, and a
-// non-nil rank whose session has no sampler enabled returns just as
-// fast — an attached-but-unsampled run executes the identical hot path
-// and allocates nothing. Recording only reads clocks, never advances
-// them, so virtual-time results are bit-identical with sampling on.
-// Samples append to per-rank buffers in rank-deterministic order (the
-// fold into buckets happens at export), so a deterministic simulation
-// yields byte-identical exports at any GOMAXPROCS.
+// non-nil rank whose session is not sampling returns just as fast — an
+// attached-but-unsampled run executes the identical hot path and
+// allocates nothing. Recording only reads clocks, never advances them,
+// so virtual-time results are bit-identical with sampling on. Samples
+// append to per-rank buffers in rank-deterministic order (the fold into
+// buckets happens at Dump), so a deterministic simulation yields
+// byte-identical exports at any GOMAXPROCS.
 
 // Gauge identifies one sampled quantity.
 type Gauge int
@@ -105,32 +105,23 @@ func (g Gauge) Cumulative() bool {
 	}
 }
 
-// Sampler configures a session's virtual-time sampling grid. Enable it
-// with Session.EnableSampling before the world runs.
-type Sampler struct {
-	// BucketNs is the grid pitch: session-timeline nanoseconds per
-	// bucket. Sample k covers [k*BucketNs, (k+1)*BucketNs).
-	BucketNs float64
-}
+// DefaultSampleNs is the gauge grid pitch the CLIs' -timeline export
+// records at (and the timeline demo sweep's default): 100µs of virtual
+// time, fine enough to resolve individual BFS levels at the test scales
+// while keeping a whole sweep's sample volume small.
+const DefaultSampleNs = 100_000
 
 // EnableSampling turns on gauge recording for the session on a grid of
-// bucketNs virtual nanoseconds and returns the sampler. A non-positive
-// pitch panics: a zero grid would fold every sample into bucket ±Inf.
-func (s *Session) EnableSampling(bucketNs float64) *Sampler {
+// bucketNs virtual nanoseconds: sample k covers [k*bucketNs,
+// (k+1)*bucketNs) of the session timeline. Call it before the world
+// runs. A non-positive pitch panics: a zero grid would fold every
+// sample into bucket ±Inf.
+func (s *Session) EnableSampling(bucketNs float64) {
 	if bucketNs <= 0 {
 		panic("obs: sampling bucket must be positive")
 	}
-	s.sampler = &Sampler{BucketNs: bucketNs}
-	return s.sampler
+	s.bucketNs = bucketNs
 }
-
-// Sampler returns the session's sampler, nil when sampling is off.
-func (s *Session) Sampler() *Sampler { return s.sampler }
-
-// LinkPeakBytesPerNs returns the per-stream inter-node peak bandwidth
-// the attaching world published (0 when unknown); exporters derive link
-// utilization from it.
-func (s *Session) LinkPeakBytesPerNs() float64 { return s.linkPeak }
 
 // SetLinkPeak publishes the machine's per-stream inter-node peak
 // bandwidth (bytes/ns) for utilization reporting.
@@ -144,43 +135,31 @@ type gaugeSample struct {
 	v      float64
 }
 
-// bucketOf maps a raw rank-clock instant to its session-grid bucket.
-func (r *Rank) bucketOf(at float64) int64 {
-	return int64((r.sess.epoch + at) / r.sess.sampler.BucketNs)
-}
-
-// GaugeSet records an instantaneous sample of g at raw rank-clock time
-// at. No-op on a nil rank or when the session has no sampler.
-func (r *Rank) GaugeSet(g Gauge, at, v float64) {
-	if r == nil || r.sess.sampler == nil {
+// Sample records one observation of g at raw rank-clock time at: an
+// instantaneous value or an additive contribution, as g.Cumulative
+// says — the fold happens at Dump. No-op on a nil rank or when the
+// session is not sampling.
+func (r *Rank) Sample(g Gauge, at, v float64) {
+	if r == nil || r.sess.bucketNs == 0 {
 		return
 	}
-	r.samples[g] = append(r.samples[g], gaugeSample{bucket: r.bucketOf(at), v: v})
-}
-
-// GaugeAdd records an additive contribution to g's bucket at raw
-// rank-clock time at. No-op on a nil rank or when the session has no
-// sampler.
-func (r *Rank) GaugeAdd(g Gauge, at, v float64) {
-	if r == nil || r.sess.sampler == nil {
-		return
-	}
-	r.samples[g] = append(r.samples[g], gaugeSample{bucket: r.bucketOf(at), v: v})
+	b := int64((r.sess.epoch + at) / r.sess.bucketNs)
+	r.samples[g] = append(r.samples[g], gaugeSample{bucket: b, v: v})
 }
 
 // LinkTransfer spreads one received transfer's wire bytes over the
 // buckets its flight window [start, end) covers, proportionally to the
 // overlap — the bytes-in-flight timeline of the rank's links. start and
-// end are raw rank-clock ns. No-op on a nil rank or without a sampler.
+// end are raw rank-clock ns. No-op on a nil rank or without sampling.
 func (r *Rank) LinkTransfer(inter bool, bytes int64, start, end float64) {
-	if r == nil || r.sess.sampler == nil {
+	if r == nil || r.sess.bucketNs == 0 {
 		return
 	}
 	g := GaugeIntraBytes
 	if inter {
 		g = GaugeInterBytes
 	}
-	bn := r.sess.sampler.BucketNs
+	bn := r.sess.bucketNs
 	st := r.sess.epoch + start
 	en := r.sess.epoch + end
 	b0 := int64(st / bn)
@@ -214,18 +193,18 @@ type GaugePoint struct {
 	V      float64 // folded value (sum or peak per Gauge.Cumulative)
 }
 
-// GaugeSeries folds the rank's raw samples of g into per-bucket points,
+// gaugeSeries folds the rank's raw samples of g into per-bucket points,
 // sorted by bucket. Cumulative gauges sum within a bucket in record
 // order; instantaneous gauges keep the largest sample — the
 // peak-preserving downsampling, so a bucket coarser than the event
 // spacing (one bucket spanning many BFS levels, say) still shows the
 // extreme rather than whichever sample happened to land last. Returns
-// nil when the rank is nil, sampling was off, or nothing was recorded.
-func (r *Rank) GaugeSeries(g Gauge) []GaugePoint {
-	if r == nil || len(r.samples[g]) == 0 {
+// nil when sampling was off or nothing was recorded.
+func (r *Rank) gaugeSeries(g Gauge) []GaugePoint {
+	raw := r.samples[g]
+	if len(raw) == 0 {
 		return nil
 	}
-	raw := r.samples[g]
 	idx := make(map[int64]int, len(raw))
 	pts := make([]GaugePoint, 0, len(raw))
 	for _, s := range raw {
@@ -242,17 +221,4 @@ func (r *Rank) GaugeSeries(g Gauge) []GaugePoint {
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].Bucket < pts[j].Bucket })
 	return pts
-}
-
-// HasSamples reports whether any gauge recorded at least one sample.
-func (r *Rank) HasSamples() bool {
-	if r == nil {
-		return false
-	}
-	for g := Gauge(0); g < NumGauges; g++ {
-		if len(r.samples[g]) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -9,24 +9,20 @@ import (
 // whose session never enabled sampling.
 func TestNilSamplerNoOps(t *testing.T) {
 	var nilRank *Rank
-	nilRank.GaugeSet(GaugeFrontier, 5, 100)
-	nilRank.GaugeAdd(GaugeCkptBytes, 5, 100)
+	nilRank.Sample(GaugeFrontier, 5, 100)
+	nilRank.Sample(GaugeCkptBytes, 5, 100)
 	nilRank.LinkTransfer(true, 4096, 0, 10)
-	if nilRank.GaugeSeries(GaugeFrontier) != nil {
-		t.Fatal("nil rank has gauge series")
-	}
-	if nilRank.HasSamples() {
-		t.Fatal("nil rank has samples")
-	}
 
 	rec := NewRecorder()
 	s := rec.NewSession("off")
 	rk := s.AddRank(0, 0, 0)
-	rk.GaugeSet(GaugeFrontier, 5, 100)
-	rk.GaugeAdd(GaugeCkptBytes, 5, 100)
+	rk.Sample(GaugeFrontier, 5, 100)
+	rk.Sample(GaugeCkptBytes, 5, 100)
 	rk.LinkTransfer(false, 64, 0, 10)
-	if rk.HasSamples() {
-		t.Fatal("sampler-off rank recorded samples")
+	for g := Gauge(0); g < NumGauges; g++ {
+		if pts := series(rec, g); pts != nil {
+			t.Fatalf("sampler-off rank recorded %s samples: %+v", g, pts)
+		}
 	}
 }
 
@@ -38,15 +34,20 @@ func TestGaugeHooksZeroAlloc(t *testing.T) {
 	rec := NewRecorder()
 	rk := rec.NewSession("off").AddRank(0, 0, 0)
 	if n := testing.AllocsPerRun(100, func() {
-		nilRank.GaugeSet(GaugeFrontier, 1, 2)
-		nilRank.GaugeAdd(GaugeInterBytes, 1, 2)
+		nilRank.Sample(GaugeFrontier, 1, 2)
+		nilRank.Sample(GaugeInterBytes, 1, 2)
 		nilRank.LinkTransfer(true, 64, 0, 5)
-		rk.GaugeSet(GaugeFrontier, 1, 2)
-		rk.GaugeAdd(GaugeInterBytes, 1, 2)
+		rk.Sample(GaugeFrontier, 1, 2)
+		rk.Sample(GaugeInterBytes, 1, 2)
 		rk.LinkTransfer(true, 64, 0, 5)
 	}); n != 0 {
 		t.Fatalf("gauge hooks allocate %g with sampling off, want 0", n)
 	}
+}
+
+// series dumps the recorder and returns gauge g of its first rank.
+func series(rec *Recorder, g Gauge) []GaugePoint {
+	return rec.Dump().Sessions[0].Ranks[0].Gauges[g]
 }
 
 func TestGaugeFolding(t *testing.T) {
@@ -56,26 +57,23 @@ func TestGaugeFolding(t *testing.T) {
 	rk := s.AddRank(0, 0, 0)
 
 	// Cumulative gauge: samples in one bucket sum.
-	rk.GaugeAdd(GaugeCkptBytes, 10, 5)
-	rk.GaugeAdd(GaugeCkptBytes, 90, 7)
-	rk.GaugeAdd(GaugeCkptBytes, 150, 1)
+	rk.Sample(GaugeCkptBytes, 10, 5)
+	rk.Sample(GaugeCkptBytes, 90, 7)
+	rk.Sample(GaugeCkptBytes, 150, 1)
 	// Instantaneous gauge: the bucket keeps its peak, so a frontier that
 	// drains to zero inside one coarse bucket still shows its maximum.
-	rk.GaugeSet(GaugeFrontier, 20, 11)
-	rk.GaugeSet(GaugeFrontier, 80, 13)
-	rk.GaugeSet(GaugeFrontier, 95, 4)
-	rk.GaugeSet(GaugeFrontier, 350, 17)
+	rk.Sample(GaugeFrontier, 20, 11)
+	rk.Sample(GaugeFrontier, 80, 13)
+	rk.Sample(GaugeFrontier, 95, 4)
+	rk.Sample(GaugeFrontier, 350, 17)
 
-	ck := rk.GaugeSeries(GaugeCkptBytes)
+	ck := series(rec, GaugeCkptBytes)
 	if len(ck) != 2 || ck[0] != (GaugePoint{0, 12}) || ck[1] != (GaugePoint{1, 1}) {
 		t.Fatalf("ckpt series = %+v", ck)
 	}
-	fr := rk.GaugeSeries(GaugeFrontier)
+	fr := series(rec, GaugeFrontier)
 	if len(fr) != 2 || fr[0] != (GaugePoint{0, 13}) || fr[1] != (GaugePoint{3, 17}) {
 		t.Fatalf("frontier series = %+v", fr)
-	}
-	if !rk.HasSamples() {
-		t.Fatal("HasSamples = false after recording")
 	}
 }
 
@@ -87,11 +85,11 @@ func TestGaugeEpochStitching(t *testing.T) {
 	s.EnableSampling(100)
 	rk := s.AddRank(0, 0, 0)
 
-	rk.GaugeSet(GaugeFrontier, 50, 1) // bucket 0
-	s.Advance(1000)                   // clocks reset; epoch now 1000
-	rk.GaugeSet(GaugeFrontier, 50, 2) // session time 1050 -> bucket 10
+	rk.Sample(GaugeFrontier, 50, 1) // bucket 0
+	s.Advance(1000)                 // clocks reset; epoch now 1000
+	rk.Sample(GaugeFrontier, 50, 2) // session time 1050 -> bucket 10
 
-	fr := rk.GaugeSeries(GaugeFrontier)
+	fr := series(rec, GaugeFrontier)
 	if len(fr) != 2 || fr[0] != (GaugePoint{0, 1}) || fr[1] != (GaugePoint{10, 2}) {
 		t.Fatalf("stitched series = %+v", fr)
 	}
@@ -109,7 +107,7 @@ func TestLinkTransferSpreading(t *testing.T) {
 	// 400 bytes over [50, 250): 50ns in bucket 0, 100ns in bucket 1,
 	// 50ns in bucket 2 -> 100, 200, 100 bytes.
 	rk.LinkTransfer(true, 400, 50, 250)
-	got := rk.GaugeSeries(GaugeInterBytes)
+	got := series(rec, GaugeInterBytes)
 	want := []GaugePoint{{0, 100}, {1, 200}, {2, 100}}
 	if len(got) != len(want) {
 		t.Fatalf("series = %+v, want %+v", got, want)
@@ -127,7 +125,7 @@ func TestLinkTransferSpreading(t *testing.T) {
 
 	// A transfer inside one bucket lands whole.
 	rk.LinkTransfer(false, 64, 10, 20)
-	intra := rk.GaugeSeries(GaugeIntraBytes)
+	intra := series(rec, GaugeIntraBytes)
 	if len(intra) != 1 || intra[0] != (GaugePoint{0, 64}) {
 		t.Fatalf("intra series = %+v", intra)
 	}

@@ -160,8 +160,10 @@ func Validate(r *Runner, root int64) error { return graph500.ValidateRun(r, root
 // Recorder collects observability sessions: per-rank span timelines over
 // virtual time, collective spans, and communication counters. Attach one
 // to a Benchmark via its Obs field (or to a Runner with AttachObs), then
-// export a Chrome trace with WriteChromeTraceFile or aggregate a metrics
-// report with BuildReport. Recording never changes benchmark results.
+// write the timeline with WriteTimelineFile, or take a snapshot with
+// Dump and read it: Report for the metrics report, WriteChromeTrace,
+// WriteHTMLReport and WritePromText for the renderers that obsdiff also
+// runs on a timeline file. Recording never changes benchmark results.
 type Recorder = obs.Recorder
 
 // NewRecorder returns an empty Recorder.
