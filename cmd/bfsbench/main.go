@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/experiments"
 	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
@@ -80,7 +81,7 @@ func benchCheck(path string, want []string, weak bool, parallel int, ledger *exp
 		return 0, fmt.Errorf("%s: %w", path, err)
 	}
 	spec := experiments.Spec{BaseScale: bf.Scale, Roots: bf.Roots, WeakNode: weak,
-		Cache: graph500.NewGraphCache(), Parallel: parallel, Ledger: ledger}
+		Cache: chassis.NewGraphCache(), Parallel: parallel, Ledger: ledger}
 	match := func(key string) bool {
 		for _, w := range want {
 			if w == "all" || w == key {
@@ -417,7 +418,7 @@ func main() {
 		Roots:     *roots,
 		Validate:  *validate,
 		WeakNode:  *weak,
-		Cache:     graph500.NewGraphCache(),
+		Cache:     chassis.NewGraphCache(),
 		Parallel:  *parallel,
 		Ledger:    ledger,
 

@@ -28,39 +28,12 @@ import (
 	"numabfs/internal/rmat"
 )
 
-// parsePolicy maps a -policy name to the placement policy.
-func parsePolicy(name string) (machine.Policy, bool) {
-	p, ok := map[string]machine.Policy{
-		"noflag":     machine.PPN1NoFlag,
-		"interleave": machine.PPN1Interleave,
-		"noflag8":    machine.PPN8NoFlag,
-		"bind":       machine.PPN8Bind,
-	}[name]
-	return p, ok
-}
-
 // parseOpt maps a -opt name to the optimization level. The overlapped
-// allgather is absent: the batched engine gates it out (it pipelines a
+// allgather is refused: the batched engine gates it out (it pipelines a
 // single frontier; see msbfs.ValidateOptions).
 func parseOpt(name string) (bfs.Opt, bool) {
-	o, ok := map[string]bfs.Opt{
-		"original":   bfs.OptOriginal,
-		"shareinq":   bfs.OptShareInQueue,
-		"shareall":   bfs.OptShareAll,
-		"par":        bfs.OptParAllgather,
-		"compressed": bfs.OptCompressedAllgather,
-	}[name]
-	return o, ok
-}
-
-// parseMode maps a -mode name to the traversal algorithm.
-func parseMode(name string) (bfs.Mode, bool) {
-	m, ok := map[string]bfs.Mode{
-		"hybrid":   bfs.ModeHybrid,
-		"topdown":  bfs.ModeTopDown,
-		"bottomup": bfs.ModeBottomUp,
-	}[name]
-	return m, ok
+	o, ok := bfs.OptNames[name]
+	return o, ok && o != bfs.OptOverlapAllgather
 }
 
 // qdFlags gathers every bfsqd setting for validation.
@@ -86,13 +59,13 @@ func validateFlags(f qdFlags) []string {
 	if f.nodes < 1 {
 		errs = append(errs, "-nodes must be at least 1")
 	}
-	if _, ok := parsePolicy(f.policy); !ok {
+	if _, ok := machine.PolicyNames[f.policy]; !ok {
 		errs = append(errs, fmt.Sprintf("unknown policy %q (noflag | interleave | noflag8 | bind)", f.policy))
 	}
 	if _, ok := parseOpt(f.opt); !ok {
 		errs = append(errs, fmt.Sprintf("unknown optimization %q (original | shareinq | shareall | par | compressed; overlap is single-frontier only)", f.opt))
 	}
-	if _, ok := parseMode(f.mode); !ok {
+	if _, ok := bfs.ModeNames[f.mode]; !ok {
 		errs = append(errs, fmt.Sprintf("unknown mode %q (hybrid | topdown | bottomup)", f.mode))
 	}
 	if f.gran < 64 || f.gran%64 != 0 {
@@ -179,10 +152,10 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	pol, _ := parsePolicy(*policy)
+	pol := machine.PolicyNames[*policy]
 	opts := bfs.DefaultOptions()
-	opts.Opt, _ = parseOpt(*opt)
-	opts.Mode, _ = parseMode(*mode)
+	opts.Opt = bfs.OptNames[*opt]
+	opts.Mode = bfs.ModeNames[*mode]
 	opts.Granularity = *gran
 
 	cfg := machine.Scaled(*scale, *scale+12)

@@ -8,10 +8,10 @@ import (
 )
 
 func TestParseNames(t *testing.T) {
-	if p, ok := parsePolicy("bind"); !ok || p != machine.PPN8Bind {
-		t.Errorf("parsePolicy(bind) = %v, %v", p, ok)
+	if p, ok := machine.PolicyNames["bind"]; !ok || p != machine.PPN8Bind {
+		t.Errorf("policy bind = %v, %v", p, ok)
 	}
-	if _, ok := parsePolicy("numa"); ok {
+	if _, ok := machine.PolicyNames["numa"]; ok {
 		t.Error("bogus policy parsed")
 	}
 	if o, ok := parseOpt("compressed"); !ok || o != bfs.OptCompressedAllgather {
@@ -22,10 +22,10 @@ func TestParseNames(t *testing.T) {
 	if _, ok := parseOpt("overlap"); ok {
 		t.Error("overlap accepted by the batched CLI")
 	}
-	if m, ok := parseMode("bottomup"); !ok || m != bfs.ModeBottomUp {
-		t.Errorf("parseMode(bottomup) = %v, %v", m, ok)
+	if m, ok := bfs.ModeNames["bottomup"]; !ok || m != bfs.ModeBottomUp {
+		t.Errorf("mode bottomup = %v, %v", m, ok)
 	}
-	if _, ok := parseMode("direction-optimizing"); ok {
+	if _, ok := bfs.ModeNames["direction-optimizing"]; ok {
 		t.Error("bogus mode parsed")
 	}
 }

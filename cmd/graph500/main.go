@@ -18,6 +18,7 @@ import (
 
 	"numabfs"
 	"numabfs/internal/bfs"
+	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 	"numabfs/internal/trace"
 )
@@ -84,43 +85,18 @@ func main() {
 	timelineOut := flag.String("timeline", "", "write the run timeline (spans, counters, gauges) as a JSONL event stream to this file; obsdiff renders it (report, chrome, html, prom) and diffs two of them")
 	flag.Parse()
 
-	pol, ok := map[string]numabfs.Policy{
-		"noflag":     numabfs.PPN1NoFlag,
-		"interleave": numabfs.PPN1Interleave,
-		"noflag8":    numabfs.PPN8NoFlag,
-		"bind":       numabfs.PPN8Bind,
-	}[*policy]
+	pol, ok := machine.PolicyNames[*policy]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "graph500: unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
 	opts := numabfs.DefaultOptions()
 	opts.Granularity = *gran
-	switch *opt {
-	case "original":
-		opts.Opt = numabfs.OptOriginal
-	case "shareinq":
-		opts.Opt = numabfs.OptShareInQueue
-	case "shareall":
-		opts.Opt = numabfs.OptShareAll
-	case "par":
-		opts.Opt = numabfs.OptParAllgather
-	case "compressed":
-		opts.Opt = numabfs.OptCompressedAllgather
-	case "overlap":
-		opts.Opt = numabfs.OptOverlapAllgather
-	default:
+	if opts.Opt, ok = bfs.OptNames[*opt]; !ok {
 		fmt.Fprintf(os.Stderr, "graph500: unknown optimization %q\n", *opt)
 		os.Exit(2)
 	}
-	switch *mode {
-	case "hybrid":
-		opts.Mode = numabfs.ModeHybrid
-	case "topdown":
-		opts.Mode = numabfs.ModeTopDown
-	case "bottomup":
-		opts.Mode = numabfs.ModeBottomUp
-	default:
+	if opts.Mode, ok = bfs.ModeNames[*mode]; !ok {
 		fmt.Fprintf(os.Stderr, "graph500: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}

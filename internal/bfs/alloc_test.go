@@ -24,11 +24,7 @@ func rootAllocs(t *testing.T, opts Options, plan *fault.Plan) float64 {
 	t.Helper()
 	const scale, nodes = 12, 2
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
 	if plan != nil {
 		if err := r.InjectFaults(*plan); err != nil {
 			t.Fatal(err)
@@ -112,19 +108,11 @@ func TestCheckpointPoolSurvivesTwoRecoveries(t *testing.T) {
 	opts := optOptions(OptCompressedAllgather)
 	params := rmat.Graph500(scale)
 
-	probe, err := NewRunner(testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe.Setup()
+	probe := setUp(t, testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
 	root := params.Roots(1, probe.HasEdgeGlobal)[0]
 	clean := probe.RunRoot(root)
 
-	r, err := NewRunner(testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
 	plan := fault.Plan{Crashes: []fault.Crash{
 		{Rank: 1, AtNs: 0.3 * clean.TimeNs},
 		{Rank: 3, AtNs: 0.65 * clean.TimeNs},

@@ -4,10 +4,31 @@ import (
 	"fmt"
 	"testing"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
+
+// graphs shares kernel 1 across the package's tests, which build the
+// same few R-MAT graphs over and over; a hit is bit-identical to a fresh
+// build, SetupNs included (chassis.GraphCache). Tests of determinism and
+// tests that record construction into an obs session build their own.
+var graphs = chassis.NewGraphCache()
+
+// setUp builds a runner and runs its Setup through graphs.
+func setUp(t testing.TB, cfg machine.Config, policy machine.Policy, params rmat.Params, opts Options) *Runner {
+	t.Helper()
+	r, err := NewRunner(cfg, policy, params, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := chassis.GraphKey{Machine: cfg, Policy: policy, Params: params, Dedup: opts.Dedup, Spares: opts.SpareRanks}
+	if err := graphs.Setup(k, &r.Core, &r.Graph1D, r.Setup); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func testConfig(scale, nodes, sockets int) machine.Config {
 	cfg := machine.Scaled(scale, scale+12)
@@ -62,11 +83,7 @@ func TestBFSMatchesReferenceAcrossVariants(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Mode = mode
 					opts.Opt = opt
-					r, err := NewRunner(testConfig(scale, 2, 4), pol, params, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.Setup()
+					r := setUp(t, testConfig(scale, 2, 4), pol, params, opts)
 					for _, root := range roots {
 						res := r.RunRoot(root)
 						wantLevel, _ := graph.ReferenceBFS(ref, root)
@@ -103,11 +120,7 @@ func TestHybridSwitchesModes(t *testing.T) {
 	const scale = 14
 	params := rmat.Graph500(scale)
 	opts := DefaultOptions()
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	ref := graph.BuildGlobal(params, true)
 	root := params.Roots(1, ref.HasEdge)[0]
 	res := r.RunRoot(root)
@@ -133,11 +146,7 @@ func TestGranularityVariantsAgree(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Granularity = g
 		opts.Opt = OptParAllgather
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 		r.RunRoot(root)
 		got := levelsOf(r, root)
 		for v := range got {

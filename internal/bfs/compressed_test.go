@@ -14,11 +14,7 @@ import (
 func runOpt(t *testing.T, scale, nodes int, opts Options) RootResult {
 	t.Helper()
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	return r.RunRoot(root)
 }

@@ -38,11 +38,7 @@ func signature(r *Runner, res RootResult) string {
 
 func runWithPlan(t *testing.T, cfg machine.Config, params rmat.Params, plan *fault.Plan) (*Runner, RootResult) {
 	t.Helper()
-	r, err := NewRunner(cfg, machine.PPN8Bind, params, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, cfg, machine.PPN8Bind, params, DefaultOptions())
 	if plan != nil {
 		if err := r.InjectFaults(*plan); err != nil {
 			t.Fatal(err)

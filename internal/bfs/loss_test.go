@@ -25,11 +25,7 @@ func TestLossPlanPreservesResults(t *testing.T) {
 	rBase, base := runWithPlan(t, testConfig(scale, 2, 4), params, nil)
 
 	for _, opt := range []Opt{OptOriginal, OptCompressedAllgather} {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, optOptions(opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, optOptions(opt))
 		if err := r.InjectFaults(fault.Lossy(9, 0.05)); err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +56,7 @@ func TestLossPlanPreservesResults(t *testing.T) {
 
 	// The baseline (OptOriginal) lossy run must cost more virtual time
 	// than the clean one.
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
 	if err := r.InjectFaults(fault.Lossy(9, 0.05)); err != nil {
 		t.Fatal(err)
 	}

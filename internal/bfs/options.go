@@ -72,6 +72,12 @@ func (o Opt) String() string {
 	}
 }
 
+// OptNames maps the CLIs' -opt flag values to optimization levels.
+var OptNames = map[string]Opt{
+	"original": OptOriginal, "shareinq": OptShareInQueue, "shareall": OptShareAll,
+	"par": OptParAllgather, "compressed": OptCompressedAllgather, "overlap": OptOverlapAllgather,
+}
+
 // Mode selects the traversal algorithm; the paper's intro compares the
 // hybrid against pure top-down and pure bottom-up on one 64-core node.
 type Mode int
@@ -99,6 +105,9 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
+
+// ModeNames maps the CLIs' -mode flag values to traversal modes.
+var ModeNames = map[string]Mode{"hybrid": ModeHybrid, "topdown": ModeTopDown, "bottomup": ModeBottomUp}
 
 // Recovery selects how RunRoot completes an iteration after a rank dies
 // permanently (fault.Crash with Permanent set). Transient crashes always

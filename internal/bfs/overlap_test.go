@@ -22,11 +22,7 @@ import (
 func runOptRunner(t *testing.T, scale, nodes int, opts Options) (*Runner, RootResult) {
 	t.Helper()
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, nodes, 4), machine.PPN8Bind, params, opts)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	return r, r.RunRoot(root)
 }
@@ -190,11 +186,7 @@ func TestOverlapUnderLoss(t *testing.T) {
 
 	clean, cleanRes := runOptRunner(t, scale, 2, opts)
 
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	if err := r.InjectFaults(fault.Lossy(9, 0.05)); err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +220,7 @@ func TestOverlapComposesWithCrashRecovery(t *testing.T) {
 
 	clean, cleanRes := runOptRunner(t, scale, 2, opts)
 
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 3, AtNs: cleanRes.TimeNs / 2}}}
 	if err := r.InjectFaults(plan); err != nil {
 		t.Fatal(err)

@@ -21,11 +21,7 @@ func TestAllVariantsAgreeOnReachabilityProperty(t *testing.T) {
 		for _, opt := range []Opt{OptOriginal, OptShareInQueue, OptShareAll, OptParAllgather, OptCompressedAllgather} {
 			opts := DefaultOptions()
 			opts.Opt = opt
-			r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Setup()
+			r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 			root := params.Roots(1, r.HasEdgeGlobal)[0]
 			res := r.RunRoot(root)
 			if opt == OptOriginal {
@@ -49,11 +45,7 @@ func TestAllVariantsAgreeOnReachabilityProperty(t *testing.T) {
 func TestLevelStatsConsistent(t *testing.T) {
 	const scale = 14
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	res := r.RunRoot(root)
 
@@ -91,11 +83,7 @@ func TestLevelStatsConsistent(t *testing.T) {
 func TestStallAndSwitchAccounted(t *testing.T) {
 	const scale = 13
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	res := r.RunRoot(root)
 	for p := trace.Phase(0); p < trace.NumPhases; p++ {
@@ -118,11 +106,7 @@ func TestCommBytesScaleWithOptLevel(t *testing.T) {
 	get := func(opt Opt) int64 {
 		opts := DefaultOptions()
 		opts.Opt = opt
-		r, err := NewRunner(testConfig(scale, 4, 8), machine.PPN8Bind, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 4, 8), machine.PPN8Bind, params, opts)
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		return r.RunRoot(root).CommBytes
 	}
@@ -146,11 +130,7 @@ func TestPolicyOrderingRegression(t *testing.T) {
 	for _, pol := range []machine.Policy{
 		machine.PPN1NoFlag, machine.PPN1Interleave, machine.PPN8NoFlag, machine.PPN8Bind,
 	} {
-		r, err := NewRunner(testConfig(scale, 1, 8), pol, params, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 1, 8), pol, params, DefaultOptions())
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		res := r.RunRoot(root)
 		teps[pol] = res.TEPS
@@ -174,11 +154,7 @@ func TestWeakNodeSlowsCluster(t *testing.T) {
 	run := func(weak int) float64 {
 		cfg := testConfig(scale, 4, 4)
 		cfg.WeakNode = weak
-		r, err := NewRunner(cfg, machine.PPN8Bind, params, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, cfg, machine.PPN8Bind, params, DefaultOptions())
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		return r.RunRoot(root).TimeNs
 	}

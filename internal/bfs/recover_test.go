@@ -30,11 +30,7 @@ func permanentPlan(rank int, atNs float64) fault.Plan {
 func runRecovery(t *testing.T, opts Options, plan fault.Plan, scale int) (*Runner, RootResult) {
 	t.Helper()
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	if err := r.InjectFaults(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +249,7 @@ func TestShrinkSurvivesLaterRoots(t *testing.T) {
 	params := rmat.Graph500(scale)
 	opts := DefaultOptions()
 	opts.Recovery = RecoverShrink
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	_, probe := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
 	if err := r.InjectFaults(permanentPlan(2, 0.5*probe.TimeNs)); err != nil {
 		t.Fatal(err)

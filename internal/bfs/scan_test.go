@@ -207,20 +207,12 @@ func TestScanMatchesReferenceAfterShrink(t *testing.T) {
 	for _, cg := range [][2]int64{{100, 64}, {1000, 256}} {
 		opts := DefaultOptions()
 		opts.Chunk, opts.Granularity = cg[0], cg[1]
-		clean, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean.Setup()
+		clean := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 		root := params.Roots(1, clean.HasEdgeGlobal)[0]
 		cleanRes := clean.RunRoot(root)
 
 		opts.Recovery = RecoverShrink
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 		if err := r.InjectFaults(permanentPlan(2, 0.5*cleanRes.TimeNs)); err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +257,7 @@ func TestScanGolden(t *testing.T) {
 	const scale = 14
 	params := rmat.Graph500(scale)
 	run := func(name string, opts Options) {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 		for k, root := range params.Roots(2, r.HasEdgeGlobal) {
 			res := r.RunRoot(root)
 			if res.Breakdown.BULevels == 0 {

@@ -14,7 +14,7 @@ import (
 // (internal/bfs, internal/msbfs): the partition and each member's CSR,
 // indexed by partition position. Both engines partition identically, so
 // a graph built by one is directly shareable with the other
-// (internal/graph500's graph cache).
+// (GraphCache).
 type Graph1D struct {
 	Part graph.Partition
 	csrs []*graph.CSR

@@ -26,8 +26,8 @@ import (
 	"math"
 	"strings"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
-	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 	"numabfs/internal/trace"
@@ -67,7 +67,7 @@ type Spec struct {
 	// the driver runs: cells differing only in optimization level, knobs
 	// or fault plan rebuild the identical R-MAT graph, so kernel 1 runs
 	// once per (scale, ranks) and later cells reuse it bit-identically.
-	Cache *graph500.GraphCache
+	Cache *chassis.GraphCache
 	// Parallel is the host-parallel width of the cell runner: how many
 	// benchmark cells (variant × node-count × policy) run concurrently on
 	// host cores. 0 or 1 is sequential. Any width produces bit-identical

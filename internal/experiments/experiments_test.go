@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
@@ -13,9 +14,16 @@ import (
 	"numabfs/internal/trace"
 )
 
+// graphs is the package's one graph cache, as bfsbench keeps one per
+// invocation: the figures below sweep the same (scale, nodes, policy)
+// cells over and over, and a hit is bit-identical to a fresh build
+// (graph500.TestGraphCacheBitIdentical), so kernel 1 runs once per graph
+// for the whole test binary instead of once per cell.
+var graphs = chassis.NewGraphCache()
+
 // quick returns a spec small enough for CI; shapes assertions below use
 // it, so they exercise the same code paths as the full benches.
-func quick() Spec { return Spec{BaseScale: 13, Roots: 2} }
+func quick() Spec { return Spec{BaseScale: 13, Roots: 2, Cache: graphs} }
 
 func TestSpecScaling(t *testing.T) {
 	s := Default()
@@ -341,7 +349,7 @@ func TestExtLossShape(t *testing.T) {
 
 func TestExtOverlapShape(t *testing.T) {
 	s := quick()
-	s.Cache = graph500.NewGraphCache() // 25 validated cells share 5 graphs
+	h0, m0 := s.Cache.Stats()
 	tab, err := ExtOverlap(s)
 	if err != nil {
 		t.Fatal(err)
@@ -375,8 +383,11 @@ func TestExtOverlapShape(t *testing.T) {
 			t.Errorf("col %d: speedup %g implausible for scale %d", i, speedup[i], s.BaseScale)
 		}
 	}
-	if h, m := s.Cache.Stats(); m != 5 || h != 20 {
-		t.Errorf("graph cache hits=%d misses=%d, want 20/5 (one build per node count)", h, m)
+	// 25 validated cells share 5 graphs, which earlier tests may have
+	// built already.
+	if h, m := s.Cache.Stats(); h+m-h0-m0 != 25 || m-m0 > 5 {
+		t.Errorf("graph cache hits=%d misses=%d over %d/%d, want 25 lookups and at most 5 builds (one per node count)",
+			h, m, h0, m0)
 	}
 }
 
@@ -386,7 +397,7 @@ func TestExtOverlapShape(t *testing.T) {
 // at 4 nodes, with hidden communication accounting for the gain and the
 // Figs. 12/14 bottom-up communication time strictly reduced.
 func TestOverlapAcceptanceAtDefaultScale(t *testing.T) {
-	s := Spec{BaseScale: Default().BaseScale, Roots: 1}
+	s := Spec{BaseScale: Default().BaseScale, Roots: 1, Cache: graphs}
 	const nodes = 4
 	comp := bfs.DefaultOptions()
 	comp.Opt = bfs.OptCompressedAllgather
@@ -494,29 +505,25 @@ func TestAblationOverlapShape(t *testing.T) {
 }
 
 // TestLossTransportIdentityOnFigures: a transport-tuning-only plan (no
-// Loss events) applied through the Spec must leave the cluster figures
+// Loss events) applied through the Spec must leave a cluster figure
 // bit-identical to running with no plan at all — the experiments-level
-// face of the transport's identity guarantee.
+// face of the transport's identity guarantee, which the mpi transport
+// suite and bfs's TestLossPlanPreservesResults assert where it lives.
+// Fig. 15's cells (every rung at every node count) contain Fig. 13's
+// and Fig. 9's rungs.
 func TestLossTransportIdentityOnFigures(t *testing.T) {
-	tiny := Spec{BaseScale: 12, Roots: 1} // Fig9 weak-scales to 16 nodes; keep the doubled sweep cheap
-	tuned := fault.Plan{RetransmitTimeoutNs: 5e3, RetransmitBackoff: 1.5, RetryBudget: 4}
-	for _, fig := range []struct {
-		name string
-		run  func(Spec) (*Table, error)
-	}{{"Fig9", Fig9}, {"Fig13", Fig13}, {"Fig15", Fig15}} {
-		base, err := fig.run(tiny)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := tiny
-		s.Faults = &tuned
-		got, err := fig.run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Errorf("%s: tuning-only plan perturbed the table:\nbase %v\ngot  %v", fig.name, base, got)
-		}
+	tiny := Spec{BaseScale: 12, Roots: 1, Cache: graphs}
+	base, err := Fig15(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny.Faults = &fault.Plan{RetransmitTimeoutNs: 5e3, RetransmitBackoff: 1.5, RetryBudget: 4}
+	got, err := Fig15(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, got) {
+		t.Errorf("tuning-only plan perturbed the table:\nbase %v\ngot  %v", base, got)
 	}
 }
 

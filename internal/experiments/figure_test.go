@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"numabfs/internal/graph500"
+	"numabfs/internal/chassis"
 	"numabfs/internal/obs"
 )
 
@@ -68,7 +68,7 @@ func TestFigureLedgerKeys(t *testing.T) {
 // one) and the gauge sampling of the Spec reach them.
 func TestFig3OnSpecRunPath(t *testing.T) {
 	s := quick()
-	s.Cache = graph500.NewGraphCache()
+	s.Cache = chassis.NewGraphCache()
 	s.Obs = obs.NewRecorder()
 	s.SampleNs = obs.DefaultSampleNs
 	for _, want := range [][2]int64{{0, 4}, {4, 4}} {

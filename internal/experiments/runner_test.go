@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
-	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 )
@@ -23,7 +23,7 @@ func runFig10At(t *testing.T, parallel int) (*Table, *obs.Recorder, *Ledger) {
 	s := quick()
 	s.Parallel = parallel
 	s.Obs = obs.NewRecorder()
-	s.Cache = graph500.NewGraphCache()
+	s.Cache = chassis.NewGraphCache()
 	s.Ledger = NewLedger()
 	tab, err := Fig10(s)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestParallelRunnerDeterministic(t *testing.T) {
 // so it too must not see host scheduling.
 func TestParallelRunnerDeterministicUnderLoss(t *testing.T) {
 	lossy := func(parallel int) *Table {
-		s := Spec{BaseScale: 12, Roots: 1, Parallel: parallel, Cache: graph500.NewGraphCache()}
+		s := Spec{BaseScale: 12, Roots: 1, Parallel: parallel, Cache: chassis.NewGraphCache()}
 		tab := &Table{Name: "loss-det", Columns: []string{"teps", "retrans"}}
 		var cells []cell
 		for _, opt := range []bfs.Opt{bfs.OptParAllgather, bfs.OptCompressedAllgather} {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
 )
 
@@ -21,7 +22,7 @@ import (
 // per spare reservation.
 func TestPermanentCrashCompletesAtScale16(t *testing.T) {
 	const scale = 16
-	cache := NewGraphCache()
+	cache := chassis.NewGraphCache()
 
 	// Probe the clean mean iteration to place the crash mid-run.
 	probe := testConfig(scale)

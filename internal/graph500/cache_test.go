@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
@@ -32,7 +33,7 @@ func TestGraphCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewGraphCache()
+	cache := chassis.NewGraphCache()
 	withCache := base
 	withCache.Cache = cache
 	miss, err := Run(withCache)
@@ -97,7 +98,7 @@ func TestGraphCacheSingleflight(t *testing.T) {
 		Params:   rmat.Graph500(scale),
 		Opts:     bfs.DefaultOptions(),
 		NumRoots: 1,
-		Cache:    NewGraphCache(),
+		Cache:    chassis.NewGraphCache(),
 	}
 
 	const n = 4
@@ -125,32 +126,5 @@ func TestGraphCacheSingleflight(t *testing.T) {
 			t.Fatalf("run %d diverged: TEPS %g vs %g, SetupNs %g vs %g", i,
 				results[i].HarmonicTEPS, results[0].HarmonicTEPS, results[i].SetupNs, results[0].SetupNs)
 		}
-	}
-}
-
-// TestGraphCacheAbandonReleasesFollowers: when the leader's build dies,
-// followers must not hang — they are woken, build independently, and a
-// later requester becomes a fresh leader.
-func TestGraphCacheAbandonReleasesFollowers(t *testing.T) {
-	c := NewGraphCache()
-	k := graphKey{dedup: true}
-	e, leader := c.acquire(k)
-	if !leader {
-		t.Fatal("first acquire not leader")
-	}
-	done := make(chan bool)
-	go func() {
-		_, _, ok := e.wait()
-		done <- ok
-	}()
-	c.abandon(k, e)
-	if ok := <-done; ok {
-		t.Fatal("follower saw a committed build after abandon")
-	}
-	if _, leader := c.acquire(k); !leader {
-		t.Fatal("post-abandon acquire should be a fresh leader")
-	}
-	if h, m := c.Stats(); h != 0 || m != 2 {
-		t.Fatalf("counters: hits=%d misses=%d, want 0/2", h, m)
 	}
 }

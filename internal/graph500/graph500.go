@@ -76,7 +76,7 @@ type Config struct {
 	// skipped on a hit and the cached build's SetupNs reported, so
 	// results are bit-identical either way. Experiment sweeps share one
 	// cache across their cells (bfsbench).
-	Cache *GraphCache
+	Cache *chassis.GraphCache
 }
 
 // Result aggregates a benchmark run.
@@ -113,7 +113,11 @@ func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph1D, set
 		}
 		c.AttachObs(sess)
 	}
-	if err := cfg.Cache.setup(cacheKeyOf(cfg), c, g, setup); err != nil {
+	key := chassis.GraphKey{
+		Machine: cfg.Machine, Policy: cfg.Policy, Params: cfg.Params,
+		Dedup: cfg.Opts.Dedup, Spares: cfg.Opts.SpareRanks,
+	}
+	if err := cfg.Cache.Setup(key, c, g, setup); err != nil {
 		return err
 	}
 	if cfg.Faults != nil {

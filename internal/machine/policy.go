@@ -39,6 +39,11 @@ func (p Policy) String() string {
 	}
 }
 
+// PolicyNames maps the CLIs' -policy flag values to policies.
+var PolicyNames = map[string]Policy{
+	"noflag": PPN1NoFlag, "interleave": PPN1Interleave, "noflag8": PPN8NoFlag, "bind": PPN8Bind,
+}
+
 // Placement is the resolved execution geometry of a policy on a machine:
 // how many ranks per node, how many modelled threads each runs, where the
 // rank's structures live, and how node bandwidth is shared.

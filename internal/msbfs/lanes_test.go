@@ -142,13 +142,12 @@ func laneRunner(t *testing.T, in *testgraphs.Input, opts bfs.Options) (*Runner, 
 	t.Helper()
 	const scale = 12
 	params := rmat.Graph500(scale)
+	if in == nil {
+		return setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts), graph.BuildGlobal(params, opts.Dedup)
+	}
 	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if in == nil {
-		r.Setup()
-		return r, graph.BuildGlobal(params, opts.Dedup)
 	}
 	pairs := in.Route(len(r.states), func(u, _ int64) int { return r.Part.Owner(u) })
 	csrs := make([]*graph.CSR, len(pairs))

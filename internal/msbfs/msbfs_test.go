@@ -7,11 +7,32 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
+
+// graphs shares kernel 1 across the package's tests, which build the
+// same few R-MAT graphs over and over; a hit is bit-identical to a fresh
+// build, SetupNs included (chassis.GraphCache). Kernel 1's own
+// determinism is tested where it lives, in graph and bfs.
+var graphs = chassis.NewGraphCache()
+
+// setUp builds a runner and runs its Setup through graphs.
+func setUp(t testing.TB, cfg machine.Config, policy machine.Policy, params rmat.Params, opts bfs.Options) *Runner {
+	t.Helper()
+	r, err := NewRunner(cfg, policy, params, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := chassis.GraphKey{Machine: cfg, Policy: policy, Params: params, Dedup: opts.Dedup, Spares: opts.SpareRanks}
+	if err := graphs.Setup(k, &r.Core, &r.Graph1D, r.Setup); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func testConfig(scale, nodes, sockets int) machine.Config {
 	cfg := machine.Scaled(scale, scale+12)
@@ -50,12 +71,7 @@ func laneLevelsOf(r *Runner, l int, root int64) []int64 {
 func newTestRunner(t *testing.T, scale int, opts bfs.Options) *Runner {
 	t.Helper()
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
-	return r
+	return setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
 }
 
 // TestBatchMatchesReferenceAcrossVariants: every lane's level structure

@@ -83,3 +83,44 @@ func TestOptimizationsImproveTEPS(t *testing.T) {
 		t.Errorf("overall speedup %.2fx, want the paper-like >1.3x at this size", best/base)
 	}
 }
+
+// TestPublicEnginesSideBySide drives the 2-D facade next to the 1-D one
+// on the same graph and cluster: both engines reach the same vertices
+// from every root, both trees validate, and the 2-D layout moves fewer
+// bytes than a 1-D pure top-down traversal (Buluç & Madduri).
+func TestPublicEnginesSideBySide(t *testing.T) {
+	const scale, nodes = 13, 4
+	cfg := numabfs.ScaledCluster(scale, scale+12).WithNodes(nodes)
+	cfg.WeakNode = -1
+	params := numabfs.Graph500Params(scale)
+	opts := numabfs.DefaultOptions()
+	opts.Mode = numabfs.ModeTopDown
+	oneD, err := numabfs.NewRunner(cfg, numabfs.PPN8Bind, params, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneD.Setup()
+	twoD, err := numabfs.NewRunner2D(cfg, numabfs.PPN8Bind, numabfs.DefaultGrid(nodes*cfg.SocketsPerNode), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoD.Setup()
+	var bytes1, bytes2 int64
+	for _, root := range params.Roots(2, oneD.HasEdgeGlobal) {
+		r1, r2 := oneD.RunRoot(root), twoD.RunRoot(root)
+		if err := numabfs.Validate(oneD, root); err != nil {
+			t.Fatal(err)
+		}
+		if err := numabfs.Validate2D(twoD, root); err != nil {
+			t.Fatal(err)
+		}
+		if r1.Visited != r2.Visited {
+			t.Errorf("root %d: 1-D visited %d, 2-D %d", root, r1.Visited, r2.Visited)
+		}
+		bytes1 += r1.CommBytes
+		bytes2 += r2.CommBytes
+	}
+	if bytes2 >= bytes1 {
+		t.Errorf("2-D moved %d bytes, not below 1-D top-down's %d", bytes2, bytes1)
+	}
+}
