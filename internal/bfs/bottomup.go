@@ -25,9 +25,9 @@ func (rs *rankState) bottomUpLevel(p *mpi.Proc) (nf, mf int64) {
 	rs.ComputeNominal(p, trace.BUComp, rs.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc}))
 
 	// Computation: scan unvisited owned vertices.
-	count0, edges0 := rs.visitedCount, rs.visitedEdges
+	count0, edges0 := rs.Visited, rs.VisitedEdges
 	res := rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, rs.bottomUpScan)
-	nfLocal, mfLocal := rs.visitedCount-count0, rs.visitedEdges-edges0
+	nfLocal, mfLocal := rs.Visited-count0, rs.VisitedEdges-edges0
 	rs.ComputeNominal(p, trace.BUComp, res.Ns)
 
 	rs.StallBarrier(p, trace.BUComm)
@@ -63,10 +63,10 @@ func (rs *rankState) bottomUpScan(lo, hi int64, load *machine.PhaseLoad) {
 		for k, i := range sc.Rows[:sc.Word(base, mask)] {
 			rs.parent[i] = sc.Nbrs[k]
 			rs.outQ.Set(rs.csr.Lo + i)
-			rs.visitedEdges += sc.RowPtr[i+1] - sc.RowPtr[i]
+			rs.VisitedEdges += sc.RowPtr[i+1] - sc.RowPtr[i]
 		}
 	}
-	rs.visitedCount += sc.Hits
+	rs.Visited += sc.Hits
 	load.Random = append(load.Random,
 		machine.Access{Count: sc.Edges, StructBytes: r.sumBytes, Loc: r.SumLoc},
 		machine.Access{Count: sc.Probes, StructBytes: r.inqBytes, Loc: r.InqLoc},

@@ -50,7 +50,7 @@ type checkpoint struct {
 	levelStats   []trace.LevelStat
 	parent       []int64
 	queue        []int64 // top-down frontier (empty in bottom-up mode)
-	visitedCount int64
+	visited      int64   // the ledger's visit counters
 	visitedEdges int64
 
 	// inq/sum snapshot the frontier bitmaps, only in bottom-up mode and
@@ -117,8 +117,8 @@ func (rs *rankState) saveCheckpoint(p *mpi.Proc, st *loopState) {
 	ck.levelStats = append(ck.levelStats[:0], rs.LevelStats...)
 	ck.parent = append(ck.parent[:0], rs.parent...)
 	ck.queue = append(ck.queue[:0], rs.queue...)
-	ck.visitedCount = rs.visitedCount
-	ck.visitedEdges = rs.visitedEdges
+	ck.visited = rs.Visited
+	ck.visitedEdges = rs.VisitedEdges
 	ck.inq, ck.sum = ck.inq[:0], ck.sum[:0]
 	ck.stable = false
 	if st.bottomUp {
@@ -208,8 +208,8 @@ func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *
 	copy(rs.parent, ck.parent)
 	rs.queue = append(rs.queue[:0], ck.queue...)
 	rs.next = rs.next[:0]
-	rs.visitedCount = ck.visitedCount
-	rs.visitedEdges = ck.visitedEdges
+	rs.Visited = ck.visited
+	rs.VisitedEdges = ck.visitedEdges
 	if len(ck.inq) > 0 {
 		copy(rs.inQ.Words(), ck.inq)
 	}

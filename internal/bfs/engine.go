@@ -80,9 +80,6 @@ type rankState struct {
 	queue, next []int64   // top-down frontier queues (owned vertices)
 	send, recv  [][]int64 // top-down owner-routing buffers and the retained result table
 
-	visitedEdges int64 // sum of degrees of vertices this rank visited
-	visitedCount int64
-
 	// ckptCur/ckptPrev are the two newest level-boundary checkpoint
 	// generations (internal/bfs/checkpoint.go); nil unless the active
 	// fault plan schedules a crash. ckptPool recycles dropped
@@ -270,11 +267,6 @@ func (r *Runner) RunRoot(root int64) RootResult {
 		}
 	})
 	res.Epoch = r.W.Epoch()
-	for _, rs := range r.states {
-		res.TraversedEdges += rs.visitedEdges
-		res.Visited += rs.visitedCount
-	}
-	res.TraversedEdges /= 2 // each undirected edge counted at both endpoints
 	r.Finish(&res.Summary, &r.states[0].Ledger)
 	return res
 }

@@ -105,7 +105,7 @@ func (r *Runner) shrinkAfter(deadRank int, floor float64, target int) {
 			ack.parent = append(ack.parent, dck.parent...)
 		}
 		ack.queue = append(ack.queue, dck.queue...)
-		ack.visitedCount += dck.visitedCount
+		ack.visited += dck.visited
 		ack.visitedEdges += dck.visitedEdges
 		reownBytes += dck.bytes()
 

@@ -269,3 +269,45 @@ func TestShrinkSurvivesLaterRoots(t *testing.T) {
 		}
 	}
 }
+
+// refVisits recounts, serially from the members' finished parent
+// arrays, what the ledgers counted during the traversal: the visited
+// vertices and half the degree sum of them.
+func refVisits(r *Runner) (visited, edges int64) {
+	for _, rs := range r.states {
+		for i, pa := range rs.parent {
+			if pa >= 0 {
+				visited++
+				edges += rs.csr.Degree(rs.csr.Lo + int64(i))
+			}
+		}
+	}
+	return visited, edges / 2
+}
+
+// TestVisitCountersThroughShrink: the members count visits as they set
+// parents and the result tail sums them. After a permanent death under
+// RecoverShrink the absorber must carry the dead rank's checkpointed
+// counts; a lost or doubled share disagrees with the recount.
+func TestVisitCountersThroughShrink(t *testing.T) {
+	const scale = 12
+	for _, opt := range []Opt{OptOriginal, OptCompressedAllgather} {
+		t.Run(opt.String(), func(t *testing.T) {
+			opts := optOptions(opt)
+			base, clean := runRecovery(t, opts, fault.Plan{}, scale)
+			if v, e := refVisits(base); clean.Visited != v || clean.TraversedEdges != e {
+				t.Fatalf("clean run counted %d/%d, reference %d/%d", clean.Visited, clean.TraversedEdges, v, e)
+			}
+			opts.Recovery = RecoverShrink
+			for _, at := range []float64{0.3, 0.7} {
+				r, res := runRecovery(t, opts, permanentPlan(2, at*clean.TimeNs), scale)
+				if res.Epoch != 1 {
+					t.Fatalf("crash at %.1f: epoch %d, want 1 (one shrink)", at, res.Epoch)
+				}
+				if v, e := refVisits(r); res.Visited != v || res.TraversedEdges != e {
+					t.Fatalf("crash at %.1f: counted %d/%d, reference %d/%d", at, res.Visited, res.TraversedEdges, v, e)
+				}
+			}
+		})
+	}
+}

@@ -30,9 +30,9 @@ func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	if r.Part.Owner(root) == rs.pos {
 		rs.parent[root-lo] = root
 		rs.next = append(rs.next, root)
-		rs.visitedCount = 1
-		rs.visitedEdges = rs.csr.Degree(root)
-		nfLocal, mfLocal = 1, rs.visitedEdges
+		rs.Visited = 1
+		rs.VisitedEdges = rs.csr.Degree(root)
+		nfLocal, mfLocal = 1, rs.VisitedEdges
 	}
 	// The initial frontier's size/edges (known to all via allreduce; the
 	// reference code knows them implicitly, we pay two scalar messages).
@@ -110,8 +110,6 @@ func (rs *rankState) reset() {
 	}
 	rs.queue = rs.queue[:0]
 	rs.next = rs.next[:0]
-	rs.visitedEdges = 0
-	rs.visitedCount = 0
 }
 
 // promoteNext makes the freshly discovered frontier current (top-down).

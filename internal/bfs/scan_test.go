@@ -55,8 +55,8 @@ func referenceBottomUpScan(rs *rankState, chunks *[]machine.PhaseLoad) (res omp.
 					nfLocal++
 					d := rs.csr.Degree(v)
 					mfLocal += d
-					rs.visitedCount++
-					rs.visitedEdges += d
+					rs.Visited++
+					rs.VisitedEdges += d
 					break
 				}
 			}
@@ -128,18 +128,18 @@ func compareScanLevels(t *testing.T, r *Runner, root int64) int {
 		for pos, rs := range r.states {
 			where := fmt.Sprintf("level %d rank %d", levels, pos)
 			parent0 := slices.Clone(rs.parent)
-			count0, edges0 := rs.visitedCount, rs.visitedEdges
+			count0, edges0 := rs.Visited, rs.VisitedEdges
 			clear(rs.outQ.Words())
 
 			var wantLoads []machine.PhaseLoad
 			wantRes, wantNF, wantMF := referenceBottomUpScan(rs, &wantLoads)
 			wantParent, wantOut := slices.Clone(rs.parent), slices.Clone(rs.outQ.Words())
-			if rs.visitedCount-count0 != wantNF || rs.visitedEdges-edges0 != wantMF {
+			if rs.Visited-count0 != wantNF || rs.VisitedEdges-edges0 != wantMF {
 				t.Fatalf("%s: reference counters disagree with its own nf/mf", where)
 			}
 
 			copy(rs.parent, parent0)
-			rs.visitedCount, rs.visitedEdges = count0, edges0
+			rs.Visited, rs.VisitedEdges = count0, edges0
 			clear(rs.outQ.Words())
 			var gotLoads []machine.PhaseLoad
 			gotRes := rs.team.For(rs.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
@@ -153,7 +153,7 @@ func compareScanLevels(t *testing.T, r *Runner, root int64) int {
 			if !slices.Equal(rs.outQ.Words(), wantOut) {
 				t.Fatalf("%s: out_queue words differ", where)
 			}
-			if nf, mf := rs.visitedCount-count0, rs.visitedEdges-edges0; nf != wantNF || mf != wantMF {
+			if nf, mf := rs.Visited-count0, rs.VisitedEdges-edges0; nf != wantNF || mf != wantMF {
 				t.Fatalf("%s: nf/mf %d/%d, want %d/%d", where, nf, mf, wantNF, wantMF)
 			}
 			if !reflect.DeepEqual(gotLoads, wantLoads) {

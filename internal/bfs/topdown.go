@@ -105,9 +105,9 @@ func (rs *rankState) tryVisit(v, u int64) (bool, int64) {
 	}
 	rs.parent[i] = u
 	rs.next = append(rs.next, v)
-	rs.visitedCount++
+	rs.Visited++
 	d := rs.csr.Degree(v)
-	rs.visitedEdges += d
+	rs.VisitedEdges += d
 	return true, d
 }
 

@@ -42,37 +42,16 @@ func (r *Runner) RunRoot(root int64) RootResult {
 		}
 	})
 	res.Epoch = r.W.Epoch()
-	// Traversed edges: sum local adjacencies whose source was visited;
-	// every undirected edge is stored twice across the grid.
-	for _, rs := range r.states {
-		if rs == nil {
-			continue
-		}
-		for _, pa := range rs.parent {
-			if pa >= 0 {
-				res.Visited++
-			}
-		}
-		cLo, cHi := r.colRange(rs.j)
-		for u := cLo; u < cHi; u++ {
-			if r.states[r.ownerOf(u)].parentOf(u) >= 0 {
-				res.TraversedEdges += rs.rowPtr[u-cLo+1] - rs.rowPtr[u-cLo]
-			}
-		}
-	}
-	res.TraversedEdges /= 2
 	r.Finish(&res.Summary, &r.states[r.cellRank[0]].Ledger)
 	return res
 }
 
-// parentOf returns the parent of owned vertex v.
-func (rs *rankState) parentOf(v int64) int64 {
-	return rs.parent[v-rs.ownLo()]
-}
-
 // run executes the lockstep level loop on this rank. All control
 // decisions (mode switch, termination) derive from allreduced values,
-// so the collective call pattern is identical across ranks.
+// so the collective call pattern is identical across ranks. The ledger
+// counts visits where the data already is: the owner each parent it
+// sets, every member the stored edges of each column frontier it
+// expands (each discovered vertex is expanded exactly once).
 func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	r := rs.r
 	rs.reset()
@@ -86,6 +65,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 		rs.parent[root-lo] = root
 		rs.frontier = append(rs.frontier, root)
 		nfLocal = 1
+		rs.Visited = 1
 	}
 	t0, x0 := p.Clock(), p.XportNs()
 	nf := all.AllreduceSumInt64(p, nfLocal)
@@ -196,6 +176,10 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 		CPUOps:   edges * 3,
 	}
 	rs.ComputeNominal(p, trace.TDComp, rs.team.ForBalanced(edges, 256, load))
+	if r.Mode == ModeTopDown {
+		// No hybridAccount counted this frontier's edges; the scan did.
+		rs.VisitedEdges += edges
+	}
 
 	// FOLD: route candidates along the grid row to their owners.
 	rs.StallBarrier(p, trace.TDComm)
@@ -218,6 +202,7 @@ func (rs *rankState) tdScanFold(p *mpi.Proc, all *collective.Group, row *collect
 			}
 		}
 	}
+	rs.Visited += nfLocal
 	proc := machine.PhaseLoad{
 		Random: []machine.Access{
 			{Count: pairs, StructBytes: r.blockSize * 8, Loc: r.pl.PrivateLoc},
@@ -250,6 +235,7 @@ func (rs *rankState) hybridAccount(p *mpi.Proc, all *collective.Group, lists [][
 			frontierLen++
 		}
 	}
+	rs.VisitedEdges += mfLocal
 	load := machine.PhaseLoad{
 		Random: []machine.Access{
 			{Count: frontierLen, StructBytes: rs.colVisited.Bytes(), Loc: r.pl.PrivateLoc},
@@ -367,6 +353,7 @@ func (rs *rankState) buExpand(p *mpi.Proc, all, col, row *collective.Group) int6
 		mfLocal += rs.rowPtr[u+1] - rs.rowPtr[u]
 		cnf++
 	})
+	rs.VisitedEdges += mfLocal
 	load := machine.PhaseLoad{
 		Random: []machine.Access{
 			{Count: cnf, StructBytes: int64(len(rs.rowPtr)) * 8, Loc: r.pl.GraphLoc},
@@ -449,6 +436,7 @@ func (rs *rankState) buScanFold(p *mpi.Proc, all, col *collective.Group) int64 {
 			}
 		}
 	}
+	rs.Visited += nfLocal
 	proc := machine.PhaseLoad{
 		Random: []machine.Access{
 			{Count: pairs, StructBytes: r.blockSize * 8, Loc: r.pl.PrivateLoc},

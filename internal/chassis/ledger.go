@@ -19,6 +19,10 @@ type Ledger struct {
 	// Rec is the rank's observability stream (nil = tracing off; every
 	// method on a nil stream no-ops).
 	Rec *obs.Rank
+	// Visited counts the vertices the member has set a parent for,
+	// VisitedEdges the stored adjacencies of visited sources it holds.
+	// Host-only tallies, never priced; Finish folds them.
+	Visited, VisitedEdges int64
 
 	// recoveryNs carries a full-rerun recovery's cost (the detection
 	// floor the clocks restarted from) across Reset, which wipes the
@@ -60,6 +64,7 @@ func (l *Ledger) Reset(p *mpi.Proc) (reownNs float64) {
 	l.Breakdown = trace.Breakdown{}
 	l.Levels = 0
 	l.LevelStats = l.LevelStats[:0]
+	l.Visited, l.VisitedEdges = 0, 0
 	l.Rec = p.Obs()
 	if l.recoveryNs > 0 {
 		l.Breakdown.Add(trace.Recovery, l.recoveryNs)

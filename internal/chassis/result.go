@@ -65,19 +65,25 @@ type Result struct {
 // Finish computes a finished traversal's tail into s: the time, the
 // breakdown averaged over the members (not the ranks — parked spares
 // hold none), the level structure as lead saw it, the network volumes,
-// the codec decisions, and TEPS from s.TraversedEdges, which the engine
-// has filled in.
+// the codec decisions, the members' visit counters added to s.Visited
+// and s.TraversedEdges (each undirected edge is stored at both
+// endpoints; the batched engine counts per lane and fills them itself),
+// and TEPS from the result.
 func (c *Core) Finish(s *Summary, lead *Ledger) {
 	s.TimeNs = c.W.MaxClock()
 	members := c.current()
 	var bd trace.Breakdown
+	var edges int64
 	for _, l := range members {
+		s.Visited += l.Visited
+		edges += l.VisitedEdges
 		bd.Merge(l.Breakdown)
 		s.Levels = max(s.Levels, l.Levels)
 		for _, codec := range l.codecs {
 			s.Wire.Add(codec.Stats())
 		}
 	}
+	s.TraversedEdges += edges / 2
 	bd.Scale(1 / float64(len(members)))
 	bd.TDLevels = lead.Breakdown.TDLevels
 	bd.BULevels = lead.Breakdown.BULevels

@@ -86,8 +86,9 @@ func TestOptimizationsImproveTEPS(t *testing.T) {
 
 // TestPublicEnginesSideBySide drives the 2-D facade next to the 1-D one
 // on the same graph and cluster: both engines reach the same vertices
-// from every root, both trees validate, and the 2-D layout moves fewer
-// bytes than a 1-D pure top-down traversal (Buluç & Madduri).
+// and traverse the same edges from every root, both trees validate, and
+// the 2-D layout moves fewer bytes than a 1-D pure top-down traversal
+// (Buluç & Madduri).
 func TestPublicEnginesSideBySide(t *testing.T) {
 	const scale, nodes = 13, 4
 	cfg := numabfs.ScaledCluster(scale, scale+12).WithNodes(nodes)
@@ -114,8 +115,9 @@ func TestPublicEnginesSideBySide(t *testing.T) {
 		if err := numabfs.Validate2D(twoD, root); err != nil {
 			t.Fatal(err)
 		}
-		if r1.Visited != r2.Visited {
-			t.Errorf("root %d: 1-D visited %d, 2-D %d", root, r1.Visited, r2.Visited)
+		if r1.Visited != r2.Visited || r1.TraversedEdges != r2.TraversedEdges {
+			t.Errorf("root %d: 1-D visited %d / %d edges, 2-D %d / %d",
+				root, r1.Visited, r1.TraversedEdges, r2.Visited, r2.TraversedEdges)
 		}
 		bytes1 += r1.CommBytes
 		bytes2 += r2.CommBytes
