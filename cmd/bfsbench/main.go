@@ -280,9 +280,10 @@ func loadFaultPlan(path string) (*fault.Plan, error) {
 }
 
 func main() {
+	def := experiments.Default()
 	fig := flag.String("fig", "all", "figure to reproduce: "+strings.Join(figKeys(), ","))
-	scale := flag.Int("scale", 16, "graph scale at one node (weak scaling adds log2(nodes))")
-	roots := flag.Int("roots", 8, "BFS roots per configuration (Graph500 uses 64)")
+	scale := flag.Int("scale", def.BaseScale, "graph scale at one node (weak scaling adds log2(nodes))")
+	roots := flag.Int("roots", def.Roots, "BFS roots per configuration (Graph500 uses 64)")
 	validate := flag.Bool("validate", false, "validate every BFS tree (slow)")
 	weak := flag.Bool("weaknode", true, "model the testbed's one weak node in 16-node runs")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")

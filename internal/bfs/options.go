@@ -22,6 +22,7 @@ package bfs
 import (
 	"fmt"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/wire"
 )
 
@@ -153,15 +154,11 @@ type Options struct {
 	// (Graph500 reference: 64; the paper's best: 256).
 	Granularity int64
 	// Alpha is the top-down -> bottom-up switch threshold: switch when
-	// frontier edges exceed unexplored edges / Alpha. Beamer's published
-	// value is 14; the default here is 30, which at laptop scales fires
-	// the switch at the same point of the frontier's growth curve as the
-	// paper observes at scale 28-32 — one level earlier, entering the
-	// bottom-up procedure while in_queue is still sparse, the regime in
-	// which in_queue_summary is worth its keep (Section III.C).
+	// frontier edges exceed unexplored edges / Alpha
+	// (chassis.DefaultAlpha says why the default is 30).
 	Alpha float64
 	// Beta is the bottom-up -> top-down threshold: switch back when the
-	// frontier shrinks below vertices / Beta (Beamer's 24).
+	// frontier shrinks below vertices / Beta.
 	Beta float64
 	// Dedup removes duplicate adjacencies during construction.
 	Dedup bool
@@ -199,8 +196,8 @@ func DefaultOptions() Options {
 		Opt:         OptOriginal,
 		Mode:        ModeHybrid,
 		Granularity: 64,
-		Alpha:       30,
-		Beta:        24,
+		Alpha:       chassis.DefaultAlpha,
+		Beta:        chassis.DefaultBeta,
 		Dedup:       true,
 		Chunk:       1024,
 	}

@@ -66,14 +66,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Default hybrid-switch constants; identical to the 1-D engine's
-// DefaultOptions so the two heuristics are comparable.
-const (
-	DefaultAlpha       = 30.0
-	DefaultBeta        = 24.0
-	DefaultGranularity = bitmap.DefaultGranularity
-)
-
 // Grid describes the processor grid.
 type Grid struct {
 	R, C int // rows x columns; R*C ranks
@@ -115,16 +107,11 @@ type Runner struct {
 	// bottom-up). The zero value is pure top-down — the engine's
 	// historical behaviour. Set before Setup; hybrid and bottom-up
 	// require the per-rank block size to be a multiple of 64 so frontier
-	// bitmaps allgather on word boundaries.
+	// bitmaps allgather on word boundaries. Hybrid switches at the 1-D
+	// engine's default thresholds (chassis.DefaultAlpha/DefaultBeta), and
+	// the bottom-up row-frontier summary has the Graph500 reference
+	// granule (bitmap.DefaultGranularity).
 	Mode Mode
-	// Alpha and Beta are the hybrid switch thresholds (0 = the 1-D
-	// engine's defaults): top-down hands over to bottom-up while the
-	// frontier grows and its edges exceed unexplored/Alpha; bottom-up
-	// hands back when the frontier falls below n/Beta.
-	Alpha, Beta float64
-	// Granularity is the bottom-up row-frontier summary granule in bits
-	// (0 = 64, the Graph500 reference value).
-	Granularity int64
 
 	cfg machine.Config
 	pl  machine.Placement
@@ -157,10 +144,6 @@ type Runner struct {
 	// states is indexed by world rank; parked spares and dead ranks hold
 	// nil.
 	states []*rankState
-
-	// alpha/beta/granularity are the resolved knobs (Setup).
-	alpha, beta float64
-	granularity int64
 }
 
 // rankState is one rank's 2-D state.
@@ -377,9 +360,4 @@ func (r *Runner) ownerOf(v int64) int { return r.cellRank[v/r.blockSize] }
 func (r *Runner) colRange(j int) (lo, hi int64) {
 	lo = int64(j) * int64(r.Grid.R) * r.blockSize
 	return lo, lo + int64(r.Grid.R)*r.blockSize
-}
-
-// rowOwns reports whether vertex v's block belongs to grid row i.
-func (r *Runner) rowOwns(i int, v int64) bool {
-	return int(v/r.blockSize)%r.Grid.R == i
 }

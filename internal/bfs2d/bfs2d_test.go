@@ -59,7 +59,7 @@ func TestGridMappingRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1, n / 3, n / 2, n - 1} {
 		owner := r.ownerOf(v)
 		i, _ := r.gridOf(owner)
-		if !r.rowOwns(i, v) {
+		if int(v/r.blockSize)%r.Grid.R != i {
 			t.Fatalf("vertex %d: owner rank %d in wrong grid row", v, owner)
 		}
 	}

@@ -110,29 +110,18 @@ func TestBFS2DHybridSwitches(t *testing.T) {
 	}
 }
 
-// TestBFS2DLegacyUnchanged: ModeTopDown (the zero value) must produce
-// the same virtual time, breakdown and volume whether or not the new
-// mode machinery is compiled in — guarded here by checking a pure
-// top-down run is insensitive to the hybrid-only knobs.
+// TestBFS2DLegacyUnchanged: a clean uncompressed ModeTopDown run (the
+// zero value) keeps the fault, transport and wire ledgers exactly zero,
+// as the 1-D engine does.
 func TestBFS2DLegacyUnchanged(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
-	build := func(alpha, beta float64) RootResult {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Alpha, r.Beta = alpha, beta
-		r.Setup()
-		return r.RunRoot(params.Roots(1, r.HasEdgeGlobal)[0])
+	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := build(0, 0)
-	b := build(99, 2)
-	if a.TimeNs != b.TimeNs || a.Breakdown != b.Breakdown || a.CommBytes != b.CommBytes {
-		t.Fatalf("top-down run depends on hybrid knobs: %+v vs %+v", a, b)
-	}
-	// A clean uncompressed run keeps the new ledgers exactly zero, as
-	// the 1-D engine does.
+	r.Setup()
+	a := r.RunRoot(params.Roots(1, r.HasEdgeGlobal)[0])
 	if a.Xport != (RootResult{}.Xport) || a.Wire.RawBytes != 0 || len(a.Faults) != 0 {
 		t.Fatalf("clean top-down run has nonzero fault/wire ledgers: %+v", a)
 	}

@@ -84,7 +84,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	for nf > 0 {
 		rs.Levels++
 		levelStart := p.Clock()
-		if r.Mode == ModeHybrid && bottomUp && r.GoTopDown(nf, r.beta) {
+		if r.Mode == ModeHybrid && bottomUp && r.GoTopDown(nf, chassis.DefaultBeta) {
 			rs.switchToTopDown(p)
 			bottomUp = false
 		}
@@ -100,7 +100,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 				mf := rs.hybridAccount(p, all, lists)
 				rs.backfillMF(mf)
 				visitedEdgesGlobal += mf
-				if r.Mode == ModeHybrid && r.GoBottomUp(nf, prevNf, mf, visitedEdgesGlobal, r.alpha) {
+				if r.Mode == ModeHybrid && r.GoBottomUp(nf, prevNf, mf, visitedEdgesGlobal, chassis.DefaultAlpha) {
 					rs.switchToBottomUp(p, row)
 					bottomUp = true
 					dnf = rs.buScanFold(p, all, col)

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"numabfs/internal/bitmap"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/omp"
@@ -78,7 +79,7 @@ func scanRunner2D(t *testing.T, in testgraphs.Input, grid Grid, g int64) *Runner
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Mode, r.Granularity = ModeBottomUp, g
+	r.Mode = ModeBottomUp
 	r.Setup()
 	// As in Setup: adjacency (u, v) lives at (row of v's block, column of u).
 	pairs := in.Route(grid.R*grid.C, func(u, v int64) int {
@@ -90,6 +91,8 @@ func scanRunner2D(t *testing.T, in testgraphs.Input, grid Grid, g int64) *Runner
 		cLo, cHi := r.colRange(rs.j)
 		csr := graph.BuildCSR(cLo, cHi, pairs[cell], in.Dedup)
 		rs.rowPtr, rs.col = csr.RowPtr, csr.Col
+		// The engine's summary granule is fixed; the scan is checked at g.
+		rs.rowSum = bitmap.NewSummary(int64(grid.C)*r.blockSize, g)
 	}
 	return r
 }

@@ -16,16 +16,6 @@ import (
 // directed adjacency (u, v) to the grid rank at (row of v's block,
 // column of u), and builds its local CSR over the column's vertex range.
 func (r *Runner) Setup() {
-	r.alpha, r.beta, r.granularity = r.Alpha, r.Beta, r.Granularity
-	if r.alpha == 0 {
-		r.alpha = DefaultAlpha
-	}
-	if r.beta == 0 {
-		r.beta = DefaultBeta
-	}
-	if r.granularity == 0 {
-		r.granularity = DefaultGranularity
-	}
 	if r.Mode != ModeTopDown {
 		if r.blockSize%64 != 0 {
 			panic(fmt.Sprintf("bfs2d: %s mode needs a block size divisible by 64, have %d", r.Mode, r.blockSize))
@@ -82,7 +72,7 @@ func (r *Runner) Setup() {
 			rs.colVisited = bitmap.New(width)
 			rs.colFront = bitmap.New(width)
 			rs.rowFront = bitmap.New(int64(r.Grid.C) * r.blockSize)
-			rs.rowSum = bitmap.NewSummary(int64(r.Grid.C)*r.blockSize, r.granularity)
+			rs.rowSum = bitmap.NewSummary(int64(r.Grid.C)*r.blockSize, bitmap.DefaultGranularity)
 			rs.sendCol = make([][]int64, r.Grid.R)
 			if r.Compress {
 				rs.colCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}

@@ -14,7 +14,6 @@ package bitmap
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 const wordBits = 64
@@ -59,8 +58,7 @@ func (b *Bitmap) Get(i int64) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
-// Set sets bit i. It is not safe for concurrent writers to the same word;
-// use SetAtomic from parallel loops.
+// Set sets bit i. It is not safe for concurrent writers to the same word.
 func (b *Bitmap) Set(i int64) {
 	b.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
@@ -68,30 +66,6 @@ func (b *Bitmap) Set(i int64) {
 // Clear clears bit i.
 func (b *Bitmap) Clear(i int64) {
 	b.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
-// SetAtomic sets bit i with an atomic or-loop so that concurrent workers
-// of one simulated process may write neighbouring bits of the same word.
-// It reports whether this call changed the bit (false if already set).
-func (b *Bitmap) SetAtomic(i int64) bool {
-	w := &b.words[i/wordBits]
-	mask := uint64(1) << uint(i%wordBits)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
-}
-
-// GetAtomic reports whether bit i is set, using an atomic load. Needed
-// when readers race with SetAtomic writers inside one level.
-func (b *Bitmap) GetAtomic(i int64) bool {
-	w := atomic.LoadUint64(&b.words[i/wordBits])
-	return w&(1<<uint(i%wordBits)) != 0
 }
 
 // Reset clears all bits.
@@ -108,24 +82,6 @@ func (b *Bitmap) Count() int64 {
 		c += int64(bits.OnesCount64(w))
 	}
 	return c
-}
-
-// Any reports whether any bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CopyFrom copies src into b. The bitmaps must have the same length.
-func (b *Bitmap) CopyFrom(src *Bitmap) {
-	if b.n != src.n {
-		panic("bitmap: CopyFrom length mismatch")
-	}
-	copy(b.words, src.words)
 }
 
 // OrFrom ors src into b. The bitmaps must have the same length.
@@ -200,11 +156,4 @@ func (b *Bitmap) AppendSetBits(dst []int64, loBit, hiBit int64) []int64 {
 		}
 	}
 	return dst
-}
-
-// WordRange returns the half-open word range [lo, hi) covering bit range
-// [loBit, hiBit). Used to slice a bitmap into per-rank segments whose
-// boundaries are word-aligned by construction of the 1-D partition.
-func WordRange(loBit, hiBit int64) (lo, hi int64) {
-	return loBit / wordBits, (hiBit + wordBits - 1) / wordBits
 }

@@ -1,7 +1,6 @@
 package bitmap
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +16,7 @@ func TestNewAndLen(t *testing.T) {
 		if want := (n + 63) / 64 * 8; b.Bytes() != want {
 			t.Errorf("New(%d).Bytes() = %d, want %d", n, b.Bytes(), want)
 		}
-		if b.Any() {
+		if b.Count() != 0 {
 			t.Errorf("New(%d) has set bits", n)
 		}
 	}
@@ -42,56 +41,8 @@ func TestSetGetClear(t *testing.T) {
 		t.Fatal("bit 64 set after Clear")
 	}
 	b.Reset()
-	if b.Any() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatal("bits remain after Reset")
-	}
-}
-
-func TestSetAtomicReportsChange(t *testing.T) {
-	b := New(128)
-	if !b.SetAtomic(70) {
-		t.Fatal("first SetAtomic returned false")
-	}
-	if b.SetAtomic(70) {
-		t.Fatal("second SetAtomic returned true")
-	}
-	if !b.GetAtomic(70) || !b.Get(70) {
-		t.Fatal("bit not visible after SetAtomic")
-	}
-}
-
-func TestSetAtomicConcurrent(t *testing.T) {
-	// Many goroutines set neighbouring bits of shared words; every bit
-	// must land and the change-report must be exact (each bit claimed
-	// exactly once).
-	const n = 1 << 12
-	b := New(n)
-	var wg sync.WaitGroup
-	claimed := make([]int64, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := int64(w); i < n; i += 8 {
-				if b.SetAtomic(i) {
-					claimed[w]++
-				}
-				if b.SetAtomic((i * 7) % n) { // contended duplicates
-					claimed[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := b.Count(); got != n {
-		t.Fatalf("Count = %d, want %d", got, n)
-	}
-	var total int64
-	for _, c := range claimed {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("claimed %d distinct first-sets, want %d", total, n)
 	}
 }
 
@@ -118,7 +69,8 @@ func TestCopyOrEqual(t *testing.T) {
 	a, b := New(130), New(130)
 	a.Set(0)
 	a.Set(129)
-	b.CopyFrom(a)
+	b.Set(0)
+	b.Set(129)
 	if !a.Equal(b) {
 		t.Fatal("copies not equal")
 	}
@@ -174,16 +126,5 @@ func TestCountMatchesNaiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWordRange(t *testing.T) {
-	lo, hi := WordRange(128, 256)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("WordRange(128,256) = %d,%d", lo, hi)
-	}
-	lo, hi = WordRange(0, 65)
-	if lo != 0 || hi != 2 {
-		t.Fatalf("WordRange(0,65) = %d,%d", lo, hi)
 	}
 }

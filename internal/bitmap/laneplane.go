@@ -47,10 +47,6 @@ func (p *LanePlane) Len() int64 { return p.n }
 // must not resize it.
 func (p *LanePlane) Words() []uint64 { return p.words }
 
-// Bytes returns the backing storage size — the quantity an allgather of
-// the plane transfers.
-func (p *LanePlane) Bytes() int64 { return p.n * 8 }
-
 // Word returns vertex v's lane word.
 func (p *LanePlane) Word(v int64) uint64 { return p.words[v] }
 
@@ -92,14 +88,8 @@ func WrapLaneSummary(plane *LanePlane, g, n int64) *LaneSummary {
 	return &LaneSummary{plane: plane, g: g, n: n}
 }
 
-// Granularity returns the number of vertices one summary word covers.
-func (s *LaneSummary) Granularity() int64 { return s.g }
-
 // Plane returns the summary's own plane (one word per granule).
 func (s *LaneSummary) Plane() *LanePlane { return s.plane }
-
-// Bytes returns the summary storage size in bytes.
-func (s *LaneSummary) Bytes() int64 { return s.plane.Bytes() }
 
 // CoveredZero reports whether the granule containing vertex v is known to
 // be empty in every lane of mask. True means the caller may skip reading

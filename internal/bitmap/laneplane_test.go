@@ -4,8 +4,8 @@ import "testing"
 
 func TestLanePlaneBasics(t *testing.T) {
 	p := NewLanePlane(130)
-	if p.Len() != 130 || len(p.Words()) != 130 || p.Bytes() != 130*8 {
-		t.Fatalf("plane geometry: len=%d words=%d bytes=%d", p.Len(), len(p.Words()), p.Bytes())
+	if p.Len() != 130 || len(p.Words()) != 130 {
+		t.Fatalf("plane geometry: len=%d words=%d", p.Len(), len(p.Words()))
 	}
 	p.Or(5, 1<<3)
 	p.Or(5, 1<<7)

@@ -44,14 +44,8 @@ func WrapSummary(bits *Bitmap, g, n int64) *Summary {
 	return &Summary{bits: bits, g: g, n: n}
 }
 
-// Granularity returns the number of base bits covered by one summary bit.
-func (s *Summary) Granularity() int64 { return s.g }
-
 // Bits returns the summary's own bitmap (one bit per granule).
 func (s *Summary) Bits() *Bitmap { return s.bits }
-
-// Len returns the number of summary bits.
-func (s *Summary) Len() int64 { return s.bits.Len() }
 
 // Bytes returns the summary storage size in bytes.
 func (s *Summary) Bytes() int64 { return s.bits.Bytes() }
@@ -118,7 +112,8 @@ func (s *Summary) RebuildRange(base *Bitmap, lo, hi int64) int64 {
 
 // ZeroFraction returns the fraction of summary bits that are zero. This is
 // the quantity that shrinks as granularity grows (Section III.C's
-// "less zeros, less speedup" trade-off) and the experiments report it.
+// "less zeros, less speedup" trade-off). No figure reports it yet; it is
+// the measure a granularity figure would plot against g.
 func (s *Summary) ZeroFraction() float64 {
 	total := s.bits.Len()
 	if total == 0 {

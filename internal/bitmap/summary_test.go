@@ -168,8 +168,8 @@ func TestSummaryGranuleMatchesDivision(t *testing.T) {
 	const n = 3*4096 + 100 // last granule partial at every g below
 	for _, g := range []int64{64, 128, 192, 256, 4096} {
 		s := NewSummary(n, g)
-		if want := (n + g - 1) / g; s.Len() != want {
-			t.Fatalf("g=%d: %d summary bits, want %d", g, s.Len(), want)
+		if want := (n + g - 1) / g; s.Bits().Len() != want {
+			t.Fatalf("g=%d: %d summary bits, want %d", g, s.Bits().Len(), want)
 		}
 		for i := int64(0); i < n; i++ {
 			if got := granule(i, g); got != i/g {

@@ -96,6 +96,19 @@ func (c *Core) EndSetup(totalEdges int64) {
 	c.totalEdges = totalEdges
 }
 
+// DefaultAlpha and DefaultBeta are the hybrid switch thresholds of every
+// engine: the 1-D engines start from them (bfs.DefaultOptions) and the
+// 2-D engine always uses them. Beamer's published alpha is 14; 30 fires
+// the switch at laptop scales at the same point of the frontier's growth
+// curve as the paper observes at scale 28-32 — one level earlier,
+// entering the bottom-up procedure while in_queue is still sparse, the
+// regime in which in_queue_summary is worth its keep (Section III.C).
+// Beta is Beamer's 24.
+const (
+	DefaultAlpha = 30.0
+	DefaultBeta  = 24.0
+)
+
 // GoBottomUp is the top-down -> bottom-up hand-over, Beamer-style: only
 // while the frontier (nf, with mf edges) still grows — in the final
 // shrinking levels the unexplored-edge count is tiny and the threshold

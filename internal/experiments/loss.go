@@ -19,8 +19,9 @@ var lossRates = []float64{0, 0.005, 0.02, 0.05}
 // lossy links on a fixed 4-node cluster: every cumulative optimization
 // level is rerun under a sweep of per-message drop rates (with
 // correlated duplication, corruption and reordering), carried by the
-// reliable transport under internal/mpi — sequence numbers, CRC,
-// cumulative acks, timeout retransmission with exponential backoff.
+// reliable transport under internal/mpi, modelled as charges: sequence
+// numbers, CRC (a corrupted frame counts as a drop), cumulative acks,
+// timeout retransmission with exponential backoff.
 // Every cell runs with full Graph500 tree validation as the oracle: a
 // run only scores if its BFS tree is provably correct, so the table
 // doubles as an integrity proof under any loss plan.

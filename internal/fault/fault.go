@@ -11,9 +11,9 @@
 // seed, and virtual time only. Two runs of the same workload under the
 // same plan produce bit-identical virtual-time results regardless of
 // host scheduling or core count, exactly like the unperturbed simulator.
-// An empty plan is guaranteed to be a no-op: every hook short-circuits
-// before touching a float, so results are bit-identical to a build
-// without injection support.
+// A plan without events is guaranteed to be a no-op: every hook
+// short-circuits before touching a float, so results are bit-identical
+// to a build without injection support.
 //
 // The paper's one "ill-performing node" (Config.WeakNode, excluded from
 // Figs. 13-14 in the original evaluation) is the degenerate case: a
@@ -200,19 +200,11 @@ type Plan struct {
 	Loss []Loss `json:"loss,omitempty"`
 
 	// Reliable-transport tuning; 0 keeps the Default* constants. These
-	// change how the transport paces retries, not whether it runs, so —
-	// like DetectTimeoutNs — they do not affect Empty.
+	// change how the transport paces retries, not whether it runs: like
+	// DetectTimeoutNs, they inject nothing by themselves.
 	RetransmitTimeoutNs float64 `json:"retransmit_timeout_ns,omitempty"` // first retry timeout
 	RetransmitBackoff   float64 `json:"retransmit_backoff,omitempty"`    // timeout multiplier per retry, >= 1
 	RetryBudget         int     `json:"retry_budget,omitempty"`          // max transmissions per frame
-}
-
-// Empty reports whether the plan injects nothing at all. Tuning-only
-// fields (DetectTimeoutNs, Retransmit*, RetryBudget) don't count: they
-// configure machinery that only engages when events exist.
-func (p Plan) Empty() bool {
-	return len(p.BW) == 0 && len(p.Stragglers) == 0 &&
-		p.JitterMaxNs == 0 && len(p.Crashes) == 0 && len(p.Loss) == 0
 }
 
 // Validate checks the plan against a world of `ranks` ranks. Bandwidth
@@ -485,14 +477,6 @@ func NewInjector(plan Plan, ranks int) (*Injector, error) {
 		}
 	}
 	return in, nil
-}
-
-// Plan returns the compiled plan.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
 }
 
 // DetectTimeoutNs returns the plan's crash-detection latency, or the

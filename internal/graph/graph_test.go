@@ -67,7 +67,8 @@ func TestPartitionUnevenTail(t *testing.T) {
 	p := NewPartition(640, 7)
 	var total int64
 	for r := 0; r < 7; r++ {
-		total += p.Count(r)
+		lo, hi := p.Range(r)
+		total += hi - lo
 	}
 	if total != 640 {
 		t.Fatalf("coverage %d, want 640", total)

@@ -148,9 +148,6 @@ func (p Partition) isUniform() bool {
 // Range returns the vertex range [lo, hi) owned by rank r.
 func (p Partition) Range(r int) (lo, hi int64) { return p.offs[r], p.offs[r+1] }
 
-// Count returns the number of vertices rank r owns.
-func (p Partition) Count(r int) int64 { return p.offs[r+1] - p.offs[r] }
-
 // Offsets returns the NP+1 boundary offsets (shared; do not modify).
 func (p Partition) Offsets() []int64 { return p.offs }
 

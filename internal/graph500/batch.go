@@ -41,33 +41,6 @@ func ValidateBatch(r *msbfs.Runner, roots []int64) error {
 	return nil
 }
 
-// ValidateBatchIdentity asserts the batched engine's determinism
-// contract: each lane's parent tree from the last RunBatch(roots) must
-// be bit-identical to the tree the SAME engine produces traversing that
-// root alone (a batch of one — the sequential counterpart at the same
-// optimization level). The check runs len(roots) single-root batches on
-// r, then re-runs the full batch so the runner's lane state is restored
-// for the caller.
-func ValidateBatchIdentity(r *msbfs.Runner, roots []int64) error {
-	batched := make([][]int64, len(roots))
-	for l := range roots {
-		batched[l] = r.LaneParents(l)
-	}
-	for l, root := range roots {
-		r.RunBatch([]int64{root})
-		solo := r.LaneParents(0)
-		for v := range solo {
-			if solo[v] != batched[l][v] {
-				r.RunBatch(roots)
-				return fmt.Errorf("lane %d (root %d) vertex %d: batched parent %d, sequential parent %d",
-					l, root, v, batched[l][v], solo[v])
-			}
-		}
-	}
-	r.RunBatch(roots)
-	return nil
-}
-
 // LaneLevels reconstructs lane l's global level array from the batched
 // runner's parent trees (-1 unreached), for tests comparing against the
 // sequential reference BFS.

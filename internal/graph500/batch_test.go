@@ -29,8 +29,9 @@ func newBatchRunner(t *testing.T, scale int, opt bfs.Opt) (*msbfs.Runner, rmat.P
 }
 
 // TestValidateBatchAtEveryOptLevel: every lane's parent tree passes the
-// Graph500 rules and is bit-identical to its sequential (batch-of-one)
-// counterpart, at every optimization level the batched engine supports.
+// Graph500 rules at every optimization level the batched engine
+// supports. (Bit-identity with the batch-of-one run is msbfs's
+// TestBatchBitIdenticalToBatchOne and ExtMSBFS's per-cell check.)
 func TestValidateBatchAtEveryOptLevel(t *testing.T) {
 	const scale = 12
 	for _, opt := range []bfs.Opt{bfs.OptOriginal, bfs.OptShareInQueue, bfs.OptShareAll,
@@ -41,14 +42,6 @@ func TestValidateBatchAtEveryOptLevel(t *testing.T) {
 			r.RunBatch(roots)
 			if err := ValidateBatch(r, roots); err != nil {
 				t.Fatalf("batched validation failed: %v", err)
-			}
-			if err := ValidateBatchIdentity(r, roots); err != nil {
-				t.Fatalf("lane not bit-identical to sequential run: %v", err)
-			}
-			// Identity validation re-runs the batch: lane state must be
-			// restored for post-validation inspection.
-			if err := ValidateBatch(r, roots); err != nil {
-				t.Fatalf("lane state not restored after identity check: %v", err)
 			}
 		})
 	}

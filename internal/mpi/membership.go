@@ -15,30 +15,6 @@ import "fmt"
 // Promote, incremented by each.
 func (w *World) Epoch() int { return w.epoch }
 
-// Live reports whether rank r is scheduled by Run/TryRun.
-func (w *World) Live(r int) bool { return w.live[r] }
-
-// LiveRanks returns the live ranks in ascending order.
-func (w *World) LiveRanks() []int {
-	out := make([]int, 0, len(w.procs))
-	for r := range w.live {
-		if w.live[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// LiveOnNode returns how many live ranks node carries in this epoch.
-func (w *World) LiveOnNode(node int) int { return w.liveOnNode[node] }
-
-// MaxLivePPN returns the largest live population on any node — the
-// intra-node dissemination depth the barrier model charges.
-func (w *World) MaxLivePPN() int { return w.maxLivePPN }
-
-// LiveNodes returns how many nodes still carry live ranks.
-func (w *World) LiveNodes() int { return w.liveNodes }
-
 // Park removes ranks from the schedule without declaring them dead —
 // hot spares waiting for a Promote. Call before the first Run; parking
 // does not advance the epoch (the first run's view is still epoch 0).

@@ -11,6 +11,17 @@ import (
 	"numabfs/internal/fault"
 )
 
+// liveRanks returns the ranks Run/TryRun schedules, in ascending order.
+func liveRanks(w *World) []int {
+	var out []int
+	for r, ok := range w.live {
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // ranSet runs body and records which ranks executed.
 func ranSet(w *World) map[int]bool {
 	var mu sync.Mutex
@@ -31,8 +42,8 @@ func TestParkExcludesSparesWithoutAdvancingEpoch(t *testing.T) {
 	if w.Epoch() != 0 {
 		t.Fatalf("Park advanced the epoch to %d", w.Epoch())
 	}
-	if w.LiveOnNode(0) != 3 || w.LiveOnNode(1) != 3 || w.MaxLivePPN() != 3 {
-		t.Fatalf("live counts %d/%d max %d, want 3/3/3", w.LiveOnNode(0), w.LiveOnNode(1), w.MaxLivePPN())
+	if w.liveOnNode[0] != 3 || w.liveOnNode[1] != 3 || w.maxLivePPN != 3 {
+		t.Fatalf("live counts %d/%d max %d, want 3/3/3", w.liveOnNode[0], w.liveOnNode[1], w.maxLivePPN)
 	}
 	ran := ranSet(w)
 	if len(ran) != 6 || ran[3] || ran[7] {
@@ -46,14 +57,14 @@ func TestShrinkRemovesDeadAndStepsEpoch(t *testing.T) {
 	if w.Epoch() != 1 {
 		t.Fatalf("epoch %d after one shrink, want 1", w.Epoch())
 	}
-	if w.Live(5) || !w.Live(4) {
+	if w.live[5] || !w.live[4] {
 		t.Fatal("wrong liveness after shrink")
 	}
-	if got := w.LiveRanks(); len(got) != 7 {
-		t.Fatalf("LiveRanks = %v", got)
+	if got := liveRanks(w); len(got) != 7 {
+		t.Fatalf("live ranks %v", got)
 	}
-	if w.LiveOnNode(1) != 3 || w.LiveNodes() != 2 {
-		t.Fatalf("node populations %d live nodes %d", w.LiveOnNode(1), w.LiveNodes())
+	if w.liveOnNode[1] != 3 || w.liveNodes != 2 {
+		t.Fatalf("node populations %d live nodes %d", w.liveOnNode[1], w.liveNodes)
 	}
 	// Survivors still run and synchronize: the barriers were rebuilt
 	// over the shrunken populations.
@@ -66,8 +77,8 @@ func TestShrinkRemovesDeadAndStepsEpoch(t *testing.T) {
 func TestShrinkLastRankOfNodeDropsNodeFromBarrier(t *testing.T) {
 	w := testWorld(t, 2)
 	w.Shrink([]int{4, 5, 6, 7})
-	if w.LiveNodes() != 1 || w.LiveOnNode(1) != 0 {
-		t.Fatalf("node 1 still counted: nodes %d, on-node %d", w.LiveNodes(), w.LiveOnNode(1))
+	if w.liveNodes != 1 || w.liveOnNode[1] != 0 {
+		t.Fatalf("node 1 still counted: nodes %d, on-node %d", w.liveNodes, w.liveOnNode[1])
 	}
 	ran := ranSet(w)
 	if len(ran) != 4 {
@@ -82,11 +93,11 @@ func TestPromoteSwapsSpareForDead(t *testing.T) {
 	if w.Epoch() != 1 {
 		t.Fatalf("epoch %d after promote, want 1", w.Epoch())
 	}
-	if !w.Live(3) || w.Live(1) {
+	if !w.live[3] || w.live[1] {
 		t.Fatal("promote did not swap liveness")
 	}
-	if w.LiveOnNode(0) != 3 || w.MaxLivePPN() != 3 {
-		t.Fatalf("populations changed: %d max %d", w.LiveOnNode(0), w.MaxLivePPN())
+	if w.liveOnNode[0] != 3 || w.maxLivePPN != 3 {
+		t.Fatalf("populations changed: %d max %d", w.liveOnNode[0], w.maxLivePPN)
 	}
 	ran := ranSet(w)
 	if ran[1] || !ran[3] || len(ran) != 6 {
@@ -125,7 +136,7 @@ func TestShrunkenWorldStaysDeterministic(t *testing.T) {
 			p.NodeBarrier()
 		})
 		var clocks []float64
-		for _, r := range w.LiveRanks() {
+		for _, r := range liveRanks(w) {
 			clocks = append(clocks, w.Proc(r).Clock())
 		}
 		return clocks

@@ -63,7 +63,6 @@ func (p *Proc) isend(dst, tag int, wireBytes, rawBytes int64, pl *Payload, strea
 	p.checkCrash()
 	m := p.newMessage(tag, wireBytes, rawBytes, streams, pl)
 	p.post(dst, m)
-	p.sentBytes += wireBytes
 	p.countMsg(dst, wireBytes, rawBytes)
 	r := p.getReq()
 	r.sent = m
@@ -96,14 +95,12 @@ func (r *Request) Wait() {
 	}
 	r.done = true
 	p := r.p
-	start := p.clock
 	if !r.isRecv {
 		end := p.await(r.sent)
 		p.putMessage(r.sent)
 		if end > p.clock {
 			p.clock = end
 		}
-		p.commNs += p.clock - start
 		p.putReq(r)
 		return
 	}
@@ -111,16 +108,8 @@ func (r *Request) Wait() {
 	if r.EndNs > p.clock {
 		p.clock = r.EndNs
 	}
-	p.commNs += p.clock - start
 	if r.out != nil {
 		*r.out = r.msg
 	}
 	p.putReq(r)
-}
-
-// WaitAll completes a set of requests in order.
-func WaitAll(reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
 }

@@ -92,12 +92,14 @@ func TestWaitAllOrders(t *testing.T) {
 		case 0:
 			r1 := p.Isend(1, 1, 1024, nil, 1)
 			r2 := p.Isend(1, 2, 1024, nil, 1)
-			WaitAll(r1, r2)
+			r1.Wait()
+			r2.Wait()
 		case 1:
 			var a, b Msg
 			r1 := p.Irecv(0, 1, &a)
 			r2 := p.Irecv(0, 2, &b)
-			WaitAll(r1, r2)
+			r1.Wait()
+			r2.Wait()
 			if a.Tag != 1 || b.Tag != 2 {
 				t.Errorf("tags: %d, %d", a.Tag, b.Tag)
 			}

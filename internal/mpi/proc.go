@@ -40,10 +40,8 @@ type Proc struct {
 	node  int
 	local int // index within the node; equals the socket when bound
 
-	clock     float64 // virtual ns
-	commNs    float64 // cumulative time spent inside Send/Recv/Barrier
-	xportNs   float64 // reliable-transport share of commNs (retransmit waits, holds, acks)
-	sentBytes int64   // cumulative bytes sent by this rank
+	clock   float64 // virtual ns
+	xportNs float64 // cumulative reliable-transport time (retransmit waits, holds, acks)
 
 	// obs is the rank's observability stream; nil (the disabled
 	// recorder) unless World.AttachObs was called.
@@ -107,18 +105,12 @@ func (p *Proc) World() *World { return p.w }
 // Clock returns the rank's virtual time in ns.
 func (p *Proc) Clock() float64 { return p.clock }
 
-// CommNs returns the cumulative virtual time this rank has spent inside
-// communication calls (including waiting for partners).
-func (p *Proc) CommNs() float64 { return p.commNs }
-
-// XportNs returns the reliable transport's cumulative share of CommNs:
-// retransmission waits, resequencer holds and ack round-trips. Zero
-// unless the fault plan declares lossy links. Callers diff it around a
-// communication section to attribute transport stall to a phase.
+// XportNs returns the reliable transport's cumulative share of the
+// rank's communication time: retransmission waits, resequencing holds
+// and ack round-trips. Zero unless the fault plan declares lossy links.
+// Callers diff it around a communication section to attribute transport
+// stall to a phase.
 func (p *Proc) XportNs() float64 { return p.xportNs }
-
-// SentBytes returns the cumulative payload bytes this rank has sent.
-func (p *Proc) SentBytes() int64 { return p.sentBytes }
 
 // Compute advances the rank's clock by ns of modelled computation. A
 // straggler rank's cost is scaled by its plan factor, and a scheduled
@@ -175,14 +167,10 @@ func (p *Proc) SendPayload(dst, tag int, bytes int64, pl Payload, streams int) {
 		panic(fmt.Sprintf("mpi: rank %d send to self", p.rank))
 	}
 	p.checkCrash()
-	start := p.clock
 	m := p.newMessage(tag, bytes, bytes, streams, &pl)
 	p.post(dst, m)
-	end := p.await(m)
+	p.clock = p.await(m)
 	p.putMessage(m)
-	p.clock = end
-	p.commNs += end - start
-	p.sentBytes += bytes
 	p.countMsg(dst, bytes, bytes)
 }
 
@@ -195,11 +183,8 @@ func (p *Proc) Recv(src, tag int) Msg {
 		panic(fmt.Sprintf("mpi: rank %d recv from self", p.rank))
 	}
 	p.checkCrash()
-	start := p.clock
 	var msg Msg
-	_, recvEnd := p.receive(src, tag, p.clock, &msg)
-	p.clock = recvEnd
-	p.commNs += recvEnd - start
+	_, p.clock = p.receive(src, tag, p.clock, &msg)
 	return msg
 }
 
@@ -242,7 +227,6 @@ func (p *Proc) SendRecvWire(dst, sendTag int, pl Payload, src, recvTag int, stre
 
 func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, recvTag int, streams int) (in Msg) {
 	p.checkCrash()
-	start := p.clock
 	m := p.newMessage(sendTag, wire, raw, streams, pl)
 	p.post(dst, m)
 
@@ -252,8 +236,6 @@ func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, rec
 	sendEnd := p.await(m)
 	p.putMessage(m)
 	p.clock = max(recvEnd, sendEnd)
-	p.commNs += p.clock - start
-	p.sentBytes += wire
 	p.countMsg(dst, wire, raw)
 	return in
 }
@@ -273,7 +255,6 @@ func (p *Proc) Barrier() float64 {
 	cost := float64(ceilLog2(p.w.maxLivePPN)) * p.w.cfg.IntraNodeAlphaNs
 	cost += float64(ceilLog2(p.w.liveNodes)) * p.w.cfg.InterNodeAlphaNs
 	p.clock = max + cost
-	p.commNs += p.clock - start
 	p.obs.BarrierWait(max - start)
 	return max - start
 }
@@ -286,7 +267,6 @@ func (p *Proc) NodeBarrier() float64 {
 	max := p.w.nodeBarriers[p.node].sync(p, p.clock)
 	rounds := ceilLog2(p.w.liveOnNode[p.node])
 	p.clock = max + float64(rounds)*p.w.cfg.IntraNodeAlphaNs
-	p.commNs += p.clock - start
 	p.obs.NodeBarrierWait(max - start)
 	return max - start
 }

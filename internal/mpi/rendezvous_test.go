@@ -399,7 +399,8 @@ func TestBackToBackIsendsBlockThenComplete(t *testing.T) {
 				if first.end == 0 {
 					panic("second Isend returned before the first message was received")
 				}
-				WaitAll(r1, r2)
+				r1.Wait()
+				r2.Wait()
 			case 1:
 				a := p.Recv(0, 1)
 				b := p.Recv(0, 2)

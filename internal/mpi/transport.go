@@ -9,15 +9,16 @@ import (
 // This file is the reliable-transport layer under every point-to-point
 // delivery (Recv, SendRecv, Irecv.Wait, and so every collective). When
 // the fault plan declares lossy links (fault.Plan.Loss), inter-node
-// messages travel as sequenced, CRC-protected frames (wire.AppendFrame)
-// and the receiver acknowledges only intact in-order data; dropped or
-// corrupted frames are retransmitted after a timeout with exponential
-// backoff until a retry budget runs out, which surfaces as a
-// *fault.Error (KindLinkLoss) through the same path as a rank crash.
+// messages are priced as sequenced, CRC-protected frames
+// (wire.FrameHeaderBytes) that the receiver acknowledges only when
+// intact and in order; a dropped or corrupted frame — corruption counts
+// as a drop — is retransmitted after a timeout with exponential backoff
+// until a retry budget runs out, which surfaces as a *fault.Error
+// (KindLinkLoss) through the same path as a rank crash.
 //
-// The protocol is charged analytically: the receiver, which prices both
-// sides of a rendezvous, walks the attempt schedule, drawing each
-// frame's fate from the deterministic transport hash
+// No frame is ever built; the protocol is charged analytically: the
+// receiver, which prices both sides of a rendezvous, walks the attempt
+// schedule, drawing each frame's fate from the deterministic transport hash
 // (fault.Injector.TransportDraw) of the message identity and attempt
 // number — never a live counter — and charges every attempt, duplicate
 // and ack to the virtual clock and the simnet ledgers. Fates therefore
@@ -131,8 +132,8 @@ func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd,
 	}
 
 	// Reordering: the frame was overtaken by up to Window successors, so
-	// the resequencer (wire.Resequencer) holds it for the gap to close —
-	// one inter-node alpha per overtaking frame slot.
+	// the receiver holds it for the gap to close — one inter-node alpha
+	// per overtaking frame slot.
 	var reorders int64
 	var hold float64
 	if loss.Reorder > 0 {

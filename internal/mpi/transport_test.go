@@ -66,8 +66,8 @@ func TestTransportIdentityWithoutLossPlan(t *testing.T) {
 		if a, b := base.Proc(r).Clock(), tuned.Proc(r).Clock(); a != b {
 			t.Errorf("rank %d clock %v != %v under tuning-only plan", r, a, b)
 		}
-		if a, b := base.Proc(r).CommNs(), tuned.Proc(r).CommNs(); a != b {
-			t.Errorf("rank %d commNs %v != %v", r, a, b)
+		if x := tuned.Proc(r).XportNs(); x != 0 {
+			t.Errorf("rank %d transport time %v under tuning-only plan", r, x)
 		}
 	}
 	va, vb := base.Net().Volume(), tuned.Net().Volume()
@@ -118,7 +118,7 @@ func TestTransportProtocolCharges(t *testing.T) {
 	if v.Xport.OverheadBytes != wire.FrameHeaderBytes+wire.AckFrameBytes {
 		t.Errorf("overhead %d", v.Xport.OverheadBytes)
 	}
-	if g := v.Goodput(); g != payload {
+	if g := v.InterBytes - v.Xport.OverheadBytes; g != payload {
 		t.Errorf("goodput %d, want %d", g, payload)
 	}
 	if v.Xport.Acks != 1 || v.Xport.Retransmits != 0 || v.Xport.Duplicates != 0 {
@@ -193,7 +193,7 @@ func TestTransportRetransmitTiming(t *testing.T) {
 	if v.Xport.OverheadBytes != wantOverhead {
 		t.Errorf("overhead %d, want %d", v.Xport.OverheadBytes, wantOverhead)
 	}
-	if g := v.Goodput(); g != payload {
+	if g := v.InterBytes - v.Xport.OverheadBytes; g != payload {
 		t.Errorf("goodput %d, want %d", g, payload)
 	}
 }

@@ -291,7 +291,8 @@ func (w *World) AttachObs(s *obs.Session) {
 	}
 }
 
-// ResetClocks zeroes every rank's clock and counters (between BFS roots).
+// ResetClocks zeroes every rank's clock and the network volume (between
+// BFS roots).
 func (w *World) ResetClocks() {
 	if w.obsSess != nil {
 		// Stitch the next run onto the session timeline: everything
@@ -302,16 +303,14 @@ func (w *World) ResetClocks() {
 	w.net.ResetVolume()
 }
 
-// PrepareRecovery zeroes rank clocks and per-rank counters before a
-// crash-recovery attempt, which then restores each clock from the
-// checkpoint (Proc.RestoreClock). Unlike ResetClocks it keeps the
-// observability epoch and the network volume: the lost attempt's
-// traffic really crossed the modelled network.
+// PrepareRecovery zeroes rank clocks before a crash-recovery attempt,
+// which then restores each clock from the checkpoint
+// (Proc.RestoreClock). Unlike ResetClocks it keeps the observability
+// epoch and the network volume: the lost attempt's traffic really
+// crossed the modelled network.
 func (w *World) PrepareRecovery() {
 	for _, p := range w.procs {
 		p.clock = 0
-		p.commNs = 0
-		p.sentBytes = 0
 	}
 }
 
@@ -331,12 +330,4 @@ func (w *World) SharedWords(name string, words int64) []uint64 {
 	s := make([]uint64, words)
 	w.shmRegions[name] = s
 	return s
-}
-
-// DropShared removes a shared region so a later phase can re-create it
-// with a different size.
-func (w *World) DropShared(name string) {
-	w.shmMu.Lock()
-	defer w.shmMu.Unlock()
-	delete(w.shmRegions, name)
 }

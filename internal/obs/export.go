@@ -115,34 +115,11 @@ type jsonlSpan struct {
 	End   float64 `json:"end"`
 }
 
-// commWire mirrors Comm with stable wire names.
-type commWire struct {
-	Msgs             [NumHops]int64   `json:"msgs"`
-	Bytes            [NumHops]int64   `json:"bytes"`
-	RawBytes         [NumHops]int64   `json:"raw_bytes"`
-	Barriers         int64            `json:"barriers,omitempty"`
-	BarrierWaitNs    float64          `json:"barrier_wait_ns,omitempty"`
-	BarrierWaits     []float64        `json:"barrier_waits,omitempty"`
-	NodeBarriers     int64            `json:"node_barriers,omitempty"`
-	NodeBarrierWait  float64          `json:"node_barrier_wait_ns,omitempty"`
-	Collectives      map[string]int64 `json:"collectives,omitempty"`
-	Faults           map[string]int64 `json:"faults,omitempty"`
-	Retransmits      int64            `json:"retransmits,omitempty"`
-	CorruptDetected  int64            `json:"corrupt_detected,omitempty"`
-	DupsDelivered    int64            `json:"dups_delivered,omitempty"`
-	Reordered        int64            `json:"reordered,omitempty"`
-	Acks             int64            `json:"acks,omitempty"`
-	XportOverheadNs  float64          `json:"xport_overhead_ns,omitempty"`
-	XportOverheadBys int64            `json:"xport_overhead_bytes,omitempty"`
-	OverlapHiddenNs  float64          `json:"overlap_hidden_ns,omitempty"`
-	OverlapExposedNs float64          `json:"overlap_exposed_ns,omitempty"`
-}
-
 type jsonlComm struct {
-	T    string   `json:"t"` // "comm"
-	S    int      `json:"s"`
-	R    int      `json:"r"`
-	Comm commWire `json:"comm"`
+	T    string `json:"t"` // "comm"
+	S    int    `json:"s"`
+	R    int    `json:"r"`
+	Comm Comm   `json:"comm"`
 }
 
 type jsonlGauge struct {
@@ -152,34 +129,6 @@ type jsonlGauge struct {
 	G string  `json:"g"`
 	B int64   `json:"b"`
 	V float64 `json:"v"`
-}
-
-func commToWire(c *Comm) commWire {
-	return commWire{
-		Msgs: c.Msgs, Bytes: c.Bytes, RawBytes: c.RawBytes,
-		Barriers: c.Barriers, BarrierWaitNs: c.BarrierWaitNs,
-		BarrierWaits: c.BarrierWaits,
-		NodeBarriers: c.NodeBarriers, NodeBarrierWait: c.NodeBarrierWaitNs,
-		Collectives: c.Collectives, Faults: c.Faults,
-		Retransmits: c.Retransmits, CorruptDetected: c.CorruptDetected,
-		DupsDelivered: c.DupsDelivered, Reordered: c.Reordered, Acks: c.Acks,
-		XportOverheadNs: c.XportOverheadNs, XportOverheadBys: c.XportOverheadBys,
-		OverlapHiddenNs: c.OverlapHiddenNs, OverlapExposedNs: c.OverlapExposedNs,
-	}
-}
-
-func wireToComm(w *commWire) Comm {
-	return Comm{
-		Msgs: w.Msgs, Bytes: w.Bytes, RawBytes: w.RawBytes,
-		Barriers: w.Barriers, BarrierWaitNs: w.BarrierWaitNs,
-		BarrierWaits: w.BarrierWaits,
-		NodeBarriers: w.NodeBarriers, NodeBarrierWaitNs: w.NodeBarrierWait,
-		Collectives: w.Collectives, Faults: w.Faults,
-		Retransmits: w.Retransmits, CorruptDetected: w.CorruptDetected,
-		DupsDelivered: w.DupsDelivered, Reordered: w.Reordered, Acks: w.Acks,
-		XportOverheadNs: w.XportOverheadNs, XportOverheadBys: w.XportOverheadBys,
-		OverlapHiddenNs: w.OverlapHiddenNs, OverlapExposedNs: w.OverlapExposedNs,
-	}
 }
 
 // WriteJSONL writes the run as a JSONL event stream: for each session a
@@ -211,7 +160,7 @@ func (run *Run) WriteJSONL(w io.Writer) error {
 				}
 			}
 			if err := enc.Encode(jsonlComm{
-				T: "comm", S: si, R: ri, Comm: commToWire(&rk.Comm),
+				T: "comm", S: si, R: ri, Comm: rk.Comm,
 			}); err != nil {
 				return err
 			}
@@ -319,7 +268,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 			if err != nil {
 				return nil, err
 			}
-			rk.Comm = wireToComm(&l.Comm)
+			rk.Comm = l.Comm
 		case "gauge":
 			var l jsonlGauge
 			if err := json.Unmarshal(line, &l); err != nil {

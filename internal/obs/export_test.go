@@ -32,6 +32,7 @@ func sampledRecorder() *Recorder {
 	r0.LinkTransfer(true, 500, 120, 200)
 	r0.CountMsg(HopInterNode, 500, 800)
 	r0.BarrierWait(12)
+	r0.NodeBarrierWait(8)
 
 	r1.PhaseSpan(trace.BUComp, 0, 0, 90)
 	r1.PhaseSpan(trace.Stall, 0, 90, 200)
@@ -46,7 +47,7 @@ func sampledRecorder() *Recorder {
 	s.Advance(200)
 	r0.PhaseSpan(trace.TDComp, 1, 0, 50)
 	r0.Sample(GaugeFrontier, 50, 8)
-	r1.Xport(2, 1, 0, 1, 3, 96, 44)
+	r1.Xport(2, 1, 1, 1, 3, 96, 44)
 	r1.Sample(GaugeRetransBacklog, 20, 2)
 
 	s2 := rec.NewSession("plain")
@@ -72,9 +73,25 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTimelineGolden pins the JSONL bytes. The fixture sets every Comm
+// field on some rank, so a renamed or mistyped JSON tag changes the
+// golden instead of silently dropping a counter.
 func TestTimelineGolden(t *testing.T) {
+	run := sampledRecorder().Dump()
+	ct := reflect.TypeOf(Comm{})
+	for i := 0; i < ct.NumField(); i++ {
+		set := false
+		for _, s := range run.Sessions {
+			for _, rk := range s.Ranks {
+				set = set || !reflect.ValueOf(rk.Comm).Field(i).IsZero()
+			}
+		}
+		if !set {
+			t.Errorf("fixture leaves Comm.%s zero on every rank", ct.Field(i).Name)
+		}
+	}
 	var buf bytes.Buffer
-	if err := sampledRecorder().Dump().WriteJSONL(&buf); err != nil {
+	if err := run.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "timeline_golden.jsonl", buf.Bytes())

@@ -97,7 +97,8 @@ type Span struct {
 	End   float64
 }
 
-// Comm accumulates one rank's communication counters.
+// Comm accumulates one rank's communication counters. Its JSON field
+// names are the timeline's wire format (the "comm" line of WriteJSONL).
 type Comm struct {
 	// Msgs and Bytes count sender-side point-to-point transfers by hop
 	// class (each message is counted once, at its sender). Bytes is the
@@ -105,38 +106,38 @@ type Comm struct {
 	// (pre-compression) size, equal to Bytes except for the encoded
 	// payloads of the compressed allgather, where the gap between the
 	// two is the compression saving.
-	Msgs     [NumHops]int64
-	Bytes    [NumHops]int64
-	RawBytes [NumHops]int64
+	Msgs     [NumHops]int64 `json:"msgs"`
+	Bytes    [NumHops]int64 `json:"bytes"`
+	RawBytes [NumHops]int64 `json:"raw_bytes"`
 	// Barriers counts global barrier entries; BarrierWaitNs sums the
 	// rank's wait (arrival to last arrival) and BarrierWaits keeps the
 	// individual samples for percentile reporting.
-	Barriers      int64
-	BarrierWaitNs float64
-	BarrierWaits  []float64
+	Barriers      int64     `json:"barriers,omitempty"`
+	BarrierWaitNs float64   `json:"barrier_wait_ns,omitempty"`
+	BarrierWaits  []float64 `json:"barrier_waits,omitempty"`
 	// NodeBarriers / NodeBarrierWaitNs are the node-scoped equivalents
 	// (shared-memory epochs).
-	NodeBarriers      int64
-	NodeBarrierWaitNs float64
+	NodeBarriers      int64   `json:"node_barriers,omitempty"`
+	NodeBarrierWaitNs float64 `json:"node_barrier_wait_ns,omitempty"`
 	// Collectives counts collective calls by name.
-	Collectives map[string]int64
+	Collectives map[string]int64 `json:"collectives,omitempty"`
 	// Faults counts injected-fault events by kind ("crash", "recover").
-	Faults map[string]int64
+	Faults map[string]int64 `json:"faults,omitempty"`
 	// Reliable-transport counters, filled only under a loss plan. The
 	// receiver of a message records its protocol outcomes, so per-rank
 	// values attribute transport work to the rank that waited for it.
-	Retransmits      int64   // data frames received beyond each message's first attempt
-	CorruptDetected  int64   // frames that failed the CRC (handled as drops)
-	DupsDelivered    int64   // duplicate frame deliveries discarded
-	Reordered        int64   // frames held for resequencing
-	Acks             int64   // ack frames sent back to the sender
-	XportOverheadNs  float64 // extra delivery latency versus a clean link (retransmit waits, holds, acks)
-	XportOverheadBys int64   // protocol bytes (headers, retransmits, dups, acks) this rank received
+	Retransmits      int64   `json:"retransmits,omitempty"`          // data frames received beyond each message's first attempt
+	CorruptDetected  int64   `json:"corrupt_detected,omitempty"`     // frames that failed the CRC (handled as drops)
+	DupsDelivered    int64   `json:"dups_delivered,omitempty"`       // duplicate frame deliveries discarded
+	Reordered        int64   `json:"reordered,omitempty"`            // frames held for resequencing
+	Acks             int64   `json:"acks,omitempty"`                 // ack frames sent back to the sender
+	XportOverheadNs  float64 `json:"xport_overhead_ns,omitempty"`    // extra delivery latency versus a clean link (retransmit waits, holds, acks)
+	XportOverheadBys int64   `json:"xport_overhead_bytes,omitempty"` // protocol bytes (headers, retransmits, dups, acks) this rank received
 	// Pipelined-allgather overlap counters (OptOverlapAllgather): transfer
 	// time hidden under the rank's own decode/scan versus time the rank
 	// stalled in Wait for it. Zero for every non-pipelined collective.
-	OverlapHiddenNs  float64
-	OverlapExposedNs float64
+	OverlapHiddenNs  float64 `json:"overlap_hidden_ns,omitempty"`
+	OverlapExposedNs float64 `json:"overlap_exposed_ns,omitempty"`
 }
 
 // merge adds o's counters into c (BarrierWaits samples included).

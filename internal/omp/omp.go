@@ -104,12 +104,6 @@ func (t Team) ForBalanced(items, chunk int64, load machine.PhaseLoad) float64 {
 	return t.Cfg.PhaseTime(load, eff, t.SocketsUsed, t.BWShare)
 }
 
-// Serial charges a region executed by a single thread of the team (e.g.
-// the rank's summary rebuild between communication steps).
-func (t Team) Serial(load machine.PhaseLoad) float64 {
-	return t.Cfg.PhaseTime(load, 1, t.SocketsUsed, t.BWShare)
-}
-
 // Parallel charges a region executed by the whole team with perfect
 // balance (e.g. a bulk bitmap conversion).
 func (t Team) Parallel(load machine.PhaseLoad) float64 {

@@ -96,7 +96,7 @@ func TestForBalancedLimitsWorkers(t *testing.T) {
 	if one <= all {
 		t.Fatalf("few-item region (%g) should cost more than well-split one (%g)", one, all)
 	}
-	serial := tm.Serial(load)
+	serial := tm.Cfg.PhaseTime(load, 1, tm.SocketsUsed, tm.BWShare)
 	if diff := one - serial; diff < -1e-9 || diff > 1e-9 {
 		t.Fatalf("single-chunk region %g != serial %g", one, serial)
 	}
@@ -105,7 +105,7 @@ func TestForBalancedLimitsWorkers(t *testing.T) {
 func TestSerialAndParallel(t *testing.T) {
 	tm := team(8)
 	load := machine.PhaseLoad{CPUOps: 800}
-	s, p := tm.Serial(load), tm.Parallel(load)
+	s, p := tm.Cfg.PhaseTime(load, 1, tm.SocketsUsed, tm.BWShare), tm.Parallel(load)
 	if s <= p {
 		t.Fatalf("serial %g should exceed parallel %g", s, p)
 	}

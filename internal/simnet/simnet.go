@@ -74,9 +74,6 @@ func New(cfg machine.Config) *Network {
 	return n
 }
 
-// Config returns the machine configuration the network models.
-func (n *Network) Config() machine.Config { return n.cfg }
-
 // Injector returns the network's current fault injector.
 func (n *Network) Injector() *fault.Injector { return n.inj.Load() }
 
@@ -86,23 +83,6 @@ func (n *Network) Injector() *fault.Injector { return n.inj.Load() }
 // is charged consistently under exactly one of the two injectors; for
 // deterministic results, still install plans only between runs.
 func (n *Network) SetInjector(inj *fault.Injector) { n.inj.Store(inj) }
-
-// InterNodeBandwidth returns the per-stream bandwidth (bytes/ns) of a
-// transfer between srcNode and dstNode when `streams` same-node ranks
-// drive each NIC concurrently, at virtual time zero.
-func (n *Network) InterNodeBandwidth(srcNode, dstNode, streams int) float64 {
-	return n.InterNodeBandwidthAt(0, srcNode, dstNode, streams)
-}
-
-// InterNodeBandwidthAt is InterNodeBandwidth at virtual time `at`, when
-// scheduled fault events may degrade the link.
-func (n *Network) InterNodeBandwidthAt(at float64, srcNode, dstNode, streams int) float64 {
-	bw := n.cfg.StreamBandwidth(streams)
-	if f := n.inj.Load().LinkFactor(srcNode, dstNode, at); f != 1 {
-		bw *= f
-	}
-	return bw
-}
 
 // PeakStreamBandwidth returns the undegraded inter-node bandwidth
 // (bytes/ns) a single rank's stream can drive — the normalization
@@ -221,11 +201,6 @@ type Volume struct {
 	Xport Xport
 }
 
-// Goodput returns the inter-node payload bytes: wire volume minus
-// reliable-transport protocol overhead. Without a loss plan it equals
-// InterBytes exactly.
-func (v Volume) Goodput() int64 { return v.InterBytes - v.Xport.OverheadBytes }
-
 // Volume returns the network's cumulative counters.
 func (n *Network) Volume() Volume {
 	return Volume{
@@ -262,11 +237,4 @@ func (n *Network) ResetVolume() {
 	n.xportDuplicates.Store(0)
 	n.xportReorders.Store(0)
 	n.xportAcks.Store(0)
-}
-
-// NodeBandwidthAt returns the aggregate node-to-node bandwidth achieved
-// when k ranks per node communicate simultaneously: k streams at the
-// shared-NIC rate. This is the curve of Fig. 4.
-func (n *Network) NodeBandwidthAt(k int) float64 {
-	return float64(k) * n.cfg.StreamBandwidth(k)
 }

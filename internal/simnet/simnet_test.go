@@ -8,15 +8,17 @@ import (
 	"numabfs/internal/machine"
 )
 
-func testNet() *Network {
+func testConfig() machine.Config {
 	cfg := machine.TableI()
 	cfg.WeakNode = -1
-	return New(cfg)
+	return cfg
 }
 
+func testNet() *Network { return New(testConfig()) }
+
 func TestTransferTimeComponents(t *testing.T) {
-	n := testNet()
-	cfg := n.Config()
+	cfg := testConfig()
+	n := New(cfg)
 	// Zero-byte transfers pay only alpha.
 	if got := n.TransferTime(0, 0, 1, 1); got != cfg.InterNodeAlphaNs {
 		t.Fatalf("zero-byte inter = %g, want alpha %g", got, cfg.InterNodeAlphaNs)
@@ -84,17 +86,18 @@ func TestVolumeCounters(t *testing.T) {
 }
 
 func TestNodeBandwidthCurve(t *testing.T) {
-	// Fig. 4's shape: monotone rise to the two-port peak.
-	n := testNet()
+	// Fig. 4's shape: k streams at the shared-NIC rate the transfers are
+	// priced at rise monotonically to the two-port peak.
+	cfg := testConfig()
 	prev := 0.0
 	for k := 1; k <= 8; k++ {
-		bw := n.NodeBandwidthAt(k)
+		bw := float64(k) * cfg.StreamBandwidth(k)
 		if bw < prev {
 			t.Fatalf("bandwidth curve not monotone at %d streams", k)
 		}
 		prev = bw
 	}
-	if peak := n.Config().NodeIBBandwidth(); prev != peak {
+	if peak := cfg.NodeIBBandwidth(); prev != peak {
 		t.Fatalf("8 streams reach %g, want peak %g", prev, peak)
 	}
 }
@@ -171,7 +174,7 @@ func TestXportLedger(t *testing.T) {
 	}
 	n.CountXportOverhead(48)
 	n.CountXportEvents(3, 1, 2, 1, 5)
-	wire := n.TransferTime(1000, 0, 1, 1) // payload charge, for Goodput below
+	wire := n.TransferTime(1000, 0, 1, 1)
 	if wire <= 0 {
 		t.Fatal("transfer charged no time")
 	}
@@ -180,8 +183,10 @@ func TestXportLedger(t *testing.T) {
 	if v.Xport != want {
 		t.Fatalf("xport = %+v, want %+v", v.Xport, want)
 	}
-	if g := v.Goodput(); g != v.InterBytes-48 {
-		t.Fatalf("goodput %d, want inter %d - overhead 48", g, v.InterBytes)
+	// The overhead ledger sits beside the wire volume: counting it adds
+	// no bytes to InterBytes, which only the transfer charged.
+	if v.InterBytes != 1000 {
+		t.Fatalf("inter bytes %d, want the transfer's 1000", v.InterBytes)
 	}
 	n.ResetVolume()
 	if n.Volume().Xport != (Xport{}) {
@@ -204,7 +209,6 @@ func TestSetInjectorConcurrentWithTransfers(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
 			n.TransferTimeAt(float64(i), 4096, 0, 1, 1)
-			n.InterNodeBandwidthAt(float64(i), 0, 1, 1)
 		}
 	}()
 	for i := 0; i < 1000; i++ {

@@ -38,21 +38,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs (n-1 denominator),
-// or 0 when fewer than two samples are present.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Min returns the minimum of xs. NOTE: for an empty slice it returns
 // +Inf (the identity of min), not 0 — callers that can see empty inputs
 // must guard before formatting or comparing the result.
@@ -107,13 +92,4 @@ func Quantile(xs []float64, q float64) float64 {
 // 0 for an empty slice; p is clamped to [0, 100].
 func Percentile(xs []float64, p float64) float64 {
 	return Quantile(xs, p/100)
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
 }

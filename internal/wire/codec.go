@@ -39,15 +39,6 @@ func (s *Stats) Add(o Stats) {
 	s.WireBytes += o.WireBytes
 }
 
-// Ratio returns wire bytes over raw bytes, or 1 when nothing was
-// encoded.
-func (s Stats) Ratio() float64 {
-	if s.RawBytes == 0 {
-		return 1
-	}
-	return float64(s.WireBytes) / float64(s.RawBytes)
-}
-
 // Codec encodes and decodes segments for one rank, charging the
 // modelled CPU cost of every pass through the machine cost model (the
 // rank's whole thread team streams the words, like the uncompressed

@@ -115,17 +115,3 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 func (x *Xoshiro256) Int63() int64 {
 	return int64(x.Uint64() >> 1)
 }
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice of int64,
-// built with the Fisher-Yates shuffle.
-func (x *Xoshiro256) Perm(n int64) []int64 {
-	p := make([]int64, n)
-	for i := int64(0); i < n; i++ {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int64(x.Uint64n(uint64(i + 1)))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -2,7 +2,6 @@ package xrand
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64PinnedValues(t *testing.T) {
@@ -89,27 +88,6 @@ func TestUint64nRoughlyUniform(t *testing.T) {
 		if c < iters/n*8/10 || c > iters/n*12/10 {
 			t.Fatalf("bucket %d has %d of %d draws", b, c, iters)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nSmall uint8) bool {
-		n := int64(nSmall%64) + 1
-		p := NewXoshiro256(seed).Perm(n)
-		if int64(len(p)) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
