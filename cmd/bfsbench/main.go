@@ -341,6 +341,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bfsbench: -parallel must be at least 1")
 		os.Exit(2)
 	}
+	if *roots < 1 {
+		fmt.Fprintln(os.Stderr, "bfsbench: -roots must be at least 1")
+		os.Exit(2)
+	}
 
 	// Profiles stop/write exactly once, whether main falls off the end,
 	// returns from the bench-check path, or exits on a failed check.

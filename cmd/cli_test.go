@@ -74,6 +74,38 @@ func TestRootCountAboveRootedVertices(t *testing.T) {
 	}
 }
 
+// TestRootCountBelowOne: -roots below 1 used to panic in
+// rmat.Params.Roots (negative) or run the default 64 roots while
+// printing roots=0 (zero). Both CLIs that take -roots must print one
+// line and exit 2.
+func TestRootCountBelowOne(t *testing.T) {
+	bin := buildCLIs(t, "./graph500", "./bfsbench")
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"graph500", []string{"-scale", "10", "-roots", "-1"}},
+		{"graph500", []string{"-scale", "10", "-roots", "0"}},
+		{"bfsbench", []string{"-fig", "11", "-scale", "10", "-roots", "-1"}},
+		{"bfsbench", []string{"-fig", "2d", "-scale", "10", "-roots", "0"}},
+	} {
+		t.Run(c.name+" "+strings.Join(c.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, c.name), c.args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit: %v, want status 2\nstderr: %s", err, &stderr)
+			}
+			msg := strings.TrimSpace(stderr.String())
+			if stdout.Len() != 0 || msg != c.name+": -roots must be at least 1" {
+				t.Fatalf("stdout %q; stderr is not the one-line message:\n%s", &stdout, msg)
+			}
+		})
+	}
+}
+
 // TestTimelineReportMatchesMetrics: -timeline is the producers' one
 // observability export, so obsdiff's report of the file must be the
 // very report block -metrics printed in the same run.

@@ -85,6 +85,10 @@ func main() {
 	timelineOut := flag.String("timeline", "", "write the run timeline (spans, counters, gauges) as a JSONL event stream to this file; obsdiff renders it (report, chrome, html, prom) and diffs two of them")
 	flag.Parse()
 
+	if *roots < 1 {
+		fmt.Fprintln(os.Stderr, "graph500: -roots must be at least 1")
+		os.Exit(2)
+	}
 	pol, ok := machine.PolicyNames[*policy]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "graph500: unknown policy %q\n", *policy)

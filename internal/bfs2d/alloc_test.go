@@ -9,7 +9,6 @@ package bfs2d
 import (
 	"testing"
 
-	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
 
@@ -21,13 +20,7 @@ func rootAllocs2D(t *testing.T) float64 {
 	t.Helper()
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Mode = ModeHybrid
-	r.Compress = true
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeHybrid, true)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	r.RunRoot(root)
 	r.RunRoot(root)

@@ -93,6 +93,9 @@ type Runner struct {
 	// from the root with clocks floored at detection time — the 2-D
 	// engine keeps no level-boundary checkpoints.
 	chassis.Core
+	// Graph holds one CSR per grid cell, in cell order: the column's
+	// vertex range, restricted to the cell's grid row.
+	chassis.Graph
 	Grid Grid
 
 	// Compress routes the level loop's collectives through the wire
@@ -243,6 +246,7 @@ func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, param
 		return nil, fmt.Errorf("bfs2d: %d vertices not divisible by %d grid cells", n, cells)
 	}
 	r.blockSize = n / int64(cells)
+	r.Graph = chassis.NewGraph(cells)
 	r.cellRank = make([]int, cells)
 	r.rankCell = make([]int, np)
 	for c := 0; c < cells; c++ {

@@ -4,11 +4,37 @@ import (
 	"fmt"
 	"testing"
 
+	"numabfs/internal/chassis"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 	"numabfs/internal/rmat"
 )
+
+// graphs shares kernel 1 across the package's tests, which build the
+// same few R-MAT grids over and over; a hit is bit-identical to a fresh
+// build, SetupNs included (chassis.GraphCache). Tests of construction
+// (TestSetupGolden), of determinism across repeats and host core counts
+// (TestBFS2DDeterministic, TestBFS2DDeterministicWithTracing) and tests
+// that record construction into an obs session build their own.
+var graphs = chassis.NewGraphCache()
+
+// setUp builds a ppn=8 runner on grid with the last spares ranks
+// parked, sets its direction policy and compression, and runs its Setup
+// through graphs.
+func setUp(t testing.TB, cfg machine.Config, grid Grid, params rmat.Params, spares int, mode Mode, compress bool) *Runner {
+	t.Helper()
+	r, err := NewRunnerSpares(cfg, machine.PPN8Bind, grid, params, spares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Mode, r.Compress = mode, compress
+	k := chassis.GraphKey{Machine: cfg, Policy: machine.PPN8Bind, Params: params, Dedup: true, Spares: spares, Grid: grid}
+	if err := graphs.Setup(k, &r.Core, &r.Graph, r.Setup); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func testConfig(scale, nodes, sockets int) machine.Config {
 	cfg := machine.Scaled(scale, scale+12)
@@ -81,11 +107,7 @@ func TestBFS2DMatchesReference(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%dx%d-grid%dx%d", geo.nodes, geo.sockets, geo.grid.R, geo.grid.C)
 		t.Run(name, func(t *testing.T) {
-			r, err := NewRunner(testConfig(scale, geo.nodes, geo.sockets), machine.PPN8Bind, geo.grid, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Setup()
+			r := setUp(t, testConfig(scale, geo.nodes, geo.sockets), geo.grid, params, 0, ModeTopDown, false)
 			for _, root := range roots {
 				res := r.RunRoot(root)
 				wantLevel, _ := graph.ReferenceBFS(ref, root)
@@ -141,11 +163,7 @@ func TestBFS2DDegenerateGrids(t *testing.T) {
 	wantLevel, _ := graph.ReferenceBFS(ref, root)
 
 	for _, grid := range []Grid{{R: 1, C: 8}, {R: 8, C: 1}} {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, grid, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), grid, params, 0, ModeTopDown, false)
 		r.RunRoot(root)
 		got := r.Levels(root)
 		for v := range got {
@@ -161,11 +179,7 @@ func TestBFS2DDedupCutsFoldTraffic(t *testing.T) {
 	// traffic strictly smaller than the raw edge count would imply.
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeTopDown, false)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	res := r.RunRoot(root)
 	// An undeduplicated fold would move ~16 bytes per traversed directed
@@ -184,11 +198,7 @@ func TestBFS2DSingleRank(t *testing.T) {
 	root := params.Roots(1, ref.HasEdge)[0]
 	wantLevel, _ := graph.ReferenceBFS(ref, root)
 
-	r, err := NewRunner(testConfig(scale, 1, 1), machine.PPN8Bind, Grid{R: 1, C: 1}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 1, 1), Grid{R: 1, C: 1}, params, 0, ModeTopDown, false)
 	r.RunRoot(root)
 	got := r.Levels(root)
 	for v := range got {
@@ -260,13 +270,7 @@ func TestBFS2DCompressedEquivalence(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
 	build := func(compress bool) *Runner {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Compress = compress
-		r.Setup()
-		return r
+		return setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeTopDown, compress)
 	}
 	plain := build(false)
 	comp := build(true)

@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"numabfs/internal/fault"
+	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 	"numabfs/internal/rmat"
@@ -42,13 +44,7 @@ func runWithPlan2D(t *testing.T, mode Mode, compress bool, plan *fault.Plan) (*R
 	t.Helper()
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Mode = mode
-	r.Compress = compress
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, mode, compress)
 	if plan != nil {
 		if err := r.InjectFaults(*plan); err != nil {
 			t.Fatal(err)
@@ -341,12 +337,7 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 	build := func() *Runner {
 		// 8 ranks, 4 parked spares: the 4 grid cells divide the 4096
 		// vertices evenly.
-		r, err := NewRunnerSpares(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 2}, params, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Setup()
-		return r
+		return setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeTopDown, false)
 	}
 
 	clean := build()
@@ -413,11 +404,7 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 
 	// No spares: a permanent crash falls back to the historical
 	// rerun-in-place, epoch untouched.
-	r4, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4.Setup()
+	r4 := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeTopDown, false)
 	if err := r4.InjectFaults(fault.Plan{Crashes: []fault.Crash{
 		{Rank: 2, AtNs: 0.5 * cleanRes.TimeNs, Permanent: true},
 	}}); err != nil {
@@ -432,14 +419,11 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 // TestSpareGridValidates2D: the Graph500 tree rules hold on the
 // remapped grid, including when cell 0 itself is remapped (the
 // cell→rank table, not rank arithmetic, must drive block ownership).
+// Tree edges are checked against the sequential global build.
 func TestSpareGridValidates2D(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r, err := NewRunnerSpares(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 2}, params, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeTopDown, false)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	probe := r.RunRoot(root)
 	if err := r.InjectFaults(fault.Plan{Crashes: []fault.Crash{
@@ -451,6 +435,7 @@ func TestSpareGridValidates2D(t *testing.T) {
 	if res.Epoch != 1 {
 		t.Fatalf("epoch %d, want 1", res.Epoch)
 	}
+	g := graph.BuildGlobal(params, true)
 	parent, level := r.Parents(), r.Levels(root)
 	if parent[root] != root || level[root] != 0 {
 		t.Fatalf("root: parent %d level %d", parent[root], level[root])
@@ -460,7 +445,7 @@ func TestSpareGridValidates2D(t *testing.T) {
 		if pv < 0 || v == root {
 			continue
 		}
-		if !r.HasEdge(v, pv) {
+		if _, ok := slices.BinarySearch(g.Neighbors(v), uint32(pv)); !ok {
 			t.Fatalf("tree edge (%d, %d) is not a graph edge", v, pv)
 		}
 		if level[v] != level[pv]+1 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"numabfs/internal/graph"
-	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
 
@@ -23,13 +22,7 @@ func TestBFS2DModesMatchReference(t *testing.T) {
 			for _, grid := range []Grid{{R: 2, C: 4}, {R: 4, C: 2}, {R: 1, C: 8}, {R: 8, C: 1}} {
 				name := fmt.Sprintf("%s-compress=%v-grid%dx%d", mode, compress, grid.R, grid.C)
 				t.Run(name, func(t *testing.T) {
-					r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, grid, params)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.Mode = mode
-					r.Compress = compress
-					r.Setup()
+					r := setUp(t, testConfig(scale, 2, 4), grid, params, 0, mode, compress)
 					for _, root := range roots {
 						res := r.RunRoot(root)
 						wantLevel, _ := graph.ReferenceBFS(ref, root)
@@ -68,12 +61,7 @@ func TestBFS2DModesMatchReference(t *testing.T) {
 func TestBFS2DHybridSwitches(t *testing.T) {
 	const scale = 14
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Mode = ModeHybrid
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeHybrid, false)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	res := r.RunRoot(root)
 	if res.Breakdown.BULevels == 0 {
@@ -116,11 +104,7 @@ func TestBFS2DHybridSwitches(t *testing.T) {
 func TestBFS2DLegacyUnchanged(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 4}, params, 0, ModeTopDown, false)
 	a := r.RunRoot(params.Roots(1, r.HasEdgeGlobal)[0])
 	if a.Xport != (RootResult{}.Xport) || a.Wire.RawBytes != 0 || len(a.Faults) != 0 {
 		t.Fatalf("clean top-down run has nonzero fault/wire ledgers: %+v", a)

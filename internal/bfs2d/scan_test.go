@@ -75,12 +75,7 @@ func referenceBUScanFold(rs *rankState, chunks *[]machine.PhaseLoad) omp.Result 
 func scanRunner2D(t *testing.T, in testgraphs.Input, grid Grid, g int64) *Runner {
 	t.Helper()
 	const scale = 12
-	r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, grid, rmat.Graph500(scale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Mode = ModeBottomUp
-	r.Setup()
+	r := setUp(t, testConfig(scale, 2, 4), grid, rmat.Graph500(scale), 0, ModeBottomUp, false)
 	// As in Setup: adjacency (u, v) lives at (row of v's block, column of u).
 	pairs := in.Route(grid.R*grid.C, func(u, v int64) int {
 		j := int(u / (int64(grid.R) * r.blockSize))
@@ -216,12 +211,7 @@ func TestScanGolden(t *testing.T) {
 	for _, mode := range []Mode{ModeTopDown, ModeHybrid, ModeBottomUp} {
 		for _, compress := range []bool{false, true} {
 			name := fmt.Sprintf("%s compress=%v", mode, compress)
-			r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, DefaultGrid(8), params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Mode, r.Compress = mode, compress
-			r.Setup()
+			r := setUp(t, testConfig(scale, 2, 4), DefaultGrid(8), params, 0, mode, compress)
 			for k, root := range params.Roots(2, r.HasEdgeGlobal) {
 				res := r.RunRoot(root)
 				h := fnv.New64a()

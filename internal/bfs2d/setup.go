@@ -5,16 +5,16 @@ import (
 
 	"numabfs/internal/bitmap"
 	"numabfs/internal/collective"
-	"numabfs/internal/graph"
 	"numabfs/internal/mpi"
 	"numabfs/internal/omp"
 	"numabfs/internal/wire"
 )
 
-// Setup generates the graph and builds the 2-D partitioned adjacency:
-// each rank generates a slice of the R-MAT edge list, routes each
-// directed adjacency (u, v) to the grid rank at (row of v's block,
-// column of u), and builds its local CSR over the column's vertex range.
+// Setup runs kernel 1 on the grid and allocates per-rank BFS state:
+// each cell builds its share of the graph (graph.BuildDistributed,
+// through the chassis Graph so a cached build is reused), routing each
+// directed adjacency (u, v) to the cell at (row of v's block, column of
+// u), and holds a CSR over its column's vertex range.
 func (r *Runner) Setup() {
 	if r.Mode != ModeTopDown {
 		if r.blockSize%64 != 0 {
@@ -25,41 +25,24 @@ func (r *Runner) Setup() {
 		r.colLayout = collective.EvenLayout(colWords, r.Grid.R)
 		r.rowLayout = collective.EvenLayout(rowWords, r.Grid.C)
 	}
-	// Generation and routing are indexed by grid cell, not world rank:
-	// with spares parked only the grid ranks run, and at zero spares
-	// cell == rank so the historical slicing is reproduced exactly.
+	cell := func(u, v int64) int {
+		j := int(u / (int64(r.Grid.R) * r.blockSize))
+		i := int(v/r.blockSize) % r.Grid.R
+		return j*r.Grid.R + i
+	}
+	// The grid group lists the cells in order, so with spares parked
+	// only the grid ranks run, and at zero spares cell == rank.
 	r.W.Run(func(p *mpi.Proc) {
-		cfg := r.cfg
-		cells := r.Grid.R * r.Grid.C
 		me := p.Rank()
-		cell := int64(r.rankCell[me])
-		ne := r.Params.NumEdges()
-		lo := ne * cell / int64(cells)
-		hi := ne * (cell + 1) / int64(cells)
-
-		// Adjacency (u, v) goes to the cell at (row of v's block, column
-		// of u).
-		send := graph.RouteEdges(r.Params, lo, hi, cells, func(u, v int64) int {
-			j := int(u / (int64(r.Grid.R) * r.blockSize))
-			i := int(v/r.blockSize) % r.Grid.R
-			return j*r.Grid.R + i
-		})
-		p.Compute(float64(hi-lo) * float64(r.Params.Scale) * 6 * cfg.CPUOpNs)
-
-		recv := r.grid.AlltoallvInt64(p, send)
-
 		i, j := r.gridOf(me)
 		cLo, cHi := r.colRange(j)
-		width := cHi - cLo
-		csr := graph.BuildCSRFrom(cLo, cHi, recv, true)
+		csr := r.Build(p, r.grid, r.rankCell[me], r.Params, true, cell, cLo, cHi)
 		rs := &rankState{
 			r: r, i: i, j: j,
-			team:   omp.TeamFor(cfg, r.pl),
+			team:   omp.TeamFor(r.cfg, r.pl),
 			rowPtr: csr.RowPtr,
 			col:    csr.Col,
 		}
-		p.Compute(graph.BuildCostNs(cfg, recv, width))
-
 		rs.parent = make([]int64, r.blockSize)
 		if r.Compress {
 			rs.codec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
@@ -69,8 +52,8 @@ func (r *Runner) Setup() {
 			rs.Track(rs.codec, rs.foldCodec)
 		}
 		if r.Mode != ModeTopDown {
-			rs.colVisited = bitmap.New(width)
-			rs.colFront = bitmap.New(width)
+			rs.colVisited = bitmap.New(cHi - cLo)
+			rs.colFront = bitmap.New(cHi - cLo)
 			rs.rowFront = bitmap.New(int64(r.Grid.C) * r.blockSize)
 			rs.rowSum = bitmap.NewSummary(int64(r.Grid.C)*r.blockSize, bitmap.DefaultGranularity)
 			rs.sendCol = make([][]int64, r.Grid.R)
@@ -88,13 +71,7 @@ func (r *Runner) Setup() {
 		}
 		r.states[me] = rs
 	})
-	var edges int64
-	for _, rs := range r.states {
-		if rs != nil {
-			edges += int64(len(rs.col))
-		}
-	}
-	r.EndSetup(edges)
+	r.Built(&r.Core)
 }
 
 // neighbors returns the locally stored adjacency of global vertex u

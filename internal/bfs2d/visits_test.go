@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"numabfs/internal/fault"
-	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
 )
 
@@ -65,13 +64,7 @@ func TestVisitCountersMatchReference2D(t *testing.T) {
 			for _, compress := range []bool{false, true} {
 				name := fmt.Sprintf("grid%dx%d-%s-compress=%v", grid.R, grid.C, mode, compress)
 				t.Run(name, func(t *testing.T) {
-					r, err := NewRunner(testConfig(scale, 4, 4), machine.PPN8Bind, grid, params)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r.Mode = mode
-					r.Compress = compress
-					r.Setup()
+					r := setUp(t, testConfig(scale, 4, 4), grid, params, 0, mode, compress)
 					var toBU, toTD bool
 					for _, root := range params.Roots(3, r.HasEdgeGlobal) {
 						res := r.RunRoot(root)
@@ -113,12 +106,7 @@ func TestVisitCountersThroughRecovery2D(t *testing.T) {
 		})
 	}
 	t.Run("promote", func(t *testing.T) {
-		r, err := NewRunnerSpares(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 2}, params, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Mode = ModeHybrid
-		r.Setup()
+		r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeHybrid, false)
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		clean := r.RunRoot(root)
 		checkVisits(t, r, clean)

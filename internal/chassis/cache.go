@@ -9,14 +9,15 @@ import (
 	"numabfs/internal/rmat"
 )
 
-// GraphCache caches constructed 1-D graphs across runs: experiment
+// GraphCache caches constructed graphs across runs: experiment
 // sweeps rerun many optimization levels and knob settings over the
 // identical R-MAT graph, and kernel 1 (generation + CSR build) is by far
 // the slowest host-time step of a run. Entries are keyed by everything
 // that determines the per-member CSR content and the modelled
 // construction time (GraphKey), so a hit is bit-identical to a fresh
 // build, including SetupNs. Both 1-D engines partition identically, so
-// a graph built by one serves the other.
+// a graph built by one serves the other; a 2-D grid is a layout of its
+// own.
 //
 // Lookups are singleflight so the cache stays deterministic under the
 // parallel experiment runner: the first requester of a key becomes the
@@ -31,8 +32,8 @@ type GraphCache struct {
 	hits, misses atomic.Int64
 }
 
-// GraphKey is everything that determines a 1-D graph's per-member CSRs
-// and its modelled construction time.
+// GraphKey is everything that determines a graph's per-member CSRs and
+// its modelled construction time.
 type GraphKey struct {
 	Machine machine.Config
 	Policy  machine.Policy
@@ -41,6 +42,10 @@ type GraphKey struct {
 	// Spares changes the active member count and with it the partition,
 	// so per-member CSR content differs per spare setting.
 	Spares int
+	// Grid is the 2-D engine's processor grid (bfs2d.Grid), zero for the
+	// 1-D engines. It is the layout: a 1-D partition and a grid of as
+	// many cells hold equally many CSRs of different content.
+	Grid struct{ R, C int }
 }
 
 // graphEntry is one cache slot. ready is closed when the leader commits
@@ -67,7 +72,7 @@ func (c *GraphCache) Stats() (hits, misses int64) {
 // setup): the key's first requester builds and publishes its CSRs and
 // construction time, later ones install the published build first, so
 // their Setup skips kernel 1.
-func (c *GraphCache) Setup(k GraphKey, core *Core, g *Graph1D, setup func()) error {
+func (c *GraphCache) Setup(k GraphKey, core *Core, g *Graph, setup func()) error {
 	if c == nil {
 		setup()
 		return nil

@@ -14,18 +14,23 @@ import (
 const RingThresholdBytes = 512 << 10
 
 // tag space: each collective family uses a distinct, widely spaced base
-// (steps are added to the base) so mismatched programs fail loudly.
+// (steps are added to the base, and stay below the next one) so
+// mismatched programs fail loudly. Every base is in this block.
 const (
-	tagRing      = 0x1000
-	tagRecDouble = 0x2000
-	tagGather    = 0x3000
-	tagBcast     = 0x4000
-	tagAlltoall  = 0x5000
-	tagAllreduce = 0x6000
-	tagRingC     = 0x9000
-	tagListC     = 0xA000
-	tagSeg       = 0xB000
-	tagAlltoallC = 0xC000
+	tagRing       = 0x1000
+	tagRecDouble  = 0x2000
+	tagGather     = 0x3000
+	tagBcast      = 0x4000
+	tagAlltoall   = 0x5000
+	tagAllreduce  = 0x6000
+	tagBruck      = 0x7000
+	tagGatherList = 0x8000
+	tagRingC      = 0x9000
+	tagListC      = 0xA000
+	tagSeg        = 0xB000
+	tagAlltoallC  = 0xC000
+	tagAllreduceV = 0xD000
+	tagPipe       = 0xE000
 )
 
 // Allgather performs an allgatherv over the group into buf: member i's

@@ -6,10 +6,6 @@ import (
 	"numabfs/internal/mpi"
 )
 
-// tagAllreduceV is the lane-vector allreduce's tag base, spaced away from
-// every other collective family (allgather.go's table).
-const tagAllreduceV = 0xD000
-
 // laneVec is the wire payload of AllreduceSumVec64. It travels by value
 // through the message's untyped hatch: boxing into `any` copies the
 // array, so a receiver's read can never race the sender's next mutation

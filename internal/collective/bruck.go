@@ -2,8 +2,6 @@ package collective
 
 import "numabfs/internal/mpi"
 
-const tagBruck = 0x7000
-
 // AllgatherBruck is Bruck's allgather: ceil(log2 n) steps for *any*
 // group size (not just powers of two). At each step a member sends every
 // block it holds to the member `held` positions behind it and receives

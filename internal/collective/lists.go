@@ -5,8 +5,6 @@ import (
 	"numabfs/internal/wire"
 )
 
-const tagGatherList = 0x8000
-
 // The list collectives move variable-length int64 vectors. Both take an
 // optional codec — nil sends raw values; with one every vector travels
 // in the varint-delta list format, encode/decode time charged — and a

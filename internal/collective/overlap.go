@@ -2,8 +2,6 @@ package collective
 
 import "numabfs/internal/mpi"
 
-const tagPipe = 0x9000
-
 // LeaderAllgatherPipelined is a HierKNEM-style overlapped leader
 // allgather (Ma et al., IPDPS'12, discussed in the paper's related
 // work): while the leaders' ring moves node slice k+1 over the network,
@@ -41,12 +39,12 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 		copy(l.seg(stage, me), l.seg(buf, me))
 		p.Compute(float64(l.Counts[me]*8) / cfg.ShmCopyBW)
 		for _, child := range mine[1:] {
-			m := p.Recv(child, tagPipe-1)
+			m := p.Recv(child, tagPipe)
 			copy(l.seg(stage, nc.World.Pos(child)), m.Payload.Words)
 		}
 	} else {
 		seg := l.seg(buf, me)
-		p.SendPayload(nc.leaderOf[p.Node()], tagPipe-1, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
+		p.SendPayload(nc.leaderOf[p.Node()], tagPipe, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
 	}
 	st.GatherNs = p.Clock() - t0
 
@@ -59,13 +57,13 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 	notify := func(c int) {
 		t0 = p.Clock()
 		for _, child := range mine[1:] {
-			p.Send(child, tagPipe+c, 0, nil, len(mine)-1)
+			p.Send(child, tagPipe+1+c, 0, nil, len(mine)-1)
 		}
 		st.BcastNs += p.Clock() - t0
 	}
 	pull := func(c int) {
 		t0 = p.Clock()
-		p.Recv(nc.leaderOf[p.Node()], tagPipe+c)
+		p.Recv(nc.leaderOf[p.Node()], tagPipe+1+c)
 		slice := (nc.nodePos[p.Node()] - c + nNodes) % nNodes
 		lo, hi := nl.Displs[slice], nl.Displs[slice]+nl.Counts[slice]
 		copy(buf[lo:hi], stage[lo:hi])
@@ -87,8 +85,8 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 				recvID := (meL - s - 1 + n) % n
 				seg := nl.seg(stage, sendID)
 				t0 = p.Clock()
-				m := p.SendRecvPayload(next, tagPipe+1000+s, int64(len(seg))*8, mpi.Payload{Words: seg},
-					prev, tagPipe+1000+s, 2)
+				m := p.SendRecvPayload(next, tagPipe+0x800+s, int64(len(seg))*8, mpi.Payload{Words: seg},
+					prev, tagPipe+0x800+s, 2)
 				copy(nl.seg(stage, recvID), m.Payload.Words)
 				st.InterNs += p.Clock() - t0
 				notify(s + 1)

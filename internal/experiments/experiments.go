@@ -8,11 +8,12 @@
 // graph500.Config short of the fields the Spec owns; Spec.collect runs
 // the cells on the parallel runner, and projectors (TEPS, breakdown
 // shares, ratios to a baseline row) turn the results into columns.
-// Drivers that drive mpi or an engine directly — Fig4, Fig6,
-// AblationAllgather, AblationShareDegree, LevelProfile, Timeline,
-// Ext2D, ExtCrossover, ExtMSBFS and ExtMSBFSLoad — measure something a
-// graph500.Result does not carry, and stay plain functions over the
-// same runner.
+// Both engines run on that path: a cell with a Grid runs the 2-D engine
+// (Ext2D, ExtCrossover). Drivers that measure something a
+// graph500.Result does not carry — mpi directly (Fig4, Fig6,
+// AblationAllgather, AblationShareDegree), the recorded gauges
+// (Timeline) or the batched engine (ExtMSBFS, ExtMSBFSLoad) — stay
+// plain functions over the same runner.
 //
 // The paper runs graphs of scale 28 (one node) to 32 (sixteen nodes,
 // weak scaling). The drivers run the same sweeps at laptop scales on the
@@ -59,14 +60,14 @@ type Spec struct {
 	// (internal/fault) to every graph500 cell the driver runs — the
 	// bfsbench -fault flag. ExtFaults, ExtLoss and ExtAvailability build
 	// their own plans and ignore it; Fig4, Fig6, AblationAllgather,
-	// AblationShareDegree, LevelProfile, Ext2D, ExtCrossover, ExtMSBFS
-	// and ExtMSBFSLoad drive mpi or an engine directly and run
-	// fault-free.
+	// AblationShareDegree, ExtMSBFS and ExtMSBFSLoad drive mpi or the
+	// batched engine directly and run fault-free.
 	Faults *fault.Plan
 	// Cache, when non-nil, shares constructed graphs across every cell
 	// the driver runs: cells differing only in optimization level, knobs
 	// or fault plan rebuild the identical R-MAT graph, so kernel 1 runs
-	// once per (scale, ranks) and later cells reuse it bit-identically.
+	// once per (scale, ranks, layout) — the 1-D partition or a 2-D grid —
+	// and later cells reuse it bit-identically.
 	Cache *chassis.GraphCache
 	// Parallel is the host-parallel width of the cell runner: how many
 	// benchmark cells (variant × node-count × policy) run concurrently on

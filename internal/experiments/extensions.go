@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"numabfs/internal/bfs"
-	"numabfs/internal/bfs2d"
 	"numabfs/internal/graph500"
+	"numabfs/internal/machine"
 )
 
 // Ext2D compares the paper's 1-D hybrid BFS against the two-dimensional
@@ -24,41 +24,37 @@ func Ext2D(s Spec) (*Table, error) {
 		Columns: nodeColumns(nodesSweep),
 	}
 
-	// Cells: series-major — 1-D top-down, 1-D hybrid, 2-D.
-	modes := []bfs.Mode{bfs.ModeTopDown, bfs.ModeHybrid}
-	var cells []string
-	for _, series := range []string{"1-D " + modes[0].String(), "1-D " + modes[1].String(), "2-D"} {
-		for _, nodes := range nodesSweep {
-			cells = append(cells, fmt.Sprintf("%s/%dn", series, nodes))
-		}
-	}
-	points, err := gather(s, cells, func(cs Spec, i int) (engineStats, error) {
-		series, nodes := i/len(nodesSweep), nodesSweep[i%len(nodesSweep)]
-		if series == len(modes) {
-			return cs.run2D("ext2d", nodes, bfs2d.ModeTopDown, false, false)
-		}
+	// Cells: series-major — 1-D top-down, 1-D hybrid, 2-D top-down
+	// (uncompressed, at OptOriginal).
+	series := []string{"1-D top-down", "1-D hybrid", "2-D"}
+	cells := cross(series, nodesSweep, func(name string, nodes int) cell {
 		opts := bfs.DefaultOptions()
-		opts.Mode = modes[series]
-		return cs.run1D(fmt.Sprintf("ext2d 1-D %s nodes=%d", opts.Mode, nodes), nodes, opts, false)
+		if name != "1-D hybrid" {
+			opts.Mode = bfs.ModeTopDown
+		}
+		c := cell{fmt.Sprintf("%s/%dn", name, nodes), s.config(nodes, machine.PPN8Bind, opts)}
+		if name == "2-D" {
+			c.cfg.Grid = gridFor(c.cfg.Machine)
+		}
+		return c
 	})
+	res, err := s.collect(cells)
 	if err != nil {
 		return nil, err
 	}
 
-	grid := rows(points, len(nodesSweep))
+	grid := rows(res, len(nodesSweep))
 	td, hy, d2 := grid[0], grid[1], grid[2]
-	tepsOf := func(p engineStats) float64 { return p.teps }
-	commOf := func(p engineStats) float64 { return p.commMB }
-	t.AddRow("1-D top-down TEPS", project(td, tepsOf)...)
-	t.AddRow("2-D top-down TEPS", project(d2, tepsOf)...)
-	t.AddRow("1-D hybrid TEPS", project(hy, tepsOf)...)
-	t.AddRow("1-D top-down comm MB", project(td, commOf)...)
-	t.AddRow("2-D top-down comm MB", project(d2, commOf)...)
-	t.AddRow("1-D hybrid comm MB", project(hy, commOf)...)
+	t.AddRow("1-D top-down TEPS", project(td, teps)...)
+	t.AddRow("2-D top-down TEPS", project(d2, teps)...)
+	t.AddRow("1-D hybrid TEPS", project(hy, teps)...)
+	t.AddRow("1-D top-down comm MB", project(td, wireMB)...)
+	t.AddRow("2-D top-down comm MB", project(d2, wireMB)...)
+	t.AddRow("1-D hybrid comm MB", project(hy, wireMB)...)
 	reduction := make([]float64, len(nodesSweep))
 	for i := range reduction {
-		if d2[i].commMB > 0 {
-			reduction[i] = td[i].commMB / d2[i].commMB
+		if mb := wireMB(d2[i]); mb > 0 {
+			reduction[i] = wireMB(td[i]) / mb
 		}
 	}
 	t.AddRow("top-down comm reduction (1D/2D)", reduction...)

@@ -5,7 +5,6 @@ import (
 
 	"numabfs/internal/bfs"
 	"numabfs/internal/machine"
-	"numabfs/internal/rmat"
 )
 
 // LevelProfile reproduces the structural claims of Fig. 1 and Section
@@ -13,27 +12,16 @@ import (
 // then top-down — on an R-MAT graph, with the overwhelming majority of
 // vertices reached (and most time spent) in the bottom-up procedure.
 // The table is the per-level frontier growth curve of a representative
-// root on 4 nodes.
+// root on 4 nodes: the cell's first, which the prefix-stable Graph500
+// draw makes independent of Spec.Roots.
 func LevelProfile(s Spec) (*Table, error) {
 	const nodes = 4
 	scale := s.scaleFor(nodes)
-	params := rmat.Graph500(scale)
-
-	out, err := gather(s, []string{"profile"}, func(cs Spec, _ int) (bfs.RootResult, error) {
-		r, err := bfs.NewRunner(cs.clusterConfig(nodes), machine.PPN8Bind, params, bfs.DefaultOptions())
-		if err != nil {
-			return bfs.RootResult{}, err
-		}
-		if cs.Obs != nil {
-			r.AttachObs(cs.Obs.NewSession(fmt.Sprintf("level profile nodes=%d scale=%d", nodes, scale)))
-		}
-		r.Setup()
-		return r.RunRoot(params.Roots(1, r.HasEdgeGlobal)[0]), nil
-	})
+	out, err := s.collect([]cell{{"profile", s.config(nodes, machine.PPN8Bind, bfs.DefaultOptions())}})
 	if err != nil {
 		return nil, err
 	}
-	res := out[0]
+	res := out[0].PerRoot[0]
 
 	t := &Table{
 		Name:    "Fig. 1 / Sec. II.B",

@@ -58,8 +58,8 @@ func BuildCSR(lo, hi int64, pairs []int64, dedup bool) *CSR {
 
 // BuildCSRFrom is BuildCSR over several pair vectors — the shape an
 // alltoallv delivers, one vector per sender — read where they lie. It is
-// the one CSR construction in the repository: the 1-D engines reach it
-// through BuildDistributed, the 2-D engine calls it on its column range,
+// the one CSR construction in the repository: every engine reaches it
+// through BuildDistributed (the 2-D engine on its column range),
 // BuildGlobal on the whole vertex set. The result does not depend on how
 // the pairs are split over vectors, and Col's backing array is exactly
 // the pre-dedup adjacency count.

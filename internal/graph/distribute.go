@@ -10,12 +10,14 @@ import (
 )
 
 // BuildDistributed is Graph500 kernel 1 in its distributed form: every
-// rank generates its slice of the R-MAT edge list, routes each endpoint
-// to the owner of that vertex (undirected: both directions), and builds
-// its local CSR. Generation and construction costs are charged to the
-// rank's virtual clock; the alltoallv charges communication. Returns the
-// rank's local CSR.
-func BuildDistributed(p *mpi.Proc, g *collective.Group, part Partition, params rmat.Params, dedup bool) *CSR {
+// member of g generates its slice of the R-MAT edge list, routes each
+// directed adjacency (u, v) — both directions of every undirected edge —
+// to the member dest(u, v) names, and builds its local CSR over the rows
+// [vlo, vhi) it receives. Generation and construction costs are charged
+// to the rank's virtual clock; the alltoallv charges communication. The
+// 1-D engines route by the partition owner of u, the 2-D engine by the
+// grid cell of (u's column, v's row).
+func BuildDistributed(p *mpi.Proc, g *collective.Group, params rmat.Params, dedup bool, dest func(u, v int64) int, vlo, vhi int64) *CSR {
 	cfg := p.World().Config()
 	np := g.Size()
 	me := g.Pos(p.Rank())
@@ -23,13 +25,12 @@ func BuildDistributed(p *mpi.Proc, g *collective.Group, part Partition, params r
 	lo := ne * int64(me) / int64(np)
 	hi := ne * int64(me+1) / int64(np)
 
-	send := RouteEdges(params, lo, hi, np, func(u, _ int64) int { return part.Owner(u) })
+	send := RouteEdges(params, lo, hi, np, dest)
 	// Generation: ~Scale quadrant draws of a few ops per edge.
 	p.Compute(float64(hi-lo) * float64(params.Scale) * 6 * cfg.CPUOpNs)
 
 	recv := g.AlltoallvInt64(p, send)
 
-	vlo, vhi := part.Range(me)
 	csr := BuildCSRFrom(vlo, vhi, recv, dedup)
 	p.Compute(BuildCostNs(cfg, recv, vhi-vlo))
 	return csr

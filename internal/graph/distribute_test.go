@@ -27,7 +27,8 @@ func buildDistributed(w *mpi.World, params rmat.Params, dedup bool) ([]*CSR, Par
 	part := NewPartition(params.NumVertices(), w.NumProcs())
 	locals := make([]*CSR, w.NumProcs())
 	w.Run(func(p *mpi.Proc) {
-		locals[p.Rank()] = BuildDistributed(p, g, part, params, dedup)
+		lo, hi := part.Range(g.Pos(p.Rank()))
+		locals[p.Rank()] = BuildDistributed(p, g, params, dedup, func(u, _ int64) int { return part.Owner(u) }, lo, hi)
 	})
 	return locals, part
 }

@@ -20,7 +20,7 @@ func NewBatchRunner(cfg Config) (*msbfs.Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prepare(cfg, "msbfs ", &runner.Core, &runner.Graph1D, runner.Setup); err != nil {
+	if err := prepare(cfg, "msbfs ", &runner.Core, &runner.Graph, runner.Setup); err != nil {
 		return nil, err
 	}
 	return runner, nil

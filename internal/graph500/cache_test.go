@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/bfs2d"
 	"numabfs/internal/chassis"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
@@ -80,6 +81,65 @@ func TestGraphCacheBitIdentical(t *testing.T) {
 	}
 	if h, m := cache.Stats(); h != 2 || m != 2 {
 		t.Fatalf("cache counters after dedup change: hits=%d misses=%d, want 2/2", h, m)
+	}
+}
+
+// TestGraphCache2D: a 2-D cache hit reproduces the uncached 2-D run,
+// SetupNs included; and the grid is part of the key. At 8 ranks a 1-D
+// partition and a 2x4 grid both hold 8 CSRs, so without the grid in
+// GraphKey the 2-D run would install the 1-D graph.
+func TestGraphCache2D(t *testing.T) {
+	const scale = 12
+	cfg := machine.Scaled(scale, scale+12)
+	cfg.Nodes = 2
+	cfg.SocketsPerNode = 4
+	cfg.WeakNode = -1
+	base := Config{
+		Machine:  cfg,
+		Policy:   machine.PPN8Bind,
+		Params:   rmat.Graph500(scale),
+		Opts:     bfs.DefaultOptions(),
+		NumRoots: 2,
+		Validate: true,
+	}
+	grid := base
+	grid.Grid = bfs2d.Grid{R: 2, C: 4}
+	plain, err := Run(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, res *Result) {
+		t.Helper()
+		if res.HarmonicTEPS != plain.HarmonicTEPS || res.MeanTimeNs != plain.MeanTimeNs || res.SetupNs != plain.SetupNs {
+			t.Errorf("%s: TEPS/time/setup %g/%g/%g, uncached %g/%g/%g", name,
+				res.HarmonicTEPS, res.MeanTimeNs, res.SetupNs, plain.HarmonicTEPS, plain.MeanTimeNs, plain.SetupNs)
+		}
+	}
+
+	grid.Cache = chassis.NewGraphCache()
+	for _, name := range []string{"miss", "hit"} {
+		res, err := Run(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name, res)
+	}
+	if h, m := grid.Cache.Stats(); h != 1 || m != 1 {
+		t.Fatalf("cache counters: hits=%d misses=%d, want 1/1", h, m)
+	}
+
+	cache := chassis.NewGraphCache()
+	base.Cache, grid.Cache = cache, cache
+	if _, err := Run(base); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("2-D after 1-D", res)
+	if h, m := cache.Stats(); h != 0 || m != 2 {
+		t.Fatalf("cache counters after 1-D then 2-D: hits=%d misses=%d, want 0/2", h, m)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/bfs2d"
 	"numabfs/internal/chassis"
 	"numabfs/internal/fault"
 	"numabfs/internal/machine"
@@ -29,9 +30,13 @@ var ErrTooManyRoots = errors.New("more roots requested than vertices with an edg
 
 // DrawRoots is the root rule behind every -roots and -batch flag: n
 // distinct vertices with at least one incident edge, as params.Roots
-// draws them. Roots panics when the graph has fewer than n such vertices,
-// so a count that comes from outside the program is checked here first.
+// draws them. Roots panics when n is negative or the graph has fewer
+// than n such vertices, so a count that comes from outside the program
+// is checked here first; a count below 1 is an error too.
 func DrawRoots(params rmat.Params, n int, hasEdge func(v int64) bool) ([]int64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("root count %d, want at least 1", n)
+	}
 	rooted := 0
 	for v := int64(0); v < params.NumVertices() && rooted < n; v++ {
 		if hasEdge(v) {
@@ -46,12 +51,20 @@ func DrawRoots(params rmat.Params, n int, hasEdge func(v int64) bool) ([]int64, 
 
 // Config describes one benchmark run.
 type Config struct {
-	Machine  machine.Config
-	Policy   machine.Policy
-	Params   rmat.Params
+	Machine machine.Config
+	Policy  machine.Policy
+	Params  rmat.Params
+	// Opts configures the 1-D engine. The 2-D engine reads three of its
+	// fields: Mode (its direction policy), Opt (it compresses its
+	// collectives from OptCompressedAllgather up) and SpareRanks.
 	Opts     bfs.Options
 	NumRoots int  // 0 means DefaultRoots
 	Validate bool // validate every BFS tree against the spec
+
+	// Grid, when non-zero, runs the 2-D engine (internal/bfs2d) on that
+	// processor grid instead of the 1-D engine; it must cover the ranks
+	// the machine and policy place, less SpareRanks.
+	Grid bfs2d.Grid
 
 	// Obs, when non-nil, records the run into a new labeled session on
 	// the recorder: per-rank span timelines, collective spans, and
@@ -72,9 +85,9 @@ type Config struct {
 	Faults *fault.Plan
 
 	// Cache, when non-nil, reuses constructed graphs across runs with
-	// identical (machine, policy, R-MAT params, dedup): kernel 1 is
-	// skipped on a hit and the cached build's SetupNs reported, so
-	// results are bit-identical either way. Experiment sweeps share one
+	// identical (machine, policy, R-MAT params, dedup, spares, grid):
+	// kernel 1 is skipped on a hit and the cached build's SetupNs
+	// reported, so results are bit-identical either way. Experiment sweeps share one
 	// cache across their cells (bfsbench).
 	Cache *chassis.GraphCache
 }
@@ -100,12 +113,20 @@ type Result struct {
 	MTTRNs float64
 }
 
-// prepare wires a freshly built 1-D runner (single-root or batched: both
-// are a chassis Core over a Graph1D) under a benchmark Config and runs
-// its setup: the observability session, labelled prefix + the cell's
-// coordinates; kernel 1 through the graph cache; then the fault plan.
-func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph1D, setup func()) error {
+// prepare wires a freshly built runner (any engine: each is a chassis
+// Core over a Graph) under a benchmark Config and runs its setup: the
+// observability session, labelled prefix + the cell's coordinates —
+// the 2-D grid and a non-hybrid mode named, so cells that differ only
+// there stay apart; kernel 1 through the graph cache; then the fault
+// plan.
+func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph, setup func()) error {
 	if cfg.Obs != nil {
+		if cfg.Grid != (bfs2d.Grid{}) {
+			prefix += fmt.Sprintf("2-D %dx%d ", cfg.Grid.R, cfg.Grid.C)
+		}
+		if cfg.Opts.Mode != bfs.ModeHybrid {
+			prefix += cfg.Opts.Mode.String() + " "
+		}
 		sess := cfg.Obs.NewSession(fmt.Sprintf("%s%s %s g=%d scale=%d nodes=%d", prefix,
 			cfg.Policy, cfg.Opts.Opt, cfg.Opts.Granularity, cfg.Params.Scale, cfg.Machine.Nodes))
 		if cfg.SampleNs > 0 {
@@ -115,7 +136,7 @@ func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph1D, set
 	}
 	key := chassis.GraphKey{
 		Machine: cfg.Machine, Policy: cfg.Policy, Params: cfg.Params,
-		Dedup: cfg.Opts.Dedup, Spares: cfg.Opts.SpareRanks,
+		Dedup: cfg.Opts.Dedup, Spares: cfg.Opts.SpareRanks, Grid: cfg.Grid,
 	}
 	if err := cfg.Cache.Setup(key, c, g, setup); err != nil {
 		return err
@@ -126,30 +147,65 @@ func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph1D, set
 	return nil
 }
 
+// engine is one set-up runner as Run drives it: root selection, one
+// traversal per root, the tree validator, and the construction time.
+type engine struct {
+	hasEdge  func(v int64) bool
+	runRoot  func(root int64) chassis.Result
+	validate func(root int64) error
+	setupNs  float64
+}
+
+// newEngine builds the runner cfg names — the 1-D engine, or the 2-D
+// engine on cfg.Grid — and prepares it.
+func newEngine(cfg Config) (engine, error) {
+	if cfg.Grid == (bfs2d.Grid{}) {
+		r, err := bfs.NewRunner(cfg.Machine, cfg.Policy, cfg.Params, cfg.Opts)
+		if err != nil {
+			return engine{}, err
+		}
+		err = prepare(cfg, "", &r.Core, &r.Graph, r.Setup)
+		return engine{r.HasEdgeGlobal, r.RunRoot, func(root int64) error { return ValidateRun(r, root) }, r.SetupNs}, err
+	}
+	r, err := bfs2d.NewRunnerSpares(cfg.Machine, cfg.Policy, cfg.Grid, cfg.Params, cfg.Opts.SpareRanks)
+	if err != nil {
+		return engine{}, err
+	}
+	var ok bool
+	if r.Mode, ok = modes2D[cfg.Opts.Mode]; !ok {
+		return engine{}, fmt.Errorf("graph500: the 2-D engine has no %s mode", cfg.Opts.Mode)
+	}
+	r.Compress = cfg.Opts.Opt >= bfs.OptCompressedAllgather
+	err = prepare(cfg, "", &r.Core, &r.Graph, r.Setup)
+	return engine{r.HasEdgeGlobal, r.RunRoot, func(root int64) error { return ValidateRun2D(r, root) }, r.SetupNs}, err
+}
+
+// modes2D maps the 1-D direction policies onto the 2-D engine's.
+var modes2D = map[bfs.Mode]bfs2d.Mode{
+	bfs.ModeHybrid: bfs2d.ModeHybrid, bfs.ModeTopDown: bfs2d.ModeTopDown, bfs.ModeBottomUp: bfs2d.ModeBottomUp,
+}
+
 // Run executes the benchmark.
 func Run(cfg Config) (*Result, error) {
 	if cfg.NumRoots == 0 {
 		cfg.NumRoots = DefaultRoots
 	}
-	runner, err := bfs.NewRunner(cfg.Machine, cfg.Policy, cfg.Params, cfg.Opts)
+	e, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := prepare(cfg, "", &runner.Core, &runner.Graph1D, runner.Setup); err != nil {
-		return nil, err
-	}
-	roots, err := DrawRoots(cfg.Params, cfg.NumRoots, runner.HasEdgeGlobal)
+	roots, err := DrawRoots(cfg.Params, cfg.NumRoots, e.hasEdge)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{Config: cfg, SetupNs: runner.SetupNs}
+	res := &Result{Config: cfg, SetupNs: e.setupNs}
 	teps := make([]float64, 0, len(roots))
 	times := make([]float64, 0, len(roots))
 	for _, root := range roots {
-		rr := runner.RunRoot(root)
+		rr := e.runRoot(root)
 		if cfg.Validate {
-			if err := ValidateRun(runner, root); err != nil {
+			if err := e.validate(root); err != nil {
 				return nil, fmt.Errorf("graph500: root %d: %w", root, err)
 			}
 		}

@@ -99,6 +99,17 @@ func TestRunDefaultsRoots(t *testing.T) {
 	}
 }
 
+// TestDrawRootsRejectsCountBelowOne: a negative count used to panic in
+// rmat.Params.Roots; DrawRoots is the check every external count passes.
+func TestDrawRootsRejectsCountBelowOne(t *testing.T) {
+	params := rmat.Graph500(10)
+	for _, n := range []int{0, -1} {
+		if roots, err := DrawRoots(params, n, func(int64) bool { return true }); err == nil {
+			t.Fatalf("DrawRoots(%d) = %v, want an error", n, roots)
+		}
+	}
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := testConfig(12)
 	cfg.Opts.Granularity = 63

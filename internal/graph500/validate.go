@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/bitmap"
 	"numabfs/internal/graph"
 )
 
@@ -33,10 +34,13 @@ func globalParents(r *bfs.Runner) []int64 {
 	return parent
 }
 
-// validateTree is the specification core shared by the single-root and
-// the batched (per-lane) validators: parent is the global parent array,
-// csrs the distributed graph (per-member edge checks run on positions,
-// not world ranks: spares own nothing and a shrink removes a position).
+// validateTree is the specification core every validator shares: parent
+// is the global parent array, csrs the distributed graph in any layout.
+// Each member stores rows [Lo, Hi): a 1-D member whole rows, a 2-D cell
+// its column's rows restricted to its grid row, so one row may span
+// several members. Rule 3 runs over the parent array; rules 2 and 4 run
+// over every stored row, rule 2 holding when any stored row of v
+// contains parent[v].
 func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 	if parent[root] != root {
 		return fmt.Errorf("root %d has parent %d, want itself", root, parent[root])
@@ -46,19 +50,22 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 	if err != nil {
 		return err
 	}
+	// Rule 3: exactly one level below the parent.
+	for v, pv := range parent {
+		if pv >= 0 && level[v] != level[pv]+1 && int64(v) != root {
+			return fmt.Errorf("vertex %d at level %d but parent %d at level %d", v, level[v], pv, level[pv])
+		}
+	}
 
+	// Rule 2 marks the tree edges some stored row holds; rule 4 checks
+	// every stored edge.
+	treeEdge := bitmap.New(int64(len(parent)))
 	for _, csr := range csrs {
-		lo, hi := csr.Lo, csr.Hi
-		for v := lo; v < hi; v++ {
+		for v := csr.Lo; v < csr.Hi; v++ {
 			row := csr.Neighbors(v)
-			if pv := parent[v]; pv >= 0 && v != root {
-				// Rule 2: the tree edge must be a graph edge.
-				if _, ok := slices.BinarySearch(row, uint32(pv)); !ok {
-					return fmt.Errorf("tree edge (%d, %d) is not a graph edge", v, pv)
-				}
-				// Rule 3: exactly one level apart.
-				if level[v] != level[pv]+1 {
-					return fmt.Errorf("vertex %d at level %d but parent %d at level %d", v, level[v], pv, level[pv])
+			if pv := parent[v]; pv >= 0 {
+				if _, ok := slices.BinarySearch(row, uint32(pv)); ok {
+					treeEdge.Set(v)
 				}
 			}
 			for _, u := range row {
@@ -66,6 +73,11 @@ func validateTree(parent []int64, root int64, csrs []*graph.CSR) error {
 					return rule4Error(v, int64(u), lv, lu)
 				}
 			}
+		}
+	}
+	for v, pv := range parent {
+		if pv >= 0 && !treeEdge.Get(int64(v)) && int64(v) != root {
+			return fmt.Errorf("tree edge (%d, %d) is not a graph edge", v, pv)
 		}
 	}
 	return nil

@@ -28,7 +28,7 @@ func setUp(t testing.TB, cfg machine.Config, policy machine.Policy, params rmat.
 		t.Fatal(err)
 	}
 	k := chassis.GraphKey{Machine: cfg, Policy: policy, Params: params, Dedup: opts.Dedup, Spares: opts.SpareRanks}
-	if err := graphs.Setup(k, &r.Core, &r.Graph1D, r.Setup); err != nil {
+	if err := graphs.Setup(k, &r.Core, &r.Graph, r.Setup); err != nil {
 		t.Fatal(err)
 	}
 	return r
