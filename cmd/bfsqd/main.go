@@ -172,18 +172,13 @@ func main() {
 
 	// Calibrate capacity from one full batch of this policy's size, then
 	// offer -rate times it.
-	calibRoots, err := graph500.DrawRoots(params, *batchSz, r.HasEdgeGlobal)
+	calib, err := queryserv.Calibrate(r, *batchSz)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bfsqd: -batch: %v\n", err)
 		os.Exit(2)
 	}
-	calib := r.RunBatch(calibRoots)
-	capacityQPS := float64(*batchSz) / (calib.TimeNs / 1e9)
-	fillNs := *fillTimeout
-	if fillNs == 0 {
-		fillNs = 2 * calib.TimeNs
-	}
-	workload := queryserv.PoissonWorkload(*queries, *rate*capacityQPS, *seed,
+	fillNs := calib.FillTimeoutNs(*fillTimeout)
+	workload := queryserv.PoissonWorkload(*queries, *rate*calib.CapacityQPS, *seed,
 		params.NumVertices(), r.HasEdgeGlobal)
 	res, err := queryserv.Serve(r, queryserv.Policy{MaxBatch: *batchSz, FillTimeoutNs: fillNs}, workload)
 	if err != nil {
@@ -194,7 +189,7 @@ func main() {
 	fmt.Printf("bfsqd scale=%d nodes=%d ranks=%d policy=%s opt=%s mode=%s batch=%d fill-timeout=%.0fns seed=%d\n",
 		*scale, *nodes, *nodes*cfg.SocketsPerNode, pol, opts.Opt, opts.Mode, *batchSz, fillNs, *seed)
 	fmt.Printf("calibration:      %.3f ms/batch -> capacity %.1f q/s; offered %.2fx = %.1f q/s\n",
-		calib.TimeNs/1e6, capacityQPS, *rate, *rate*capacityQPS)
+		calib.BatchNs/1e6, calib.CapacityQPS, *rate, *rate*calib.CapacityQPS)
 	fmt.Printf("served:           %d queries in %d batches (mean fill %.2f lanes)\n",
 		len(res.Completed), len(res.Batches), res.MeanBatchFill)
 	fmt.Printf("makespan:         %10.3f ms (virtual), throughput %.1f q/s\n",

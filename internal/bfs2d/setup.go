@@ -16,10 +16,10 @@ import (
 // directed adjacency (u, v) to the cell at (row of v's block, column of
 // u), and holds a CSR over its column's vertex range.
 func (r *Runner) Setup() {
+	if err := r.CheckMode(); err != nil {
+		panic(err)
+	}
 	if r.Mode != ModeTopDown {
-		if r.blockSize%64 != 0 {
-			panic(fmt.Sprintf("bfs2d: %s mode needs a block size divisible by 64, have %d", r.Mode, r.blockSize))
-		}
 		colWords := int64(r.Grid.R) * r.blockSize / 64
 		rowWords := int64(r.Grid.C) * r.blockSize / 64
 		r.colLayout = collective.EvenLayout(colWords, r.Grid.R)
@@ -72,6 +72,16 @@ func (r *Runner) Setup() {
 		r.states[me] = rs
 	})
 	r.Built(&r.Core)
+}
+
+// CheckMode reports whether Mode can run on the runner's grid: the
+// bottom-up levels allgather whole words of each block's frontier bits,
+// so they need a block size divisible by 64.
+func (r *Runner) CheckMode() error {
+	if r.Mode != ModeTopDown && r.blockSize%64 != 0 {
+		return fmt.Errorf("bfs2d: %s mode needs a block size divisible by 64, have %d", r.Mode, r.blockSize)
+	}
+	return nil
 }
 
 // neighbors returns the locally stored adjacency of global vertex u

@@ -98,6 +98,7 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 	lists := make([][][]int64, np)
 	recvs := make([][][]int64, np)
 	ovs := make([]Overlap, np)
+	lanes := make([][64]int64, np)
 	for r := range bufs {
 		bufs[r] = make([]uint64, words)
 		fillVaried(bufs[r], l, r)
@@ -123,7 +124,17 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 		{"AllgatherRingCompressed", 0, func(p *mpi.Proc) {
 			g.AllgatherRingCompressed(p, bufs[p.Rank()], l, codecs[p.Rank()])
 		}},
+		// A multi-segment step sends a run of positions over the sender's
+		// buffer, which allocates nothing (16 per call when each step
+		// boxed its segment list). Bruck and the leader scheme's binomial
+		// gather and broadcast still build a stream table per round, and
+		// the leaders their node layout.
+		{"AllgatherRecDouble", 0, func(p *mpi.Proc) { g.AllgatherRecDouble(p, bufs[p.Rank()], l) }},
+		{"AllgatherBruck", 13, func(p *mpi.Proc) { g.AllgatherBruck(p, bufs[p.Rank()], l) }},
+		{"LeaderAllgather", 13, func(p *mpi.Proc) { nc.Allgather(p, SchemeLeader, bufs[p.Rank()], nil, l, Exchange{}) }},
 		{"AllreduceSumInt64", 0, func(p *mpi.Proc) { g.AllreduceSumInt64(p, int64(p.Rank())) }},
+		// One fresh copy of the partial sum per recursive-doubling step.
+		{"AllreduceSumVec64", 4, func(p *mpi.Proc) { g.AllreduceSumVec64(p, &lanes[p.Rank()]) }},
 		// The result table indexed by source position — unless the caller
 		// retains it, as the engines' top-down levels do.
 		{"AlltoallvInt64", 1, func(p *mpi.Proc) { g.AlltoallvInt64(p, lists[p.Rank()]) }},

@@ -30,22 +30,11 @@ func (g *Group) AllgatherBruck(p *mpi.Proc, buf []uint64, l Layout) {
 		}
 		streams := g.stepStreams(sendTo)
 
-		// Send blocks {me .. me+cnt-1}; receive {src .. src+cnt-1}.
-		payload := blocks{ids: make([]int, cnt), data: make([][]uint64, cnt)}
-		for j := 0; j < cnt; j++ {
-			id := (me + j) % n
-			payload.ids[j] = id
-			payload.data[j] = l.seg(buf, id)
-		}
-		m := p.SendRecv(g.ranks[dst], tagBruck+step, payload.words()*8, payload,
+		// Send segments {me .. me+cnt-1}; receive {src .. src+cnt-1}.
+		pl, bytes := g.run(buf, l, me, cnt)
+		m := p.SendRecvPayload(g.ranks[dst], tagBruck+step, bytes, pl,
 			g.ranks[src], tagBruck+step, streams[me])
-		in := m.Payload.Any.(blocks)
-		for j, id := range in.ids {
-			if want := (src + j) % n; id != want {
-				panic("collective: Bruck allgather received unexpected segment")
-			}
-			copy(l.seg(buf, id), in.data[j])
-		}
+		g.land(buf, l, m.Payload, src, cnt)
 		step++
 	}
 }

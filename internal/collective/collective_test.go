@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,54 @@ func TestAllreduceSumInt64(t *testing.T) {
 			}
 		})
 	}
+}
+
+func runAllreduceVec(t *testing.T, nodes, ppn int) {
+	t.Helper()
+	w := testWorld(t, nodes, ppn)
+	g := WorldGroup(w)
+	n := g.Size()
+	// want[k] = sum over ranks of (rank+1)*(k+1).
+	var want [64]int64
+	for r := 0; r < n; r++ {
+		for k := 0; k < 64; k++ {
+			want[k] += int64(r+1) * int64(k+1)
+		}
+	}
+	var mu sync.Mutex
+	clocks := map[float64]int{}
+	w.Run(func(p *mpi.Proc) {
+		var x [64]int64
+		for k := 0; k < 64; k++ {
+			x[k] = int64(g.Pos(p.Rank())+1) * int64(k+1)
+		}
+		g.AllreduceSumVec64(p, &x)
+		if x != want {
+			t.Errorf("rank %d: vec allreduce sum wrong: got[0]=%d want[0]=%d", p.Rank(), x[0], want[0])
+		}
+		mu.Lock()
+		clocks[p.Clock()]++
+		mu.Unlock()
+	})
+	// Recursive doubling is symmetric: power-of-two groups end at one clock.
+	if n&(n-1) == 0 && len(clocks) != 1 {
+		t.Fatalf("power-of-two allreduce-vec desynchronized clocks: %v", clocks)
+	}
+}
+
+func TestAllreduceSumVec64PowerOfTwo(t *testing.T) { runAllreduceVec(t, 2, 4) }
+func TestAllreduceSumVec64Linear(t *testing.T)     { runAllreduceVec(t, 3, 2) }
+
+func TestAllreduceSumVec64SingleRank(t *testing.T) {
+	w := testWorld(t, 1, 1)
+	g := WorldGroup(w)
+	w.Run(func(p *mpi.Proc) {
+		x := [64]int64{1: 7}
+		g.AllreduceSumVec64(p, &x)
+		if x[1] != 7 {
+			t.Errorf("single-rank allreduce-vec changed the vector")
+		}
+	})
 }
 
 func TestAlltoallvInt64(t *testing.T) {

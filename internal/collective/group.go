@@ -11,8 +11,9 @@
 //     broadcast step, sharing out_queue removes the gather step (Fig. 5b);
 //   - the paper's parallelized allgather — per-socket subgroups allgather
 //     slices concurrently so all NIC streams are busy (Fig. 7, Eq. 2);
-//   - pairwise-exchange alltoallv for the top-down phase, and a scalar
-//     allreduce for frontier counting and termination.
+//   - pairwise-exchange alltoallv for the top-down phase, and one
+//     allreduce, over a scalar or the batched engine's 64 lanes, for
+//     frontier counting and termination.
 //
 // The three node-aware families and the library default are the schemes
 // of one entry point, NodeComm.Allgather; whether segments travel
@@ -168,24 +169,28 @@ func (g *Group) xorStreams() [][]int {
 	return g.xorStr
 }
 
-// blocks is the payload of the multi-segment allgather steps (recursive
-// doubling, Bruck, binomial gather): segment ids and their word data.
-// The receiver copies each segment into place. It is genuinely
-// variable-shaped, so it travels through the message's untyped hatch
-// (one boxing allocation per step, log n steps); the single-segment
-// rings use the typed mpi.Payload fields (ID + Words, or ID + Wire) and
-// allocate nothing.
-type blocks struct {
-	ids  []int
-	data [][]uint64
+// run is the message of a multi-segment step (recursive doubling,
+// Bruck, binomial gather): the count segments at consecutive group
+// positions from first, cyclically, named by (ID, Q) = (first, count)
+// over the sender's own buffer. It returns the payload and its bytes.
+func (g *Group) run(buf []uint64, l Layout, first, count int) (mpi.Payload, int64) {
+	var words int64
+	for j := 0; j < count; j++ {
+		words += l.Counts[(first+j)%g.Size()]
+	}
+	return mpi.Payload{ID: first, Q: count, Words: buf}, words * 8
 }
 
-func (b blocks) words() int64 {
-	var w int64
-	for _, d := range b.data {
-		w += int64(len(d))
+// land copies the segments of a received run into buf, after checking
+// that it is the run the step expects.
+func (g *Group) land(buf []uint64, l Layout, in mpi.Payload, first, count int) {
+	if in.ID != first || in.Q != count {
+		panic(fmt.Sprintf("collective: expected the %d segments from position %d, got %d from %d", count, first, in.Q, in.ID))
 	}
-	return w
+	for j := 0; j < count; j++ {
+		id := (first + j) % g.Size()
+		copy(l.seg(buf, id), l.seg(in.Words, id))
+	}
 }
 
 // Layout describes an allgatherv buffer: counts[i] words contributed by

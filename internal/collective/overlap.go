@@ -57,7 +57,7 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 	notify := func(c int) {
 		t0 = p.Clock()
 		for _, child := range mine[1:] {
-			p.Send(child, tagPipe+1+c, 0, nil, len(mine)-1)
+			p.SendPayload(child, tagPipe+1+c, 0, mpi.Payload{}, len(mine)-1)
 		}
 		st.BcastNs += p.Clock() - t0
 	}

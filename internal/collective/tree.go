@@ -30,27 +30,14 @@ func (g *Group) GatherBinomial(p *mpi.Proc, buf []uint64, l Layout, rootPos int)
 
 		if v&d != 0 && v&(d-1) == 0 {
 			// I send my subtree: virtual positions [v, min(v+d, n)).
-			hi := v + d
-			if hi > n {
-				hi = n
-			}
-			payload := blocks{}
-			for s := v; s < hi; s++ {
-				id := (s + rootPos) % n
-				payload.ids = append(payload.ids, id)
-				payload.data = append(payload.data, l.seg(buf, id))
-			}
-			parent := g.ranks[(v-d+rootPos)%n]
-			p.Send(parent, tagGather+k, payload.words()*8, payload, streams[me])
+			pl, bytes := g.run(buf, l, (v+rootPos)%n, min(d, n-v))
+			p.SendPayload(g.ranks[(v-d+rootPos)%n], tagGather+k, bytes, pl, streams[me])
 			return // a sender is done after handing off its subtree
 		}
 		if v&(2*d-1) == 0 && v+d < n {
-			child := g.ranks[(v+d+rootPos)%n]
-			m := p.Recv(child, tagGather+k)
-			in := m.Payload.Any.(blocks)
-			for j, id := range in.ids {
-				copy(l.seg(buf, id), in.data[j])
-			}
+			// My child's subtree: virtual positions [v+d, min(v+2d, n)).
+			m := p.Recv(g.ranks[(v+d+rootPos)%n], tagGather+k)
+			g.land(buf, l, m.Payload, (v+d+rootPos)%n, min(d, n-v-d))
 		}
 	}
 }

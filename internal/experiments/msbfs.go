@@ -176,27 +176,18 @@ func ExtMSBFSLoad(s Spec) (*Table, error) {
 		if err != nil {
 			return loadOut{}, err
 		}
-		// Calibrate capacity from one full batch: offered load and the
-		// default fill timeout are expressed against it, so the sweep
-		// stresses the same operating points at every scale. Virtual
-		// time is deterministic, so the calibration is too.
-		calibRoots, err := graph500.DrawRoots(gc.Params, b, r.HasEdgeGlobal)
+		calib, err := queryserv.Calibrate(r, b)
 		if err != nil {
 			return loadOut{}, err
 		}
-		calib := r.RunBatch(calibRoots)
-		capacityQPS := float64(b) / (calib.TimeNs / 1e9)
 		// A batch of one launches once the engine is free: the fill
 		// timeout only bounds waits for lane-mates.
-		policy := queryserv.Policy{MaxBatch: c.maxBatch, FillTimeoutNs: cs.FillTimeoutNs}
-		if policy.FillTimeoutNs == 0 {
-			policy.FillTimeoutNs = 2 * calib.TimeNs
-		}
+		policy := queryserv.Policy{MaxBatch: c.maxBatch, FillTimeoutNs: calib.FillTimeoutNs(cs.FillTimeoutNs)}
 		nq := msbfsLoadQueries(b)
-		queries := queryserv.PoissonWorkload(nq, c.load*capacityQPS,
+		queries := queryserv.PoissonWorkload(nq, c.load*calib.CapacityQPS,
 			msbfsWorkloadSeed, gc.Params.NumVertices(), r.HasEdgeGlobal)
 		res, err := queryserv.Serve(r, policy, queries)
-		return loadOut{offered: c.load * capacityQPS, res: res, queries: nq}, err
+		return loadOut{offered: c.load * calib.CapacityQPS, res: res, queries: nq}, err
 	})
 	if err != nil {
 		return nil, err

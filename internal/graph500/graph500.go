@@ -56,7 +56,9 @@ type Config struct {
 	Params  rmat.Params
 	// Opts configures the 1-D engine. The 2-D engine reads three of its
 	// fields: Mode (its direction policy), Opt (it compresses its
-	// collectives from OptCompressedAllgather up) and SpareRanks.
+	// collectives from OptCompressedAllgather up) and SpareRanks; Run
+	// rejects a 2-D config whose other fields differ from
+	// bfs.DefaultOptions().
 	Opts     bfs.Options
 	NumRoots int  // 0 means DefaultRoots
 	Validate bool // validate every BFS tree against the spec
@@ -167,6 +169,11 @@ func newEngine(cfg Config) (engine, error) {
 		err = prepare(cfg, "", &r.Core, &r.Graph, r.Setup)
 		return engine{r.HasEdgeGlobal, r.RunRoot, func(root int64) error { return ValidateRun(r, root) }, r.SetupNs}, err
 	}
+	read := bfs.DefaultOptions()
+	read.Mode, read.Opt, read.SpareRanks = cfg.Opts.Mode, cfg.Opts.Opt, cfg.Opts.SpareRanks
+	if cfg.Opts != read {
+		return engine{}, errors.New("graph500: the 2-D engine reads only Opts.Mode, Opt and SpareRanks; the others must keep their defaults")
+	}
 	r, err := bfs2d.NewRunnerSpares(cfg.Machine, cfg.Policy, cfg.Grid, cfg.Params, cfg.Opts.SpareRanks)
 	if err != nil {
 		return engine{}, err
@@ -174,6 +181,9 @@ func newEngine(cfg Config) (engine, error) {
 	var ok bool
 	if r.Mode, ok = modes2D[cfg.Opts.Mode]; !ok {
 		return engine{}, fmt.Errorf("graph500: the 2-D engine has no %s mode", cfg.Opts.Mode)
+	}
+	if err := r.CheckMode(); err != nil {
+		return engine{}, err
 	}
 	r.Compress = cfg.Opts.Opt >= bfs.OptCompressedAllgather
 	err = prepare(cfg, "", &r.Core, &r.Graph, r.Setup)

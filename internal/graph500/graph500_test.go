@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/bfs2d"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
+	"numabfs/internal/wire"
 )
 
 func testConfig(scale int) Config {
@@ -115,6 +117,50 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	cfg.Opts.Granularity = 63
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for bad granularity")
+	}
+}
+
+// TestRun2DRejectsBlockSizeForMode: the bottom-up modes of the 2-D
+// engine need a block size divisible by 64; a grid that splits the
+// graph finer is an error before kernel 1, not a panic in Setup.
+func TestRun2DRejectsBlockSizeForMode(t *testing.T) {
+	cfg := testConfig(9)
+	cfg.Machine.SocketsPerNode = 8
+	cfg.Grid = bfs2d.DefaultGrid(16) // 512 vertices over 16 cells: blocks of 32
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "divisible by 64") {
+		t.Fatalf("Run = %v, want the block-size error", err)
+	}
+}
+
+// TestRun2DRejectsUnreadOptions: the 2-D engine reads only Mode, Opt and
+// SpareRanks of Config.Opts, so any other field set away from its
+// default is an error rather than a run that reports the default's
+// numbers (and shares its cache entry).
+func TestRun2DRejectsUnreadOptions(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(o *bfs.Options)
+	}{
+		{"Dedup", func(o *bfs.Options) { o.Dedup = false }},
+		{"Alpha", func(o *bfs.Options) { o.Alpha = 14 }},
+		{"Beta", func(o *bfs.Options) { o.Beta = 2 }},
+		{"Granularity", func(o *bfs.Options) { o.Granularity = 256 }},
+		{"Chunk", func(o *bfs.Options) { o.Chunk = 64 }},
+		{"WireFormat", func(o *bfs.Options) { o.WireFormat = wire.FormatDense }},
+		{"WireSparseDensity", func(o *bfs.Options) { o.WireSparseDensity = 0.1 }},
+		{"OverlapSegments", func(o *bfs.Options) { o.OverlapSegments = 4 }},
+		{"Recovery", func(o *bfs.Options) { o.Recovery = bfs.RecoverShrink }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig(12)
+			cfg.Grid = bfs2d.Grid{R: 2, C: 4}
+			c.mod(&cfg.Opts)
+			if _, err := Run(cfg); err == nil {
+				t.Fatalf("2-D run with %s set accepted", c.name)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,8 @@ func (r *Request) Msg() Msg { return r.msg }
 // overlaps the transfer: Wait only advances the clock if the rendezvous
 // finishes after the rank's own work. Like Send, it blocks while an
 // earlier message to dst has not been received yet. The untyped payload
-// arrives as Msg.Payload.Any; hot paths use IsendPayload.
+// arrives as Msg.Payload.Any. The simulator sends typed payloads through
+// IsendPayload; only tests and the benchmark's probes use this.
 func (p *Proc) Isend(dst, tag int, bytes int64, payload any, streams int) *Request {
 	return p.isend(dst, tag, bytes, bytes, &Payload{Any: payload}, streams)
 }

@@ -156,7 +156,9 @@ func (p *Proc) RestoreClock(ns float64) { p.clock = ns }
 // of same-node ranks concurrently driving the contended resource (NIC or
 // memory system) during the enclosing collective step. Send blocks until
 // the matching Recv completes and advances the clock to the transfer end.
-// The payload arrives as Msg.Payload.Any; hot paths use SendPayload.
+// The payload arrives as Msg.Payload.Any. The simulator sends typed
+// payloads through SendPayload; only tests and the benchmark's probes
+// use this.
 func (p *Proc) Send(dst, tag int, bytes int64, payload any, streams int) {
 	p.SendPayload(dst, tag, bytes, Payload{Any: payload}, streams)
 }
@@ -208,7 +210,9 @@ func (p *Proc) receive(src, tag int, ready float64, out *Msg) (begin, recvEnd fl
 // SendRecv posts a send to dst and a receive from src concurrently and
 // completes both, as MPI_Sendrecv does. Ring exchanges need this: with
 // blocking Send alone, a cycle of ranks would deadlock. The untyped
-// payload arrives as Msg.Payload.Any; hot paths use SendRecvPayload.
+// payload arrives as Msg.Payload.Any. The simulator sends typed payloads
+// through SendRecvPayload; only tests and the benchmark's probes use
+// this.
 func (p *Proc) SendRecv(dst, sendTag int, bytes int64, payload any, src, recvTag int, streams int) Msg {
 	return p.sendRecv(dst, sendTag, bytes, bytes, &Payload{Any: payload}, src, recvTag, streams)
 }

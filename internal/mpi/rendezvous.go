@@ -56,10 +56,12 @@ import (
 // errAborted.
 
 // Payload is what a message carries, as a concrete value so that the
-// hot collectives box nothing: a segment id and chunk index, raw words,
-// an int64 list or scalar, or an encoded wire.Payload. Any is the escape
-// hatch the untyped payload of Send, SendRecv and Isend lands in; it
-// costs an allocation per message when the value is not pointer-shaped.
+// collectives box nothing: a segment id and chunk index (or the first
+// position and count of a multi-segment run), raw words, an int64 list
+// or scalar, or an encoded wire.Payload. Any is the escape hatch the
+// untyped payload of Send, SendRecv and Isend lands in; it costs an
+// allocation per message when the value is not pointer-shaped, and only
+// tests and the repository benchmark's probes still use it.
 type Payload struct {
 	ID, Q  int
 	Words  []uint64

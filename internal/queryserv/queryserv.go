@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"numabfs/internal/graph500"
 	"numabfs/internal/msbfs"
 	"numabfs/internal/stats"
 	"numabfs/internal/xrand"
@@ -53,6 +54,36 @@ func (po Policy) Validate() error {
 		return fmt.Errorf("queryserv: fill timeout %g must be finite and non-negative", po.FillTimeoutNs)
 	}
 	return nil
+}
+
+// Calibration is the engine's measured full-batch capacity: the unit
+// in which the query server's offered load and default fill timeout
+// are expressed, so one multiple stresses the same operating point at
+// every scale. Virtual time is deterministic, so the calibration is too.
+type Calibration struct {
+	BatchNs     float64 // virtual duration of one full batch
+	CapacityQPS float64 // lanes per BatchNs, in queries per virtual second
+}
+
+// Calibrate draws lanes roots by the Graph500 rule and runs them as one
+// batch on r. It fails when the graph has fewer than lanes vertices with
+// an edge (graph500.ErrTooManyRoots).
+func Calibrate(r *msbfs.Runner, lanes int) (Calibration, error) {
+	roots, err := graph500.DrawRoots(r.Params, lanes, r.HasEdgeGlobal)
+	if err != nil {
+		return Calibration{}, err
+	}
+	ns := r.RunBatch(roots).TimeNs
+	return Calibration{BatchNs: ns, CapacityQPS: float64(lanes) / (ns / 1e9)}, nil
+}
+
+// FillTimeoutNs returns ns, or twice the calibrated batch duration when
+// ns is 0 — the default fill timeout.
+func (c Calibration) FillTimeoutNs(ns float64) float64 {
+	if ns == 0 {
+		return 2 * c.BatchNs
+	}
+	return ns
 }
 
 // Completed is one query's outcome.

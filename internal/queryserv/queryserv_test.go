@@ -1,11 +1,13 @@
 package queryserv
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/msbfs"
 	"numabfs/internal/rmat"
@@ -213,5 +215,31 @@ func TestPoissonWorkloadDeterministic(t *testing.T) {
 		if i > 0 && a[i].ArriveNs < a[i-1].ArriveNs {
 			t.Fatal("arrivals not sorted")
 		}
+	}
+}
+
+// TestCalibrate: capacity is lanes per full-batch duration, the default
+// fill timeout twice that duration, and more lanes than the graph has
+// vertices with an edge is the root rule's error.
+func TestCalibrate(t *testing.T) {
+	r, params := testRunner(t, 10)
+	c, err := Calibrate(r, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns := r.RunBatch(params.Roots(8, r.HasEdgeGlobal)).TimeNs; ns != c.BatchNs {
+		t.Errorf("batch %g ns, a rerun of the same roots takes %g", c.BatchNs, ns)
+	}
+	if want := 8 / (c.BatchNs / 1e9); c.CapacityQPS != want {
+		t.Errorf("capacity %g q/s, want %g", c.CapacityQPS, want)
+	}
+	if got := c.FillTimeoutNs(0); got != 2*c.BatchNs {
+		t.Errorf("default fill timeout %g, want %g", got, 2*c.BatchNs)
+	}
+	if got := c.FillTimeoutNs(5e5); got != 5e5 {
+		t.Errorf("explicit fill timeout became %g", got)
+	}
+	if _, err := Calibrate(r, int(params.NumVertices())+1); !errors.Is(err, graph500.ErrTooManyRoots) {
+		t.Errorf("oversized calibration batch: %v, want ErrTooManyRoots", err)
 	}
 }
