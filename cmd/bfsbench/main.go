@@ -513,8 +513,6 @@ func main() {
 	}
 	if *metrics {
 		fmt.Print(spec.Obs.Dump().Report().String())
-		hits, misses := spec.Cache.Stats()
-		fmt.Printf("graph cache: hits=%d misses=%d\n", hits, misses)
 	}
 	if *timelineOut != "" {
 		if err := spec.Obs.WriteTimelineFile(*timelineOut); err != nil {

@@ -15,8 +15,10 @@ import (
 // mode switch — each rank snapshots the state a resume needs, keeping
 // the two newest generations. When a rank crash aborts the iteration,
 // RunRoot restores a generation every survivor is guaranteed to hold
-// and re-enters the level loop, charging the snapshot copies and the
-// rollback through the virtual clock like any other modelled work.
+// and re-enters the level loop (before the first save, the chassis
+// reruns the iteration from the root instead), charging the snapshot
+// copies and the rollback through the virtual clock like any other
+// modelled work.
 //
 // Two generations are the minimum that survives the abort race: ranks
 // are released from a dying collective at arbitrary host moments, so a
@@ -161,22 +163,12 @@ func (r *Runner) recoveryTarget(pos int) int {
 }
 
 // restoreCheckpoint rolls the rank back to the generation at `target`
-// and returns the loop state to resume with; target < 0 clears the
-// generations and returns nil — the caller reruns the iteration from
-// the root. Either way the rank's clock resumes no earlier than floor
-// (crash time plus the modelled detection timeout): rolling back state
-// never rolls back time. The rollback copy and the re-synchronizing
-// barrier are charged to the Recovery phase.
+// and returns the loop state to resume with. The rank's clock resumes no
+// earlier than floor (crash time plus the modelled detection timeout):
+// rolling back state never rolls back time. The rollback copy and the
+// re-synchronizing barrier are charged to the Recovery phase.
 func (rs *rankState) restoreCheckpoint(p *mpi.Proc, target int, floor float64) *loopState {
 	r := rs.r
-	if target < 0 {
-		rs.recycleCkpt(rs.ckptCur)
-		rs.recycleCkpt(rs.ckptPrev)
-		rs.ckptCur, rs.ckptPrev = nil, nil
-		rs.Rerun(p, floor)
-		rs.Rec.FaultEvent("recover", p.Clock())
-		return nil
-	}
 	rs.Rec = p.Obs()
 	var ck *checkpoint
 	switch {

@@ -109,7 +109,7 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	}
 	r := &Runner{cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers, true); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
 		return nil, err
 	}
 	w := r.W
@@ -234,18 +234,13 @@ type RootResult = chassis.Result
 // death under a non-rerun policy first removes the rank from the world —
 // spare promotion (falling back to shrink when the node is out of
 // spares), else survivor repartitioning — then every member restores the
-// generation all of them hold and re-enters the level loop.
+// generation all of them hold and re-enters the level loop. A crash
+// before the first checkpoint leaves the chassis to rerun from the root.
 func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[0] == nil {
 		panic("bfs: RunRoot before Setup")
 	}
-	for _, rs := range r.states {
-		rs.recycleCkpt(rs.ckptCur)
-		rs.recycleCkpt(rs.ckptPrev)
-		rs.ckptCur, rs.ckptPrev = nil, nil
-	}
-	res := RootResult{Root: root}
-	res.Faults, res.MTTRNs = r.Run(func(p *mpi.Proc) {
+	r.Run(func(p *mpi.Proc) {
 		r.states[r.posOf[p.Rank()]].runBFS(p, root)
 	}, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
 		// The target is computed before the surgery renumbers positions.
@@ -255,18 +250,15 @@ func (r *Runner) RunRoot(root int64) RootResult {
 				r.shrinkAfter(f.Rank, floor, target)
 			}
 		}
+		if target < 0 {
+			return nil
+		}
 		return func(p *mpi.Proc) {
 			rs := r.states[r.posOf[p.Rank()]]
-			if st := rs.restoreCheckpoint(p, target, floor); st != nil {
-				rs.levelLoop(p, st)
-			} else {
-				// Crash predates the first checkpoint: rerun the
-				// iteration from the root (clocks stay past the crash).
-				rs.runBFS(p, root)
-			}
+			rs.levelLoop(p, rs.restoreCheckpoint(p, target, floor))
 		}
 	})
-	res.Epoch = r.W.Epoch()
+	res := RootResult{Root: root}
 	r.Finish(&res.Summary, &r.states[0].Ledger)
 	return res
 }

@@ -21,9 +21,7 @@ func (rs *rankState) runBFS(p *mpi.Proc, root int64) {
 func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	r := rs.r
 	rs.reset()
-	// A rerun after a crash that predates the first checkpoint folds the
-	// parked detection floor and re-own cost back in here.
-	rs.Reset(p)
+	rs.Reset(p) // a rerun from the root resumes at the detection floor
 
 	lo := rs.csr.Lo
 	nfLocal, mfLocal := int64(0), int64(0)
@@ -101,15 +99,19 @@ func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 	}
 }
 
-// reset clears per-root state. Bitmaps need no clearing: in_queue and the
-// summary are fully overwritten by the first allgather, and the owned
-// out_queue segment is cleared at the start of every bottom-up level.
+// reset clears per-root state and recycles the checkpoint generations.
+// Bitmaps need no clearing: in_queue and the summary are fully
+// overwritten by the first allgather, and the owned out_queue segment is
+// cleared at the start of every bottom-up level.
 func (rs *rankState) reset() {
 	for i := range rs.parent {
 		rs.parent[i] = -1
 	}
 	rs.queue = rs.queue[:0]
 	rs.next = rs.next[:0]
+	rs.recycleCkpt(rs.ckptCur)
+	rs.recycleCkpt(rs.ckptPrev)
+	rs.ckptCur, rs.ckptPrev = nil, nil
 }
 
 // promoteNext makes the freshly discovered frontier current (top-down).

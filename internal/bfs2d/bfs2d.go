@@ -231,7 +231,7 @@ func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, param
 	}
 	r := &Runner{Grid: grid, cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers, true); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
 		return nil, err
 	}
 	w := r.W

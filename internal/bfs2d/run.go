@@ -18,14 +18,13 @@ type RootResult = chassis.Result
 
 // RunRoot runs one 2-D BFS from root. Rank clocks are reset, so TimeNs
 // is the iteration's virtual duration. Under an active crash plan the
-// iteration recovers by rerunning from the root with clocks floored at
+// chassis reruns the iteration from the root with clocks floored at
 // crash-detection time (the 2-D engine keeps no checkpoints).
 func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[r.cellRank[0]] == nil {
 		panic("bfs2d: RunRoot before Setup")
 	}
-	res := RootResult{Root: root}
-	res.Faults, res.MTTRNs = r.Run(func(p *mpi.Proc) {
+	r.Run(func(p *mpi.Proc) {
 		r.states[p.Rank()].run(p, r.grid, root)
 	}, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
 		if f.Permanent {
@@ -34,14 +33,9 @@ func (r *Runner) RunRoot(root int64) RootResult {
 			// never shrinks the grid).
 			r.promote(f.Rank, floor)
 		}
-		return func(p *mpi.Proc) {
-			rs := r.states[p.Rank()]
-			rs.Rerun(p, floor)
-			rs.Rec.FaultEvent("recover", floor)
-			rs.run(p, r.grid, root)
-		}
+		return nil
 	})
-	res.Epoch = r.W.Epoch()
+	res := RootResult{Root: root}
 	r.Finish(&res.Summary, &r.states[r.cellRank[0]].Ledger)
 	return res
 }
@@ -55,9 +49,7 @@ func (r *Runner) RunRoot(root int64) RootResult {
 func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	r := rs.r
 	rs.reset()
-	if reown := rs.Reset(p); reown > 0 {
-		rs.Rec.PhaseSpan(trace.Reown, 0, p.Clock()-reown, p.Clock())
-	}
+	rs.Reset(p)
 
 	lo := rs.ownLo()
 	var nfLocal int64

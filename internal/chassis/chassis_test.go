@@ -29,13 +29,13 @@ func (e *toy) ledgers(buf []*Ledger) []*Ledger {
 
 // newToy builds a 2-node x 4-socket world (8 ranks) with the given ranks
 // parked as spares.
-func newToy(t *testing.T, recovers bool, parked ...int) *toy {
+func newToy(t *testing.T, parked ...int) *toy {
 	t.Helper()
 	cfg := machine.Scaled(12, 24)
 	cfg.Nodes, cfg.SocketsPerNode, cfg.WeakNode = 2, 4, -1
 	e := &toy{}
 	var err error
-	if e.Core, err = NewCore(cfg, machine.PPN8Bind, rmat.Graph500(12), e.ledgers, recovers); err != nil {
+	if e.Core, err = NewCore(cfg, machine.PPN8Bind, rmat.Graph500(12), e.ledgers); err != nil {
 		t.Fatal(err)
 	}
 	e.states = make([]*Ledger, e.W.NumProcs())
@@ -57,7 +57,7 @@ func newToy(t *testing.T, recovers bool, parked ...int) *toy {
 // no plan the delta is exactly zero and the phase gets all of it.
 func TestChargeCommCarvesXport(t *testing.T) {
 	for _, lossy := range []bool{false, true} {
-		e := newToy(t, true)
+		e := newToy(t)
 		if lossy {
 			if err := e.InjectFaults(fault.Lossy(42, 0.2)); err != nil {
 				t.Fatal(err)
@@ -120,36 +120,104 @@ func work(p *mpi.Proc) {
 }
 
 // TestRunRecoversPlannedCrash: the happy path — one scheduled crash, one
-// repair, a resume floored at detection time.
+// repair, the engine's own resume floored at detection time, and the
+// crash reported by Finish.
 func TestRunRecoversPlannedCrash(t *testing.T) {
-	e := newToy(t, true)
+	e := newToy(t)
 	if err := e.InjectFaults(crashOf()); err != nil {
 		t.Fatal(err)
 	}
 	repairs := 0
-	faults, mttr := e.Run(work, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
+	e.Run(work, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
 		repairs++
 		if f.Rank != 1 || f.AtNs != 500 {
 			t.Errorf("repair asked to fix %+v, want rank 1 at 500 ns", f)
 		}
 		return func(p *mpi.Proc) {
 			l := e.states[p.Rank()]
-			l.Rerun(p, floor)
-			if p.Clock() != floor {
-				t.Errorf("rank %d resumed at %v, want the detection floor %v", p.Rank(), p.Clock(), floor)
-			}
 			l.Reset(p)
-			if got := l.Breakdown.Ns[trace.Recovery]; got != floor {
-				t.Errorf("rank %d: Recovery charged %v, want the floor %v", p.Rank(), got, floor)
+			if p.Clock() != 0 || l.Breakdown.Ns[trace.Recovery] != 0 {
+				t.Errorf("rank %d: a resume of the engine's own was charged a rerun", p.Rank())
 			}
+			p.RestoreClock(floor)
 			work(p)
 		}
 	})
-	if repairs != 1 || len(faults) != 1 {
-		t.Fatalf("%d repairs, %d faults, want 1 and 1", repairs, len(faults))
+	var s Summary
+	e.Finish(&s, e.states[0])
+	if repairs != 1 || len(s.Faults) != 1 {
+		t.Fatalf("%d repairs, %d faults, want 1 and 1", repairs, len(s.Faults))
 	}
-	if want := e.W.Injector().DetectTimeoutNs(); mttr != want {
-		t.Errorf("MTTR %v, want the detection timeout %v (nothing was re-owned)", mttr, want)
+	if want := e.W.Injector().DetectTimeoutNs(); s.MTTRNs != want {
+		t.Errorf("MTTR %v, want the detection timeout %v (nothing was re-owned)", s.MTTRNs, want)
+	}
+}
+
+// TestRunRerunsFromRoots: without a resume — no repair at all, or a
+// repair that only performs surgery — Run reruns the traversal body, and
+// each member's Reset restarts its clock at the detection floor plus
+// what the surgery parked, charging the floor to Recovery and the
+// transfer to Reown.
+func TestRunRerunsFromRoots(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		parked float64 // re-own transfer the repair parks on rank 1
+	}{{"nil repair", 0}, {"nil resume", 250}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newToy(t)
+			if err := e.InjectFaults(crashOf()); err != nil {
+				t.Fatal(err)
+			}
+			floor := 500 + e.W.Injector().DetectTimeoutNs()
+			parked := tc.parked
+			var repair func(*mpi.FaultError, float64) func(*mpi.Proc)
+			if parked > 0 {
+				repair = func(f *mpi.FaultError, _ float64) func(*mpi.Proc) {
+					e.states[f.Rank].ParkReown(parked)
+					return nil
+				}
+			}
+			attempts := make([]int, e.W.NumProcs())
+			e.Run(func(p *mpi.Proc) {
+				attempts[p.Rank()]++
+				l := e.states[p.Rank()]
+				l.Reset(p)
+				if attempts[p.Rank()] == 2 {
+					want := floor
+					if p.Rank() == 1 {
+						want += parked
+					}
+					if p.Clock() != want {
+						t.Errorf("rank %d reran from %v, want %v", p.Rank(), p.Clock(), want)
+					}
+					if got := l.Breakdown.Ns[trace.Recovery]; got != floor {
+						t.Errorf("rank %d: Recovery charged %v, want the floor %v", p.Rank(), got, floor)
+					}
+					if p.Rank() == 1 && l.Breakdown.Ns[trace.Reown] != parked {
+						t.Errorf("rank 1: Reown charged %v, want the parked %v", l.Breakdown.Ns[trace.Reown], parked)
+					}
+				}
+				work(p)
+			}, repair)
+			for r, n := range attempts {
+				if n != 2 {
+					t.Errorf("rank %d ran the body %d times, want 2", r, n)
+				}
+			}
+			var s Summary
+			e.Finish(&s, e.states[0])
+			if len(s.Faults) != 1 || s.MTTRNs != floor-500+parked {
+				t.Errorf("Finish reported %d faults, MTTR %v; want 1 and %v", len(s.Faults), s.MTTRNs, floor-500+parked)
+			}
+			// The next traversal starts clean: the mark was consumed.
+			e.Run(func(p *mpi.Proc) {
+				l := e.states[p.Rank()]
+				l.Reset(p)
+				if p.Clock() != 0 || l.Breakdown.Ns[trace.Recovery] != 0 {
+					t.Errorf("rank %d: a clean traversal inherited the rerun", p.Rank())
+				}
+			}, repair)
+		})
 	}
 }
 
@@ -168,7 +236,7 @@ func TestRunRepanics(t *testing.T) {
 	}
 
 	t.Run("non-crash fault", func(t *testing.T) {
-		e := newToy(t, true)
+		e := newToy(t)
 		if err := e.InjectFaults(crashOf()); err != nil {
 			t.Fatal(err)
 		}
@@ -188,28 +256,18 @@ func TestRunRepanics(t *testing.T) {
 		})
 	})
 
-	t.Run("recovery off", func(t *testing.T) {
-		// An engine without a repair (the batched engine) ...
-		e := newToy(t, true)
-		if err := e.InjectFaults(crashOf()); err != nil {
-			t.Fatal(err)
-		}
-		wantCrash("nil repair", mustPanic(t, "nil repair", func() { e.Run(work, nil) }))
-		// ... and a crash the chassis was never told about: the plan went
-		// into the world directly, so nothing armed recovery.
-		e = newToy(t, true)
+	t.Run("unplanned crash", func(t *testing.T) {
+		// A crash the chassis was never told about: the plan went into
+		// the world directly, so nothing armed recovery.
+		e := newToy(t)
 		if err := e.W.InjectFaults(crashOf()); err != nil {
 			t.Fatal(err)
 		}
 		wantCrash("unplanned crash", mustPanic(t, "unplanned crash", func() { e.Run(work, noRepair) }))
-		// A crash plan is refused outright by an engine that cannot recover.
-		if err := newToy(t, false).InjectFaults(crashOf()); err == nil {
-			t.Error("crash plan accepted by an engine without a recovery path")
-		}
 	})
 
 	t.Run("more failures than planned", func(t *testing.T) {
-		e := newToy(t, true)
+		e := newToy(t)
 		if err := e.InjectFaults(crashOf()); err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +294,7 @@ func TestRunRepanics(t *testing.T) {
 // the level structure is the lead's, Levels the maximum, and the codec
 // decisions the sum over tracked (non-nil) codecs.
 func TestFinishAveragesOverMembers(t *testing.T) {
-	e := newToy(t, true, 3, 7)
+	e := newToy(t, 3, 7)
 	codec := &wire.Codec{}
 	for r, l := range e.states {
 		if l == nil {

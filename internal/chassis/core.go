@@ -2,16 +2,14 @@
 // internal/bfs2d, internal/msbfs) do around their level loops, written
 // once: building the simulated world, the fault / observability
 // plumbing, the kernel-1 epilogue, the per-rank phase ledger, the
-// crash-recovery retry loop and the result every traversal reports. An
-// engine embeds a Core in its Runner and a Ledger in its per-rank state
-// and supplies what is particular to it — the partition and its
-// membership, the frontier representation, the scan and exchange
-// kernels, and what recovering from a crash means for its state.
+// crash-recovery retry loop (a rerun from the roots by default) and the
+// result every traversal reports. An engine embeds a Core in its Runner
+// and a Ledger in its per-rank state and supplies what is particular to
+// it — the partition and its membership, the frontier representation,
+// the scan and exchange kernels, and any cheaper recovery it has.
 package chassis
 
 import (
-	"fmt"
-
 	"numabfs/internal/fault"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
@@ -31,11 +29,12 @@ type Core struct {
 	// their breakdowns are averaged; ledgers is its scratch.
 	members func(buf []*Ledger) []*Ledger
 	ledgers []*Ledger
-	// recovers says the engine can resume after a rank crash; faults is
-	// the active plan. Level-boundary checkpointing and the retry loop
-	// only engage when the plan schedules a crash.
-	recovers bool
-	faults   fault.Plan
+	// faults is the active plan: checkpointing and the retry loop only
+	// engage when it schedules a crash. crashes and mttrNs are the last
+	// Run's crash report, which Finish copies into the result.
+	faults  fault.Plan
+	crashes []*mpi.FaultError
+	mttrNs  float64
 	// totalEdges is the number of stored directed adjacencies across all
 	// members, the hybrid switch's "unexplored" baseline.
 	totalEdges int64
@@ -43,9 +42,8 @@ type Core struct {
 
 // NewCore validates the machine and the graph parameters and builds the
 // world under the placement policy. members enumerates the engine's
-// ledgers (see Core.members); recovers is false for an engine without a
-// crash-recovery path, which makes InjectFaults reject crash plans.
-func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, members func([]*Ledger) []*Ledger, recovers bool) (Core, error) {
+// ledgers (see Core.members).
+func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, members func([]*Ledger) []*Ledger) (Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return Core{}, err
 	}
@@ -53,7 +51,7 @@ func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, memb
 		return Core{}, err
 	}
 	w := mpi.NewWorld(cfg, machine.PlacementFor(cfg, policy))
-	return Core{W: w, Params: params, members: members, recovers: recovers}, nil
+	return Core{W: w, Params: params, members: members}, nil
 }
 
 // AttachObs routes the world through an observability session: per-rank
@@ -66,15 +64,12 @@ func (c *Core) AttachObs(s *obs.Session) { c.W.AttachObs(s) }
 // InjectFaults installs a deterministic fault plan (internal/fault) for
 // all subsequent traversals: bandwidth degradation, stragglers, jitter
 // and lossy links perturb the modelled times; a scheduled rank crash
-// additionally arms the engine's recovery (checkpoints in the 1-D
-// engine, rerun from the root in the 2-D one) so the iteration completes
-// instead of panicking. Call after Setup — construction (kernel 1) runs
-// unperturbed, as the paper's perturbation study targets the traversal.
-// The machine's configured weak node persists underneath the plan.
+// additionally arms Run's recovery (the 1-D engine's checkpoints, else a
+// rerun from the roots) so the traversal completes instead of panicking.
+// Call after Setup — construction (kernel 1) runs unperturbed, as the
+// paper's perturbation study targets the traversal. The machine's
+// configured weak node persists underneath the plan.
 func (c *Core) InjectFaults(plan fault.Plan) error {
-	if len(plan.Crashes) > 0 && !c.recovers {
-		return fmt.Errorf("chassis: crash plans not supported (the engine has no recovery path)")
-	}
 	if err := c.W.InjectFaults(plan); err != nil {
 		return err
 	}
@@ -141,30 +136,31 @@ func (c *Core) current() []*Ledger {
 	return c.ledgers
 }
 
-// Run drives one traversal to completion and returns the crashes it
-// survived, in recovery order, with their summed modelled repair time.
-// Clocks restart at zero; first runs on every live rank. When a planned
-// rank crash aborts an attempt, the crash is disarmed, the detection
-// floor is derived — permanent deaths are observed when the dead rank's
-// last heartbeat lease expires, transient ones keep the flat timeout —
-// and repair performs the engine's surgery (spare promotion, shrink)
-// and returns what each rank resumes with, clocks no earlier than the
-// floor. Anything else is re-raised: a programming bug, a dead link
-// (replaying past an exhausted link would exhaust it again), a crash
-// the engine cannot repair (nil repair) or more failures than the plan
-// schedules.
-func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor float64) (resume func(p *mpi.Proc))) (faults []*mpi.FaultError, mttrNs float64) {
+// Run drives one traversal to completion. Clocks restart at zero; first
+// runs on every live rank. When a planned rank crash aborts an attempt,
+// the crash is disarmed, the detection floor is derived — permanent
+// deaths are observed when the dead rank's last heartbeat lease expires,
+// transient ones keep the flat timeout — and repair (may be nil)
+// performs the engine's surgery (spare promotion, shrink) and returns
+// what each rank resumes with, clocks no earlier than the floor. Without
+// a resume, every member is marked with the floor and first reruns from
+// the roots (see Ledger.Reset). Anything else is re-raised: a
+// programming bug, a dead link (replaying past an exhausted link would
+// exhaust it again) or more failures than the plan schedules. Finish
+// reports the crashes survived and their repair time.
+func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor float64) (resume func(p *mpi.Proc))) {
 	c.W.ResetClocks()
+	c.crashes, c.mttrNs = nil, 0
 	for _, l := range c.current() {
 		l.begin()
 	}
 	err := c.W.TryRun(first)
 	for attempt := 0; err != nil; attempt++ {
 		f, ok := err.(*mpi.FaultError)
-		if !ok || f.Kind != fault.KindCrash || repair == nil || attempt >= len(c.faults.Crashes) {
+		if !ok || f.Kind != fault.KindCrash || attempt >= len(c.faults.Crashes) {
 			panic(err)
 		}
-		faults = append(faults, f)
+		c.crashes = append(c.crashes, f)
 		inj := c.W.Injector()
 		inj.Disarm(f.Rank, f.AtNs)
 		floor := f.AtNs + inj.DetectTimeoutNs()
@@ -172,16 +168,24 @@ func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor
 			floor = inj.DetectionTimeNs(f.AtNs)
 			c.W.Proc(f.Rank).Obs().FaultEvent("detect", floor)
 		}
-		resume := repair(f, floor)
+		var resume func(p *mpi.Proc)
+		if repair != nil {
+			resume = repair(f, floor)
+		}
 		// MTTR: detection latency plus the longest re-own transfer any
 		// member has parked for its resume.
 		var maxReown float64
 		for _, l := range c.current() {
 			maxReown = max(maxReown, l.reownNs)
+			if resume == nil {
+				l.rerunFloor = floor
+			}
 		}
-		mttrNs += (floor - f.AtNs) + maxReown
+		if resume == nil {
+			resume = first
+		}
+		c.mttrNs += (floor - f.AtNs) + maxReown
 		c.W.PrepareRecovery()
 		err = c.W.TryRun(resume)
 	}
-	return faults, mttrNs
 }

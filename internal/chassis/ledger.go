@@ -24,13 +24,13 @@ type Ledger struct {
 	// Host-only tallies, never priced; Finish folds them.
 	Visited, VisitedEdges int64
 
-	// recoveryNs carries a full-rerun recovery's cost (the detection
-	// floor the clocks restarted from) across Reset, which wipes the
-	// breakdown. reownNs is the modelled cost of re-owning a dead rank's
-	// state (adjacency re-fetch, checkpoint handoff), parked by the
-	// engine's shrink or promotion surgery and charged to the Reown phase
-	// when the member resumes.
-	recoveryNs float64
+	// rerunFloor marks a member Run reruns from the roots: the detection
+	// floor its next Reset restarts the clock from (0 = not marked).
+	// reownNs is the modelled cost of re-owning a dead rank's state
+	// (adjacency re-fetch, checkpoint handoff), parked by the engine's
+	// shrink or promotion surgery and charged to the Reown phase when the
+	// member resumes.
+	rerunFloor float64
 	reownNs    float64
 
 	// codecs are the member's wire codecs, whose per-traversal decisions
@@ -50,48 +50,42 @@ func (l *Ledger) Track(codecs ...*wire.Codec) {
 
 // begin opens a traversal, before its first attempt.
 func (l *Ledger) begin() {
-	l.recoveryNs, l.reownNs = 0, 0
+	l.rerunFloor, l.reownNs = 0, 0
 	for _, c := range l.codecs {
 		c.ResetStats()
 	}
 }
 
 // Reset opens an attempt on the rank now holding the member: the ledger
-// is wiped and bound to the rank's obs stream, and the charges a
-// recovery parked (they predate the wipe) are folded back in. Returns
-// the re-own share, for the engine that records it as a span.
-func (l *Ledger) Reset(p *mpi.Proc) (reownNs float64) {
+// is wiped and bound to the rank's obs stream. On a member Run marked
+// for a rerun from the roots, the clock resumes at the detection floor
+// plus any parked re-own transfer — rolling back state never rolls back
+// time — and the floor is charged to Recovery, the transfer to Reown,
+// each with its span, and one "recover" event marks the floor.
+func (l *Ledger) Reset(p *mpi.Proc) {
 	l.Breakdown = trace.Breakdown{}
 	l.Levels = 0
 	l.LevelStats = l.LevelStats[:0]
 	l.Visited, l.VisitedEdges = 0, 0
 	l.Rec = p.Obs()
-	if l.recoveryNs > 0 {
-		l.Breakdown.Add(trace.Recovery, l.recoveryNs)
-		l.recoveryNs = 0
+	if l.rerunFloor == 0 {
+		return
 	}
-	if reownNs = l.reownNs; reownNs > 0 {
-		l.Breakdown.Add(trace.Reown, reownNs)
-		l.reownNs = 0
+	floor, reown := l.rerunFloor, l.reownNs
+	l.rerunFloor, l.reownNs = 0, 0
+	p.RestoreClock(floor + reown)
+	l.Breakdown.Add(trace.Recovery, floor)
+	l.Rec.PhaseSpan(trace.Recovery, 0, 0, floor)
+	l.Rec.FaultEvent("recover", floor)
+	if reown > 0 {
+		l.Breakdown.Add(trace.Reown, reown)
+		l.Rec.PhaseSpan(trace.Reown, 0, p.Clock()-reown, p.Clock())
 	}
-	return reownNs
 }
 
 // ParkReown adds ns of modelled re-own transfer to what the member pays
 // when it resumes. Called by shrink / promotion surgery, between attempts.
 func (l *Ledger) ParkReown(ns float64) { l.reownNs += ns }
-
-// Rerun starts a from-the-root recovery attempt: the clock resumes at
-// the detection floor plus any parked re-own transfer — rolling back
-// state never rolls back time — and that dead time is the recovery
-// cost, parked because the attempt's Reset is about to wipe the
-// breakdown.
-func (l *Ledger) Rerun(p *mpi.Proc, floor float64) {
-	l.Rec = p.Obs()
-	p.RestoreClock(floor + l.reownNs)
-	l.recoveryNs = floor
-	l.Rec.PhaseSpan(trace.Recovery, 0, 0, floor)
-}
 
 // PayReown charges a parked re-own transfer on a checkpoint resume: it
 // runs before the rollback copy.

@@ -37,6 +37,22 @@ type Summary struct {
 	// reorder / ack counts. All-zero unless the fault plan declares
 	// lossy links.
 	Xport simnet.Xport
+	// Faults lists the rank crashes this traversal survived, in recovery
+	// order; empty when no crash fired. When non-empty, CommBytes /
+	// RawCommBytes and Wire include the lost attempts' partial traffic
+	// (those bytes really crossed the modelled network), so they —
+	// unlike TimeNs, TEPS, the parent trees and the Breakdown — are not
+	// bit-reproducible across host schedules.
+	Faults []*mpi.FaultError
+	// MTTRNs is the modelled mean-time-to-repair total of the traversal:
+	// for each survived crash, the failure-detection latency (lease
+	// expiry for permanent deaths, the plain timeout for transient ones)
+	// plus the longest re-own transfer any member paid. Zero when no
+	// crash fired.
+	MTTRNs float64
+	// Epoch is the world-view number the traversal finished on: 0 until
+	// a shrink or promotion, stepped by each (mpi.World.Epoch).
+	Epoch int
 }
 
 // Result summarizes one BFS iteration (one root) of the 1-D or the 2-D
@@ -44,22 +60,6 @@ type Summary struct {
 type Result struct {
 	Root int64
 	Summary
-	// Faults lists the rank crashes this iteration survived, in recovery
-	// order; empty when no crash fired. When non-empty, CommBytes /
-	// RawCommBytes and Wire include the lost attempts' partial traffic
-	// (those bytes really crossed the modelled network), so they —
-	// unlike TimeNs, TEPS, the parent trees and the Breakdown — are not
-	// bit-reproducible across host schedules.
-	Faults []*mpi.FaultError
-	// MTTRNs is the modelled mean-time-to-repair total of the iteration:
-	// for each survived crash, the failure-detection latency (lease
-	// expiry for permanent deaths, the plain timeout for transient ones)
-	// plus the longest re-own transfer any member paid. Zero when no
-	// crash fired.
-	MTTRNs float64
-	// Epoch is the world-view number the iteration finished on: 0 until
-	// a shrink or promotion, stepped by each (mpi.World.Epoch).
-	Epoch int
 }
 
 // Finish computes a finished traversal's tail into s: the time, the
@@ -68,7 +68,7 @@ type Result struct {
 // the codec decisions, the members' visit counters added to s.Visited
 // and s.TraversedEdges (each undirected edge is stored at both
 // endpoints; the batched engine counts per lane and fills them itself),
-// and TEPS from the result.
+// TEPS from the result, and the last Run's crash report.
 func (c *Core) Finish(s *Summary, lead *Ledger) {
 	s.TimeNs = c.W.MaxClock()
 	members := c.current()
@@ -94,6 +94,7 @@ func (c *Core) Finish(s *Summary, lead *Ledger) {
 	s.CommBytes = vol.IntraBytes + vol.InterBytes
 	s.RawCommBytes = vol.RawIntraBytes + vol.RawInterBytes
 	s.Xport = vol.Xport
+	s.Faults, s.MTTRNs, s.Epoch = c.crashes, c.mttrNs, c.W.Epoch()
 	if s.TimeNs > 0 {
 		s.TEPS = float64(s.TraversedEdges) / (s.TimeNs / 1e9)
 	}

@@ -58,10 +58,11 @@ type Spec struct {
 	SampleNs float64
 	// Faults, when non-nil, applies a deterministic fault plan
 	// (internal/fault) to every graph500 cell the driver runs — the
-	// bfsbench -fault flag. ExtFaults, ExtLoss and ExtAvailability build
-	// their own plans and ignore it; Fig4, Fig6, AblationAllgather,
-	// AblationShareDegree, ExtMSBFS and ExtMSBFSLoad drive mpi or the
-	// batched engine directly and run fault-free.
+	// bfsbench -fault flag; the batched cells of ExtMSBFS and
+	// ExtMSBFSLoad run under it too. ExtFaults, ExtLoss and
+	// ExtAvailability build their own plans and ignore it; Fig4, Fig6,
+	// AblationAllgather and AblationShareDegree drive mpi directly and
+	// run fault-free.
 	Faults *fault.Plan
 	// Cache, when non-nil, shares constructed graphs across every cell
 	// the driver runs: cells differing only in optimization level, knobs

@@ -65,12 +65,11 @@ func TestFigureLedgerKeys(t *testing.T) {
 // TestFig3OnSpecRunPath: Fig. 3's machine overrides are baked into its
 // cells, so its cells go through the one run path — the shared graph
 // cache (each of the four machines builds once, a second run hits every
-// one) and the gauge sampling of the Spec reach them.
+// one) and the gauge sampling of the Spec reach them. A recorded run
+// bypasses the cache: each session carries its own kernel 1.
 func TestFig3OnSpecRunPath(t *testing.T) {
 	s := quick()
 	s.Cache = chassis.NewGraphCache()
-	s.Obs = obs.NewRecorder()
-	s.SampleNs = obs.DefaultSampleNs
 	for _, want := range [][2]int64{{0, 4}, {4, 4}} {
 		if _, err := Fig3(s); err != nil {
 			t.Fatal(err)
@@ -78,6 +77,15 @@ func TestFig3OnSpecRunPath(t *testing.T) {
 		if h, m := s.Cache.Stats(); h != want[0] || m != want[1] {
 			t.Errorf("graph cache hits=%d misses=%d, want %d/%d", h, m, want[0], want[1])
 		}
+	}
+	s.Cache = chassis.NewGraphCache()
+	s.Obs = obs.NewRecorder()
+	s.SampleNs = obs.DefaultSampleNs
+	if _, err := Fig3(s); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := s.Cache.Stats(); h != 0 || m != 0 {
+		t.Errorf("recorded run: graph cache hits=%d misses=%d, want 0/0", h, m)
 	}
 	for _, sess := range s.Obs.Dump().Sessions {
 		if sess.BucketNs == 0 {

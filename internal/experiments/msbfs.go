@@ -39,13 +39,14 @@ func (s Spec) batchSize() int {
 
 // msbfsConfig is the benchmark config of one MS-BFS cell: two nodes at
 // the spec's base scale (no weak scaling — the figure sweeps the
-// optimization ladder, not node count).
+// optimization ladder, not node count), under the Spec's fault plan.
 func (s Spec) msbfsConfig(opt bfs.Opt) graph500.Config {
 	cfg := s.own(graph500.Config{
 		Machine: machine.Scaled(s.BaseScale, PaperBaseScale),
 		Policy:  machine.PPN8Bind,
 		Params:  rmat.Graph500(s.BaseScale),
 		Opts:    optsAt(opt),
+		Faults:  s.Faults,
 	})
 	cfg.Machine.Nodes, cfg.Machine.WeakNode = 2, -1
 	return cfg

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
 )
 
@@ -57,6 +59,33 @@ func TestExtMSBFSShape(t *testing.T) {
 	if h, m := s.Cache.Stats(); h+m-h0-m0 != int64(len(msbfsOpts)) || m-m0 > 1 {
 		t.Errorf("graph cache hits=%d misses=%d over %d/%d, want %d lookups and at most 1 build",
 			h, m, h0, m0, len(msbfsOpts))
+	}
+}
+
+// TestExtMSBFSUnderCrash: Spec.Faults reaches the batched cells. A crash
+// halfway through every cell's batch is survived by a rerun from the
+// roots: the driver's per-lane bit-identity check against the clean
+// batch-of-one runs still passes, and each row's batch time grows.
+func TestExtMSBFSUnderCrash(t *testing.T) {
+	s := quick()
+	s.Batch = 8
+	clean, err := ExtMSBFS(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := math.Inf(1)
+	for _, r := range clean.Rows {
+		at = min(at, r.Values[1]*1e6/2)
+	}
+	s.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 3, AtNs: at}}}
+	crashed, err := ExtMSBFS(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range crashed.Rows {
+		if got, base := r.Values[1], clean.Rows[i].Values[1]; got <= base {
+			t.Errorf("row %q: batch %g ms under a crash, not above the clean %g ms", r.Label, got, base)
+		}
 	}
 }
 

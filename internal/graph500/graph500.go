@@ -81,16 +81,19 @@ type Config struct {
 	SampleNs float64
 
 	// Faults, when non-nil, is the deterministic perturbation plan
-	// (internal/fault) applied to every BFS iteration: degraded links,
-	// stragglers, jitter, and rank crashes survived through checkpoint
-	// recovery. Construction (kernel 1) runs unperturbed.
+	// (internal/fault) applied to every traversal of any engine, batched
+	// ones included: degraded links, stragglers, jitter, and rank
+	// crashes, survived through the 1-D engine's checkpoints or else a
+	// rerun from the roots. Construction (kernel 1) runs unperturbed.
 	Faults *fault.Plan
 
 	// Cache, when non-nil, reuses constructed graphs across runs with
 	// identical (machine, policy, R-MAT params, dedup, spares, grid):
 	// kernel 1 is skipped on a hit and the cached build's SetupNs
-	// reported, so results are bit-identical either way. Experiment sweeps share one
-	// cache across their cells (bfsbench).
+	// reported, so results are bit-identical either way. Experiment
+	// sweeps share one cache across their cells (bfsbench). A run with
+	// Obs set bypasses it, so every recorded session carries its own
+	// kernel-1 spans.
 	Cache *chassis.GraphCache
 }
 
@@ -107,8 +110,8 @@ type Result struct {
 	// Breakdown is the per-phase time averaged over roots and ranks —
 	// the quantity Figs. 11-14 report.
 	Breakdown trace.Breakdown
-	// Faults is the total number of rank crashes survived via checkpoint
-	// recovery across all roots.
+	// Faults is the total number of rank crashes survived across all
+	// roots.
 	Faults int
 	// MTTRNs is the summed modelled repair time of those crashes
 	// (detection delay plus re-own transfer; see bfs.RootResult.MTTRNs).
@@ -120,9 +123,13 @@ type Result struct {
 // observability session, labelled prefix + the cell's coordinates —
 // the 2-D grid and a non-hybrid mode named, so cells that differ only
 // there stay apart; kernel 1 through the graph cache; then the fault
-// plan.
+// plan. A recorded run builds its own kernel 1: only a build records
+// the construction spans and the end-of-setup mark, so a cache hit
+// would make the session depend on which cell built first.
 func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph, setup func()) error {
+	cache := cfg.Cache
 	if cfg.Obs != nil {
+		cache = nil
 		if cfg.Grid != (bfs2d.Grid{}) {
 			prefix += fmt.Sprintf("2-D %dx%d ", cfg.Grid.R, cfg.Grid.C)
 		}
@@ -140,7 +147,7 @@ func prepare(cfg Config, prefix string, c *chassis.Core, g *chassis.Graph, setup
 		Machine: cfg.Machine, Policy: cfg.Policy, Params: cfg.Params,
 		Dedup: cfg.Opts.Dedup, Spares: cfg.Opts.SpareRanks, Grid: cfg.Grid,
 	}
-	if err := cfg.Cache.Setup(key, c, g, setup); err != nil {
+	if err := cache.Setup(key, c, g, setup); err != nil {
 		return err
 	}
 	if cfg.Faults != nil {

@@ -38,7 +38,8 @@ import (
 
 // ValidateOptions checks a bfs.Options for the batched engine: the
 // shared/parallel/compressed allgather ladder applies verbatim, the
-// overlap level and the crash-recovery machinery do not.
+// overlap level does not. A crash reruns the batch from its roots; there
+// is no surgery, so SpareRanks and RecoverShrink are rejected.
 func ValidateOptions(o bfs.Options) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -56,10 +57,10 @@ func ValidateOptions(o bfs.Options) error {
 // Runner owns one simulated multi-source BFS job. Build with NewRunner,
 // call Setup once (kernel 1), then RunBatch per batch of up to 64 roots.
 type Runner struct {
-	// Core is the world, the fault/obs plumbing and the result tail
-	// (crash plans are rejected: the batched engine has no recovery
-	// path); Graph1D the partition and the per-rank CSRs, the very ones
-	// bfs builds.
+	// Core is the world, the fault/obs plumbing, the crash-retry loop
+	// (a crashed batch reruns from its roots) and the result tail;
+	// Graph1D the partition and the per-rank CSRs, the very ones bfs
+	// builds.
 	chassis.Core
 	chassis.Graph1D
 	// Ladder carries Opts and NC (NC.World is the group of all ranks),
@@ -129,7 +130,7 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	}
 	r := &Runner{cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers, false); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
 		return nil, err
 	}
 	r.pl = r.W.Placement()

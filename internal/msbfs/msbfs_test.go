@@ -12,6 +12,7 @@ import (
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/rmat"
+	"numabfs/internal/trace"
 )
 
 // graphs shares kernel 1 across the package's tests, which build the
@@ -315,12 +316,44 @@ func TestLossyPlanComposition(t *testing.T) {
 	}
 }
 
-// TestInjectFaultsRejectsCrashPlans: no checkpoint path, no crashes.
-func TestInjectFaultsRejectsCrashPlans(t *testing.T) {
-	r := newTestRunner(t, 12, bfs.DefaultOptions())
-	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: 1e6}}}
-	if err := r.InjectFaults(plan); err == nil {
-		t.Fatal("crash plan accepted by the batched engine")
+// TestCrashedBatchReruns: a crash in the middle of a batch, transient or
+// permanent, is survived by the chassis's rerun from the roots — the
+// engine has no recovery code of its own. One fault is reported, the
+// detection floor is charged to Recovery and lengthens the batch, and
+// every lane's tree is bit-identical to the clean batch's.
+func TestCrashedBatchReruns(t *testing.T) {
+	const scale = 12
+	params := rmat.Graph500(scale)
+	clean := newTestRunner(t, scale, bfs.DefaultOptions())
+	roots := params.Roots(8, clean.HasEdgeGlobal)
+	cleanRes := clean.RunBatch(roots)
+	want := make([][]int64, len(roots))
+	for l := range roots {
+		want[l] = clean.LaneParents(l)
+	}
+	for _, permanent := range []bool{false, true} {
+		r := newTestRunner(t, scale, bfs.DefaultOptions())
+		plan := fault.Plan{Crashes: []fault.Crash{{Rank: 3, AtNs: 0.5 * cleanRes.TimeNs, Permanent: permanent}}}
+		if err := r.InjectFaults(plan); err != nil {
+			t.Fatal(err)
+		}
+		res := r.RunBatch(roots)
+		if len(res.Faults) != 1 || res.Faults[0].Permanent != permanent {
+			t.Fatalf("permanent=%v: faults %+v, want one crash", permanent, res.Faults)
+		}
+		if res.TimeNs <= cleanRes.TimeNs || res.Breakdown.Ns[trace.Recovery] <= 0 || res.MTTRNs <= 0 {
+			t.Errorf("permanent=%v: batch %v ns (clean %v), Recovery %v, MTTR %v: the rerun was not charged",
+				permanent, res.TimeNs, cleanRes.TimeNs, res.Breakdown.Ns[trace.Recovery], res.MTTRNs)
+		}
+		for l := range roots {
+			got, ref := res.Lanes[l], cleanRes.Lanes[l]
+			if got.Levels != ref.Levels || got.Visited != ref.Visited || got.TraversedEdges != ref.TraversedEdges {
+				t.Errorf("permanent=%v lane %d: %+v, clean %+v", permanent, l, got, ref)
+			}
+			if !slices.Equal(r.LaneParents(l), want[l]) {
+				t.Errorf("permanent=%v lane %d: tree differs from the clean batch's", permanent, l)
+			}
+		}
 	}
 }
 

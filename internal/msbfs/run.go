@@ -37,8 +37,9 @@ func (r *Runner) RunBatch(roots []int64) BatchResult {
 	if len(roots) == 0 || len(roots) > 64 {
 		panic(fmt.Sprintf("msbfs: batch of %d roots outside [1, 64]", len(roots)))
 	}
-	// No repair: a transport fault that exhausts its retry budget (or a
-	// programming bug) is terminal.
+	// No repair: a planned crash reruns the batch from its roots; a
+	// transport fault that exhausts its retry budget (or a programming
+	// bug) is terminal.
 	r.Run(func(p *mpi.Proc) { r.states[p.Rank()].runBatch(p, roots) }, nil)
 	return r.assemble(roots)
 }

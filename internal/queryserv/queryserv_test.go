@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"numabfs/internal/bfs"
+	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
 	"numabfs/internal/machine"
 	"numabfs/internal/msbfs"
@@ -67,6 +68,45 @@ func TestServeCompletesEveryQuery(t *testing.T) {
 	p50, p99 := res.LatencyPercentile(50), res.LatencyPercentile(99)
 	if p50 <= 0 || p99 < p50 {
 		t.Fatalf("latency percentiles inverted: p50=%g p99=%g", p50, p99)
+	}
+}
+
+// TestServeThroughCrash: a permanent rank death inside the first batch
+// is survived by the batched engine's rerun from the roots. Every query
+// completes with its fault-free answer, and the crashed batch takes
+// longer.
+func TestServeThroughCrash(t *testing.T) {
+	r, params := testRunner(t, 12)
+	qs := workload(t, r, params, 48, 2000)
+	po := Policy{MaxBatch: 16, FillTimeoutNs: 5e5}
+	clean, err := Serve(r, po, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int]int64, len(qs))
+	for _, c := range clean.Completed {
+		want[c.ID] = c.TraversedEdges
+	}
+
+	r, _ = testRunner(t, 12)
+	at := 0.5 * clean.Batches[0].DurationNs
+	if err := r.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Rank: 5, AtNs: at, Permanent: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Serve(r, po, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Completed) != len(qs) {
+		t.Fatalf("completed %d of %d queries", len(res.Completed), len(qs))
+	}
+	for _, c := range res.Completed {
+		if c.TraversedEdges != want[c.ID] {
+			t.Errorf("query %d: %d edges, fault-free %d", c.ID, c.TraversedEdges, want[c.ID])
+		}
+	}
+	if got, base := res.Batches[0].DurationNs, clean.Batches[0].DurationNs; got <= base {
+		t.Errorf("crashed batch took %g ns, not above the fault-free %g ns", got, base)
 	}
 }
 
