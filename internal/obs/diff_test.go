@@ -27,6 +27,49 @@ func diffPair() (*Run, *Run) {
 	return mk(100, 80, 40, 10, 30), mk(90, 70, 10, 35, 5)
 }
 
+// shiftedRecorder is the diff golden's candidate against
+// sampledRecorder: its first session moves phase time between phases,
+// adds a third rank and a fourth with no phase spans, and changes the
+// wire bytes; its third session has no baseline partner.
+func shiftedRecorder() *Recorder {
+	rec := NewRecorder()
+
+	s := rec.NewSession("lvl6 scale=14")
+	r0 := s.AddRank(0, 0, 0)
+	r1 := s.AddRank(1, 0, 1)
+	r2 := s.AddRank(2, 1, 0)
+	r3 := s.AddRank(3, 1, 1)
+	r0.PhaseSpan(trace.TDComp, 0, 0, 100)
+	r0.PhaseSpan(trace.TDComm, 0, 100, 130)
+	r0.PhaseSpan(trace.Overlap, 0, 130, 145.5)
+	r1.PhaseSpan(trace.BUComp, 0, 0, 95)
+	r1.PhaseSpan(trace.BUComm, 0, 95, 140)
+	r1.PhaseSpan(trace.Stall, 0, 140, 150)
+	r1.Overlap(70, 5)
+	r2.PhaseSpan(trace.BUComp, 0, 0, 60.25)
+	r2.PhaseSpan(trace.Stall, 0, 60.25, 150)
+	r0.CountMsg(HopInterNode, 300, 800)
+	r1.CountMsg(HopIntraNode, 128, 128)
+	r3.CountMsg(HopIntraSocket, 64, 64)
+
+	s2 := rec.NewSession("plain")
+	r := s2.AddRank(0, 1, 2)
+	r.PhaseSpan(trace.Switch, 2, 0, 7.5)
+
+	rec.NewSession("extra").AddRank(0, 0, 0).PhaseSpan(trace.Ckpt, 0, 0, 3)
+	return rec
+}
+
+func TestDiffGolden(t *testing.T) {
+	d := DiffRuns(sampledRecorder().Dump(), shiftedRecorder().Dump())
+	checkGolden(t, "diff_golden.txt", []byte(d.String()))
+	j, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "diff_golden.json", append(j, '\n'))
+}
+
 func TestDiffRuns(t *testing.T) {
 	a, b := diffPair()
 	d := DiffRuns(a, b)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,4 +43,13 @@ func TestRegenerateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	write("html_golden.html", html.Bytes())
+	write("report_golden.txt", []byte(run.Report().String()))
+
+	d := DiffRuns(run, shiftedRecorder().Dump())
+	write("diff_golden.txt", []byte(d.String()))
+	j, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("diff_golden.json", append(j, '\n'))
 }

@@ -37,3 +37,7 @@ func TestReportBoundRankIsLastArrival(t *testing.T) {
 		}
 	}
 }
+
+func TestReportGolden(t *testing.T) {
+	checkGolden(t, "report_golden.txt", []byte(sampledRecorder().Dump().Report().String()))
+}
