@@ -183,3 +183,26 @@ func TestRunMissingFile(t *testing.T) {
 		t.Errorf("error does not name the file: %s", errOut.String())
 	}
 }
+
+// TestRunRankIDNotIndex: a timeline whose rank id differs from its
+// index is a read error for every subcommand and the diff (exit 1, the
+// line named), not a report that indexes past its per-rank tables.
+func TestRunRankIDNotIndex(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ids.jsonl")
+	lines := `{"t":"session","s":0,"label":"x","ranks":1}
+{"t":"rank","s":0,"r":0,"id":5,"node":0,"socket":0}
+{"t":"span","s":0,"r":0,"name":"stall","cat":"phase","level":0,"start":0,"end":10}
+{"t":"comm","s":0,"r":0,"comm":{"msgs":[0,0,0],"bytes":[0,0,0],"raw_bytes":[0,0,0]}}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"report", path}, {"chrome", path}, {"html", path}, {"prom", path}, {path, path},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "line 2:") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming line 2", args, code, errOut.String())
+		}
+	}
+}

@@ -72,32 +72,10 @@ type RankDelta struct {
 	DeltaNs float64 `json:"delta_ns"`
 }
 
-// sessionTotals sums one session's phase spans: per phase (enum order)
-// and per rank ID.
-func sessionTotals(s *RunSession) (perPhase [trace.NumPhases]float64, perRank map[int]float64) {
-	perRank = make(map[int]float64)
-	for _, rk := range s.Ranks {
-		for _, sp := range rk.Spans {
-			if sp.Cat != CatPhase {
-				continue
-			}
-			d := sp.End - sp.Start
-			if p, ok := trace.PhaseByName(sp.Name); ok {
-				perPhase[p] += d
-				perRank[rk.ID] += d
-			}
-		}
-	}
-	return perPhase, perRank
-}
-
 // DiffRuns compares baseline a against candidate b.
 func DiffRuns(a, b *Run) *RunDiff {
 	d := &RunDiff{}
-	n := len(a.Sessions)
-	if len(b.Sessions) < n {
-		n = len(b.Sessions)
-	}
+	n := min(len(a.Sessions), len(b.Sessions))
 	for i := 0; i < n; i++ {
 		d.Sessions = append(d.Sessions, diffSession(a.Sessions[i], b.Sessions[i]))
 	}
@@ -112,18 +90,15 @@ func DiffRuns(a, b *Run) *RunDiff {
 
 func diffSession(a, b *RunSession) SessionDiff {
 	sd := SessionDiff{LabelA: a.Label, LabelB: b.Label}
-
-	phA, rkA := sessionTotals(a)
-	phB, rkB := sessionTotals(b)
+	fa, fb := a.fold(), b.fold()
 	for p := trace.Phase(0); p < trace.NumPhases; p++ {
-		if phA[p] == 0 && phB[p] == 0 {
+		pa, pb := fa.phase[p], fb.phase[p]
+		if pa == 0 && pb == 0 {
 			continue
 		}
-		sd.Phases = append(sd.Phases, PhaseDelta{
-			Name: p.String(), ANs: phA[p], BNs: phB[p], DeltaNs: phB[p] - phA[p],
-		})
-		sd.TotalANs += phA[p]
-		sd.TotalBNs += phB[p]
+		sd.Phases = append(sd.Phases, PhaseDelta{Name: p.String(), ANs: pa, BNs: pb, DeltaNs: pb - pa})
+		sd.TotalANs += pa
+		sd.TotalBNs += pb
 	}
 	sd.DeltaNs = sd.TotalBNs - sd.TotalANs
 	// Stable attribution order: biggest mover first, enum order on ties
@@ -132,38 +107,15 @@ func diffSession(a, b *RunSession) SessionDiff {
 		return math.Abs(sd.Phases[i].DeltaNs) > math.Abs(sd.Phases[j].DeltaNs)
 	})
 
-	ids := make([]int, 0, len(rkA)+len(rkB))
-	seen := make(map[int]bool)
-	for id := range rkA {
-		ids = append(ids, id)
-		seen[id] = true
-	}
-	for id := range rkB {
-		if !seen[id] {
-			ids = append(ids, id)
+	for id := 0; id < max(len(fa.ranks), len(fb.ranks)); id++ {
+		if ra, rb := fa.rank(id), fb.rank(id); ra.timed || rb.timed {
+			sd.Ranks = append(sd.Ranks, RankDelta{Rank: id, ANs: ra.ns, BNs: rb.ns, DeltaNs: rb.ns - ra.ns})
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		sd.Ranks = append(sd.Ranks, RankDelta{
-			Rank: id, ANs: rkA[id], BNs: rkB[id], DeltaNs: rkB[id] - rkA[id],
-		})
 	}
 
-	for _, rk := range a.Ranks {
-		sd.OverlapHiddenANs += rk.Comm.OverlapHiddenNs
-		sd.OverlapExposedANs += rk.Comm.OverlapExposedNs
-		for h := Hop(0); h < NumHops; h++ {
-			sd.BytesA[h] += rk.Comm.Bytes[h]
-		}
-	}
-	for _, rk := range b.Ranks {
-		sd.OverlapHiddenBNs += rk.Comm.OverlapHiddenNs
-		sd.OverlapExposedBNs += rk.Comm.OverlapExposedNs
-		for h := Hop(0); h < NumHops; h++ {
-			sd.BytesB[h] += rk.Comm.Bytes[h]
-		}
-	}
+	sd.OverlapHiddenANs, sd.OverlapExposedANs = fa.comm.OverlapHiddenNs, fa.comm.OverlapExposedNs
+	sd.OverlapHiddenBNs, sd.OverlapExposedBNs = fb.comm.OverlapHiddenNs, fb.comm.OverlapExposedNs
+	sd.BytesA, sd.BytesB = fa.comm.Bytes, fb.comm.Bytes
 	return sd
 }
 

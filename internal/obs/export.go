@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"numabfs/internal/trace"
 )
 
 // This file defines the portable run snapshot — the one data model
@@ -138,42 +140,35 @@ type jsonlGauge struct {
 func (run *Run) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw) // Encode appends the newline JSONL wants
+	var err error
+	put := func(line any) {
+		if err == nil {
+			err = enc.Encode(line)
+		}
+	}
 	for si, s := range run.Sessions {
-		if err := enc.Encode(jsonlSession{
+		put(jsonlSession{
 			T: "session", S: si, Label: s.Label, Ranks: len(s.Ranks),
 			BucketNs: s.BucketNs, LinkPeak: s.LinkPeak, Marks: s.Marks,
-		}); err != nil {
-			return err
-		}
+		})
 		for ri, rk := range s.Ranks {
-			if err := enc.Encode(jsonlRank{
-				T: "rank", S: si, R: ri, ID: rk.ID, Node: rk.Node, Socket: rk.Socket,
-			}); err != nil {
-				return err
-			}
+			put(jsonlRank{T: "rank", S: si, R: ri, ID: rk.ID, Node: rk.Node, Socket: rk.Socket})
 			for _, sp := range rk.Spans {
-				if err := enc.Encode(jsonlSpan{
+				put(jsonlSpan{
 					T: "span", S: si, R: ri, Name: sp.Name, Cat: sp.Cat,
 					Level: sp.Level, Start: sp.Start, End: sp.End,
-				}); err != nil {
-					return err
-				}
+				})
 			}
-			if err := enc.Encode(jsonlComm{
-				T: "comm", S: si, R: ri, Comm: rk.Comm,
-			}); err != nil {
-				return err
-			}
+			put(jsonlComm{T: "comm", S: si, R: ri, Comm: rk.Comm})
 			for g := Gauge(0); g < NumGauges; g++ {
 				for _, pt := range rk.Gauges[g] {
-					if err := enc.Encode(jsonlGauge{
-						T: "gauge", S: si, R: ri, G: g.String(), B: pt.Bucket, V: pt.V,
-					}); err != nil {
-						return err
-					}
+					put(jsonlGauge{T: "gauge", S: si, R: ri, G: g.String(), B: pt.Bucket, V: pt.V})
 				}
 			}
 		}
+	}
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -193,98 +188,20 @@ func (r *Recorder) WriteTimelineFile(path string) error {
 }
 
 // ReadRun parses a JSONL stream written by WriteJSONL back into a Run.
-// It validates that every line references a session and rank that was
-// already declared.
+// It validates, with a line-numbered error, that every line references
+// a session and rank already declared, that rank ids equal their index
+// (the readers index per-rank tables by id), and that every phase span
+// names a trace phase.
 func ReadRun(r io.Reader) (*Run, error) {
 	run := &Run{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	rank := func(s, ri int) (*RunRank, error) {
-		if s < 0 || s >= len(run.Sessions) {
-			return nil, fmt.Errorf("line %d: session %d not declared", lineNo, s)
-		}
-		sess := run.Sessions[s]
-		if ri < 0 || ri >= len(sess.Ranks) {
-			return nil, fmt.Errorf("line %d: rank %d of session %d not declared", lineNo, ri, s)
-		}
-		return sess.Ranks[ri], nil
-	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var probe struct {
-			T string `json:"t"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		if err := run.readLine(sc.Bytes()); err != nil {
 			return nil, fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		switch probe.T {
-		case "session":
-			var l jsonlSession
-			if err := json.Unmarshal(line, &l); err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			if l.S != len(run.Sessions) {
-				return nil, fmt.Errorf("line %d: session index %d, want %d", lineNo, l.S, len(run.Sessions))
-			}
-			run.Sessions = append(run.Sessions, &RunSession{
-				Label: l.Label, BucketNs: l.BucketNs, LinkPeak: l.LinkPeak, Marks: l.Marks,
-			})
-		case "rank":
-			var l jsonlRank
-			if err := json.Unmarshal(line, &l); err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			if l.S < 0 || l.S >= len(run.Sessions) {
-				return nil, fmt.Errorf("line %d: session %d not declared", lineNo, l.S)
-			}
-			sess := run.Sessions[l.S]
-			if l.R != len(sess.Ranks) {
-				return nil, fmt.Errorf("line %d: rank index %d, want %d", lineNo, l.R, len(sess.Ranks))
-			}
-			sess.Ranks = append(sess.Ranks, &RunRank{ID: l.ID, Node: l.Node, Socket: l.Socket})
-		case "span":
-			var l jsonlSpan
-			if err := json.Unmarshal(line, &l); err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			rk, err := rank(l.S, l.R)
-			if err != nil {
-				return nil, err
-			}
-			rk.Spans = append(rk.Spans, Span{
-				Name: l.Name, Cat: l.Cat, Level: l.Level, Start: l.Start, End: l.End,
-			})
-		case "comm":
-			var l jsonlComm
-			if err := json.Unmarshal(line, &l); err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			rk, err := rank(l.S, l.R)
-			if err != nil {
-				return nil, err
-			}
-			rk.Comm = l.Comm
-		case "gauge":
-			var l jsonlGauge
-			if err := json.Unmarshal(line, &l); err != nil {
-				return nil, fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			rk, err := rank(l.S, l.R)
-			if err != nil {
-				return nil, err
-			}
-			g, ok := GaugeByName(l.G)
-			if !ok {
-				return nil, fmt.Errorf("line %d: unknown gauge %q", lineNo, l.G)
-			}
-			rk.Gauges[g] = append(rk.Gauges[g], GaugePoint{Bucket: l.B, V: l.V})
-		default:
-			return nil, fmt.Errorf("line %d: unknown record type %q", lineNo, probe.T)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -294,6 +211,81 @@ func ReadRun(r io.Reader) (*Run, error) {
 		return nil, fmt.Errorf("empty timeline: no session records")
 	}
 	return run, nil
+}
+
+// readLine adds one JSONL record to run.
+func (run *Run) readLine(line []byte) error {
+	var head struct {
+		T string `json:"t"`
+		S int    `json:"s"`
+		R int    `json:"r"`
+	}
+	if err := json.Unmarshal(line, &head); err != nil {
+		return err
+	}
+	var rec any
+	switch head.T {
+	case "session":
+		rec = &jsonlSession{}
+	case "rank":
+		rec = &jsonlRank{}
+	case "span":
+		rec = &jsonlSpan{}
+	case "comm":
+		rec = &jsonlComm{}
+	case "gauge":
+		rec = &jsonlGauge{}
+	default:
+		return fmt.Errorf("unknown record type %q", head.T)
+	}
+	if err := json.Unmarshal(line, rec); err != nil {
+		return err
+	}
+	if l, ok := rec.(*jsonlSession); ok {
+		if l.S != len(run.Sessions) {
+			return fmt.Errorf("session index %d, want %d", l.S, len(run.Sessions))
+		}
+		run.Sessions = append(run.Sessions, &RunSession{
+			Label: l.Label, BucketNs: l.BucketNs, LinkPeak: l.LinkPeak, Marks: l.Marks,
+		})
+		return nil
+	}
+	if head.S < 0 || head.S >= len(run.Sessions) {
+		return fmt.Errorf("session %d not declared", head.S)
+	}
+	sess := run.Sessions[head.S]
+	if l, ok := rec.(*jsonlRank); ok {
+		if l.R != len(sess.Ranks) {
+			return fmt.Errorf("rank index %d, want %d", l.R, len(sess.Ranks))
+		}
+		if l.ID != l.R {
+			return fmt.Errorf("rank %d has id %d, want its index", l.R, l.ID)
+		}
+		sess.Ranks = append(sess.Ranks, &RunRank{ID: l.ID, Node: l.Node, Socket: l.Socket})
+		return nil
+	}
+	if head.R < 0 || head.R >= len(sess.Ranks) {
+		return fmt.Errorf("rank %d of session %d not declared", head.R, head.S)
+	}
+	rk := sess.Ranks[head.R]
+	switch l := rec.(type) {
+	case *jsonlSpan:
+		if _, ok := trace.PhaseByName(l.Name); l.Cat == CatPhase && !ok {
+			return fmt.Errorf("phase span names no phase: %q", l.Name)
+		}
+		rk.Spans = append(rk.Spans, Span{
+			Name: l.Name, Cat: l.Cat, Level: l.Level, Start: l.Start, End: l.End,
+		})
+	case *jsonlComm:
+		rk.Comm = l.Comm
+	case *jsonlGauge:
+		g, ok := GaugeByName(l.G)
+		if !ok {
+			return fmt.Errorf("unknown gauge %q", l.G)
+		}
+		rk.Gauges[g] = append(rk.Gauges[g], GaugePoint{Bucket: l.B, V: l.V})
+	}
+	return nil
 }
 
 // ReadRunFile reads a JSONL timeline from path.

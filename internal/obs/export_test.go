@@ -224,6 +224,32 @@ func TestReadRunErrors(t *testing.T) {
 	}
 }
 
+// TestReadRunRejectsWhatReadersMisread: a rank whose id is not its
+// index (the readers index per-rank tables by id, and the report
+// panicked on it) and a phase span that names no trace phase (counted
+// by the report but dropped by every other reader) are line-numbered
+// errors.
+func TestReadRunRejectsWhatReadersMisread(t *testing.T) {
+	const head = `{"t":"session","s":0,"label":"x","ranks":1}` + "\n"
+	for name, tc := range map[string]struct{ in, want string }{
+		"rank id": {
+			head + `{"t":"rank","s":0,"r":0,"id":5,"node":0,"socket":0}` + "\n" +
+				`{"t":"span","s":0,"r":0,"name":"stall","cat":"phase","level":0,"start":0,"end":10}` + "\n",
+			"line 2: rank 0 has id 5",
+		},
+		"phase name": {
+			head + `{"t":"rank","s":0,"r":0,"id":0,"node":0,"socket":0}` + "\n" +
+				`{"t":"span","s":0,"r":0,"name":"bogus","cat":"phase","level":0,"start":0,"end":10}` + "\n",
+			`line 3: phase span names no phase: "bogus"`,
+		},
+	} {
+		_, err := ReadRun(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, tc.want)
+		}
+	}
+}
+
 func TestPhaseHeatmap(t *testing.T) {
 	run := sampledRecorder().Dump()
 	hm := run.Sessions[0].PhaseHeatmap()

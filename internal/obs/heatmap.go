@@ -22,37 +22,25 @@ func rankLabel(rk *RunRank) string {
 	return fmt.Sprintf("rank %d (n%d/s%d)", rk.ID, rk.Node, rk.Socket)
 }
 
+// addRow appends one rank's row and raises Max to its largest cell.
+func (h *Heatmap) addRow(label string, row []float64) {
+	h.Rows = append(h.Rows, label)
+	h.Cells = append(h.Cells, row)
+	for _, v := range row {
+		h.Max = max(h.Max, v)
+	}
+}
+
 // PhaseHeatmap builds the rank × phase matrix: each cell is the rank's
 // total virtual ns charged to the phase over the whole session. Columns
 // are the trace phases in enum order, so the matrix shape is identical
 // across runs and diffable cell-by-cell.
-func (s *RunSession) PhaseHeatmap() *Heatmap {
-	h := &Heatmap{
-		Title: "rank x phase (total ns)",
-		Unit:  "ns",
-	}
-	h.Cols = trace.PhaseNames()
-	idx := make(map[string]int, len(h.Cols))
-	for i, name := range h.Cols {
-		idx[name] = i
-	}
-	for _, rk := range s.Ranks {
-		row := make([]float64, len(h.Cols))
-		for _, sp := range rk.Spans {
-			if sp.Cat != CatPhase {
-				continue
-			}
-			if i, ok := idx[sp.Name]; ok {
-				row[i] += sp.End - sp.Start
-			}
-		}
-		h.Rows = append(h.Rows, rankLabel(rk))
-		h.Cells = append(h.Cells, row)
-		for _, v := range row {
-			if v > h.Max {
-				h.Max = v
-			}
-		}
+func (s *RunSession) PhaseHeatmap() *Heatmap { return s.fold().phaseHeatmap() }
+
+func (f *sessionFold) phaseHeatmap() *Heatmap {
+	h := &Heatmap{Title: "rank x phase (total ns)", Unit: "ns", Cols: trace.PhaseNames()}
+	for i := range f.ranks {
+		h.addRow(rankLabel(f.s.Ranks[i]), f.ranks[i].phase[:])
 	}
 	return h
 }
@@ -61,42 +49,26 @@ func (s *RunSession) PhaseHeatmap() *Heatmap {
 // session's sampling grid. Columns cover the bucket range any rank
 // touched; untouched cells are zero. Returns nil when the session
 // recorded no samples of g (or sampling was off).
-func (s *RunSession) GaugeHeatmap(g Gauge) *Heatmap {
-	lo, hi := int64(0), int64(-1)
-	for _, rk := range s.Ranks {
-		pts := rk.Gauges[g]
-		if len(pts) == 0 {
-			continue
-		}
-		if hi < lo || pts[0].Bucket < lo {
-			lo = pts[0].Bucket
-		}
-		if pts[len(pts)-1].Bucket > hi {
-			hi = pts[len(pts)-1].Bucket
-		}
-	}
+func (s *RunSession) GaugeHeatmap(g Gauge) *Heatmap { return s.fold().gaugeHeatmap(g) }
+
+func (f *sessionFold) gaugeHeatmap(g Gauge) *Heatmap {
+	lo, hi := f.gauge[g].lo, f.gauge[g].hi
 	if hi < lo {
 		return nil
 	}
 	h := &Heatmap{
-		Title: fmt.Sprintf("rank x time: %s (bucket %.0f ns)", g, s.BucketNs),
+		Title: fmt.Sprintf("rank x time: %s (bucket %.0f ns)", g, f.s.BucketNs),
 		Unit:  g.String(),
 	}
 	for b := lo; b <= hi; b++ {
-		h.Cols = append(h.Cols, fmt.Sprintf("%.0f", float64(b)*s.BucketNs))
+		h.Cols = append(h.Cols, fmt.Sprintf("%.0f", float64(b)*f.s.BucketNs))
 	}
-	for _, rk := range s.Ranks {
+	for _, rk := range f.s.Ranks {
 		row := make([]float64, hi-lo+1)
 		for _, pt := range rk.Gauges[g] {
 			row[pt.Bucket-lo] = pt.V
 		}
-		h.Rows = append(h.Rows, rankLabel(rk))
-		h.Cells = append(h.Cells, row)
-		for _, v := range row {
-			if v > h.Max {
-				h.Max = v
-			}
-		}
+		h.addRow(rankLabel(rk), row)
 	}
 	return h
 }
@@ -112,21 +84,16 @@ func (h *Heatmap) Coarsen(maxCols int) *Heatmap {
 	}
 	// group size: ceil(n / maxCols)
 	gsz := (n + maxCols - 1) / maxCols
-	out := &Heatmap{Title: h.Title, Unit: h.Unit, Rows: h.Rows}
+	out := &Heatmap{Title: h.Title, Unit: h.Unit}
 	for i := 0; i < n; i += gsz {
 		out.Cols = append(out.Cols, h.Cols[i])
 	}
-	for _, row := range h.Cells {
+	for r, row := range h.Cells {
 		nrow := make([]float64, len(out.Cols))
 		for i, v := range row {
 			nrow[i/gsz] += v
 		}
-		out.Cells = append(out.Cells, nrow)
-		for _, v := range nrow {
-			if v > out.Max {
-				out.Max = v
-			}
-		}
+		out.addRow(h.Rows[r], nrow)
 	}
 	return out
 }

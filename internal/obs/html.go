@@ -70,29 +70,12 @@ func writeHeatmap(bw *bufio.Writer, h *Heatmap, fmtCell func(float64) string) {
 }
 
 // writeGaugeSVG draws one gauge's per-rank series as step lines over
-// the session grid.
-func writeGaugeSVG(bw *bufio.Writer, s *RunSession, g Gauge) bool {
-	lo, hi := int64(0), int64(-1)
-	var vmax float64
-	for _, rk := range s.Ranks {
-		pts := rk.Gauges[g]
-		if len(pts) == 0 {
-			continue
-		}
-		if hi < lo || pts[0].Bucket < lo {
-			lo = pts[0].Bucket
-		}
-		if pts[len(pts)-1].Bucket > hi {
-			hi = pts[len(pts)-1].Bucket
-		}
-		for _, pt := range pts {
-			if pt.V > vmax {
-				vmax = pt.V
-			}
-		}
-	}
+// the session grid of a sampled session.
+func writeGaugeSVG(bw *bufio.Writer, f *sessionFold, g Gauge) {
+	s := f.s
+	lo, hi, vmax := f.gauge[g].lo, f.gauge[g].hi, f.gauge[g].max
 	if hi < lo || vmax <= 0 {
-		return false
+		return
 	}
 	const W, H, pad = 720, 120, 8
 	nb := hi - lo + 1
@@ -105,16 +88,14 @@ func writeGaugeSVG(bw *bufio.Writer, s *RunSession, g Gauge) bool {
 	fmt.Fprintf(bw, "<h3>%s (max %.6g, bucket %.0f ns)</h3>\n", html.EscapeString(g.String()), vmax, s.BucketNs)
 	fmt.Fprintf(bw, "<svg width=\"%d\" height=\"%d\" viewBox=\"0 0 %d %d\">\n", W, H, W, H)
 	// Segment boundaries (root ends) as dashed verticals.
-	if s.BucketNs > 0 {
-		for _, m := range s.Marks {
-			b := int64(m / s.BucketNs)
-			if b < lo || b > hi {
-				continue
-			}
-			x := xOf(b)
-			fmt.Fprintf(bw, "<line x1=\"%.1f\" y1=\"%d\" x2=\"%.1f\" y2=\"%d\" stroke=\"#bbb\" stroke-dasharray=\"3,3\"/>\n",
-				x, pad, x, H-pad)
+	for _, m := range s.Marks {
+		b := int64(m / s.BucketNs)
+		if b < lo || b > hi {
+			continue
 		}
+		x := xOf(b)
+		fmt.Fprintf(bw, "<line x1=\"%.1f\" y1=\"%d\" x2=\"%.1f\" y2=\"%d\" stroke=\"#bbb\" stroke-dasharray=\"3,3\"/>\n",
+			x, pad, x, H-pad)
 	}
 	for i, rk := range s.Ranks {
 		pts := rk.Gauges[g]
@@ -140,7 +121,6 @@ func writeGaugeSVG(bw *bufio.Writer, s *RunSession, g Gauge) bool {
 			rankPalette[i%len(rankPalette)], rk.ID)
 	}
 	bw.WriteString("</div>\n")
-	return true
 }
 
 // WriteHTMLReport renders the run as one self-contained HTML page: per
@@ -152,6 +132,7 @@ func (run *Run) WriteHTMLReport(w io.Writer) error {
 	bw.WriteString("<title>numabfs timeline report</title>\n<style>" + htmlStyle + "</style></head>\n<body>\n")
 	bw.WriteString("<h1>numabfs timeline report</h1>\n")
 	for _, s := range run.Sessions {
+		f := s.fold()
 		fmt.Fprintf(bw, "<h2>%s</h2>\n<p class=\"meta\">%d ranks",
 			html.EscapeString(s.Label), len(s.Ranks))
 		if s.BucketNs > 0 {
@@ -162,15 +143,15 @@ func (run *Run) WriteHTMLReport(w io.Writer) error {
 		}
 		bw.WriteString("</p>\n")
 
-		writeHeatmap(bw, s.PhaseHeatmap(), func(v float64) string {
+		writeHeatmap(bw, f.phaseHeatmap(), func(v float64) string {
 			return fmt.Sprintf("%.3f", v/1e6) // ms
 		})
 
 		if s.BucketNs > 0 {
 			for g := Gauge(0); g < NumGauges; g++ {
-				writeGaugeSVG(bw, s, g)
+				writeGaugeSVG(bw, f, g)
 			}
-			if hm := s.GaugeHeatmap(GaugeInterBytes); hm != nil {
+			if hm := f.gaugeHeatmap(GaugeInterBytes); hm != nil {
 				writeHeatmap(bw, hm.Coarsen(24), func(v float64) string {
 					return fmt.Sprintf("%.0f", v)
 				})

@@ -153,16 +153,10 @@ func (c *Comm) merge(o *Comm) {
 	c.NodeBarriers += o.NodeBarriers
 	c.NodeBarrierWaitNs += o.NodeBarrierWaitNs
 	for name, n := range o.Collectives {
-		if c.Collectives == nil {
-			c.Collectives = make(map[string]int64)
-		}
-		c.Collectives[name] += n
+		count(&c.Collectives, name, n)
 	}
-	for name, n := range o.Faults {
-		if c.Faults == nil {
-			c.Faults = make(map[string]int64)
-		}
-		c.Faults[name] += n
+	for kind, n := range o.Faults {
+		count(&c.Faults, kind, n)
 	}
 	c.Retransmits += o.Retransmits
 	c.CorruptDetected += o.CorruptDetected
@@ -173,6 +167,14 @@ func (c *Comm) merge(o *Comm) {
 	c.XportOverheadBys += o.XportOverheadBys
 	c.OverlapHiddenNs += o.OverlapHiddenNs
 	c.OverlapExposedNs += o.OverlapExposedNs
+}
+
+// count adds n to (*m)[key], making the map on first use.
+func count(m *map[string]int64, key string, n int64) {
+	if *m == nil {
+		*m = make(map[string]int64)
+	}
+	(*m)[key] += n
 }
 
 // Recorder collects observability sessions. The zero Recorder is ready
@@ -308,10 +310,7 @@ func (r *Rank) Collective(name string, start, end float64) {
 		return
 	}
 	r.span(name, CatCollective, -1, start, end)
-	if r.comm.Collectives == nil {
-		r.comm.Collectives = make(map[string]int64)
-	}
-	r.comm.Collectives[name]++
+	count(&r.comm.Collectives, name, 1)
 }
 
 // CountMsg counts one sender-side point-to-point transfer: wireBytes
@@ -380,8 +379,5 @@ func (r *Rank) FaultEvent(kind string, at float64) {
 		return
 	}
 	r.span(kind, CatFault, -1, at, at)
-	if r.comm.Faults == nil {
-		r.comm.Faults = make(map[string]int64)
-	}
-	r.comm.Faults[kind]++
+	count(&r.comm.Faults, kind, 1)
 }

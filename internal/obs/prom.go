@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"numabfs/internal/stats"
@@ -48,72 +47,53 @@ func (run *Run) WritePromText(w io.Writer) error {
 	family := func(name, help, typ string) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
-	sessRank := func(si int, rk *RunRank) string {
-		return fmt.Sprintf(`session="%s",rank="%d"`,
-			promEsc(run.Sessions[si].Label), rk.ID)
+	folds := make([]*sessionFold, len(run.Sessions))
+	for si, s := range run.Sessions {
+		folds[si] = s.fold()
+	}
+	// eachRank calls line for every rank of every session with the
+	// rank's fold and its session/rank label pair.
+	eachRank := func(line func(s *RunSession, rk *RunRank, f rankFold, labels string)) {
+		for si, s := range run.Sessions {
+			for i, rk := range s.Ranks {
+				line(s, rk, folds[si].ranks[i], fmt.Sprintf(`session="%s",rank="%d"`, promEsc(s.Label), rk.ID))
+			}
+		}
 	}
 
 	family("numabfs_phase_ns_total", "Virtual ns charged to each phase, per rank.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			var perPhase [trace.NumPhases]float64
-			for _, sp := range rk.Spans {
-				if sp.Cat != CatPhase {
-					continue
-				}
-				if p, ok := trace.PhaseByName(sp.Name); ok {
-					perPhase[p] += sp.End - sp.Start
-				}
-			}
-			for p := trace.Phase(0); p < trace.NumPhases; p++ {
-				fmt.Fprintf(bw, "numabfs_phase_ns_total{%s,phase=\"%s\"} %s\n",
-					sessRank(si, rk), p, promF(perPhase[p]))
-			}
+	eachRank(func(_ *RunSession, _ *RunRank, f rankFold, labels string) {
+		for p, ns := range f.phase {
+			fmt.Fprintf(bw, "numabfs_phase_ns_total{%s,phase=\"%s\"} %s\n", labels, trace.Phase(p), promF(ns))
 		}
-	}
+	})
 
 	family("numabfs_p2p_msgs_total", "Sender-side point-to-point messages by hop class.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			for h := Hop(0); h < NumHops; h++ {
-				fmt.Fprintf(bw, "numabfs_p2p_msgs_total{%s,hop=\"%s\"} %d\n",
-					sessRank(si, rk), h, rk.Comm.Msgs[h])
-			}
+	eachRank(func(_ *RunSession, rk *RunRank, _ rankFold, labels string) {
+		for h := Hop(0); h < NumHops; h++ {
+			fmt.Fprintf(bw, "numabfs_p2p_msgs_total{%s,hop=\"%s\"} %d\n", labels, h, rk.Comm.Msgs[h])
 		}
-	}
+	})
 	family("numabfs_p2p_bytes_total", "Sender-side wire bytes by hop class.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			for h := Hop(0); h < NumHops; h++ {
-				fmt.Fprintf(bw, "numabfs_p2p_bytes_total{%s,hop=\"%s\"} %d\n",
-					sessRank(si, rk), h, rk.Comm.Bytes[h])
-			}
+	eachRank(func(_ *RunSession, rk *RunRank, _ rankFold, labels string) {
+		for h := Hop(0); h < NumHops; h++ {
+			fmt.Fprintf(bw, "numabfs_p2p_bytes_total{%s,hop=\"%s\"} %d\n", labels, h, rk.Comm.Bytes[h])
 		}
-	}
+	})
 
 	family("numabfs_collective_calls_total", "Collective calls by algorithm.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			names := make([]string, 0, len(rk.Comm.Collectives))
-			for name := range rk.Comm.Collectives {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(bw, "numabfs_collective_calls_total{%s,op=\"%s\"} %d\n",
-					sessRank(si, rk), promEsc(name), rk.Comm.Collectives[name])
-			}
+	eachRank(func(_ *RunSession, rk *RunRank, _ rankFold, labels string) {
+		for _, name := range sortedKeys(rk.Comm.Collectives) {
+			fmt.Fprintf(bw, "numabfs_collective_calls_total{%s,op=\"%s\"} %d\n",
+				labels, promEsc(name), rk.Comm.Collectives[name])
 		}
-	}
+	})
 
 	// Barrier waits as a Prometheus histogram, bucketed by the fixed-grid
 	// stats.Histogram over each session's observed wait range.
 	family("numabfs_barrier_wait_ns", "Global-barrier wait distribution per session.", "histogram")
-	for _, s := range run.Sessions {
-		var all []float64
-		for _, rk := range s.Ranks {
-			all = append(all, rk.Comm.BarrierWaits...)
-		}
+	for si, s := range run.Sessions {
+		all := folds[si].comm.BarrierWaits
 		if len(all) == 0 {
 			continue
 		}
@@ -139,72 +119,45 @@ func (run *Run) WritePromText(w io.Writer) error {
 	}
 
 	family("numabfs_transport_events_total", "Reliable-transport protocol events.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			c := &rk.Comm
-			if c.Retransmits == 0 && c.Acks == 0 && c.DupsDelivered == 0 &&
-				c.CorruptDetected == 0 && c.Reordered == 0 {
-				continue
-			}
-			for _, kv := range []struct {
-				kind string
-				n    int64
-			}{
-				{"acks", c.Acks},
-				{"corrupt-detected", c.CorruptDetected},
-				{"dups-delivered", c.DupsDelivered},
-				{"reordered", c.Reordered},
-				{"retransmits", c.Retransmits},
-			} {
-				fmt.Fprintf(bw, "numabfs_transport_events_total{%s,kind=\"%s\"} %d\n",
-					sessRank(si, rk), kv.kind, kv.n)
-			}
+	eachRank(func(_ *RunSession, rk *RunRank, _ rankFold, labels string) {
+		kinds := rk.Comm.transport()
+		for _, kind := range sortedKeys(kinds) {
+			fmt.Fprintf(bw, "numabfs_transport_events_total{%s,kind=\"%s\"} %d\n", labels, kind, kinds[kind])
 		}
-	}
+	})
 
 	family("numabfs_overlap_ns_total", "Pipelined-collective transfer time by visibility.", "counter")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			c := &rk.Comm
-			if c.OverlapHiddenNs == 0 && c.OverlapExposedNs == 0 {
-				continue
-			}
-			fmt.Fprintf(bw, "numabfs_overlap_ns_total{%s,state=\"exposed\"} %s\n",
-				sessRank(si, rk), promF(c.OverlapExposedNs))
-			fmt.Fprintf(bw, "numabfs_overlap_ns_total{%s,state=\"hidden\"} %s\n",
-				sessRank(si, rk), promF(c.OverlapHiddenNs))
+	eachRank(func(_ *RunSession, rk *RunRank, _ rankFold, labels string) {
+		if c := &rk.Comm; c.OverlapHiddenNs != 0 || c.OverlapExposedNs != 0 {
+			fmt.Fprintf(bw, "numabfs_overlap_ns_total{%s,state=\"exposed\"} %s\n", labels, promF(c.OverlapExposedNs))
+			fmt.Fprintf(bw, "numabfs_overlap_ns_total{%s,state=\"hidden\"} %s\n", labels, promF(c.OverlapHiddenNs))
 		}
-	}
+	})
 
 	// Gauge series: one sample per (rank, gauge, bucket) with the bucket's
 	// virtual start time as a label — a replayable timeline, not a scrape.
 	family("numabfs_gauge", "Virtual-time gauge samples on the sampling grid.", "gauge")
-	for si, s := range run.Sessions {
-		for _, rk := range s.Ranks {
-			for g := Gauge(0); g < NumGauges; g++ {
-				for _, pt := range rk.Gauges[g] {
-					fmt.Fprintf(bw, "numabfs_gauge{%s,gauge=\"%s\",t_ns=\"%s\"} %s\n",
-						sessRank(si, rk), g, promF(float64(pt.Bucket)*s.BucketNs), promF(pt.V))
-				}
+	eachRank(func(s *RunSession, rk *RunRank, _ rankFold, labels string) {
+		for g := Gauge(0); g < NumGauges; g++ {
+			for _, pt := range rk.Gauges[g] {
+				fmt.Fprintf(bw, "numabfs_gauge{%s,gauge=\"%s\",t_ns=\"%s\"} %s\n",
+					labels, g, promF(float64(pt.Bucket)*s.BucketNs), promF(pt.V))
 			}
 		}
-	}
+	})
 
 	// Derived link utilization: inter-node bytes per bucket over the
 	// per-stream peak the attaching world published.
 	family("numabfs_link_utilization", "Inter-node link utilization per bucket (bytes over peak).", "gauge")
-	for si, s := range run.Sessions {
+	eachRank(func(s *RunSession, rk *RunRank, _ rankFold, labels string) {
 		if s.LinkPeak <= 0 || s.BucketNs <= 0 {
-			continue
+			return
 		}
-		cap := s.LinkPeak * s.BucketNs
-		for _, rk := range s.Ranks {
-			for _, pt := range rk.Gauges[GaugeInterBytes] {
-				fmt.Fprintf(bw, "numabfs_link_utilization{%s,t_ns=\"%s\"} %s\n",
-					sessRank(si, rk), promF(float64(pt.Bucket)*s.BucketNs), promF(pt.V/cap))
-			}
+		for _, pt := range rk.Gauges[GaugeInterBytes] {
+			fmt.Fprintf(bw, "numabfs_link_utilization{%s,t_ns=\"%s\"} %s\n",
+				labels, promF(float64(pt.Bucket)*s.BucketNs), promF(pt.V/(s.LinkPeak*s.BucketNs)))
 		}
-	}
+	})
 
 	return bw.Flush()
 }

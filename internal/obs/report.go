@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -110,6 +111,7 @@ type levelInstance struct {
 	boundRank int
 	arrival   float64
 	stallNs   float64
+	phaseNs   map[string]float64 // the bound rank's time per phase, stall excluded
 }
 
 // Report aggregates the run's raw streams.
@@ -122,82 +124,50 @@ func (run *Run) Report() *Report {
 }
 
 func buildSessionReport(s *RunSession) SessionReport {
+	f := s.fold()
+	comm := &f.comm
 	sr := SessionReport{
-		Label:   s.Label,
-		Ranks:   len(s.Ranks),
-		PhaseNs: make(map[string]float64),
-		Msgs:    make(map[string]int64),
-		Bytes:   make(map[string]int64),
+		Label:         s.Label,
+		Ranks:         len(s.Ranks),
+		PhaseNs:       make(map[string]float64),
+		Msgs:          make(map[string]int64),
+		Bytes:         make(map[string]int64),
+		Collectives:   comm.Collectives,
+		Faults:        comm.Faults,
+		StallNsByRank: make([]float64, len(s.Ranks)),
 	}
-
-	var comm Comm
-	instances := make(map[[2]int]*levelInstance) // (segment, level) -> instance
-	sr.StallNsByRank = make([]float64, len(s.Ranks))
-
-	for _, rk := range s.Ranks {
-		comm.merge(&rk.Comm)
-		for _, sp := range rk.Spans {
-			switch sp.Cat {
-			case CatPhase:
-				sr.PhaseNs[sp.Name] += sp.End - sp.Start
-				if sp.Name == trace.Stall.String() {
-					sr.StallNsByRank[rk.ID] += sp.End - sp.Start
-				}
-			case CatLevel:
-				key := [2]int{s.segment(sp.Start), sp.Level}
-				if li := instances[key]; li == nil {
-					instances[key] = &levelInstance{name: sp.Name, start: sp.Start, end: sp.End, boundRank: -1}
-				} else {
-					li.start = min(li.start, sp.Start)
-					li.end = max(li.end, sp.End)
-				}
-			}
+	for p, ns := range f.phase {
+		if len(s.Ranks) > 0 {
+			ns /= float64(len(s.Ranks)) // mean across ranks
 		}
+		sr.PhaseNs[trace.Phase(p).String()] = ns
+		sr.TotalNs += ns
 	}
-	// Mean across ranks.
-	if n := float64(len(s.Ranks)); n > 0 {
-		for name := range sr.PhaseNs {
-			sr.PhaseNs[name] /= n
-		}
-	}
-	for _, v := range sr.PhaseNs {
-		sr.TotalNs += v
+	for i := range f.ranks {
+		sr.StallNsByRank[i] = f.ranks[i].phase[trace.Stall]
 	}
 
 	for h := Hop(0); h < NumHops; h++ {
 		sr.Msgs[h.String()] = comm.Msgs[h]
 		sr.Bytes[h.String()] = comm.Bytes[h]
 		if comm.RawBytes[h] != comm.Bytes[h] {
-			if sr.RawBytes == nil {
-				sr.RawBytes = make(map[string]int64)
-			}
-			sr.RawBytes[h.String()] = comm.RawBytes[h]
+			count(&sr.RawBytes, h.String(), comm.RawBytes[h])
 		}
 	}
-	sr.Collectives = comm.Collectives
-	sr.Faults = comm.Faults
-	if comm.Retransmits != 0 || comm.Acks != 0 || comm.DupsDelivered != 0 ||
-		comm.CorruptDetected != 0 || comm.Reordered != 0 {
-		sr.Transport = map[string]int64{
-			"retransmits":      comm.Retransmits,
-			"corrupt-detected": comm.CorruptDetected,
-			"dups-delivered":   comm.DupsDelivered,
-			"reordered":        comm.Reordered,
-			"acks":             comm.Acks,
-		}
+	if sr.Transport = comm.transport(); sr.Transport != nil {
 		sr.XportOverheadBytes = comm.XportOverheadBys
 		sr.RetransStallNsByRank = make([]float64, len(s.Ranks))
-		for _, rk := range s.Ranks {
-			sr.RetransStallNsByRank[rk.ID] = rk.Comm.XportOverheadNs
+		for i, rk := range s.Ranks {
+			sr.RetransStallNsByRank[i] = rk.Comm.XportOverheadNs
 		}
 	}
 	if comm.OverlapHiddenNs != 0 || comm.OverlapExposedNs != 0 {
 		sr.OverlapHiddenNs = comm.OverlapHiddenNs
 		sr.OverlapExposedNs = comm.OverlapExposedNs
 		sr.OverlapEffByRank = make([]float64, len(s.Ranks))
-		for _, rk := range s.Ranks {
+		for i, rk := range s.Ranks {
 			if t := rk.Comm.OverlapHiddenNs + rk.Comm.OverlapExposedNs; t > 0 {
-				sr.OverlapEffByRank[rk.ID] = rk.Comm.OverlapHiddenNs / t
+				sr.OverlapEffByRank[i] = rk.Comm.OverlapHiddenNs / t
 			}
 		}
 	}
@@ -209,33 +179,46 @@ func buildSessionReport(s *RunSession) SessionReport {
 		sr.BarrierMeanNs = comm.BarrierWaitNs / float64(comm.Barriers)
 	}
 
-	attributeLevels(s, &sr, instances)
+	sr.Levels = levelRows(s)
 	return sr
 }
 
-// attributeLevels fills each instance's stall sum, last arrival and
-// bounding phase, then folds the instances into per-level-index rows.
-func attributeLevels(s *RunSession, sr *SessionReport, instances map[[2]int]*levelInstance) {
-	if len(instances) == 0 {
-		return
+// levelRows builds the critical-path table: one instance per (segment,
+// level) from the level spans, then each instance's stall sum, last
+// arrival and bounding phase from the phase spans inside it, then one
+// row per level index.
+func levelRows(s *RunSession) []LevelReport {
+	instances := make(map[[2]int]*levelInstance) // (segment, level) -> instance
+	for _, rk := range s.Ranks {
+		for _, sp := range rk.Spans {
+			if sp.Cat != CatLevel {
+				continue
+			}
+			key := [2]int{s.segment(sp.Start), sp.Level}
+			if li := instances[key]; li == nil {
+				instances[key] = &levelInstance{name: sp.Name, start: sp.Start, end: sp.End, boundRank: -1}
+			} else {
+				li.start = min(li.start, sp.Start)
+				li.end = max(li.end, sp.End)
+			}
+		}
 	}
 	stall := trace.Stall.String()
 	// phaseSpans calls f with every phase span inside a level instance.
-	phaseSpans := func(f func(rk *RunRank, sp Span, key [2]int, li *levelInstance)) {
+	phaseSpans := func(f func(rk *RunRank, sp Span, li *levelInstance)) {
 		for _, rk := range s.Ranks {
 			for _, sp := range rk.Spans {
 				if sp.Cat != CatPhase {
 					continue
 				}
-				key := [2]int{s.segment(sp.Start), sp.Level}
-				if li := instances[key]; li != nil {
-					f(rk, sp, key, li)
+				if li := instances[[2]int{s.segment(sp.Start), sp.Level}]; li != nil {
+					f(rk, sp, li)
 				}
 			}
 		}
 	}
-	// Second pass: stall per instance, and its last arrival.
-	phaseSpans(func(rk *RunRank, sp Span, _ [2]int, li *levelInstance) {
+	// Stall per instance, and its last arrival.
+	phaseSpans(func(rk *RunRank, sp Span, li *levelInstance) {
 		if sp.Name != stall {
 			return
 		}
@@ -244,97 +227,63 @@ func attributeLevels(s *RunSession, sr *SessionReport, instances map[[2]int]*lev
 			li.boundRank, li.arrival = rk.ID, sp.Start
 		}
 	})
-	// Third pass: the bounding rank's dominant phase.
-	boundPhase := make(map[[2]int]map[string]float64)
-	phaseSpans(func(rk *RunRank, sp Span, key [2]int, li *levelInstance) {
+	// The bounding rank's time per phase.
+	phaseSpans(func(rk *RunRank, sp Span, li *levelInstance) {
 		if rk.ID != li.boundRank || sp.Name == stall {
 			return
 		}
-		m := boundPhase[key]
-		if m == nil {
-			m = make(map[string]float64)
-			boundPhase[key] = m
+		if li.phaseNs == nil {
+			li.phaseNs = make(map[string]float64)
 		}
-		m[sp.Name] += sp.End - sp.Start
+		li.phaseNs[sp.Name] += sp.End - sp.Start
 	})
 
-	// Fold instances by level index.
-	type agg struct {
-		LevelReport
-		sumNs      float64
-		sumStall   float64
-		rankVotes  map[int]int
-		phaseVotes map[string]float64
-	}
-	// Fold in sorted (segment, level) order: map iteration order would
-	// vary the float accumulation below (and which instance names the
-	// row) run to run, breaking byte-identical reports.
+	// Fold by level index, each level's instances in segment order: map
+	// iteration order would vary the float sums (and which instance
+	// names the row) run to run, breaking byte-identical reports.
 	keys := make([][2]int, 0, len(instances))
 	for key := range instances {
 		keys = append(keys, key)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+		if keys[i][1] != keys[j][1] {
+			return keys[i][1] < keys[j][1]
 		}
-		return keys[i][1] < keys[j][1]
+		return keys[i][0] < keys[j][0]
 	})
-	byLevel := make(map[int]*agg)
-	for _, key := range keys {
-		li := instances[key]
-		level := key[1]
-		a := byLevel[level]
-		if a == nil {
-			a = &agg{
-				LevelReport: LevelReport{Level: level, Name: li.name},
-				rankVotes:   make(map[int]int),
-				phaseVotes:  make(map[string]float64),
+	var rows []LevelReport
+	for i := 0; i < len(keys); {
+		row := LevelReport{Level: keys[i][1], Name: instances[keys[i]].name}
+		var sumNs, sumStall float64
+		rankVotes, phaseVotes := make(map[int]int), make(map[string]float64)
+		for ; i < len(keys) && keys[i][1] == row.Level; i++ {
+			li := instances[keys[i]]
+			row.Instances++
+			sumNs += li.end - li.start
+			sumStall += li.stallNs
+			if li.boundRank >= 0 {
+				rankVotes[li.boundRank]++
 			}
-			byLevel[level] = a
+			for name, ns := range li.phaseNs {
+				phaseVotes[name] += ns
+			}
 		}
-		a.Instances++
-		a.sumNs += li.end - li.start
-		a.sumStall += li.stallNs
-		if li.boundRank >= 0 {
-			a.rankVotes[li.boundRank]++
-		}
-		for name, ns := range boundPhase[key] {
-			a.phaseVotes[name] += ns
-		}
+		row.MeanNs = sumNs / float64(row.Instances)
+		row.MeanStallNs = sumStall / float64(row.Instances)
+		row.BoundRank = top(rankVotes, -1)
+		row.BoundPhase = top(phaseVotes, "")
+		rows = append(rows, row)
 	}
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	for _, l := range levels {
-		a := byLevel[l]
-		a.MeanNs = a.sumNs / float64(a.Instances)
-		a.MeanStallNs = a.sumStall / float64(a.Instances)
-		a.BoundRank = topRank(a.rankVotes)
-		a.BoundPhase = topPhase(a.phaseVotes)
-		sr.Levels = append(sr.Levels, a.LevelReport)
-	}
+	return rows
 }
 
-// topRank returns the most-voted rank (ties to the lowest rank).
-func topRank(votes map[int]int) int {
-	best, bestVotes := -1, -1
-	for r, v := range votes {
-		if v > bestVotes || (v == bestVotes && r < best) {
-			best, bestVotes = r, v
-		}
-	}
-	return best
-}
-
-// topPhase returns the phase with the most accumulated time (ties to
-// the lexicographically smallest name, for determinism).
-func topPhase(votes map[string]float64) string {
-	best, bestNs := "", -1.0
-	for name, ns := range votes {
-		if ns > bestNs || (ns == bestNs && name < best) {
-			best, bestNs = name, ns
+// top returns the key with the most votes, ties to the smallest key for
+// determinism; none when there are no votes.
+func top[K cmp.Ordered, V int | float64](votes map[K]V, none K) K {
+	best, bestV := none, V(-1)
+	for k, v := range votes {
+		if v > bestV || (v == bestV && k < best) {
+			best, bestV = k, v
 		}
 	}
 	return best
@@ -372,65 +321,29 @@ func (sr *SessionReport) render(b *strings.Builder) {
 	b.WriteByte('\n')
 
 	if len(sr.Collectives) > 0 {
-		names := make([]string, 0, len(sr.Collectives))
-		for name := range sr.Collectives {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(b, "collectives:")
-		for _, name := range names {
-			fmt.Fprintf(b, "  %s=%d", name, sr.Collectives[name])
-		}
+		writeCounts(b, "collectives", sr.Collectives)
 		b.WriteByte('\n')
 	}
-
 	if len(sr.Faults) > 0 {
-		kinds := make([]string, 0, len(sr.Faults))
-		for kind := range sr.Faults {
-			kinds = append(kinds, kind)
-		}
-		sort.Strings(kinds)
-		fmt.Fprintf(b, "fault events:")
-		for _, kind := range kinds {
-			fmt.Fprintf(b, "  %s=%d", kind, sr.Faults[kind])
-		}
+		writeCounts(b, "fault events", sr.Faults)
 		b.WriteByte('\n')
 	}
-
 	if len(sr.Transport) > 0 {
-		keys := make([]string, 0, len(sr.Transport))
-		for k := range sr.Transport {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(b, "transport:")
-		for _, k := range keys {
-			fmt.Fprintf(b, "  %s=%d", k, sr.Transport[k])
-		}
+		writeCounts(b, "transport", sr.Transport)
 		fmt.Fprintf(b, "  overhead=%.2f MiB\n", float64(sr.XportOverheadBytes)/(1<<20))
-		if n := len(sr.RetransStallNsByRank); n > 0 {
-			worst, worstNs := 0, sr.RetransStallNsByRank[0]
-			for rk, ns := range sr.RetransStallNsByRank {
-				if ns > worstNs {
-					worst, worstNs = rk, ns
-				}
-			}
+		if len(sr.RetransStallNsByRank) > 0 {
+			worst, ns := worstRank(sr.RetransStallNsByRank, false)
 			fmt.Fprintf(b, "retransmit stall: mean/rank=%.3fms  worst rank %d=%.3fms\n",
-				stats.Mean(sr.RetransStallNsByRank)/1e6, worst, worstNs/1e6)
+				stats.Mean(sr.RetransStallNsByRank)/1e6, worst, ns/1e6)
 		}
 	}
 
-	if n := len(sr.OverlapEffByRank); n > 0 {
-		worst, worstEff := 0, sr.OverlapEffByRank[0]
-		for rk, eff := range sr.OverlapEffByRank {
-			if eff < worstEff {
-				worst, worstEff = rk, eff
-			}
-		}
+	if len(sr.OverlapEffByRank) > 0 {
+		worst, eff := worstRank(sr.OverlapEffByRank, true)
 		total := sr.OverlapHiddenNs + sr.OverlapExposedNs
 		fmt.Fprintf(b, "overlap: hidden=%.3fms  exposed=%.3fms  efficiency=%.1f%%  worst rank %d=%.1f%%\n",
 			sr.OverlapHiddenNs/1e6, sr.OverlapExposedNs/1e6,
-			100*sr.OverlapHiddenNs/total, worst, 100*worstEff)
+			100*sr.OverlapHiddenNs/total, worst, 100*eff)
 	}
 
 	if sr.BarrierCount > 0 {
@@ -439,15 +352,10 @@ func (sr *SessionReport) render(b *strings.Builder) {
 			sr.BarrierMaxNs/1e6, sr.BarrierMeanNs/1e6)
 	}
 
-	if n := len(sr.StallNsByRank); n > 0 {
-		worst, worstNs := 0, sr.StallNsByRank[0]
-		for rk, ns := range sr.StallNsByRank {
-			if ns > worstNs {
-				worst, worstNs = rk, ns
-			}
-		}
+	if len(sr.StallNsByRank) > 0 {
+		worst, ns := worstRank(sr.StallNsByRank, false)
 		fmt.Fprintf(b, "stall: mean/rank=%.2fms  worst rank %d=%.2fms\n",
-			stats.Mean(sr.StallNsByRank)/1e6, worst, worstNs/1e6)
+			stats.Mean(sr.StallNsByRank)/1e6, worst, ns/1e6)
 	}
 
 	if len(sr.Levels) > 0 {
@@ -459,4 +367,25 @@ func (sr *SessionReport) render(b *strings.Builder) {
 				l.Level, l.Name, l.MeanNs/1e6, l.BoundRank, l.BoundPhase, l.MeanStallNs/1e6)
 		}
 	}
+}
+
+// writeCounts writes "head:" and m's entries in key order, without a
+// newline.
+func writeCounts(b *strings.Builder, head string, m map[string]int64) {
+	b.WriteString(head + ":")
+	for _, k := range sortedKeys(m) {
+		fmt.Fprintf(b, "  %s=%d", k, m[k])
+	}
+}
+
+// worstRank returns the rank with the largest value, or the smallest
+// when lowest is set; ties go to the lowest rank.
+func worstRank(v []float64, lowest bool) (int, float64) {
+	at := 0
+	for i, x := range v {
+		if lowest && x < v[at] || !lowest && x > v[at] {
+			at = i
+		}
+	}
+	return at, v[at]
 }

@@ -170,14 +170,7 @@ func (r *Rank) LinkTransfer(inter bool, bytes int64, start, end float64) {
 	}
 	total := en - st
 	for b := b0; b <= b1; b++ {
-		lo := float64(b) * bn
-		hi := lo + bn
-		if lo < st {
-			lo = st
-		}
-		if hi > en {
-			hi = en
-		}
+		lo, hi := max(float64(b)*bn, st), min(float64(b)*bn+bn, en)
 		if hi <= lo {
 			continue
 		}
