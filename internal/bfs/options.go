@@ -157,9 +157,6 @@ type Options struct {
 	// frontier edges exceed unexplored edges / Alpha
 	// (chassis.DefaultAlpha says why the default is 30).
 	Alpha float64
-	// Beta is the bottom-up -> top-down threshold: switch back when the
-	// frontier shrinks below vertices / Beta.
-	Beta float64
 	// Dedup removes duplicate adjacencies during construction.
 	Dedup bool
 	// Chunk is the OpenMP dynamic-schedule chunk size in vertices.
@@ -197,7 +194,6 @@ func DefaultOptions() Options {
 		Mode:        ModeHybrid,
 		Granularity: 64,
 		Alpha:       chassis.DefaultAlpha,
-		Beta:        chassis.DefaultBeta,
 		Dedup:       true,
 		Chunk:       1024,
 	}
@@ -208,8 +204,8 @@ func (o Options) Validate() error {
 	if o.Granularity <= 0 || o.Granularity%64 != 0 {
 		return fmt.Errorf("bfs: granularity %d must be a positive multiple of 64", o.Granularity)
 	}
-	if o.Alpha <= 0 || o.Beta <= 0 {
-		return fmt.Errorf("bfs: alpha/beta must be positive")
+	if o.Alpha <= 0 {
+		return fmt.Errorf("bfs: alpha must be positive")
 	}
 	if o.Chunk <= 0 {
 		return fmt.Errorf("bfs: chunk %d must be positive", o.Chunk)

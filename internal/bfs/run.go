@@ -90,7 +90,7 @@ func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 			} else {
 				rs.promoteNext()
 			}
-		case r.GoTopDown(st.nf, r.Opts.Beta):
+		case r.GoTopDown(st.nf):
 			rs.switchToTopDown(p)
 			st.bottomUp = false
 		}

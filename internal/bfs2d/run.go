@@ -76,7 +76,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 	for nf > 0 {
 		rs.Levels++
 		levelStart := p.Clock()
-		if r.Mode == ModeHybrid && bottomUp && r.GoTopDown(nf, chassis.DefaultBeta) {
+		if r.Mode == ModeHybrid && bottomUp && r.GoTopDown(nf) {
 			rs.switchToTopDown(p)
 			bottomUp = false
 		}

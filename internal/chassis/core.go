@@ -92,8 +92,9 @@ func (c *Core) EndSetup(totalEdges int64) {
 }
 
 // DefaultAlpha and DefaultBeta are the hybrid switch thresholds of every
-// engine: the 1-D engines start from them (bfs.DefaultOptions) and the
-// 2-D engine always uses them. Beamer's published alpha is 14; 30 fires
+// engine: the 1-D engines start from DefaultAlpha (bfs.DefaultOptions),
+// the 2-D engine always uses it, and every engine switches back at
+// DefaultBeta. Beamer's published alpha is 14; 30 fires
 // the switch at laptop scales at the same point of the frontier's growth
 // curve as the paper observes at scale 28-32 — one level earlier,
 // entering the bottom-up procedure while in_queue is still sparse, the
@@ -113,9 +114,10 @@ func (c *Core) GoBottomUp(nf, prevNf, mf, visitedEdges int64, alpha float64) boo
 	return nf > prevNf && float64(mf) > float64(c.totalEdges-visitedEdges)/alpha
 }
 
-// GoTopDown is the way back: the frontier fell below vertices / beta.
-func (c *Core) GoTopDown(nf int64, beta float64) bool {
-	return float64(nf) < float64(c.Params.NumVertices())/beta
+// GoTopDown is the way back: the frontier fell below vertices /
+// DefaultBeta.
+func (c *Core) GoTopDown(nf int64) bool {
+	return float64(nf) < float64(c.Params.NumVertices())/DefaultBeta
 }
 
 // ReownCostNs prices pulling `bytes` of a dead rank's node-scratch state

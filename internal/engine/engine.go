@@ -30,7 +30,9 @@ import (
 	"math"
 
 	"numabfs/internal/bfs2d"
+	"numabfs/internal/bitmap"
 	"numabfs/internal/machine"
+	"numabfs/internal/omp"
 	"numabfs/internal/simnet"
 )
 
@@ -92,11 +94,9 @@ func profileFor(scale int) []level {
 // Model constants: the stored-graph shape and the coverage scalars the
 // profile averages away.
 const (
-	degree      = 27.0 // stored directed edges per vertex (symmetrized R-MAT, ef 16)
-	isoDegree   = 1.5  // stored degree of never-reached vertices (R-MAT leaves)
-	granularity = 64.0 // summary bits covered per summary probe (bitmap.Summary default)
-	chunk       = 1024 // dynamic-schedule chunk (omp.DefaultChunk)
-	skew        = 1.1  // residual degree-skew imbalance on a balanced region
+	degree    = 27.0 // stored directed edges per vertex (symmetrized R-MAT, ef 16)
+	isoDegree = 1.5  // stored degree of never-reached vertices (R-MAT leaves)
+	skew      = 1.1  // residual degree-skew imbalance on a balanced region
 )
 
 // Calibration. The model prices each engine's dominant phases only; two
@@ -152,7 +152,7 @@ type model struct {
 // blocks, and the handicap the 2-D engine's R-times-wider scans escape.
 func (m model) phase(load machine.PhaseLoad, iters float64) float64 {
 	t := float64(m.pl.ThreadsPerProc)
-	chunks := math.Ceil(iters / chunk)
+	chunks := math.Ceil(iters / omp.DefaultChunk)
 	imb := skew
 	if chunks >= 1 && chunks < t {
 		imb = t / chunks
@@ -222,7 +222,7 @@ func scanDepth(rowLen, q float64) float64 {
 
 // coverage returns the fraction of summary probes the coarse bitmap
 // fails to prune when the summarized frontier has the given bit
-// density (a summary bit covers `granularity` base bits).
+// density (a summary bit covers bitmap.DefaultGranularity base bits).
 func coverage(density float64) float64 {
 	if density <= 0 {
 		return 0
@@ -230,7 +230,7 @@ func coverage(density float64) float64 {
 	if density >= 1 {
 		return 1
 	}
-	return 1 - math.Pow(1-density, granularity)
+	return 1 - math.Pow(1-density, bitmap.DefaultGranularity)
 }
 
 // cost1D prices the 1-D engine (hybrid, compressed overlapped

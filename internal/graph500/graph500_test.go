@@ -144,7 +144,6 @@ func TestRun2DRejectsUnreadOptions(t *testing.T) {
 	}{
 		{"Dedup", func(o *bfs.Options) { o.Dedup = false }},
 		{"Alpha", func(o *bfs.Options) { o.Alpha = 14 }},
-		{"Beta", func(o *bfs.Options) { o.Beta = 2 }},
 		{"Granularity", func(o *bfs.Options) { o.Granularity = 256 }},
 		{"Chunk", func(o *bfs.Options) { o.Chunk = 64 }},
 		{"WireFormat", func(o *bfs.Options) { o.WireFormat = wire.FormatDense }},

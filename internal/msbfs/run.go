@@ -118,7 +118,7 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 					if r.GoBottomUp(st.nf[l], st.prevNf[l], st.mf[l], st.visEdges[l], r.Opts.Alpha) {
 						st.bu |= bit
 					}
-				} else if r.GoTopDown(st.nf[l], r.Opts.Beta) {
+				} else if r.GoTopDown(st.nf[l]) {
 					st.bu &^= bit
 				}
 			}

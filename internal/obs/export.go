@@ -259,7 +259,7 @@ func (run *Run) readLine(line []byte) error {
 			return fmt.Errorf("rank index %d, want %d", l.R, len(sess.Ranks))
 		}
 		if l.ID != l.R {
-			return fmt.Errorf("rank %d has id %d, want its index", l.R, l.ID)
+			return fmt.Errorf("rank %d has id %d, not its index", l.R, l.ID)
 		}
 		sess.Ranks = append(sess.Ranks, &RunRank{ID: l.ID, Node: l.Node, Socket: l.Socket})
 		return nil

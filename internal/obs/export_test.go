@@ -252,7 +252,7 @@ func TestReadRunRejectsWhatReadersMisread(t *testing.T) {
 
 func TestPhaseHeatmap(t *testing.T) {
 	run := sampledRecorder().Dump()
-	hm := run.Sessions[0].PhaseHeatmap()
+	hm := run.Sessions[0].fold().phaseHeatmap()
 	if len(hm.Rows) != 2 || len(hm.Cols) != int(trace.NumPhases) {
 		t.Fatalf("heatmap shape %dx%d", len(hm.Rows), len(hm.Cols))
 	}
@@ -274,7 +274,7 @@ func TestPhaseHeatmap(t *testing.T) {
 func TestGaugeHeatmapAndCoarsen(t *testing.T) {
 	run := sampledRecorder().Dump()
 	s := run.Sessions[0]
-	hm := s.GaugeHeatmap(GaugeFrontier)
+	hm := s.fold().gaugeHeatmap(GaugeFrontier)
 	if hm == nil {
 		t.Fatal("no frontier heatmap")
 	}
@@ -285,7 +285,7 @@ func TestGaugeHeatmapAndCoarsen(t *testing.T) {
 		t.Fatalf("rows = %d", len(hm.Rows))
 	}
 	// No samples for this gauge in session 2.
-	if run.Sessions[1].GaugeHeatmap(GaugeFrontier) != nil {
+	if run.Sessions[1].fold().gaugeHeatmap(GaugeFrontier) != nil {
 		t.Fatal("unsampled session produced a heatmap")
 	}
 

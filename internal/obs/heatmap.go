@@ -31,12 +31,10 @@ func (h *Heatmap) addRow(label string, row []float64) {
 	}
 }
 
-// PhaseHeatmap builds the rank × phase matrix: each cell is the rank's
+// phaseHeatmap builds the rank × phase matrix: each cell is the rank's
 // total virtual ns charged to the phase over the whole session. Columns
 // are the trace phases in enum order, so the matrix shape is identical
 // across runs and diffable cell-by-cell.
-func (s *RunSession) PhaseHeatmap() *Heatmap { return s.fold().phaseHeatmap() }
-
 func (f *sessionFold) phaseHeatmap() *Heatmap {
 	h := &Heatmap{Title: "rank x phase (total ns)", Unit: "ns", Cols: trace.PhaseNames()}
 	for i := range f.ranks {
@@ -45,12 +43,10 @@ func (f *sessionFold) phaseHeatmap() *Heatmap {
 	return h
 }
 
-// GaugeHeatmap builds the rank × time matrix of one gauge on the
+// gaugeHeatmap builds the rank × time matrix of one gauge on the
 // session's sampling grid. Columns cover the bucket range any rank
 // touched; untouched cells are zero. Returns nil when the session
 // recorded no samples of g (or sampling was off).
-func (s *RunSession) GaugeHeatmap(g Gauge) *Heatmap { return s.fold().gaugeHeatmap(g) }
-
 func (f *sessionFold) gaugeHeatmap(g Gauge) *Heatmap {
 	lo, hi := f.gauge[g].lo, f.gauge[g].hi
 	if hi < lo {

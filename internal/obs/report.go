@@ -24,8 +24,8 @@ type SessionReport struct {
 	Label string `json:"label"`
 	Ranks int    `json:"ranks"`
 
-	// PhaseNs maps phase name -> mean-across-ranks total virtual ns,
-	// summed over every BFS root the session ran. Dividing by the root
+	// PhaseNs maps every trace phase's name -> mean-across-ranks total
+	// virtual ns, summed over every BFS root the session ran. Dividing by the root
 	// count reproduces trace.Breakdown (within float rounding).
 	PhaseNs map[string]float64 `json:"phase_ns"`
 	// TotalNs is the summed PhaseNs.

@@ -170,7 +170,14 @@ func (r *Rank) LinkTransfer(inter bool, bytes int64, start, end float64) {
 	}
 	total := en - st
 	for b := b0; b <= b1; b++ {
-		lo, hi := max(float64(b)*bn, st), min(float64(b)*bn+bn, en)
+		lo := float64(b) * bn
+		hi := lo + bn
+		if lo < st {
+			lo = st
+		}
+		if hi > en {
+			hi = en
+		}
 		if hi <= lo {
 			continue
 		}

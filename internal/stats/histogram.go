@@ -1,32 +1,23 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Histogram is a fixed-bucket histogram over [Lo, Hi): n equal-width
-// buckets plus an underflow and an overflow bucket. It supports merging
-// (for folding per-rank distributions into a session view) and quantile
-// estimation by linear interpolation within the located bucket — the
-// accuracy/footprint trade the sampling layer wants for latency and
-// gauge distributions, where keeping every sample would defeat the
-// bucketing.
+// buckets plus an underflow and an overflow bucket — the shape of a
+// Prometheus histogram family, which the obs exposition writes the
+// barrier-wait distribution as.
 type Histogram struct {
 	Lo, Hi float64 // value range covered by the equal-width buckets
 	Counts []int64 // len n: Counts[i] covers [Lo + i*w, Lo + (i+1)*w)
 	Under  int64   // samples < Lo
 	Over   int64   // samples >= Hi
 	N      int64   // total samples, including under/overflow
-	Sum    float64 // sum of all samples (mean = Sum / N)
-	MinV   float64 // smallest sample seen (undefined when N == 0)
-	MaxV   float64 // largest sample seen (undefined when N == 0)
+	Sum    float64 // sum of all samples
 }
 
 // NewHistogram returns a histogram of n equal-width buckets over
 // [lo, hi). It panics on a non-positive bucket count or an empty range:
-// both would make every Add land in under/overflow and silently degrade
-// quantiles to the range endpoints.
+// both would make every Add land in under/overflow.
 func NewHistogram(lo, hi float64, n int) *Histogram {
 	if n <= 0 {
 		panic(fmt.Sprintf("stats: histogram bucket count %d, need > 0", n))
@@ -44,12 +35,6 @@ func (h *Histogram) width() float64 {
 
 // Add records one sample.
 func (h *Histogram) Add(v float64) {
-	if h.N == 0 || v < h.MinV {
-		h.MinV = v
-	}
-	if h.N == 0 || v > h.MaxV {
-		h.MaxV = v
-	}
 	h.N++
 	h.Sum += v
 	switch {
@@ -64,77 +49,4 @@ func (h *Histogram) Add(v float64) {
 		}
 		h.Counts[i]++
 	}
-}
-
-// Merge adds o's counts into h. The histograms must share the same
-// range and bucket count; merging mismatched grids would silently
-// misattribute counts, so it panics instead.
-func (h *Histogram) Merge(o *Histogram) {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		panic(fmt.Sprintf("stats: merging histogram [%g, %g)/%d into [%g, %g)/%d",
-			o.Lo, o.Hi, len(o.Counts), h.Lo, h.Hi, len(h.Counts)))
-	}
-	if o.N == 0 {
-		return
-	}
-	if h.N == 0 || o.MinV < h.MinV {
-		h.MinV = o.MinV
-	}
-	if h.N == 0 || o.MaxV > h.MaxV {
-		h.MaxV = o.MaxV
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	h.Under += o.Under
-	h.Over += o.Over
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-}
-
-// Mean returns the mean of all samples, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.N)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by locating the
-// bucket holding the q-th sample and interpolating linearly inside it.
-// Underflow samples report MinV, overflow samples report MaxV (the true
-// extremes are tracked exactly). Returns 0 for an empty histogram; q is
-// clamped to [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.MinV
-	}
-	if q >= 1 {
-		return h.MaxV
-	}
-	// rank in [0, N): the sample index the quantile falls on.
-	rank := q * float64(h.N)
-	cum := float64(h.Under)
-	if rank < cum {
-		return h.MinV
-	}
-	w := h.width()
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank < next {
-			lo := h.Lo + float64(i)*w
-			frac := (rank - cum) / float64(c)
-			v := lo + frac*w
-			// The interpolated estimate never escapes the observed range.
-			return math.Min(math.Max(v, h.MinV), h.MaxV)
-		}
-		cum = next
-	}
-	return h.MaxV
 }

@@ -1,43 +1,27 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0, 100, 10)
-	if h.N != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram: N=%d mean=%g", h.N, h.Mean())
+	if h.N != 0 || h.Sum != 0 || h.Under != 0 || h.Over != 0 || len(h.Counts) != 10 {
+		t.Fatalf("empty histogram: %+v", h)
 	}
-	for _, q := range []float64{0, 0.5, 1} {
-		if v := h.Quantile(q); v != 0 {
-			t.Fatalf("empty Quantile(%g) = %g, want 0", q, v)
+	for i, c := range h.Counts {
+		if c != 0 {
+			t.Fatalf("empty histogram bucket %d = %d", i, c)
 		}
-	}
-	// Merging an empty histogram changes nothing.
-	o := NewHistogram(0, 100, 10)
-	h.Merge(o)
-	if h.N != 0 {
-		t.Fatalf("merge of two empties: N=%d", h.N)
 	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
 	h := NewHistogram(0, 100, 10)
 	h.Add(42)
-	if h.N != 1 || h.Sum != 42 || h.Mean() != 42 {
-		t.Fatalf("single sample: N=%d sum=%g mean=%g", h.N, h.Sum, h.Mean())
+	if h.N != 1 || h.Sum != 42 {
+		t.Fatalf("single sample: N=%d sum=%g", h.N, h.Sum)
 	}
-	if h.MinV != 42 || h.MaxV != 42 {
-		t.Fatalf("single sample extremes: [%g, %g]", h.MinV, h.MaxV)
-	}
-	// Every quantile of a single sample is that sample (the estimate is
-	// clamped to the observed range).
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		if v := h.Quantile(q); v != 42 {
-			t.Fatalf("single-sample Quantile(%g) = %g, want 42", q, v)
-		}
+	if h.Counts[4] != 1 || h.Under != 0 || h.Over != 0 {
+		t.Fatalf("single sample landed in %v (under %d, over %d)", h.Counts, h.Under, h.Over)
 	}
 }
 
@@ -54,76 +38,9 @@ func TestHistogramBucketsAndOverflow(t *testing.T) {
 	if h.Counts[0] != 1 || h.Counts[9] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
 	}
-	if h.MinV != -5 || h.MaxV != 250 {
-		t.Fatalf("extremes [%g, %g]", h.MinV, h.MaxV)
+	if h.Sum != 444 {
+		t.Fatalf("sum = %g", h.Sum)
 	}
-	if h.Quantile(0) != -5 || h.Quantile(1) != 250 {
-		t.Fatalf("extreme quantiles = %g, %g", h.Quantile(0), h.Quantile(1))
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100) // unit-width buckets
-	for v := 0; v < 100; v++ {
-		h.Add(float64(v) + 0.5)
-	}
-	// With one sample per unit bucket, the interpolated q-quantile of
-	// U[0,100) lands at ~100q.
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
-		want := 100 * q
-		if math.Abs(got-want) > 1.0 {
-			t.Fatalf("Quantile(%g) = %g, want ~%g", q, got, want)
-		}
-	}
-	// Monotone in q.
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("Quantile not monotone at q=%g: %g < %g", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 5)
-	b := NewHistogram(0, 10, 5)
-	for _, v := range []float64{1, 3, 5} {
-		a.Add(v)
-	}
-	for _, v := range []float64{-1, 7, 20} {
-		b.Add(v)
-	}
-	a.Merge(b)
-	if a.N != 6 || a.Under != 1 || a.Over != 1 {
-		t.Fatalf("merged: N=%d under=%d over=%d", a.N, a.Under, a.Over)
-	}
-	if a.MinV != -1 || a.MaxV != 20 {
-		t.Fatalf("merged extremes [%g, %g]", a.MinV, a.MaxV)
-	}
-	if a.Sum != 35 {
-		t.Fatalf("merged sum = %g", a.Sum)
-	}
-
-	// Merging into an empty histogram copies extremes.
-	c := NewHistogram(0, 10, 5)
-	c.Merge(a)
-	if c.MinV != -1 || c.MaxV != 20 || c.N != 6 {
-		t.Fatalf("empty.Merge: [%g, %g] N=%d", c.MinV, c.MaxV, c.N)
-	}
-}
-
-func TestHistogramMergeMismatchPanics(t *testing.T) {
-	a := NewHistogram(0, 10, 5)
-	b := NewHistogram(0, 10, 6)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge of mismatched grids did not panic")
-		}
-	}()
-	a.Merge(b)
 }
 
 func TestHistogramConstructorValidation(t *testing.T) {

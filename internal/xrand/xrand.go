@@ -110,8 +110,3 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 		}
 	}
 }
-
-// Int63 returns a non-negative int64.
-func (x *Xoshiro256) Int63() int64 {
-	return int64(x.Uint64() >> 1)
-}

@@ -91,15 +91,6 @@ func TestUint64nRoughlyUniform(t *testing.T) {
 	}
 }
 
-func TestInt63NonNegative(t *testing.T) {
-	x := NewXoshiro256(11)
-	for i := 0; i < 10000; i++ {
-		if x.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
 func TestXoshiroPinnedValues(t *testing.T) {
 	// Pinned outputs for seed 1234567, taken when the state was a
 	// [4]uint64 behind a heap pointer: R-MAT edges, root draws and query
