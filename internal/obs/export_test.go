@@ -271,6 +271,23 @@ func TestPhaseHeatmap(t *testing.T) {
 	}
 }
 
+// TestHeatmapUnsortedGaugeBuckets: a hand-written timeline may list a
+// rank's gauge buckets out of order. The heatmap spans every bucket any
+// rank sampled rather than indexing past a row.
+func TestHeatmapUnsortedGaugeBuckets(t *testing.T) {
+	s := &RunSession{Label: "x", BucketNs: 100, Ranks: []*RunRank{{ID: 0}, {ID: 1, Socket: 1}}}
+	s.Ranks[0].Gauges[GaugeInterBytes] = []GaugePoint{{Bucket: 5, V: 1}, {Bucket: 20, V: 2}}
+	s.Ranks[1].Gauges[GaugeInterBytes] = []GaugePoint{{Bucket: 30, V: 3}, {Bucket: 1, V: 4}}
+	var buf bytes.Buffer
+	if err := (&Run{Sessions: []*RunSession{s}}).WriteHTMLReport(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hm := s.fold().gaugeHeatmap(GaugeInterBytes)
+	if len(hm.Cols) != 30 || hm.Cells[1][0] != 4 || hm.Cells[1][29] != 3 || hm.Max != 4 {
+		t.Fatalf("heatmap %d cols, rank 1 row %v, max %g", len(hm.Cols), hm.Cells[1], hm.Max)
+	}
+}
+
 func TestGaugeHeatmapAndCoarsen(t *testing.T) {
 	run := sampledRecorder().Dump()
 	s := run.Sessions[0]

@@ -11,7 +11,8 @@
 // Recorder.Dump takes and the -timeline JSONL stream round-trips: the
 // metrics report with critical-path and stall attribution (report.go),
 // the Chrome trace_event file (chrome.go), the HTML report (html.go),
-// the Prometheus exposition (prom.go) and the run diff (diff.go).
+// the Prometheus exposition (prom.go) and the run diff (diff.go); all
+// but the Chrome file sum through one fold per session (fold.go).
 //
 // Recording is disabled by default and zero-cost when off: every hook
 // in the hot paths is a method on a possibly-nil *Rank that returns
