@@ -3,10 +3,8 @@ package bfs
 // Allocation regression for the per-root hot path, alongside
 // internal/collective/alloc_test.go: steady-state BFS iterations reuse
 // the engine's scratch — frontier queues, the pipelined collective's
-// forwarding slots and codec slots, and the checkpoint generations — so
-// per-root allocations must not grow root over root, and checkpointing
-// every level must recycle its two generations instead of allocating
-// fresh snapshots.
+// forwarding slots and codec slots — so per-root allocations must not
+// grow root over root, and an armed crash plan must not add any.
 
 import (
 	"testing"
@@ -81,29 +79,44 @@ func TestRootAllocsOriginalBounded(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocsPooled: with an armed-but-never-firing crash plan
-// the engine checkpoints at every level boundary; the two generations
-// must come from the rank's pool, so the steady-state per-root count
-// stays within a few allocations of the uncheckpointed run.
-func TestCheckpointAllocsPooled(t *testing.T) {
+// TestArmedCrashPlanCostsNothing: a crash plan whose crash never fires
+// arms recovery and nothing else — the traversal is bit-identical to
+// the unplanned one.
+func TestArmedCrashPlanCostsNothing(t *testing.T) {
+	const scale = 12
 	opts := optOptions(OptCompressedAllgather)
-	base := rootAllocs(t, opts, nil)
+	params := rmat.Graph500(scale)
 	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: 1e18}}}
-	ck := rootAllocs(t, opts, &plan)
-	// Slack for the injector's per-run bookkeeping; a per-level snapshot
-	// allocation would exceed it by orders of magnitude.
-	const slack = 16
-	if ck > base+slack {
-		t.Errorf("checkpointed run allocates %g per root vs %g uncheckpointed — generations not pooled", ck, base)
+	base := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
+	root := params.Roots(1, base.HasEdgeGlobal)[0]
+	want := signature(base, base.RunRoot(root))
+	armed := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
+	if err := armed.InjectFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	if got := signature(armed, armed.RunRoot(root)); got != want {
+		t.Fatalf("an armed crash plan moved the result:\nplan    %.160s...\nno plan %.160s...", got, want)
 	}
 }
 
-// TestCheckpointPoolSurvivesTwoRecoveries: a root that recovers twice
-// (two transient crashes on different ranks) must keep recycling its two
-// checkpoint generations through both attempts — the pool stays bounded,
-// no generation is referenced twice (a recycled-while-live snapshot
-// would alias the restore), and later roots do not grow the pool.
-func TestCheckpointPoolSurvivesTwoRecoveries(t *testing.T) {
+// TestArmedCrashPlanAddsNoAllocs: a warm root under a crash plan whose
+// crash never fires allocates within the injector's bookkeeping of the
+// plan-free root.
+func TestArmedCrashPlanAddsNoAllocs(t *testing.T) {
+	opts := optOptions(OptCompressedAllgather)
+	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: 1e18}}}
+	// Slack for the injector's per-run bookkeeping; a per-level
+	// allocation would exceed it by orders of magnitude.
+	const slack = 16
+	if a, b := rootAllocs(t, opts, &plan), rootAllocs(t, opts, nil); a > b+slack {
+		t.Errorf("armed run allocates %g per root vs %g without a plan", a, b)
+	}
+}
+
+// TestTwoTransientCrashesKeepTree: a root that recovers twice (two
+// transient crashes on different ranks, the second one inside the
+// rerun) reruns from the root each time and ends on the clean tree.
+func TestTwoTransientCrashesKeepTree(t *testing.T) {
 	const scale, nodes = 12, 2
 	opts := optOptions(OptCompressedAllgather)
 	params := rmat.Graph500(scale)
@@ -121,47 +134,12 @@ func TestCheckpointPoolSurvivesTwoRecoveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := r.RunRoot(root)
-	if len(res.Faults) != 2 {
-		t.Fatalf("recovered %d times, want 2 (plan %+v)", len(res.Faults), plan.Crashes)
+	if len(res.Faults) != 2 || res.Epoch != 0 {
+		t.Fatalf("recovered %d times on epoch %d, want 2 on epoch 0 (plan %+v)", len(res.Faults), res.Epoch, plan.Crashes)
 	}
 	if res.Visited != clean.Visited || res.TraversedEdges != clean.TraversedEdges {
 		t.Fatalf("twice-recovered traversal differs: %d/%d vs clean %d/%d",
 			res.Visited, res.TraversedEdges, clean.Visited, clean.TraversedEdges)
 	}
-
-	countAndCheck := func(when string) []int {
-		sizes := make([]int, len(r.states))
-		for i, rs := range r.states {
-			seen := make(map[*checkpoint]bool)
-			total := 0
-			for _, ck := range append([]*checkpoint{rs.ckptCur, rs.ckptPrev}, rs.ckptPool...) {
-				if ck == nil {
-					continue
-				}
-				if seen[ck] {
-					t.Fatalf("%s: rank state %d holds the same generation twice", when, i)
-				}
-				seen[ck] = true
-				total++
-			}
-			// Two live generations plus at most one parked recycle.
-			if total > 3 {
-				t.Errorf("%s: rank state %d owns %d checkpoint generations, want <= 3", when, i, total)
-			}
-			sizes[i] = total
-		}
-		return sizes
-	}
-	after := countAndCheck("after two recoveries")
-
-	// Later roots (crashes disarmed, plan still armed enough to keep
-	// checkpointing on) reuse the same generations: the pool must not grow.
-	r.RunRoot(root)
-	r.RunRoot(root)
-	later := countAndCheck("after later roots")
-	for i := range later {
-		if later[i] > after[i] {
-			t.Errorf("rank state %d grew its generation count %d -> %d across roots", i, after[i], later[i])
-		}
-	}
+	sameParents(t, "two crashes", r, probe)
 }

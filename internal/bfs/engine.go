@@ -9,6 +9,7 @@ import (
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
+	"numabfs/internal/obs"
 	"numabfs/internal/omp"
 	"numabfs/internal/rmat"
 	"numabfs/internal/wire"
@@ -33,9 +34,8 @@ type Runner struct {
 	// members maps partition position -> rank: the active member list the
 	// partition, the layouts, the groups and the states are all indexed
 	// by. posOf is the inverse (-1 for parked spares and dead ranks). At
-	// full membership without spares, position == rank. Survivor
-	// repartitioning (RecoverShrink) removes a position; spare promotion
-	// (RecoverSpare) re-binds one to another rank.
+	// full membership without spares, position == rank. A spare
+	// promotion re-binds a position to another rank.
 	members []int
 	posOf   []int
 	// nodeSpares lists each node's parked spare ranks, lowest first,
@@ -79,15 +79,6 @@ type rankState struct {
 
 	queue, next []int64   // top-down frontier queues (owned vertices)
 	send, recv  [][]int64 // top-down owner-routing buffers and the retained result table
-
-	// ckptCur/ckptPrev are the two newest level-boundary checkpoint
-	// generations (internal/bfs/checkpoint.go); nil unless the active
-	// fault plan schedules a crash. ckptPool recycles dropped
-	// generations (their snapshot slices keep capacity), so steady-state
-	// checkpointing allocates nothing across levels and roots.
-	ckptCur  *checkpoint
-	ckptPrev *checkpoint
-	ckptPool []*checkpoint
 
 	// Overlap-level (OptOverlapAllgather) state: the collective's
 	// hidden/exposed ledger, the cached per-chunk rebuild hook, the
@@ -230,35 +221,47 @@ type RootResult = chassis.Result
 
 // RunRoot runs one BFS from root and returns its result. Rank clocks are
 // reset, so TimeNs is the iteration's virtual duration. A planned rank
-// crash is survived through level-boundary checkpoints: a permanent
-// death under a non-rerun policy first removes the rank from the world —
-// spare promotion (falling back to shrink when the node is out of
-// spares), else survivor repartitioning — then every member restores the
-// generation all of them hold and re-enters the level loop. A crash
-// before the first checkpoint leaves the chassis to rerun from the root.
+// crash reruns the iteration from the root (chassis.Core.Run); a
+// permanent death first promotes a parked spare on the dead rank's node
+// into its slot when Options.SpareRanks reserved one.
 func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[0] == nil {
 		panic("bfs: RunRoot before Setup")
 	}
 	r.Run(func(p *mpi.Proc) {
 		r.states[r.posOf[p.Rank()]].runBFS(p, root)
-	}, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
-		// The target is computed before the surgery renumbers positions.
-		target := r.recoveryTarget(r.posOf[f.Rank])
-		if f.Permanent && r.Opts.Recovery != RecoverRerun {
-			if r.Opts.Recovery != RecoverSpare || !r.promoteSpare(f.Rank, floor) {
-				r.shrinkAfter(f.Rank, floor, target)
-			}
-		}
-		if target < 0 {
-			return nil
-		}
-		return func(p *mpi.Proc) {
-			rs := r.states[r.posOf[p.Rank()]]
-			rs.levelLoop(p, rs.restoreCheckpoint(p, target, floor))
+	}, func(f *mpi.FaultError, floor float64) {
+		if f.Permanent {
+			r.promoteSpare(f.Rank, floor)
 		}
 	})
 	res := RootResult{Root: root}
 	r.Finish(&res.Summary, &r.states[0].Ledger)
 	return res
+}
+
+// promoteSpare swaps a parked same-node hot spare into the dead rank's
+// partition slot; with none left on the node the dead rank reruns in
+// place. The state (CSR, bitmaps) stays bound to the slot, the partition
+// map and every layout are untouched, and the spare adopts the slot's
+// adjacency out of node scratch at shared-memory bandwidth. Call between
+// runs only.
+func (r *Runner) promoteSpare(deadRank int, floor float64) {
+	node := r.W.Proc(deadRank).Node()
+	if len(r.nodeSpares[node]) == 0 {
+		return
+	}
+	spare := r.nodeSpares[node][0]
+	r.nodeSpares[node] = r.nodeSpares[node][1:]
+	deadPos := r.posOf[deadRank]
+	r.W.Promote(spare, deadRank)
+	r.members[deadPos] = spare
+	r.posOf[deadRank] = -1
+	r.posOf[spare] = deadPos
+	r.NC = collective.NewNodeCommRanks(r.W, r.members)
+
+	rs := r.states[deadPos]
+	rs.ParkReown(r.ReownCostNs(rs.csr.BytesApprox(), node, node))
+	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
+	r.W.Proc(r.members[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.members)))
 }

@@ -128,7 +128,7 @@ func TestFaultsDeterministicAcrossHostParallelism(t *testing.T) {
 }
 
 // TestCrashRecoveryCompletesWithSameTree: a crashed-rank run must
-// complete via checkpoint recovery — finite TEPS, identical BFS tree to
+// complete by rerunning from the root — finite TEPS, identical BFS tree to
 // the undisturbed run, the recovery cost visible in the breakdown and
 // the crash/recover events in the obs metrics report — instead of
 // panicking.
@@ -137,7 +137,7 @@ func TestCrashRecoveryCompletesWithSameTree(t *testing.T) {
 	params := rmat.Graph500(scale)
 	rBase, base := runWithPlan(t, testConfig(scale, 2, 4), params, nil)
 
-	for _, frac := range []float64{0, 0.5} { // before the first checkpoint (full rerun) and mid-run
+	for _, frac := range []float64{0, 0.5} { // at the start and mid-run
 		plan := &fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: frac * base.TimeNs}}}
 		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, params, DefaultOptions())
 		if err != nil {
@@ -178,21 +178,5 @@ func TestCrashRecoveryCompletesWithSameTree(t *testing.T) {
 			!strings.Contains(report, "crash=1") || !strings.Contains(report, "recover=") {
 			t.Errorf("frac %g: metrics report missing fault events:\n%s", frac, report)
 		}
-	}
-}
-
-// TestCheckpointCostOnlyWhenCrashPlanned: a plan without crashes must
-// not turn checkpointing on — the copies have a modelled cost that
-// would otherwise perturb every perturbation-free result.
-func TestCheckpointCostOnlyWhenCrashPlanned(t *testing.T) {
-	const scale = 12
-	params := rmat.Graph500(scale)
-	plan := fault.Plan{Stragglers: []fault.Straggler{{Rank: 0, Factor: 1.5}}}
-	r, res := runWithPlan(t, testConfig(scale, 2, 4), params, &plan)
-	if r.CrashPlanned() {
-		t.Fatal("checkpointing on without a scheduled crash")
-	}
-	if ck := res.Breakdown.Ns[trace.Ckpt]; ck != 0 {
-		t.Fatalf("checkpoint time %g charged without a crash plan", ck)
 	}
 }

@@ -110,42 +110,6 @@ func (m Mode) String() string {
 // ModeNames maps the CLIs' -mode flag values to traversal modes.
 var ModeNames = map[string]Mode{"hybrid": ModeHybrid, "topdown": ModeTopDown, "bottomup": ModeBottomUp}
 
-// Recovery selects how RunRoot completes an iteration after a rank dies
-// permanently (fault.Crash with Permanent set). Transient crashes always
-// restart the rank in place and are unaffected by the policy.
-type Recovery int
-
-const (
-	// RecoverRerun restarts the crashed rank's process in place from the
-	// last stable checkpoint — the historical behavior, and the only
-	// sound choice when the rank's node is still healthy.
-	RecoverRerun Recovery = iota
-	// RecoverShrink removes the dead rank from the world: a contiguous
-	// survivor re-owns its vertex range (partition merge + adjacency
-	// re-fetch through the kernel-1 cache) and the job finishes on the
-	// shrunken membership.
-	RecoverShrink
-	// RecoverSpare promotes a parked hot spare on the dead rank's node
-	// into its exact partition slot (Options.SpareRanks reserves them);
-	// the partition map and every collective shape stay unchanged. Falls
-	// back to RecoverShrink when the node's spares are exhausted.
-	RecoverSpare
-)
-
-// String implements fmt.Stringer.
-func (rc Recovery) String() string {
-	switch rc {
-	case RecoverRerun:
-		return "rerun"
-	case RecoverShrink:
-		return "shrink"
-	case RecoverSpare:
-		return "spare"
-	default:
-		return fmt.Sprintf("Recovery(%d)", int(rc))
-	}
-}
-
 // Options configures one BFS engine.
 type Options struct {
 	Opt  Opt
@@ -177,13 +141,11 @@ type Options struct {
 	// knob of experiments.AblationOverlap. Ignored below
 	// OptOverlapAllgather.
 	OverlapSegments int
-	// Recovery is the permanent-crash completion policy (rerun, shrink,
-	// or hot-spare promotion). Transient crashes ignore it.
-	Recovery Recovery
 	// SpareRanks parks the last SpareRanks ranks of every node as hot
 	// spares: they are excluded from the partition and every collective,
 	// idle until a permanent crash promotes one into the dead rank's
-	// slot. Each node must keep at least one active rank.
+	// slot. Each node must keep at least one active rank. Without a spare
+	// on the dead rank's node, it reruns in place.
 	SpareRanks int
 }
 
@@ -221,9 +183,6 @@ func (o Options) Validate() error {
 	}
 	if o.WireSparseDensity < 0 || o.WireSparseDensity > 1 {
 		return fmt.Errorf("bfs: sparse-density threshold %g outside [0, 1]", o.WireSparseDensity)
-	}
-	if o.Recovery < RecoverRerun || o.Recovery > RecoverSpare {
-		return fmt.Errorf("bfs: unknown recovery policy %d", int(o.Recovery))
 	}
 	if o.SpareRanks < 0 {
 		return fmt.Errorf("bfs: spare ranks %d must be non-negative", o.SpareRanks)

@@ -212,7 +212,7 @@ func TestOverlapUnderLoss(t *testing.T) {
 }
 
 // TestOverlapComposesWithCrashRecovery: a mid-run rank crash under the
-// pipelined level must recover through checkpoints to the same tree.
+// pipelined level must rerun from the root to the same tree.
 func TestOverlapComposesWithCrashRecovery(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)

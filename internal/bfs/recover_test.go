@@ -1,12 +1,10 @@
 package bfs
 
 // Acceptance tests for degraded-mode completion: a permanent rank death
-// mid-iteration finishes on the survivors — by shrinking the partition
-// onto a contiguous absorber or by promoting a parked hot spare — with
-// the same traversed component and level structure as the clean run,
-// bit-identically across repeats and host core counts, at every
-// optimization level. The rerun policy must keep reproducing the
-// transient-crash behavior exactly.
+// mid-iteration reruns the iteration from the root — in place, or after
+// promoting a parked hot spare into the dead rank's slot — with the
+// same parent tree as the clean run, bit-identically across repeats and
+// host core counts, at every optimization level.
 
 import (
 	"fmt"
@@ -38,11 +36,12 @@ func runRecovery(t *testing.T, opts Options, plan fault.Plan, scale int) (*Runne
 	return r, r.RunRoot(root)
 }
 
-// TestShrinkCompletesEveryOptLevel: one permanent mid-run death under
-// RecoverShrink must complete at every optimization level with the same
-// component and level structure as the clean run, a stepped epoch, and
-// the re-own cost visible in MTTR and the Reown phase.
-func TestShrinkCompletesEveryOptLevel(t *testing.T) {
+// TestRerunInPlaceCompletesEveryOptLevel: without a spare, one
+// permanent mid-run death reruns the iteration with the dead rank
+// restarted in place, at every optimization level: the same members,
+// epoch 0, the clean run's parent tree, and the detection latency in
+// MTTR and the Recovery phase.
+func TestRerunInPlaceCompletesEveryOptLevel(t *testing.T) {
 	const scale = 12
 	for opt := OptOriginal; opt <= OptOverlapAllgather; opt++ {
 		opt := opt
@@ -50,37 +49,21 @@ func TestShrinkCompletesEveryOptLevel(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Opt = opt
 			base, cleanRes := runRecovery(t, opts, fault.Plan{}, scale)
-
-			opts.Recovery = RecoverShrink
 			r, res := runRecovery(t, opts, permanentPlan(2, 0.5*cleanRes.TimeNs), scale)
 
 			if len(res.Faults) != 1 || !res.Faults[0].Permanent {
 				t.Fatalf("Faults = %+v, want one permanent crash", res.Faults)
 			}
-			if res.Epoch != 1 {
-				t.Fatalf("epoch %d after one shrink, want 1", res.Epoch)
+			if res.Epoch != 0 || len(r.ParentArrays()) != 8 {
+				t.Fatalf("epoch %d with %d members, want 0 and all 8", res.Epoch, len(r.ParentArrays()))
 			}
-			if got := len(r.ParentArrays()); got != 7 {
-				t.Fatalf("%d members after shrinking one of 8", got)
+			if res.MTTRNs <= 0 || res.Breakdown.Ns[trace.Recovery] <= 0 {
+				t.Errorf("MTTRNs = %g, Recovery = %g, want both > 0", res.MTTRNs, res.Breakdown.Ns[trace.Recovery])
 			}
-			if res.Visited != cleanRes.Visited || res.TraversedEdges != cleanRes.TraversedEdges {
-				t.Fatalf("traversal differs: %d/%d vs clean %d/%d",
-					res.Visited, res.TraversedEdges, cleanRes.Visited, cleanRes.TraversedEdges)
+			if res.Breakdown.Ns[trace.Reown] != 0 {
+				t.Errorf("Reown %g without a promotion", res.Breakdown.Ns[trace.Reown])
 			}
-			if res.MTTRNs <= 0 {
-				t.Errorf("MTTRNs = %g, want > 0", res.MTTRNs)
-			}
-			if res.Breakdown.Ns[trace.Reown] <= 0 {
-				t.Errorf("no Reown time in breakdown")
-			}
-			// The shrunken run may pick different (valid) parents, but the
-			// BFS level of every vertex is parent-independent.
-			lv, lvBase := levelsOf(r, res.Root), levelsOf(base, cleanRes.Root)
-			for v := range lv {
-				if lv[v] != lvBase[v] {
-					t.Fatalf("vertex %d at level %d, clean run has %d", v, lv[v], lvBase[v])
-				}
-			}
+			sameParents(t, "rerun in place", r, base)
 		})
 	}
 }
@@ -102,7 +85,6 @@ func TestSpareCompletesEveryOptLevel(t *testing.T) {
 				t.Fatalf("%d active members with 1 spare per node on 2x4 ranks, want 6", got)
 			}
 
-			opts.Recovery = RecoverSpare
 			r, res := runRecovery(t, opts, permanentPlan(1, 0.5*cleanRes.TimeNs), scale)
 
 			if len(res.Faults) != 1 || !res.Faults[0].Permanent {
@@ -134,23 +116,28 @@ func TestSpareCompletesEveryOptLevel(t *testing.T) {
 	}
 }
 
-// TestSpareExhaustionFallsBackToShrink: RecoverSpare on a node with no
-// spare left must shrink instead of failing.
-func TestSpareExhaustionFallsBackToShrink(t *testing.T) {
+// TestSpareExhaustionRerunsInPlace: a permanent death on a node whose
+// spare is already taken reruns in place. Ranks 1 and 2 share node 0
+// and its one spare: the first death promotes it, the second finds
+// none, and the run still ends on the clean spares run's tree.
+func TestSpareExhaustionRerunsInPlace(t *testing.T) {
 	const scale = 12
 	opts := DefaultOptions()
-	opts.Recovery = RecoverSpare // SpareRanks = 0: nothing parked
-	_, clean := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
-	r, res := runRecovery(t, opts, permanentPlan(2, 0.5*clean.TimeNs), scale)
-	if res.Epoch != 1 || len(r.ParentArrays()) != 7 {
-		t.Fatalf("epoch %d, %d members: expected a shrink fallback", res.Epoch, len(r.ParentArrays()))
+	opts.SpareRanks = 1
+	base, clean := runRecovery(t, opts, fault.Plan{}, scale)
+	plan := fault.Plan{Crashes: []fault.Crash{
+		{Rank: 1, AtNs: 0.3 * clean.TimeNs, Permanent: true},
+		{Rank: 2, AtNs: 0.6 * clean.TimeNs, Permanent: true},
+	}}
+	r, res := runRecovery(t, opts, plan, scale)
+	if len(res.Faults) != 2 || res.Epoch != 1 || len(r.ParentArrays()) != 6 {
+		t.Fatalf("%d faults, epoch %d, %d members: want 2 faults, one promotion, 6 members",
+			len(res.Faults), res.Epoch, len(r.ParentArrays()))
 	}
-	if res.Visited != clean.Visited {
-		t.Fatalf("visited %d vs clean %d", res.Visited, clean.Visited)
-	}
+	sameParents(t, "spare exhausted", r, base)
 }
 
-// TestDegradedRunsDeterministic: shrink and spare recoveries must be
+// TestDegradedRunsDeterministic: rerun and spare recoveries must be
 // bit-identical across repeats and host core counts — the same
 // determinism contract the clean simulator gives.
 func TestDegradedRunsDeterministic(t *testing.T) {
@@ -161,16 +148,14 @@ func TestDegradedRunsDeterministic(t *testing.T) {
 		opts func() Options
 		rank int
 	}{
-		{"shrink", func() Options {
+		{"rerun", func() Options {
 			o := DefaultOptions()
 			o.Opt = OptParAllgather
-			o.Recovery = RecoverShrink
 			return o
 		}, 2},
 		{"spare", func() Options {
 			o := DefaultOptions()
 			o.Opt = OptParAllgather
-			o.Recovery = RecoverSpare
 			o.SpareRanks = 1
 			return o
 		}, 1},
@@ -201,56 +186,49 @@ func TestDegradedRunsDeterministic(t *testing.T) {
 }
 
 // TestTransientCrashIgnoresPolicy: a transient crash restarts the rank
-// in place regardless of the recovery policy — bit-identical to the
-// historical rerun behavior.
+// in place whatever the spare reservation — no spare is promoted, and
+// the run ends on its clean tree.
 func TestTransientCrashIgnoresPolicy(t *testing.T) {
 	const scale = 12
-	_, clean := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
-	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * clean.TimeNs}}}
-
-	rRerun, resRerun := runRecovery(t, DefaultOptions(), plan, scale)
-	optsShrink := DefaultOptions()
-	optsShrink.Recovery = RecoverShrink
-	rShrink, resShrink := runRecovery(t, optsShrink, plan, scale)
-
-	if resRerun.Epoch != 0 || resShrink.Epoch != 0 {
-		t.Fatalf("transient crash advanced an epoch: %d/%d", resRerun.Epoch, resShrink.Epoch)
-	}
-	if sr, ss := signature(rRerun, resRerun), signature(rShrink, resShrink); sr != ss {
-		t.Fatalf("transient crash behavior depends on policy:\nrerun  %.160s...\nshrink %.160s...", sr, ss)
-	}
-}
-
-// TestPermanentCrashBeforeFirstCheckpoint: a permanent death before any
-// checkpoint exists shrinks the world and reruns the iteration from the
-// root on the survivors.
-func TestPermanentCrashBeforeFirstCheckpoint(t *testing.T) {
-	const scale = 12
-	_, clean := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
 	opts := DefaultOptions()
-	opts.Recovery = RecoverShrink
-	r, res := runRecovery(t, opts, permanentPlan(2, 0), scale)
-	if res.Epoch != 1 || len(r.ParentArrays()) != 7 {
-		t.Fatalf("epoch %d, %d members: expected a shrink", res.Epoch, len(r.ParentArrays()))
+	opts.SpareRanks = 1
+	base, clean := runRecovery(t, opts, fault.Plan{}, scale)
+	plan := fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * clean.TimeNs}}}
+	r, res := runRecovery(t, opts, plan, scale)
+	if len(res.Faults) != 1 || res.Epoch != 0 || res.Breakdown.Ns[trace.Reown] != 0 {
+		t.Fatalf("%d faults, epoch %d, Reown %g: a transient crash must not promote",
+			len(res.Faults), res.Epoch, res.Breakdown.Ns[trace.Reown])
 	}
-	if res.Visited != clean.Visited || res.TraversedEdges != clean.TraversedEdges {
-		t.Fatalf("traversal differs: %d/%d vs clean %d/%d",
-			res.Visited, res.TraversedEdges, clean.Visited, clean.TraversedEdges)
-	}
-	if res.Breakdown.Ns[trace.Recovery] <= 0 {
-		t.Errorf("no Recovery time in breakdown")
-	}
+	sameParents(t, "transient", r, base)
 }
 
-// TestShrinkSurvivesLaterRoots: after a shrink, subsequent roots run on
-// the shrunken world and stay valid — the epoch does not step again.
-func TestShrinkSurvivesLaterRoots(t *testing.T) {
+// TestPermanentCrashAtTimeZero: a permanent death before the first
+// operation reruns the whole iteration in place from the detection
+// floor.
+func TestPermanentCrashAtTimeZero(t *testing.T) {
+	const scale = 12
+	base, clean := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
+	r, res := runRecovery(t, DefaultOptions(), permanentPlan(2, 0), scale)
+	if len(res.Faults) != 1 || res.Epoch != 0 {
+		t.Fatalf("%d faults on epoch %d, want one rerun in place", len(res.Faults), res.Epoch)
+	}
+	if res.TimeNs <= clean.TimeNs || res.Breakdown.Ns[trace.Recovery] <= 0 {
+		t.Errorf("time %g (clean %g), Recovery %g: the detection wait was not charged",
+			res.TimeNs, clean.TimeNs, res.Breakdown.Ns[trace.Recovery])
+	}
+	sameParents(t, "crash at 0", r, base)
+}
+
+// TestPromotionSurvivesLaterRoots: after a promotion, subsequent roots
+// run on the promoted membership and stay valid — the epoch does not
+// step again.
+func TestPromotionSurvivesLaterRoots(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
 	opts := DefaultOptions()
-	opts.Recovery = RecoverShrink
+	opts.SpareRanks = 1
+	_, probe := runRecovery(t, opts, fault.Plan{}, scale)
 	r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-	_, probe := runRecovery(t, DefaultOptions(), fault.Plan{}, scale)
 	if err := r.InjectFaults(permanentPlan(2, 0.5*probe.TimeNs)); err != nil {
 		t.Fatal(err)
 	}
@@ -285,27 +263,31 @@ func refVisits(r *Runner) (visited, edges int64) {
 	return visited, edges / 2
 }
 
-// TestVisitCountersThroughShrink: the members count visits as they set
-// parents and the result tail sums them. After a permanent death under
-// RecoverShrink the absorber must carry the dead rank's checkpointed
-// counts; a lost or doubled share disagrees with the recount.
-func TestVisitCountersThroughShrink(t *testing.T) {
+// TestVisitCountersThroughRecovery: the members count visits as they
+// set parents and the result tail sums them. A permanent death mid-run,
+// rerun in place or on a promoted spare, must leave counts that agree
+// with the recount from the finished parent arrays — the lost attempt's
+// share neither kept nor doubled.
+func TestVisitCountersThroughRecovery(t *testing.T) {
 	const scale = 12
 	for _, opt := range []Opt{OptOriginal, OptCompressedAllgather} {
 		t.Run(opt.String(), func(t *testing.T) {
-			opts := optOptions(opt)
-			base, clean := runRecovery(t, opts, fault.Plan{}, scale)
-			if v, e := refVisits(base); clean.Visited != v || clean.TraversedEdges != e {
-				t.Fatalf("clean run counted %d/%d, reference %d/%d", clean.Visited, clean.TraversedEdges, v, e)
-			}
-			opts.Recovery = RecoverShrink
-			for _, at := range []float64{0.3, 0.7} {
-				r, res := runRecovery(t, opts, permanentPlan(2, at*clean.TimeNs), scale)
-				if res.Epoch != 1 {
-					t.Fatalf("crash at %.1f: epoch %d, want 1 (one shrink)", at, res.Epoch)
+			for spares := 0; spares <= 1; spares++ {
+				opts := optOptions(opt)
+				opts.SpareRanks = spares
+				base, clean := runRecovery(t, opts, fault.Plan{}, scale)
+				if v, e := refVisits(base); clean.Visited != v || clean.TraversedEdges != e {
+					t.Fatalf("clean run counted %d/%d, reference %d/%d", clean.Visited, clean.TraversedEdges, v, e)
 				}
-				if v, e := refVisits(r); res.Visited != v || res.TraversedEdges != e {
-					t.Fatalf("crash at %.1f: counted %d/%d, reference %d/%d", at, res.Visited, res.TraversedEdges, v, e)
+				for _, at := range []float64{0.3, 0.7} {
+					r, res := runRecovery(t, opts, permanentPlan(2, at*clean.TimeNs), scale)
+					if res.Epoch != spares {
+						t.Fatalf("spares %d, crash at %.1f: epoch %d, want %d", spares, at, res.Epoch, spares)
+					}
+					if v, e := refVisits(r); res.Visited != v || res.TraversedEdges != e {
+						t.Fatalf("spares %d, crash at %.1f: counted %d/%d, reference %d/%d",
+							spares, at, res.Visited, res.TraversedEdges, v, e)
+					}
 				}
 			}
 		})

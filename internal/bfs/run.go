@@ -13,11 +13,20 @@ func (rs *rankState) runBFS(p *mpi.Proc, root int64) {
 	rs.levelLoop(p, rs.initRoot(p, root))
 }
 
+// loopState is the lockstep control state of the level loop — the
+// allreduce-derived values every rank holds identical copies of.
+type loopState struct {
+	bottomUp bool
+	// nf and mf are the allreduced size and edge sum of the current
+	// frontier; visitedEdgesGlobal and prevNf drive the hybrid switch.
+	nf, mf             int64
+	visitedEdgesGlobal int64
+	prevNf             int64
+}
+
 // initRoot resets per-root state, seeds the root frontier and performs
 // the initial allreduce and mode setup, returning the loop state the
-// level loop starts from. Under an active crash plan the post-setup
-// state is also checkpointed, so a crash in the first level need not
-// repeat the initial conversion.
+// level loop starts from.
 func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	r := rs.r
 	rs.reset()
@@ -52,12 +61,11 @@ func (rs *rankState) initRoot(p *mpi.Proc, root int64) *loopState {
 	} else {
 		rs.promoteNext()
 	}
-	rs.saveCheckpoint(p, st)
 	return st
 }
 
 // levelLoop runs the lockstep level loop from st until the frontier
-// empties. Crash recovery re-enters here with a restored loop state.
+// empties.
 func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 	r := rs.r
 	for st.nf > 0 {
@@ -95,11 +103,10 @@ func (rs *rankState) levelLoop(p *mpi.Proc, st *loopState) {
 			st.bottomUp = false
 		}
 		st.prevNf = st.nf
-		rs.saveCheckpoint(p, st)
 	}
 }
 
-// reset clears per-root state and recycles the checkpoint generations.
+// reset clears per-root state.
 // Bitmaps need no clearing: in_queue and the summary are fully
 // overwritten by the first allgather, and the owned out_queue segment is
 // cleared at the start of every bottom-up level.
@@ -109,9 +116,6 @@ func (rs *rankState) reset() {
 	}
 	rs.queue = rs.queue[:0]
 	rs.next = rs.next[:0]
-	rs.recycleCkpt(rs.ckptCur)
-	rs.recycleCkpt(rs.ckptPrev)
-	rs.ckptCur, rs.ckptPrev = nil, nil
 }
 
 // promoteNext makes the freshly discovered frontier current (top-down).

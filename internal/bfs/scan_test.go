@@ -17,7 +17,6 @@ import (
 	"slices"
 	"testing"
 
-	"numabfs/internal/fault"
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/omp"
@@ -193,43 +192,6 @@ func TestScanMatchesReference(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestScanMatchesReferenceAfterShrink: the same comparison on the
-// partition one shrink leaves behind — seven ranks, one of them owning
-// two ranges' worth of vertices and a merged CSR.
-func TestScanMatchesReferenceAfterShrink(t *testing.T) {
-	const scale = 12
-	params := rmat.Graph500(scale)
-	// (Granularities that do not divide the rank width cannot shrink: the
-	// absorber's summary share would not be granule-aligned.)
-	for _, cg := range [][2]int64{{100, 64}, {1000, 256}} {
-		opts := DefaultOptions()
-		opts.Chunk, opts.Granularity = cg[0], cg[1]
-		clean := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		root := params.Roots(1, clean.HasEdgeGlobal)[0]
-		cleanRes := clean.RunRoot(root)
-
-		opts.Recovery = RecoverShrink
-		r := setUp(t, testConfig(scale, 2, 4), machine.PPN8Bind, params, opts)
-		if err := r.InjectFaults(permanentPlan(2, 0.5*cleanRes.TimeNs)); err != nil {
-			t.Fatal(err)
-		}
-		if res := r.RunRoot(root); res.Epoch != 1 || len(r.states) != 7 {
-			t.Fatalf("epoch %d with %d ranks after the crash, want one shrink to 7", res.Epoch, len(r.states))
-		}
-		widths := map[int64]bool{}
-		for _, rs := range r.states {
-			widths[rs.csr.NumLocal()] = true
-		}
-		if len(widths) < 2 {
-			t.Fatal("partition still uniform after the shrink")
-		}
-		if err := r.InjectFaults(fault.Plan{}); err != nil {
-			t.Fatal(err)
-		}
-		compareScanLevels(t, r, root)
 	}
 }
 

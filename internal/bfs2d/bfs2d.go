@@ -90,8 +90,7 @@ func DefaultGrid(np int) Grid {
 type Runner struct {
 	// Core is the world, the fault/obs plumbing, the crash-retry loop and
 	// the result tail. A scheduled rank crash is survived by rerunning
-	// from the root with clocks floored at detection time — the 2-D
-	// engine keeps no level-boundary checkpoints.
+	// from the root with clocks floored at detection time.
 	chassis.Core
 	// Graph holds one CSR per grid cell, in cell order: the column's
 	// vertex range, restricted to the cell's grid row.
@@ -124,10 +123,7 @@ type Runner struct {
 	// cellRank maps grid cell j*R+i to the world rank currently holding
 	// it, rankCell inverts it (-1 for parked spares and dead ranks). At
 	// construction the map is the identity over the first R*C ranks; a
-	// promotion rewrites one cell. The grid shape itself never changes —
-	// the 2-D engine supports spare/rerun recovery only, never a shrink
-	// (removing a cell would break the R x C factorization every
-	// expand/fold path depends on).
+	// promotion rewrites one cell. The grid shape itself never changes.
 	cellRank []int
 	rankCell []int
 	// spares are the parked hot-spare ranks still available, in rank
@@ -222,9 +218,8 @@ func NewRunner(cfg machine.Config, policy machine.Policy, grid Grid, params rmat
 // parked as hot spares: the grid covers the first R*C ranks, and a
 // permanent crash promotes a spare into the dead rank's grid cell (the
 // cell→rank table is remapped; the grid shape and every block range are
-// untouched). With no spare left a permanent crash falls back to the
-// full-rerun recovery, like a transient one — the 2-D engine never
-// shrinks the grid.
+// untouched). With no spare left a permanent crash reruns in place,
+// like a transient one.
 func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, params rmat.Params, spares int) (*Runner, error) {
 	if spares < 0 {
 		return nil, fmt.Errorf("bfs2d: negative spare count %d", spares)
@@ -301,12 +296,11 @@ func (r *Runner) rebuildGroups() {
 // promote swaps an available spare into the dead rank's grid cell,
 // parking the modelled re-own cost of the spare adopting the cell's
 // state (adjacency and parent block) out of node scratch in the moved
-// state's ledger. Reports false — the caller reruns with the
-// dead rank in place — when no spare is left or the dead rank holds no
-// cell.
-func (r *Runner) promote(dead int, floor float64) bool {
+// state's ledger. With no spare left, or when the dead rank holds no
+// cell, it does nothing and the dead rank reruns in place.
+func (r *Runner) promote(dead int, floor float64) {
 	if len(r.spares) == 0 || r.rankCell[dead] < 0 {
-		return false
+		return
 	}
 	// Prefer a spare on the dead rank's node (scratch adoption at
 	// shared-memory bandwidth); otherwise take the first one.
@@ -328,8 +322,8 @@ func (r *Runner) promote(dead int, floor float64) bool {
 	r.rankCell[dead] = -1
 	r.rebuildGroups()
 
-	// The spare re-binds the cell's state wholesale; the 2-D recovery is
-	// a full rerun, so only the adjacency and the parent block move.
+	// The spare re-binds the cell's state wholesale; the recovery is a
+	// full rerun, so only the adjacency and the parent block move.
 	rs := r.states[dead]
 	r.states[spare], r.states[dead] = rs, nil
 	bytes := int64(len(rs.col))*8 + int64(len(rs.rowPtr))*8 + int64(len(rs.parent))*8
@@ -337,7 +331,6 @@ func (r *Runner) promote(dead int, floor float64) bool {
 
 	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
 	r.W.Proc(r.cellRank[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.cellRank)))
-	return true
 }
 
 // rankOf maps grid coordinates to the rank currently holding the cell:

@@ -19,21 +19,18 @@ type RootResult = chassis.Result
 // RunRoot runs one 2-D BFS from root. Rank clocks are reset, so TimeNs
 // is the iteration's virtual duration. Under an active crash plan the
 // chassis reruns the iteration from the root with clocks floored at
-// crash-detection time (the 2-D engine keeps no checkpoints).
+// crash-detection time; a permanent death first promotes a spare into
+// the dead rank's grid cell when one is left.
 func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[r.cellRank[0]] == nil {
 		panic("bfs2d: RunRoot before Setup")
 	}
 	r.Run(func(p *mpi.Proc) {
 		r.states[p.Rank()].run(p, r.grid, root)
-	}, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
+	}, func(f *mpi.FaultError, floor float64) {
 		if f.Permanent {
-			// With a spare available the dead rank's grid cell is
-			// remapped; otherwise it reruns in place (the 2-D engine
-			// never shrinks the grid).
 			r.promote(f.Rank, floor)
 		}
-		return nil
 	})
 	res := RootResult{Root: root}
 	r.Finish(&res.Summary, &r.states[r.cellRank[0]].Ledger)

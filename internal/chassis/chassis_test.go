@@ -119,28 +119,28 @@ func work(p *mpi.Proc) {
 	p.Barrier()
 }
 
-// TestRunRecoversPlannedCrash: the happy path — one scheduled crash, one
-// repair, the engine's own resume floored at detection time, and the
-// crash reported by Finish.
+// TestRunRecoversPlannedCrash: the happy path — one scheduled permanent
+// crash, one repair asked to fix it at the lease-expiry detection floor,
+// and the crash reported by Finish with that detection latency as MTTR.
 func TestRunRecoversPlannedCrash(t *testing.T) {
 	e := newToy(t)
-	if err := e.InjectFaults(crashOf()); err != nil {
+	plan := crashOf()
+	plan.Crashes[0].Permanent = true
+	if err := e.InjectFaults(plan); err != nil {
 		t.Fatal(err)
 	}
+	want := e.W.Injector().DetectionTimeNs(500)
 	repairs := 0
-	e.Run(work, func(f *mpi.FaultError, floor float64) func(p *mpi.Proc) {
+	e.Run(func(p *mpi.Proc) {
+		e.states[p.Rank()].Reset(p)
+		work(p)
+	}, func(f *mpi.FaultError, floor float64) {
 		repairs++
-		if f.Rank != 1 || f.AtNs != 500 {
-			t.Errorf("repair asked to fix %+v, want rank 1 at 500 ns", f)
+		if f.Rank != 1 || f.AtNs != 500 || !f.Permanent {
+			t.Errorf("repair asked to fix %+v, want the permanent death of rank 1 at 500 ns", f)
 		}
-		return func(p *mpi.Proc) {
-			l := e.states[p.Rank()]
-			l.Reset(p)
-			if p.Clock() != 0 || l.Breakdown.Ns[trace.Recovery] != 0 {
-				t.Errorf("rank %d: a resume of the engine's own was charged a rerun", p.Rank())
-			}
-			p.RestoreClock(floor)
-			work(p)
+		if floor != want {
+			t.Errorf("repair floor %v, want the lease expiry %v", floor, want)
 		}
 	})
 	var s Summary
@@ -148,21 +148,20 @@ func TestRunRecoversPlannedCrash(t *testing.T) {
 	if repairs != 1 || len(s.Faults) != 1 {
 		t.Fatalf("%d repairs, %d faults, want 1 and 1", repairs, len(s.Faults))
 	}
-	if want := e.W.Injector().DetectTimeoutNs(); s.MTTRNs != want {
-		t.Errorf("MTTR %v, want the detection timeout %v (nothing was re-owned)", s.MTTRNs, want)
+	if s.MTTRNs != want-500 {
+		t.Errorf("MTTR %v, want the detection latency %v (nothing was re-owned)", s.MTTRNs, want-500)
 	}
 }
 
-// TestRunRerunsFromRoots: without a resume — no repair at all, or a
-// repair that only performs surgery — Run reruns the traversal body, and
-// each member's Reset restarts its clock at the detection floor plus
-// what the surgery parked, charging the floor to Recovery and the
+// TestRunRerunsFromRoots: after a crash Run reruns the traversal body,
+// and each member's Reset restarts its clock at the detection floor plus
+// whatever the repair parked, charging the floor to Recovery and the
 // transfer to Reown.
 func TestRunRerunsFromRoots(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		parked float64 // re-own transfer the repair parks on rank 1
-	}{{"nil repair", 0}, {"nil resume", 250}} {
+	}{{"nil repair", 0}, {"parked re-own", 250}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newToy(t)
 			if err := e.InjectFaults(crashOf()); err != nil {
@@ -170,12 +169,9 @@ func TestRunRerunsFromRoots(t *testing.T) {
 			}
 			floor := 500 + e.W.Injector().DetectTimeoutNs()
 			parked := tc.parked
-			var repair func(*mpi.FaultError, float64) func(*mpi.Proc)
+			var repair func(*mpi.FaultError, float64)
 			if parked > 0 {
-				repair = func(f *mpi.FaultError, _ float64) func(*mpi.Proc) {
-					e.states[f.Rank].ParkReown(parked)
-					return nil
-				}
+				repair = func(f *mpi.FaultError, _ float64) { e.states[f.Rank].ParkReown(parked) }
 			}
 			attempts := make([]int, e.W.NumProcs())
 			e.Run(func(p *mpi.Proc) {
@@ -224,9 +220,8 @@ func TestRunRerunsFromRoots(t *testing.T) {
 // TestRunRepanics: everything the retry loop cannot recover is re-raised
 // unchanged, without calling repair (again).
 func TestRunRepanics(t *testing.T) {
-	noRepair := func(*mpi.FaultError, float64) func(*mpi.Proc) {
+	noRepair := func(*mpi.FaultError, float64) {
 		t.Error("repair called for an unrecoverable failure")
-		return work
 	}
 	wantCrash := func(what string, got any) {
 		t.Helper()
@@ -272,16 +267,14 @@ func TestRunRepanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		repairs := 0
+		attempts := make([]int, e.W.NumProcs())
 		wantCrash("second crash", mustPanic(t, "second crash", func() {
-			e.Run(work, func(*mpi.FaultError, float64) func(*mpi.Proc) {
-				repairs++
-				return func(p *mpi.Proc) {
-					if p.Rank() == 3 {
-						panic(&fault.Error{Rank: 3, AtNs: p.Clock()})
-					}
-					p.Barrier()
+			e.Run(func(p *mpi.Proc) {
+				if attempts[p.Rank()]++; attempts[p.Rank()] == 2 && p.Rank() == 3 {
+					panic(&fault.Error{Rank: 3, AtNs: p.Clock()})
 				}
-			})
+				work(p)
+			}, func(*mpi.FaultError, float64) { repairs++ })
 		}))
 		if repairs != 1 {
 			t.Errorf("%d repairs for a one-crash plan, want 1", repairs)

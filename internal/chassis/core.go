@@ -2,11 +2,11 @@
 // internal/bfs2d, internal/msbfs) do around their level loops, written
 // once: building the simulated world, the fault / observability
 // plumbing, the kernel-1 epilogue, the per-rank phase ledger, the
-// crash-recovery retry loop (a rerun from the roots by default) and the
-// result every traversal reports. An engine embeds a Core in its Runner
-// and a Ledger in its per-rank state and supplies what is particular to
-// it — the partition and its membership, the frontier representation,
-// the scan and exchange kernels, and any cheaper recovery it has.
+// crash-recovery retry loop (a rerun from the roots) and the result
+// every traversal reports. An engine embeds a Core in its Runner and a
+// Ledger in its per-rank state and supplies what is particular to it —
+// the partition and its membership (with any hot-spare promotion), the
+// frontier representation, and the scan and exchange kernels.
 package chassis
 
 import (
@@ -29,8 +29,8 @@ type Core struct {
 	// their breakdowns are averaged; ledgers is its scratch.
 	members func(buf []*Ledger) []*Ledger
 	ledgers []*Ledger
-	// faults is the active plan: checkpointing and the retry loop only
-	// engage when it schedules a crash. crashes and mttrNs are the last
+	// faults is the active plan: the retry loop only engages when it
+	// schedules a crash. crashes and mttrNs are the last
 	// Run's crash report, which Finish copies into the result.
 	faults  fault.Plan
 	crashes []*mpi.FaultError
@@ -64,8 +64,8 @@ func (c *Core) AttachObs(s *obs.Session) { c.W.AttachObs(s) }
 // InjectFaults installs a deterministic fault plan (internal/fault) for
 // all subsequent traversals: bandwidth degradation, stragglers, jitter
 // and lossy links perturb the modelled times; a scheduled rank crash
-// additionally arms Run's recovery (the 1-D engine's checkpoints, else a
-// rerun from the roots) so the traversal completes instead of panicking.
+// additionally arms Run's recovery (a rerun from the roots) so the
+// traversal completes instead of panicking.
 // Call after Setup — construction (kernel 1) runs unperturbed, as the
 // paper's perturbation study targets the traversal. The machine's
 // configured weak node persists underneath the plan.
@@ -76,11 +76,6 @@ func (c *Core) InjectFaults(plan fault.Plan) error {
 	c.faults = plan
 	return nil
 }
-
-// CrashPlanned reports whether the active plan schedules a rank crash.
-// Checkpoint copies have a modelled cost, so an engine pays them only
-// then: without a crash to survive they would perturb every result.
-func (c *Core) CrashPlanned() bool { return len(c.faults.Crashes) > 0 }
 
 // EndSetup closes kernel 1: the construction time is recorded, the
 // clocks restart at zero for the first traversal, and totalEdges (stored
@@ -131,8 +126,8 @@ func (c *Core) ReownCostNs(bytes int64, srcNode, dstNode int) float64 {
 	return cfg.InterNodeAlphaNs + float64(bytes)/cfg.PerStreamBW
 }
 
-// current returns the engine's member ledgers as of now (a shrink or a
-// promotion between attempts changes them).
+// current returns the engine's member ledgers as of now (a promotion
+// between attempts moves one to another rank).
 func (c *Core) current() []*Ledger {
 	c.ledgers = c.members(c.ledgers[:0])
 	return c.ledgers
@@ -143,14 +138,13 @@ func (c *Core) current() []*Ledger {
 // the crash is disarmed, the detection floor is derived — permanent
 // deaths are observed when the dead rank's last heartbeat lease expires,
 // transient ones keep the flat timeout — and repair (may be nil)
-// performs the engine's surgery (spare promotion, shrink) and returns
-// what each rank resumes with, clocks no earlier than the floor. Without
-// a resume, every member is marked with the floor and first reruns from
-// the roots (see Ledger.Reset). Anything else is re-raised: a
-// programming bug, a dead link (replaying past an exhausted link would
-// exhaust it again) or more failures than the plan schedules. Finish
-// reports the crashes survived and their repair time.
-func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor float64) (resume func(p *mpi.Proc))) {
+// performs the engine's membership surgery, a spare promotion. Then
+// every member is marked with the floor and first reruns from the roots
+// (see Ledger.Reset). Anything else is re-raised: a programming bug, a
+// dead link (replaying past an exhausted link would exhaust it again) or
+// more failures than the plan schedules. Finish reports the crashes
+// survived and their repair time.
+func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor float64)) {
 	c.W.ResetClocks()
 	c.crashes, c.mttrNs = nil, 0
 	for _, l := range c.current() {
@@ -170,24 +164,18 @@ func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor
 			floor = inj.DetectionTimeNs(f.AtNs)
 			c.W.Proc(f.Rank).Obs().FaultEvent("detect", floor)
 		}
-		var resume func(p *mpi.Proc)
 		if repair != nil {
-			resume = repair(f, floor)
+			repair(f, floor)
 		}
 		// MTTR: detection latency plus the longest re-own transfer any
-		// member has parked for its resume.
+		// member has parked for its rerun.
 		var maxReown float64
 		for _, l := range c.current() {
 			maxReown = max(maxReown, l.reownNs)
-			if resume == nil {
-				l.rerunFloor = floor
-			}
-		}
-		if resume == nil {
-			resume = first
+			l.rerunFloor = floor
 		}
 		c.mttrNs += (floor - f.AtNs) + maxReown
 		c.W.PrepareRecovery()
-		err = c.W.TryRun(resume)
+		err = c.W.TryRun(first)
 	}
 }

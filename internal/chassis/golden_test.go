@@ -10,12 +10,17 @@ package chassis_test
 // since, when mpi began to abort a failed job at quiescence: how far a
 // doomed attempt gets is a function of the plan from then on, so its
 // traffic joined the hash (every other field of theirs was unchanged).
+// The 1-D crash cases were re-captured again when level checkpoints and
+// survivor shrink were removed: every crash now reruns from the root,
+// and each of those cases also checks its parents against the clean
+// tree.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"numabfs/internal/bfs"
@@ -118,25 +123,35 @@ func bfsTraversal(r *bfs.Runner, res bfs.RootResult) traversal {
 }
 
 var goldenBFS = map[string]uint64{
-	"clean/Original":               0x7ce167ee9bc06d7,
-	"clean/Share in_queue":         0xee63399657111324,
-	"clean/Share all":              0x6234a01b5468f25a,
-	"clean/Par allgather":          0xa073077205c66d98,
-	"clean/Compressed allgather":   0x5695a040f0b6210e,
-	"clean/Overlap allgather":      0x89fc67aa735e3f55,
-	"crash/rerun/permanent=true":   0x70723ce599f6047,
-	"crash/rerun/permanent=false":  0x971106b6d3e44b01,
-	"crash/shrink/permanent=true":  0x822b758fa1514825,
-	"crash/shrink/permanent=false": 0x971106b6d3e44b01,
-	"crash/spare/permanent=true":   0x58a508a8f0041dcc,
-	"crash/spare/permanent=false":  0x57cf9eeac697c762,
-	"crash/shrink/two":             0xced6536955fee366,
+	"clean/Original":              0x7ce167ee9bc06d7,
+	"clean/Share in_queue":        0xee63399657111324,
+	"clean/Share all":             0x6234a01b5468f25a,
+	"clean/Par allgather":         0xa073077205c66d98,
+	"clean/Compressed allgather":  0x5695a040f0b6210e,
+	"clean/Overlap allgather":     0x89fc67aa735e3f55,
+	"crash/rerun/permanent=true":  0x2123b9d26392c506,
+	"crash/rerun/permanent=false": 0xfb78f1701c4ee0b7,
+	"crash/spare/permanent=true":  0x2097c3b5ade2fd33,
+	"crash/spare/permanent=false": 0xd249cf9bb8638b35,
+	"crash/spare/two":             0x50d663586e3bb16,
+}
+
+// sameParents fails t unless r holds exactly clean's parent arrays.
+func sameParents(t *testing.T, name string, r, clean *bfs.Runner) {
+	t.Helper()
+	want := clean.ParentArrays()
+	for pos, pa := range r.ParentArrays() {
+		if !slices.Equal(pa, want[pos]) {
+			t.Fatalf("%s: parent array of position %d differs from the clean run's", name, pos)
+		}
+	}
 }
 
 // TestGoldenBFS: the 1-D engine, clean at all six optimization levels,
-// and one permanent and one transient mid-run crash under each recovery
-// policy (checkpoint restore in place, survivor repartitioning, hot-spare
-// promotion).
+// and one permanent and one transient mid-run crash without and with a
+// hot spare per node. Every crash reruns from the root, after a spare
+// promotion for the permanent death when one is parked, so each crashed
+// run's parent arrays are the clean run's.
 func TestGoldenBFS(t *testing.T) {
 	for opt := bfs.OptOriginal; opt <= bfs.OptOverlapAllgather; opt++ {
 		opts := bfs.DefaultOptions()
@@ -145,16 +160,17 @@ func TestGoldenBFS(t *testing.T) {
 		res := r.RunRoot(root)
 		checkGolden(t, "clean/"+opt.String(), bfsTraversal(r, res).hash(), goldenBFS)
 	}
-	for _, rec := range []bfs.Recovery{bfs.RecoverRerun, bfs.RecoverShrink, bfs.RecoverSpare} {
+	for _, pol := range []struct {
+		name   string
+		spares int
+	}{{"rerun", 0}, {"spare", 1}} {
 		opts := bfs.DefaultOptions()
 		opts.Opt = bfs.OptCompressedAllgather
-		opts.Recovery = rec
-		if rec == bfs.RecoverSpare {
-			opts.SpareRanks = 1
-		}
+		opts.SpareRanks = pol.spares
 		clean, root := bfsRunner(t, opts)
 		cleanNs := clean.RunRoot(root).TimeNs
 		for _, permanent := range []bool{true, false} {
+			name := fmt.Sprintf("crash/%s/permanent=%v", pol.name, permanent)
 			r, _ := bfsRunner(t, opts)
 			plan := fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * cleanNs, Permanent: permanent}}}
 			if err := r.InjectFaults(plan); err != nil {
@@ -162,21 +178,23 @@ func TestGoldenBFS(t *testing.T) {
 			}
 			res := r.RunRoot(root)
 			if len(res.Faults) != 1 {
-				t.Fatalf("%s: %d faults survived, want 1", rec, len(res.Faults))
+				t.Fatalf("%s: %d faults survived, want 1", name, len(res.Faults))
 			}
-			checkGolden(t, fmt.Sprintf("crash/%s/permanent=%v", rec, permanent), bfsTraversal(r, res).hash(), goldenBFS)
+			sameParents(t, name, r, clean)
+			checkGolden(t, name, bfsTraversal(r, res).hash(), goldenBFS)
 		}
 	}
 }
 
 // TestGoldenBFSTwoCrashes: two permanent crashes 2 % of the clean time
-// apart, under survivor repartitioning. Which of them a doomed attempt
-// reports first — and with it the recovery order, the re-own transfers
-// and TimeNs — must be the earlier one on every host schedule.
+// apart, on different nodes, each promoting its node's spare. Which of
+// them a doomed attempt reports first — and with it the promotion
+// order, the re-own transfers and TimeNs — must be the earlier one on
+// every host schedule.
 func TestGoldenBFSTwoCrashes(t *testing.T) {
 	opts := bfs.DefaultOptions()
 	opts.Opt = bfs.OptCompressedAllgather
-	opts.Recovery = bfs.RecoverShrink
+	opts.SpareRanks = 1
 	clean, root := bfsRunner(t, opts)
 	cleanNs := clean.RunRoot(root).TimeNs
 	plan := fault.Plan{Crashes: []fault.Crash{
@@ -187,8 +205,8 @@ func TestGoldenBFSTwoCrashes(t *testing.T) {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for i := 0; i < 40; i++ {
-				// A shrink is for good: every run needs its own runner,
-				// over the clean one's graph.
+				// A promotion is for good: every run needs its own
+				// runner, over the clean one's graph.
 				r, err := bfs.NewRunner(goldenConfig(), machine.PPN8Bind, rmat.Graph500(goldenScale), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -201,10 +219,12 @@ func TestGoldenBFSTwoCrashes(t *testing.T) {
 					t.Fatal(err)
 				}
 				res := r.RunRoot(root)
-				if len(res.Faults) != 2 || res.Faults[0].Rank != 2 {
-					t.Fatalf("GOMAXPROCS=%d run %d: recovered %v, want rank 2 then rank 6", procs, i, res.Faults)
+				if len(res.Faults) != 2 || res.Faults[0].Rank != 2 || res.Epoch != 2 {
+					t.Fatalf("GOMAXPROCS=%d run %d: recovered %v on epoch %d, want rank 2 then rank 6, two promotions",
+						procs, i, res.Faults, res.Epoch)
 				}
-				checkGolden(t, "crash/shrink/two", bfsTraversal(r, res).hash(), goldenBFS)
+				sameParents(t, "crash/spare/two", r, clean)
+				checkGolden(t, "crash/spare/two", bfsTraversal(r, res).hash(), goldenBFS)
 			}
 		}()
 	}
@@ -226,7 +246,7 @@ var goldenBFS2D = map[string]uint64{
 func TestGoldenBFS2D(t *testing.T) {
 	params := rmat.Graph500(goldenScale)
 	// Each grid's first build runs kernel 1; later ones on that grid
-	// reuse its graph, as the 1-D shrink golden does.
+	// reuse its graph, as the 1-D two-crash golden does.
 	first := map[bfs2d.Grid]*bfs2d.Runner{}
 	build := func(grid bfs2d.Grid, spares int, mode bfs2d.Mode, compress bool) (*bfs2d.Runner, int64) {
 		r, err := bfs2d.NewRunnerSpares(goldenConfig(), machine.PPN8Bind, grid, params, spares)

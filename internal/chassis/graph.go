@@ -94,22 +94,3 @@ func (g *Graph1D) Build(p *mpi.Proc, members *collective.Group, pos int, params 
 	lo, hi := g.Part.Range(pos)
 	return g.Graph.Build(p, members, pos, params, dedup, func(u, _ int64) int { return g.Part.Owner(u) }, lo, hi)
 }
-
-// RemoveRank removes partition position dead after its rank died for
-// good: a contiguous survivor absorbs its vertex range — the
-// predecessor, or the successor when position 0 dies and the dead range
-// comes first — and the dead range's adjacency is concatenated onto the
-// absorber's. Returns the absorber's new position, its merged CSR and
-// the dead member's CSR.
-func (g *Graph1D) RemoveRank(dead int) (absorber int, merged, lost *graph.CSR) {
-	lost = g.csrs[dead]
-	g.Part, absorber = g.Part.RemoveRank(dead)
-	g.csrs = slices.Delete(g.csrs, dead, dead+1)
-	if dead == 0 {
-		merged = graph.MergeCSR(lost, g.csrs[absorber])
-	} else {
-		merged = graph.MergeCSR(g.csrs[absorber], lost)
-	}
-	g.csrs[absorber] = merged
-	return absorber, merged, lost
-}

@@ -26,10 +26,9 @@ type Ledger struct {
 
 	// rerunFloor marks a member Run reruns from the roots: the detection
 	// floor its next Reset restarts the clock from (0 = not marked).
-	// reownNs is the modelled cost of re-owning a dead rank's state
-	// (adjacency re-fetch, checkpoint handoff), parked by the engine's
-	// shrink or promotion surgery and charged to the Reown phase when the
-	// member resumes.
+	// reownNs is the modelled cost of a promoted spare adopting the dead
+	// rank's state out of node scratch, parked by the engine's promotion
+	// and charged to the Reown phase when the member reruns.
 	rerunFloor float64
 	reownNs    float64
 
@@ -84,20 +83,8 @@ func (l *Ledger) Reset(p *mpi.Proc) {
 }
 
 // ParkReown adds ns of modelled re-own transfer to what the member pays
-// when it resumes. Called by shrink / promotion surgery, between attempts.
+// when it reruns. Called by a spare promotion, between attempts.
 func (l *Ledger) ParkReown(ns float64) { l.reownNs += ns }
-
-// PayReown charges a parked re-own transfer on a checkpoint resume: it
-// runs before the rollback copy.
-func (l *Ledger) PayReown(p *mpi.Proc) {
-	if l.reownNs > 0 {
-		t0 := p.Clock()
-		p.RestoreClock(t0 + l.reownNs)
-		l.Breakdown.Add(trace.Reown, l.reownNs)
-		l.Rec.PhaseSpan(trace.Reown, l.Levels, t0, p.Clock())
-		l.reownNs = 0
-	}
-}
 
 // Charge adds the [start, end) interval to phase ph and, when tracing
 // is on, records it as a span at the current level. The breakdown is

@@ -51,7 +51,7 @@ type Summary struct {
 	// crash fired.
 	MTTRNs float64
 	// Epoch is the world-view number the traversal finished on: 0 until
-	// a shrink or promotion, stepped by each (mpi.World.Epoch).
+	// a spare promotion, stepped by each (mpi.World.Epoch).
 	Epoch int
 }
 

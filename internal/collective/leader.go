@@ -11,10 +11,10 @@ import (
 // variants need: per-node groups (leader = the node's first member), the
 // leader group, and per-member-index subgroups for the parallelized
 // allgather. Membership is explicit — a NodeComm can be built over any
-// subset of the world's ranks (survivors after a shrink, actives with
-// spares parked), and over the full world it reproduces the historical
-// arithmetic shapes exactly: leader n*ppn, children in ascending order,
-// subgroup j = the ranks with local index j.
+// subset of the world's ranks (actives with spares parked, a promoted
+// spare in a dead rank's place), and over the full world it reproduces
+// the historical arithmetic shapes exactly: leader n*ppn, children in
+// ascending order, subgroup j = the ranks with local index j.
 type NodeComm struct {
 	World   *Group   // the member ranks, in member order
 	Nodes   []*Group // per physical node: its members (nil when none)
@@ -37,7 +37,8 @@ func NewNodeComm(w *mpi.World) *NodeComm {
 // NewNodeCommRanks builds the node communicator over an explicit member
 // list (in group order). Each node's members must be contiguous in the
 // list so that a node's buffer segments concatenate — true for the block
-// rank placement, and preserved by survivor repartitioning.
+// rank placement, and preserved by a spare promotion, which puts a
+// same-node spare in the dead rank's place.
 func NewNodeCommRanks(w *mpi.World, ranks []int) *NodeComm {
 	nodes := w.Config().Nodes
 	np := w.NumProcs()

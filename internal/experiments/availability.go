@@ -3,31 +3,26 @@ package experiments
 import (
 	"fmt"
 
-	"numabfs/internal/bfs"
 	"numabfs/internal/fault"
 	"numabfs/internal/graph500"
 )
 
-// availPolicy is one permanent-crash completion policy under study:
-// the recovery mode plus the hot-spare reservation it needs.
+// availPolicy is one permanent-crash completion policy under study,
+// named by the hot-spare reservation that selects it: none reruns the
+// dead rank in place, one per node promotes a spare into its slot.
 type availPolicy struct {
-	label    string
-	recovery bfs.Recovery
-	spares   int
+	label  string
+	spares int
 }
 
 func availPolicies() []availPolicy {
-	return []availPolicy{
-		{"rerun", bfs.RecoverRerun, 0},
-		{"shrink", bfs.RecoverShrink, 0},
-		{"spare", bfs.RecoverSpare, 1},
-	}
+	return []availPolicy{{"rerun", 0}, {"spare", 1}}
 }
 
 // ExtAvailability studies degraded-mode completion after permanent rank
 // deaths on a fixed 2-node cluster: each cumulative optimization level
-// is run under every completion policy (rerun in place, shrink onto the
-// survivors, hot-spare promotion) with one and then two ranks killed
+// is run under both completion policies (rerun in place, hot-spare
+// promotion) with one and then two ranks killed
 // permanently mid-iteration. Crash times are fractions of the same
 // configuration's crash-free mean iteration, so every cell is as
 // deterministic as the clean sweep; the two crashes land on different
@@ -36,8 +31,8 @@ func availPolicies() []availPolicy {
 // Cells report, per crash count: harmonic TEPS retained vs the same
 // level and spare reservation without crashes, the mean-iteration time
 // ratio (>= 1), and the modelled MTTR in milliseconds — heartbeat-lease
-// detection latency plus the longest adjacency re-own transfer any
-// survivor paid. The spare policy's baseline runs on the reduced active
+// detection latency plus the adjacency re-own transfer a promoted spare
+// paid. The spare policy's baseline runs on the reduced active
 // set (spares parked), so its retained fraction isolates the recovery
 // cost rather than the reservation cost. Every degraded run passes the
 // full Graph500 validation suite.
@@ -52,9 +47,8 @@ func ExtAvailability(s Spec) (*Table, error) {
 	crashFracs := []float64{0.45, 0.7}
 
 	// First batch: one crash-free baseline per (level, spare
-	// reservation). Rerun and shrink share the spares=0 partition; the
-	// spare policy runs on one fewer active rank per node, so both its
-	// baseline and its cached graph differ.
+	// reservation). The spare policy runs on one fewer active rank per
+	// node, so both its baseline and its cached graph differ.
 	spareSet := []int{0, 1}
 	bases, err := s.collect(cross(vs, spareSet, func(v variant, spares int) cell {
 		opts := optsAt(v.opt)
@@ -86,7 +80,7 @@ func ExtAvailability(s Spec) (*Table, error) {
 			}
 			for k := 1; k <= len(crashes); k++ {
 				opts := optsAt(v.opt)
-				opts.Recovery, opts.SpareRanks = pol.recovery, pol.spares
+				opts.SpareRanks = pol.spares
 				cfg := s.config(nodes, v.policy, opts)
 				cfg.Faults, cfg.Validate = &fault.Plan{Crashes: crashes[:k:k]}, true
 				cells = append(cells, cell{fmt.Sprintf("%s/%s x%d", v.label, pol.label, k), cfg})
@@ -110,7 +104,7 @@ func ExtAvailability(s Spec) (*Table, error) {
 			"teps/time columns are relative to the same optimization level and spare reservation without crashes (spare-policy baselines park one rank per node)",
 			fmt.Sprintf("crashes are permanent: rank %d at %.0f%% and rank %d at %.0f%% of the clean mean iteration, on different nodes",
 				crashRanks[0], 100*crashFracs[0], crashRanks[1], 100*crashFracs[1]),
-			"mttr = heartbeat-lease detection latency + the longest survivor re-own transfer; rerun restarts the dead rank in place, shrink finishes on the surviving membership, spare promotes a parked same-node rank",
+			"mttr = heartbeat-lease detection latency + the promoted spare's re-own transfer; every crash reruns the iteration from its root, rerun with the dead rank restarted in place, spare with a parked same-node rank promoted into its slot",
 			"every degraded run passes full Graph500 validation",
 		},
 	}

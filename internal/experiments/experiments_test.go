@@ -532,9 +532,9 @@ func TestExtAvailabilityShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 optimization levels x 3 completion policies.
-	if len(tab.Rows) != 15 {
-		t.Fatalf("rows = %d, want 15", len(tab.Rows))
+	// 5 optimization levels x 2 completion policies (rerun, spare).
+	if len(tab.Rows) != 10 {
+		t.Fatalf("rows = %d, want 10", len(tab.Rows))
 	}
 	for _, r := range tab.Rows {
 		if len(r.Values) != 6 {
@@ -554,8 +554,8 @@ func TestExtAvailabilityShape(t *testing.T) {
 		}
 		// A second death costs at least as much repair and wall time. The
 		// time comparison gets a small tolerance: the second recovery
-		// rewinds every survivor to a synchronized checkpoint clock, which
-		// can erase accumulated skew worth a fraction of a percent.
+		// restarts every member from one synchronized detection floor,
+		// which can erase accumulated skew worth a fraction of a percent.
 		if r.Values[4] < r.Values[1]*0.99 {
 			t.Errorf("%s: time ratio fell from %g to %g with a second crash", r.Label, r.Values[1], r.Values[4])
 		}

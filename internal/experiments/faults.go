@@ -38,9 +38,9 @@ func (s Spec) underPlans(nodes int, vs []variant, cols []planCol, validate bool)
 //
 // A final row demonstrates crash recovery: a rank is killed mid-run at
 // a virtual time chosen from the undegraded baseline, and the run
-// completes through level-boundary checkpointing with a finite TEPS
-// (the retained fraction includes the modelled detection timeout,
-// rollback and checkpoint overhead).
+// completes by rerunning the iteration from its root with a finite TEPS
+// (the retained fraction includes the modelled detection timeout and
+// the lost attempt).
 func ExtFaults(s Spec) (*Table, error) {
 	const nodes = 4
 	const slowNode = nodes - 1
@@ -85,8 +85,8 @@ func ExtFaults(s Spec) (*Table, error) {
 		Columns: []string{"bw x1.0", "bw x0.8", "bw x0.5", "bw x0.25"},
 		Notes: []string{
 			"cells are harmonic-TEPS retained vs the same optimization level at full bandwidth (column 1 is 1.0 by construction)",
-			"the crash row kills rank 0 mid-iteration; the run completes via level-boundary checkpoint recovery (first column only)",
-			fmt.Sprintf("crash row survived %d crash(es); retained fraction includes detection timeout, rollback and checkpoint overhead", cr.Faults),
+			"the crash row kills rank 0 mid-iteration; the run completes by rerunning the iteration from its root (first column only)",
+			fmt.Sprintf("crash row survived %d crash(es); retained fraction includes detection timeout and the lost attempt", cr.Faults),
 		},
 	}
 	for i, row := range grid {

@@ -13,7 +13,7 @@ import (
 // TestFiguresMatchBaseline: the registry lists exactly the figures of
 // the committed bench baseline, in its record order.
 func TestFiguresMatchBaseline(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_2026-08-05.json")
+	data, err := os.ReadFile("../../BENCH_2026-10-18.json")
 	if err != nil {
 		t.Fatal(err)
 	}

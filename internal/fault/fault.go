@@ -145,14 +145,14 @@ type Straggler struct {
 // Crash kills a rank at a virtual time: the rank dies at the first
 // operation boundary where its clock reaches AtNs (a long computation
 // crossing AtNs is truncated at it). The job aborts with a structured
-// *Error instead of an opaque panic, and a checkpointing caller can
-// recover and resume.
+// *Error instead of an opaque panic, and the caller can recover by
+// rerunning the traversal from its roots.
 //
 // Permanent marks the rank as never coming back: a transient crash
-// (the default) restarts the same rank from a checkpoint, while a
-// permanent one removes it from the world — the survivors must finish
-// without it, by shrinking the partition or promoting a hot spare
-// (bfs.Options.Recovery).
+// (the default) restarts the same rank, while a permanent one is
+// detected only when the rank's heartbeat lease expires, and a parked
+// hot spare on its node takes its place when one is reserved
+// (bfs.Options.SpareRanks); otherwise it reruns in place.
 type Crash struct {
 	Rank      int     `json:"rank"`
 	AtNs      float64 `json:"at_ns"`
@@ -397,11 +397,11 @@ type ErrorKind int
 
 const (
 	// KindCrash is a scheduled rank death (Plan.Crashes) — recoverable
-	// from a checkpoint, because the rank restarts.
+	// by a rerun from the roots, because the rank (or a spare) restarts.
 	KindCrash ErrorKind = iota
 	// KindLinkLoss is a reliable-transport retry-budget exhaustion: a
 	// link so lossy the sender declared its peer unreachable. Not
-	// recoverable by checkpoint replay — the link stays dead.
+	// recoverable by a rerun — the link stays dead.
 	KindLinkLoss
 )
 
@@ -413,8 +413,7 @@ type Error struct {
 	AtNs float64   // the failure's virtual time
 	Kind ErrorKind // what happened; zero value is KindCrash
 	// Permanent marks a crash whose rank never returns (Crash.Permanent):
-	// recovery must shrink the world or promote a spare instead of
-	// restarting the same rank.
+	// recovery promotes a spare into its place when one is parked.
 	Permanent bool
 }
 

@@ -124,23 +124,3 @@ func BuildCSRFrom(lo, hi int64, vecs [][]int64, dedup bool) *CSR {
 	}
 	return c
 }
-
-// MergeCSR concatenates two CSRs over adjacent vertex ranges (a.Hi must
-// equal b.Lo) into one CSR over [a.Lo, b.Hi). Survivor repartitioning
-// uses this to re-own a dead rank's adjacency: row pointers concatenate
-// with b's shifted by a's edge count, neighbour ids are global already.
-func MergeCSR(a, b *CSR) *CSR {
-	if a.Hi != b.Lo {
-		panic(fmt.Sprintf("graph: MergeCSR ranges [%d, %d) and [%d, %d) not adjacent", a.Lo, a.Hi, b.Lo, b.Hi))
-	}
-	n := b.Hi - a.Lo
-	out := &CSR{Lo: a.Lo, Hi: b.Hi, RowPtr: make([]int64, n+1)}
-	copy(out.RowPtr, a.RowPtr)
-	shift := a.RowPtr[len(a.RowPtr)-1]
-	for i, v := range b.RowPtr[1:] {
-		out.RowPtr[int64(len(a.RowPtr))+int64(i)] = v + shift
-	}
-	out.Col = make([]uint32, 0, len(a.Col)+len(b.Col))
-	out.Col = append(append(out.Col, a.Col...), b.Col...)
-	return out
-}

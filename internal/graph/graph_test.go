@@ -29,9 +29,9 @@ func TestPartitionBasics(t *testing.T) {
 	}
 }
 
-// TestOwnerMatchesSearch: the shift (power-of-two chunk), the divide
-// (any other uniform chunk) and the binary search (after RemoveRank) all
-// name the rank whose Offsets() range holds v, for every v.
+// TestOwnerMatchesSearch: the shift (power-of-two chunk) and the divide
+// (any other chunk) both name the rank whose Offsets() range holds v,
+// for every v.
 func TestOwnerMatchesSearch(t *testing.T) {
 	check := func(name string, p Partition) {
 		t.Helper()
@@ -53,10 +53,6 @@ func TestOwnerMatchesSearch(t *testing.T) {
 			t.Errorf("(%d, %d): shift %d, want a shift: %v", c.n, c.np, p.shift, c.shift)
 		}
 		check(fmt.Sprintf("(%d, %d)", c.n, c.np), p)
-		for _, r := range []int{0, c.np / 2, c.np - 1} {
-			q, _ := p.RemoveRank(r)
-			check(fmt.Sprintf("(%d, %d) without rank %d", c.n, c.np, r), q)
-		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 
 // TestPermanentCrashCompletesAtScale16 is the acceptance test for
 // degraded-mode completion: a rank dies permanently mid-iteration at
-// scale 16 and the run must finish — under both the shrink and the
-// hot-spare policy, at every cumulative optimization level — with the
+// scale 16 and the run must finish — rerun in place and on a promoted
+// hot spare, at every cumulative optimization level — with the
 // resulting BFS tree passing the full Graph500 validation, the world
-// epoch stepped exactly once, and a positive modelled MTTR. Each
+// epoch stepped once per promotion, and a positive modelled MTTR. Each
 // configuration is run twice (and one of them under a different
 // GOMAXPROCS) to pin down bit-identical virtual-time results: recovery
 // is part of the simulation, not of the host schedule. The kernel-1
@@ -39,13 +39,13 @@ func TestPermanentCrashCompletesAtScale16(t *testing.T) {
 		bfs.OptOriginal, bfs.OptShareInQueue, bfs.OptShareAll,
 		bfs.OptParAllgather, bfs.OptCompressedAllgather,
 	}
+	// A spare reservation selects promotion; the epoch counts them.
 	policies := []struct {
-		name     string
-		recovery bfs.Recovery
-		spares   int
+		name   string
+		spares int
 	}{
-		{"shrink", bfs.RecoverShrink, 0},
-		{"spare", bfs.RecoverSpare, 1},
+		{"rerun", 0},
+		{"spare", 1},
 	}
 
 	run := func(opt bfs.Opt, pol int) *Result {
@@ -53,7 +53,6 @@ func TestPermanentCrashCompletesAtScale16(t *testing.T) {
 		cfg.NumRoots = 1
 		cfg.Cache = cache
 		cfg.Opts.Opt = opt
-		cfg.Opts.Recovery = policies[pol].recovery
 		cfg.Opts.SpareRanks = policies[pol].spares
 		// Rank 1 is active under both reservations (spares are the last
 		// rank of each node).
@@ -75,8 +74,8 @@ func TestPermanentCrashCompletesAtScale16(t *testing.T) {
 			if res.MTTRNs <= 0 {
 				t.Errorf("%s/%s: MTTR %g, want positive", opt, pol.name, res.MTTRNs)
 			}
-			if ep := res.PerRoot[0].Epoch; ep != 1 {
-				t.Errorf("%s/%s: finished on epoch %d, want 1 (one %s surgery)", opt, pol.name, ep, pol.name)
+			if ep := res.PerRoot[0].Epoch; ep != pol.spares {
+				t.Errorf("%s/%s: finished on epoch %d, want %d (one per promotion)", opt, pol.name, ep, pol.spares)
 			}
 			if res.HarmonicTEPS <= 0 {
 				t.Errorf("%s/%s: TEPS %g", opt, pol.name, res.HarmonicTEPS)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,13 +16,13 @@ import (
 	"numabfs/internal/rmat"
 )
 
-// diffCleanVsShrink runs the same root twice on the 1-D hybrid engine —
-// a clean run as baseline A, and as candidate B the identical
-// configuration with one rank killed permanently mid-iteration and the
-// world shrunk onto the survivors — and returns the obsdiff between
-// them plus the shrink run's result. The profile is the recovery bill
-// itemized per phase.
-func diffCleanVsShrink(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
+// diffCleanVsSpare runs the same root twice on the 1-D hybrid engine
+// with one hot spare parked per node — a clean run as baseline A, and as
+// candidate B the identical configuration with one rank killed
+// permanently mid-iteration and its node's spare promoted into its slot
+// — and returns the obsdiff between them plus the promoted run's result.
+// The profile is the recovery bill itemized per phase.
+func diffCleanVsSpare(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
 	t.Helper()
 	const scale = 12
 	cfg := machine.Scaled(scale, scale+12)
@@ -31,6 +32,7 @@ func diffCleanVsShrink(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
 	params := rmat.Graph500(scale)
 	opts := bfs.DefaultOptions()
 	opts.Opt = bfs.OptParAllgather
+	opts.SpareRanks = 1
 
 	recA := obs.NewRecorder()
 	rA, err := bfs.NewRunner(cfg, machine.PPN8Bind, params, opts)
@@ -42,13 +44,12 @@ func diffCleanVsShrink(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
 	root := params.Roots(1, rA.HasEdgeGlobal)[0]
 	clean := rA.RunRoot(root)
 
-	opts.Recovery = bfs.RecoverShrink
 	recB := obs.NewRecorder()
 	rB, err := bfs.NewRunner(cfg, machine.PPN8Bind, params, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rB.AttachObs(recB.NewSession("shrink"))
+	rB.AttachObs(recB.NewSession("spare"))
 	rB.Setup()
 	plan := fault.Plan{Crashes: []fault.Crash{
 		{Rank: 1, AtNs: 0.5 * clean.TimeNs, Permanent: true},
@@ -58,15 +59,21 @@ func diffCleanVsShrink(t *testing.T) (*obs.RunDiff, bfs.RootResult) {
 	}
 	res := rB.RunRoot(root)
 	if len(res.Faults) != 1 || res.Epoch != 1 {
-		t.Fatalf("shrink run survived %d fault(s) on epoch %d, want 1 on epoch 1", len(res.Faults), res.Epoch)
+		t.Fatalf("spare run survived %d fault(s) on epoch %d, want 1 on epoch 1", len(res.Faults), res.Epoch)
+	}
+	want := rA.ParentArrays()
+	for pos, pa := range rB.ParentArrays() {
+		if !slices.Equal(pa, want[pos]) {
+			t.Fatalf("promoted run's parent array at position %d differs from the clean run's", pos)
+		}
 	}
 
 	return obs.DiffRuns(recA.Dump(), recB.Dump()), res
 }
 
 // recoveryAttribution renders the deterministic core of the clean-vs-
-// shrink diff: the recovery and re-own phases (charged analytically at
-// rollback) and the run's fault/epoch summary. The rest of the diff —
+// spare diff: the recovery and re-own phases (charged analytically when
+// the rerun starts) and the run's fault/epoch summary. The rest of the diff —
 // the doomed attempt's partial compute spans and byte counters — is
 // just as reproducible (a failed job stops at quiescence, so how far
 // each rank got is a function of the plan; see the fault-injection
@@ -88,17 +95,17 @@ func recoveryAttribution(d *obs.RunDiff, res bfs.RootResult) string {
 	return b.String()
 }
 
-const diffShrinkGolden = "diff_shrink_golden.txt"
+const diffSpareGolden = "diff_spare_golden.txt"
 
-// TestObsdiffCleanVsShrinkGolden pins the deterministic recovery
-// attribution of the clean-vs-shrink run diff byte for byte: after a
-// permanent death the entire detection + rollback + restore bill lands
-// in the recovery phase and the absorber's partition re-fetch in the
-// re-own phase — both zero in the clean run. Regenerate with:
+// TestObsdiffCleanVsSpareGolden pins the deterministic recovery
+// attribution of the clean-vs-spare run diff byte for byte: after a
+// permanent death the detection wait lands in the recovery phase and
+// the promoted spare's adjacency adoption in the re-own phase — both
+// zero in the clean run. Regenerate with:
 //
-//	OBS_UPDATE_GOLDEN=1 go test ./internal/graph500 -run TestObsdiffCleanVsShrinkGolden
-func TestObsdiffCleanVsShrinkGolden(t *testing.T) {
-	d, res := diffCleanVsShrink(t)
+//	OBS_UPDATE_GOLDEN=1 go test ./internal/graph500 -run TestObsdiffCleanVsSpareGolden
+func TestObsdiffCleanVsSpareGolden(t *testing.T) {
+	d, res := diffCleanVsSpare(t)
 	got := recoveryAttribution(d, res)
 	for _, phase := range []string{"recovery", "reown"} {
 		if !strings.Contains(got, phase) {
@@ -106,13 +113,13 @@ func TestObsdiffCleanVsShrinkGolden(t *testing.T) {
 		}
 	}
 	// The attributed phases must be new cost: absent from the clean run,
-	// paid by the shrink run.
+	// paid by the promoted run.
 	for _, p := range d.Sessions[0].Phases {
 		if (p.Name == "recovery" || p.Name == "reown") && (p.ANs != 0 || p.BNs <= 0) {
 			t.Errorf("phase %s: A=%g B=%g, want A=0 and B>0", p.Name, p.ANs, p.BNs)
 		}
 	}
-	path := filepath.Join("testdata", diffShrinkGolden)
+	path := filepath.Join("testdata", diffSpareGolden)
 	if os.Getenv("OBS_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -128,17 +135,17 @@ func TestObsdiffCleanVsShrinkGolden(t *testing.T) {
 		t.Fatalf("read golden (regenerate with OBS_UPDATE_GOLDEN=1): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("clean vs shrink recovery attribution drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		t.Errorf("clean vs spare recovery attribution drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 
-// TestObsdiffCleanVsShrinkDeterministic: the recovery attribution must
+// TestObsdiffCleanVsSpareDeterministic: the recovery attribution must
 // be invariant under host parallelism, like the engines themselves.
-func TestObsdiffCleanVsShrinkDeterministic(t *testing.T) {
-	d1, r1 := diffCleanVsShrink(t)
+func TestObsdiffCleanVsSpareDeterministic(t *testing.T) {
+	d1, r1 := diffCleanVsSpare(t)
 	a := recoveryAttribution(d1, r1)
 	old := runtime.GOMAXPROCS(1)
-	d2, r2 := diffCleanVsShrink(t)
+	d2, r2 := diffCleanVsSpare(t)
 	b := recoveryAttribution(d2, r2)
 	runtime.GOMAXPROCS(old)
 	if a != b {

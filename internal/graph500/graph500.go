@@ -76,15 +76,16 @@ type Config struct {
 	// SampleNs, when positive, additionally enables the session's
 	// virtual-time gauge grid (internal/obs/sample.go) at that bucket
 	// pitch: frontier size and density, link bytes in flight, retransmit
-	// backlog, checkpoint debt, exposed collective waits. Requires Obs;
+	// backlog, exposed collective waits, live ranks. Requires Obs;
 	// sampling never changes results either.
 	SampleNs float64
 
 	// Faults, when non-nil, is the deterministic perturbation plan
 	// (internal/fault) applied to every traversal of any engine, batched
 	// ones included: degraded links, stragglers, jitter, and rank
-	// crashes, survived through the 1-D engine's checkpoints or else a
-	// rerun from the roots. Construction (kernel 1) runs unperturbed.
+	// crashes, survived through a rerun from the roots (after a spare
+	// promotion when Opts.SpareRanks parked one). Construction (kernel 1)
+	// runs unperturbed.
 	Faults *fault.Plan
 
 	// Cache, when non-nil, reuses constructed graphs across runs with

@@ -149,7 +149,6 @@ func TestRun2DRejectsUnreadOptions(t *testing.T) {
 		{"WireFormat", func(o *bfs.Options) { o.WireFormat = wire.FormatDense }},
 		{"WireSparseDensity", func(o *bfs.Options) { o.WireSparseDensity = 0.1 }},
 		{"OverlapSegments", func(o *bfs.Options) { o.OverlapSegments = 4 }},
-		{"Recovery", func(o *bfs.Options) { o.Recovery = bfs.RecoverShrink }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -5,14 +5,15 @@ import "fmt"
 // This file is the world's membership layer: which ranks Run/TryRun
 // schedules, and the epoch numbering of world views. A rank is live by
 // default; Park removes hot spares from the schedule before the first
-// run, Shrink removes permanently dead ranks mid-job, and Promote swaps
-// a parked spare in for a dead rank. Every membership change rebuilds
-// the world barrier and the per-node barriers over the live ranks, so
-// barrier pricing tracks the epoch. Mutators must only be called when
-// no rank is running (between Run/TryRun attempts).
+// run, and Promote swaps a parked spare in for a permanently dead rank.
+// A dead rank with no spare to replace it stays live and reruns in
+// place. Every membership change rebuilds the world barrier and the
+// per-node barriers over the live ranks, so barrier pricing tracks the
+// epoch. Mutators must only be called when no rank is running (between
+// Run/TryRun attempts).
 
-// Epoch returns the world-view number: 0 until the first Shrink or
-// Promote, incremented by each.
+// Epoch returns the world-view number: 0 until the first Promote,
+// incremented by each.
 func (w *World) Epoch() int { return w.epoch }
 
 // Park removes ranks from the schedule without declaring them dead —
@@ -25,22 +26,6 @@ func (w *World) Park(ranks []int) {
 		}
 		w.live[r] = false
 	}
-	w.rebuildMembership()
-}
-
-// Shrink removes permanently dead ranks from the world and advances the
-// epoch. The barriers are rebuilt over the survivors — a node losing
-// its last rank drops out of the barrier's inter-node rounds entirely —
-// and no slot needs emptying: the failed attempt that found them dead
-// emptied them all.
-func (w *World) Shrink(dead []int) {
-	for _, r := range dead {
-		if !w.live[r] {
-			panic(fmt.Sprintf("mpi: Shrink(%d): rank already parked or dead", r))
-		}
-		w.live[r] = false
-	}
-	w.epoch++
 	w.rebuildMembership()
 }
 

@@ -1,8 +1,8 @@
 package mpi
 
 // Tests for the membership layer: epoch-numbered world views, parked
-// spares, mid-job shrinks and promotions, and the deterministic
-// lease/heartbeat failure detector for permanent deaths.
+// spares, promotions, and the deterministic lease/heartbeat failure
+// detector for permanent deaths.
 
 import (
 	"sync"
@@ -51,32 +51,11 @@ func TestParkExcludesSparesWithoutAdvancingEpoch(t *testing.T) {
 	}
 }
 
-func TestShrinkRemovesDeadAndStepsEpoch(t *testing.T) {
+// TestParkLastRankOfNodeDropsNodeFromBarrier: a node with no live rank
+// left drops out of the barrier's inter-node rounds.
+func TestParkLastRankOfNodeDropsNodeFromBarrier(t *testing.T) {
 	w := testWorld(t, 2)
-	w.Shrink([]int{5})
-	if w.Epoch() != 1 {
-		t.Fatalf("epoch %d after one shrink, want 1", w.Epoch())
-	}
-	if w.live[5] || !w.live[4] {
-		t.Fatal("wrong liveness after shrink")
-	}
-	if got := liveRanks(w); len(got) != 7 {
-		t.Fatalf("live ranks %v", got)
-	}
-	if w.liveOnNode[1] != 3 || w.liveNodes != 2 {
-		t.Fatalf("node populations %d live nodes %d", w.liveOnNode[1], w.liveNodes)
-	}
-	// Survivors still run and synchronize: the barriers were rebuilt
-	// over the shrunken populations.
-	ran := ranSet(w)
-	if len(ran) != 7 || ran[5] {
-		t.Fatalf("shrunk world ran %v", ran)
-	}
-}
-
-func TestShrinkLastRankOfNodeDropsNodeFromBarrier(t *testing.T) {
-	w := testWorld(t, 2)
-	w.Shrink([]int{4, 5, 6, 7})
+	w.Park([]int{4, 5, 6, 7})
 	if w.liveNodes != 1 || w.liveOnNode[1] != 0 {
 		t.Fatalf("node 1 still counted: nodes %d, on-node %d", w.liveNodes, w.liveOnNode[1])
 	}
@@ -107,9 +86,10 @@ func TestPromoteSwapsSpareForDead(t *testing.T) {
 
 func TestMembershipMisusePanics(t *testing.T) {
 	for name, f := range map[string]func(w *World){
-		"double shrink":      func(w *World) { w.Shrink([]int{2}); w.Shrink([]int{2}) },
-		"park dead":          func(w *World) { w.Shrink([]int{2}); w.Park([]int{2}) },
-		"promote live spare": func(w *World) { w.Shrink([]int{1}); w.Promote(0, 2) },
+		"double park":        func(w *World) { w.Park([]int{2}); w.Park([]int{2}) },
+		"park dead":          func(w *World) { w.Park([]int{3}); w.Promote(3, 2); w.Park([]int{2}) },
+		"promote live spare": func(w *World) { w.Promote(0, 2) },
+		"promote dead again": func(w *World) { w.Park([]int{3, 7}); w.Promote(3, 2); w.Promote(7, 2) },
 		"promote onto live":  func(w *World) { w.Park([]int{3}); w.Promote(3, 3) },
 	} {
 		func() {
@@ -123,12 +103,13 @@ func TestMembershipMisusePanics(t *testing.T) {
 	}
 }
 
-// TestShrunkenWorldStaysDeterministic: the rebuilt barriers over
-// survivors must yield identical virtual clocks on every run.
+// TestShrunkenWorldStaysDeterministic: the rebuilt barriers over a
+// world with ranks out of the schedule must yield identical virtual
+// clocks on every run.
 func TestShrunkenWorldStaysDeterministic(t *testing.T) {
 	run := func() []float64 {
 		w := testWorld(t, 2)
-		w.Shrink([]int{2, 7})
+		w.Park([]int{2, 7})
 		w.Run(func(p *Proc) {
 			p.Compute(float64(10 * (p.Rank() + 1)))
 			p.Barrier()

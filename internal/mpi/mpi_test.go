@@ -161,9 +161,9 @@ func TestBarrierSynchronizesToMaxAndReportsWait(t *testing.T) {
 func TestBarrierMaxOverLiveRanks(t *testing.T) {
 	const gens = 5
 	for _, tc := range []struct {
-		name  string
-		nodes int
-		dead  []int
+		name   string
+		nodes  int
+		parked []int
 	}{
 		{"full", 4, nil},
 		{"uneven-nodes", 4, []int{1, 2, 3, 6, 15}}, // populations 1, 3, 4, 3
@@ -173,8 +173,8 @@ func TestBarrierMaxOverLiveRanks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			atProcs(t, func(t *testing.T) {
 				w := testWorld(t, tc.nodes)
-				if tc.dead != nil {
-					w.Shrink(tc.dead)
+				if tc.parked != nil {
+					w.Park(tc.parked)
 				}
 				live := liveRanks(w)
 				w.Run(func(p *Proc) {

@@ -270,11 +270,10 @@ func TestWorldReusable100xAfterCrashNobodyWaitedFor(t *testing.T) {
 	})
 }
 
-// TestShrinkAndPromoteClearDeadRanksSlots: a permanently dead rank's
-// posted message, and a survivor's message to it, must not outlive the
-// failed attempt — membership surgery, and whatever runs after it, starts
-// from empty slots.
-func TestShrinkAndPromoteClearDeadRanksSlots(t *testing.T) {
+// TestRerunAndPromoteClearDeadRanksSlots: a dead rank's posted message,
+// and a survivor's message to it, must not outlive the failed attempt —
+// a rerun in place or after a spare promotion starts from empty slots.
+func TestRerunAndPromoteClearDeadRanksSlots(t *testing.T) {
 	const dead, spare = 2, 7
 	for _, promote := range []bool{false, true} {
 		w := testWorld(t, 2)
@@ -295,8 +294,6 @@ func TestShrinkAndPromoteClearDeadRanksSlots(t *testing.T) {
 		}
 		if promote {
 			w.Promote(spare, dead)
-		} else {
-			w.Shrink([]int{dead})
 		}
 		for o := 0; o < w.NumProcs(); o++ {
 			if w.slot(dead, o).Load() != nil || w.slot(o, dead).Load() != nil {
@@ -304,7 +301,7 @@ func TestShrinkAndPromoteClearDeadRanksSlots(t *testing.T) {
 			}
 		}
 		if err := w.TryRun(func(p *Proc) { p.Barrier() }); err != nil {
-			t.Fatalf("promote=%v: run after surgery: %v", promote, err)
+			t.Fatalf("promote=%v: run after the failed attempt: %v", promote, err)
 		}
 	}
 }

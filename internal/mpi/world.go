@@ -64,7 +64,7 @@ type World struct {
 
 	// Membership (membership.go): live[r] marks rank r as scheduled by
 	// Run/TryRun, the counts price barriers over the live ranks, and
-	// epoch numbers the world views (Shrink/Promote advance it).
+	// epoch numbers the world views (Promote advances it).
 	live       []bool
 	liveOnNode []int
 	liveNodes  int

@@ -38,8 +38,8 @@ import (
 
 // ValidateOptions checks a bfs.Options for the batched engine: the
 // shared/parallel/compressed allgather ladder applies verbatim, the
-// overlap level does not. A crash reruns the batch from its roots; there
-// is no surgery, so SpareRanks and RecoverShrink are rejected.
+// overlap level does not. A crash reruns the batch from its roots; the
+// batched engine parks no spares, so SpareRanks is rejected.
 func ValidateOptions(o bfs.Options) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -48,8 +48,8 @@ func ValidateOptions(o bfs.Options) error {
 		return fmt.Errorf("msbfs: optimization level %q not supported by the batched engine (max %q)",
 			o.Opt, bfs.OptCompressedAllgather)
 	}
-	if o.SpareRanks != 0 || o.Recovery != bfs.RecoverRerun {
-		return fmt.Errorf("msbfs: crash recovery (spares/shrink) not supported by the batched engine")
+	if o.SpareRanks != 0 {
+		return fmt.Errorf("msbfs: hot spares not supported by the batched engine")
 	}
 	return nil
 }

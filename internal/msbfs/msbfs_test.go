@@ -357,8 +357,8 @@ func TestCrashedBatchReruns(t *testing.T) {
 	}
 }
 
-// TestValidateOptionsGates: the overlap level and the recovery
-// machinery are out of the batched engine's scope.
+// TestValidateOptionsGates: the overlap level and hot spares are out of
+// the batched engine's scope.
 func TestValidateOptionsGates(t *testing.T) {
 	o := bfs.DefaultOptions()
 	o.Opt = bfs.OptOverlapAllgather
@@ -369,11 +369,6 @@ func TestValidateOptionsGates(t *testing.T) {
 	o.SpareRanks = 1
 	if err := ValidateOptions(o); err == nil {
 		t.Error("spare ranks accepted")
-	}
-	o = bfs.DefaultOptions()
-	o.Recovery = bfs.RecoverShrink
-	if err := ValidateOptions(o); err == nil {
-		t.Error("shrink recovery accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,7 +283,7 @@ func TestHeatmapUnsortedGaugeBuckets(t *testing.T) {
 	if err := (&Run{Sessions: []*RunSession{s}}).WriteHTMLReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	hm := s.fold().gaugeHeatmap(GaugeInterBytes)
+	hm := s.fold().gaugeHeatmap(GaugeInterBytes, 64)
 	if len(hm.Cols) != 30 || hm.Cells[1][0] != 4 || hm.Cells[1][29] != 3 || hm.Max != 4 {
 		t.Fatalf("heatmap %d cols, rank 1 row %v, max %g", len(hm.Cols), hm.Cells[1], hm.Max)
 	}
@@ -291,31 +292,56 @@ func TestHeatmapUnsortedGaugeBuckets(t *testing.T) {
 func TestGaugeHeatmapAndCoarsen(t *testing.T) {
 	run := sampledRecorder().Dump()
 	s := run.Sessions[0]
-	hm := s.fold().gaugeHeatmap(GaugeFrontier)
+	hm := s.fold().gaugeHeatmap(GaugeFrontier, 24)
 	if hm == nil {
 		t.Fatal("no frontier heatmap")
 	}
-	// Buckets 2 (t=200, v=64) and 2 again for segment-1 sample at
-	// session time 250 -> bucket 2: last write wins in fold... the two
-	// samples land in different folds only if buckets differ.
 	if len(hm.Rows) != 2 {
 		t.Fatalf("rows = %d", len(hm.Rows))
 	}
 	// No samples for this gauge in session 2.
-	if run.Sessions[1].fold().gaugeHeatmap(GaugeFrontier) != nil {
+	if run.Sessions[1].fold().gaugeHeatmap(GaugeFrontier, 24) != nil {
 		t.Fatal("unsampled session produced a heatmap")
 	}
 
-	wide := &Heatmap{
-		Cols:  []string{"0", "1", "2", "3", "4"},
-		Rows:  []string{"r0"},
-		Cells: [][]float64{{1, 2, 3, 4, 5}},
+	// Five buckets into two columns: groups of ceil(5/2) = 3 buckets,
+	// each labelled by its first bucket's time and summing its cells.
+	// Rank 1 lists a bucket twice, out of order: the later value is the
+	// bucket's, as it would be in a row indexed by bucket.
+	five := &RunSession{Label: "x", BucketNs: 100, Ranks: []*RunRank{{ID: 0}, {ID: 1}}}
+	for b := int64(0); b < 5; b++ {
+		five.Ranks[0].Gauges[GaugeFrontier] = append(five.Ranks[0].Gauges[GaugeFrontier], GaugePoint{Bucket: b, V: float64(b + 1)})
 	}
-	nar := wide.Coarsen(2)
-	if len(nar.Cols) != 2 || nar.Cells[0][0] != 6 || nar.Cells[0][1] != 9 {
+	five.Ranks[1].Gauges[GaugeFrontier] = []GaugePoint{{Bucket: 4, V: 7}, {Bucket: 1, V: 9}, {Bucket: 4, V: 2}}
+	nar := five.fold().gaugeHeatmap(GaugeFrontier, 2)
+	if !slices.Equal(nar.Cols, []string{"0", "300"}) ||
+		!slices.Equal(nar.Cells[0], []float64{6, 9}) || !slices.Equal(nar.Cells[1], []float64{9, 2}) || nar.Max != 9 {
 		t.Fatalf("coarsened = %+v", nar)
 	}
-	if got := wide.Coarsen(10); got != wide {
-		t.Fatal("Coarsen widened a narrow heatmap")
+	if wide := five.fold().gaugeHeatmap(GaugeFrontier, 10); len(wide.Cols) != 5 || !slices.Equal(wide.Cells[0], []float64{1, 2, 3, 4, 5}) {
+		t.Fatalf("a span within the column budget was coarsened: %+v", wide)
+	}
+}
+
+// TestHTMLReportAllocsFollowSamples: the HTML report's gauge heatmap sums
+// points into at most 24 columns, so a two-point timeline whose buckets
+// lie 2^20 apart renders with the allocations of one whose buckets lie
+// 2^10 apart (both fill the 24 columns), and within those columns'
+// labels and cells of one whose buckets lie 10 apart (11 columns) — not
+// with a column per bucket between them.
+func TestHTMLReportAllocsFollowSamples(t *testing.T) {
+	allocs := func(span int64) float64 {
+		s := &RunSession{Label: "x", BucketNs: 100, Ranks: []*RunRank{{ID: 0}}}
+		s.Ranks[0].Gauges[GaugeInterBytes] = []GaugePoint{{Bucket: 0, V: 1}, {Bucket: span, V: 2}}
+		run := &Run{Sessions: []*RunSession{s}}
+		return testing.AllocsPerRun(3, func() {
+			if err := run.WriteHTMLReport(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	near, mid, far := allocs(10), allocs(1<<10), allocs(1<<20)
+	if far > mid+2 || far > near+13*8 {
+		t.Errorf("span 2^20 renders with %v allocations, span 2^10 with %v, span 10 with %v", far, mid, near)
 	}
 }

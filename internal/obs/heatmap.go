@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"numabfs/internal/trace"
 )
@@ -44,10 +46,14 @@ func (f *sessionFold) phaseHeatmap() *Heatmap {
 }
 
 // gaugeHeatmap builds the rank × time matrix of one gauge on the
-// session's sampling grid. Columns cover the bucket range any rank
-// touched; untouched cells are zero. Returns nil when the session
-// recorded no samples of g (or sampling was off).
-func (f *sessionFold) gaugeHeatmap(g Gauge) *Heatmap {
+// session's sampling grid, in at most maxCols columns. Columns cover the
+// bucket range any rank touched; when that span is wider than maxCols,
+// each column sums a group of ceil(span/maxCols) adjacent buckets and is
+// labelled by the group's first. Cells are summed straight from the
+// points, so the cost follows the samples, not the span. Untouched cells
+// are zero. Returns nil when the session recorded no samples of g (or
+// sampling was off).
+func (f *sessionFold) gaugeHeatmap(g Gauge, maxCols int) *Heatmap {
 	lo, hi := f.gauge[g].lo, f.gauge[g].hi
 	if hi < lo {
 		return nil
@@ -56,40 +62,42 @@ func (f *sessionFold) gaugeHeatmap(g Gauge) *Heatmap {
 		Title: fmt.Sprintf("rank x time: %s (bucket %.0f ns)", g, f.s.BucketNs),
 		Unit:  g.String(),
 	}
-	for b := lo; b <= hi; b++ {
-		h.Cols = append(h.Cols, fmt.Sprintf("%.0f", float64(b)*f.s.BucketNs))
+	// d is the span less one, in uint64 so no bucket range overflows;
+	// gsz is ceil(span/maxCols), 1 when the span fits.
+	d := uint64(hi - lo)
+	gsz := d/uint64(maxCols) + 1
+	for c := uint64(0); c <= d/gsz; c++ {
+		h.Cols = append(h.Cols, fmt.Sprintf("%.0f", float64(lo+int64(c*gsz))*f.s.BucketNs))
 	}
 	for _, rk := range f.s.Ranks {
-		row := make([]float64, hi-lo+1)
-		for _, pt := range rk.Gauges[g] {
-			row[pt.Bucket-lo] = pt.V
+		row := make([]float64, len(h.Cols))
+		for _, pt := range bucketSeries(rk.Gauges[g]) {
+			row[uint64(pt.Bucket-lo)/gsz] += pt.V
 		}
 		h.addRow(rankLabel(rk), row)
 	}
 	return h
 }
 
-// Coarsen folds the heatmap's columns into at most maxCols groups by
-// summing adjacent cells (mean for instantaneous quantities is not
-// needed: callers render volumes and durations). It returns the
-// receiver when already narrow enough.
-func (h *Heatmap) Coarsen(maxCols int) *Heatmap {
-	n := len(h.Cols)
-	if maxCols <= 0 || n <= maxCols {
-		return h
+// bucketSeries returns pts in bucket order with one point per bucket, the
+// last one listed: the series a row indexed by bucket would hold, whose
+// values a column group then sums in bucket order. A recorded timeline
+// is already in that form and is returned as is.
+func bucketSeries(pts []GaugePoint) []GaugePoint {
+	strict := true
+	for k := 1; k < len(pts) && strict; k++ {
+		strict = pts[k-1].Bucket < pts[k].Bucket
 	}
-	// group size: ceil(n / maxCols)
-	gsz := (n + maxCols - 1) / maxCols
-	out := &Heatmap{Title: h.Title, Unit: h.Unit}
-	for i := 0; i < n; i += gsz {
-		out.Cols = append(out.Cols, h.Cols[i])
+	if strict {
+		return pts
 	}
-	for r, row := range h.Cells {
-		nrow := make([]float64, len(out.Cols))
-		for i, v := range row {
-			nrow[i/gsz] += v
+	sorted := slices.Clone(pts)
+	slices.SortStableFunc(sorted, func(a, b GaugePoint) int { return cmp.Compare(a.Bucket, b.Bucket) })
+	out := sorted[:0]
+	for k, pt := range sorted {
+		if k+1 == len(sorted) || sorted[k+1].Bucket != pt.Bucket {
+			out = append(out, pt)
 		}
-		out.addRow(h.Rows[r], nrow)
 	}
 	return out
 }

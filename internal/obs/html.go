@@ -151,8 +151,8 @@ func (run *Run) WriteHTMLReport(w io.Writer) error {
 			for g := Gauge(0); g < NumGauges; g++ {
 				writeGaugeSVG(bw, f, g)
 			}
-			if hm := f.gaugeHeatmap(GaugeInterBytes); hm != nil {
-				writeHeatmap(bw, hm.Coarsen(24), func(v float64) string {
+			if hm := f.gaugeHeatmap(GaugeInterBytes, 24); hm != nil {
+				writeHeatmap(bw, hm, func(v float64) string {
 					return fmt.Sprintf("%.0f", v)
 				})
 			}

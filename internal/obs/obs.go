@@ -81,7 +81,8 @@ const (
 	// CatLevel marks one whole BFS level on one rank; phase spans nest
 	// inside it. The critical-path walk is built on these.
 	CatLevel = "level"
-	// CatFault marks injected-fault events (crashes, checkpoint restores)
+	// CatFault marks injected-fault events (crashes, detections,
+	// promotions, recoveries)
 	// as zero-duration instants on the crashing rank's timeline.
 	CatFault = "fault"
 )

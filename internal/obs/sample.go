@@ -6,13 +6,13 @@ import "sort"
 // recorded on a configurable grid over the session timeline. Where the
 // span recorder answers "which phase ran when", the gauges answer "how
 // big was the frontier, how loaded was the link, how deep was the
-// retransmit backlog, how much checkpoint state was in flight" — the
+// retransmit backlog" — the
 // continuous quantities the paper's Figs. 9-15 argument reads off its
 // per-phase time series. The instrumented layers feed it: bfs records
 // frontier size and bitmap density at every level boundary, the mpi
 // transport records per-link bytes in flight and its retransmit
 // backlog, the pipelined collective records its exposed waits, and the
-// checkpointing engine records its snapshot debt.
+// engines record their live-member count at every spare promotion.
 //
 // The contract matches the span recorder exactly: every hook is a
 // method on a possibly-nil *Rank that returns immediately, and a
@@ -44,16 +44,18 @@ const (
 	// bucket, each at the clock of the attempt it replaced — the
 	// backlog timeline of a lossy link.
 	GaugeRetransBacklog
-	// GaugeCkptBytes is the checkpoint debt: snapshot bytes copied at
-	// each level-boundary save.
+	// GaugeCkptBytes was the snapshot bytes copied at each level-boundary
+	// checkpoint save. No engine records it since checkpoints were
+	// removed; it stays as a wire name, so timelines that carry it still
+	// read.
 	GaugeCkptBytes
 	// GaugeExposedWait is the pipelined collective's exposed wait (ns
 	// stalled for a chunk that was not hidden under computation) per
 	// bucket.
 	GaugeExposedWait
-	// GaugeLiveRanks is the world's live-member count per epoch: set at
-	// the start of each run and stepped at every detection-driven shrink
-	// or spare promotion (instantaneous, not summed).
+	// GaugeLiveRanks is the world's live-member count per epoch, sampled
+	// at every detection-driven spare promotion (instantaneous, not
+	// summed).
 	GaugeLiveRanks
 	NumGauges
 )

@@ -21,11 +21,11 @@ const (
 	BUComm                // bottom-up communication (the two allgathers)
 	Switch                // td->bu and bu->td data-structure conversion
 	Stall                 // idle time at phase barriers (load imbalance)
-	Ckpt                  // level-boundary checkpoint saves (fault tolerance)
-	Recovery              // crash detection, rollback and state restore
+	Ckpt                  // level-boundary checkpoint saves (none since their removal; kept so older timelines read)
+	Recovery              // crash detection: the rerun's wait for the detection floor
 	Xport                 // reliable-transport stall (retransmits, backoff, protocol frames)
 	Overlap               // communication hidden behind computation (pipelined allgather)
-	Reown                 // survivor repartitioning: re-owning a dead rank's state
+	Reown                 // a promoted spare adopting the dead rank's state
 	NumPhases
 )
 
