@@ -9,7 +9,6 @@ import (
 	"numabfs/internal/graph"
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
-	"numabfs/internal/obs"
 	"numabfs/internal/omp"
 	"numabfs/internal/rmat"
 	"numabfs/internal/wire"
@@ -30,17 +29,6 @@ type Runner struct {
 
 	cfg machine.Config
 	pl  machine.Placement
-
-	// members maps partition position -> rank: the active member list the
-	// partition, the layouts, the groups and the states are all indexed
-	// by. posOf is the inverse (-1 for parked spares and dead ranks). At
-	// full membership without spares, position == rank. A spare
-	// promotion re-binds a position to another rank.
-	members []int
-	posOf   []int
-	// nodeSpares lists each node's parked spare ranks, lowest first,
-	// consumed by promotions.
-	nodeSpares [][]int
 
 	// wordLayout maps position -> in_queue word segment; sumLayout maps
 	// position -> summary word segment (even split).
@@ -100,44 +88,19 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	}
 	r := &Runner{cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, opts.SpareRanks, r.ledgers); err != nil {
 		return nil, err
 	}
-	w := r.W
-	r.pl = w.Placement()
+	r.pl = r.W.Placement()
 	r.Ladder = NewLadder(opts, r.pl)
-	np := w.NumProcs()
-	ppn := w.ProcsPerNode()
-	if opts.SpareRanks >= ppn {
-		return nil, fmt.Errorf("bfs: %d spare ranks per node leaves no active rank (ppn %d)", opts.SpareRanks, ppn)
-	}
-	// The last SpareRanks ranks of every node are parked as hot spares;
-	// the partition covers the active members only. Each node's members
-	// stay contiguous, which the node communicator requires.
-	r.posOf = make([]int, np)
-	r.nodeSpares = make([][]int, cfg.Nodes)
-	var spares []int
-	for rank := 0; rank < np; rank++ {
-		if rank%ppn < ppn-opts.SpareRanks {
-			r.posOf[rank] = len(r.members)
-			r.members = append(r.members, rank)
-		} else {
-			r.posOf[rank] = -1
-			node := rank / ppn
-			r.nodeSpares[node] = append(r.nodeSpares[node], rank)
-			spares = append(spares, rank)
-		}
-	}
-	if len(spares) > 0 {
-		w.Park(spares)
-	}
-	active := len(r.members)
+	// The partition covers the active members only (Core.Members).
+	active := len(r.Members.Ranks())
 	n := params.NumVertices()
 	if n < int64(active)*64 {
 		return nil, fmt.Errorf("bfs: scale %d too small for %d active ranks (need >= 64 vertices per rank)", params.Scale, active)
 	}
 	r.Graph1D = chassis.NewGraph1D(n, active)
-	r.NC = collective.NewNodeCommRanks(w, r.members)
+	r.NC = collective.NewNodeCommRanks(r.W, r.Members.Ranks())
 	r.wordLayout = collective.SegLayout(r.Part.WordOffsets())
 	words := (n + 63) / 64
 	r.inqBytes = words * 8
@@ -167,7 +130,7 @@ func (r *Runner) Setup() {
 	words := (n + 63) / 64
 	sumWords := r.sumLayout.TotalWords()
 	r.W.Run(func(p *mpi.Proc) {
-		pos := r.posOf[p.Rank()]
+		pos := r.Members.Pos(p.Rank())
 		csr := r.Build(p, r.NC.World, pos, r.Params, r.Opts.Dedup)
 		rs := &rankState{
 			r:    r,
@@ -189,7 +152,7 @@ func (r *Runner) Setup() {
 			rs.outQ = bitmap.New(n)
 			rs.inSum = bitmap.NewSummary(n, r.Opts.Granularity)
 		}
-		rs.send = make([][]int64, len(r.members))
+		rs.send = make([][]int64, len(r.states))
 		rs.inqCodec = r.Codec(rs.team, r.InqLoc)
 		rs.sumCodec = r.Codec(rs.team, r.SumLoc)
 		rs.Track(rs.inqCodec, rs.sumCodec)
@@ -221,47 +184,26 @@ type RootResult = chassis.Result
 
 // RunRoot runs one BFS from root and returns its result. Rank clocks are
 // reset, so TimeNs is the iteration's virtual duration. A planned rank
-// crash reruns the iteration from the root (chassis.Core.Run); a
-// permanent death first promotes a parked spare on the dead rank's node
-// into its slot when Options.SpareRanks reserved one.
+// crash reruns the iteration from the root (chassis.Core.Run), on a
+// parked spare of the dead rank's node when Options.SpareRanks reserved
+// one.
 func (r *Runner) RunRoot(root int64) RootResult {
 	if len(r.states) == 0 || r.states[0] == nil {
 		panic("bfs: RunRoot before Setup")
 	}
 	r.Run(func(p *mpi.Proc) {
-		r.states[r.posOf[p.Rank()]].runBFS(p, root)
-	}, func(f *mpi.FaultError, floor float64) {
-		if f.Permanent {
-			r.promoteSpare(f.Rank, floor)
-		}
-	})
+		r.states[r.Members.Pos(p.Rank())].runBFS(p, root)
+	}, r.regroup)
 	res := RootResult{Root: root}
 	r.Finish(&res.Summary, &r.states[0].Ledger)
 	return res
 }
 
-// promoteSpare swaps a parked same-node hot spare into the dead rank's
-// partition slot; with none left on the node the dead rank reruns in
-// place. The state (CSR, bitmaps) stays bound to the slot, the partition
-// map and every layout are untouched, and the spare adopts the slot's
-// adjacency out of node scratch at shared-memory bandwidth. Call between
-// runs only.
-func (r *Runner) promoteSpare(deadRank int, floor float64) {
-	node := r.W.Proc(deadRank).Node()
-	if len(r.nodeSpares[node]) == 0 {
-		return
-	}
-	spare := r.nodeSpares[node][0]
-	r.nodeSpares[node] = r.nodeSpares[node][1:]
-	deadPos := r.posOf[deadRank]
-	r.W.Promote(spare, deadRank)
-	r.members[deadPos] = spare
-	r.posOf[deadRank] = -1
-	r.posOf[spare] = deadPos
-	r.NC = collective.NewNodeCommRanks(r.W, r.members)
-
-	rs := r.states[deadPos]
-	rs.ParkReown(r.ReownCostNs(rs.csr.BytesApprox(), node, node))
-	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
-	r.W.Proc(r.members[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.members)))
+// regroup rebuilds the node communicator after a spare took position
+// pos. The state (CSR, bitmaps) stays bound to the position, the
+// partition map and every layout are untouched, and the spare adopts the
+// position's adjacency.
+func (r *Runner) regroup(pos int) int64 {
+	r.NC = collective.NewNodeCommRanks(r.W, r.Members.Ranks())
+	return r.states[pos].csr.BytesApprox()
 }

@@ -145,7 +145,9 @@ type Options struct {
 	// spares: they are excluded from the partition and every collective,
 	// idle until a permanent crash promotes one into the dead rank's
 	// slot. Each node must keep at least one active rank. Without a spare
-	// on the dead rank's node, it reruns in place.
+	// on the dead rank's node, it reruns in place. The batched engine
+	// reads it too, and graph500 hands it to the 2-D engine: the rule is
+	// the chassis member table's (chassis.Members).
 	SpareRanks int
 }
 

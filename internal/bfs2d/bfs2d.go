@@ -30,7 +30,6 @@ import (
 	"numabfs/internal/chassis"
 	"numabfs/internal/collective"
 	"numabfs/internal/machine"
-	"numabfs/internal/obs"
 	"numabfs/internal/omp"
 	"numabfs/internal/rmat"
 	"numabfs/internal/wire"
@@ -120,17 +119,6 @@ type Runner struct {
 
 	blockSize int64 // vertices per block (n / (R*C))
 
-	// cellRank maps grid cell j*R+i to the world rank currently holding
-	// it, rankCell inverts it (-1 for parked spares and dead ranks). At
-	// construction the map is the identity over the first R*C ranks; a
-	// promotion rewrites one cell. The grid shape itself never changes.
-	cellRank []int
-	rankCell []int
-	// spares are the parked hot-spare ranks still available, in rank
-	// order (world ranks beyond the grid when NewRunnerSpares asked for
-	// them).
-	spares []int
-
 	grid *collective.Group   // all grid cells, in cell order
 	cols []*collective.Group // column group per j: cells (0..R-1, j)
 	rows []*collective.Group // row group per i: cells (i, 0..C-1)
@@ -140,8 +128,8 @@ type Runner struct {
 	colLayout collective.Layout
 	rowLayout collective.Layout
 
-	// states is indexed by world rank; parked spares and dead ranks hold
-	// nil.
+	// states is indexed by grid cell, which is the member position
+	// (Core.Members maps it to the rank holding the cell).
 	states []*rankState
 }
 
@@ -207,74 +195,47 @@ type rankState struct {
 	sentStamp int64
 }
 
-// NewRunner builds a 2-D runner covering every rank of the placement.
-// The placement policy fixes ranks per node exactly as in the 1-D
-// engine.
-func NewRunner(cfg machine.Config, policy machine.Policy, grid Grid, params rmat.Params) (*Runner, error) {
-	return NewRunnerSpares(cfg, policy, grid, params, 0)
-}
-
-// NewRunnerSpares builds a 2-D runner with the last `spares` world ranks
-// parked as hot spares: the grid covers the first R*C ranks, and a
-// permanent crash promotes a spare into the dead rank's grid cell (the
-// cell→rank table is remapped; the grid shape and every block range are
-// untouched). With no spare left a permanent crash reruns in place,
-// like a transient one.
-func NewRunnerSpares(cfg machine.Config, policy machine.Policy, grid Grid, params rmat.Params, spares int) (*Runner, error) {
-	if spares < 0 {
-		return nil, fmt.Errorf("bfs2d: negative spare count %d", spares)
-	}
+// NewRunner builds a 2-D runner whose grid covers the active ranks: the
+// last spares ranks of every node are parked as hot spares, and a
+// permanent crash promotes a spare of the dead rank's node into its grid
+// cell (chassis.Core.Run; the grid shape and every block range are
+// untouched). The placement policy fixes ranks per node exactly as in
+// the 1-D engine.
+func NewRunner(cfg machine.Config, policy machine.Policy, grid Grid, params rmat.Params, spares int) (*Runner, error) {
 	r := &Runner{Grid: grid, cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, spares, r.ledgers); err != nil {
 		return nil, err
 	}
-	w := r.W
-	r.pl = w.Placement()
-	np := w.NumProcs()
-	if grid.R*grid.C != np-spares {
-		return nil, fmt.Errorf("bfs2d: grid %dx%d does not match %d ranks (%d spares)", grid.R, grid.C, np, spares)
-	}
+	r.pl = r.W.Placement()
 	cells := grid.R * grid.C
+	if active := len(r.Members.Ranks()); cells != active {
+		return nil, fmt.Errorf("bfs2d: grid %dx%d does not match %d active ranks", grid.R, grid.C, active)
+	}
 	n := params.NumVertices()
 	if n%int64(cells) != 0 {
 		return nil, fmt.Errorf("bfs2d: %d vertices not divisible by %d grid cells", n, cells)
 	}
 	r.blockSize = n / int64(cells)
 	r.Graph = chassis.NewGraph(cells)
-	r.cellRank = make([]int, cells)
-	r.rankCell = make([]int, np)
-	for c := 0; c < cells; c++ {
-		r.cellRank[c], r.rankCell[c] = c, c
-	}
-	for rank := cells; rank < np; rank++ {
-		r.rankCell[rank] = -1
-		r.spares = append(r.spares, rank)
-	}
-	if len(r.spares) > 0 {
-		w.Park(r.spares)
-	}
 	r.rebuildGroups()
-	r.states = make([]*rankState, np)
+	r.states = make([]*rankState, cells)
 	return r, nil
 }
 
-// ledgers appends the cells' ledgers in world-rank order, the order
-// their breakdowns are averaged in.
+// ledgers appends the cells' ledgers in cell order, the order their
+// breakdowns are averaged in.
 func (r *Runner) ledgers(buf []*chassis.Ledger) []*chassis.Ledger {
 	for _, rs := range r.states {
-		if rs != nil {
-			buf = append(buf, &rs.Ledger)
-		}
+		buf = append(buf, &rs.Ledger)
 	}
 	return buf
 }
 
-// rebuildGroups derives the grid, column and row groups from the
-// current cell→rank table. Called at construction and after a
-// promotion remapped a cell.
+// rebuildGroups derives the grid, column and row groups from the member
+// table. Called at construction and after a promotion (regroup).
 func (r *Runner) rebuildGroups() {
-	r.grid = collective.NewGroup(r.W, r.cellRank)
+	r.grid = collective.NewGroup(r.W, r.Members.Ranks())
 	r.cols = make([]*collective.Group, r.Grid.C)
 	for j := 0; j < r.Grid.C; j++ {
 		ranks := make([]int, r.Grid.R)
@@ -293,65 +254,27 @@ func (r *Runner) rebuildGroups() {
 	}
 }
 
-// promote swaps an available spare into the dead rank's grid cell,
-// parking the modelled re-own cost of the spare adopting the cell's
-// state (adjacency and parent block) out of node scratch in the moved
-// state's ledger. With no spare left, or when the dead rank holds no
-// cell, it does nothing and the dead rank reruns in place.
-func (r *Runner) promote(dead int, floor float64) {
-	if len(r.spares) == 0 || r.rankCell[dead] < 0 {
-		return
-	}
-	// Prefer a spare on the dead rank's node (scratch adoption at
-	// shared-memory bandwidth); otherwise take the first one.
-	deadNode := r.W.Proc(dead).Node()
-	pick := 0
-	for k, s := range r.spares {
-		if r.W.Proc(s).Node() == deadNode {
-			pick = k
-			break
-		}
-	}
-	spare := r.spares[pick]
-	r.spares = append(r.spares[:pick], r.spares[pick+1:]...)
-
-	cell := r.rankCell[dead]
-	r.W.Promote(spare, dead)
-	r.cellRank[cell] = spare
-	r.rankCell[spare] = cell
-	r.rankCell[dead] = -1
+// regroup rebuilds the groups after a promotion re-bound cell pos to a
+// spare, and reports the state the spare adopts: the recovery is a full
+// rerun, so only the cell's adjacency and parent block move.
+func (r *Runner) regroup(pos int) int64 {
 	r.rebuildGroups()
-
-	// The spare re-binds the cell's state wholesale; the recovery is a
-	// full rerun, so only the adjacency and the parent block move.
-	rs := r.states[dead]
-	r.states[spare], r.states[dead] = rs, nil
-	bytes := int64(len(rs.col))*8 + int64(len(rs.rowPtr))*8 + int64(len(rs.parent))*8
-	rs.ParkReown(r.ReownCostNs(bytes, deadNode, r.W.Proc(spare).Node()))
-
-	r.W.Proc(spare).Obs().FaultEvent("promote", floor)
-	r.W.Proc(r.cellRank[0]).Obs().Sample(obs.GaugeLiveRanks, floor, float64(len(r.cellRank)))
+	rs := r.states[pos]
+	return int64(len(rs.col))*8 + int64(len(rs.rowPtr))*8 + int64(len(rs.parent))*8
 }
 
 // rankOf maps grid coordinates to the rank currently holding the cell:
 // grid rows vary fastest within a processor column, and at construction
-// a column's R ranks are consecutive — on an R-ranks-per-node placement
-// a whole column lands on one node, giving the expand phase intra-node
-// communication. A promotion may remap individual cells.
-func (r *Runner) rankOf(i, j int) int { return r.cellRank[j*r.Grid.R+i] }
-
-// gridOf returns the grid coordinates of the cell a rank holds; the
-// rank must hold one.
-func (r *Runner) gridOf(rank int) (i, j int) {
-	c := r.rankCell[rank]
-	return c % r.Grid.R, c / r.Grid.R
-}
+// a column's R cells are consecutive members — on an R-members-per-node
+// placement a whole column lands on one node, giving the expand phase
+// intra-node communication. A promotion keeps the cell on its node.
+func (r *Runner) rankOf(i, j int) int { return r.Members.Rank(j*r.Grid.R + i) }
 
 // block returns the block id owned by grid position (i, j).
 func (r *Runner) block(i, j int) int64 { return int64(j*r.Grid.R + i) }
 
-// ownerOf returns the rank owning vertex v's block.
-func (r *Runner) ownerOf(v int64) int { return r.cellRank[v/r.blockSize] }
+// ownerOf returns the grid cell owning vertex v's block.
+func (r *Runner) ownerOf(v int64) int64 { return v / r.blockSize }
 
 // colRange returns the contiguous vertex range of processor column j.
 func (r *Runner) colRange(j int) (lo, hi int64) {

@@ -19,12 +19,12 @@ import (
 // that record construction into an obs session build their own.
 var graphs = chassis.NewGraphCache()
 
-// setUp builds a ppn=8 runner on grid with the last spares ranks
-// parked, sets its direction policy and compression, and runs its Setup
-// through graphs.
+// setUp builds a ppn=8 runner on grid with the last spares ranks of
+// every node parked, sets its direction policy and compression, and
+// runs its Setup through graphs.
 func setUp(t testing.TB, cfg machine.Config, grid Grid, params rmat.Params, spares int, mode Mode, compress bool) *Runner {
 	t.Helper()
-	r, err := NewRunnerSpares(cfg, machine.PPN8Bind, grid, params, spares)
+	r, err := NewRunner(cfg, machine.PPN8Bind, grid, params, spares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDefaultGrid(t *testing.T) {
 
 func TestGridMappingRoundTrip(t *testing.T) {
 	cfg := testConfig(12, 2, 4)
-	r, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 2, C: 4}, rmat.Graph500(12))
+	r, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 2, C: 4}, rmat.Graph500(12), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,8 @@ func TestGridMappingRoundTrip(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 4; j++ {
 			rank := r.rankOf(i, j)
-			gi, gj := r.gridOf(rank)
-			if gi != i || gj != j {
-				t.Fatalf("gridOf(rankOf(%d,%d)) = (%d,%d)", i, j, gi, gj)
+			if c := r.Members.Pos(rank); c != int(r.block(i, j)) {
+				t.Fatalf("rankOf(%d,%d) = %d holds cell %d", i, j, rank, c)
 			}
 			if seen[rank] {
 				t.Fatalf("rank %d mapped twice", rank)
@@ -84,9 +83,8 @@ func TestGridMappingRoundTrip(t *testing.T) {
 	n := r.Params.NumVertices()
 	for _, v := range []int64{0, 1, n / 3, n / 2, n - 1} {
 		owner := r.ownerOf(v)
-		i, _ := r.gridOf(owner)
-		if int(v/r.blockSize)%r.Grid.R != i {
-			t.Fatalf("vertex %d: owner rank %d in wrong grid row", v, owner)
+		if int(v/r.blockSize)%r.Grid.R != int(owner)%r.Grid.R {
+			t.Fatalf("vertex %d: owner cell %d in wrong grid row", v, owner)
 		}
 	}
 }
@@ -139,7 +137,7 @@ func TestBFS2DDeterministic(t *testing.T) {
 	params := rmat.Graph500(scale)
 	times := make([]float64, 2)
 	for k := range times {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
+		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +208,7 @@ func TestBFS2DSingleRank(t *testing.T) {
 
 func TestNewRunnerRejectsBadGrid(t *testing.T) {
 	cfg := testConfig(12, 2, 4)
-	if _, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 3, C: 3}, rmat.Graph500(12)); err == nil {
+	if _, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 3, C: 3}, rmat.Graph500(12), 0); err == nil {
 		t.Fatal("expected grid/ranks mismatch error")
 	}
 }
@@ -221,7 +219,7 @@ func TestObsRecordsSpans(t *testing.T) {
 	cfg := testConfig(12, 2, 4)
 	params := rmat.Graph500(12)
 	build := func(rec *obs.Recorder) *Runner {
-		r, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 2, C: 4}, params)
+		r, err := NewRunner(cfg, machine.PPN8Bind, Grid{R: 2, C: 4}, params, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

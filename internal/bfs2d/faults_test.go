@@ -94,7 +94,7 @@ func TestBFS2DDeterministicWithTracing(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
 	run := func() (string, []byte) {
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
+		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestBFS2DCrashRecoveryCompletesWithSameTree(t *testing.T) {
 
 	for _, frac := range []float64{0, 0.5} {
 		plan := fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: frac * base.TimeNs}}}
-		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params)
+		r, err := NewRunner(testConfig(scale, 2, 4), machine.PPN8Bind, Grid{R: 2, C: 4}, params, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,19 +325,19 @@ func TestBFS2DFoldCompressionLedger(t *testing.T) {
 }
 
 // TestPermanentCrashPromotesSpare2D: with hot spares parked, a
-// permanent rank death remaps the dead rank's grid cell onto a spare
-// and the rerun completes on the remapped grid — same traversal as the
-// clean spared run, bit-identical across repeats, with the detection
-// delay and the cell re-own cost in MTTR. A second permanent death
-// promotes again; with no spare left (the zero-spare runner) a
-// permanent crash falls back to rerun-in-place.
+// permanent rank death re-binds the dead rank's grid cell to a spare of
+// its node and the rerun completes on the remapped grid — same
+// traversal as the clean spared run, bit-identical across repeats, with
+// the detection delay and the cell re-own cost in MTTR. A second
+// permanent death on the node promotes again; with no spare (the
+// zero-spare runner) a permanent crash falls back to rerun-in-place.
 func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
 	build := func() *Runner {
-		// 8 ranks, 4 parked spares: the 4 grid cells divide the 4096
-		// vertices evenly.
-		return setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeTopDown, false)
+		// 8 ranks, 2 parked spares per node: the 4 grid cells divide
+		// the 4096 vertices evenly.
+		return setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 2, ModeTopDown, false)
 	}
 
 	clean := build()
@@ -349,7 +349,7 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 
 	run := func() (*Runner, RootResult) {
 		r := build()
-		plan := fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * cleanRes.TimeNs, Permanent: true}}}
+		plan := fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: 0.5 * cleanRes.TimeNs, Permanent: true}}}
 		if err := r.InjectFaults(plan); err != nil {
 			t.Fatal(err)
 		}
@@ -386,11 +386,11 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 		t.Fatalf("promoted run not deterministic:\n1st %.160s...\n2nd %.160s...", s1, s2)
 	}
 
-	// Two permanent deaths, two promotions.
+	// Two permanent deaths on node 0, two promotions.
 	r3 := build()
 	if err := r3.InjectFaults(fault.Plan{Crashes: []fault.Crash{
-		{Rank: 2, AtNs: 0.5 * cleanRes.TimeNs, Permanent: true},
-		{Rank: 1, AtNs: 0.6 * cleanRes.TimeNs, Permanent: true},
+		{Rank: 1, AtNs: 0.5 * cleanRes.TimeNs, Permanent: true},
+		{Rank: 0, AtNs: 0.6 * cleanRes.TimeNs, Permanent: true},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -417,17 +417,17 @@ func TestPermanentCrashPromotesSpare2D(t *testing.T) {
 }
 
 // TestSpareGridValidates2D: the Graph500 tree rules hold on the
-// remapped grid, including when cell 0 itself is remapped (the
-// cell→rank table, not rank arithmetic, must drive block ownership).
+// remapped grid, including when cell 0 itself is remapped (the member
+// table, not rank arithmetic, must drive block ownership).
 // Tree edges are checked against the sequential global build.
 func TestSpareGridValidates2D(t *testing.T) {
 	const scale = 12
 	params := rmat.Graph500(scale)
-	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeTopDown, false)
+	r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 2, ModeTopDown, false)
 	root := params.Roots(1, r.HasEdgeGlobal)[0]
 	probe := r.RunRoot(root)
 	if err := r.InjectFaults(fault.Plan{Crashes: []fault.Crash{
-		{Rank: 0, AtNs: 0.4 * probe.TimeNs, Permanent: true}, // cell 0 dies: cellRank[0] remaps
+		{Rank: 0, AtNs: 0.4 * probe.TimeNs, Permanent: true}, // cell 0 dies: spare 2 takes it
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ func (r *Runner) HasEdgeGlobal(v int64) bool {
 	j := int(v / (int64(r.Grid.R) * r.blockSize))
 	cLo, _ := r.colRange(j)
 	for i := 0; i < r.Grid.R; i++ {
-		rs := r.states[r.rankOf(i, j)]
+		rs := r.states[r.block(i, j)]
 		if rs.rowPtr[v-cLo+1] > rs.rowPtr[v-cLo] {
 			return true
 		}
@@ -20,12 +20,12 @@ func (r *Runner) HasEdgeGlobal(v int64) bool {
 // ParentArrays returns the live owned parent blocks, indexed by grid
 // cell (entries are owner-relative, cell k covering vertices
 // [k*BlockSize, (k+1)*BlockSize)). Exposed for the external validator
-// and its corruption tests, mirroring the 1-D engine. At construction
-// cell k is held by rank k; a promotion remaps the cell, not the block.
+// and its corruption tests, mirroring the 1-D engine. A promotion
+// re-binds a cell to another rank, not the block.
 func (r *Runner) ParentArrays() [][]int64 {
-	out := make([][]int64, len(r.cellRank))
-	for c, rank := range r.cellRank {
-		out[c] = r.states[rank].parent
+	out := make([][]int64, len(r.states))
+	for c, rs := range r.states {
+		out[c] = rs.parent
 	}
 	return out
 }
@@ -34,9 +34,9 @@ func (r *Runner) ParentArrays() [][]int64 {
 // left by the last RunRoot (-1 for unreached vertices).
 func (r *Runner) Parents() []int64 {
 	parent := make([]int64, r.Params.NumVertices())
-	for c, rank := range r.cellRank {
+	for c, rs := range r.states {
 		lo := int64(c) * r.blockSize
-		copy(parent[lo:lo+r.blockSize], r.states[rank].parent)
+		copy(parent[lo:lo+r.blockSize], rs.parent)
 	}
 	return parent
 }

@@ -19,21 +19,17 @@ type RootResult = chassis.Result
 // RunRoot runs one 2-D BFS from root. Rank clocks are reset, so TimeNs
 // is the iteration's virtual duration. Under an active crash plan the
 // chassis reruns the iteration from the root with clocks floored at
-// crash-detection time; a permanent death first promotes a spare into
-// the dead rank's grid cell when one is left.
+// crash-detection time; a permanent death first promotes a spare of the
+// dead rank's node into its grid cell when one is left.
 func (r *Runner) RunRoot(root int64) RootResult {
-	if len(r.states) == 0 || r.states[r.cellRank[0]] == nil {
+	if len(r.states) == 0 || r.states[0] == nil {
 		panic("bfs2d: RunRoot before Setup")
 	}
 	r.Run(func(p *mpi.Proc) {
-		r.states[p.Rank()].run(p, r.grid, root)
-	}, func(f *mpi.FaultError, floor float64) {
-		if f.Permanent {
-			r.promote(f.Rank, floor)
-		}
-	})
+		r.states[r.Members.Pos(p.Rank())].run(p, r.grid, root)
+	}, r.regroup)
 	res := RootResult{Root: root}
-	r.Finish(&res.Summary, &r.states[r.cellRank[0]].Ledger)
+	r.Finish(&res.Summary, &r.states[0].Ledger)
 	return res
 }
 
@@ -50,7 +46,7 @@ func (rs *rankState) run(p *mpi.Proc, all *collective.Group, root int64) {
 
 	lo := rs.ownLo()
 	var nfLocal int64
-	if r.ownerOf(root) == p.Rank() {
+	if r.ownerOf(root) == r.block(rs.i, rs.j) {
 		rs.parent[root-lo] = root
 		rs.frontier = append(rs.frontier, root)
 		nfLocal = 1
@@ -256,7 +252,7 @@ func (rs *rankState) backfillMF(mf int64) {
 func (rs *rankState) seedBottomUp(p *mpi.Proc, root int64) {
 	r := rs.r
 	rs.clearOwnSegments()
-	if r.ownerOf(root) == p.Rank() {
+	if r.ownerOf(root) == r.block(rs.i, rs.j) {
 		off := root - rs.ownLo()
 		rs.colFront.Set(int64(rs.i)*r.blockSize + off)
 		rs.rowFront.Set(int64(rs.j)*r.blockSize + off)

@@ -81,8 +81,7 @@ func scanRunner2D(t *testing.T, in testgraphs.Input, grid Grid, g int64) *Runner
 		j := int(u / (int64(grid.R) * r.blockSize))
 		return j*grid.R + int(v/r.blockSize)%grid.R
 	})
-	for cell, rank := range r.cellRank {
-		rs := r.states[rank]
+	for cell, rs := range r.states {
 		cLo, cHi := r.colRange(rs.j)
 		csr := graph.BuildCSR(cLo, cHi, pairs[cell], in.Dedup)
 		rs.rowPtr, rs.col = csr.RowPtr, csr.Col
@@ -108,8 +107,7 @@ func compareScanLevels2D(t *testing.T, r *Runner, root int64) int {
 			inFrontier[v] = true
 		}
 		var next []int64
-		for _, rank := range r.cellRank {
-			rs := r.states[rank]
+		for _, rs := range r.states {
 			where := fmt.Sprintf("level %d cell (%d,%d)", levels, rs.i, rs.j)
 			cLo, cHi := r.colRange(rs.j)
 			rs.colVisited.Reset()

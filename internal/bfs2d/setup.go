@@ -30,13 +30,13 @@ func (r *Runner) Setup() {
 		i := int(v/r.blockSize) % r.Grid.R
 		return j*r.Grid.R + i
 	}
-	// The grid group lists the cells in order, so with spares parked
-	// only the grid ranks run, and at zero spares cell == rank.
+	// The grid group lists the cells in order (the member positions),
+	// so with spares parked only the grid ranks run.
 	r.W.Run(func(p *mpi.Proc) {
-		me := p.Rank()
-		i, j := r.gridOf(me)
+		me := r.Members.Pos(p.Rank())
+		i, j := me%r.Grid.R, me/r.Grid.R
 		cLo, cHi := r.colRange(j)
-		csr := r.Build(p, r.grid, r.rankCell[me], r.Params, true, cell, cLo, cHi)
+		csr := r.Build(p, r.grid, me, r.Params, true, cell, cLo, cHi)
 		rs := &rankState{
 			r: r, i: i, j: j,
 			team:   omp.TeamFor(r.cfg, r.pl),

@@ -16,7 +16,7 @@ import (
 // sort.Slice loop produced them before set-up moved onto
 // graph.RouteEdges and graph.BuildCSRFrom.
 func TestSetupGolden(t *testing.T) {
-	r, err := NewRunner(testConfig(12, 2, 4), machine.PPN8Bind, DefaultGrid(8), rmat.Graph500(12))
+	r, err := NewRunner(testConfig(12, 2, 4), machine.PPN8Bind, DefaultGrid(8), rmat.Graph500(12), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ import (
 // grid).
 func refVisits(r *Runner) (visited, edges int64) {
 	for _, rs := range r.states {
-		if rs == nil {
-			continue
-		}
 		for _, pa := range rs.parent {
 			if pa >= 0 {
 				visited++
@@ -106,12 +103,12 @@ func TestVisitCountersThroughRecovery2D(t *testing.T) {
 		})
 	}
 	t.Run("promote", func(t *testing.T) {
-		r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 4, ModeHybrid, false)
+		r := setUp(t, testConfig(scale, 2, 4), Grid{R: 2, C: 2}, params, 2, ModeHybrid, false)
 		root := params.Roots(1, r.HasEdgeGlobal)[0]
 		clean := r.RunRoot(root)
 		checkVisits(t, r, clean)
 		if err := r.InjectFaults(fault.Plan{Crashes: []fault.Crash{
-			{Rank: 2, AtNs: 0.5 * clean.TimeNs, Permanent: true},
+			{Rank: 1, AtNs: 0.5 * clean.TimeNs, Permanent: true},
 		}}); err != nil {
 			t.Fatal(err)
 		}

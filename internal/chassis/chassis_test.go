@@ -1,6 +1,7 @@
 package chassis
 
 import (
+	"slices"
 	"testing"
 
 	"numabfs/internal/fault"
@@ -12,43 +13,65 @@ import (
 )
 
 // toy is the smallest engine the chassis can carry: a Core and one
-// ledger per world rank (nil for a parked spare).
+// ledger per member position.
 type toy struct {
 	Core
 	states []*Ledger
 }
 
-func (e *toy) ledgers(buf []*Ledger) []*Ledger {
-	for _, l := range e.states {
-		if l != nil {
-			buf = append(buf, l)
-		}
-	}
-	return buf
-}
+func (e *toy) ledgers(buf []*Ledger) []*Ledger { return append(buf, e.states...) }
 
-// newToy builds a 2-node x 4-socket world (8 ranks) with the given ranks
-// parked as spares.
-func newToy(t *testing.T, parked ...int) *toy {
+// at returns the ledger of the position p holds.
+func (e *toy) at(p *mpi.Proc) *Ledger { return e.states[e.Members.Pos(p.Rank())] }
+
+// newToy builds a 2-node x 4-socket world (8 ranks) with the last spares
+// ranks of each node parked.
+func newToy(t *testing.T, spares int) *toy {
 	t.Helper()
 	cfg := machine.Scaled(12, 24)
 	cfg.Nodes, cfg.SocketsPerNode, cfg.WeakNode = 2, 4, -1
 	e := &toy{}
 	var err error
-	if e.Core, err = NewCore(cfg, machine.PPN8Bind, rmat.Graph500(12), e.ledgers); err != nil {
+	if e.Core, err = NewCore(cfg, machine.PPN8Bind, rmat.Graph500(12), spares, e.ledgers); err != nil {
 		t.Fatal(err)
 	}
-	e.states = make([]*Ledger, e.W.NumProcs())
-	for r := range e.states {
-		e.states[r] = &Ledger{}
-	}
-	for _, r := range parked {
-		e.states[r] = nil
-	}
-	if len(parked) > 0 {
-		e.W.Park(parked)
+	e.states = make([]*Ledger, len(e.Members.Ranks()))
+	for pos := range e.states {
+		e.states[pos] = &Ledger{}
 	}
 	return e
+}
+
+// TestMembersParkLastRanksOfEveryNode: the member table parks the last
+// spares ranks of every node, maps positions to the rest in rank order
+// and back, and rejects a reservation that leaves a node no member.
+func TestMembersParkLastRanksOfEveryNode(t *testing.T) {
+	e := newToy(t, 1)
+	if got, want := e.Members.Ranks(), []int{0, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("members %v, want %v", got, want)
+	}
+	for pos, r := range e.Members.Ranks() {
+		if e.Members.Pos(r) != pos || e.Members.Rank(pos) != r {
+			t.Errorf("rank %d at position %d does not round-trip", r, pos)
+		}
+	}
+	var ran []int
+	e.W.Run(func(p *mpi.Proc) { p.Barrier() })
+	for r := 0; r < e.W.NumProcs(); r++ {
+		if e.W.Proc(r).Clock() > 0 {
+			ran = append(ran, r)
+		}
+	}
+	if e.Members.Pos(3) != -1 || e.Members.Pos(7) != -1 || !slices.Equal(ran, e.Members.Ranks()) {
+		t.Errorf("spares 3 and 7 not parked: positions %d %d, ranks %v ran", e.Members.Pos(3), e.Members.Pos(7), ran)
+	}
+	cfg := machine.Scaled(12, 24)
+	cfg.Nodes, cfg.SocketsPerNode, cfg.WeakNode = 2, 4, -1
+	for _, spares := range []int{-1, 4} {
+		if _, err := NewCore(cfg, machine.PPN8Bind, rmat.Graph500(12), spares, nil); err == nil {
+			t.Errorf("%d spares per node on 4 ranks per node accepted", spares)
+		}
+	}
 }
 
 // TestChargeCommCarvesXport: under a lossy plan the reliable transport's
@@ -57,7 +80,7 @@ func newToy(t *testing.T, parked ...int) *toy {
 // no plan the delta is exactly zero and the phase gets all of it.
 func TestChargeCommCarvesXport(t *testing.T) {
 	for _, lossy := range []bool{false, true} {
-		e := newToy(t)
+		e := newToy(t, 0)
 		if lossy {
 			if err := e.InjectFaults(fault.Lossy(42, 0.2)); err != nil {
 				t.Fatal(err)
@@ -66,7 +89,7 @@ func TestChargeCommCarvesXport(t *testing.T) {
 		np := e.W.NumProcs()
 		dx := make([]float64, np)
 		e.Run(func(p *mpi.Proc) {
-			l := e.states[p.Rank()]
+			l := e.at(p)
 			l.Reset(p)
 			p.Compute(100)
 			t0, x0 := p.Clock(), p.XportNs()
@@ -120,33 +143,31 @@ func work(p *mpi.Proc) {
 }
 
 // TestRunRecoversPlannedCrash: the happy path — one scheduled permanent
-// crash, one repair asked to fix it at the lease-expiry detection floor,
-// and the crash reported by Finish with that detection latency as MTTR.
+// crash with no spare parked: detected at lease expiry, the dead rank
+// reruns in place on epoch 0 without a regroup, and Finish reports the
+// crash with that detection latency as MTTR.
 func TestRunRecoversPlannedCrash(t *testing.T) {
-	e := newToy(t)
+	e := newToy(t, 0)
 	plan := crashOf()
 	plan.Crashes[0].Permanent = true
 	if err := e.InjectFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	want := e.W.Injector().DetectionTimeNs(500)
-	repairs := 0
 	e.Run(func(p *mpi.Proc) {
-		e.states[p.Rank()].Reset(p)
+		e.at(p).Reset(p)
 		work(p)
-	}, func(f *mpi.FaultError, floor float64) {
-		repairs++
-		if f.Rank != 1 || f.AtNs != 500 || !f.Permanent {
-			t.Errorf("repair asked to fix %+v, want the permanent death of rank 1 at 500 ns", f)
-		}
-		if floor != want {
-			t.Errorf("repair floor %v, want the lease expiry %v", floor, want)
-		}
+	}, func(int) int64 {
+		t.Error("regroup called without a spare to promote")
+		return 0
 	})
 	var s Summary
 	e.Finish(&s, e.states[0])
-	if repairs != 1 || len(s.Faults) != 1 {
-		t.Fatalf("%d repairs, %d faults, want 1 and 1", repairs, len(s.Faults))
+	if len(s.Faults) != 1 || s.Epoch != 0 {
+		t.Fatalf("%d faults on epoch %d, want 1 on epoch 0", len(s.Faults), s.Epoch)
+	}
+	if f := s.Faults[0]; f.Rank != 1 || f.AtNs != 500 || !f.Permanent {
+		t.Errorf("survived %+v, want the permanent death of rank 1 at 500 ns", f)
 	}
 	if s.MTTRNs != want-500 {
 		t.Errorf("MTTR %v, want the detection latency %v (nothing was re-owned)", s.MTTRNs, want-500)
@@ -154,33 +175,46 @@ func TestRunRecoversPlannedCrash(t *testing.T) {
 }
 
 // TestRunRerunsFromRoots: after a crash Run reruns the traversal body,
-// and each member's Reset restarts its clock at the detection floor plus
-// whatever the repair parked, charging the floor to Recovery and the
-// transfer to Reown.
+// and each member's Reset restarts its clock at the detection floor,
+// charging the floor to Recovery. With a spare parked on the dead rank's
+// node, a permanent death promotes it into the dead rank's position:
+// regroup is asked for that position's state, and the spare pays its
+// re-own transfer on top of the floor, charged to Reown.
 func TestRunRerunsFromRoots(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		parked float64 // re-own transfer the repair parks on rank 1
-	}{{"nil repair", 0}, {"parked re-own", 250}} {
+		spares int // per node; a spare turns the crash permanent
+	}{{"nil repair", 0}, {"parked re-own", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newToy(t)
-			if err := e.InjectFaults(crashOf()); err != nil {
+			e := newToy(t, tc.spares)
+			plan := crashOf()
+			plan.Crashes[0].Permanent = tc.spares > 0
+			if err := e.InjectFaults(plan); err != nil {
 				t.Fatal(err)
 			}
 			floor := 500 + e.W.Injector().DetectTimeoutNs()
-			parked := tc.parked
-			var repair func(*mpi.FaultError, float64)
-			if parked > 0 {
-				repair = func(f *mpi.FaultError, _ float64) { e.states[f.Rank].ParkReown(parked) }
+			var regroup func(int) int64
+			var parked float64
+			if tc.spares > 0 {
+				floor = e.W.Injector().DetectionTimeNs(500)
+				const bytes = 1 << 20
+				parked = bytes / e.W.Config().ShmCopyBW
+				regroup = func(pos int) int64 {
+					if pos != 1 || e.Members.Rank(1) != 3 {
+						t.Errorf("regroup of position %d held by rank %d, want position 1 on spare 3", pos, e.Members.Rank(pos))
+					}
+					return bytes
+				}
 			}
-			attempts := make([]int, e.W.NumProcs())
+			attempts := make([]int, len(e.states))
 			e.Run(func(p *mpi.Proc) {
-				attempts[p.Rank()]++
-				l := e.states[p.Rank()]
+				pos := e.Members.Pos(p.Rank())
+				attempts[pos]++
+				l := e.at(p)
 				l.Reset(p)
-				if attempts[p.Rank()] == 2 {
+				if attempts[pos] == 2 {
 					want := floor
-					if p.Rank() == 1 {
+					if pos == 1 {
 						want += parked
 					}
 					if p.Clock() != want {
@@ -189,39 +223,41 @@ func TestRunRerunsFromRoots(t *testing.T) {
 					if got := l.Breakdown.Ns[trace.Recovery]; got != floor {
 						t.Errorf("rank %d: Recovery charged %v, want the floor %v", p.Rank(), got, floor)
 					}
-					if p.Rank() == 1 && l.Breakdown.Ns[trace.Reown] != parked {
-						t.Errorf("rank 1: Reown charged %v, want the parked %v", l.Breakdown.Ns[trace.Reown], parked)
+					if pos == 1 && l.Breakdown.Ns[trace.Reown] != parked {
+						t.Errorf("rank %d: Reown charged %v, want the parked %v", p.Rank(), l.Breakdown.Ns[trace.Reown], parked)
 					}
 				}
 				work(p)
-			}, repair)
-			for r, n := range attempts {
+			}, regroup)
+			for pos, n := range attempts {
 				if n != 2 {
-					t.Errorf("rank %d ran the body %d times, want 2", r, n)
+					t.Errorf("position %d ran the body %d times, want 2", pos, n)
 				}
 			}
 			var s Summary
 			e.Finish(&s, e.states[0])
-			if len(s.Faults) != 1 || s.MTTRNs != floor-500+parked {
-				t.Errorf("Finish reported %d faults, MTTR %v; want 1 and %v", len(s.Faults), s.MTTRNs, floor-500+parked)
+			if len(s.Faults) != 1 || s.MTTRNs != floor-500+parked || s.Epoch != tc.spares {
+				t.Errorf("Finish reported %d faults, MTTR %v, epoch %d; want 1, %v and %d",
+					len(s.Faults), s.MTTRNs, s.Epoch, floor-500+parked, tc.spares)
 			}
 			// The next traversal starts clean: the mark was consumed.
 			e.Run(func(p *mpi.Proc) {
-				l := e.states[p.Rank()]
+				l := e.at(p)
 				l.Reset(p)
 				if p.Clock() != 0 || l.Breakdown.Ns[trace.Recovery] != 0 {
 					t.Errorf("rank %d: a clean traversal inherited the rerun", p.Rank())
 				}
-			}, repair)
+			}, regroup)
 		})
 	}
 }
 
 // TestRunRepanics: everything the retry loop cannot recover is re-raised
-// unchanged, without calling repair (again).
+// unchanged, without promoting a spare (again).
 func TestRunRepanics(t *testing.T) {
-	noRepair := func(*mpi.FaultError, float64) {
-		t.Error("repair called for an unrecoverable failure")
+	noRegroup := func(int) int64 {
+		t.Error("regroup called for an unrecoverable failure")
+		return 0
 	}
 	wantCrash := func(what string, got any) {
 		t.Helper()
@@ -231,7 +267,7 @@ func TestRunRepanics(t *testing.T) {
 	}
 
 	t.Run("non-crash fault", func(t *testing.T) {
-		e := newToy(t)
+		e := newToy(t, 1)
 		if err := e.InjectFaults(crashOf()); err != nil {
 			t.Fatal(err)
 		}
@@ -241,43 +277,47 @@ func TestRunRepanics(t *testing.T) {
 					panic(&fault.Error{Rank: 2, AtNs: 10, Kind: fault.KindLinkLoss})
 				}
 				p.Barrier()
-			}, noRepair)
+			}, noRegroup)
 		})
 		if f, ok := got.(*mpi.FaultError); !ok || f.Kind != fault.KindLinkLoss {
 			t.Errorf("panicked with %v, want the link-loss fault", got)
 		}
 		mustPanic(t, "programming bug", func() {
-			e.Run(func(p *mpi.Proc) { panic("bug") }, noRepair)
+			e.Run(func(p *mpi.Proc) { panic("bug") }, noRegroup)
 		})
 	})
 
 	t.Run("unplanned crash", func(t *testing.T) {
 		// A crash the chassis was never told about: the plan went into
 		// the world directly, so nothing armed recovery.
-		e := newToy(t)
-		if err := e.W.InjectFaults(crashOf()); err != nil {
+		e := newToy(t, 1)
+		plan := crashOf()
+		plan.Crashes[0].Permanent = true
+		if err := e.W.InjectFaults(plan); err != nil {
 			t.Fatal(err)
 		}
-		wantCrash("unplanned crash", mustPanic(t, "unplanned crash", func() { e.Run(work, noRepair) }))
+		wantCrash("unplanned crash", mustPanic(t, "unplanned crash", func() { e.Run(work, noRegroup) }))
 	})
 
 	t.Run("more failures than planned", func(t *testing.T) {
-		e := newToy(t)
-		if err := e.InjectFaults(crashOf()); err != nil {
+		e := newToy(t, 1)
+		plan := crashOf()
+		plan.Crashes[0].Permanent = true
+		if err := e.InjectFaults(plan); err != nil {
 			t.Fatal(err)
 		}
-		repairs := 0
+		regroups := 0
 		attempts := make([]int, e.W.NumProcs())
 		wantCrash("second crash", mustPanic(t, "second crash", func() {
 			e.Run(func(p *mpi.Proc) {
-				if attempts[p.Rank()]++; attempts[p.Rank()] == 2 && p.Rank() == 3 {
-					panic(&fault.Error{Rank: 3, AtNs: p.Clock()})
+				if attempts[p.Rank()]++; attempts[p.Rank()] == 2 && p.Rank() == 2 {
+					panic(&fault.Error{Rank: 2, AtNs: p.Clock(), Permanent: true})
 				}
 				work(p)
-			}, func(*mpi.FaultError, float64) { repairs++ })
+			}, func(int) int64 { regroups++; return 0 })
 		}))
-		if repairs != 1 {
-			t.Errorf("%d repairs for a one-crash plan, want 1", repairs)
+		if regroups != 1 {
+			t.Errorf("%d regroups for a one-crash plan, want 1", regroups)
 		}
 	})
 }
@@ -287,12 +327,10 @@ func TestRunRepanics(t *testing.T) {
 // the level structure is the lead's, Levels the maximum, and the codec
 // decisions the sum over tracked (non-nil) codecs.
 func TestFinishAveragesOverMembers(t *testing.T) {
-	e := newToy(t, 3, 7)
+	e := newToy(t, 1)
 	codec := &wire.Codec{}
-	for r, l := range e.states {
-		if l == nil {
-			continue
-		}
+	for pos, l := range e.states {
+		r := e.Members.Rank(pos)
 		l.Track(nil, codec, nil)
 		l.Breakdown.Add(trace.TDComp, float64(r+1)) // 1 2 3 5 6 7
 		l.Levels = r

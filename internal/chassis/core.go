@@ -2,11 +2,13 @@
 // internal/bfs2d, internal/msbfs) do around their level loops, written
 // once: building the simulated world, the fault / observability
 // plumbing, the kernel-1 epilogue, the per-rank phase ledger, the
-// crash-recovery retry loop (a rerun from the roots) and the result
-// every traversal reports. An engine embeds a Core in its Runner and a
-// Ledger in its per-rank state and supplies what is particular to it —
-// the partition and its membership (with any hot-spare promotion), the
-// frontier representation, and the scan and exchange kernels.
+// crash-recovery retry loop (a rerun from the roots, after promoting a
+// same-node hot spare into a dead rank's position), the member table and
+// the result every traversal reports. An engine embeds a Core in its
+// Runner and a Ledger in its per-member state and supplies what is
+// particular to it — the partition, the groups it builds over the
+// members, the frontier representation, and the scan and exchange
+// kernels.
 package chassis
 
 import (
@@ -24,11 +26,14 @@ type Core struct {
 	Params rmat.Params
 	// SetupNs is the virtual time of distributed construction (kernel 1).
 	SetupNs float64
+	// Members maps member positions to the ranks holding them.
+	Members Members
 
-	// members appends the engine's member ledgers to buf in the order
-	// their breakdowns are averaged; ledgers is its scratch.
-	members func(buf []*Ledger) []*Ledger
-	ledgers []*Ledger
+	// listLedgers appends the engine's member ledgers to buf in position
+	// order, the order their breakdowns are averaged in; ledgers is its
+	// scratch.
+	listLedgers func(buf []*Ledger) []*Ledger
+	ledgers     []*Ledger
 	// faults is the active plan: the retry loop only engages when it
 	// schedules a crash. crashes and mttrNs are the last
 	// Run's crash report, which Finish copies into the result.
@@ -40,10 +45,11 @@ type Core struct {
 	totalEdges int64
 }
 
-// NewCore validates the machine and the graph parameters and builds the
-// world under the placement policy. members enumerates the engine's
-// ledgers (see Core.members).
-func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, members func([]*Ledger) []*Ledger) (Core, error) {
+// NewCore validates the machine and the graph parameters, builds the
+// world under the placement policy and parks the last spares ranks of
+// every node as hot spares (Members). ledgers enumerates the engine's
+// member ledgers in position order.
+func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, spares int, ledgers func([]*Ledger) []*Ledger) (Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return Core{}, err
 	}
@@ -51,7 +57,11 @@ func NewCore(cfg machine.Config, policy machine.Policy, params rmat.Params, memb
 		return Core{}, err
 	}
 	w := mpi.NewWorld(cfg, machine.PlacementFor(cfg, policy))
-	return Core{W: w, Params: params, members: members}, nil
+	m, err := newMembers(w, spares)
+	if err != nil {
+		return Core{}, err
+	}
+	return Core{W: w, Params: params, Members: m, listLedgers: ledgers}, nil
 }
 
 // AttachObs routes the world through an observability session: per-rank
@@ -115,36 +125,29 @@ func (c *Core) GoTopDown(nf int64) bool {
 	return float64(nf) < float64(c.Params.NumVertices())/DefaultBeta
 }
 
-// ReownCostNs prices pulling `bytes` of a dead rank's node-scratch state
-// to dstNode: shared-memory copy bandwidth on the same node, one NIC
-// stream plus the inter-node latency across nodes.
-func (c *Core) ReownCostNs(bytes int64, srcNode, dstNode int) float64 {
-	cfg := c.W.Config()
-	if srcNode == dstNode {
-		return float64(bytes) / cfg.ShmCopyBW
-	}
-	return cfg.InterNodeAlphaNs + float64(bytes)/cfg.PerStreamBW
-}
-
-// current returns the engine's member ledgers as of now (a promotion
-// between attempts moves one to another rank).
+// current returns the engine's member ledgers as of now, in position
+// order.
 func (c *Core) current() []*Ledger {
-	c.ledgers = c.members(c.ledgers[:0])
+	c.ledgers = c.listLedgers(c.ledgers[:0])
 	return c.ledgers
 }
 
 // Run drives one traversal to completion. Clocks restart at zero; first
-// runs on every live rank. When a planned rank crash aborts an attempt,
-// the crash is disarmed, the detection floor is derived — permanent
+// runs on every member. When a planned rank crash aborts an attempt, the
+// crash is disarmed and the detection floor is derived: permanent
 // deaths are observed when the dead rank's last heartbeat lease expires,
-// transient ones keep the flat timeout — and repair (may be nil)
-// performs the engine's membership surgery, a spare promotion. Then
-// every member is marked with the floor and first reruns from the roots
-// (see Ledger.Reset). Anything else is re-raised: a programming bug, a
-// dead link (replaying past an exhausted link would exhaust it again) or
-// more failures than the plan schedules. Finish reports the crashes
-// survived and their repair time.
-func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor float64)) {
+// transient ones keep the flat timeout. A permanent death promotes a
+// parked spare of the dead rank's node into its position (Core.promote;
+// with none left it reruns in place, like a transient one); regroup then
+// rebuilds the engine's groups over the new member table and returns the
+// bytes of the position's state, which the spare adopts out of node
+// scratch at shared-memory bandwidth before its rerun. regroup may be
+// nil when no spares are parked. Then every member is marked with the
+// floor and first reruns from the roots (see Ledger.Reset). Anything
+// else is re-raised: a programming bug, a dead link (replaying past an
+// exhausted link would exhaust it again) or more failures than the plan
+// schedules. Finish reports the crashes survived and their repair time.
+func (c *Core) Run(first func(p *mpi.Proc), regroup func(pos int) int64) {
 	c.W.ResetClocks()
 	c.crashes, c.mttrNs = nil, 0
 	for _, l := range c.current() {
@@ -163,9 +166,9 @@ func (c *Core) Run(first func(p *mpi.Proc), repair func(f *mpi.FaultError, floor
 		if f.Permanent {
 			floor = inj.DetectionTimeNs(f.AtNs)
 			c.W.Proc(f.Rank).Obs().FaultEvent("detect", floor)
-		}
-		if repair != nil {
-			repair(f, floor)
+			if pos, ok := c.promote(f.Rank, floor); ok {
+				c.current()[pos].reownNs += float64(regroup(pos)) / c.W.Config().ShmCopyBW
+			}
 		}
 		// MTTR: detection latency plus the longest re-own transfer any
 		// member has parked for its rerun.

@@ -13,7 +13,9 @@ package chassis_test
 // The 1-D crash cases were re-captured again when level checkpoints and
 // survivor shrink were removed: every crash now reruns from the root,
 // and each of those cases also checks its parents against the clean
-// tree.
+// tree. The 2-D "crash/spare" case was re-captured when the spare rule
+// moved into the chassis: spares are parked per node, and the cell's
+// dead rank is replaced by a spare of its own node, not of another.
 
 import (
 	"fmt"
@@ -238,7 +240,7 @@ var goldenBFS2D = map[string]uint64{
 	"clean/bottom-up/compress=false": 0xad2e91d029feef4c,
 	"clean/bottom-up/compress=true":  0x3a47f3958c9be985,
 	"crash/rerun":                    0x243fb5461e2186ee,
-	"crash/spare":                    0xdd0771c3affcbf09,
+	"crash/spare":                    0xfc1ff5f7d232235a,
 }
 
 // TestGoldenBFS2D: the 2-D engine's three direction policies, raw and
@@ -249,7 +251,7 @@ func TestGoldenBFS2D(t *testing.T) {
 	// reuse its graph, as the 1-D two-crash golden does.
 	first := map[bfs2d.Grid]*bfs2d.Runner{}
 	build := func(grid bfs2d.Grid, spares int, mode bfs2d.Mode, compress bool) (*bfs2d.Runner, int64) {
-		r, err := bfs2d.NewRunnerSpares(goldenConfig(), machine.PPN8Bind, grid, params, spares)
+		r, err := bfs2d.NewRunner(goldenConfig(), machine.PPN8Bind, grid, params, spares)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,22 +282,28 @@ func TestGoldenBFS2D(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		grid      bfs2d.Grid
-		spares    int
+		spares    int // per node
+		dead      int // the rank holding cell 2
 		permanent bool
 	}{
-		{"crash/rerun", bfs2d.Grid{R: 2, C: 4}, 0, false},
-		{"crash/spare", bfs2d.Grid{R: 2, C: 2}, 4, true},
+		{"crash/rerun", bfs2d.Grid{R: 2, C: 4}, 0, 2, false},
+		{"crash/spare", bfs2d.Grid{R: 2, C: 2}, 2, 4, true},
 	} {
 		clean, root := build(tc.grid, tc.spares, bfs2d.ModeHybrid, true)
 		cleanNs := clean.RunRoot(root).TimeNs
 		r, _ := build(tc.grid, tc.spares, bfs2d.ModeHybrid, true)
-		plan := fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * cleanNs, Permanent: tc.permanent}}}
+		plan := fault.Plan{Crashes: []fault.Crash{{Rank: tc.dead, AtNs: 0.5 * cleanNs, Permanent: tc.permanent}}}
 		if err := r.InjectFaults(plan); err != nil {
 			t.Fatal(err)
 		}
 		res := r.RunRoot(root)
 		if len(res.Faults) != 1 {
 			t.Fatalf("%s: %d faults survived, want 1", tc.name, len(res.Faults))
+		}
+		for c, pa := range r.ParentArrays() {
+			if !slices.Equal(pa, clean.ParentArrays()[c]) {
+				t.Fatalf("%s: parent block of cell %d differs from the clean run's", tc.name, c)
+			}
 		}
 		checkGolden(t, tc.name, of(r, res).hash(), goldenBFS2D)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // Ledger is the per-member half of an engine: where one member's
-// virtual time went in the current traversal. The engines' per-rank
-// states embed one; a spare promotion moves the state, and the ledger
-// with it, to another rank.
+// virtual time went in the current traversal. The engines' per-member
+// states embed one; a spare promotion re-binds the state, and the
+// ledger with it, to another rank.
 type Ledger struct {
 	Breakdown trace.Breakdown
 	// Levels counts the levels run so far; it labels every span.
@@ -27,7 +27,7 @@ type Ledger struct {
 	// rerunFloor marks a member Run reruns from the roots: the detection
 	// floor its next Reset restarts the clock from (0 = not marked).
 	// reownNs is the modelled cost of a promoted spare adopting the dead
-	// rank's state out of node scratch, parked by the engine's promotion
+	// rank's state out of node scratch, parked by Core.Run's promotion
 	// and charged to the Reown phase when the member reruns.
 	rerunFloor float64
 	reownNs    float64
@@ -81,10 +81,6 @@ func (l *Ledger) Reset(p *mpi.Proc) {
 		l.Rec.PhaseSpan(trace.Reown, 0, p.Clock()-reown, p.Clock())
 	}
 }
-
-// ParkReown adds ns of modelled re-own transfer to what the member pays
-// when it reruns. Called by a spare promotion, between attempts.
-func (l *Ledger) ParkReown(ns float64) { l.reownNs += ns }
 
 // Charge adds the [start, end) interval to phase ph and, when tracing
 // is on, records it as a span at the current level. The breakdown is

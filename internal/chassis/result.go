@@ -40,9 +40,10 @@ type Summary struct {
 	// Faults lists the rank crashes this traversal survived, in recovery
 	// order; empty when no crash fired. When non-empty, CommBytes /
 	// RawCommBytes and Wire include the lost attempts' partial traffic
-	// (those bytes really crossed the modelled network), so they —
-	// unlike TimeNs, TEPS, the parent trees and the Breakdown — are not
-	// bit-reproducible across host schedules.
+	// (those bytes really crossed the modelled network). A failed
+	// attempt stops at quiescence, so how far it got is a function of
+	// the plan: these totals are as bit-reproducible across host
+	// schedules as TimeNs, the parent trees and the Breakdown.
 	Faults []*mpi.FaultError
 	// MTTRNs is the modelled mean-time-to-repair total of the traversal:
 	// for each survived crash, the failure-detection latency (lease

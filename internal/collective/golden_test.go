@@ -16,66 +16,38 @@ import (
 // computed at the parent commit (3ab9ee4, captured there through the
 // then-separate entry points named in the keys): per-member final
 // clocks, StepTimes, the Overlap ledger, and the network's wire and raw
-// volumes, on the full 4x8 world and on an uneven survivor membership.
-// "Raw is the nil codec" and "in place is the nil source" are exact
-// identities, not approximations — a changed hash is a changed clock.
+// volumes, on the full 4x8 world. "Raw is the nil codec" and "in place
+// is the nil source" are exact identities, not approximations — a
+// changed hash is a changed clock.
 var golden = map[string]uint64{
-	"4x8/allgatherv":              0x14e4c8578c78e47b,
-	"4x8/allgatherv-comp":         0x9da750b8afc407d1,
-	"4x8/alltoallv":               0x910c7202eb7e68cc,
-	"4x8/alltoallv-comp":          0xa19c060325a7c7c3,
-	"4x8/leader":                  0xf1803cf8d861c5e2,
-	"4x8/leader-comp":             0x8dc42ec7043a8ef4,
-	"4x8/lib":                     0x81d84fc2a85b7a59,
-	"4x8/par":                     0x47ebfa40ee8bbcb5,
-	"4x8/par-comp":                0xd97425e7781387ba,
-	"4x8/par-inplace":             0xca31b2c5a9175f35,
-	"4x8/par-inplace-comp":        0x44dbeb292b1993ba,
-	"4x8/par-seg-comp-q1":         0x5e8f1cac4323030f,
-	"4x8/par-seg-comp-q1-hook":    0x17320032d445a19a,
-	"4x8/par-seg-comp-q2":         0xfb537827fbb75371,
-	"4x8/par-seg-comp-q2-hook":    0xff59cc9426fd682f,
-	"4x8/par-seg-comp-q7":         0x589bc32339f82598,
-	"4x8/par-seg-comp-q7-hook":    0x71fec0f99f9efadb,
-	"4x8/par-seg-q1":              0xd9b24823472d8f9a,
-	"4x8/par-seg-q1-hook":         0x15442f907a6e82e7,
-	"4x8/par-seg-q2":              0xc84f351105c66811,
-	"4x8/par-seg-q2-hook":         0x81d798a40510cecf,
-	"4x8/par-seg-q7":              0xc1402171950a5baf,
-	"4x8/par-seg-q7-hook":         0xbd20bcf9672c1c95,
-	"4x8/ring":                    0xe9d6669195fc3133,
-	"4x8/ring-comp":               0x9c52d0678e36a13e,
-	"4x8/shared-all":              0xfa0f24af791045ec,
-	"4x8/shared-inplace":          0x3dd3f67579d83855,
-	"4x8/shared-inq":              0x00b127a792233fac,
-	"uneven/allgatherv":           0xd2dab21b6ae3defa,
-	"uneven/allgatherv-comp":      0x9abf406795224645,
-	"uneven/alltoallv":            0x5d9dbf20644b9b4b,
-	"uneven/alltoallv-comp":       0xff15886b23de28be,
-	"uneven/leader":               0xfc9bb053d7a9b31a,
-	"uneven/leader-comp":          0xe0fff6098c39cdb8,
-	"uneven/lib":                  0x8cd0cfb6f76869a5,
-	"uneven/par":                  0xd35440f986d43605,
-	"uneven/par-comp":             0x859ff6c1330a3c81,
-	"uneven/par-inplace":          0x1c23a13624a1b10c,
-	"uneven/par-inplace-comp":     0xac1fc50a7a57da26,
-	"uneven/par-seg-comp-q1":      0x67efa6ceeab7dfc7,
-	"uneven/par-seg-comp-q1-hook": 0x474667d3793c0f46,
-	"uneven/par-seg-comp-q2":      0x381783c056c63621,
-	"uneven/par-seg-comp-q2-hook": 0x35eef3a932af4a9c,
-	"uneven/par-seg-comp-q7":      0x7a907ee665e95b98,
-	"uneven/par-seg-comp-q7-hook": 0x0552020ce274bfa4,
-	"uneven/par-seg-q1":           0x5d9627974e7a187b,
-	"uneven/par-seg-q1-hook":      0xcd8dbbc0ac24f307,
-	"uneven/par-seg-q2":           0x6cd1525d31ee44b0,
-	"uneven/par-seg-q2-hook":      0xd06e2e23699e57de,
-	"uneven/par-seg-q7":           0x773094137271af1c,
-	"uneven/par-seg-q7-hook":      0x41d7669ed019da10,
-	"uneven/ring":                 0xeffc5a8c50b9b3b2,
-	"uneven/ring-comp":            0xe228f3984076ba21,
-	"uneven/shared-all":           0x353553b9eac71bfb,
-	"uneven/shared-inplace":       0x9e69fea791c68ba5,
-	"uneven/shared-inq":           0xeb1475153a1dc3fb,
+	"4x8/allgatherv":           0x14e4c8578c78e47b,
+	"4x8/allgatherv-comp":      0x9da750b8afc407d1,
+	"4x8/alltoallv":            0x910c7202eb7e68cc,
+	"4x8/alltoallv-comp":       0xa19c060325a7c7c3,
+	"4x8/leader":               0xf1803cf8d861c5e2,
+	"4x8/leader-comp":          0x8dc42ec7043a8ef4,
+	"4x8/lib":                  0x81d84fc2a85b7a59,
+	"4x8/par":                  0x47ebfa40ee8bbcb5,
+	"4x8/par-comp":             0xd97425e7781387ba,
+	"4x8/par-inplace":          0xca31b2c5a9175f35,
+	"4x8/par-inplace-comp":     0x44dbeb292b1993ba,
+	"4x8/par-seg-comp-q1":      0x5e8f1cac4323030f,
+	"4x8/par-seg-comp-q1-hook": 0x17320032d445a19a,
+	"4x8/par-seg-comp-q2":      0xfb537827fbb75371,
+	"4x8/par-seg-comp-q2-hook": 0xff59cc9426fd682f,
+	"4x8/par-seg-comp-q7":      0x589bc32339f82598,
+	"4x8/par-seg-comp-q7-hook": 0x71fec0f99f9efadb,
+	"4x8/par-seg-q1":           0xd9b24823472d8f9a,
+	"4x8/par-seg-q1-hook":      0x15442f907a6e82e7,
+	"4x8/par-seg-q2":           0xc84f351105c66811,
+	"4x8/par-seg-q2-hook":      0x81d798a40510cecf,
+	"4x8/par-seg-q7":           0xc1402171950a5baf,
+	"4x8/par-seg-q7-hook":      0xbd20bcf9672c1c95,
+	"4x8/ring":                 0xe9d6669195fc3133,
+	"4x8/ring-comp":            0x9c52d0678e36a13e,
+	"4x8/shared-all":           0xfa0f24af791045ec,
+	"4x8/shared-inplace":       0x3dd3f67579d83855,
+	"4x8/shared-inq":           0x00b127a792233fac,
 }
 
 func goldenHook(w0, w1 int64) float64 { return float64(w1-w0) * 0.37 }
@@ -167,7 +139,7 @@ func TestGoldenIdentityWithParent(t *testing.T) {
 		}
 	}
 
-	for _, geo := range agGeos[:2] {
+	for _, geo := range agGeos[:1] {
 		for _, c := range goldenCells() {
 			e := newAgEnv(t, geo)
 			sts := make([]StepTimes, e.w.NumProcs())

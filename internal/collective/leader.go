@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"numabfs/internal/mpi"
 	"numabfs/internal/wire"
@@ -10,23 +11,17 @@ import (
 // NodeComm holds the group structure the paper's node-aware allgather
 // variants need: per-node groups (leader = the node's first member), the
 // leader group, and per-member-index subgroups for the parallelized
-// allgather. Membership is explicit — a NodeComm can be built over any
-// subset of the world's ranks (actives with spares parked, a promoted
-// spare in a dead rank's place), and over the full world it reproduces
-// the historical arithmetic shapes exactly: leader n*ppn, children in
-// ascending order, subgroup j = the ranks with local index j.
+// allgather. Membership is explicit — a NodeComm can be built over the
+// active members with spares parked, or with a promoted spare in a dead
+// rank's place — and over the full world it reproduces the historical
+// arithmetic shapes exactly: leader n*ppn, children in ascending order,
+// subgroup j = the ranks with local index j.
 type NodeComm struct {
 	World   *Group   // the member ranks, in member order
-	Nodes   []*Group // per physical node: its members (nil when none)
-	Leaders *Group   // one leader per populated node, ascending node order
-	Subs    []*Group // subgroup j: each node's j-th member (see subRange)
-	PPN     int      // largest member population on any node
-
-	members   [][]int // per node: member ranks in member order
-	leaderOf  []int   // per node: leader rank, -1 when unpopulated
-	idxOnNode []int   // per rank: index in its node's member list, -1 outside
-	nodeFirst []int   // per node: World position of its first member, -1
-	nodePos   []int   // per node: position in Leaders, -1 when unpopulated
+	Nodes   []*Group // per physical node: its members
+	Leaders *Group   // one leader per node, in member order
+	Subs    []*Group // subgroup j: each node's j-th member
+	PPN     int      // members per node
 }
 
 // NewNodeComm builds the node communicator over all ranks of world w.
@@ -35,111 +30,60 @@ func NewNodeComm(w *mpi.World) *NodeComm {
 }
 
 // NewNodeCommRanks builds the node communicator over an explicit member
-// list (in group order). Each node's members must be contiguous in the
-// list so that a node's buffer segments concatenate — true for the block
-// rank placement, and preserved by a spare promotion, which puts a
-// same-node spare in the dead rank's place.
+// list (in group order). Every node must hold the same number (at least
+// one) of members, contiguous in the list, so that a node's buffer
+// segments concatenate and every node drives PPN subgroup rings — the
+// only shape the paper's Eq. (2) prices. The block rank placement with
+// the same spares parked on every node has it, and a spare promotion
+// keeps it by putting a same-node spare in the dead rank's place. Any
+// other list is a program bug and panics.
 func NewNodeCommRanks(w *mpi.World, ranks []int) *NodeComm {
 	nodes := w.Config().Nodes
-	np := w.NumProcs()
-	nc := &NodeComm{
-		World:     NewGroup(w, ranks),
-		members:   make([][]int, nodes),
-		leaderOf:  make([]int, nodes),
-		idxOnNode: make([]int, np),
-		nodeFirst: make([]int, nodes),
-		nodePos:   make([]int, nodes),
+	ppn := len(ranks) / nodes
+	if ppn == 0 || ppn*nodes != len(ranks) {
+		panic(fmt.Sprintf("collective: %d members do not populate %d nodes evenly", len(ranks), nodes))
 	}
-	for r := range nc.idxOnNode {
-		nc.idxOnNode[r] = -1
-	}
-	for n := 0; n < nodes; n++ {
-		nc.leaderOf[n], nc.nodeFirst[n], nc.nodePos[n] = -1, -1, -1
-	}
-	for pos, r := range ranks {
-		n := w.Proc(r).Node()
-		if nc.nodeFirst[n] == -1 {
-			nc.nodeFirst[n] = pos
+	nc := &NodeComm{World: NewGroup(w, ranks), Nodes: make([]*Group, nodes), PPN: ppn}
+	leaders := make([]int, 0, nodes)
+	for b := 0; b < len(ranks); b += ppn {
+		block := ranks[b : b+ppn]
+		n := w.Proc(block[0]).Node()
+		if nc.Nodes[n] != nil || slices.ContainsFunc(block, func(r int) bool { return w.Proc(r).Node() != n }) {
+			panic(fmt.Sprintf("collective: node %d's members are not %d contiguous entries of the member list", n, ppn))
 		}
-		if nc.nodeFirst[n]+len(nc.members[n]) != pos {
-			panic(fmt.Sprintf("collective: node %d's members are not contiguous in the member list", n))
-		}
-		nc.idxOnNode[r] = len(nc.members[n])
-		nc.members[n] = append(nc.members[n], r)
-	}
-	nc.Nodes = make([]*Group, nodes)
-	var leaders []int
-	for n := 0; n < nodes; n++ {
-		if len(nc.members[n]) == 0 {
-			continue
-		}
-		nc.Nodes[n] = NewGroup(w, nc.members[n])
-		nc.leaderOf[n] = nc.members[n][0]
-		nc.nodePos[n] = len(leaders)
-		leaders = append(leaders, nc.members[n][0])
-		if len(nc.members[n]) > nc.PPN {
-			nc.PPN = len(nc.members[n])
-		}
+		nc.Nodes[n] = NewGroup(w, block)
+		leaders = append(leaders, block[0])
 	}
 	nc.Leaders = NewGroup(w, leaders)
-	// Subgroup j holds each node's j-th member; a node with fewer than
-	// j+1 members is covered by its last member standing in (it carries
-	// the leftover subs sequentially, contributing zero words — see
-	// subLayout — so shorter nodes still receive every segment).
-	nc.Subs = make([]*Group, nc.PPN)
-	for j := 0; j < nc.PPN; j++ {
-		var rs []int
-		for n := 0; n < nodes; n++ {
-			if cnt := len(nc.members[n]); cnt > 0 {
-				if j < cnt {
-					rs = append(rs, nc.members[n][j])
-				} else {
-					rs = append(rs, nc.members[n][cnt-1])
-				}
-			}
+	nc.Subs = make([]*Group, ppn)
+	sub := make([]int, nodes)
+	for j := range nc.Subs {
+		for k := range sub {
+			sub[k] = ranks[k*ppn+j]
 		}
-		nc.Subs[j] = NewGroup(w, rs)
+		nc.Subs[j] = NewGroup(w, sub)
 	}
 	return nc
 }
 
 // IsLeader reports whether p is its node's leader.
-func (nc *NodeComm) IsLeader(p *mpi.Proc) bool { return nc.leaderOf[p.Node()] == p.Rank() }
+func (nc *NodeComm) IsLeader(p *mpi.Proc) bool { return nc.leaderOf(p) == p.Rank() }
 
-// subRange returns the subgroup indices rank p drives: its own member
-// index, plus — when it is its node's last member — every leftover sub it
-// stands in for. The rings run sequentially in ascending index; every
-// member orders them the same way, so the pipeline of rendezvous
-// slots can never deadlock across rings.
-func (nc *NodeComm) subRange(p *mpi.Proc) (lo, hi int) {
-	i := nc.idxOnNode[p.Rank()]
-	if i == len(nc.members[p.Node()])-1 {
-		return i, nc.PPN - 1
-	}
-	return i, i
-}
+// leaderOf returns the leader of p's node.
+func (nc *NodeComm) leaderOf(p *mpi.Proc) int { return nc.Nodes[p.Node()].Ranks()[0] }
 
-// nodeStreams returns the concurrent subgroup stream count p's node
-// drives — its member population (PPN at full membership).
-func (nc *NodeComm) nodeStreams(p *mpi.Proc) int { return len(nc.members[p.Node()]) }
-
-// nodeLayout aggregates a per-member layout into a per-populated-node
-// layout (indexed by Leaders position) for the leader allgather: node n
+// nodeLayout aggregates a per-member layout into a per-node layout
+// (indexed by Leaders position) for the leader allgather: a node
 // contributes the concatenation of its members' segments (contiguous by
 // the member-list invariant).
 func (nc *NodeComm) nodeLayout(l Layout) Layout {
-	populated := nc.Leaders.Size()
-	counts := make([]int64, populated)
-	displs := make([]int64, populated)
-	for n := range nc.members {
-		pos := nc.nodePos[n]
-		if pos < 0 {
-			continue
-		}
-		first := nc.nodeFirst[n]
-		displs[pos] = l.Displs[first]
-		for j := range nc.members[n] {
-			counts[pos] += l.Counts[first+j]
+	nodes := nc.Leaders.Size()
+	counts := make([]int64, nodes)
+	displs := make([]int64, nodes)
+	for k := range counts {
+		displs[k] = l.Displs[k*nc.PPN]
+		for _, c := range l.Counts[k*nc.PPN : (k+1)*nc.PPN] {
+			counts[k] += c
 		}
 	}
 	return Layout{Counts: counts, Displs: displs}
@@ -232,7 +176,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		if src != nil {
 			stage(p, dst, src, l, me)
 		}
-		node.GatherBinomial(p, dst, nc.localView(l, p.Node()), 0)
+		node.GatherBinomial(p, dst, nc.localView(l, me-me%nc.PPN), 0)
 		st.GatherNs = p.Clock() - tc
 		if leader {
 			t0 := p.Clock()
@@ -248,13 +192,13 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		if leader {
 			nl = nc.nodeLayout(l)
 		}
-		mine := nc.members[p.Node()]
+		mine := node.Ranks()
 		switch {
 		case src == nil:
 			node.barrierVia(p)
 		case s == SchemeSharedAll:
 			if leader {
-				stage(p, dst, src, nl, nc.nodePos[p.Node()])
+				stage(p, dst, src, nl, me/nc.PPN)
 			}
 		case leader:
 			stage(p, dst, src, l, me)
@@ -265,7 +209,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		default:
 			// Children copy concurrently; the leader serializes receives.
 			seg := l.seg(src, me)
-			p.SendPayload(nc.leaderOf[p.Node()], tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
+			p.SendPayload(nc.leaderOf(p), tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
 		}
 		if src != nil {
 			st.GatherNs = p.Clock() - tc
@@ -290,10 +234,8 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		if src != nil {
 			stage(p, dst, src, l, me)
 		}
-		lo, hi := nc.subRange(p)
-		for j := lo; j <= hi; j++ {
-			x.ring(p, nc.Subs[j], dst, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
-		}
+		j := me % nc.PPN
+		x.ring(p, nc.Subs[j], dst, nc.subLayout(l, j), nc.PPN)
 		st.InterNs = p.Clock() - tc
 		t0 := p.Clock()
 		node.barrierVia(p)
@@ -314,31 +256,24 @@ func (nc *NodeComm) ParallelAllgatherInPlaceCompressed(p *mpi.Proc, shared []uin
 	return nc.Allgather(p, SchemeParallel, shared, nil, l, Exchange{Codec: c})
 }
 
-// localView returns the layout of node n's members as a group-local
-// layout (positions 0..cnt-1), still addressing the full buffer.
-func (nc *NodeComm) localView(l Layout, n int) Layout {
-	first := nc.nodeFirst[n]
-	cnt := len(nc.members[n])
+// localView returns the layout of the node whose first member sits at
+// World position first as a group-local layout (positions 0..PPN-1),
+// still addressing the full buffer.
+func (nc *NodeComm) localView(l Layout, first int) Layout {
 	return Layout{
-		Counts: l.Counts[first : first+cnt],
-		Displs: l.Displs[first : first+cnt],
+		Counts: l.Counts[first : first+nc.PPN],
+		Displs: l.Displs[first : first+nc.PPN],
 	}
 }
 
 // subLayout returns the layout of subgroup j's members' segments within
-// the full buffer. A stand-in member (a short node's last member covering
-// a leftover sub, idxOnNode != j) contributes zero words: its real
-// segment travels in its own sub, so carrying it again would double-write
-// receivers' shared buffers.
-func (nc *NodeComm) subLayout(sub *Group, l Layout, j int) Layout {
-	counts := make([]int64, sub.Size())
-	displs := make([]int64, sub.Size())
-	for i, r := range sub.Ranks() {
-		wp := nc.World.Pos(r)
-		displs[i] = l.Displs[wp]
-		if nc.idxOnNode[r] == j {
-			counts[i] = l.Counts[wp]
-		}
+// the full buffer: every node's j-th member, in member order.
+func (nc *NodeComm) subLayout(l Layout, j int) Layout {
+	nodes := nc.Leaders.Size()
+	counts := make([]int64, nodes)
+	displs := make([]int64, nodes)
+	for k := range counts {
+		counts[k], displs[k] = l.Counts[k*nc.PPN+j], l.Displs[k*nc.PPN+j]
 	}
 	return Layout{Counts: counts, Displs: displs}
 }

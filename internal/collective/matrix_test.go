@@ -8,21 +8,18 @@ import (
 	"numabfs/internal/wire"
 )
 
-// agGeo is a world shape plus the member list a test runs on (nil = the
-// full world; the rest are parked, as after a shrink).
+// agGeo is a world shape a test runs on, every rank a member, and the
+// words of the gathered buffer.
 type agGeo struct {
 	name       string
 	nodes, ppn int
-	members    []int
 	words      int64
 }
 
 var agGeos = []agGeo{
-	{"4x8", 4, 8, nil, 1301},
-	// Node populations 4, 3, 1: subgroup stand-ins and a one-member node.
-	{"uneven", 3, 4, []int{0, 1, 2, 3, 4, 5, 6, 8}, 523},
-	// Every member on one node: leader group of one, no inter-node step.
-	{"single-node", 2, 4, []int{0, 1, 2, 3}, 131},
+	{"4x8", 4, 8, 1301},
+	// One node: leader group of one, no inter-node step.
+	{"single-node", 1, 4, 131},
 }
 
 // agEnv is one fresh world with its groups, a layout of varied-density
@@ -40,25 +37,9 @@ type agEnv struct {
 func newAgEnv(t testing.TB, geo agGeo) *agEnv {
 	t.Helper()
 	w := testWorld(t, geo.nodes, geo.ppn)
-	members := geo.members
-	if members == nil {
-		members = WorldGroup(w).Ranks()
-	} else {
-		in := make(map[int]bool)
-		for _, r := range members {
-			in[r] = true
-		}
-		var parked []int
-		for r := 0; r < w.NumProcs(); r++ {
-			if !in[r] {
-				parked = append(parked, r)
-			}
-		}
-		w.Park(parked)
-	}
 	e := &agEnv{
-		w: w, g: NewGroup(w, members), nc: NewNodeCommRanks(w, members),
-		l: EvenLayout(geo.words, len(members)), words: geo.words,
+		w: w, g: WorldGroup(w), nc: NewNodeComm(w),
+		l: EvenLayout(geo.words, w.NumProcs()), words: geo.words,
 		codecs: make([]*wire.Codec, w.NumProcs()), ovs: make([]Overlap, w.NumProcs()),
 	}
 	for r := range e.codecs {
@@ -150,7 +131,7 @@ func ringWire(full []uint64, rings []Layout, hops int, codec bool, q int) int64 
 
 // TestNodeAllgatherMatrix drives the one node-aware allgather through
 // scheme x {staged, in place} x {raw, codec} x {blocking, pipelined
-// Q=1,2,7} x {full 4x8 world, uneven survivor membership, single node}
+// Q=1,2,7} x {4x8 world, single node}
 // and checks, per cell, the gathered buffer on every member, the
 // logical volumes of Eq. (1)/(2) on the raw ledger, the codec's analytic
 // sizes on the wire ledger, and the step-time shape of the scheme.
@@ -208,8 +189,8 @@ func checkAllgatherCell(t *testing.T, geo agGeo, s Scheme, staged, codec bool, q
 	case SchemeLibrary:
 		rings, hops = []Layout{e.l}, np-1
 	case SchemeParallel:
-		for j, sub := range e.nc.Subs {
-			rings = append(rings, e.nc.subLayout(sub, e.l, j))
+		for j := range e.nc.Subs {
+			rings = append(rings, e.nc.subLayout(e.l, j))
 		}
 	default:
 		rings = []Layout{e.nc.nodeLayout(e.l)}
@@ -271,7 +252,7 @@ func checkAllgatherCell(t *testing.T, geo agGeo, s Scheme, staged, codec bool, q
 		if s != SchemeLeader && st.BcastNs != 0 {
 			t.Errorf("rank %d: BcastNs = %g, want 0 (no broadcast step)", r, st.BcastNs)
 		}
-		if s == SchemeLeader && e.nc.nodeStreams(p) > 1 && st.BcastNs <= 0 {
+		if s == SchemeLeader && e.nc.PPN > 1 && st.BcastNs <= 0 {
 			t.Errorf("rank %d: BcastNs = %g, want > 0", r, st.BcastNs)
 		}
 		if s == SchemeLeader && !e.nc.IsLeader(p) && st.InterNs != 0 {
@@ -288,10 +269,7 @@ func checkAllgatherCell(t *testing.T, geo agGeo, s Scheme, staged, codec bool, q
 					want = e.words
 				}
 			default:
-				lo, hi := e.nc.subRange(p)
-				for j := lo; j <= hi; j++ {
-					want += e.nc.subLayout(e.nc.Subs[j], e.l, j).TotalWords()
-				}
+				want = e.nc.subLayout(e.l, e.g.Pos(r)%e.nc.PPN).TotalWords()
 			}
 			if chunkWords[r] != want {
 				t.Errorf("rank %d: per-chunk hook covered %d words, want %d", r, chunkWords[r], want)

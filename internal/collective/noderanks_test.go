@@ -1,9 +1,9 @@
 package collective
 
 // Tests for member-explicit NodeComm construction: over the full world
-// it must reproduce the historical shapes exactly, and over uneven
-// survivor populations every allgather variant must still deliver every
-// segment (the stand-in scheme covering leftover subgroups).
+// it must reproduce the historical shapes exactly, on a single node it
+// degenerates to no inter-node step, and any member list without the
+// same contiguous population on every node is rejected.
 
 import (
 	"reflect"
@@ -36,85 +36,40 @@ func TestNodeCommRanksFullWorldMatchesNodeComm(t *testing.T) {
 	}
 }
 
-func TestNodeCommRanksRejectsScatteredNode(t *testing.T) {
-	w := testWorld(t, 2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-contiguous node membership did not panic")
-		}
-	}()
-	// Rank 4 (node 1) splits node 0's block.
-	NewNodeCommRanks(w, []int{0, 1, 4, 2})
-}
-
-// runUneven runs body on every member of a 2x4 world whose non-members
-// are parked.
-func runUneven(t *testing.T, members []int, body func(nc *NodeComm, p *mpi.Proc, pos int)) {
-	t.Helper()
-	e := newAgEnv(t, agGeo{nodes: 2, ppn: 4, members: members, words: int64(len(members))})
-	e.w.Run(func(p *mpi.Proc) {
-		body(e.nc, p, e.g.Pos(p.Rank()))
-	})
-}
-
-// TestNodeCommRanksUnevenNodesComplete: a shrunken membership where the
-// nodes carry different populations (3 vs 2 here) must still deliver
-// every member's segment through each allgather variant — the short
-// node's last member stands in for the missing subgroups.
-func TestNodeCommRanksUnevenNodesComplete(t *testing.T) {
-	members := []int{0, 1, 2, 4, 5}
-	const words = 335
-	l := EvenLayout(words, len(members))
-
-	t.Run("leader", func(t *testing.T) {
-		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
-			buf := make([]uint64, words)
-			fillOwn(buf, l, pos)
-			nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
-			checkFull(t, "leader-uneven", p.Rank(), buf, l)
+// TestNodeCommRanksRejectsBadShapes: the node communicator is only
+// defined for the same number of members on every node, each node's
+// members contiguous in the list; anything else is a program bug.
+func TestNodeCommRanksRejectsBadShapes(t *testing.T) {
+	for name, members := range map[string][]int{
+		"uneven":         {0, 1, 2, 4, 5}, // populations 3 and 2
+		"empty node":     {0, 1, 2, 3},    // node 1 holds none
+		"non-contiguous": {0, 4, 1, 5},    // each node split in two
+		"scattered":      {0, 1, 4, 2},    // rank 4 splits node 0's block
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := testWorld(t, 2, 4)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("member list %v did not panic", members)
+				}
+			}()
+			NewNodeCommRanks(w, members)
 		})
-	})
-	t.Run("leader-pipelined", func(t *testing.T) {
-		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
-			buf := make([]uint64, words)
-			fillOwn(buf, l, pos)
-			nc.LeaderAllgatherPipelined(p, buf, l)
-			checkFull(t, "pipelined-uneven", p.Rank(), buf, l)
-		})
-	})
-	t.Run("shared-inq", func(t *testing.T) {
-		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
-			shared := p.SharedWords("inq", words)
-			src := make([]uint64, words)
-			fillOwn(src, l, pos)
-			nc.Allgather(p, SchemeSharedIn, shared, src, l, Exchange{})
-			checkFull(t, "shared-inq-uneven", p.Rank(), shared, l)
-		})
-	})
-	t.Run("parallel", func(t *testing.T) {
-		runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
-			shared := p.SharedWords("inq", words)
-			src := make([]uint64, words)
-			fillOwn(src, l, pos)
-			nc.Allgather(p, SchemeParallel, shared, src, l, Exchange{})
-			checkFull(t, "parallel-uneven", p.Rank(), shared, l)
-		})
-	})
+	}
 }
 
 // TestNodeCommRanksSingleNodeSurvives: every member on one node — the
 // leader group is size 1 and the inter step degenerates to zero work.
 func TestNodeCommRanksSingleNodeSurvives(t *testing.T) {
-	members := []int{0, 1, 2, 3}
 	const words = 128
-	l := EvenLayout(words, len(members))
-	runUneven(t, members, func(nc *NodeComm, p *mpi.Proc, pos int) {
+	e := newAgEnv(t, agGeo{nodes: 1, ppn: 4, words: words})
+	e.w.Run(func(p *mpi.Proc) {
 		buf := make([]uint64, words)
-		fillOwn(buf, l, pos)
-		st := nc.Allgather(p, SchemeLeader, buf, nil, l, Exchange{})
-		checkFull(t, "single-node", p.Rank(), buf, l)
+		fillOwn(buf, e.l, e.g.Pos(p.Rank()))
+		st := e.nc.Allgather(p, SchemeLeader, buf, nil, e.l, Exchange{})
+		checkFull(t, "single-node", p.Rank(), buf, e.l)
 		if st.InterNs != 0 {
-			t.Errorf("rank %d charged inter time %g with one populated node", p.Rank(), st.InterNs)
+			t.Errorf("rank %d charged inter time %g with one node", p.Rank(), st.InterNs)
 		}
 	})
 }

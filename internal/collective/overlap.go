@@ -34,7 +34,7 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 	// the leader, which stages them.
 	t0 := p.Clock()
 	me := nc.World.Pos(p.Rank())
-	mine := nc.members[p.Node()]
+	mine := node.Ranks()
 	if nc.IsLeader(p) {
 		copy(l.seg(stage, me), l.seg(buf, me))
 		p.Compute(float64(l.Counts[me]*8) / cfg.ShmCopyBW)
@@ -44,7 +44,7 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 		}
 	} else {
 		seg := l.seg(buf, me)
-		p.SendPayload(nc.leaderOf[p.Node()], tagPipe, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
+		p.SendPayload(nc.leaderOf(p), tagPipe, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
 	}
 	st.GatherNs = p.Clock() - t0
 
@@ -63,8 +63,8 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 	}
 	pull := func(c int) {
 		t0 = p.Clock()
-		p.Recv(nc.leaderOf[p.Node()], tagPipe+1+c)
-		slice := (nc.nodePos[p.Node()] - c + nNodes) % nNodes
+		p.Recv(nc.leaderOf(p), tagPipe+1+c)
+		slice := (me/nc.PPN - c + nNodes) % nNodes
 		lo, hi := nl.Displs[slice], nl.Displs[slice]+nl.Counts[slice]
 		copy(buf[lo:hi], stage[lo:hi])
 		// The node's children pull concurrently, sharing the memory

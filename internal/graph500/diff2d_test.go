@@ -41,7 +41,7 @@ func diff1Dvs2D(t *testing.T) *obs.RunDiff {
 	r1.RunRoot(root)
 
 	recB := obs.NewRecorder()
-	r2, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, bfs2d.Grid{R: 2, C: 4}, params)
+	r2, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, bfs2d.Grid{R: 2, C: 4}, params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

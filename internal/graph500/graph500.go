@@ -56,16 +56,16 @@ type Config struct {
 	Params  rmat.Params
 	// Opts configures the 1-D engine. The 2-D engine reads three of its
 	// fields: Mode (its direction policy), Opt (it compresses its
-	// collectives from OptCompressedAllgather up) and SpareRanks; Run
-	// rejects a 2-D config whose other fields differ from
-	// bfs.DefaultOptions().
+	// collectives from OptCompressedAllgather up) and SpareRanks (spare
+	// ranks per node, as for every engine); Run rejects a 2-D config
+	// whose other fields differ from bfs.DefaultOptions().
 	Opts     bfs.Options
 	NumRoots int  // 0 means DefaultRoots
 	Validate bool // validate every BFS tree against the spec
 
 	// Grid, when non-zero, runs the 2-D engine (internal/bfs2d) on that
 	// processor grid instead of the 1-D engine; it must cover the ranks
-	// the machine and policy place, less SpareRanks.
+	// the machine and policy place, less SpareRanks on every node.
 	Grid bfs2d.Grid
 
 	// Obs, when non-nil, records the run into a new labeled session on
@@ -182,7 +182,7 @@ func newEngine(cfg Config) (engine, error) {
 	if cfg.Opts != read {
 		return engine{}, errors.New("graph500: the 2-D engine reads only Opts.Mode, Opt and SpareRanks; the others must keep their defaults")
 	}
-	r, err := bfs2d.NewRunnerSpares(cfg.Machine, cfg.Policy, cfg.Grid, cfg.Params, cfg.Opts.SpareRanks)
+	r, err := bfs2d.NewRunner(cfg.Machine, cfg.Policy, cfg.Grid, cfg.Params, cfg.Opts.SpareRanks)
 	if err != nil {
 		return engine{}, err
 	}

@@ -15,7 +15,7 @@ func testRunner2D(t *testing.T, scale int, mode bfs2d.Mode) *bfs2d.Runner {
 	cfg.Nodes = 2
 	cfg.SocketsPerNode = 4
 	cfg.WeakNode = -1
-	r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, bfs2d.Grid{R: 2, C: 4}, rmat.Graph500(scale))
+	r, err := bfs2d.NewRunner(cfg, machine.PPN8Bind, bfs2d.Grid{R: 2, C: 4}, rmat.Graph500(scale), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,7 @@ import (
 
 // ValidateOptions checks a bfs.Options for the batched engine: the
 // shared/parallel/compressed allgather ladder applies verbatim, the
-// overlap level does not. A crash reruns the batch from its roots; the
-// batched engine parks no spares, so SpareRanks is rejected.
+// overlap level does not.
 func ValidateOptions(o bfs.Options) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -47,9 +46,6 @@ func ValidateOptions(o bfs.Options) error {
 	if o.Opt > bfs.OptCompressedAllgather {
 		return fmt.Errorf("msbfs: optimization level %q not supported by the batched engine (max %q)",
 			o.Opt, bfs.OptCompressedAllgather)
-	}
-	if o.SpareRanks != 0 {
-		return fmt.Errorf("msbfs: hot spares not supported by the batched engine")
 	}
 	return nil
 }
@@ -59,11 +55,11 @@ func ValidateOptions(o bfs.Options) error {
 type Runner struct {
 	// Core is the world, the fault/obs plumbing, the crash-retry loop
 	// (a crashed batch reruns from its roots) and the result tail;
-	// Graph1D the partition and the per-rank CSRs, the very ones bfs
+	// Graph1D the partition and the per-member CSRs, the very ones bfs
 	// builds.
 	chassis.Core
 	chassis.Graph1D
-	// Ladder carries Opts and NC (NC.World is the group of all ranks),
+	// Ladder carries Opts and NC (NC.World is the group of all members),
 	// and what the optimization level decides about the planes and their
 	// allgathers — the same rungs as bfs's in_queue/out_queue/summary.
 	bfs.Ladder
@@ -71,9 +67,9 @@ type Runner struct {
 	cfg machine.Config
 	pl  machine.Placement
 
-	// planeLayout maps rank -> lane-plane word segment (one word per
+	// planeLayout maps position -> lane-plane word segment (one word per
 	// vertex, so plane segments follow the vertex partition directly);
-	// sumLayout maps rank -> lane-summary word segment (one word per
+	// sumLayout maps position -> lane-summary word segment (one word per
 	// granule, even split).
 	planeLayout collective.Layout
 	sumLayout   collective.Layout
@@ -84,7 +80,7 @@ type Runner struct {
 	states []*laneState
 }
 
-// laneState is the per-rank algorithm state; partition position == rank.
+// laneState is the per-member algorithm state, indexed by position.
 type laneState struct {
 	chassis.Ledger
 	r    *Runner
@@ -130,34 +126,31 @@ func NewRunner(cfg machine.Config, policy machine.Policy, params rmat.Params, op
 	}
 	r := &Runner{cfg: cfg}
 	var err error
-	if r.Core, err = chassis.NewCore(cfg, policy, params, r.ledgers); err != nil {
+	if r.Core, err = chassis.NewCore(cfg, policy, params, opts.SpareRanks, r.ledgers); err != nil {
 		return nil, err
 	}
 	r.pl = r.W.Placement()
 	r.Ladder = bfs.NewLadder(opts, r.pl)
-	np := r.W.NumProcs()
+	np := len(r.Members.Ranks())
 	n := params.NumVertices()
 	if n < int64(np)*64 {
-		return nil, fmt.Errorf("msbfs: scale %d too small for %d ranks (need >= 64 vertices per rank)", params.Scale, np)
+		return nil, fmt.Errorf("msbfs: scale %d too small for %d active ranks (need >= 64 vertices per rank)", params.Scale, np)
 	}
 	r.Graph1D = chassis.NewGraph1D(n, np)
-	r.NC = collective.NewNodeComm(r.W)
+	r.NC = collective.NewNodeCommRanks(r.W, r.Members.Ranks())
 	// One plane word per vertex: the plane layout IS the vertex
 	// partition, so the same allgather code that moves bitmap words
 	// moves lane words.
 	r.planeLayout = collective.SegLayout(r.Part.Offsets())
 	r.planeBytes = n * 8
 	granules := (n + opts.Granularity - 1) / opts.Granularity
-	if granules < 1 {
-		granules = 1
-	}
 	r.sumLayout = collective.EvenLayout(granules, np)
 	r.sumBytes = granules * 8
 	r.states = make([]*laneState, np)
 	return r, nil
 }
 
-// ledgers appends the ranks' ledgers in rank order.
+// ledgers appends the members' ledgers in position order.
 func (r *Runner) ledgers(buf []*chassis.Ledger) []*chassis.Ledger {
 	for _, ls := range r.states {
 		buf = append(buf, &ls.Ledger)
@@ -171,7 +164,7 @@ func (r *Runner) Setup() {
 	n := r.Params.NumVertices()
 	granules := r.sumLayout.TotalWords()
 	r.W.Run(func(p *mpi.Proc) {
-		pos := p.Rank()
+		pos := r.Members.Pos(p.Rank())
 		csr := r.Build(p, r.NC.World, pos, r.Params, r.Opts.Dedup)
 		ls := &laneState{
 			r:    r,
@@ -220,6 +213,13 @@ func (r *Runner) LaneParents(l int) []int64 {
 		}
 	}
 	return out
+}
+
+// regroup rebuilds the node communicator after a spare took position
+// pos, whose state stays bound to it; the spare adopts its adjacency.
+func (r *Runner) regroup(pos int) int64 {
+	r.NC = collective.NewNodeCommRanks(r.W, r.Members.Ranks())
+	return r.states[pos].csr.BytesApprox()
 }
 
 // visBytes is the visited lane-word footprint for the cache model (the

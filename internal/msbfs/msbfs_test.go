@@ -357,18 +357,13 @@ func TestCrashedBatchReruns(t *testing.T) {
 	}
 }
 
-// TestValidateOptionsGates: the overlap level and hot spares are out of
-// the batched engine's scope.
+// TestValidateOptionsGates: the overlap level is out of the batched
+// engine's scope.
 func TestValidateOptionsGates(t *testing.T) {
 	o := bfs.DefaultOptions()
 	o.Opt = bfs.OptOverlapAllgather
 	if err := ValidateOptions(o); err == nil {
 		t.Error("overlap level accepted")
-	}
-	o = bfs.DefaultOptions()
-	o.SpareRanks = 1
-	if err := ValidateOptions(o); err == nil {
-		t.Error("spare ranks accepted")
 	}
 }
 

@@ -37,10 +37,10 @@ func (r *Runner) RunBatch(roots []int64) BatchResult {
 	if len(roots) == 0 || len(roots) > 64 {
 		panic(fmt.Sprintf("msbfs: batch of %d roots outside [1, 64]", len(roots)))
 	}
-	// No repair: a planned crash reruns the batch from its roots; a
-	// transport fault that exhausts its retry budget (or a programming
-	// bug) is terminal.
-	r.Run(func(p *mpi.Proc) { r.states[p.Rank()].runBatch(p, roots) }, nil)
+	// A planned crash reruns the batch from its roots (on a same-node
+	// spare when one is parked); a transport fault that exhausts its
+	// retry budget (or a programming bug) is terminal.
+	r.Run(func(p *mpi.Proc) { r.states[r.Members.Pos(p.Rank())].runBatch(p, roots) }, r.regroup)
 	return r.assemble(roots)
 }
 

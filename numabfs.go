@@ -184,7 +184,7 @@ func DefaultGrid(ranks int) Grid { return bfs2d.DefaultGrid(ranks) }
 // NewRunner2D builds a 2-D BFS runner over the given machine, placement
 // policy, processor grid and graph.
 func NewRunner2D(cfg ClusterConfig, policy Policy, grid Grid, params GraphParams) (*Runner2D, error) {
-	return bfs2d.NewRunner(cfg, policy, grid, params)
+	return bfs2d.NewRunner(cfg, policy, grid, params, 0)
 }
 
 // Validate2D checks a 2-D runner's last BFS tree against the Graph500
