@@ -260,7 +260,7 @@ func unknownFigs(want []string) []string {
 
 // loadFaultPlan reads and strictly decodes a -fault plan file: unknown
 // fields and trailing data are errors, so a typoed knob ("permanant",
-// "detect_timeout") fails the run with a diagnostic instead of silently
+// "crashs") fails the run with a diagnostic instead of silently
 // injecting a different plan than the one the user thought they wrote.
 func loadFaultPlan(path string) (*fault.Plan, error) {
 	data, err := os.ReadFile(path)

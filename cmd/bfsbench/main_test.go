@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"numabfs/internal/experiments"
+	"numabfs/internal/machine"
+	"numabfs/internal/mpi"
 )
 
 func TestFigKeys(t *testing.T) {
@@ -255,11 +257,11 @@ func TestLoadFaultPlanStrict(t *testing.T) {
 		wantErr string // substring of the error; "" means the plan must load
 	}{
 		{"valid crash plan",
-			`{"crashes": [{"rank": 2, "at_ns": 5e6, "permanent": true}], "detect_timeout_ns": 1e6}`,
+			`{"crashes": [{"rank": 2, "at_ns": 5e6, "permanent": true}]}`,
 			""},
-		{"valid detector tuning",
+		{"removed tuning field",
 			`{"heartbeat_period_ns": 2.5e5, "crashes": [{"rank": 0, "at_ns": 1}]}`,
-			""},
+			`unknown field "heartbeat_period_ns"`},
 		{"malformed json",
 			`{"crashes": [`,
 			"unexpected EOF"},
@@ -295,5 +297,42 @@ func TestLoadFaultPlanStrict(t *testing.T) {
 	}
 	if _, err := loadFaultPlan(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestREADMEFaultPlans decodes both ```json fault plans in README.md
+// through -fault's loader and injects them into a two-node world, so
+// the documented plans cannot drift from fault.Plan.
+func TestREADMEFaultPlans(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(string(readme), "```json\n")[1:]
+	if len(blocks) != 2 {
+		t.Fatalf("README has %d json blocks, want the 2 fault plans", len(blocks))
+	}
+	cfg := machine.TableI()
+	cfg.Nodes = 2
+	w := mpi.NewWorld(cfg, machine.PlacementFor(cfg, machine.PPN8Bind))
+	for i, b := range blocks {
+		end := strings.Index(b, "```")
+		if end < 0 {
+			t.Fatalf("json block %d is not closed", i)
+		}
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, []byte(b[:end]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := loadFaultPlan(path)
+		if err != nil {
+			t.Fatalf("README plan %d: %v", i, err)
+		}
+		if len(plan.Loss)+len(plan.Crashes) == 0 {
+			t.Errorf("README plan %d decoded no events: %+v", i, plan)
+		}
+		if err := w.InjectFaults(*plan); err != nil {
+			t.Errorf("README plan %d: %v", i, err)
+		}
 	}
 }

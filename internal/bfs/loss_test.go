@@ -111,24 +111,3 @@ func TestLossDeterministicAcrossHostParallelism(t *testing.T) {
 		t.Fatalf("host parallelism leaked into lossy results:\nGOMAXPROCS=1 %.160s...\nGOMAXPROCS=4 %.160s...", s1, s4)
 	}
 }
-
-// TestTransportTuningOnlyPlanIsExactIdentity extends the empty-plan
-// identity to plans that set retransmission tuning but no Loss events:
-// the transport stays off and every output bit matches the clean run.
-func TestTransportTuningOnlyPlanIsExactIdentity(t *testing.T) {
-	const scale = 12
-	params := rmat.Graph500(scale)
-	rBase, base := runWithPlan(t, testConfig(scale, 2, 4), params, nil)
-	tuned := fault.Plan{RetransmitTimeoutNs: 5e3, RetransmitBackoff: 1.5, RetryBudget: 4}
-	rTuned, withTuning := runWithPlan(t, testConfig(scale, 2, 4), params, &tuned)
-	if sb, st := signature(rBase, base), signature(rTuned, withTuning); sb != st {
-		t.Fatalf("tuning-only plan perturbed the run:\nbase  %.120s...\ntuned %.120s...", sb, st)
-	}
-	if base.CommBytes != withTuning.CommBytes || base.RawCommBytes != withTuning.RawCommBytes {
-		t.Fatalf("tuning-only plan perturbed comm volume: %d/%d vs %d/%d",
-			base.CommBytes, base.RawCommBytes, withTuning.CommBytes, withTuning.RawCommBytes)
-	}
-	if withTuning.Xport.OverheadBytes != 0 || withTuning.Xport.Acks != 0 {
-		t.Fatalf("tuning-only plan charged transport overhead: %+v", withTuning.Xport)
-	}
-}

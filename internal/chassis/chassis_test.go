@@ -153,7 +153,7 @@ func TestRunRecoversPlannedCrash(t *testing.T) {
 	if err := e.InjectFaults(plan); err != nil {
 		t.Fatal(err)
 	}
-	want := e.W.Injector().DetectionTimeNs(500)
+	want := fault.DetectionTimeNs(500)
 	e.Run(func(p *mpi.Proc) {
 		e.at(p).Reset(p)
 		work(p)
@@ -192,11 +192,11 @@ func TestRunRerunsFromRoots(t *testing.T) {
 			if err := e.InjectFaults(plan); err != nil {
 				t.Fatal(err)
 			}
-			floor := 500 + e.W.Injector().DetectTimeoutNs()
+			floor := 500 + fault.DetectTimeoutNs
 			var regroup func(int) int64
 			var parked float64
 			if tc.spares > 0 {
-				floor = e.W.Injector().DetectionTimeNs(500)
+				floor = fault.DetectionTimeNs(500)
 				const bytes = 1 << 20
 				parked = bytes / e.W.Config().ShmCopyBW
 				regroup = func(pos int) int64 {

@@ -160,11 +160,10 @@ func (c *Core) Run(first func(p *mpi.Proc), regroup func(pos int) int64) {
 			panic(err)
 		}
 		c.crashes = append(c.crashes, f)
-		inj := c.W.Injector()
-		inj.Disarm(f.Rank, f.AtNs)
-		floor := f.AtNs + inj.DetectTimeoutNs()
+		c.W.Injector().Disarm(f.Rank)
+		floor := f.AtNs + fault.DetectTimeoutNs
 		if f.Permanent {
-			floor = inj.DetectionTimeNs(f.AtNs)
+			floor = fault.DetectionTimeNs(f.AtNs)
 			c.W.Proc(f.Rank).Obs().FaultEvent("detect", floor)
 			if pos, ok := c.promote(f.Rank, floor); ok {
 				c.current()[pos].reownNs += float64(regroup(pos)) / c.W.Config().ShmCopyBW

@@ -16,6 +16,9 @@ package chassis_test
 // tree. The 2-D "crash/spare" case was re-captured when the spare rule
 // moved into the chassis: spares are parked per node, and the cell's
 // dead rank is replaced by a spare of its own node, not of another.
+// The checkpoint phase, which followed Stall in the breakdown, was later
+// deleted; the hash still folds in the zero its slot always held, so no
+// hash moved.
 
 import (
 	"fmt"
@@ -65,8 +68,11 @@ func (tr traversal) hash() uint64 {
 		h.Write(b[:])
 	}
 	put(math.Float64bits(tr.timeNs))
-	for _, ns := range tr.bd.Ns {
+	for p, ns := range tr.bd.Ns {
 		put(math.Float64bits(ns))
+		if trace.Phase(p) == trace.Stall {
+			put(0) // the removed checkpoint phase's slot, which no run ever charged
+		}
 	}
 	put(math.Float64bits(tr.bd.OverlapExposedNs))
 	put(uint64(tr.bd.TDLevels)<<40 | uint64(tr.bd.BULevels)<<20 | uint64(tr.bd.BUCommCount))

@@ -226,7 +226,7 @@ func TestOneRecoveryContract(t *testing.T) {
 						t.Fatalf("parent array %d differs from the clean run's", i)
 					}
 				}
-				floor := got.w.Injector().DetectionTimeNs(plan.Crashes[0].AtNs)
+				floor := fault.DetectionTimeNs(plan.Crashes[0].AtNs)
 				var recovering int
 				for rank := 0; rank < got.w.NumProcs(); rank++ {
 					var recovers int

@@ -504,11 +504,12 @@ func TestAblationOverlapShape(t *testing.T) {
 	}
 }
 
-// TestLossTransportIdentityOnFigures: a transport-tuning-only plan (no
-// Loss events) applied through the Spec must leave a cluster figure
-// bit-identical to running with no plan at all — the experiments-level
-// face of the transport's identity guarantee, which the mpi transport
-// suite and bfs's TestLossPlanPreservesResults assert where it lives.
+// TestLossTransportIdentityOnFigures: a seeded plan without Loss events
+// whose one event is neutral (bandwidth factor 1 on every link),
+// applied through the Spec, must leave a cluster figure bit-identical
+// to running with no plan at all — the experiments-level face of the
+// transport's identity guarantee, which the mpi transport suite
+// (TestTransportIdentityWithoutLossPlan) asserts where it lives.
 // Fig. 15's cells (every rung at every node count) contain Fig. 13's
 // and Fig. 9's rungs.
 func TestLossTransportIdentityOnFigures(t *testing.T) {
@@ -517,13 +518,13 @@ func TestLossTransportIdentityOnFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny.Faults = &fault.Plan{RetransmitTimeoutNs: 5e3, RetransmitBackoff: 1.5, RetryBudget: 4}
+	tiny.Faults = &fault.Plan{Seed: 7, BW: []fault.BWEvent{{Node: -1, Src: -1, Dst: -1, Factor: 1}}}
 	got, err := Fig15(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, got) {
-		t.Errorf("tuning-only plan perturbed the table:\nbase %v\ngot  %v", base, got)
+		t.Errorf("plan without loss perturbed the table:\nbase %v\ngot  %v", base, got)
 	}
 }
 

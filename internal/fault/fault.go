@@ -23,27 +23,27 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"numabfs/internal/xrand"
 )
 
-// DefaultDetectTimeoutNs is the modelled failure-detection latency
-// charged before a crash recovery begins when the plan does not set one:
-// the time between a rank dying and the survivors observing the loss
-// (MPI implementations detect peer death through transport timeouts).
-const DefaultDetectTimeoutNs = 1e6
-
-// Reliable-transport tuning defaults, used when a plan with Loss events
-// leaves the corresponding field zero. The retransmission timeout is an
-// order of magnitude above the inter-node round trip (2 x 2000 ns alpha
-// plus transfer time), so a healthy link never times out spuriously; the
-// backoff doubles the timeout per retry; the retry budget bounds total
+// Failure-detector and reliable-transport constants. Crash recovery
+// waits DetectTimeoutNs after a transient death before it begins: the
+// time between a rank dying and the survivors observing the loss (MPI
+// implementations detect peer death through transport timeouts). A
+// permanent death is detected by lease instead: ranks renew a lease
+// every HeartbeatPeriodNs, four missed beats per lease, see
+// DetectionTimeNs. The retransmission timeout is an order of magnitude
+// above the inter-node round trip (2 x 2000 ns alpha plus transfer
+// time), so a healthy link never times out spuriously; the backoff
+// multiplies the timeout per retry; the retry budget bounds the total
 // transmissions of one frame before the sender declares the link dead.
 const (
-	DefaultRetransmitTimeoutNs = 20e3
-	DefaultRetransmitBackoff   = 2.0
-	DefaultRetryBudget         = 16
+	DetectTimeoutNs     = 1e6
+	HeartbeatPeriodNs   = DetectTimeoutNs / 4
+	RetransmitTimeoutNs = 20e3
+	RetransmitBackoff   = 2.0
+	RetryBudget         = 16
 )
 
 // BWEvent degrades bandwidth on part of the interconnect during a
@@ -173,38 +173,13 @@ type Plan struct {
 	// the message identity with Seed.
 	JitterMaxNs float64 `json:"jitter_max_ns,omitempty"`
 
+	// Crashes kill ranks, at most one crash per rank.
 	Crashes []Crash `json:"crashes,omitempty"`
-
-	// DetectTimeoutNs overrides DefaultDetectTimeoutNs for crash
-	// recovery; 0 keeps the default. Merge precedence: the other plan's
-	// value wins when it sets one (> 0), otherwise the receiver's is
-	// kept — the same "o overrides when set" rule as the transport
-	// tuning fields below.
-	DetectTimeoutNs float64 `json:"detect_timeout_ns,omitempty"`
-
-	// HeartbeatPeriodNs is the modelled lease/heartbeat pitch of the
-	// failure detector used for *permanent* crashes: ranks renew a
-	// lease every HeartbeatPeriodNs of virtual time, and a permanent
-	// death is detected when the lease taken at the last renewal before
-	// the crash expires — DetectionTimeNs on the Injector. 0 derives
-	// the period as DetectTimeoutNs/4 (four missed beats per lease).
-	// Transient crashes keep the simpler historical AtNs +
-	// DetectTimeoutNs detection so existing plans reproduce exactly.
-	// Merge precedence: the other plan's value wins when set (> 0),
-	// like DetectTimeoutNs.
-	HeartbeatPeriodNs float64 `json:"heartbeat_period_ns,omitempty"`
 
 	// Loss makes links unreliable; any entry (even all-zero
 	// probabilities) switches the reliable transport on for inter-node
 	// point-to-point traffic.
 	Loss []Loss `json:"loss,omitempty"`
-
-	// Reliable-transport tuning; 0 keeps the Default* constants. These
-	// change how the transport paces retries, not whether it runs: like
-	// DetectTimeoutNs, they inject nothing by themselves.
-	RetransmitTimeoutNs float64 `json:"retransmit_timeout_ns,omitempty"` // first retry timeout
-	RetransmitBackoff   float64 `json:"retransmit_backoff,omitempty"`    // timeout multiplier per retry, >= 1
-	RetryBudget         int     `json:"retry_budget,omitempty"`          // max transmissions per frame
 }
 
 // Validate checks the plan against a world of `ranks` ranks. Bandwidth
@@ -213,7 +188,8 @@ type Plan struct {
 // the event. Node indices beyond the configured cluster are allowed
 // (a 16-node plan applied to a 4-node run simply never matches, the
 // historical WeakNode semantics); rank-scoped entries must name real
-// ranks because they index per-rank state.
+// ranks because they index per-rank state, and a rank crashes at most
+// once.
 func (p Plan) Validate(ranks int) error {
 	for i, e := range p.BW {
 		if e.Factor <= 0 || e.Factor > 1 {
@@ -244,12 +220,11 @@ func (p Plan) Validate(ranks int) error {
 		if c.AtNs < 0 {
 			return fmt.Errorf("fault: crash %d: negative time %g", i, c.AtNs)
 		}
-	}
-	if p.DetectTimeoutNs < 0 {
-		return fmt.Errorf("fault: negative DetectTimeoutNs %g", p.DetectTimeoutNs)
-	}
-	if p.HeartbeatPeriodNs < 0 {
-		return fmt.Errorf("fault: negative HeartbeatPeriodNs %g", p.HeartbeatPeriodNs)
+		for j, d := range p.Crashes[:i] {
+			if d.Rank == c.Rank {
+				return fmt.Errorf("fault: crash %d: rank %d already crashes in crash %d (one crash per rank)", i, c.Rank, j)
+			}
+		}
 	}
 	for i, e := range p.Loss {
 		for _, f := range [...]struct {
@@ -279,87 +254,7 @@ func (p Plan) Validate(ranks int) error {
 			return fmt.Errorf("fault: loss event %d: window [%g, %g) is empty", i, e.FromNs, e.UntilNs)
 		}
 	}
-	if p.RetransmitTimeoutNs < 0 {
-		return fmt.Errorf("fault: negative RetransmitTimeoutNs %g", p.RetransmitTimeoutNs)
-	}
-	if p.RetransmitBackoff != 0 && p.RetransmitBackoff < 1 {
-		return fmt.Errorf("fault: RetransmitBackoff %g below 1 would shrink timeouts", p.RetransmitBackoff)
-	}
-	if p.RetryBudget < 0 {
-		return fmt.Errorf("fault: negative RetryBudget %d", p.RetryBudget)
-	}
 	return nil
-}
-
-// Merge returns the union of p and o: concatenated event lists, o's
-// seed and tuning overrides when set, and the larger jitter bound.
-// Tuning fields (DetectTimeoutNs, HeartbeatPeriodNs, Retransmit*,
-// RetryBudget) follow one rule: o's value wins when o sets it (> 0),
-// otherwise p's survives — an unset field never erases a set one.
-// Crashes are deduplicated to the earliest per rank: both plans arming a
-// crash for the same rank must yield one fault and one recovery, not a
-// recovered run that immediately dies again to the later duplicate. The
-// kept crash's Permanent flag travels with it; on an exact AtNs tie a
-// permanent crash beats a transient one (losing a rank is the stronger
-// fault, and the tie must not depend on plan order).
-func (p Plan) Merge(o Plan) Plan {
-	m := Plan{
-		Seed:                p.Seed,
-		BW:                  append(append([]BWEvent(nil), p.BW...), o.BW...),
-		Stragglers:          append(append([]Straggler(nil), p.Stragglers...), o.Stragglers...),
-		JitterMaxNs:         math.Max(p.JitterMaxNs, o.JitterMaxNs),
-		Crashes:             dedupeCrashes(p.Crashes, o.Crashes),
-		DetectTimeoutNs:     p.DetectTimeoutNs,
-		HeartbeatPeriodNs:   p.HeartbeatPeriodNs,
-		Loss:                append(append([]Loss(nil), p.Loss...), o.Loss...),
-		RetransmitTimeoutNs: p.RetransmitTimeoutNs,
-		RetransmitBackoff:   p.RetransmitBackoff,
-		RetryBudget:         p.RetryBudget,
-	}
-	if o.Seed != 0 {
-		m.Seed = o.Seed
-	}
-	if o.DetectTimeoutNs > 0 {
-		m.DetectTimeoutNs = o.DetectTimeoutNs
-	}
-	if o.HeartbeatPeriodNs > 0 {
-		m.HeartbeatPeriodNs = o.HeartbeatPeriodNs
-	}
-	if o.RetransmitTimeoutNs > 0 {
-		m.RetransmitTimeoutNs = o.RetransmitTimeoutNs
-	}
-	if o.RetransmitBackoff > 0 {
-		m.RetransmitBackoff = o.RetransmitBackoff
-	}
-	if o.RetryBudget > 0 {
-		m.RetryBudget = o.RetryBudget
-	}
-	return m
-}
-
-// dedupeCrashes concatenates two crash lists keeping only the earliest
-// crash per rank, ordered by rank. The kept crash carries its Permanent
-// flag; on an exact time tie, permanent wins regardless of list order.
-func dedupeCrashes(a, b []Crash) []Crash {
-	n := len(a) + len(b)
-	if n == 0 {
-		return nil
-	}
-	earliest := make(map[int]Crash, n)
-	for _, list := range [2][]Crash{a, b} {
-		for _, c := range list {
-			if k, ok := earliest[c.Rank]; !ok || c.AtNs < k.AtNs ||
-				(c.AtNs == k.AtNs && c.Permanent && !k.Permanent) {
-				earliest[c.Rank] = c
-			}
-		}
-	}
-	out := make([]Crash, 0, len(earliest))
-	for _, c := range earliest {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
 }
 
 // WeakNode returns the plan equivalent of machine.Config's WeakNode
@@ -428,8 +323,8 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("fault: rank %d crashed at %.0f virtual ns", e.Rank, e.AtNs)
 }
 
-// crashEvent is one scheduled crash with its armed state: disarmed
-// events (already recovered from) never fire again.
+// crashEvent is one rank's scheduled crash with its armed state: a
+// rank without a crash, or whose crash was recovered from, is disarmed.
 type crashEvent struct {
 	at        float64
 	armed     bool
@@ -442,11 +337,9 @@ type crashEvent struct {
 // mutation, Disarm, happens between recovery attempts when no rank
 // goroutine is live.
 type Injector struct {
-	plan      Plan
-	scale     []float64      // per-rank compute multiplier; nil without stragglers
-	crashes   [][]crashEvent // per-rank schedule, ascending; nil without crashes
-	jitterMax float64
-	seed      uint64
+	plan    Plan
+	scale   []float64    // per-rank compute multiplier; nil without stragglers
+	crashes []crashEvent // indexed by rank; nil without crashes
 }
 
 // NewInjector compiles plan for a world of `ranks` ranks. Plans without
@@ -455,7 +348,7 @@ func NewInjector(plan Plan, ranks int) (*Injector, error) {
 	if err := plan.Validate(ranks); err != nil {
 		return nil, err
 	}
-	in := &Injector{plan: plan, jitterMax: plan.JitterMaxNs, seed: plan.Seed}
+	in := &Injector{plan: plan}
 	if len(plan.Stragglers) > 0 {
 		in.scale = make([]float64, ranks)
 		for i := range in.scale {
@@ -466,25 +359,12 @@ func NewInjector(plan Plan, ranks int) (*Injector, error) {
 		}
 	}
 	if len(plan.Crashes) > 0 {
-		in.crashes = make([][]crashEvent, ranks)
+		in.crashes = make([]crashEvent, ranks)
 		for _, c := range plan.Crashes {
-			in.crashes[c.Rank] = append(in.crashes[c.Rank], crashEvent{at: c.AtNs, armed: true, permanent: c.Permanent})
-		}
-		for r := range in.crashes {
-			evs := in.crashes[r]
-			sort.Slice(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+			in.crashes[c.Rank] = crashEvent{at: c.AtNs, armed: true, permanent: c.Permanent}
 		}
 	}
 	return in, nil
-}
-
-// DetectTimeoutNs returns the plan's crash-detection latency, or the
-// default.
-func (in *Injector) DetectTimeoutNs() float64 {
-	if in == nil || in.plan.DetectTimeoutNs <= 0 {
-		return DefaultDetectTimeoutNs
-	}
-	return in.plan.DetectTimeoutNs
 }
 
 // LinkFactor returns the bandwidth multiplier for an inter-node
@@ -519,14 +399,14 @@ func (in *Injector) ComputeScale(rank int) float64 {
 // depends only on virtual time — never on delivery order or on how far
 // an aborted attempt got before a crash recovery.
 func (in *Injector) JitterNs(src, dst int, sentNs float64, bytes int64) float64 {
-	if in == nil || in.jitterMax <= 0 {
+	if in == nil || in.plan.JitterMaxNs <= 0 {
 		return 0
 	}
-	h := in.seed
+	h := in.plan.Seed
 	h ^= uint64(src)*0x9e3779b97f4a7c15 + uint64(dst)*0xbf58476d1ce4e5b9
 	h ^= math.Float64bits(sentNs) + uint64(bytes)
 	u := xrand.NewSplitMix64(h).Uint64()
-	return in.jitterMax * (float64(u>>11) / (1 << 53))
+	return in.plan.JitterMaxNs * (float64(u>>11) / (1 << 53))
 }
 
 // Reliable reports whether the plan activates the reliable transport:
@@ -582,7 +462,7 @@ const (
 // never on host scheduling, delivery races, or how far an aborted run
 // got before crash recovery replayed it.
 func (in *Injector) TransportDraw(purpose uint64, src, dst int, sentNs float64, bytes int64, attempt int) float64 {
-	h := in.seed ^ purpose*0xd6e8feb86659fd93
+	h := in.plan.Seed ^ purpose*0xd6e8feb86659fd93
 	h ^= uint64(src)*0x9e3779b97f4a7c15 + uint64(dst)*0xbf58476d1ce4e5b9
 	h ^= math.Float64bits(sentNs) + uint64(bytes)
 	h += uint64(attempt) * 0x94d049bb133111eb
@@ -590,100 +470,35 @@ func (in *Injector) TransportDraw(purpose uint64, src, dst int, sentNs float64, 
 	return float64(u>>11) / (1 << 53)
 }
 
-// RetransmitTimeoutNs returns the transport's first retry timeout, or
-// the default.
-func (in *Injector) RetransmitTimeoutNs() float64 {
-	if in == nil || in.plan.RetransmitTimeoutNs <= 0 {
-		return DefaultRetransmitTimeoutNs
-	}
-	return in.plan.RetransmitTimeoutNs
-}
-
-// RetransmitBackoff returns the per-retry timeout multiplier, or the
-// default.
-func (in *Injector) RetransmitBackoff() float64 {
-	if in == nil || in.plan.RetransmitBackoff <= 0 {
-		return DefaultRetransmitBackoff
-	}
-	return in.plan.RetransmitBackoff
-}
-
-// RetryBudget returns the maximum transmissions of one frame before the
-// sender gives up, or the default.
-func (in *Injector) RetryBudget() int {
-	if in == nil || in.plan.RetryBudget <= 0 {
-		return DefaultRetryBudget
-	}
-	return in.plan.RetryBudget
-}
-
-// NextCrash returns the virtual time of the earliest still-armed crash
-// scheduled for rank, if any.
+// NextCrash returns the virtual time of the rank's crash while it is
+// armed.
 func (in *Injector) NextCrash(rank int) (float64, bool) {
-	if in == nil || in.crashes == nil || rank >= len(in.crashes) {
+	if in == nil || in.crashes == nil {
 		return 0, false
 	}
-	for i := range in.crashes[rank] {
-		if in.crashes[rank][i].armed {
-			return in.crashes[rank][i].at, true
-		}
-	}
-	return 0, false
+	c := &in.crashes[rank]
+	return c.at, c.armed
 }
 
-// CrashPermanent reports whether the armed crash scheduled for rank at
-// virtual time `at` is a permanent death (Crash.Permanent).
-func (in *Injector) CrashPermanent(rank int, at float64) bool {
-	if in == nil || in.crashes == nil || rank >= len(in.crashes) {
-		return false
-	}
-	for i := range in.crashes[rank] {
-		if in.crashes[rank][i].armed && in.crashes[rank][i].at == at {
-			return in.crashes[rank][i].permanent
-		}
-	}
-	return false
+// CrashPermanent reports whether the rank's crash is a permanent death
+// (Crash.Permanent).
+func (in *Injector) CrashPermanent(rank int) bool {
+	return in != nil && in.crashes != nil && in.crashes[rank].permanent
 }
 
-// HeartbeatPeriodNs returns the lease/heartbeat pitch of the permanent-
-// failure detector: the plan's value, or DetectTimeoutNs()/4 when unset
-// (four missed beats expire a lease).
-func (in *Injector) HeartbeatPeriodNs() float64 {
-	if in != nil && in.plan.HeartbeatPeriodNs > 0 {
-		return in.plan.HeartbeatPeriodNs
+// Disarm retires the rank's crash so a recovered run does not die to it
+// again. Call only between runs (no rank goroutines live).
+func (in *Injector) Disarm(rank int) {
+	if in != nil && in.crashes != nil {
+		in.crashes[rank].armed = false
 	}
-	return in.DetectTimeoutNs() / 4
 }
 
 // DetectionTimeNs returns the virtual time at which the survivors
 // observe a permanent death that occurred at `at`, under the modelled
 // lease/heartbeat detector: the dead rank's last lease renewal was the
 // heartbeat boundary at or before `at`, and that lease expires
-// DetectTimeoutNs later. A misconfigured period (longer than the
-// timeout) can place the expiry before the crash itself; detection is
-// floored at at + DetectTimeoutNs so a death is never "detected" while
-// the rank was still alive renewing.
-func (in *Injector) DetectionTimeNs(at float64) float64 {
-	period := in.HeartbeatPeriodNs()
-	beat := math.Floor(at/period) * period
-	d := beat + in.DetectTimeoutNs()
-	if d < at {
-		d = at + in.DetectTimeoutNs()
-	}
-	return d
-}
-
-// Disarm retires the crash scheduled for rank at `at` so a recovered
-// run does not die to the same event again. Call only between runs (no
-// rank goroutines live).
-func (in *Injector) Disarm(rank int, at float64) {
-	if in == nil || in.crashes == nil || rank >= len(in.crashes) {
-		return
-	}
-	for i := range in.crashes[rank] {
-		if in.crashes[rank][i].armed && in.crashes[rank][i].at == at {
-			in.crashes[rank][i].armed = false
-			return
-		}
-	}
+// DetectTimeoutNs later.
+func DetectionTimeNs(at float64) float64 {
+	return math.Floor(at/HeartbeatPeriodNs)*HeartbeatPeriodNs + DetectTimeoutNs
 }

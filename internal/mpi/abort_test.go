@@ -239,7 +239,7 @@ func TestCrashRecoveryDisarm(t *testing.T) {
 	if !ok {
 		t.Fatal("first attempt should crash")
 	}
-	w.Injector().Disarm(f.Rank, f.AtNs)
+	w.Injector().Disarm(f.Rank)
 	w.PrepareRecovery()
 	if err := w.TryRun(body); err != nil {
 		t.Fatalf("disarmed retry: %v", err)
@@ -271,5 +271,47 @@ func TestBarrierHierarchicalPricing(t *testing.T) {
 	want1 := 2 * w1.Config().IntraNodeAlphaNs
 	if got := w1.Proc(0).Clock(); got != want1 {
 		t.Fatalf("single-node barrier clock = %g, want %g (no inter-node alpha)", got, want1)
+	}
+}
+
+// TestInjectFaultsValidatesPlanAsWritten: the world adds its weak node
+// to a plan without rewriting the rest, so Validate sees what the caller
+// wrote — a negative jitter bound and a rank that crashes twice are
+// rejected here exactly as fault.NewInjector rejects them. The weak
+// node's event goes first, and the caller's slices are never written.
+func TestInjectFaultsValidatesPlanAsWritten(t *testing.T) {
+	w := testWorld(t, 2)
+	w.cfg.WeakNode, w.cfg.WeakNodeBWFactor = 1, 0.8
+	for _, tc := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"negative jitter", fault.Plan{JitterMaxNs: -5}},
+		{"rank crashes twice", fault.Plan{Crashes: []fault.Crash{
+			{Rank: 1, AtNs: 100}, {Rank: 1, AtNs: 50, Permanent: true},
+		}}},
+	} {
+		if _, err := fault.NewInjector(tc.plan, w.NumProcs()); err == nil {
+			t.Errorf("%s: NewInjector accepted the plan", tc.name)
+		}
+		if err := w.InjectFaults(tc.plan); err == nil {
+			t.Errorf("%s: InjectFaults accepted the plan", tc.name)
+		}
+	}
+
+	bw := make([]fault.BWEvent, 2, 4)
+	bw[0] = fault.BWEvent{Node: -1, Src: 0, Dst: 1, Factor: 0.1}
+	bw[1] = fault.BWEvent{Node: 0, Src: -1, Dst: -1, Factor: 0.3}
+	spare := bw[:4]
+	if err := w.InjectFaults(fault.Plan{BW: bw}); err != nil {
+		t.Fatal(err)
+	}
+	if spare[2] != (fault.BWEvent{}) || spare[3] != (fault.BWEvent{}) || bw[0].Factor != 0.1 {
+		t.Errorf("InjectFaults wrote the caller's BW slice: %+v", spare)
+	}
+	// Factors multiply in plan order, weak node first.
+	weak, a, b := 0.8, 0.1, 0.3
+	if got, want := w.Injector().LinkFactor(0, 1, 0), 1*weak*a*b; got != want {
+		t.Errorf("LinkFactor(0, 1) = %v, want %v (weak node first)", got, want)
 	}
 }

@@ -131,46 +131,24 @@ func TestShrunkenWorldStaysDeterministic(t *testing.T) {
 }
 
 // TestDetectionTimeLeaseExpiry: a permanent death at `at` is detected
-// when the lease taken at the last heartbeat boundary expires — never
-// before at + timeout.
+// when the lease taken at the last heartbeat boundary expires, so
+// detection always lands after the death and at most one timeout on.
 func TestDetectionTimeLeaseExpiry(t *testing.T) {
-	in, err := fault.NewInjector(fault.Plan{
-		DetectTimeoutNs:   1000,
-		HeartbeatPeriodNs: 400,
-		Crashes:           []fault.Crash{{Rank: 0, AtNs: 900, Permanent: true}},
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Last renewal before 900 is at 800; the lease expires at 1800.
-	if got := in.DetectionTimeNs(900); got != 1800 {
-		t.Fatalf("DetectionTimeNs(900) = %g, want 1800", got)
+	// Heartbeats every 250 µs, 1 ms leases: the last renewal before
+	// 900 µs is at 750 µs, and that lease expires at 1.75 ms.
+	if got := fault.DetectionTimeNs(900e3); got != 1.75e6 {
+		t.Fatalf("DetectionTimeNs(900µs) = %g, want 1.75e6", got)
 	}
 	// A crash exactly on a beat renews first: detection a full timeout on.
-	if got := in.DetectionTimeNs(800); got != 1800 {
-		t.Fatalf("DetectionTimeNs(800) = %g, want 1800", got)
+	if got := fault.DetectionTimeNs(750e3); got != 1.75e6 {
+		t.Fatalf("DetectionTimeNs(750µs) = %g, want 1.75e6", got)
 	}
-
-	// Misconfigured period longer than the timeout: the floor keeps
-	// detection after the death.
-	in2, err := fault.NewInjector(fault.Plan{
-		DetectTimeoutNs:   100,
-		HeartbeatPeriodNs: 1000,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in2.DetectionTimeNs(950); got != 1050 {
-		t.Fatalf("floored DetectionTimeNs(950) = %g, want 1050", got)
-	}
-
-	// Default period is a quarter of the timeout.
-	in3, err := fault.NewInjector(fault.Plan{DetectTimeoutNs: 2000}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in3.HeartbeatPeriodNs(); got != 500 {
-		t.Fatalf("default HeartbeatPeriodNs = %g, want 500", got)
+	for _, at := range []float64{0, 1, 249999, 250001, 3.3e6, 1e9 + 7} {
+		lag := fault.DetectionTimeNs(at) - at
+		if lag <= fault.DetectTimeoutNs-fault.HeartbeatPeriodNs || lag > fault.DetectTimeoutNs {
+			t.Errorf("death at %g detected %g later, want in (%g, %g]",
+				at, lag, fault.DetectTimeoutNs-fault.HeartbeatPeriodNs, fault.DetectTimeoutNs)
+		}
 	}
 }
 

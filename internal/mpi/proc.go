@@ -144,10 +144,11 @@ func (p *Proc) checkCrash() {
 func (p *Proc) crashAt(at float64) {
 	p.clock = max(p.clock, at)
 	p.obs.FaultEvent("crash", p.clock)
-	panic(&fault.Error{Rank: p.rank, AtNs: at, Permanent: p.w.inj.CrashPermanent(p.rank, at)})
+	panic(&fault.Error{Rank: p.rank, AtNs: at, Permanent: p.w.inj.CrashPermanent(p.rank)})
 }
 
-// RestoreClock sets the rank's clock to a checkpointed value. Only
+// RestoreClock sets the rank's clock to where its rerun begins: the
+// crash's detection time plus any state adoption. Only
 // crash recovery may call this — ordinary code advances clocks through
 // Compute and the communication calls.
 func (p *Proc) RestoreClock(ns float64) { p.clock = ns }

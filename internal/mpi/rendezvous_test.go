@@ -250,7 +250,7 @@ func TestWorldReusable100xAfterCrashNobodyWaitedFor(t *testing.T) {
 			if !ok || f.Rank != 0 || f.AtNs != 5 {
 				t.Fatalf("attempt %d: TryRun = %v, want rank 0 crashing at 5", i, err)
 			}
-			w.Injector().Disarm(f.Rank, f.AtNs)
+			w.Injector().Disarm(f.Rank)
 			w.PrepareRecovery()
 			err = w.TryRun(func(p *Proc) {
 				switch p.Rank() {

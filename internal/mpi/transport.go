@@ -65,10 +65,8 @@ func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd,
 	inj := p.w.inj
 	net := p.w.net
 	frame := m.bytes + wire.FrameHeaderBytes
-	rto := inj.RetransmitTimeoutNs()
+	rto := fault.RetransmitTimeoutNs
 	maxRTO := rto * rtoCapFactor
-	backoff := inj.RetransmitBackoff()
-	budget := inj.RetryBudget()
 
 	var retrans, corrupt int64
 	var overheadBytes int64
@@ -104,7 +102,7 @@ func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd,
 		overheadBytes += frame
 		retrans++
 		p.obs.Sample(obs.GaugeRetransBacklog, sendAt, 1)
-		if attempt >= budget {
+		if attempt >= fault.RetryBudget {
 			at := sendAt + rto
 			net.CountXportEvents(retrans, corrupt, 0, 0, 0)
 			p.obs.Xport(retrans, corrupt, 0, 0, 0, overheadBytes, at-begin)
@@ -113,7 +111,7 @@ func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd,
 		}
 		sendAt += rto
 		if rto < maxRTO {
-			rto *= backoff
+			rto *= fault.RetransmitBackoff
 			if rto > maxRTO {
 				rto = maxRTO
 			}

@@ -47,8 +47,9 @@ func exchange(p *Proc) {
 }
 
 // TestTransportIdentityWithoutLossPlan pins the identity guarantee at
-// the mpi layer: a plan with transport tuning but no Loss events leaves
-// every clock and every ledger bit-identical to no plan at all, with the
+// the mpi layer: a seeded plan whose only event is neutral (bandwidth
+// factor 1 on every link) and that declares no Loss events leaves every
+// clock and every ledger bit-identical to no plan at all, with the
 // transport counters untouched.
 func TestTransportIdentityWithoutLossPlan(t *testing.T) {
 	base := testWorld(t, 2)
@@ -56,7 +57,8 @@ func TestTransportIdentityWithoutLossPlan(t *testing.T) {
 
 	tuned := testWorld(t, 2)
 	if err := tuned.InjectFaults(fault.Plan{
-		RetransmitTimeoutNs: 5e3, RetransmitBackoff: 1.5, RetryBudget: 4,
+		Seed: 7,
+		BW:   []fault.BWEvent{{Node: -1, Src: -1, Dst: -1, Factor: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,10 @@ func TestTransportIdentityWithoutLossPlan(t *testing.T) {
 
 	for r := 0; r < base.NumProcs(); r++ {
 		if a, b := base.Proc(r).Clock(), tuned.Proc(r).Clock(); a != b {
-			t.Errorf("rank %d clock %v != %v under tuning-only plan", r, a, b)
+			t.Errorf("rank %d clock %v != %v under a plan without loss", r, a, b)
 		}
 		if x := tuned.Proc(r).XportNs(); x != 0 {
-			t.Errorf("rank %d transport time %v under tuning-only plan", r, x)
+			t.Errorf("rank %d transport time %v under a plan without loss", r, x)
 		}
 	}
 	va, vb := base.Net().Volume(), tuned.Net().Volume()
@@ -75,7 +77,7 @@ func TestTransportIdentityWithoutLossPlan(t *testing.T) {
 		t.Errorf("volumes differ:\n%+v\n%+v", va, vb)
 	}
 	if vb.Xport != (simnet.Xport{}) {
-		t.Errorf("tuning-only plan touched the transport ledger: %+v", vb.Xport)
+		t.Errorf("plan without loss touched the transport ledger: %+v", vb.Xport)
 	}
 }
 
@@ -159,11 +161,10 @@ func TestTransportIntraNodeBypassesProtocol(t *testing.T) {
 // the retransmission at exactly one timeout later, with the lost frame
 // charged as overhead.
 func TestTransportRetransmitTiming(t *testing.T) {
-	const rto = 5e3
+	const rto = fault.RetransmitTimeoutNs
 	plan := fault.Plan{
-		Seed:                1,
-		Loss:                []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1, UntilNs: 1}},
-		RetransmitTimeoutNs: rto,
+		Seed: 1,
+		Loss: []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1, UntilNs: 1}},
 	}
 	w := testWorld(t, 2)
 	if err := w.InjectFaults(plan); err != nil {
@@ -200,12 +201,12 @@ func TestTransportRetransmitTiming(t *testing.T) {
 
 // TestTransportBackoffOutlastsBrownout: a 100%-drop window much longer
 // than the base timeout must be survived by the exponential backoff
-// schedule within the default retry budget.
+// schedule within the retry budget.
 func TestTransportBackoffOutlastsBrownout(t *testing.T) {
 	plan := fault.Plan{
-		Seed:                1,
-		Loss:                []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1, UntilNs: 100e3}},
-		RetransmitTimeoutNs: 1e3, // attempts at 0, 1k, 3k, 7k, ..., 127k
+		Seed: 1,
+		// Attempts at 0, 20k, 60k, 140k, 300k and 620k: five are lost.
+		Loss: []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1, UntilNs: 500e3}},
 	}
 	w := testWorld(t, 2)
 	if err := w.InjectFaults(plan); err != nil {
@@ -223,7 +224,7 @@ func TestTransportBackoffOutlastsBrownout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("brown-out not survived: %v", err)
 	}
-	if got := w.Proc(last).Clock(); got < 100e3 {
+	if got := w.Proc(last).Clock(); got < 500e3 {
 		t.Errorf("receiver clock %v inside the brown-out window", got)
 	}
 	v := w.Net().Volume()
@@ -234,13 +235,11 @@ func TestTransportBackoffOutlastsBrownout(t *testing.T) {
 
 // TestTransportBudgetExhaustion: a permanently dead link must surface as
 // a structured KindLinkLoss fault on the receiving rank, not hang or
-// panic opaquely.
+// panic opaquely, once drop probability 1 has eaten all 16 transmissions.
 func TestTransportBudgetExhaustion(t *testing.T) {
 	plan := fault.Plan{
-		Seed:                1,
-		Loss:                []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1}},
-		RetransmitTimeoutNs: 1e3,
-		RetryBudget:         3,
+		Seed: 1,
+		Loss: []fault.Loss{{Node: -1, Src: -1, Dst: -1, DropProb: 1}},
 	}
 	w := testWorld(t, 2)
 	if err := w.InjectFaults(plan); err != nil {
@@ -265,8 +264,8 @@ func TestTransportBudgetExhaustion(t *testing.T) {
 	if fe.Rank != last {
 		t.Errorf("rank = %d, want the receiver %d", fe.Rank, last)
 	}
-	if v := w.Net().Volume(); v.Xport.Retransmits != 3 {
-		t.Errorf("retransmits %d, want the full budget of 3", v.Xport.Retransmits)
+	if v := w.Net().Volume(); v.Xport.Retransmits != fault.RetryBudget {
+		t.Errorf("retransmits %d, want the full budget of %d", v.Xport.Retransmits, fault.RetryBudget)
 	}
 }
 

@@ -190,11 +190,13 @@ func (w *World) Net() *simnet.Network { return w.net }
 func (w *World) Injector() *fault.Injector { return w.inj }
 
 // InjectFaults installs a fault plan on top of the configuration's weak
-// node. Call between runs only; rank-scoped entries are validated
-// against this world's size.
+// node, whose bandwidth event goes first in a fresh copy of the plan's
+// BW list; the caller's slices are never written. Call between runs
+// only; the plan is validated as written, rank-scoped entries against
+// this world's size.
 func (w *World) InjectFaults(plan fault.Plan) error {
-	merged := fault.WeakNode(w.cfg.WeakNode, w.cfg.WeakNodeBWFactor).Merge(plan)
-	inj, err := fault.NewInjector(merged, len(w.procs))
+	plan.BW = append(fault.WeakNode(w.cfg.WeakNode, w.cfg.WeakNodeBWFactor).BW, plan.BW...)
+	inj, err := fault.NewInjector(plan, len(w.procs))
 	if err != nil {
 		return err
 	}
@@ -304,7 +306,7 @@ func (w *World) ResetClocks() {
 }
 
 // PrepareRecovery zeroes rank clocks before a crash-recovery attempt,
-// which then restores each clock from the checkpoint
+// which then sets each clock to where the rerun from the roots begins
 // (Proc.RestoreClock). Unlike ResetClocks it keeps the observability
 // epoch and the network volume: the lost attempt's traffic really
 // crossed the modelled network.

@@ -56,7 +56,7 @@ func shiftedRecorder() *Recorder {
 	r := s2.AddRank(0, 1, 2)
 	r.PhaseSpan(trace.Switch, 2, 0, 7.5)
 
-	rec.NewSession("extra").AddRank(0, 0, 0).PhaseSpan(trace.Ckpt, 0, 0, 3)
+	rec.NewSession("extra").AddRank(0, 0, 0).PhaseSpan(trace.Reown, 0, 0, 3)
 	return rec
 }
 

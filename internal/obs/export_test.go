@@ -41,7 +41,6 @@ func sampledRecorder() *Recorder {
 	r1.Collective("allgather-pipelined", 10, 80)
 	r1.Overlap(55, 15)
 	r1.Sample(GaugeExposedWait, 70, 15)
-	r1.Sample(GaugeCkptBytes, 150, 4096)
 	r1.LinkTransfer(false, 320, 30, 60)
 	r1.BarrierWait(30)
 

@@ -44,11 +44,6 @@ const (
 	// bucket, each at the clock of the attempt it replaced — the
 	// backlog timeline of a lossy link.
 	GaugeRetransBacklog
-	// GaugeCkptBytes was the snapshot bytes copied at each level-boundary
-	// checkpoint save. No engine records it since checkpoints were
-	// removed; it stays as a wire name, so timelines that carry it still
-	// read.
-	GaugeCkptBytes
 	// GaugeExposedWait is the pipelined collective's exposed wait (ns
 	// stalled for a chunk that was not hidden under computation) per
 	// bucket.
@@ -74,8 +69,6 @@ func (g Gauge) String() string {
 		return "inter-bytes"
 	case GaugeRetransBacklog:
 		return "retrans-backlog"
-	case GaugeCkptBytes:
-		return "ckpt-bytes"
 	case GaugeExposedWait:
 		return "exposed-wait-ns"
 	case GaugeLiveRanks:

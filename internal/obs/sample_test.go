@@ -10,14 +10,14 @@ import (
 func TestNilSamplerNoOps(t *testing.T) {
 	var nilRank *Rank
 	nilRank.Sample(GaugeFrontier, 5, 100)
-	nilRank.Sample(GaugeCkptBytes, 5, 100)
+	nilRank.Sample(GaugeRetransBacklog, 5, 100)
 	nilRank.LinkTransfer(true, 4096, 0, 10)
 
 	rec := NewRecorder()
 	s := rec.NewSession("off")
 	rk := s.AddRank(0, 0, 0)
 	rk.Sample(GaugeFrontier, 5, 100)
-	rk.Sample(GaugeCkptBytes, 5, 100)
+	rk.Sample(GaugeRetransBacklog, 5, 100)
 	rk.LinkTransfer(false, 64, 0, 10)
 	for g := Gauge(0); g < NumGauges; g++ {
 		if pts := series(rec, g); pts != nil {
@@ -57,9 +57,9 @@ func TestGaugeFolding(t *testing.T) {
 	rk := s.AddRank(0, 0, 0)
 
 	// Cumulative gauge: samples in one bucket sum.
-	rk.Sample(GaugeCkptBytes, 10, 5)
-	rk.Sample(GaugeCkptBytes, 90, 7)
-	rk.Sample(GaugeCkptBytes, 150, 1)
+	rk.Sample(GaugeInterBytes, 10, 5)
+	rk.Sample(GaugeInterBytes, 90, 7)
+	rk.Sample(GaugeInterBytes, 150, 1)
 	// Instantaneous gauge: the bucket keeps its peak, so a frontier that
 	// drains to zero inside one coarse bucket still shows its maximum.
 	rk.Sample(GaugeFrontier, 20, 11)
@@ -67,9 +67,9 @@ func TestGaugeFolding(t *testing.T) {
 	rk.Sample(GaugeFrontier, 95, 4)
 	rk.Sample(GaugeFrontier, 350, 17)
 
-	ck := series(rec, GaugeCkptBytes)
-	if len(ck) != 2 || ck[0] != (GaugePoint{0, 12}) || ck[1] != (GaugePoint{1, 1}) {
-		t.Fatalf("ckpt series = %+v", ck)
+	ib := series(rec, GaugeInterBytes)
+	if len(ib) != 2 || ib[0] != (GaugePoint{0, 12}) || ib[1] != (GaugePoint{1, 1}) {
+		t.Fatalf("inter-bytes series = %+v", ib)
 	}
 	fr := series(rec, GaugeFrontier)
 	if len(fr) != 2 || fr[0] != (GaugePoint{0, 13}) || fr[1] != (GaugePoint{3, 17}) {

@@ -21,7 +21,6 @@ const (
 	BUComm                // bottom-up communication (the two allgathers)
 	Switch                // td->bu and bu->td data-structure conversion
 	Stall                 // idle time at phase barriers (load imbalance)
-	Ckpt                  // level-boundary checkpoint saves (none since their removal; kept so older timelines read)
 	Recovery              // crash detection: the rerun's wait for the detection floor
 	Xport                 // reliable-transport stall (retransmits, backoff, protocol frames)
 	Overlap               // communication hidden behind computation (pipelined allgather)
@@ -44,8 +43,6 @@ func (p Phase) String() string {
 		return "switch"
 	case Stall:
 		return "stall"
-	case Ckpt:
-		return "ckpt"
 	case Recovery:
 		return "recovery"
 	case Xport:
@@ -179,7 +176,6 @@ func (b Breakdown) MarshalJSON() ([]byte, error) {
 		BUCommNs     float64 `json:"bu_comm_ns"`
 		SwitchNs     float64 `json:"switch_ns"`
 		StallNs      float64 `json:"stall_ns"`
-		CkptNs       float64 `json:"ckpt_ns"`
 		RecoveryNs   float64 `json:"recovery_ns"`
 		XportNs      float64 `json:"xport_ns"`
 		OverlapNs    float64 `json:"overlap_ns"`
@@ -193,8 +189,7 @@ func (b Breakdown) MarshalJSON() ([]byte, error) {
 		TDCompNs: b.Ns[TDComp], TDCommNs: b.Ns[TDComm],
 		BUCompNs: b.Ns[BUComp], BUCommNs: b.Ns[BUComm],
 		SwitchNs: b.Ns[Switch], StallNs: b.Ns[Stall],
-		CkptNs: b.Ns[Ckpt], RecoveryNs: b.Ns[Recovery],
-		XportNs:   b.Ns[Xport],
+		RecoveryNs: b.Ns[Recovery], XportNs: b.Ns[Xport],
 		OverlapNs: b.Ns[Overlap], OverlapExpNs: b.OverlapExposedNs,
 		ReownNs:  b.Ns[Reown],
 		TotalNs:  b.Total(),

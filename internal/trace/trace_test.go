@@ -57,7 +57,7 @@ func TestPhaseStrings(t *testing.T) {
 	want := map[Phase]string{
 		TDComp: "td-comp", TDComm: "td-comm", BUComp: "bu-comp",
 		BUComm: "bu-comm", Switch: "switch", Stall: "stall",
-		Ckpt: "ckpt", Recovery: "recovery", Xport: "xport",
+		Recovery: "recovery", Xport: "xport", Overlap: "overlap", Reown: "reown",
 	}
 	for p, s := range want {
 		if p.String() != s {
@@ -111,7 +111,7 @@ func TestBreakdownMarshalJSON(t *testing.T) {
 	}
 	want := map[string]float64{
 		"td_comp_ns": 10, "td_comm_ns": 0, "bu_comp_ns": 0, "bu_comm_ns": 40,
-		"switch_ns": 0, "stall_ns": 5, "ckpt_ns": 0, "recovery_ns": 0,
+		"switch_ns": 0, "stall_ns": 5, "recovery_ns": 0,
 		"reown_ns": 0, "xport_ns": 0, "overlap_ns": 0, "overlap_exposed_ns": 0,
 		"total_ns":  55,
 		"td_levels": 2, "bu_levels": 3, "bu_comm_count": 3,
