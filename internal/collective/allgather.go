@@ -73,49 +73,46 @@ func (g *Group) AllgatherRingCompressed(p *mpi.Proc, buf []uint64, l Layout, c *
 // stream counts come from the cached ring table.
 func (g *Group) exchangeRing(p *mpi.Proc, buf []uint64, l Layout, x Exchange) {
 	t0 := p.Clock()
-	x.ring(p, g, buf, l, g.ringStreams()[g.Pos(p.Rank())])
+	g.allgatherRing(p, buf, l, g.ringStreams()[g.Pos(p.Rank())], x)
 	p.Obs().Collective(labels[labelRing][x.variant(false)], t0, p.Clock())
 }
 
-// allgatherRing is the blocking ring driver, with an explicit stream
-// count (the parallelized allgather's concurrent subgroups each account
-// for the others' NIC streams). A nil codec moves raw words: every step
-// sends the member's own copy of the segment it forwards. With a codec
-// every member encodes its own segment once, and receivers decode into
-// place — before posting the next step; the pipelined driver posts
-// first — then forward the still-encoded payload.
-func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, streams int, c *wire.Codec) {
-	n := g.Size()
-	if n == 1 {
-		return
-	}
-	me := g.Pos(p.Rank())
-	next := g.ranks[(me+1)%n]
-	prev := g.ranks[(me-1+n)%n]
-
-	cur := mpi.Payload{ID: me}
-	if c != nil {
-		var ns float64
-		cur.Wire, ns = c.Encode(l.seg(buf, me))
+// allgatherRing is the ring driver under an exchange description, with
+// an explicit stream count (the parallelized allgather's concurrent
+// subgroups each account for the others' NIC streams). Chunks select
+// the pipelined driver. Raw, the blocking ring is a shift schedule
+// (shift.go): every step sends the member's own copy of the segment it
+// forwards. With a codec every member encodes its own segment once, and
+// receivers decode into place — before posting the next step; the
+// pipelined driver posts first — then forward the still-encoded payload.
+func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, streams int, x Exchange) {
+	switch me := g.Pos(p.Rank()); {
+	case x.Chunks > 0:
+		g.allgatherRingPipelined(p, buf, l, streams, x)
+	case g.Size() == 1:
+	case x.Codec == nil:
+		g.shift(p, me, tagRing, shiftArgs{buf: buf, l: l}, streams)
+	default:
+		enc, ns := x.Codec.Encode(l.seg(buf, me))
 		p.Compute(ns)
+		g.codecRing(p, me, tagRingC, enc, streams, func(k int, pl wire.Payload) float64 {
+			return x.Codec.Decode(l.seg(buf, k), pl)
+		})
 	}
+}
+
+// codecRing forwards every member's encoded item, its own enc first,
+// around the ring, charging decode's time for each arrival.
+func (g *Group) codecRing(p *mpi.Proc, me, tag int, enc wire.Payload, streams int, decode func(k int, pl wire.Payload) float64) {
+	n := g.Size()
+	next, prev := g.ranks[(me+1)%n], g.ranks[(me-1+n)%n]
+	cur := mpi.Payload{ID: me, Wire: enc}
 	for s := 0; s < n-1; s++ {
-		var m mpi.Msg
-		if c != nil {
-			m = p.SendRecvWire(next, tagRingC+s, cur, prev, tagRingC+s, streams)
-		} else {
-			cur.Words = l.seg(buf, cur.ID)
-			m = p.SendRecvPayload(next, tagRing+s, int64(len(cur.Words))*8, cur, prev, tagRing+s, streams)
-		}
-		cur = m.Payload
+		cur = p.SendRecvWire(next, tag+s, cur, prev, tag+s, streams).Payload
 		if cur.ID != (me-s-1+n)%n {
 			panic("collective: ring allgather received unexpected segment")
 		}
-		if c != nil {
-			p.Compute(c.Decode(l.seg(buf, cur.ID), cur.Wire))
-		} else {
-			copy(l.seg(buf, cur.ID), cur.Words)
-		}
+		p.Compute(decode(cur.ID, cur.Wire))
 	}
 }
 

@@ -1,0 +1,9 @@
+package collective
+
+// runAsMessages makes every shift schedule run as messages (the first
+// executor) until the returned restore is called, whatever the world's
+// fault plan allows.
+func runAsMessages() (restore func()) {
+	forceMessages = true
+	return func() { forceMessages = false }
+}

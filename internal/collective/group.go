@@ -34,30 +34,30 @@ import (
 
 // Group is an ordered set of ranks that communicate collectively.
 type Group struct {
-	w       *mpi.World
 	ranks   []int
 	pos     map[int]int // rank -> position
 	node    []int       // position -> node
 	maxNode int
 
-	// Cached per-topology stream tables. The ring and the
-	// recursive-doubling exchanges use the same send topology in every
-	// call, but the inner loops were recomputing it — two map
-	// allocations per step per rank. The tables are built once, under
-	// sync.Once because group members run on concurrent goroutines.
+	// The stream tables of the ring and recursive-doubling topologies,
+	// the same in every call, built once by whichever member needs one.
 	ringOnce sync.Once
 	ringStr  []int
 	xorOnce  sync.Once
 	xorStr   [][]int
+
+	// The shift schedules' gate and posted arguments (shift.go).
+	gate   *mpi.Gate
+	posted []shiftArgs
 }
 
 // NewGroup builds a group over the given ranks (in order).
 func NewGroup(w *mpi.World, ranks []int) *Group {
 	g := &Group{
-		w:     w,
 		ranks: append([]int(nil), ranks...),
 		pos:   make(map[int]int, len(ranks)),
 		node:  make([]int, len(ranks)),
+		gate:  w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
 	}
 	for i, r := range ranks {
 		if _, dup := g.pos[r]; dup {

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"numabfs/internal/mpi"
 	"numabfs/internal/wire"
@@ -22,6 +23,8 @@ type NodeComm struct {
 	Leaders *Group   // one leader per node, in member order
 	Subs    []*Group // subgroup j: each node's j-th member
 	PPN     int      // members per node
+
+	cache atomic.Pointer[[]*views] // derived layouts, newest first (views)
 }
 
 // NewNodeComm builds the node communicator over all ranks of world w.
@@ -55,6 +58,7 @@ func NewNodeCommRanks(w *mpi.World, ranks []int) *NodeComm {
 		leaders = append(leaders, block[0])
 	}
 	nc.Leaders = NewGroup(w, leaders)
+	nc.cache.Store(new([]*views))
 	nc.Subs = make([]*Group, ppn)
 	sub := make([]int, nodes)
 	for j := range nc.Subs {
@@ -72,21 +76,39 @@ func (nc *NodeComm) IsLeader(p *mpi.Proc) bool { return nc.leaderOf(p) == p.Rank
 // leaderOf returns the leader of p's node.
 func (nc *NodeComm) leaderOf(p *mpi.Proc) int { return nc.Nodes[p.Node()].Ranks()[0] }
 
-// nodeLayout aggregates a per-member layout into a per-node layout
-// (indexed by Leaders position) for the leader allgather: a node
-// contributes the concatenation of its members' segments (contiguous by
-// the member-list invariant).
-func (nc *NodeComm) nodeLayout(l Layout) Layout {
-	nodes := nc.Leaders.Size()
-	counts := make([]int64, nodes)
-	displs := make([]int64, nodes)
-	for k := range counts {
-		displs[k] = l.Displs[k*nc.PPN]
-		for _, c := range l.Counts[k*nc.PPN : (k+1)*nc.PPN] {
-			counts[k] += c
+// views returns the layouts the node-aware schemes derive from l: the
+// per-node one indexed by Leaders position, a node contributing its
+// members' contiguous segments, and subgroup j's, every node's j-th
+// member. They are built once per source layout, which callers pass
+// unmodified level after level; the most recent four are kept.
+func (nc *NodeComm) views(l Layout) *views {
+	cached := *nc.cache.Load()
+	for _, v := range cached {
+		if &v.src.Counts[0] == &l.Counts[0] && &v.src.Displs[0] == &l.Displs[0] {
+			return v
 		}
 	}
-	return Layout{Counts: counts, Displs: displs}
+	nodes := nc.Leaders.Size()
+	v := &views{src: l, node: Layout{make([]int64, nodes), make([]int64, nodes)}, subs: make([]Layout, nc.PPN)}
+	for j := range v.subs {
+		v.subs[j] = Layout{make([]int64, nodes), make([]int64, nodes)}
+	}
+	for k := range nodes {
+		v.node.Displs[k] = l.Displs[k*nc.PPN]
+		for j, sub := range v.subs {
+			i := k*nc.PPN + j
+			v.node.Counts[k] += l.Counts[i]
+			sub.Counts[k], sub.Displs[k] = l.Counts[i], l.Displs[i]
+		}
+	}
+	next := append([]*views{v}, cached[:min(len(cached), 3)]...)
+	nc.cache.Store(&next)
+	return v
+}
+
+type views struct {
+	src, node Layout
+	subs      []Layout
 }
 
 // StepTimes is the per-rank time spent in each step of a leader-based
@@ -180,7 +202,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		st.GatherNs = p.Clock() - tc
 		if leader {
 			t0 := p.Clock()
-			nc.Leaders.exchangeRing(p, dst, nc.nodeLayout(l), x)
+			nc.Leaders.exchangeRing(p, dst, nc.views(l).node, x)
 			st.InterNs = p.Clock() - t0
 		}
 		t0 := p.Clock()
@@ -190,7 +212,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 	case SchemeSharedIn, SchemeSharedAll:
 		var nl Layout
 		if leader {
-			nl = nc.nodeLayout(l)
+			nl = nc.views(l).node
 		}
 		mine := node.Ranks()
 		switch {
@@ -235,7 +257,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 			stage(p, dst, src, l, me)
 		}
 		j := me % nc.PPN
-		x.ring(p, nc.Subs[j], dst, nc.subLayout(l, j), nc.PPN)
+		nc.Subs[j].allgatherRing(p, dst, nc.views(l).subs[j], nc.PPN, x)
 		st.InterNs = p.Clock() - tc
 		t0 := p.Clock()
 		node.barrierVia(p)
@@ -264,18 +286,6 @@ func (nc *NodeComm) localView(l Layout, first int) Layout {
 		Counts: l.Counts[first : first+nc.PPN],
 		Displs: l.Displs[first : first+nc.PPN],
 	}
-}
-
-// subLayout returns the layout of subgroup j's members' segments within
-// the full buffer: every node's j-th member, in member order.
-func (nc *NodeComm) subLayout(l Layout, j int) Layout {
-	nodes := nc.Leaders.Size()
-	counts := make([]int64, nodes)
-	displs := make([]int64, nodes)
-	for k := range counts {
-		counts[k], displs[k] = l.Counts[k*nc.PPN+j], l.Displs[k*nc.PPN+j]
-	}
-	return Layout{Counts: counts, Displs: displs}
 }
 
 // barrierVia runs a node barrier through the proc (helper so group code

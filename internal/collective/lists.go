@@ -18,8 +18,9 @@ import (
 // like AllgatherRing, but over lists whose lengths only their owners
 // know — the "expand" phase of the 2-D BFS gathers frontier vertex lists
 // along a processor column this way). The result is indexed by group
-// position. With a codec each member encodes its own list once and
-// receivers forward the still-encoded payload.
+// position. Raw, it is a shift schedule (shift.go); with a codec each
+// member encodes its own list once and receivers forward the
+// still-encoded payload.
 func (g *Group) AllgathervInt64(p *mpi.Proc, mine []int64, out [][]int64, c *wire.Codec) [][]int64 {
 	n := g.Size()
 	me := g.Pos(p.Rank())
@@ -30,37 +31,17 @@ func (g *Group) AllgathervInt64(p *mpi.Proc, mine []int64, out [][]int64, c *wir
 	if n == 1 {
 		return out
 	}
-	next := g.ranks[(me+1)%n]
-	prev := g.ranks[(me-1+n)%n]
-	streams := g.ringStreams()[me]
-
 	t0 := p.Clock()
-	cur := mpi.Payload{ID: me}
-	if c != nil {
-		var ns float64
-		cur.Wire, ns = c.EncodeList(mine)
-		p.Compute(ns)
+	streams := g.ringStreams()[me]
+	if c == nil {
+		g.shift(p, me, tagGatherList, shiftArgs{send: out, out: out}, streams)
 	} else {
-		cur.Vals = mine
-	}
-	for s := 0; s < n-1; s++ {
-		var m mpi.Msg
-		if c != nil {
-			m = p.SendRecvWire(next, tagListC+s, cur, prev, tagListC+s, streams)
-		} else {
-			m = p.SendRecvPayload(next, tagGatherList+s, int64(len(cur.Vals))*8, cur, prev, tagGatherList+s, streams)
-		}
-		cur = m.Payload
-		if cur.ID != (me-s-1+n)%n {
-			panic("collective: list ring received unexpected list")
-		}
-		if c != nil {
-			var ns float64
-			out[cur.ID], ns = c.DecodeList(cur.Wire, out[cur.ID][:0])
-			p.Compute(ns)
-		} else {
-			out[cur.ID] = cur.Vals
-		}
+		enc, ns := c.EncodeList(mine)
+		p.Compute(ns)
+		g.codecRing(p, me, tagListC, enc, streams, func(k int, pl wire.Payload) (ns float64) {
+			out[k], ns = c.DecodeList(pl, out[k][:0])
+			return ns
+		})
 	}
 	p.Obs().Collective([2]string{"allgatherv-list", "allgatherv-list-comp"}[b2i(c != nil)], t0, p.Clock())
 	return out
@@ -73,9 +54,10 @@ func (g *Group) AlltoallvInt64(p *mpi.Proc, send [][]int64) [][]int64 {
 
 // AlltoallvInt64Into exchanges vectors between all members using the
 // pairwise-exchange algorithm: n-1 steps, at step s member i sends to
-// (i+s) mod n and receives from (i-s) mod n. The top-down BFS phase uses
-// this to route discovered (vertex, parent) pairs to their owners,
-// exactly as the Graph500 mpi_simple code does.
+// (i+s) mod n and receives from (i-s) mod n (raw, a shift schedule:
+// shift.go). The top-down BFS phase uses this to route discovered
+// (vertex, parent) pairs to their owners, exactly as the Graph500
+// mpi_simple code does.
 //
 // send[j] is the vector destined for group position j (send[me] is
 // delivered locally, without a message). The result is indexed by source
@@ -93,28 +75,26 @@ func (g *Group) AlltoallvInt64Into(p *mpi.Proc, send, out [][]int64, c *wire.Cod
 		return out
 	}
 	t0 := p.Clock()
-	for s := 1; s < n; s++ {
-		dst := (me + s) % n
-		src := (me - s + n) % n
-		// BFS top-down exchanges are sparse: in most steps only the few
-		// ranks owning frontier hubs carry data, so a rank's transfer
-		// contends with its own outbound and inbound streams (2), not
-		// with every co-located rank's empty synchronization message.
-		if c == nil {
-			m := p.SendRecvPayload(g.ranks[dst], tagAlltoall+s, int64(len(send[dst]))*8, mpi.Payload{Vals: send[dst]},
-				g.ranks[src], tagAlltoall+s, 2)
-			out[src] = m.Payload.Vals
-			continue
+	// BFS top-down exchanges are sparse: in most steps only the few ranks
+	// owning frontier hubs carry data, so a rank's transfer contends with
+	// its own outbound and inbound streams (2), not with every co-located
+	// rank's empty synchronization message.
+	if c == nil {
+		g.shift(p, me, tagAlltoall, shiftArgs{send: send, out: out}, 2)
+	} else {
+		for s := 1; s < n; s++ {
+			dst := (me + s) % n
+			src := (me - s + n) % n
+			pl, ns := c.EncodeListSlot(send[dst], s)
+			p.Compute(ns)
+			m := p.SendRecvWire(g.ranks[dst], tagAlltoallC+s, mpi.Payload{ID: me, Wire: pl},
+				g.ranks[src], tagAlltoallC+s, 2)
+			if m.Payload.ID != src {
+				panic("collective: compressed alltoallv received unexpected vector")
+			}
+			out[src], ns = c.DecodeList(m.Payload.Wire, out[src][:0])
+			p.Compute(ns)
 		}
-		pl, ns := c.EncodeListSlot(send[dst], s)
-		p.Compute(ns)
-		m := p.SendRecvWire(g.ranks[dst], tagAlltoallC+s, mpi.Payload{ID: me, Wire: pl},
-			g.ranks[src], tagAlltoallC+s, 2)
-		if m.Payload.ID != src {
-			panic("collective: compressed alltoallv received unexpected vector")
-		}
-		out[src], ns = c.DecodeList(m.Payload.Wire, out[src][:0])
-		p.Compute(ns)
 	}
 	p.Obs().Collective([2]string{"alltoallv", "alltoallv-comp"}[b2i(c != nil)], t0, p.Clock())
 	return out

@@ -190,10 +190,10 @@ func checkAllgatherCell(t *testing.T, geo agGeo, s Scheme, staged, codec bool, q
 		rings, hops = []Layout{e.l}, np-1
 	case SchemeParallel:
 		for j := range e.nc.Subs {
-			rings = append(rings, e.nc.subLayout(e.l, j))
+			rings = append(rings, e.nc.views(e.l).subs[j])
 		}
 	default:
-		rings = []Layout{e.nc.nodeLayout(e.l)}
+		rings = []Layout{e.nc.views(e.l).node}
 	}
 
 	// Raw ledger: Eq. (1) for the flat scheme, Eq. (2) between nodes for
@@ -269,7 +269,7 @@ func checkAllgatherCell(t *testing.T, geo agGeo, s Scheme, staged, codec bool, q
 					want = e.words
 				}
 			default:
-				want = e.nc.subLayout(e.l, e.g.Pos(r)%e.nc.PPN).TotalWords()
+				want = e.nc.views(e.l).subs[e.g.Pos(r)%e.nc.PPN].TotalWords()
 			}
 			if chunkWords[r] != want {
 				t.Errorf("rank %d: per-chunk hook covered %d words, want %d", r, chunkWords[r], want)

@@ -22,7 +22,7 @@ import "numabfs/internal/mpi"
 func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout) StepTimes {
 	var st StepTimes
 	node := nc.Nodes[p.Node()]
-	nl := nc.nodeLayout(l)
+	nl := nc.views(l).node
 	cfg := p.World().Config()
 	total := l.TotalWords()
 

@@ -29,15 +29,6 @@ type Exchange struct {
 	Overlap *Overlap
 }
 
-// ring runs one ring allgather of g under the exchange's schedule.
-func (x Exchange) ring(p *mpi.Proc, g *Group, buf []uint64, l Layout, streams int) {
-	if x.Chunks > 0 {
-		g.allgatherRingPipelined(p, buf, l, streams, x)
-	} else {
-		g.allgatherRing(p, buf, l, streams, x.Codec)
-	}
-}
-
 // variant indexes a row of labels: in-place, pipelined, compressed.
 func (x Exchange) variant(inPlace bool) int {
 	return b2i(inPlace)<<2 | b2i(x.Chunks > 0)<<1 | b2i(x.Codec != nil)

@@ -1,0 +1,193 @@
+package collective
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"numabfs/internal/fault"
+	"numabfs/internal/mpi"
+	"numabfs/internal/obs"
+	"numabfs/internal/simnet"
+)
+
+// shiftOutcome is everything a run of the shift schedules leaves behind
+// that either executor could get wrong.
+type shiftOutcome struct {
+	Words  []uint64 // every rank's segment buffers, in rank order
+	Lists  []int64  // every rank's gathered and exchanged vectors, flattened with lengths
+	Clocks []uint64 // every rank's clock after each collective, as bits
+	Volume simnet.Volume
+	Obs    []byte // the obs export
+}
+
+// runShifts runs the raw ring allgather, the list ring and the pairwise
+// alltoallv on the whole world, then, with more than one rank per node,
+// the parallel allgather into node-shared buffers and the leader
+// allgather. Segments and vectors are uneven and partly empty, entry
+// clocks differ, and the plan prices messages by virtual time (a
+// bandwidth window, jitter) without making them lossy, so both
+// executors are eligible.
+func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
+	t.Helper()
+	w := testWorld(t, nodes, ppn)
+	plan := fault.Plan{
+		Seed:        7,
+		BW:          []fault.BWEvent{{Node: 0, Src: -1, Dst: -1, Factor: 0.5, FromNs: 5e3, UntilNs: 4e4}},
+		Stragglers:  []fault.Straggler{{Rank: 0, Factor: 3}},
+		JitterMaxNs: 50,
+	}
+	if err := w.InjectFaults(plan); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	sess := rec.NewSession("shift")
+	sess.EnableSampling(2e3)
+	w.AttachObs(sess)
+
+	np := w.NumProcs()
+	g := WorldGroup(w)
+	offs := []int64{0}
+	for i := 0; i < np; i++ {
+		offs = append(offs, offs[i]+int64(i*7%5)*3) // every fifth segment empty
+	}
+	l := SegLayout(offs)
+	words := l.TotalWords()
+	vec := func(n, tag int) []int64 {
+		if n == 0 {
+			return nil
+		}
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = int64(tag*1000 + i)
+		}
+		return v
+	}
+	bufs := make([][]uint64, np)
+	leaderBufs := make([][]uint64, np)
+	gathered := make([][][]int64, np)
+	exchanged := make([][][]int64, np)
+	clocks := make([][]uint64, np)
+	var nc *NodeComm
+	if ppn > 1 {
+		nc = NewNodeComm(w)
+	}
+	w.Run(func(p *mpi.Proc) {
+		r := p.Rank()
+		mark := func() { clocks[r] = append(clocks[r], math.Float64bits(p.Clock())) }
+		p.Compute(float64(r%5) * 700)
+		bufs[r] = make([]uint64, words)
+		fillOwn(bufs[r], l, r)
+		g.AllgatherRing(p, bufs[r], l)
+		mark()
+		gathered[r] = g.AllgathervInt64(p, vec(r%3, r), nil, nil)
+		mark()
+		send := make([][]int64, np)
+		for d := range send {
+			send[d] = vec((r+d)%4, r*np+d)
+		}
+		p.Compute(float64(r%3) * 900)
+		exchanged[r] = g.AlltoallvInt64Into(p, send, nil, nil)
+		mark()
+		if nc == nil {
+			return
+		}
+		shared := p.SharedWords("shift-inq", words)
+		fillOwn(shared, l, r)
+		nc.Allgather(p, SchemeParallel, shared, nil, l, Exchange{})
+		mark()
+		leaderBufs[r] = make([]uint64, words)
+		fillOwn(leaderBufs[r], l, r)
+		nc.Allgather(p, SchemeLeader, leaderBufs[r], nil, l, Exchange{})
+		mark()
+	})
+
+	var out shiftOutcome
+	for r := 0; r < np; r++ {
+		out.Words = append(out.Words, bufs[r]...)
+		out.Words = append(out.Words, leaderBufs[r]...)
+		for _, tab := range [][][]int64{gathered[r], exchanged[r]} {
+			for _, v := range tab {
+				out.Lists = append(append(out.Lists, int64(len(v))), v...)
+			}
+		}
+		out.Clocks = append(out.Clocks, clocks[r]...)
+	}
+	if nc != nil {
+		for n := 0; n < nodes; n++ {
+			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-inq@node%d", n), words)...)
+		}
+	}
+	out.Volume = w.Net().Volume()
+	var b bytes.Buffer
+	if err := rec.Dump().WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	out.Obs = b.Bytes()
+	return out
+}
+
+// TestShiftExecutorsAgree: replaying a shift schedule at the group's
+// gate leaves exactly what running it as messages does — buffers,
+// vectors, every clock bit, the network volume and the obs export —
+// across group sizes and host worker counts.
+func TestShiftExecutorsAgree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shape := range []struct{ nodes, ppn int }{{1, 1}, {1, 2}, {3, 1}, {7, 1}, {4, 4}, {16, 8}} {
+		t.Run(fmt.Sprintf("np%d", shape.nodes*shape.ppn), func(t *testing.T) {
+			runtime.GOMAXPROCS(1)
+			restore := runAsMessages()
+			want := runShifts(t, shape.nodes, shape.ppn)
+			restore()
+			if len(want.Words) == 0 && shape.nodes*shape.ppn > 1 {
+				t.Fatal("nothing gathered")
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, messages := range []bool{false, true} {
+					if messages {
+						restore = runAsMessages()
+					}
+					got := runShifts(t, shape.nodes, shape.ppn)
+					if messages {
+						restore()
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("GOMAXPROCS %d, messages %v: outcome differs from messages at GOMAXPROCS 1 (volume %+v vs %+v, %d vs %d obs bytes)",
+							procs, messages, got.Volume, want.Volume, len(got.Obs), len(want.Obs))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestReplayParksOncePerMember: a 128-member raw ring allgather replayed
+// at its gate parks each member at most once, where as messages every
+// member parks about once per step.
+func TestReplayParksOncePerMember(t *testing.T) {
+	w := testWorld(t, 16, 8)
+	g := WorldGroup(w)
+	n := g.Size()
+	l := EvenLayout(4096, n)
+	bufs := make([][]uint64, n)
+	for r := range bufs {
+		bufs[r] = make([]uint64, 4096)
+	}
+	parks := func() int64 {
+		before := w.Parks()
+		w.Run(func(p *mpi.Proc) { g.AllgatherRing(p, bufs[p.Rank()], l) })
+		return w.Parks() - before
+	}
+	restore := runAsMessages()
+	messages := parks()
+	restore()
+	replay := parks()
+	if replay > int64(2*n) {
+		t.Errorf("replayed ring allgather parked %d times, want <= %d", replay, 2*n)
+	}
+	t.Logf("%d members: %d parks as messages, %d replayed", n, messages, replay)
+}

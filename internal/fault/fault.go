@@ -182,18 +182,35 @@ type Plan struct {
 	Loss []Loss `json:"loss,omitempty"`
 }
 
+// Bounds on a plan's multipliers, so that no finite plan drives a
+// virtual clock to +Inf or NaN: a bandwidth factor at least MinBWFactor
+// (and all of a plan's together, were they to overlap, at least
+// MinBWProduct), a rank's straggler factors together within
+// [1/MaxComputeScale, MaxComputeScale], and at most MaxJitterNs of
+// jitter per message. Every figure and test plan is far inside them.
+const (
+	MinBWFactor     = 1e-6
+	MinBWProduct    = 1e-150
+	MaxComputeScale = 1e6
+	MaxJitterNs     = 1e12
+)
+
 // Validate checks the plan against a world of `ranks` ranks. Bandwidth
-// factors outside (0, 1] are rejected here — never silently clamped —
-// so a typo like 80 instead of 0.8 fails loudly instead of disabling
-// the event. Node indices beyond the configured cluster are allowed
-// (a 16-node plan applied to a 4-node run simply never matches, the
-// historical WeakNode semantics); rank-scoped entries must name real
-// ranks because they index per-rank state, and a rank crashes at most
-// once.
+// factors outside [MinBWFactor, 1] are rejected here — never silently
+// clamped — so a typo like 80 instead of 0.8 fails loudly instead of
+// disabling the event, and so do multipliers past the bounds above.
+// Node indices beyond the configured cluster are allowed (a 16-node
+// plan applied to a 4-node run simply never matches, the historical
+// WeakNode semantics); rank-scoped entries must name real ranks because
+// they index per-rank state, and a rank crashes at most once.
 func (p Plan) Validate(ranks int) error {
+	bwProduct := 1.0
 	for i, e := range p.BW {
-		if e.Factor <= 0 || e.Factor > 1 {
-			return fmt.Errorf("fault: bw event %d: factor %g outside (0, 1]", i, e.Factor)
+		if !(e.Factor >= MinBWFactor && e.Factor <= 1) {
+			return fmt.Errorf("fault: bw event %d: factor %g outside [%g, 1]", i, e.Factor, MinBWFactor)
+		}
+		if bwProduct *= e.Factor; bwProduct < MinBWProduct {
+			return fmt.Errorf("fault: bw events 0-%d: factors multiply to %g, below %g", i, bwProduct, MinBWProduct)
 		}
 		if e.FromNs < 0 {
 			return fmt.Errorf("fault: bw event %d: negative start %g", i, e.FromNs)
@@ -203,15 +220,22 @@ func (p Plan) Validate(ranks int) error {
 		}
 	}
 	for i, s := range p.Stragglers {
-		if s.Factor <= 0 {
-			return fmt.Errorf("fault: straggler %d: factor %g must be positive", i, s.Factor)
-		}
 		if s.Rank < 0 || s.Rank >= ranks {
 			return fmt.Errorf("fault: straggler %d: rank %d outside [0, %d)", i, s.Rank, ranks)
 		}
+		scale := s.Factor
+		for _, o := range p.Stragglers[:i] {
+			if o.Rank == s.Rank {
+				scale *= o.Factor
+			}
+		}
+		if !(scale >= 1/MaxComputeScale && scale <= MaxComputeScale) {
+			return fmt.Errorf("fault: straggler %d: rank %d's factors multiply to %g, outside [%g, %g]",
+				i, s.Rank, scale, 1/MaxComputeScale, MaxComputeScale)
+		}
 	}
-	if p.JitterMaxNs < 0 {
-		return fmt.Errorf("fault: negative JitterMaxNs %g", p.JitterMaxNs)
+	if !(p.JitterMaxNs >= 0 && p.JitterMaxNs <= MaxJitterNs) {
+		return fmt.Errorf("fault: JitterMaxNs %g outside [0, %g]", p.JitterMaxNs, MaxJitterNs)
 	}
 	for i, c := range p.Crashes {
 		if c.Rank < 0 || c.Rank >= ranks {
@@ -414,6 +438,14 @@ func (in *Injector) JitterNs(src, dst int, sentNs float64, bytes int64) float64 
 // acks and retransmission on for inter-node point-to-point traffic.
 func (in *Injector) Reliable() bool {
 	return in != nil && len(in.plan.Loss) > 0
+}
+
+// Replayable reports whether every message's fate follows from virtual
+// time alone, with no rank dying or frame lost on the way: the plan has
+// no crash and no lossy link. A collective may then be replayed from
+// its members' entry clocks instead of run as messages (mpi.Gate).
+func (in *Injector) Replayable() bool {
+	return in == nil || (len(in.plan.Crashes) == 0 && len(in.plan.Loss) == 0)
 }
 
 // LossAt returns the combined unreliability of the srcNode -> dstNode

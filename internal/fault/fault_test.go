@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// weakest returns n overlapping bandwidth events at the lowest factor.
+func weakest(n int) []BWEvent {
+	bw := make([]BWEvent, n)
+	for i := range bw {
+		bw[i] = BWEvent{Node: 0, Factor: MinBWFactor}
+	}
+	return bw
+}
+
 func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
 		{BW: []BWEvent{{Node: 0, Factor: 0}}},
@@ -19,6 +28,15 @@ func TestPlanValidate(t *testing.T) {
 		{JitterMaxNs: -1},
 		{Crashes: []Crash{{Rank: 4, AtNs: 1}}},
 		{Crashes: []Crash{{Rank: 0, AtNs: -1}}},
+		// Finite multipliers that overflow a virtual clock.
+		{Stragglers: []Straggler{{Rank: 1, Factor: 1e308}}},
+		{BW: []BWEvent{{Node: 0, Src: -1, Dst: -1, Factor: 1e-320}}},
+		{JitterMaxNs: 1e308},
+		{Stragglers: []Straggler{{Rank: 1, Factor: 1e-320}}},
+		{Stragglers: []Straggler{{Rank: 2, Factor: 1e4}, {Rank: 1, Factor: 2}, {Rank: 2, Factor: 1e4}}},
+		{BW: weakest(26)},
+		{BW: []BWEvent{{Node: 0, Factor: math.NaN()}}},
+		{JitterMaxNs: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(4); err == nil {
@@ -34,6 +52,15 @@ func TestPlanValidate(t *testing.T) {
 	}
 	if err := good.Validate(4); err != nil {
 		t.Errorf("good plan rejected: %v", err)
+	}
+	// The bounds themselves are accepted.
+	edge := Plan{
+		BW:          weakest(24),
+		Stragglers:  []Straggler{{Rank: 0, Factor: MaxComputeScale}, {Rank: 1, Factor: 1 / MaxComputeScale}},
+		JitterMaxNs: MaxJitterNs,
+	}
+	if err := edge.Validate(4); err != nil {
+		t.Errorf("plan at the bounds rejected: %v", err)
 	}
 	// A plan names each rank at most once in Crashes, and the error
 	// names the repeated rank.

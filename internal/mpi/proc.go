@@ -57,6 +57,10 @@ type Proc struct {
 	// Request stays readable until the rank's next post (see Request);
 	// World.leave drops their messages when the body returns.
 	reqFree []*Request
+
+	// parks counts the rank's committed parks (waitFor), folded by
+	// World.Parks.
+	parks int64
 }
 
 // getReq takes a Request from the free-list (reset to zero state), or
@@ -202,7 +206,7 @@ func (p *Proc) receive(src, tag int, ready float64, out *Msg) (begin, recvEnd fl
 		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", p.rank, tag, src, m.tag))
 	}
 	begin = max(m.sent, ready)
-	recvEnd, sendEnd := p.deliver(m, begin)
+	recvEnd, sendEnd := p.deliver(&m.hop, begin)
 	out.Src, out.Tag, out.Bytes, out.Payload = m.src, m.tag, m.bytes, m.payload
 	p.complete(m, sendEnd)
 	return begin, recvEnd

@@ -31,7 +31,7 @@ import (
 // erase that next message.
 //
 // Park/wake. waitFor is the only place a rank blocks: the three waits
-// of this file and the barrier's (barrier.go) go through it. A rank whose
+// of this file and the arrival's (barrier.go) go through it. A rank whose
 // condition is false announces a park in its parked word, checks the
 // condition again, commits the park by compare-and-swap and only then
 // yields to its worker (sched.go). A waker stores the condition first,
@@ -71,17 +71,26 @@ type Payload struct {
 	Any    any
 }
 
-// message is an in-flight transfer and its acknowledgement. bytes cross
-// the wire, raw is the logical (pre-compression) size. The sender writes
-// everything down to sent before publishing the cell; the receiver
+// hop is what pricing a delivery reads of a message (deliver,
+// transport.go): bytes cross the wire, raw is the logical
+// (pre-compression) size, sent is the sender's clock when it posted.
+// A replayed collective prices its steps as hops without a message
+// (gate.go).
+type hop struct {
+	src     int
+	bytes   int64
+	raw     int64
+	streams int
+	sent    float64
+}
+
+// message is an in-flight transfer and its acknowledgement. The sender
+// writes everything but end before publishing the cell; the receiver
 // writes end (the sender's completion time) and then sets done.
 type message struct {
-	src, tag int
-	bytes    int64
-	raw      int64
-	streams  int
-	payload  Payload
-	sent     float64 // sender's clock when the send was posted
+	hop
+	tag     int
+	payload Payload
 
 	end  float64
 	done atomic.Uint32
@@ -104,10 +113,9 @@ func (p *Proc) newMessage(tag int, wireBytes, rawBytes int64, streams int, pl *P
 	} else {
 		m = new(message)
 	}
-	m.src, m.tag = p.rank, tag
-	m.bytes, m.raw, m.streams = wireBytes, rawBytes, streams
+	m.hop = hop{src: p.rank, bytes: wireBytes, raw: rawBytes, streams: streams, sent: p.clock}
+	m.tag = tag
 	m.payload = *pl
-	m.sent = p.clock
 	return m
 }
 
@@ -133,6 +141,7 @@ func (p *Proc) waitFor(ready func() bool) {
 			panic(errAborted{})
 		}
 		if p.parked.CompareAndSwap(parkAnnounced, parkCommitted) {
+			p.parks++
 			p.fib.yield(false)
 		}
 		// Claimed, before or after the commit: something changed, look again.

@@ -40,8 +40,10 @@ const rtoCapFactor = 64
 // when the sender may complete (sendEnd: the cumulative-ack arrival
 // under the reliable transport; equal to recvEnd otherwise). begin is
 // the rendezvous start — the later of the sender's post and the
-// receiver's arrival. Exactly one CountRaw charge happens inside.
-func (p *Proc) deliver(m *message, begin float64) (recvEnd, sendEnd float64) {
+// receiver's arrival. Exactly one CountRaw charge happens inside. A
+// message's receiver and a collective's replay (gate.go) both price
+// through it.
+func (p *Proc) deliver(m *hop, begin float64) (recvEnd, sendEnd float64) {
 	srcNode := p.w.procs[m.src].node
 	intra := srcNode == p.node
 	if intra || !p.w.inj.Reliable() {
@@ -61,7 +63,7 @@ func (p *Proc) deliver(m *message, begin float64) (recvEnd, sendEnd float64) {
 // one inter-node message. Without gauge sampling it allocates nothing:
 // the hot loop is scalar arithmetic over the deterministic draw hash
 // plus atomic ledger adds.
-func (p *Proc) reliableDeliver(m *message, begin float64, srcNode int) (recvEnd, sendEnd float64) {
+func (p *Proc) reliableDeliver(m *hop, begin float64, srcNode int) (recvEnd, sendEnd float64) {
 	inj := p.w.inj
 	net := p.w.net
 	frame := m.bytes + wire.FrameHeaderBytes

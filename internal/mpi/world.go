@@ -62,6 +62,10 @@ type World struct {
 	globalBarrier *barrier
 	nodeBarriers  []*barrier
 
+	// gates are the collectives' replay gates (gate.go), reset by rearm.
+	gateMu sync.Mutex
+	gates  []*Gate
+
 	// Membership (membership.go): live[r] marks rank r as scheduled by
 	// Run/TryRun, the counts price barriers over the live ranks, and
 	// epoch numbers the world views (Promote advances it).
@@ -257,13 +261,17 @@ func (w *World) TryRun(body func(p *Proc)) error {
 // rearm makes the world reusable after a failed attempt, whether it
 // ended in an abort or not — a crash whose survivors all ran to
 // completion aborts nothing yet may leave a posted message nobody took.
-// The failure record and the flag are cleared, the barriers rebuilt and
-// every slot emptied. The workers need nothing: each ran until every
-// rank of its share had finished, so no run list or inbox holds a rank.
+// The failure record and the flag are cleared, the barriers rebuilt,
+// the gates' arrivals forgotten and every slot emptied. The workers need
+// nothing: each ran until every rank of its share had finished, so no
+// run list or inbox holds a rank.
 func (w *World) rearm() {
 	w.faults, w.bug, w.stall = nil, nil, nil
 	w.jobAborted.Store(false)
 	w.rebuildMembership()
+	for _, g := range w.gates {
+		g.b.arrived.Store(0)
+	}
 	for i := range w.slots {
 		w.slots[i].Store(nil)
 	}

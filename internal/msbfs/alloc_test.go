@@ -25,15 +25,16 @@ func batchAllocs(t *testing.T) float64 {
 }
 
 // TestBatchAllocsBounded: a warm batch allocates per level and per
-// collective call, never per vertex, lane or hit — 621 objects measured
-// — and the count must not grow batch over batch.
+// collective call, never per vertex, lane or hit — 348 objects measured
+// (604 while every omp region and node layout was allocated afresh) —
+// and the count must not grow batch over batch.
 func TestBatchAllocsBounded(t *testing.T) {
 	first := batchAllocs(t)
 	again := batchAllocs(t)
 	if again > first {
 		t.Errorf("per-batch allocations grew across batches: %g then %g", first, again)
 	}
-	const bound = 715
+	const bound = 400
 	if first > bound {
 		t.Errorf("64-lane batch allocates %g objects, want <= %d", first, bound)
 	}

@@ -21,11 +21,26 @@ const DefaultChunk = 1024
 // Team describes the modelled execution resources of one rank: its thread
 // count, the sockets it spans, and its share of node-wide bandwidth
 // domains (see machine.Placement).
+//
+// A Team belongs to one rank: For keeps its working state on the team
+// between regions, so a copy made after the first For shares it.
 type Team struct {
 	Cfg         machine.Config
 	Threads     int
 	SocketsUsed int
 	BWShare     float64
+
+	scratch *forScratch
+}
+
+// forScratch is what one For region works in, reused by the next: the
+// per-worker times, the PhaseLoad every chunk fills (its Random backed
+// by buf) and the aggregate's Random.
+type forScratch struct {
+	workerNs []float64
+	load     machine.PhaseLoad
+	buf      [4]machine.Access
+	agg      []machine.Access
 }
 
 // TeamFor builds the team a placement gives each rank.
@@ -52,8 +67,10 @@ type Result struct {
 
 // For runs body over [0, n) in chunks of `chunk` iterations and returns
 // the modelled region cost. body fills in the chunk's PhaseLoad; the
-// chunk's cost is attributed to worker (chunkIndex mod Threads).
-func (t Team) For(n, chunk int64, body func(lo, hi int64, load *machine.PhaseLoad)) Result {
+// chunk's cost is attributed to worker (chunkIndex mod Threads). A warm
+// team allocates nothing: Result.Load.Random stays valid until the
+// team's next For.
+func (t *Team) For(n, chunk int64, body func(lo, hi int64, load *machine.PhaseLoad)) Result {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
@@ -61,23 +78,29 @@ func (t Team) For(n, chunk int64, body func(lo, hi int64, load *machine.PhaseLoa
 	if threads < 1 {
 		threads = 1
 	}
-	workerNs := make([]float64, threads)
-	// One PhaseLoad and one Random backing array serve every chunk.
-	var buf [4]machine.Access
-	var load machine.PhaseLoad
-	agg := machine.PhaseLoad{Random: make([]machine.Access, 0, len(buf)*int((n+chunk-1)/chunk))}
+	if t.scratch == nil {
+		t.scratch = new(forScratch)
+	}
+	sc := t.scratch
+	if len(sc.workerNs) != threads {
+		sc.workerNs = make([]float64, threads)
+	}
+	workerNs := sc.workerNs
+	clear(workerNs)
+	agg := machine.PhaseLoad{Random: sc.agg[:0]}
 	var ci int64
 	for lo := int64(0); lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		load = machine.PhaseLoad{Random: buf[:0]}
-		body(lo, hi, &load)
-		workerNs[ci%int64(threads)] += t.Cfg.PhaseTime(load, 1, t.SocketsUsed, t.BWShare)
-		agg.Add(load)
+		sc.load = machine.PhaseLoad{Random: sc.buf[:0]}
+		body(lo, hi, &sc.load)
+		workerNs[ci%int64(threads)] += t.Cfg.PhaseTime(sc.load, 1, t.SocketsUsed, t.BWShare)
+		agg.Add(sc.load)
 		ci++
 	}
+	sc.agg = agg.Random
 	ideal := t.Cfg.PhaseTime(agg, threads, t.SocketsUsed, t.BWShare)
 	imb := imbalance(workerNs)
 	return Result{Ns: ideal * imb, Imbalance: imb, Load: agg}
