@@ -42,3 +42,25 @@ func TestRootAllocs2DBounded(t *testing.T) {
 		t.Errorf("2-D root allocates %g objects, want <= %d", first, bound)
 	}
 }
+
+// TestRootParks2DBounded: a warm hybrid, compressed root on a 128-rank
+// grid replays its collectives — the list rings, the fold alltoallvs,
+// the bitmap rings and the allreduces — so each rank parks about once
+// per collective call, not once per message step: 3 416 parks measured,
+// at every GOMAXPROCS, against 28 541 when only the raw collectives
+// replayed.
+func TestRootParks2DBounded(t *testing.T) {
+	const scale = 13
+	params := rmat.Graph500(scale)
+	r := setUp(t, testConfig(scale, 16, 8), Grid{R: 8, C: 16}, params, 0, ModeHybrid, true)
+	root := params.Roots(1, r.HasEdgeGlobal)[0]
+	r.RunRoot(root)
+	before := r.W.Parks()
+	r.RunRoot(root)
+	parks := r.W.Parks() - before
+	const bound = 5000
+	if parks > bound {
+		t.Errorf("warm 2-D root on 128 ranks parked %d times, want <= %d", parks, bound)
+	}
+	t.Logf("warm 2-D root on 128 ranks: %d parks", parks)
+}

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"math/bits"
 	"slices"
 
 	"numabfs/internal/mpi"
@@ -73,46 +72,21 @@ func (g *Group) AllgatherRingCompressed(p *mpi.Proc, buf []uint64, l Layout, c *
 // stream counts come from the cached ring table.
 func (g *Group) exchangeRing(p *mpi.Proc, buf []uint64, l Layout, x Exchange) {
 	t0 := p.Clock()
-	g.allgatherRing(p, buf, l, g.ringStreams()[g.Pos(p.Rank())], x)
+	g.allgatherRing(p, buf, l, g.streamTable(tabRing)[0][g.Pos(p.Rank())], x)
 	p.Obs().Collective(labels[labelRing][x.variant(false)], t0, p.Clock())
 }
 
 // allgatherRing is the ring driver under an exchange description, with
 // an explicit stream count (the parallelized allgather's concurrent
 // subgroups each account for the others' NIC streams). Chunks select
-// the pipelined driver. Raw, the blocking ring is a shift schedule
-// (shift.go): every step sends the member's own copy of the segment it
-// forwards. With a codec every member encodes its own segment once, and
-// receivers decode into place — before posting the next step; the
-// pipelined driver posts first — then forward the still-encoded payload.
+// the pipelined driver; otherwise the blocking ring is a schedule
+// (shift.go), under a codec encoded once at each segment's origin.
 func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, streams int, x Exchange) {
 	switch me := g.Pos(p.Rank()); {
 	case x.Chunks > 0:
 		g.allgatherRingPipelined(p, buf, l, streams, x)
-	case g.Size() == 1:
-	case x.Codec == nil:
-		g.shift(p, me, tagRing, shiftArgs{buf: buf, l: l}, streams)
-	default:
-		enc, ns := x.Codec.Encode(l.seg(buf, me))
-		p.Compute(ns)
-		g.codecRing(p, me, tagRingC, enc, streams, func(k int, pl wire.Payload) float64 {
-			return x.Codec.Decode(l.seg(buf, k), pl)
-		})
-	}
-}
-
-// codecRing forwards every member's encoded item, its own enc first,
-// around the ring, charging decode's time for each arrival.
-func (g *Group) codecRing(p *mpi.Proc, me, tag int, enc wire.Payload, streams int, decode func(k int, pl wire.Payload) float64) {
-	n := g.Size()
-	next, prev := g.ranks[(me+1)%n], g.ranks[(me-1+n)%n]
-	cur := mpi.Payload{ID: me, Wire: enc}
-	for s := 0; s < n-1; s++ {
-		cur = p.SendRecvWire(next, tag+s, cur, prev, tag+s, streams).Payload
-		if cur.ID != (me-s-1+n)%n {
-			panic("collective: ring allgather received unexpected segment")
-		}
-		p.Compute(decode(cur.ID, cur.Wire))
+	case g.Size() > 1:
+		g.shift(p, me, [2]int{tagRing, tagRingC}[b2i(x.Codec != nil)], shiftArgs{buf: buf, l: l, c: x.Codec, streams: streams})
 	}
 }
 
@@ -120,34 +94,35 @@ func (g *Group) codecRing(p *mpi.Proc, me, tag int, enc wire.Payload, streams in
 // power-of-two group sizes: log2(n) steps; at step k, members at distance
 // 2^k exchange everything they hold. Short-message optimal.
 func (g *Group) AllgatherRecDouble(p *mpi.Proc, buf []uint64, l Layout) {
-	n := g.Size()
-	if n == 1 {
-		return
-	}
-	if n&(n-1) != 0 {
+	switch n := g.Size(); {
+	case n&(n-1) != 0:
 		panic("collective: recursive doubling needs a power-of-two group")
+	case n > 1:
+		t0 := p.Clock()
+		g.shift(p, g.Pos(p.Rank()), tagRecDouble, shiftArgs{buf: buf, l: l})
+		p.Obs().Collective("allgather-recdouble", t0, p.Clock())
 	}
-	me := g.Pos(p.Rank())
-	t0 := p.Clock()
-	steps := bits.TrailingZeros(uint(n))
-	xor := g.xorStreams()
-	for k := 0; k < steps; k++ {
-		d := 1 << uint(k)
-		partner := me ^ d
-		// After k steps I hold the d segments of my d-aligned block;
-		// my partner holds the sibling block of the 2d-aligned pair.
-		pl, bytes := g.run(buf, l, me&^(d-1), d)
-		m := p.SendRecvPayload(g.ranks[partner], tagRecDouble+k, bytes, pl,
-			g.ranks[partner], tagRecDouble+k, xor[k][me])
-		g.land(buf, l, m.Payload, partner&^(d-1), d)
+}
+
+// AllgatherBruck is Bruck's allgather: ceil(log2 n) steps for *any*
+// group size (not just powers of two). At each step a member sends every
+// block it holds to the member `held` positions behind it and receives
+// as many from the member `held` positions ahead, doubling its holdings;
+// the final step tops up the remainder. Bruck is the short-message
+// algorithm of choice for non-power-of-two groups in MPICH's tuned
+// decisions; the repository's ablation experiment compares it with ring
+// and recursive doubling on the in_queue allgather. It is a schedule
+// (shift.go).
+func (g *Group) AllgatherBruck(p *mpi.Proc, buf []uint64, l Layout) {
+	if g.Size() > 1 {
+		g.shift(p, g.Pos(p.Rank()), tagBruck, shiftArgs{buf: buf, l: l})
 	}
-	p.Obs().Collective("allgather-recdouble", t0, p.Clock())
 }
 
 // AllreduceSumInt64 returns the sum of x over the group.
 func (g *Group) AllreduceSumInt64(p *mpi.Proc, x int64) int64 {
-	v := []int64{x}
-	g.allreduceSum(p, v, tagAllreduce, "allreduce")
+	v := [1]int64{x}
+	g.allreduceSum(p, v[:], tagAllreduce, "allreduce")
 	return v[0]
 }
 
@@ -161,9 +136,10 @@ func (g *Group) AllreduceSumVec64(p *mpi.Proc, x *[64]int64) {
 }
 
 // allreduceSum sums x element-wise over the group, in place: recursive
-// doubling on power-of-two groups, gather to position 0 and broadcast
-// otherwise, under the caller's tag base and obs label. A one-element x
-// travels by value in Payload.Scalar, a longer one as a Vals copy.
+// doubling on power-of-two groups (a schedule: shift.go), gather to
+// position 0 and broadcast otherwise, under the caller's tag base and
+// obs label. As a message a one-element x travels by value in
+// Payload.Scalar, a longer one as a Vals copy.
 func (g *Group) allreduceSum(p *mpi.Proc, x []int64, tag int, label string) {
 	n := g.Size()
 	if n == 1 {
@@ -172,42 +148,35 @@ func (g *Group) allreduceSum(p *mpi.Proc, x []int64, tag int, label string) {
 	me := g.Pos(p.Rank())
 	t0 := p.Clock()
 	bytes := int64(len(x)) * 8
-	if n&(n-1) != 0 {
-		if me == 0 {
-			for i := 1; i < n; i++ {
-				addInto(x, p.Recv(g.ranks[i], tag).Payload)
-			}
-			sum := sumPayload(x)
-			for i := 1; i < n; i++ {
-				p.SendPayload(g.ranks[i], tag+1, bytes, sum, 1)
-			}
-		} else {
-			p.SendPayload(g.ranks[0], tag, bytes, sumPayload(x), 1)
-			clear(x) // the group's sum replaces the contribution
-			addInto(x, p.Recv(g.ranks[0], tag+1).Payload)
+	switch {
+	case n&(n-1) == 0: // on the member's accumulator, so x stays the caller's
+		g.acc[me] = append(g.acc[me][:0], x...)
+		g.shift(p, me, tag, shiftArgs{sum: g.acc[me]})
+		copy(x, g.acc[me])
+	case me == 0:
+		for i := 1; i < n; i++ {
+			addInto(x, p.Recv(g.ranks[i], tag).Payload)
 		}
-		p.Obs().Collective(label, t0, p.Clock())
-		return
-	}
-	steps := bits.TrailingZeros(uint(n))
-	xor := g.xorStreams()
-	for k := 0; k < steps; k++ {
-		partner := g.ranks[me^(1<<k)]
-		m := p.SendRecvPayload(partner, tag+2+k, bytes, sumPayload(x),
-			partner, tag+2+k, xor[k][me])
-		addInto(x, m.Payload)
+		sum := sumPayload(x, 0)
+		for i := 1; i < n; i++ {
+			p.SendPayload(g.ranks[i], tag+1, bytes, sum, 1)
+		}
+	default:
+		p.SendPayload(g.ranks[0], tag, bytes, sumPayload(x, 0), 1)
+		clear(x) // the group's sum replaces the contribution
+		addInto(x, p.Recv(g.ranks[0], tag+1).Payload)
 	}
 	p.Obs().Collective(label, t0, p.Clock())
 }
 
-// sumPayload is a partial sum as a message: one element by value, a
-// vector as a fresh copy, so no receiver reads an accumulator its sender
-// has already added into.
-func sumPayload(x []int64) mpi.Payload {
+// sumPayload is a partial sum as a message named id: one element by
+// value, a vector as a fresh copy, so no receiver reads an accumulator
+// its sender has already added into.
+func sumPayload(x []int64, id int) mpi.Payload {
 	if len(x) == 1 {
-		return mpi.Payload{Scalar: x[0]}
+		return mpi.Payload{ID: id, Scalar: x[0]}
 	}
-	return mpi.Payload{Vals: slices.Clone(x)}
+	return mpi.Payload{ID: id, Vals: slices.Clone(x)}
 }
 
 // addInto adds a sumPayload of len(x) elements into x.

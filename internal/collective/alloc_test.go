@@ -92,6 +92,7 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 	codecs := make([]*wire.Codec, np)
 	lists := make([][][]int64, np)
 	recvs := make([][][]int64, np)
+	gathered, sent := make([][][]int64, np), make([][][]int64, np)
 	ovs := make([]Overlap, np)
 	lanes := make([][64]int64, np)
 	for r := range bufs {
@@ -121,16 +122,24 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 		}},
 		// A multi-segment step sends a run of positions over the sender's
 		// buffer, which allocates nothing (16 per call when each step
-		// boxed its segment list). Bruck and the leader scheme's binomial
-		// gather and broadcast still build a stream table per round; the
-		// leaders' node layout is cached on the NodeComm (13 per call
-		// when it was not).
+		// boxed its segment list). Bruck's and the binomial gather's and
+		// broadcast's stream tables are built once per group (13 and 12.5
+		// per call when each round built its own); the leaders' node
+		// layout is cached on the NodeComm (13 per call when it was not).
 		{"AllgatherRecDouble", 0, func(p *mpi.Proc) { g.AllgatherRecDouble(p, bufs[p.Rank()], l) }},
-		{"AllgatherBruck", 13, func(p *mpi.Proc) { g.AllgatherBruck(p, bufs[p.Rank()], l) }},
-		{"LeaderAllgather", 12.5, func(p *mpi.Proc) { nc.Allgather(p, SchemeLeader, bufs[p.Rank()], nil, l, Exchange{}) }},
+		{"AllgatherBruck", 0, func(p *mpi.Proc) { g.AllgatherBruck(p, bufs[p.Rank()], l) }},
+		{"LeaderAllgather", 0, func(p *mpi.Proc) { nc.Allgather(p, SchemeLeader, bufs[p.Rank()], nil, l, Exchange{}) }},
 		{"AllreduceSumInt64", 0, func(p *mpi.Proc) { g.AllreduceSumInt64(p, int64(p.Rank())) }},
-		// One fresh copy of the partial sum per recursive-doubling step.
-		{"AllreduceSumVec64", 4, func(p *mpi.Proc) { g.AllreduceSumVec64(p, &lanes[p.Rank()]) }},
+		// Replayed, the partial sums add in place (4 per call as
+		// messages: a fresh copy of the sum per step).
+		{"AllreduceSumVec64", 0, func(p *mpi.Proc) { g.AllreduceSumVec64(p, &lanes[p.Rank()]) }},
+		// The codec list ring and exchange into retained tables.
+		{"AllgathervInt64Compressed", 0, func(p *mpi.Proc) {
+			gathered[p.Rank()] = g.AllgathervInt64(p, lists[p.Rank()][0], gathered[p.Rank()], codecs[p.Rank()])
+		}},
+		{"AlltoallvInt64IntoCompressed", 0, func(p *mpi.Proc) {
+			sent[p.Rank()] = g.AlltoallvInt64Into(p, lists[p.Rank()], sent[p.Rank()], codecs[p.Rank()])
+		}},
 		// The result table indexed by source position — unless the caller
 		// retains it, as the engines' top-down levels do.
 		{"AlltoallvInt64", 1, func(p *mpi.Proc) { g.AlltoallvInt64(p, lists[p.Rank()]) }},

@@ -1,6 +1,6 @@
 package collective
 
-// runAsMessages makes every shift schedule run as messages (the first
+// runAsMessages makes every schedule run as messages (the first
 // executor) until the returned restore is called, whatever the world's
 // fault plan allows.
 func runAsMessages() (restore func()) {

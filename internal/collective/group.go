@@ -27,9 +27,10 @@ package collective
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+	"sync/atomic"
 
 	"numabfs/internal/mpi"
+	"numabfs/internal/wire"
 )
 
 // Group is an ordered set of ranks that communicate collectively.
@@ -39,25 +40,28 @@ type Group struct {
 	node    []int       // position -> node
 	maxNode int
 
-	// The stream tables of the ring and recursive-doubling topologies,
-	// the same in every call, built once by whichever member needs one.
-	ringOnce sync.Once
-	ringStr  []int
-	xorOnce  sync.Once
-	xorStr   [][]int
-
-	// The shift schedules' gate and posted arguments (shift.go).
+	tables []atomic.Pointer[[][]int] // by slot (streamTable)
+	// The schedules' gate and, per member, arguments, codec prices and
+	// allreduce accumulators (shift.go).
 	gate   *mpi.Gate
 	posted []shiftArgs
+	priced [][]wire.Price
+	acc    [][]int64
 }
+
+// The stream tables' slots; a tree's is tabTree + 2*rootPos, plus one
+// for the broadcast.
+const tabRing, tabXor, tabBruck, tabTree = 0, 1, 2, 3
 
 // NewGroup builds a group over the given ranks (in order).
 func NewGroup(w *mpi.World, ranks []int) *Group {
 	g := &Group{
-		ranks: append([]int(nil), ranks...),
-		pos:   make(map[int]int, len(ranks)),
-		node:  make([]int, len(ranks)),
-		gate:  w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
+		ranks:  append([]int(nil), ranks...),
+		pos:    make(map[int]int, len(ranks)),
+		node:   make([]int, len(ranks)),
+		tables: make([]atomic.Pointer[[][]int], tabTree+2*len(ranks)),
+		gate:   w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
+		priced: make([][]wire.Price, len(ranks)), acc: make([][]int64, len(ranks)),
 	}
 	for i, r := range ranks {
 		if _, dup := g.pos[r]; dup {
@@ -105,68 +109,65 @@ func (g *Group) Pos(r int) int {
 // stream counts include inbound transfers. The result is indexed by
 // member position; idle members get 0.
 func (g *Group) stepStreams(sendTo []int) []int {
-	interByNode := make([]int, g.maxNode+1)
-	intraByNode := make([]int, g.maxNode+1)
+	inter, intra := make([]int, g.maxNode+1), make([]int, g.maxNode+1)
 	for i, dst := range sendTo {
-		if dst < 0 {
-			continue
-		}
-		if g.node[i] == g.node[dst] {
-			intraByNode[g.node[i]]++
-		} else {
-			interByNode[g.node[i]]++
-			interByNode[g.node[dst]]++
+		switch {
+		case dst < 0:
+		case g.node[i] == g.node[dst]:
+			intra[g.node[i]]++
+		default:
+			inter[g.node[i]]++
+			inter[g.node[dst]]++
 		}
 	}
 	out := make([]int, len(sendTo))
 	for i, dst := range sendTo {
-		if dst < 0 {
-			continue
-		}
-		if g.node[i] == g.node[dst] {
-			out[i] = intraByNode[g.node[i]]
-		} else {
-			s := interByNode[g.node[i]]
-			if d := interByNode[g.node[dst]]; d > s {
-				s = d
-			}
-			out[i] = s
+		switch {
+		case dst < 0:
+		case g.node[i] == g.node[dst]:
+			out[i] = intra[g.node[i]]
+		default:
+			out[i] = max(inter[g.node[i]], inter[g.node[dst]])
 		}
 	}
 	return out
 }
 
-// ringStreams returns the per-position stream counts of the ring
-// topology (position i sends to i+1), identical in every ring step.
-func (g *Group) ringStreams() []int {
-	g.ringOnce.Do(func() {
-		sendTo := make([]int, len(g.ranks))
+// streamTable returns the stream counts (stepStreams) of every round of
+// the topology in slot: the ring (i -> i+1, every round alike),
+// recursive doubling (i <-> i XOR 2^k), Bruck (i -> i-2^k), or the
+// binomial gather or broadcast from a root. It is built once per group,
+// by whichever member needs it first; members racing to build it build
+// identical tables, and either is kept.
+func (g *Group) streamTable(slot int) [][]int {
+	if t := g.tables[slot].Load(); t != nil {
+		return *t
+	}
+	n := len(g.ranks)
+	root, bcast := (slot-tabTree)/2, slot >= tabTree && (slot-tabTree)%2 == 1
+	t := make([][]int, max(bits.Len(uint(n-1)), 1))
+	sendTo := make([]int, n)
+	for k := range t {
+		d := 1 << k
+		if bcast { // rounds from the top bit down
+			d = 1 << (len(t) - 1 - k)
+		}
 		for i := range sendTo {
-			sendTo[i] = (i + 1) % len(sendTo)
-		}
-		g.ringStr = g.stepStreams(sendTo)
-	})
-	return g.ringStr
-}
-
-// xorStreams returns, for each recursive-doubling step k, the
-// per-position stream counts of the i <-> i XOR 2^k exchange. The
-// group size must be a power of two.
-func (g *Group) xorStreams() [][]int {
-	g.xorOnce.Do(func() {
-		n := len(g.ranks)
-		steps := bits.TrailingZeros(uint(n))
-		g.xorStr = make([][]int, steps)
-		sendTo := make([]int, n)
-		for k := 0; k < steps; k++ {
-			d := 1 << uint(k)
-			for i := range sendTo {
-				sendTo[i] = i ^ d
+			switch v := (i - root + n) % n; {
+			case slot < tabTree: // the schedules' shapes (Group.step)
+				sendTo[i], _ = mpi.Peers(i, n, [3]int{1, d, n - d}[slot], slot == tabXor)
+			case bcast && v%(2*d) == 0 && v+d < n:
+				sendTo[i] = (v + d + root) % n
+			case !bcast && v&d != 0 && v&(d-1) == 0:
+				sendTo[i] = (v - d + root) % n
+			default:
+				sendTo[i] = -1
 			}
-			g.xorStr[k] = g.stepStreams(sendTo)
 		}
-	})
-	return g.xorStr
+		t[k] = g.stepStreams(sendTo)
+	}
+	g.tables[slot].Store(&t)
+	return t
 }
 
 // run is the message of a multi-segment step (recursive doubling,
@@ -181,9 +182,9 @@ func (g *Group) run(buf []uint64, l Layout, first, count int) (mpi.Payload, int6
 	return mpi.Payload{ID: first, Q: count, Words: buf}, words * 8
 }
 
-// land copies the segments of a received run into buf, after checking
-// that it is the run the step expects.
-func (g *Group) land(buf []uint64, l Layout, in mpi.Payload, first, count int) {
+// landRun copies the segments of a received run into buf, after
+// checking that it is the run the step expects.
+func (g *Group) landRun(buf []uint64, l Layout, in *mpi.Payload, first, count int) {
 	if in.ID != first || in.Q != count {
 		panic(fmt.Sprintf("collective: expected the %d segments from position %d, got %d from %d", count, first, in.Q, in.ID))
 	}

@@ -1,35 +1,57 @@
 package collective
 
-import "numabfs/internal/mpi"
+import (
+	"math/bits"
 
-// The raw ring allgathers, of segments and of lists, and the pairwise
-// alltoallv are one schedule, written once: n-1 steps, at step s member
-// i sends one item to member (i+d) mod n. Under a plan with crashes or
-// lossy links every member walks its own steps as messages; otherwise
-// the last member to reach the group's gate replays them (mpi.Gate).
+	"numabfs/internal/mpi"
+	"numabfs/internal/wire"
+)
 
-// forceMessages runs every shift schedule as messages; tests set it.
+// The collectives whose steps pair the members by a fixed permutation
+// are one generator (step) and two executors: with crashes or lossy
+// links in the plan every member walks its steps as messages, encoding
+// for real; otherwise the last member at the group's gate replays them
+// (walk), moving raw words and charging codec items at their price.
+
+// forceMessages runs every schedule as messages; tests set it.
 var forceMessages bool
 
-// shiftArgs are one member's arguments: a segment ring's buffer and
-// layout, or the vectors it sends (a list ring's are its out) and gets.
+// shiftArgs are one member's arguments: a segment buffer and layout,
+// the vectors it sends (a list ring's are its out) and gets, or an
+// allreduce's accumulator; its codec, and its ring's stream count.
 type shiftArgs struct {
 	buf       []uint64
 	l         Layout
 	send, out [][]int64
+	sum       []int64
+	c         *wire.Codec
+	streams   int
 }
 
-// step is the generator: the distance of step s and the item member i
-// of n sends at it. A ring forwards item (i-s) mod n to its successor;
-// the pairwise exchange sends send_i[dst] to dst = i+s+1.
-func step(op, n, s, i int) (d, item int) {
-	if op == tagAlltoall {
-		return s + 1, (i + s + 1) % n
+// step is the generator: at step s of schedule op, each member i sends
+// to the member d positions after it — or to i XOR d, under xor
+// (mpi.Peers) — its item ((i+off) mod n) &^ mask, over row[i] streams
+// (row nil: its own). A ring forwards item (i-s) mod n to its successor;
+// the pairwise exchange sends send_i[i+s+1] to i+s+1; recursive doubling
+// swaps with i XOR 2^s its 2^s-aligned block (or sum); Bruck sends its
+// run to i-2^s.
+func (g *Group) step(op, s int) (d int, xor bool, off, mask int, row []int) {
+	n := len(g.ranks)
+	switch op {
+	case tagAlltoall, tagAlltoallC:
+		return s + 1, false, s + 1, 0, nil
+	case tagBruck:
+		return n - 1<<s, false, 0, 0, g.streamTable(tabBruck)[s]
+	case tagRecDouble, tagAllreduce, tagAllreduceV:
+		return 1 << s, true, 0, 1<<s - 1, g.streamTable(tabXor)[s]
 	}
-	return 1, (i - s + n) % n
+	return 1, false, n - s, 0, nil
 }
 
-// item returns a's item k, a segment or a vector, and its bytes.
+// runs reports whether op's items are runs of min(2^s, n-2^s) segments.
+func runs(op int) bool { return op == tagRecDouble || op == tagBruck }
+
+// item is a's item k, a segment or a vector, and its raw bytes.
 func (a *shiftArgs) item(k int) ([]uint64, []int64, int64) {
 	if a.send == nil {
 		w := a.l.seg(a.buf, k)
@@ -38,49 +60,157 @@ func (a *shiftArgs) item(k int) ([]uint64, []int64, int64) {
 	return nil, a.send[k], int64(len(a.send[k])) * 8
 }
 
-// land stores member src's item k into a: a copy into the segment, or
-// the vector at out[src] (alltoallv) or out[k] (list ring).
-func (a *shiftArgs) land(op, src, k int, words []uint64, vals []int64) {
-	switch {
-	case a.send == nil:
-		copy(a.l.seg(a.buf, k), words)
-	case op == tagAlltoall:
-		a.out[src] = vals
-	default:
-		a.out[k] = vals
-	}
-}
-
-// shift runs schedule op (tagRing, tagGatherList or tagAlltoall, the
-// steps' tag base) as the member at position me, with arguments a.
-func (g *Group) shift(p *mpi.Proc, me, op int, a shiftArgs, streams int) {
-	n := g.Size()
-	if !forceMessages && p.World().Injector().Replayable() {
-		g.posted[me] = a
-		g.gate.Pass(p, me, op, streams, func() {
-			for s := 0; s < n-1; s++ {
-				d, _ := step(op, n, s, 0)
-				g.gate.Shift(d, func(i, j int) int64 {
-					_, k := step(op, n, s, i)
-					w, v, bytes := g.posted[i].item(k)
-					g.posted[j].land(op, i, k, w, v)
-					return bytes
-				})
-			}
-		})
-		g.posted[me] = shiftArgs{} // pin no buffer past the call
+// put stores member src's raw item k into a: a segment copied into
+// place, or a vector at out[src] (alltoallv) or out[k] (list ring) — an
+// alias of the sender's, or in the table's own storage under a codec.
+func (a *shiftArgs) put(op, src, k int, w []uint64, v []int64) {
+	if a.send == nil {
+		copy(a.l.seg(a.buf, k), w)
 		return
 	}
-	for s := 0; s < n-1; s++ {
-		d, k := step(op, n, s, me)
-		src := (me - d + n) % n
-		_, want := step(op, n, s, src)
-		w, v, bytes := a.item(k)
-		m := p.SendRecvPayload(g.ranks[(me+d)%n], op+s, bytes, mpi.Payload{ID: k, Words: w, Vals: v},
-			g.ranks[src], op+s, streams)
-		if m.Payload.ID != want {
-			panic("collective: shift schedule received an unexpected item")
+	out := &a.out[[2]int{k, src}[b2i(op == tagAlltoall || op == tagAlltoallC)]]
+	if a.c != nil {
+		v = append((*out)[:0], v...)
+	}
+	*out = v
+}
+
+// payload is a's item k at step s as a message, and its raw bytes.
+func (g *Group) payload(a *shiftArgs, op, s, k int) (mpi.Payload, int64) {
+	switch {
+	case a.sum != nil:
+		return sumPayload(a.sum, k), int64(len(a.sum)) * 8
+	case runs(op):
+		return g.run(a.buf, a.l, k, min(1<<s, len(g.ranks)-1<<s))
+	}
+	w, v, bytes := a.item(k)
+	return mpi.Payload{ID: k, Words: w, Vals: v}, bytes
+}
+
+// land stores member src's item k of step s, arrived as pl, into a and
+// returns its decode time: a sum added in, a run copied into place, a
+// raw item put, or an encoded one decoded into the segment, or into the
+// table's own storage at out[src] (alltoallv) or out[k] (list ring).
+func (g *Group) land(a *shiftArgs, op, s, src, k int, pl *mpi.Payload) (ns float64) {
+	switch {
+	case a.sum != nil:
+		addInto(a.sum, *pl)
+	case runs(op):
+		g.landRun(a.buf, a.l, pl, k, min(1<<s, len(g.ranks)-1<<s))
+	case pl.Wire.Format == wire.FormatAuto:
+		a.put(op, src, k, pl.Words, pl.Vals)
+	case a.send == nil:
+		ns = a.c.Decode(a.l.seg(a.buf, k), pl.Wire)
+	default:
+		out := &a.out[[2]int{k, src}[b2i(op == tagAlltoallC)]]
+		*out, ns = a.c.DecodeList(pl.Wire, (*out)[:0])
+	}
+	return ns
+}
+
+// shift runs schedule op (a tag base) as the member at position me,
+// with arguments a. Under a codec the exchange encodes every vector it
+// sends, and a ring encodes its own item and forwards what it got.
+func (g *Group) shift(p *mpi.Proc, me, op int, a shiftArgs) {
+	n, steps, exchange := g.Size(), g.Size()-1, op == tagAlltoallC
+	if runs(op) || a.sum != nil {
+		steps = bits.Len(uint(n - 1))
+	}
+	if forceMessages || !p.World().Injector().Replayable() {
+		var held wire.Payload // the encoded item to send
+		for s := 0; s < steps; s++ {
+			d, xor, off, mask, row := g.step(op, s)
+			to, from := mpi.Peers(me, n, d, xor)
+			k, want, st := (me+off)%n&^mask, (from+off)%n&^mask, a.streams
+			if row != nil {
+				st = row[me]
+			}
+			var m mpi.Msg
+			if a.c == nil {
+				pl, bytes := g.payload(&a, op, s, k)
+				m = p.SendRecvPayload(g.ranks[to], op+s, bytes, pl, g.ranks[from], op+s, st)
+			} else {
+				var ns float64 // a ring encodes its own item, and forwards what it got
+				if k == me && a.send != nil || exchange {
+					held, ns = a.c.EncodeListSlot(a.send[k], s)
+				} else if k == me {
+					held, ns = a.c.EncodeSlot(a.l.seg(a.buf, k), s)
+				}
+				p.Compute(ns)
+				m = p.SendRecvWire(g.ranks[to], op+s, mpi.Payload{ID: k, Wire: held}, g.ranks[from], op+s, st)
+				held = m.Payload.Wire
+			}
+			if m.Payload.ID != want {
+				panic("collective: schedule received an unexpected item")
+			}
+			p.Compute(g.land(&a, op, s, from, want, &m.Payload))
 		}
-		a.land(op, src, want, m.Payload.Words, m.Payload.Vals)
+		return
+	}
+	if a.c != nil && len(g.priced[me]) < n {
+		g.priced[me] = make([]wire.Price, n)
+	}
+	for k := range n * b2i(a.c != nil) { // price what this member encodes, on its worker
+		switch {
+		case (k == me) == exchange:
+		case a.send != nil:
+			g.priced[me][k], _ = a.c.PriceList(a.send[k])
+		default:
+			g.priced[me][k], _ = a.c.Price(a.l.seg(a.buf, k))
+		}
+	}
+	g.posted[me], g.gate.Streams[me] = a, a.streams
+	g.gate.Pass(p, me, op, func() { g.walk(op, steps, a.c != nil) })
+	g.posted[me] = shiftArgs{} // pin no buffer past the call
+}
+
+// walk replays schedule op over the posted arguments. Per step it moves
+// every item raw (a loop per kind of item), fills in the gate's
+// messages — under a codec the item's price, its owner's encode charged
+// now, before the step that first sends it, and its receiver's decode
+// after — and has the gate price the step.
+func (g *Group) walk(op, steps int, codec bool) {
+	n, gt, ps := len(g.ranks), g.gate, g.posted
+	for s := 0; s < steps; s++ {
+		d, xor, off, mask, row := g.step(op, s)
+		copy(gt.Streams, row)
+		switch {
+		case ps[0].sum != nil:
+			for i := range n {
+				to, _ := mpi.Peers(i, n, d, xor)
+				gt.Bytes[i] = int64(len(ps[i].sum)) * 8
+				for e, v := range ps[i].sum[:len(ps[i].sum)*b2i(i < to)] { // a pair's sums, once for both
+					ps[i].sum[e] += ps[to].sum[e]
+					ps[to].sum[e] = v + ps[to].sum[e]
+				}
+			}
+		case runs(op):
+			for i := range n {
+				to, _ := mpi.Peers(i, n, d, xor)
+				var pl mpi.Payload
+				pl, gt.Bytes[i] = g.payload(&ps[i], op, s, (i+off)%n&^mask)
+				g.land(&ps[to], op, s, i, pl.ID, &pl)
+			}
+		default:
+			for i := range n {
+				to, _ := mpi.Peers(i, n, d, xor)
+				k := (i + off) % n &^ mask
+				w, v, bytes := ps[i].item(k)
+				ps[to].put(op, i, k, w, v)
+				gt.Bytes[i] = bytes
+			}
+		}
+		copy(gt.Raw, gt.Bytes)
+		for i := range n * b2i(codec) {
+			to, _ := mpi.Peers(i, n, d, xor)
+			k := (i + off) % n &^ mask
+			o := [2]int{k, i}[b2i(op == tagAlltoallC)] // the item's owner
+			pr := g.priced[o][k]
+			if o == i {
+				gt.Compute(i, ps[i].c.Cost(pr, false))
+			}
+			gt.Bytes[i], gt.Raw[i], gt.After[i] = pr.WireBytes, pr.RawBytes, ps[to].c.Cost(pr, true)
+		}
+		gt.Step(d, xor)
 	}
 }

@@ -9,27 +9,40 @@ import (
 	"testing"
 
 	"numabfs/internal/fault"
+	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
 	"numabfs/internal/obs"
 	"numabfs/internal/simnet"
+	"numabfs/internal/wire"
 )
 
-// shiftOutcome is everything a run of the shift schedules leaves behind
-// that either executor could get wrong.
+// shiftOutcome is everything a run of the schedules leaves behind that
+// either executor could get wrong.
 type shiftOutcome struct {
 	Words  []uint64 // every rank's segment buffers, in rank order
-	Lists  []int64  // every rank's gathered and exchanged vectors, flattened with lengths
+	Lists  []int64  // every rank's gathered and exchanged vectors and sums, flattened with lengths
 	Clocks []uint64 // every rank's clock after each collective, as bits
+	Stats  []wire.Stats
 	Volume simnet.Volume
 	Obs    []byte // the obs export
 }
 
+// shiftCodecs are the selectors the codec schedules run under: adaptive,
+// each format forced, and the density threshold.
+var shiftCodecs = []wire.Codec{
+	{}, {Force: wire.FormatDense}, {Force: wire.FormatSparse}, {Force: wire.FormatRLE},
+	{SparseMaxDensity: 1.0 / 64},
+}
+
 // runShifts runs the raw ring allgather, the list ring and the pairwise
-// alltoallv on the whole world, then, with more than one rank per node,
-// the parallel allgather into node-shared buffers and the leader
-// allgather. Segments and vectors are uneven and partly empty, entry
-// clocks differ, and the plan prices messages by virtual time (a
-// bandwidth window, jitter) without making them lossy, so both
+// alltoallv on the whole world; the codec ring, list ring and alltoallv
+// under every selector of shiftCodecs; the scalar and 64-lane
+// allreduces, Bruck's allgather and, on a power-of-two world, recursive
+// doubling; then, with more than one rank per node, the parallel
+// allgather into node-shared buffers and the leader allgather. Segments
+// and vectors are uneven and partly empty, entry clocks differ, and the
+// plan prices messages by virtual time (a bandwidth window, jitter) and
+// slows one rank's compute without making anything lossy, so both
 // executors are eligible.
 func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	t.Helper()
@@ -71,6 +84,17 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	gathered := make([][][]int64, np)
 	exchanged := make([][][]int64, np)
 	clocks := make([][]uint64, np)
+	codecs := make([][]*wire.Codec, np)
+	sel := shiftCodecs
+	if np > 16 {
+		sel = sel[:1] // the sweep at 128 ranks costs a minute under -race
+	}
+	for r := range codecs {
+		for _, c := range sel {
+			c.Team, c.Loc = newTestCodec().Team, machine.Local
+			codecs[r] = append(codecs[r], &c)
+		}
+	}
 	var nc *NodeComm
 	if ppn > 1 {
 		nc = NewNodeComm(w)
@@ -92,6 +116,57 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 		p.Compute(float64(r%3) * 900)
 		exchanged[r] = g.AlltoallvInt64Into(p, send, nil, nil)
 		mark()
+		// A codec serves one collective at a time: the barriers stand for
+		// the engines' level-end allreduce.
+		for _, c := range codecs[r] {
+			buf := make([]uint64, words)
+			fillVaried(buf, l, r)
+			g.AllgatherRingCompressed(p, buf, l, c)
+			mark()
+			// A table reused across calls; the codec owns its entries, so
+			// clearing the vectors sent afterwards changes none of them.
+			mine, csend := vec(r%4, r+1), make([][]int64, np)
+			var tab [][]int64
+			for i := 0; i < 2; i++ {
+				p.Barrier()
+				tab = g.AllgathervInt64(p, mine[:len(mine)-i*min(len(mine), 1)], tab, c)
+				mark()
+			}
+			for d := range csend {
+				csend[d] = vec((r*d+1)%5, d-r)
+			}
+			p.Barrier()
+			got := g.AlltoallvInt64Into(p, csend, nil, c)
+			mark()
+			p.Barrier()
+			clear(mine)
+			for _, v := range csend {
+				clear(v)
+			}
+			p.Barrier()
+			bufs[r] = append(bufs[r], buf...)
+			gathered[r] = append(append(gathered[r], tab...), got...)
+		}
+		sum := g.AllreduceSumInt64(p, int64(r*7-3))
+		mark()
+		var lanes [64]int64
+		for i := range lanes {
+			lanes[i] = int64(r*i - 5)
+		}
+		g.AllreduceSumVec64(p, &lanes)
+		mark()
+		exchanged[r] = append(exchanged[r], []int64{sum}, lanes[:])
+		gathers := []func(*Group, *mpi.Proc, []uint64, Layout){(*Group).AllgatherBruck}
+		if np&(np-1) == 0 {
+			gathers = append(gathers, (*Group).AllgatherRecDouble)
+		}
+		for _, gather := range gathers {
+			buf := make([]uint64, words)
+			fillOwn(buf, l, r)
+			gather(g, p, buf, l)
+			mark()
+			bufs[r] = append(bufs[r], buf...)
+		}
 		if nc == nil {
 			return
 		}
@@ -115,6 +190,9 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 			}
 		}
 		out.Clocks = append(out.Clocks, clocks[r]...)
+		for _, c := range codecs[r] {
+			out.Stats = append(out.Stats, c.Stats())
+		}
 	}
 	if nc != nil {
 		for n := 0; n < nodes; n++ {
@@ -130,10 +208,10 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	return out
 }
 
-// TestShiftExecutorsAgree: replaying a shift schedule at the group's
-// gate leaves exactly what running it as messages does — buffers,
-// vectors, every clock bit, the network volume and the obs export —
-// across group sizes and host worker counts.
+// TestShiftExecutorsAgree: replaying a schedule at the group's gate
+// leaves exactly what running it as messages does — buffers, vectors,
+// sums, every clock bit, the codec statistics, the network volume and
+// the obs export — across group sizes and host worker counts.
 func TestShiftExecutorsAgree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, shape := range []struct{ nodes, ppn int }{{1, 1}, {1, 2}, {3, 1}, {7, 1}, {4, 4}, {16, 8}} {
@@ -165,29 +243,51 @@ func TestShiftExecutorsAgree(t *testing.T) {
 	}
 }
 
-// TestReplayParksOncePerMember: a 128-member raw ring allgather replayed
-// at its gate parks each member at most once, where as messages every
+// TestReplayParksOncePerMember: every schedule on 128 members, replayed
+// at its gate, parks each member at most once, where as messages every
 // member parks about once per step.
 func TestReplayParksOncePerMember(t *testing.T) {
 	w := testWorld(t, 16, 8)
 	g := WorldGroup(w)
 	n := g.Size()
 	l := EvenLayout(4096, n)
-	bufs := make([][]uint64, n)
+	bufs, codecs := make([][]uint64, n), make([]*wire.Codec, n)
+	lists, tabs := make([][][]int64, n), make([][][]int64, n)
 	for r := range bufs {
-		bufs[r] = make([]uint64, 4096)
+		bufs[r], codecs[r] = make([]uint64, 4096), newTestCodec()
+		fillVaried(bufs[r], l, r)
+		lists[r] = make([][]int64, n)
+		for d := range lists[r] {
+			lists[r][d] = []int64{int64(r), int64(d)}
+		}
 	}
-	parks := func() int64 {
-		before := w.Parks()
-		w.Run(func(p *mpi.Proc) { g.AllgatherRing(p, bufs[p.Rank()], l) })
-		return w.Parks() - before
+	var lanes [64]int64
+	for _, c := range []struct {
+		name string
+		body func(p *mpi.Proc, r int)
+	}{
+		{"ring", func(p *mpi.Proc, r int) { g.AllgatherRing(p, bufs[r], l) }},
+		{"ring-codec", func(p *mpi.Proc, r int) { g.AllgatherRingCompressed(p, bufs[r], l, codecs[r]) }},
+		{"list-ring-codec", func(p *mpi.Proc, r int) { tabs[r] = g.AllgathervInt64(p, lists[r][r], tabs[r], codecs[r]) }},
+		{"alltoallv-codec", func(p *mpi.Proc, r int) { tabs[r] = g.AlltoallvInt64Into(p, lists[r], tabs[r], codecs[r]) }},
+		{"allreduce", func(p *mpi.Proc, r int) { g.AllreduceSumInt64(p, int64(r)) }},
+		{"allreduce-vec", func(p *mpi.Proc, r int) { v := lanes; g.AllreduceSumVec64(p, &v) }},
+		{"recdouble", func(p *mpi.Proc, r int) { g.AllgatherRecDouble(p, bufs[r], l) }},
+		{"bruck", func(p *mpi.Proc, r int) { g.AllgatherBruck(p, bufs[r], l) }},
+	} {
+		parks := func() int64 {
+			before := w.Parks()
+			w.Run(func(p *mpi.Proc) { c.body(p, p.Rank()) })
+			return w.Parks() - before
+		}
+		restore := runAsMessages()
+		messages := parks()
+		restore()
+		tabs = make([][][]int64, n) // a codec table must not move between executors' calls
+		if replay := parks(); replay > int64(2*n) {
+			t.Errorf("replayed %s parked %d times, want <= %d", c.name, replay, 2*n)
+		} else {
+			t.Logf("%s on %d members: %d parks as messages, %d replayed", c.name, n, messages, replay)
+		}
 	}
-	restore := runAsMessages()
-	messages := parks()
-	restore()
-	replay := parks()
-	if replay > int64(2*n) {
-		t.Errorf("replayed ring allgather parked %d times, want <= %d", replay, 2*n)
-	}
-	t.Logf("%d members: %d parks as messages, %d replayed", n, messages, replay)
 }

@@ -14,30 +14,18 @@ func (g *Group) GatherBinomial(p *mpi.Proc, buf []uint64, l Layout, rootPos int)
 	}
 	me := g.Pos(p.Rank())
 	v := (me - rootPos + n) % n // virtual position: root is 0
-	sendTo := make([]int, n)
-
+	streams := g.streamTable(tabTree + 2*rootPos)
 	for k, d := 0, 1; d < n; k, d = k+1, d*2 {
-		// Compute this round's send topology for stream counting.
-		for i := range sendTo {
-			vi := (i - rootPos + n) % n
-			if vi&d != 0 && vi&(d-1) == 0 {
-				sendTo[i] = (vi - d + rootPos) % n
-			} else {
-				sendTo[i] = -1
-			}
-		}
-		streams := g.stepStreams(sendTo)
-
 		if v&d != 0 && v&(d-1) == 0 {
 			// I send my subtree: virtual positions [v, min(v+d, n)).
 			pl, bytes := g.run(buf, l, (v+rootPos)%n, min(d, n-v))
-			p.SendPayload(g.ranks[(v-d+rootPos)%n], tagGather+k, bytes, pl, streams[me])
+			p.SendPayload(g.ranks[(v-d+rootPos)%n], tagGather+k, bytes, pl, streams[k][me])
 			return // a sender is done after handing off its subtree
 		}
 		if v&(2*d-1) == 0 && v+d < n {
 			// My child's subtree: virtual positions [v+d, min(v+2d, n)).
 			m := p.Recv(g.ranks[(v+d+rootPos)%n], tagGather+k)
-			g.land(buf, l, m.Payload, (v+d+rootPos)%n, min(d, n-v-d))
+			g.landRun(buf, l, &m.Payload, (v+d+rootPos)%n, min(d, n-v-d))
 		}
 	}
 }
@@ -52,25 +40,12 @@ func (g *Group) BcastBinomial(p *mpi.Proc, buf []uint64, total int64, rootPos in
 	}
 	me := g.Pos(p.Rank())
 	v := (me - rootPos + n) % n
-	top := 1
-	for top < n {
-		top *= 2
-	}
-	sendTo := make([]int, n)
-	for k, d := 0, top/2; d >= 1; k, d = k+1, d/2 {
-		for i := range sendTo {
-			vi := (i - rootPos + n) % n
-			if vi&(d-1) == 0 && vi&d == 0 && vi+d < n && vi%(2*d) == 0 {
-				sendTo[i] = (vi + d + rootPos) % n
-			} else {
-				sendTo[i] = -1
-			}
-		}
-		streams := g.stepStreams(sendTo)
+	streams := g.streamTable(tabTree + 2*rootPos + 1)
+	for k, d := 0, 1<<(len(streams)-1); d >= 1; k, d = k+1, d/2 {
 		switch {
 		case v%(2*d) == 0 && v+d < n:
 			dst := g.ranks[(v+d+rootPos)%n]
-			p.SendPayload(dst, tagBcast+k, total*8, mpi.Payload{Words: buf[:total]}, streams[me])
+			p.SendPayload(dst, tagBcast+k, total*8, mpi.Payload{Words: buf[:total]}, streams[k][me])
 		case v%(2*d) == d:
 			src := g.ranks[(v-d+rootPos)%n]
 			m := p.Recv(src, tagBcast+k)

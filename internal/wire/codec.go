@@ -7,19 +7,28 @@ import (
 	"numabfs/internal/omp"
 )
 
-// Payload is one encoded segment in flight through a collective. The
+// Price is an item as the cost model and the network see it: its wire
+// format, the bytes that cross the simulated network (WireBytes), its
+// logical pre-encoding size (RawBytes) and, for a bitmap segment, its
+// set bits. Encode and EncodeList return it inside the payload; Price
+// and PriceList return it without writing a byte.
+type Price struct {
+	Format    Format
+	WireBytes int64
+	RawBytes  int64
+	Pop       int64
+}
+
+// Payload is one encoded item in flight through a collective. The
 // dense format travels as an alias of the owner's stable words — no
 // host copy, exactly like the uncompressed path — while the simulated
 // transfer still pays DenseSize bytes. Every other format carries the
 // real encoded bytes, so receivers exercise the byte decoders the fuzz
-// tests cover. WireBytes is what crosses the simulated network;
-// RawBytes is the logical (pre-encoding) size of the segment.
+// tests cover.
 type Payload struct {
-	Format    Format
-	Dense     []uint64
-	Enc       []byte
-	WireBytes int64
-	RawBytes  int64
+	Price
+	Dense []uint64
+	Enc   []byte
 }
 
 // Stats accumulates one codec's encode-side selector decisions:
@@ -100,71 +109,107 @@ func (c *Codec) pick(st SegStats) Format {
 	return f
 }
 
+// Cost is the codec's one cost model: the modelled CPU time (ns) on
+// the codec's team of encoding an item of price pr, or of decoding it.
+// Both directions stream the raw words and the wire bytes once. Dense
+// encode is only the selection scan — the payload aliases the words,
+// so, like the uncompressed path, no host copy happens — and dense
+// decode is free beyond the transfer (the receive copy is part of the
+// modelled transfer). The per-word work is one operation per raw word,
+// two when encoding RLE and either way for the varint lists, and one
+// per set bit for sparse (plus the scan when encoding). The real codec
+// and a replayed collective both charge it, so the two cannot drift.
+func (c *Codec) Cost(pr Price, decode bool) float64 {
+	words := pr.RawBytes / 8
+	load := machine.PhaseLoad{SeqBytes: pr.RawBytes + pr.WireBytes, SeqLoc: c.Loc, CPUOps: words}
+	switch {
+	case pr.Format == FormatDense:
+		if decode {
+			return 0
+		}
+		load.SeqBytes = pr.RawBytes
+	case pr.Format == FormatSparse && decode:
+		load.CPUOps = pr.Pop
+	case pr.Format == FormatSparse:
+		load.CPUOps = words + pr.Pop
+	case pr.Format == FormatList, !decode:
+		load.CPUOps = 2 * words
+	}
+	return c.Team.Parallel(load)
+}
+
+// charge counts an encoded item in the statistics and returns its
+// encode time.
+func (c *Codec) charge(pr Price) float64 {
+	c.stats.Segments[pr.Format]++
+	c.stats.RawBytes += pr.RawBytes
+	c.stats.WireBytes += pr.WireBytes
+	return c.Cost(pr, false)
+}
+
+// price resolves the format of a segment with scan statistics st and
+// its exact size in that format.
+func (c *Codec) price(st SegStats) Price {
+	f := c.pick(st)
+	return Price{Format: f, WireBytes: int64(st.Size(f)), RawBytes: 8 * int64(st.Words), Pop: int64(st.Pop)}
+}
+
+// Price prices seg as Encode would encode it — the same format, wire
+// size, statistics and modelled time — without writing a byte: a
+// replayed collective moves the raw words and charges this.
+func (c *Codec) Price(seg []uint64) (Price, float64) {
+	pr := c.price(Analyze(seg))
+	return pr, c.charge(pr)
+}
+
+// PriceList is Price for EncodeList.
+func (c *Codec) PriceList(vals []int64) (Price, float64) {
+	pr := Price{Format: FormatList, WireBytes: int64(ListSize(vals)), RawBytes: 8 * int64(len(vals))}
+	return pr, c.charge(pr)
+}
+
 // Encode encodes seg and returns the payload plus the modelled CPU
-// time (ns) of the selection scan and the encoding pass. The scan
-// streams the raw words once; sparse and RLE pay a second pass that
-// writes the wire bytes. Dense costs only the scan — the payload
-// aliases seg, so, like the uncompressed path, no host copy happens
-// and none is charged.
+// time (ns) of the selection scan and the encoding pass (Cost).
 func (c *Codec) Encode(seg []uint64) (Payload, float64) {
-	var pl Payload
-	var ns float64
-	c.buf, pl, ns = c.encode(c.buf, seg)
-	return pl, ns
+	return c.encode(&c.buf, seg)
 }
 
 // EncodeSlot is Encode with a dedicated scratch buffer per slot, for
-// pipelined collectives that keep several of this rank's encoded chunks
-// in flight at once: chunk i encodes into slot i, and no slot is reused
-// until the collective completes globally (the engine's inter-level
-// allreduce), so a payload several ring hops downstream is never
-// overwritten by a later encode.
+// collectives that keep several of this rank's encoded items in flight
+// at once: item i encodes into slot i, and no slot is reused until the
+// collective completes globally (the engine's inter-level allreduce),
+// so a payload several ring hops downstream is never overwritten by a
+// later encode.
 func (c *Codec) EncodeSlot(seg []uint64, slot int) (Payload, float64) {
-	for len(c.slots) <= slot {
+	return c.encode(c.slot(slot), seg)
+}
+
+// slot returns scratch buffer i, growing the set on demand.
+func (c *Codec) slot(i int) *[]byte {
+	for len(c.slots) <= i {
 		c.slots = append(c.slots, nil)
 	}
-	var pl Payload
-	var ns float64
-	c.slots[slot], pl, ns = c.encode(c.slots[slot], seg)
-	return pl, ns
+	return &c.slots[i]
 }
 
 // encode is the shared encode body: it writes any non-dense encoding
-// into buf (reusing its capacity) and returns the buffer, the payload
-// and the modelled CPU time.
-func (c *Codec) encode(buf []byte, seg []uint64) ([]byte, Payload, float64) {
-	st := Analyze(seg)
-	f := c.pick(st)
-	raw := 8 * int64(len(seg))
-	load := machine.PhaseLoad{SeqBytes: raw, SeqLoc: c.Loc, CPUOps: int64(len(seg))}
-	pl := Payload{Format: f, RawBytes: raw}
-	switch f {
-	case FormatDense:
-		buf = buf[:0]
+// into *buf, reusing its capacity, and returns the payload and the
+// modelled CPU time.
+func (c *Codec) encode(buf *[]byte, seg []uint64) (Payload, float64) {
+	pl := Payload{Price: c.price(Analyze(seg))}
+	*buf = (*buf)[:0]
+	if pl.Format == FormatDense {
 		pl.Dense = seg
-		pl.WireBytes = int64(DenseSize(len(seg)))
-	default:
-		buf = Append(buf[:0], f, seg)
-		pl.Enc = buf
-		pl.WireBytes = int64(len(buf))
-		load.SeqBytes += pl.WireBytes
-		if f == FormatSparse {
-			load.CPUOps += int64(st.Pop)
-		} else {
-			load.CPUOps += int64(len(seg))
-		}
+	} else {
+		*buf = Append(*buf, pl.Format, seg)
+		pl.Enc = *buf
+		pl.WireBytes = int64(len(*buf))
 	}
-	c.stats.Segments[f]++
-	c.stats.RawBytes += raw
-	c.stats.WireBytes += pl.WireBytes
-	return buf, pl, c.Team.Parallel(load)
+	return pl, c.charge(pl.Price)
 }
 
 // Decode decodes pl into dst, overwriting it, and returns the modelled
-// CPU time. Dense decode is free beyond the transfer, mirroring the
-// uncompressed path (the receive copy is part of the modelled
-// transfer); sparse and RLE pay a clear-plus-scatter pass over the
-// wire bytes and the destination words.
+// CPU time (Cost).
 func (c *Codec) Decode(dst []uint64, pl Payload) float64 {
 	if pl.Format == FormatDense {
 		copy(dst, pl.Dense)
@@ -177,80 +222,35 @@ func (c *Codec) Decode(dst []uint64, pl Payload) float64 {
 	if f != pl.Format {
 		panic(fmt.Sprintf("wire: payload header %s does not match format %s", f, pl.Format))
 	}
-	load := machine.PhaseLoad{
-		SeqBytes: pl.WireBytes + pl.RawBytes,
-		SeqLoc:   c.Loc,
-		CPUOps:   pl.RawBytes / 8,
-	}
-	if f == FormatSparse {
-		load.CPUOps = (pl.WireBytes - 5) / 4
-	}
-	return c.Team.Parallel(load)
+	return c.Cost(pl.Price, true)
 }
 
 // EncodeList encodes an int64 vertex list in the varint-delta format
-// and returns the payload plus the modelled CPU time (one read pass
-// over the values, one write pass over the wire bytes).
+// and returns the payload plus the modelled CPU time (Cost).
 func (c *Codec) EncodeList(vals []int64) (Payload, float64) {
-	c.buf = AppendList(c.buf[:0], vals)
-	raw := 8 * int64(len(vals))
-	pl := Payload{
-		Format:    FormatList,
-		Enc:       c.buf,
-		WireBytes: int64(len(c.buf)),
-		RawBytes:  raw,
-	}
-	c.stats.Segments[FormatList]++
-	c.stats.RawBytes += raw
-	c.stats.WireBytes += pl.WireBytes
-	load := machine.PhaseLoad{
-		SeqBytes: raw + pl.WireBytes,
-		SeqLoc:   c.Loc,
-		CPUOps:   2 * int64(len(vals)),
-	}
-	return pl, c.Team.Parallel(load)
+	return c.encodeList(&c.buf, vals)
 }
 
-// EncodeListSlot is EncodeList with a dedicated scratch buffer per
-// slot, for collectives that keep several of this rank's encoded lists
-// in flight at once (the pairwise alltoallv encodes one list per step):
-// step s encodes into slot s, and no slot is reused until the
-// collective completes globally, so a payload still travelling is never
-// overwritten by a later encode — the same argument as EncodeSlot.
+// EncodeListSlot is EncodeList into scratch slot slot, for collectives
+// that keep several of this rank's encoded lists in flight at once (the
+// pairwise alltoallv encodes one list per step) — the same argument as
+// EncodeSlot.
 func (c *Codec) EncodeListSlot(vals []int64, slot int) (Payload, float64) {
-	for len(c.slots) <= slot {
-		c.slots = append(c.slots, nil)
-	}
-	c.slots[slot] = AppendList(c.slots[slot][:0], vals)
-	raw := 8 * int64(len(vals))
-	pl := Payload{
-		Format:    FormatList,
-		Enc:       c.slots[slot],
-		WireBytes: int64(len(c.slots[slot])),
-		RawBytes:  raw,
-	}
-	c.stats.Segments[FormatList]++
-	c.stats.RawBytes += raw
-	c.stats.WireBytes += pl.WireBytes
-	load := machine.PhaseLoad{
-		SeqBytes: raw + pl.WireBytes,
-		SeqLoc:   c.Loc,
-		CPUOps:   2 * int64(len(vals)),
-	}
-	return pl, c.Team.Parallel(load)
+	return c.encodeList(c.slot(slot), vals)
+}
+
+func (c *Codec) encodeList(buf *[]byte, vals []int64) (Payload, float64) {
+	*buf = AppendList((*buf)[:0], vals)
+	pl := Payload{Price: Price{Format: FormatList, WireBytes: int64(len(*buf)), RawBytes: 8 * int64(len(vals))}, Enc: *buf}
+	return pl, c.charge(pl.Price)
 }
 
 // DecodeList decodes a list payload, appending the values to out, and
-// returns the extended slice plus the modelled CPU time.
+// returns the extended slice plus the modelled CPU time (Cost).
 func (c *Codec) DecodeList(pl Payload, out []int64) ([]int64, float64) {
 	out, err := DecodeList(pl.Enc, out)
 	if err != nil {
 		panic(fmt.Sprintf("wire: corrupt list payload: %v", err))
 	}
-	load := machine.PhaseLoad{
-		SeqBytes: pl.WireBytes + pl.RawBytes,
-		SeqLoc:   c.Loc,
-		CPUOps:   pl.RawBytes / 4,
-	}
-	return out, c.Team.Parallel(load)
+	return out, c.Cost(pl.Price, true)
 }

@@ -23,9 +23,10 @@ func wordsFromBytes(data []byte) []uint64 {
 }
 
 // FuzzSegRoundTrip checks, for arbitrary segments, that every bitmap
-// format round-trips exactly, that the adaptive choice is never larger
-// than dense, and that decoding the input bytes as a payload never
-// panics.
+// format round-trips exactly, that SegStats.Size predicts every
+// format's encoded size and a pinned codec's Price its Encode, that the
+// adaptive choice is never larger than dense, and that decoding the
+// input bytes as a payload never panics.
 func FuzzSegRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -39,11 +40,22 @@ func FuzzSegRoundTrip(f *testing.F) {
 		if size > DenseSize(len(seg)) {
 			t.Fatalf("Choose %s at %d bytes > dense %d", chosen, size, DenseSize(len(seg)))
 		}
+		if size != st.Size(chosen) {
+			t.Fatalf("Choose %s at %d bytes, Size says %d", chosen, size, st.Size(chosen))
+		}
 		dst := make([]uint64, len(seg))
 		for _, format := range []Format{FormatDense, FormatSparse, FormatRLE} {
 			enc := Append(nil, format, seg)
-			if format == chosen && len(enc) != size {
-				t.Fatalf("Choose predicted %d bytes, got %d", size, len(enc))
+			if len(enc) != st.Size(format) {
+				t.Fatalf("%s: Size predicted %d bytes, got %d", format, st.Size(format), len(enc))
+			}
+			// A codec pinned to the format prices the segment as it
+			// encodes it, without encoding.
+			c, ref := testCodec(format), testCodec(format)
+			pr, pns := c.Price(seg)
+			pl, ens := ref.Encode(seg)
+			if pr != pl.Price || pns != ens || c.Stats() != ref.Stats() {
+				t.Fatalf("%s: Price %+v %g ns, Encode %+v %g ns", format, pr, pns, pl.Price, ens)
 			}
 			got, err := DecodeBytes(dst, enc)
 			if err != nil || got != format {
@@ -61,7 +73,8 @@ func FuzzSegRoundTrip(f *testing.F) {
 }
 
 // FuzzListRoundTrip checks the varint-delta list format on arbitrary
-// int64 sequences, that ListSize is exact, and that decoding arbitrary
+// int64 sequences, that ListSize is exact and PriceList prices as
+// EncodeList encodes, and that decoding arbitrary
 // bytes never panics.
 func FuzzListRoundTrip(f *testing.F) {
 	f.Add([]byte{})
@@ -76,6 +89,11 @@ func FuzzListRoundTrip(f *testing.F) {
 		enc := AppendList(nil, vals)
 		if len(enc) != ListSize(vals) {
 			t.Fatalf("encoded %d bytes, ListSize %d", len(enc), ListSize(vals))
+		}
+		c, ref := testCodec(FormatAuto), testCodec(FormatAuto)
+		pr, pns := c.PriceList(vals)
+		if pl, ens := ref.EncodeList(vals); pr != pl.Price || pns != ens || c.Stats() != ref.Stats() {
+			t.Fatalf("PriceList %+v %g ns, EncodeList %+v %g ns", pr, pns, pl.Price, ens)
 		}
 		out, err := DecodeList(enc, nil)
 		if err != nil {

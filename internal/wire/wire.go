@@ -113,22 +113,31 @@ func Analyze(seg []uint64) SegStats {
 	return st
 }
 
+// Size returns the exact encoded size, under Append, of the segment
+// the statistics describe in bitmap format f.
+func (st SegStats) Size(f Format) int {
+	switch f {
+	case FormatSparse:
+		return SparseSize(st.Pop)
+	case FormatRLE:
+		return st.RLEBytes
+	}
+	return DenseSize(st.Words)
+}
+
 // Choose returns the format with the smallest predicted size for a
 // segment with the given scan statistics, and that size. Dense is
 // always a candidate, so the chosen size never exceeds DenseSize —
 // the adaptive selector's overhead versus shipping raw words is at
 // most the 1-byte header.
 func Choose(st SegStats) (Format, int) {
-	best, size := FormatDense, DenseSize(st.Words)
-	if st.RLEBytes < size {
-		best, size = FormatRLE, st.RLEBytes
-	}
-	if st.Words <= sparseMaxWords {
-		if s := SparseSize(st.Pop); s < size {
-			best, size = FormatSparse, s
+	best := FormatDense
+	for _, f := range []Format{FormatRLE, FormatSparse} {
+		if st.Size(f) < st.Size(best) && (f != FormatSparse || st.Words <= sparseMaxWords) {
+			best = f
 		}
 	}
-	return best, size
+	return best, st.Size(best)
 }
 
 // Append appends the f-encoding of seg to dst and returns the
@@ -337,15 +346,9 @@ func ListSize(vals []int64) int {
 	return sz
 }
 
-// uvarintLen returns the encoded length of v under binary.PutUvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+// uvarintLen returns the encoded length of v under binary.PutUvarint:
+// one byte per started 7 bits, at least one.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // zigzag maps a signed delta to binary.PutVarint's unsigned form.
 func zigzag(v int64) uint64 {
