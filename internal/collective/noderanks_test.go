@@ -7,7 +7,11 @@ package collective
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"numabfs/internal/mpi"
 )
@@ -72,4 +76,43 @@ func TestNodeCommRanksSingleNodeSurvives(t *testing.T) {
 			t.Errorf("rank %d charged inter time %g with one node", p.Rank(), st.InterNs)
 		}
 	})
+}
+
+// TestPromotionsLeaveGateCountConstant: after each spare promotion an
+// engine rebuilds its node communicator, and the world keeps no list of
+// the gates it builds, so the superseded communicators' gates are
+// garbage: after repeated promotions only the live communicator's gates
+// are reachable.
+func TestPromotionsLeaveGateCountConstant(t *testing.T) {
+	w := testWorld(t, 2, 4)
+	w.Park([]int{2, 3, 6, 7})
+	members := []int{0, 1, 4, 5}
+	var live atomic.Int64
+	build := func() *NodeComm {
+		nc := NewNodeCommRanks(w, members)
+		for _, g := range append(append([]*Group{nc.World, nc.Leaders}, nc.Nodes...), nc.Subs...) {
+			live.Add(1)
+			runtime.SetFinalizer(g.gate, func(*mpi.Gate) { live.Add(-1) })
+		}
+		w.Run(func(p *mpi.Proc) {
+			v := [64]int64{1}
+			nc.World.AllreduceSumVec64(p, &v)
+		})
+		return nc
+	}
+	nc := build()
+	perComm := live.Load()
+	for _, sd := range [][2]int{{2, 0}, {6, 4}, {3, 1}, {7, 5}} {
+		w.Promote(sd[0], sd[1])
+		members[slices.Index(members, sd[1])] = sd[0]
+		nc = build()
+	}
+	for i := 0; i < 200 && live.Load() > perComm; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := live.Load(); got != perComm {
+		t.Fatalf("%d gates reachable after 4 promotions, want the live communicator's %d", got, perComm)
+	}
+	runtime.KeepAlive(nc)
 }

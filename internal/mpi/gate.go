@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Gate is a collective's second executor. Without a crash or a lossy
 // link in the fault plan (fault.Injector.Replayable), a collective whose
@@ -15,6 +19,14 @@ type Gate struct {
 	b  barrier
 	op []int // per member: the collective it entered with
 
+	// The world's attempt the arrivals belong to: the first member to
+	// pass after a failed attempt forgets that attempt's arrivals, so
+	// the world keeps no list of its gates and a superseded group's gate
+	// is ordinary garbage.
+	w     *World
+	armMu sync.Mutex
+	armed atomic.Uint64
+
 	// A walk step's messages, by sender, which the walk fills in before
 	// Step: the wire and the raw (pre-encoding) bytes, the stream count,
 	// and the compute its receiver is charged after the step (a decode;
@@ -26,20 +38,18 @@ type Gate struct {
 	recvEnd, sendEnd []float64 // Step's scratch
 }
 
-// NewGate builds the gate over ranks, in group order. The world resets
-// it after a failed attempt, as it does its barriers.
+// NewGate builds the gate over ranks, in group order. A failed attempt
+// resets it lazily, at its next pass.
 func (w *World) NewGate(ranks []int) *Gate {
 	n := len(ranks)
 	g := &Gate{
 		op: make([]int, n), Bytes: make([]int64, n), Raw: make([]int64, n), Streams: make([]int, n),
-		After: make([]float64, n), recvEnd: make([]float64, n), sendEnd: make([]float64, n),
+		After: make([]float64, n), recvEnd: make([]float64, n), sendEnd: make([]float64, n), w: w,
 	}
+	g.armed.Store(w.attempt)
 	for _, r := range ranks {
 		g.b.members = append(g.b.members, w.procs[r])
 	}
-	w.gateMu.Lock()
-	w.gates = append(w.gates, g)
-	w.gateMu.Unlock()
 	return g
 }
 
@@ -53,6 +63,14 @@ func (w *World) NewGate(ranks []int) *Gate {
 func (g *Gate) Pass(p *Proc, pos, op int, walk func()) {
 	if g.b.members[pos] != p {
 		panic(fmt.Sprintf("mpi: rank %d passed a gate as member %d", p.rank, pos))
+	}
+	if a := g.w.attempt; g.armed.Load() != a {
+		g.armMu.Lock()
+		if g.armed.Load() != a {
+			g.b.arrived.Store(0)
+			g.armed.Store(a)
+		}
+		g.armMu.Unlock()
 	}
 	g.op[pos] = op
 	g.b.arrive(p, func(uint64) {

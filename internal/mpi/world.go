@@ -62,9 +62,9 @@ type World struct {
 	globalBarrier *barrier
 	nodeBarriers  []*barrier
 
-	// gates are the collectives' replay gates (gate.go), reset by rearm.
-	gateMu sync.Mutex
-	gates  []*Gate
+	// attempt counts the failed attempts rearm cleaned up after; a gate
+	// (gate.go) forgets arrivals from an earlier one at its next pass.
+	attempt uint64
 
 	// Membership (membership.go): live[r] marks rank r as scheduled by
 	// Run/TryRun, the counts price barriers over the live ranks, and
@@ -262,16 +262,15 @@ func (w *World) TryRun(body func(p *Proc)) error {
 // ended in an abort or not — a crash whose survivors all ran to
 // completion aborts nothing yet may leave a posted message nobody took.
 // The failure record and the flag are cleared, the barriers rebuilt,
-// the gates' arrivals forgotten and every slot emptied. The workers need
-// nothing: each ran until every rank of its share had finished, so no
-// run list or inbox holds a rank.
+// the attempt advanced (so each gate forgets its arrivals at its next
+// pass) and every slot emptied. The workers need nothing: each ran until
+// every rank of its share had finished, so no run list or inbox holds a
+// rank.
 func (w *World) rearm() {
 	w.faults, w.bug, w.stall = nil, nil, nil
 	w.jobAborted.Store(false)
 	w.rebuildMembership()
-	for _, g := range w.gates {
-		g.b.arrived.Store(0)
-	}
+	w.attempt++
 	for i := range w.slots {
 		w.slots[i].Store(nil)
 	}

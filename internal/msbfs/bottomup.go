@@ -21,14 +21,14 @@ func (ls *laneState) bottomUpSweep(p *mpi.Proc, buMask uint64, nfL, mfL *[64]int
 	ls.Compute(p, trace.BUComp, res.Ns)
 }
 
-// bottomUpChunk is the sweep over owned vertices [lo, hi). A hit writes
-// only the lane records; the row's resolved lanes are settled once,
-// after the row.
+// bottomUpChunk is the sweep over owned vertices [lo, hi). A hit only
+// collects its lanes; the row's resolved lanes are settled once, after
+// the row.
 func (ls *laneState) bottomUpChunk(lo, hi int64, buMask uint64, nfL, mfL *[64]int64, load *machine.PhaseLoad) {
 	r := ls.r
 	var edges, sumChecks, planeChecks, found int64
 	for i := lo; i < hi; i++ {
-		pend := buMask &^ ls.vis[i]
+		pend := buMask &^ ls.rec[i].vis
 		if pend == 0 {
 			continue
 		}
@@ -45,7 +45,6 @@ func (ls *laneState) bottomUpChunk(lo, hi int64, buMask uint64, nfL, mfL *[64]in
 			if hit == 0 {
 				continue
 			}
-			ls.adopt(i, u, hit)
 			got |= hit
 			found++
 			pend &^= hit
@@ -54,7 +53,7 @@ func (ls *laneState) bottomUpChunk(lo, hi int64, buMask uint64, nfL, mfL *[64]in
 			}
 		}
 		if got != 0 {
-			ls.settle(i, got, nfL, mfL)
+			ls.settle(i, got, ^uint64(0), nfL, mfL)
 		}
 	}
 	load.Random = append(load.Random,

@@ -11,14 +11,13 @@
 // chunk-rebuild pipeline is specialized to single-bit summaries.
 //
 // Determinism contract: every lane's parent tree is a pure function of
-// that lane's own frontier. The top-down sweep claims owned vertices in
-// ascending vertex order and processes remote claims in sender-position
-// order; the bottom-up sweep applies the reference code's
-// first-hit-in-adjacency-order rule independently per lane (the lane
-// summary's per-lane OR keeps the short-circuit exact, with no
-// cross-lane false positives). A root therefore produces the same
-// parent tree whether it runs in a full batch of 64 or alone in a batch
-// of 1 — the property internal/graph500's batched validation asserts.
+// that lane's own frontier. Top-down claims run in ascending vertex
+// order, remote ones in sender-position order; bottom-up takes the first
+// hit in adjacency order per lane (the lane summary's per-lane OR keeps
+// the short-circuit exact). A root gets the same tree in a batch of 64
+// as alone — what internal/graph500's batched validation asserts — and
+// the engine keeps no parents: it records each visit's depth and
+// direction, and LaneParents derives the trees by the same rules.
 package msbfs
 
 import (
@@ -78,6 +77,14 @@ type Runner struct {
 	sumBytes   int64 // full lane-summary size
 
 	states []*laneState
+	// recs holds every member's visit records (laneState.rec) side by
+	// side, so a derivation reads a neighbour's record with one load.
+	recs []laneRec
+
+	// roots are the last batch's roots, in lane order; parents caches its
+	// derived lane trees (nil until the first LaneParents after it).
+	roots   []int64
+	parents [][]int64
 }
 
 // laneState is the per-member algorithm state, indexed by position.
@@ -88,15 +95,11 @@ type laneState struct {
 	csr  *graph.CSR
 	team omp.Team
 
-	nl  int    // lanes in the current batch
 	all uint64 // mask of the current batch's lanes
 
-	// vis[i] is owned vertex (Lo+i)'s visited lane word, the union of the
-	// 64 single-source visited maps. Its parent in lane l's tree is the
-	// lane record parent[i<<6|l], valid only where vis[i] has bit l set:
-	// a batch clears vis alone, so other records are stale.
-	vis    []uint64
-	parent []int64
+	// rec[i] is owned vertex (Lo+i)'s visit record; no parent is kept
+	// (LaneParents derives the trees, parents.go).
+	rec []laneRec
 
 	inPlane  *bitmap.LanePlane   // full frontier plane over all vertices
 	outPlane *bitmap.LanePlane   // next frontier; only the owned segment is written
@@ -163,6 +166,7 @@ func (r *Runner) ledgers(buf []*chassis.Ledger) []*chassis.Ledger {
 func (r *Runner) Setup() {
 	n := r.Params.NumVertices()
 	granules := r.sumLayout.TotalWords()
+	r.recs = make([]laneRec, n)
 	r.W.Run(func(p *mpi.Proc) {
 		pos := r.Members.Pos(p.Rank())
 		csr := r.Build(p, r.NC.World, pos, r.Params, r.Opts.Dedup)
@@ -172,8 +176,7 @@ func (r *Runner) Setup() {
 			csr:  csr,
 			team: omp.TeamFor(r.cfg, r.pl),
 		}
-		ls.vis = make([]uint64, csr.NumLocal())
-		ls.parent = make([]int64, csr.NumLocal()*bitmap.LaneBits)
+		ls.rec = r.recs[csr.Lo:csr.Hi]
 
 		if r.InqShared {
 			ls.inPlane = bitmap.PlaneFromWords(p.SharedWords("ms_in_plane", n), n)
@@ -198,23 +201,6 @@ func (r *Runner) Setup() {
 	r.Built(&r.Core)
 }
 
-// LaneParents assembles lane l's global parent array (length
-// NumVertices; -1 wherever lane l's visited bit is clear, whatever an
-// earlier batch left in the record). Valid after RunBatch, until the next one.
-func (r *Runner) LaneParents(l int) []int64 {
-	out := make([]int64, r.Params.NumVertices())
-	for pos, ls := range r.states {
-		lo, _ := r.Part.Range(pos)
-		for i, w := range ls.vis {
-			out[lo+int64(i)] = -1
-			if w>>uint(l)&1 != 0 {
-				out[lo+int64(i)] = ls.parent[i<<6|l]
-			}
-		}
-	}
-	return out
-}
-
 // regroup rebuilds the node communicator after a spare took position
 // pos, whose state stays bound to it; the spare adopts its adjacency.
 func (r *Runner) regroup(pos int) int64 {
@@ -223,5 +209,5 @@ func (r *Runner) regroup(pos int) int64 {
 }
 
 // visBytes is the visited lane-word footprint for the cache model (the
-// structure every claim probes).
+// structure every claim probes): the modelled word, not the host record.
 func (ls *laneState) visBytes() int64 { return ls.csr.NumLocal() * 8 }

@@ -1,13 +1,15 @@
 package msbfs
 
-// Tests of the lane records (engine.go, run.go, bottomup.go): a vertex's
-// 64 parent records sit side by side, count only under its visited bits
-// and are never cleared between batches, and the frontier counters are
-// bumped once per settled (vertex, lane) instead of once per hit. The
-// per-hit loops they replaced, over one -1-filled parent array per lane,
-// are kept here verbatim as the reference, and the sweeps must reproduce
-// their visited words, out-plane, counters, per-chunk PhaseLoads and
-// every lane's parents bit for bit.
+// Tests of the lane bookkeeping (engine.go, run.go, bottomup.go,
+// parents.go): a visit writes a vertex's visited word and its depth and
+// direction bits, which count only under its visited bits and are never
+// cleared between batches, the frontier counters are bumped once per
+// settled (vertex, lane) instead of once per hit, and the parents are
+// derived afterwards. The per-hit loops they replaced, over one
+// -1-filled parent array per lane, are kept here verbatim as the
+// reference, and the sweeps must reproduce their visited words,
+// out-plane, counters and per-chunk PhaseLoads, and the derivation
+// every lane's parents, bit for bit.
 
 import (
 	"fmt"
@@ -52,7 +54,7 @@ func newLaneMajor(ls *laneState) *laneMajor {
 	return m
 }
 
-// referenceClaim is claim before the lane records.
+// referenceClaim is claim before the depth bits.
 func referenceClaim(ls *laneState, m *laneMajor, v, u int64, w uint64, nfL, mfL *[64]int64) {
 	i := v - ls.csr.Lo
 	nw := w &^ m.vis[i]
@@ -73,7 +75,7 @@ func referenceClaim(ls *laneState, m *laneMajor, v, u int64, w uint64, nfL, mfL 
 }
 
 // referenceBottomUpSweep is bottomUpSweep's computation phase before the
-// lane records. chunks receives a copy of every chunk's PhaseLoad.
+// depth bits. chunks receives a copy of every chunk's PhaseLoad.
 func referenceBottomUpSweep(ls *laneState, m *laneMajor, buMask uint64, nfL, mfL *[64]int64, chunks *[]machine.PhaseLoad) omp.Result {
 	r := ls.r
 	return ls.team.For(ls.csr.NumLocal(), r.Opts.Chunk, func(lo, hi int64, load *machine.PhaseLoad) {
@@ -169,27 +171,38 @@ func laneRunner(t *testing.T, in *testgraphs.Input, opts bfs.Options) (*Runner, 
 // goes both ways — and at every level runs each rank's top-down claims
 // (in topDownSweep's order: the owner's own scan, then each sender's
 // triples in position order) and bottom-up sweep twice from the same
-// state: the reference against laneMajor, the engine against its lane
-// records, which start out full of garbage. Returns the levels run.
+// state: the reference against laneMajor, the engine against its depth
+// bits, which start out full of garbage. After every level, every lane's
+// derived parents must equal the reference's. Returns the levels run.
 func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 	t.Helper()
 	n := r.Params.NumVertices()
 	front := make([]uint64, n)
 	refs := make([]*laneMajor, len(r.states))
+	junk := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 { // xorshift64
+		junk ^= junk << 13
+		junk ^= junk >> 7
+		junk ^= junk << 17
+		return junk
+	}
 	for pos, ls := range r.states {
 		ls.reset(len(roots))
-		for i := range ls.parent {
-			ls.parent[i] = -7
+		ls.Levels = 0
+		for i := range ls.rec {
+			d := &ls.rec[i]
+			d.lo, d.hi, d.bu = next(), next(), next()
 		}
 		refs[pos] = newLaneMajor(ls)
 	}
+	r.roots, r.parents = roots, nil
 	for l, root := range roots {
 		bit := uint64(1) << uint(l)
 		front[root] |= bit
 		ls, m := r.states[r.Part.Owner(root)], refs[r.Part.Owner(root)]
 		i := root - ls.csr.Lo
-		ls.vis[i] |= bit
-		ls.parent[i<<6|int64(l)] = root
+		var nfL, mfL [64]int64
+		ls.settle(i, bit, 0, &nfL, &mfL)
 		m.vis[i] |= bit
 		m.parent[l][i] = root
 	}
@@ -225,6 +238,7 @@ func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 		for _, ls := range r.states {
 			copy(ls.inPlane.Words(), front)
 			ls.inSum.Rebuild(ls.inPlane)
+			ls.Levels = levels + 1
 		}
 		next := make([]uint64, n)
 		for pos, ls := range r.states {
@@ -237,7 +251,7 @@ func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 			var nfL, mfL, wantNF, wantMF [64]int64
 			for _, c := range claims[pos] {
 				referenceClaim(ls, m, c[0], c[1], uint64(c[2]), &wantNF, &wantMF)
-				ls.claim(c[0], c[1], uint64(c[2]), &nfL, &mfL)
+				ls.claim(c[0], uint64(c[2]), &nfL, &mfL)
 			}
 			var wantLoads, gotLoads []machine.PhaseLoad
 			var wantRes, gotRes omp.Result
@@ -256,7 +270,7 @@ func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 			if nfL != wantNF || mfL != wantMF {
 				t.Fatalf("%s: nf/mf %v/%v, want %v/%v", where, nfL, mfL, wantNF, wantMF)
 			}
-			if !slices.Equal(ls.vis, m.vis) {
+			if !slices.EqualFunc(ls.rec, m.vis, func(d laneRec, w uint64) bool { return d.vis == w }) {
 				t.Fatalf("%s: visited lane words differ", where)
 			}
 			if !slices.Equal(ls.outPlane.Words()[lo:hi], m.out.Words()[lo:hi]) {
@@ -268,18 +282,21 @@ func compareLaneLevels(t *testing.T, r *Runner, roots []int64) int {
 			if math.Float64bits(gotRes.Ns) != math.Float64bits(wantRes.Ns) {
 				t.Fatalf("%s: region cost %v, want %v", where, gotRes.Ns, wantRes.Ns)
 			}
+			copy(next[lo:hi], ls.outPlane.Words()[lo:hi])
+		}
+		derived := r.deriveParents()
+		for pos, m := range refs {
+			lo := r.states[pos].csr.Lo
 			for l := range roots {
-				for i, w := range ls.vis {
-					got := int64(-1)
-					if w>>uint(l)&1 != 0 {
-						got = ls.parent[i<<6|l]
+				got, want := derived[l][lo:lo+int64(len(m.parent[l]))], m.parent[l]
+				if !slices.Equal(got, want) {
+					i := 0
+					for got[i] == want[i] {
+						i++
 					}
-					if want := m.parent[l][i]; got != want {
-						t.Fatalf("%s lane %d vertex %d: parent %d, want %d", where, l, lo+int64(i), got, want)
-					}
+					t.Fatalf("level %d lane %d vertex %d: derived parent %d, want %d", levels, l, lo+int64(i), got[i], want[i])
 				}
 			}
-			copy(next[lo:hi], ls.outPlane.Words()[lo:hi])
 		}
 		front = next
 	}
@@ -398,5 +415,58 @@ func TestLaneParentsMaskStaleRecords(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLaneParentsOutsideBatch: before the first batch, and for every lane
+// beyond the last batch's, LaneParents is -1 throughout; inside the
+// batch each lane's root is its own parent.
+func TestLaneParentsOutsideBatch(t *testing.T) {
+	const scale = 12
+	r := newTestRunner(t, scale, bfs.DefaultOptions())
+	n := r.Params.NumVertices()
+	unreachedAt := func(when string, lanes ...int) {
+		t.Helper()
+		for _, l := range lanes {
+			p := r.LaneParents(l)
+			if int64(len(p)) != n || slices.ContainsFunc(p, func(v int64) bool { return v != -1 }) {
+				t.Fatalf("%s: lane %d is not -1 throughout", when, l)
+			}
+		}
+	}
+	unreachedAt("before the first batch", -1, 0, 1, 63, 64)
+	roots := rmat.Graph500(scale).Roots(3, r.HasEdgeGlobal)
+	r.RunBatch(roots)
+	unreachedAt("after a batch of 3", -1, 3, 63, 64)
+	for l, root := range roots {
+		if p := r.LaneParents(l); p[root] != root {
+			t.Fatalf("lane %d: root %d has parent %d", l, root, p[root])
+		}
+	}
+}
+
+// TestLaneBytesPerVertex: the per-rank lane bookkeeping — every slice of
+// a laneState with one flat element per owned vertex, the visited word
+// and the three depth and direction words — is at most 32 bytes per
+// owned vertex (it was 520 with a parent record per lane).
+func TestLaneBytesPerVertex(t *testing.T) {
+	r := newTestRunner(t, 12, bfs.DefaultOptions())
+	for pos, ls := range r.states {
+		var bytes int64
+		v := reflect.ValueOf(ls).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			fv := v.Field(f)
+			if fv.Kind() != reflect.Slice {
+				continue
+			}
+			switch fv.Type().Elem().Kind() {
+			case reflect.Slice, reflect.Pointer, reflect.Interface:
+				continue // per-peer buffers, not per-vertex records
+			}
+			bytes += int64(fv.Len()) * int64(fv.Type().Elem().Size())
+		}
+		if owned := ls.csr.NumLocal(); bytes > 32*owned {
+			t.Errorf("rank %d: %d bytes of lane bookkeeping for %d owned vertices, want <= 32 each", pos, bytes, owned)
+		}
 	}
 }

@@ -37,6 +37,8 @@ func (r *Runner) RunBatch(roots []int64) BatchResult {
 	if len(roots) == 0 || len(roots) > 64 {
 		panic(fmt.Sprintf("msbfs: batch of %d roots outside [1, 64]", len(roots)))
 	}
+	r.roots = append(r.roots[:0], roots...)
+	r.parents = nil
 	// A planned crash reruns the batch from its roots (on a same-node
 	// spare when one is parked); a transport fault that exhausts its
 	// retry budget (or a programming bug) is terminal.
@@ -56,8 +58,14 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 		var nfL, mfL [64]int64
 
 		// Both sweeps write the next frontier into the owned out-plane
-		// segment; clear it once per level (a streaming memset).
-		ls.clearOwnedOut(p, buMask != 0)
+		// segment; clear it once per level (a streaming memset, charged
+		// to the level's dominant computation phase).
+		buLevel := buMask != 0
+		compPh, commPh := trace.TDComp, trace.TDComm
+		if buLevel {
+			compPh, commPh = trace.BUComp, trace.BUComm
+		}
+		ls.Compute(p, compPh, ls.team.Parallel(machine.PhaseLoad{SeqBytes: ls.clearOwnedOut() * 8, SeqLoc: r.OutLoc}))
 		if tdMask != 0 {
 			ls.topDownSweep(p, tdMask, &nfL, &mfL)
 			ls.Breakdown.TDLevels++
@@ -65,12 +73,6 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 		if buMask != 0 {
 			ls.bottomUpSweep(p, buMask, &nfL, &mfL)
 			ls.Breakdown.BULevels++
-		}
-
-		commPh := trace.TDComm
-		buLevel := buMask != 0
-		if buLevel {
-			commPh = trace.BUComm
 		}
 		ls.StallBarrier(p, commPh)
 
@@ -101,7 +103,7 @@ func (ls *laneState) runBatch(p *mpi.Proc, roots []int64) {
 				ls.laneLevels[l] = ls.Levels
 			}
 		}
-		ls.EndLevel(p, levelStart, buLevel, levNF, levMF, r.Params.NumVertices()*int64(ls.nl))
+		ls.EndLevel(p, levelStart, buLevel, levNF, levMF, r.Params.NumVertices()*int64(len(roots)))
 		if st.active == 0 {
 			break
 		}
@@ -144,27 +146,14 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	// Seed the owned roots into the out-plane (cleared owned segment
 	// first, as at every level).
 	t0 := p.Clock()
-	wlo := r.planeLayout.Displs[ls.pos]
-	wcnt := r.planeLayout.Counts[ls.pos]
-	own := ls.outPlane.Words()[wlo : wlo+wcnt]
-	for i := range own {
-		own[i] = 0
-	}
+	wcnt := ls.clearOwnedOut()
 	var nfL, mfL [64]int64
 	var owned int64
-	lo := ls.csr.Lo
 	for l, root := range roots {
-		if r.Part.Owner(root) != ls.pos {
-			continue
+		if r.Part.Owner(root) == ls.pos {
+			owned++
+			ls.settle(root-ls.csr.Lo, 1<<uint(l), 0, &nfL, &mfL) // at depth 0, top-down
 		}
-		owned++
-		bit := uint64(1) << uint(l)
-		i := root - lo
-		ls.vis[i] |= bit
-		ls.parent[i<<6|int64(l)] = root
-		ls.outPlane.Or(root, bit)
-		nfL[l] = 1
-		mfL[l] = ls.csr.Degree(root)
 	}
 	p.Compute(ls.team.Parallel(machine.PhaseLoad{
 		Random:   []machine.Access{{Count: owned, StructBytes: wcnt * 8, Loc: r.OutLoc}},
@@ -183,7 +172,7 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	if r.Opts.Mode == bfs.ModeBottomUp {
 		st.bu = ls.all
 	}
-	for l := 0; l < ls.nl; l++ {
+	for l := range roots {
 		st.nf[l], st.mf[l] = nfL[l], mfL[l]
 		st.visEdges[l] = mfL[l]
 	}
@@ -192,75 +181,61 @@ func (ls *laneState) initBatch(p *mpi.Proc, roots []int64) *batchState {
 	return st
 }
 
-// reset clears per-batch state for a batch of nl lanes. The lane
-// records need no clearing: a record counts only under its visited bit.
-// Nor do the planes: the owned out-plane segment is cleared every level,
-// top-down reads only the owned in-plane segment (fully overwritten by
+// reset clears per-batch state for a batch of nl lanes: the visited
+// words, not the depth bits, which count only under them. Nor the
+// planes: the owned out-plane segment is cleared every level, top-down
+// reads only the owned in-plane segment (fully overwritten by
 // publishFrontier), and bottom-up levels are always preceded by a full
 // plane+summary allgather.
 func (ls *laneState) reset(nl int) {
-	ls.nl = nl
-	if nl == 64 {
-		ls.all = ^uint64(0)
-	} else {
-		ls.all = (uint64(1) << uint(nl)) - 1
+	ls.all = ^uint64(0) >> uint(64-nl)
+	for i := range ls.rec {
+		ls.rec[i].vis = 0
 	}
-	for i := range ls.vis {
-		ls.vis[i] = 0
-	}
-	ls.laneLevels = [64]int{}
-	ls.rounds = 0
+	ls.laneLevels, ls.rounds = [64]int{}, 0
 }
 
-// clearOwnedOut zeroes the owned out-plane segment (a streaming memset,
-// charged to the level's dominant computation phase).
-func (ls *laneState) clearOwnedOut(p *mpi.Proc, buLevel bool) {
-	r := ls.r
-	wlo := r.planeLayout.Displs[ls.pos]
-	wcnt := r.planeLayout.Counts[ls.pos]
-	own := ls.outPlane.Words()[wlo : wlo+wcnt]
-	for i := range own {
-		own[i] = 0
-	}
-	ph := trace.TDComp
-	if buLevel {
-		ph = trace.BUComp
-	}
-	ls.Compute(p, ph, ls.team.Parallel(machine.PhaseLoad{SeqBytes: wcnt * 8, SeqLoc: r.OutLoc}))
+// clearOwnedOut zeroes the owned out-plane segment and returns its word
+// count.
+func (ls *laneState) clearOwnedOut() int64 {
+	wlo, wcnt := ls.r.planeLayout.Displs[ls.pos], ls.r.planeLayout.Counts[ls.pos]
+	clear(ls.outPlane.Words()[wlo : wlo+wcnt])
+	return wcnt
 }
 
-// claim visits owned vertex v with parent u for every lane of w not yet
-// holding v. The caller sequences claims canonically (ascending owned
+// claim visits owned vertex v for every lane of w not yet holding it,
+// top-down. The caller sequences claims canonically (ascending owned
 // vertex order for local claims, sender-position order for remote
 // ones), which makes each lane's winning parent independent of what the
-// other lanes do.
-func (ls *laneState) claim(v, u int64, w uint64, nfL, mfL *[64]int64) {
+// other lanes do — and derivable afterwards (parents.go).
+func (ls *laneState) claim(v int64, w uint64, nfL, mfL *[64]int64) {
 	i := v - ls.csr.Lo
-	if nw := w &^ ls.vis[i]; nw != 0 {
-		ls.adopt(i, u, nw)
-		ls.settle(i, nw, nfL, mfL)
+	if nw := w &^ ls.rec[i].vis; nw != 0 {
+		ls.settle(i, nw, 0, nfL, mfL)
 	}
 }
 
-// adopt writes u as owned vertex Lo+i's parent in every lane of m.
-func (ls *laneState) adopt(i, u int64, m uint64) {
-	rec := ls.parent[i<<6 : i<<6+64]
-	for ; m != 0; m &= m - 1 {
-		rec[bits.TrailingZeros64(m)&63] = u // &63 is a no-op that drops the bounds check
-	}
-}
+// laneRec is an owned vertex's visit record: its visited lane word, and
+// per visited lane the depth mod 4 as two bit-planes and whether a
+// bottom-up sweep settled it. Bits outside vis are stale.
+type laneRec struct{ vis, lo, hi, bu uint64 }
 
-// settle marks the lanes of got visited at owned vertex Lo+i, in the
-// next frontier and in the level's frontier counters: one degree load
-// and one bump per lane, however many hits it took to resolve them.
-func (ls *laneState) settle(i int64, got uint64, nfL, mfL *[64]int64) {
+// settle marks the lanes of got visited at owned vertex Lo+i at depth
+// Levels, bottom-up where bu is all ones: masked word writes whatever
+// the lane count, then one degree load and one counter bump per lane.
+func (ls *laneState) settle(i int64, got, bu uint64, nfL, mfL *[64]int64) {
 	v := ls.csr.Lo + i
-	ls.vis[i] |= got
+	k := uint64(ls.Levels)
+	d := &ls.rec[i]
+	d.vis |= got
+	d.lo = d.lo&^got | got&-(k&1)
+	d.hi = d.hi&^got | got&-(k>>1&1)
+	d.bu = d.bu&^got | got&bu
 	ls.outPlane.Or(v, got)
-	d := ls.csr.Degree(v)
+	deg := ls.csr.Degree(v)
 	for ; got != 0; got &= got - 1 {
 		l := bits.TrailingZeros64(got)
 		nfL[l]++
-		mfL[l] += d
+		mfL[l] += deg
 	}
 }

@@ -18,7 +18,8 @@ const tdChunk = 256
 // vertices are scanned in ascending order and received triples in
 // sender-position order, so the subsequence of claims carrying any one
 // lane is exactly the claim sequence a batch-1 run of that lane
-// produces — the bit-identity invariant.
+// produces — the bit-identity invariant, which lets deriveParents
+// recover the parent the modelled triple carries.
 func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int64) {
 	r := ls.r
 	for i := range ls.send {
@@ -39,7 +40,7 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 			edges++
 			if o := r.Part.Owner(u); o == me {
 				localTries++
-				ls.claim(u, v, w, nfL, mfL)
+				ls.claim(u, w, nfL, mfL)
 			} else {
 				remote++
 				ls.send[o] = append(ls.send[o], u, v, int64(w))
@@ -58,10 +59,7 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 		SeqLoc:   r.pl.GraphLoc,
 		CPUOps:   ownedN + edges*3,
 	}
-	items := edges
-	if items < ownedN {
-		items = ownedN // the plane scan itself when frontiers are tiny
-	}
+	items := max(edges, ownedN) // the plane scan itself when frontiers are tiny
 	ls.Compute(p, trace.TDComp, ls.team.ForBalanced(items, tdChunk, load))
 
 	ls.StallBarrier(p, trace.TDComm)
@@ -81,7 +79,7 @@ func (ls *laneState) topDownSweep(p *mpi.Proc, tdMask uint64, nfL, mfL *[64]int6
 		}
 		for k := 0; k+2 < len(vec); k += 3 {
 			triples++
-			ls.claim(vec[k], vec[k+1], uint64(vec[k+2])&tdMask, nfL, mfL)
+			ls.claim(vec[k], uint64(vec[k+2])&tdMask, nfL, mfL)
 		}
 	}
 	proc := machine.PhaseLoad{

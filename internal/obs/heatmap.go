@@ -2,8 +2,8 @@ package obs
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
+	"strconv"
 
 	"numabfs/internal/trace"
 )
@@ -21,7 +21,7 @@ type Heatmap struct {
 }
 
 func rankLabel(rk *RunRank) string {
-	return fmt.Sprintf("rank %d (n%d/s%d)", rk.ID, rk.Node, rk.Socket)
+	return "rank " + strconv.Itoa(rk.ID) + " (n" + strconv.Itoa(rk.Node) + "/s" + strconv.Itoa(rk.Socket) + ")"
 }
 
 // addRow appends one rank's row and raises Max to its largest cell.
@@ -59,7 +59,7 @@ func (f *sessionFold) gaugeHeatmap(g Gauge, maxCols int) *Heatmap {
 		return nil
 	}
 	h := &Heatmap{
-		Title: fmt.Sprintf("rank x time: %s (bucket %.0f ns)", g, f.s.BucketNs),
+		Title: "rank x time: " + g.String() + " (bucket " + strconv.FormatFloat(f.s.BucketNs, 'f', 0, 64) + " ns)",
 		Unit:  g.String(),
 	}
 	// d is the span less one, in uint64 so no bucket range overflows;
@@ -67,7 +67,7 @@ func (f *sessionFold) gaugeHeatmap(g Gauge, maxCols int) *Heatmap {
 	d := uint64(hi - lo)
 	gsz := d/uint64(maxCols) + 1
 	for c := uint64(0); c <= d/gsz; c++ {
-		h.Cols = append(h.Cols, fmt.Sprintf("%.0f", float64(lo+int64(c*gsz))*f.s.BucketNs))
+		h.Cols = append(h.Cols, strconv.FormatFloat(float64(lo+int64(c*gsz))*f.s.BucketNs, 'f', 0, 64))
 	}
 	for _, rk := range f.s.Ranks {
 		row := make([]float64, len(h.Cols))

@@ -2,9 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"html"
 	"io"
+	"strconv"
 )
 
 // Self-contained HTML report: rank×phase heatmaps and gauge timelines
@@ -32,46 +32,71 @@ svg{background:#fcfcfc;border:1px solid #eee;margin:4px 0}
 .legend i{display:inline-block;width:10px;height:10px;margin-right:4px;border-radius:2px}
 .meta{color:#777;font-size:12px}`
 
-// heatCell returns the inline background style for a cell value on a
-// white→red scale.
-func heatCell(v, max float64) string {
-	if max <= 0 || v <= 0 {
-		return ""
-	}
-	frac := v / max
-	if frac > 1 {
-		frac = 1
-	}
-	// white (255,255,255) -> red (214,69,51)
-	rC := 255 - int(frac*(255-214))
-	g := 255 - int(frac*(255-69))
-	b := 255 - int(frac*(255-51))
-	style := fmt.Sprintf(" style=\"background:rgb(%d,%d,%d)", rC, g, b)
-	if frac > 0.6 {
-		style += ";color:#fff"
-	}
-	return style + "\""
+// htmlOut is the report's buffered writer. Numbers go through
+// strconv.Append* into num, never through fmt: fmt's printer pool drops
+// items at random under the race detector, so a render's allocation
+// count would vary run to run.
+type htmlOut struct {
+	*bufio.Writer
+	num []byte
 }
 
-func writeHeatmap(bw *bufio.Writer, h *Heatmap, fmtCell func(float64) string) {
-	fmt.Fprintf(bw, "<h3>%s</h3>\n<table class=\"hm\"><tr><th></th>", html.EscapeString(h.Title))
+// float writes v as fmt's %.<prec><verb> does.
+func (o *htmlOut) float(v float64, verb byte, prec int) {
+	o.num = strconv.AppendFloat(o.num[:0], v, verb, prec, 64)
+	o.Write(o.num)
+}
+
+func (o *htmlOut) int(v int) {
+	o.num = strconv.AppendInt(o.num[:0], int64(v), 10)
+	o.Write(o.num)
+}
+
+// heatStyle writes the inline background style for a cell value on a
+// white→red scale.
+func (o *htmlOut) heatStyle(v, max float64) {
+	if max <= 0 || v <= 0 {
+		return
+	}
+	frac := min(v/max, 1)
+	// white (255,255,255) -> red (214,69,51)
+	o.WriteString(" style=\"background:rgb(")
+	o.int(255 - int(frac*(255-214)))
+	o.WriteByte(',')
+	o.int(255 - int(frac*(255-69)))
+	o.WriteByte(',')
+	o.int(255 - int(frac*(255-51)))
+	o.WriteByte(')')
+	if frac > 0.6 {
+		o.WriteString(";color:#fff")
+	}
+	o.WriteByte('"')
+}
+
+// writeHeatmap renders h, each cell as v/scale with prec decimals.
+func writeHeatmap(o *htmlOut, h *Heatmap, scale float64, prec int) {
+	o.WriteString("<h3>" + html.EscapeString(h.Title) + "</h3>\n<table class=\"hm\"><tr><th></th>")
 	for _, c := range h.Cols {
-		fmt.Fprintf(bw, "<th>%s</th>", html.EscapeString(c))
+		o.WriteString("<th>" + html.EscapeString(c) + "</th>")
 	}
-	bw.WriteString("</tr>\n")
+	o.WriteString("</tr>\n")
 	for i, row := range h.Cells {
-		fmt.Fprintf(bw, "<tr><td class=\"lbl\">%s</td>", html.EscapeString(h.Rows[i]))
+		o.WriteString("<tr><td class=\"lbl\">" + html.EscapeString(h.Rows[i]) + "</td>")
 		for _, v := range row {
-			fmt.Fprintf(bw, "<td%s>%s</td>", heatCell(v, h.Max), fmtCell(v))
+			o.WriteString("<td")
+			o.heatStyle(v, h.Max)
+			o.WriteByte('>')
+			o.float(v/scale, 'f', prec)
+			o.WriteString("</td>")
 		}
-		bw.WriteString("</tr>\n")
+		o.WriteString("</tr>\n")
 	}
-	bw.WriteString("</table>\n")
+	o.WriteString("</table>\n")
 }
 
 // writeGaugeSVG draws one gauge's per-rank series as step lines over
 // the session grid of a sampled session.
-func writeGaugeSVG(bw *bufio.Writer, f *sessionFold, g Gauge) {
+func writeGaugeSVG(o *htmlOut, f *sessionFold, g Gauge) {
 	s := f.s
 	lo, hi, vmax := f.gauge[g].lo, f.gauge[g].hi, f.gauge[g].max
 	if hi < lo || vmax <= 0 {
@@ -85,8 +110,19 @@ func writeGaugeSVG(bw *bufio.Writer, f *sessionFold, g Gauge) {
 	yOf := func(v float64) float64 {
 		return H - pad - v/vmax*(H-2*pad)
 	}
-	fmt.Fprintf(bw, "<h3>%s (max %.6g, bucket %.0f ns)</h3>\n", html.EscapeString(g.String()), vmax, s.BucketNs)
-	fmt.Fprintf(bw, "<svg width=\"%d\" height=\"%d\" viewBox=\"0 0 %d %d\">\n", W, H, W, H)
+	o.WriteString("<h3>" + html.EscapeString(g.String()) + " (max ")
+	o.float(vmax, 'g', 6)
+	o.WriteString(", bucket ")
+	o.float(s.BucketNs, 'f', 0)
+	o.WriteString(" ns)</h3>\n<svg width=\"")
+	o.int(W)
+	o.WriteString("\" height=\"")
+	o.int(H)
+	o.WriteString("\" viewBox=\"0 0 ")
+	o.int(W)
+	o.WriteByte(' ')
+	o.int(H)
+	o.WriteString("\">\n")
 	// Segment boundaries (root ends) as dashed verticals.
 	for _, m := range s.Marks {
 		b := int64(m / s.BucketNs)
@@ -94,70 +130,80 @@ func writeGaugeSVG(bw *bufio.Writer, f *sessionFold, g Gauge) {
 			continue
 		}
 		x := xOf(b)
-		fmt.Fprintf(bw, "<line x1=\"%.1f\" y1=\"%d\" x2=\"%.1f\" y2=\"%d\" stroke=\"#bbb\" stroke-dasharray=\"3,3\"/>\n",
-			x, pad, x, H-pad)
+		o.WriteString("<line x1=\"")
+		o.float(x, 'f', 1)
+		o.WriteString("\" y1=\"")
+		o.int(pad)
+		o.WriteString("\" x2=\"")
+		o.float(x, 'f', 1)
+		o.WriteString("\" y2=\"")
+		o.int(H - pad)
+		o.WriteString("\" stroke=\"#bbb\" stroke-dasharray=\"3,3\"/>\n")
 	}
 	for i, rk := range s.Ranks {
 		pts := rk.Gauges[g]
 		if len(pts) == 0 {
 			continue
 		}
-		color := rankPalette[i%len(rankPalette)]
-		fmt.Fprintf(bw, "<polyline fill=\"none\" stroke=\"%s\" stroke-width=\"1.5\" points=\"", color)
+		o.WriteString("<polyline fill=\"none\" stroke=\"" + rankPalette[i%len(rankPalette)] + "\" stroke-width=\"1.5\" points=\"")
 		for j, pt := range pts {
 			if j > 0 {
-				bw.WriteByte(' ')
+				o.WriteByte(' ')
 			}
-			fmt.Fprintf(bw, "%.1f,%.1f", xOf(pt.Bucket), yOf(pt.V))
+			o.float(xOf(pt.Bucket), 'f', 1)
+			o.WriteByte(',')
+			o.float(yOf(pt.V), 'f', 1)
 		}
-		bw.WriteString("\"/>\n")
+		o.WriteString("\"/>\n")
 	}
-	bw.WriteString("</svg>\n<div class=\"legend\">")
+	o.WriteString("</svg>\n<div class=\"legend\">")
 	for i, rk := range s.Ranks {
 		if len(rk.Gauges[g]) == 0 {
 			continue
 		}
-		fmt.Fprintf(bw, "<span><i style=\"background:%s\"></i>rank %d</span>",
-			rankPalette[i%len(rankPalette)], rk.ID)
+		o.WriteString("<span><i style=\"background:" + rankPalette[i%len(rankPalette)] + "\"></i>rank ")
+		o.int(rk.ID)
+		o.WriteString("</span>")
 	}
-	bw.WriteString("</div>\n")
+	o.WriteString("</div>\n")
 }
 
 // WriteHTMLReport renders the run as one self-contained HTML page: per
 // session a rank×phase heatmap, gauge timelines (when sampling was on),
 // and a rank×time heatmap of the inter-node wire volume.
 func (run *Run) WriteHTMLReport(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n")
-	bw.WriteString("<title>numabfs timeline report</title>\n<style>" + htmlStyle + "</style></head>\n<body>\n")
-	bw.WriteString("<h1>numabfs timeline report</h1>\n")
+	o := &htmlOut{Writer: bufio.NewWriter(w)}
+	o.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n")
+	o.WriteString("<title>numabfs timeline report</title>\n<style>" + htmlStyle + "</style></head>\n<body>\n")
+	o.WriteString("<h1>numabfs timeline report</h1>\n")
 	for _, s := range run.Sessions {
 		f := s.fold()
-		fmt.Fprintf(bw, "<h2>%s</h2>\n<p class=\"meta\">%d ranks",
-			html.EscapeString(s.Label), len(s.Ranks))
+		o.WriteString("<h2>" + html.EscapeString(s.Label) + "</h2>\n<p class=\"meta\">")
+		o.int(len(s.Ranks))
+		o.WriteString(" ranks")
 		if s.BucketNs > 0 {
-			fmt.Fprintf(bw, ", sampling grid %.0f ns", s.BucketNs)
+			o.WriteString(", sampling grid ")
+			o.float(s.BucketNs, 'f', 0)
+			o.WriteString(" ns")
 		}
 		if s.LinkPeak > 0 {
-			fmt.Fprintf(bw, ", inter-node peak %.6g B/ns", s.LinkPeak)
+			o.WriteString(", inter-node peak ")
+			o.float(s.LinkPeak, 'g', 6)
+			o.WriteString(" B/ns")
 		}
-		bw.WriteString("</p>\n")
+		o.WriteString("</p>\n")
 
-		writeHeatmap(bw, f.phaseHeatmap(), func(v float64) string {
-			return fmt.Sprintf("%.3f", v/1e6) // ms
-		})
+		writeHeatmap(o, f.phaseHeatmap(), 1e6, 3) // ms
 
 		if s.BucketNs > 0 {
 			for g := Gauge(0); g < NumGauges; g++ {
-				writeGaugeSVG(bw, f, g)
+				writeGaugeSVG(o, f, g)
 			}
 			if hm := f.gaugeHeatmap(GaugeInterBytes, 24); hm != nil {
-				writeHeatmap(bw, hm, func(v float64) string {
-					return fmt.Sprintf("%.0f", v)
-				})
+				writeHeatmap(o, hm, 1, 0)
 			}
 		}
 	}
-	bw.WriteString("</body></html>\n")
-	return bw.Flush()
+	o.WriteString("</body></html>\n")
+	return o.Flush()
 }
