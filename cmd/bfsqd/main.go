@@ -18,6 +18,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
@@ -74,8 +75,8 @@ func validateFlags(f qdFlags) []string {
 	if f.queries < 1 {
 		errs = append(errs, "-queries must be at least 1")
 	}
-	if f.rate <= 0 {
-		errs = append(errs, "-rate must be positive (a multiple of the calibrated full-batch capacity)")
+	if !(f.rate > 0) || math.IsInf(f.rate, 0) { // NaN fails every comparison
+		errs = append(errs, "-rate must be positive and finite (a multiple of the calibrated full-batch capacity)")
 	}
 	if f.batch < 1 || f.batch > 64 {
 		errs = append(errs, fmt.Sprintf("-batch %d outside [1, 64]: a batch is at most one uint64 of lanes", f.batch))

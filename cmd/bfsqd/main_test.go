@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"numabfs/internal/bfs"
@@ -57,6 +58,8 @@ func TestValidateFlags(t *testing.T) {
 		{"zero queries", func(f *qdFlags) { f.queries = 0 }},
 		{"zero rate", func(f *qdFlags) { f.rate = 0 }},
 		{"negative rate", func(f *qdFlags) { f.rate = -2 }},
+		{"NaN rate", func(f *qdFlags) { f.rate = math.NaN() }},
+		{"infinite rate", func(f *qdFlags) { f.rate = math.Inf(1) }},
 		{"zero batch", func(f *qdFlags) { f.batch = 0 }},
 		{"oversized batch", func(f *qdFlags) { f.batch = 65 }},
 		{"negative fill timeout", func(f *qdFlags) { f.fillTimeoutNs = -1 }},

@@ -144,3 +144,27 @@ func TestScaleAbove32Rejected(t *testing.T) {
 		t.Fatalf("stdout %q; stderr is not the one-line message:\n%s", &stdout, msg)
 	}
 }
+
+// TestRateNotFinite: a NaN -rate passed every check on the way to the
+// server (each comparison with NaN is false) and panicked in the batched
+// engine with an empty batch. A -rate that is not a positive finite
+// number is a bad flag value: one line and exit 2.
+func TestRateNotFinite(t *testing.T) {
+	bin := buildCLIs(t, "./bfsqd")
+	for _, rate := range []string{"NaN", "Inf", "-Inf"} {
+		t.Run(rate, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(bin, "bfsqd"), "-scale", "12", "-queries", "8", "-rate", rate)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit: %v, want status 2\nstderr: %s", err, &stderr)
+			}
+			msg := strings.TrimSpace(stderr.String())
+			if stdout.Len() != 0 || !strings.HasPrefix(msg, "bfsqd: -rate must be positive and finite") || strings.Contains(msg, "\n") {
+				t.Fatalf("stdout %q; stderr is not the one-line message:\n%s", &stdout, msg)
+			}
+		})
+	}
+}

@@ -42,11 +42,13 @@ type Group struct {
 
 	tables []atomic.Pointer[[][]int] // by slot (streamTable)
 	// The schedules' gate and, per member, arguments, codec prices and
-	// allreduce accumulators (shift.go).
+	// allreduce accumulators; the replay's result job and its op (shift.go).
 	gate   *mpi.Gate
 	posted []shiftArgs
 	priced [][]wire.Price
 	acc    [][]int64
+	result *mpi.Share
+	op     int
 }
 
 // The stream tables' slots; a tree's is tabTree + 2*rootPos, plus one
@@ -63,6 +65,7 @@ func NewGroup(w *mpi.World, ranks []int) *Group {
 		gate:   w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
 		priced: make([][]wire.Price, len(ranks)), acc: make([][]int64, len(ranks)),
 	}
+	g.result = w.NewShare(len(ranks), g.receive)
 	for i, r := range ranks {
 		if _, dup := g.pos[r]; dup {
 			panic(fmt.Sprintf("collective: rank %d appears twice in group", r))
@@ -170,16 +173,15 @@ func (g *Group) streamTable(slot int) [][]int {
 	return t
 }
 
-// run is the message of a multi-segment step (recursive doubling,
-// Bruck, binomial gather): the count segments at consecutive group
-// positions from first, cyclically, named by (ID, Q) = (first, count)
-// over the sender's own buffer. It returns the payload and its bytes.
-func (g *Group) run(buf []uint64, l Layout, first, count int) (mpi.Payload, int64) {
+// runBytes is the raw size of a run, the message of a multi-segment step
+// (recursive doubling, Bruck, binomial gather): the count segments at
+// consecutive group positions from first, cyclically.
+func (g *Group) runBytes(l Layout, first, count int) int64 {
 	var words int64
 	for j := 0; j < count; j++ {
 		words += l.Counts[(first+j)%g.Size()]
 	}
-	return mpi.Payload{ID: first, Q: count, Words: buf}, words * 8
+	return words * 8
 }
 
 // landRun copies the segments of a received run into buf, after
@@ -204,34 +206,21 @@ type Layout struct {
 // EvenLayout splits `words` words over n members as evenly as possible
 // (first words%n members get one extra word).
 func EvenLayout(words int64, n int) Layout {
-	counts := make([]int64, n)
-	displs := make([]int64, n)
-	base := words / int64(n)
-	rem := words % int64(n)
-	var off int64
-	for i := 0; i < n; i++ {
-		c := base
-		if int64(i) < rem {
-			c++
-		}
-		counts[i] = c
-		displs[i] = off
-		off += c
+	offs := make([]int64, n+1)
+	for i := range n {
+		offs[i+1] = offs[i] + words/int64(n) + int64(b2i(int64(i) < words%int64(n)))
 	}
-	return Layout{Counts: counts, Displs: displs}
+	return SegLayout(offs)
 }
 
 // SegLayout builds a layout from explicit per-member word offsets:
 // member i owns [offs[i], offs[i+1]).
 func SegLayout(offs []int64) Layout {
-	n := len(offs) - 1
-	counts := make([]int64, n)
-	displs := make([]int64, n)
-	for i := 0; i < n; i++ {
-		displs[i] = offs[i]
-		counts[i] = offs[i+1] - offs[i]
+	l := Layout{Counts: make([]int64, len(offs)-1), Displs: make([]int64, len(offs)-1)}
+	for i := range l.Counts {
+		l.Displs[i], l.Counts[i] = offs[i], offs[i+1]-offs[i]
 	}
-	return Layout{Counts: counts, Displs: displs}
+	return l
 }
 
 // TotalWords returns the total words the layout describes.

@@ -11,11 +11,10 @@ import (
 // caller-retained result table: out is reused when it has one entry per
 // member (pass nil on first use, keep what comes back). The member's own
 // vector is referenced, not copied. Raw entries alias the senders'
-// vectors. Under a codec every other entry is rewritten in the table's
-// own storage, out[i][:0], by either executor: decoded from the wire as
-// messages, or appended from the sender's raw vector by the replay (the
-// codec charging the same price either way). So a codec table owns its
-// storage under both, and must not move from raw calls to codec calls.
+// vectors; under a codec every other entry is rewritten in the table's
+// own storage, out[i][:0] — decoded from the wire, or appended from the
+// sender's vector by the replay — so a codec table owns its storage and
+// must not move from raw calls to codec calls.
 
 // AllgathervInt64 gathers every member's vector to all members, indexed
 // by group position: a ring schedule (shift.go) over lists whose lengths

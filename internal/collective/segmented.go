@@ -98,13 +98,7 @@ func (o *Overlap) reset() { o.HiddenNs, o.ExposedNs, o.Segments = 0, 0, 0 }
 // segment (so no chunk is empty), at most 256 (the flattened step×chunk
 // tags of a 16-node subgroup then stay inside the 0xB000 block).
 func segChunkCount(l Layout, want int) int {
-	q := int64(want)
-	if q < 1 {
-		q = 1
-	}
-	if q > 256 {
-		q = 256
-	}
+	q := int64(min(max(want, 1), 256))
 	for _, c := range l.Counts {
 		if c > 0 && c < q {
 			q = c

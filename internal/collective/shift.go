@@ -11,7 +11,7 @@ import (
 // are one generator (step) and two executors: with crashes or lossy
 // links in the plan every member walks its steps as messages, encoding
 // for real; otherwise the last member at the group's gate replays them
-// (walk), moving raw words and charging codec items at their price.
+// (walk), pricing codec items unencoded while idle workers write results.
 
 // forceMessages runs every schedule as messages; tests set it.
 var forceMessages bool
@@ -51,13 +51,25 @@ func (g *Group) step(op, s int) (d int, xor bool, off, mask int, row []int) {
 // runs reports whether op's items are runs of min(2^s, n-2^s) segments.
 func runs(op int) bool { return op == tagRecDouble || op == tagBruck }
 
-// item is a's item k, a segment or a vector, and its raw bytes.
-func (a *shiftArgs) item(k int) ([]uint64, []int64, int64) {
+// item is a's item k, a segment or a vector.
+func (a *shiftArgs) item(k int) ([]uint64, []int64) {
 	if a.send == nil {
-		w := a.l.seg(a.buf, k)
-		return w, nil, int64(len(w)) * 8
+		return a.l.seg(a.buf, k), nil
 	}
-	return nil, a.send[k], int64(len(a.send[k])) * 8
+	return nil, a.send[k]
+}
+
+// bytes is the raw size of a's item k at step s of schedule op.
+func (g *Group) bytes(a *shiftArgs, op, s, k int) int64 {
+	switch {
+	case a.sum != nil:
+		return int64(len(a.sum)) * 8
+	case runs(op):
+		return g.runBytes(a.l, k, min(1<<s, len(g.ranks)-1<<s))
+	case a.send == nil:
+		return a.l.Counts[k] * 8
+	}
+	return int64(len(a.send[k])) * 8
 }
 
 // put stores member src's raw item k into a: a segment copied into
@@ -75,16 +87,17 @@ func (a *shiftArgs) put(op, src, k int, w []uint64, v []int64) {
 	*out = v
 }
 
-// payload is a's item k at step s as a message, and its raw bytes.
-func (g *Group) payload(a *shiftArgs, op, s, k int) (mpi.Payload, int64) {
+// payload is a's item k at step s as a message: a run names its first
+// segment and its count (ID, Q) over the sender's buffer.
+func (g *Group) payload(a *shiftArgs, op, s, k int) mpi.Payload {
 	switch {
 	case a.sum != nil:
-		return sumPayload(a.sum, k), int64(len(a.sum)) * 8
+		return sumPayload(a.sum, k)
 	case runs(op):
-		return g.run(a.buf, a.l, k, min(1<<s, len(g.ranks)-1<<s))
+		return mpi.Payload{ID: k, Q: min(1<<s, len(g.ranks)-1<<s), Words: a.buf}
 	}
-	w, v, bytes := a.item(k)
-	return mpi.Payload{ID: k, Words: w, Vals: v}, bytes
+	w, v := a.item(k)
+	return mpi.Payload{ID: k, Words: w, Vals: v}
 }
 
 // land stores member src's item k of step s, arrived as pl, into a and
@@ -127,8 +140,7 @@ func (g *Group) shift(p *mpi.Proc, me, op int, a shiftArgs) {
 			}
 			var m mpi.Msg
 			if a.c == nil {
-				pl, bytes := g.payload(&a, op, s, k)
-				m = p.SendRecvPayload(g.ranks[to], op+s, bytes, pl, g.ranks[from], op+s, st)
+				m = p.SendRecvPayload(g.ranks[to], op+s, g.bytes(&a, op, s, k), g.payload(&a, op, s, k), g.ranks[from], op+s, st)
 			} else {
 				var ns float64 // a ring encodes its own item, and forwards what it got
 				if k == me && a.send != nil || exchange {
@@ -164,47 +176,32 @@ func (g *Group) shift(p *mpi.Proc, me, op int, a shiftArgs) {
 	g.posted[me] = shiftArgs{} // pin no buffer past the call
 }
 
-// walk replays schedule op over the posted arguments. Per step it moves
-// every item raw (a loop per kind of item), fills in the gate's
-// messages — under a codec the item's price, its owner's encode charged
-// now, before the step that first sends it, and its receiver's decode
-// after — and has the gate price the step.
+// walk replays schedule op as a result — its postcondition, written per
+// receiver (receive) by idle workers and this one — and a price, each
+// step's messages sized from the posted arguments alone (under a codec
+// its price, the owner's encode charged before the step that first
+// sends it, the receiver's decode after) and priced by the gate here.
 func (g *Group) walk(op, steps int, codec bool) {
 	n, gt, ps := len(g.ranks), g.gate, g.posted
+	for i := 1; i < n && ps[0].sum != nil; i++ {
+		for e, v := range ps[i].sum {
+			ps[0].sum[e] += v
+		}
+	}
+	g.op = op
+	g.result.Start()
 	for s := 0; s < steps; s++ {
 		d, xor, off, mask, row := g.step(op, s)
 		copy(gt.Streams, row)
-		switch {
-		case ps[0].sum != nil:
-			for i := range n {
-				to, _ := mpi.Peers(i, n, d, xor)
-				gt.Bytes[i] = int64(len(ps[i].sum)) * 8
-				for e, v := range ps[i].sum[:len(ps[i].sum)*b2i(i < to)] { // a pair's sums, once for both
-					ps[i].sum[e] += ps[to].sum[e]
-					ps[to].sum[e] = v + ps[to].sum[e]
-				}
-			}
-		case runs(op):
-			for i := range n {
-				to, _ := mpi.Peers(i, n, d, xor)
-				var pl mpi.Payload
-				pl, gt.Bytes[i] = g.payload(&ps[i], op, s, (i+off)%n&^mask)
-				g.land(&ps[to], op, s, i, pl.ID, &pl)
-			}
-		default:
-			for i := range n {
-				to, _ := mpi.Peers(i, n, d, xor)
-				k := (i + off) % n &^ mask
-				w, v, bytes := ps[i].item(k)
-				ps[to].put(op, i, k, w, v)
-				gt.Bytes[i] = bytes
-			}
-		}
-		copy(gt.Raw, gt.Bytes)
-		for i := range n * b2i(codec) {
+		for i := range n {
 			to, _ := mpi.Peers(i, n, d, xor)
 			k := (i + off) % n &^ mask
-			o := [2]int{k, i}[b2i(op == tagAlltoallC)] // the item's owner
+			o := [2]int{k, i}[b2i(op == tagAlltoall || op == tagAlltoallC)] // the item's owner
+			if !codec {
+				gt.Bytes[i] = g.bytes(&ps[o], op, s, k)
+				gt.Raw[i] = gt.Bytes[i]
+				continue
+			}
 			pr := g.priced[o][k]
 			if o == i {
 				gt.Compute(i, ps[i].c.Cost(pr, false))
@@ -212,5 +209,26 @@ func (g *Group) walk(op, steps int, codec bool) {
 			gt.Bytes[i], gt.Raw[i], gt.After[i] = pr.WireBytes, pr.RawBytes, ps[to].c.Cost(pr, true)
 		}
 		gt.Step(d, xor)
+	}
+	g.result.Finish()
+}
+
+// receive writes receiver r's result of schedule g.op: the total walk
+// summed into member 0's accumulator, or every other member j's item for
+// r (its own item j, or under an alltoallv its vector r), put in place.
+func (g *Group) receive(r int) {
+	a, ps := &g.posted[r], g.posted
+	if a.sum != nil {
+		if r > 0 {
+			copy(a.sum, ps[0].sum)
+		}
+		return
+	}
+	for j := range ps {
+		if j != r {
+			k := [2]int{j, r}[b2i(g.op == tagAlltoall || g.op == tagAlltoallC)]
+			w, v := ps[j].item(k)
+			a.put(g.op, j, k, w, v)
+		}
 	}
 }

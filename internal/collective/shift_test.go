@@ -34,26 +34,70 @@ var shiftCodecs = []wire.Codec{
 	{SparseMaxDensity: 1.0 / 64},
 }
 
-// runShifts runs the raw ring allgather, the list ring and the pairwise
-// alltoallv on the whole world; the codec ring, list ring and alltoallv
-// under every selector of shiftCodecs; the scalar and 64-lane
-// allreduces, Bruck's allgather and, on a power-of-two world, recursive
-// doubling; then, with more than one rank per node, the parallel
-// allgather into node-shared buffers and the leader allgather. Segments
-// and vectors are uneven and partly empty, entry clocks differ, and the
-// plan prices messages by virtual time (a bandwidth window, jitter) and
-// slows one rank's compute without making anything lossy, so both
-// executors are eligible.
-func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
-	t.Helper()
-	w := testWorld(t, nodes, ppn)
-	plan := fault.Plan{
-		Seed:        7,
-		BW:          []fault.BWEvent{{Node: 0, Src: -1, Dst: -1, Factor: 0.5, FromNs: 5e3, UntilNs: 4e4}},
-		Stragglers:  []fault.Straggler{{Rank: 0, Factor: 3}},
-		JitterMaxNs: 50,
+// shiftCase is one draw of runShifts: the world's shape and fault plan,
+// the length of every segment and vector, the codec selectors, and the
+// schedule families to run (gen* bits).
+type shiftCase struct {
+	nodes, ppn int
+	plan       fault.Plan
+	// size(kind, a, b) is the length of segment a (segWords), of member
+	// a's list-ring vector (gatheredLen, codecListLen), or of member a's
+	// alltoallv vector for b (exchangedLen, codecExchangeLen).
+	size   func(kind, a, b int) int
+	codecs []wire.Codec
+	gens   uint
+}
+
+const (
+	segWords = iota
+	gatheredLen
+	exchangedLen
+	codecListLen
+	codecExchangeLen
+)
+
+const (
+	genRing      = 1 << iota // the raw ring allgather
+	genLists                 // the raw list ring and alltoallv
+	genCodec                 // the codec ring, list ring and alltoallv, under each selector
+	genAllreduce             // the scalar and 64-lane allreduces
+	genLog                   // Bruck and, on a power-of-two world, recursive doubling
+	genNode                  // with more than one rank per node, the parallel and leader allgathers
+	genAll       = 1<<iota - 1
+)
+
+// fixedCase is every schedule on a nodes x ppn world, with segments and
+// vectors uneven and partly empty (every fifth segment), a plan that
+// prices messages by virtual time (a bandwidth window, jitter) and slows
+// one rank's compute without making anything lossy, and every selector
+// below 17 ranks.
+func fixedCase(nodes, ppn int) shiftCase {
+	sel := shiftCodecs
+	if nodes*ppn > 16 {
+		sel = sel[:1] // the sweep at 128 ranks costs a minute under -race
 	}
-	if err := w.InjectFaults(plan); err != nil {
+	return shiftCase{
+		nodes: nodes, ppn: ppn,
+		plan: fault.Plan{
+			Seed:        7,
+			BW:          []fault.BWEvent{{Node: 0, Src: -1, Dst: -1, Factor: 0.5, FromNs: 5e3, UntilNs: 4e4}},
+			Stragglers:  []fault.Straggler{{Rank: 0, Factor: 3}},
+			JitterMaxNs: 50,
+		},
+		size: func(kind, a, b int) int {
+			return [...]int{a * 7 % 5 * 3, a % 3, (a + b) % 4, a % 4, (a*b + 1) % 5}[kind]
+		},
+		codecs: sel, gens: genAll,
+	}
+}
+
+// runShifts runs the schedule families of c on a world of its shape
+// under its plan, from differing entry clocks, and returns what they
+// leave behind.
+func runShifts(t *testing.T, c shiftCase) shiftOutcome {
+	t.Helper()
+	w := testWorld(t, c.nodes, c.ppn)
+	if err := w.InjectFaults(c.plan); err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
@@ -65,7 +109,7 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	g := WorldGroup(w)
 	offs := []int64{0}
 	for i := 0; i < np; i++ {
-		offs = append(offs, offs[i]+int64(i*7%5)*3) // every fifth segment empty
+		offs = append(offs, offs[i]+int64(c.size(segWords, i, 0)))
 	}
 	l := SegLayout(offs)
 	words := l.TotalWords()
@@ -85,58 +129,58 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	exchanged := make([][][]int64, np)
 	clocks := make([][]uint64, np)
 	codecs := make([][]*wire.Codec, np)
-	sel := shiftCodecs
-	if np > 16 {
-		sel = sel[:1] // the sweep at 128 ranks costs a minute under -race
-	}
 	for r := range codecs {
-		for _, c := range sel {
-			c.Team, c.Loc = newTestCodec().Team, machine.Local
-			codecs[r] = append(codecs[r], &c)
+		for _, sel := range c.codecs[:len(c.codecs)*min(int(c.gens&genCodec), 1)] {
+			sel.Team, sel.Loc = newTestCodec().Team, machine.Local
+			codecs[r] = append(codecs[r], &sel)
 		}
 	}
 	var nc *NodeComm
-	if ppn > 1 {
+	if c.ppn > 1 && c.gens&genNode != 0 {
 		nc = NewNodeComm(w)
 	}
 	w.Run(func(p *mpi.Proc) {
 		r := p.Rank()
 		mark := func() { clocks[r] = append(clocks[r], math.Float64bits(p.Clock())) }
 		p.Compute(float64(r%5) * 700)
-		bufs[r] = make([]uint64, words)
-		fillOwn(bufs[r], l, r)
-		g.AllgatherRing(p, bufs[r], l)
-		mark()
-		gathered[r] = g.AllgathervInt64(p, vec(r%3, r), nil, nil)
-		mark()
-		send := make([][]int64, np)
-		for d := range send {
-			send[d] = vec((r+d)%4, r*np+d)
+		if c.gens&genRing != 0 {
+			bufs[r] = make([]uint64, words)
+			fillOwn(bufs[r], l, r)
+			g.AllgatherRing(p, bufs[r], l)
+			mark()
 		}
-		p.Compute(float64(r%3) * 900)
-		exchanged[r] = g.AlltoallvInt64Into(p, send, nil, nil)
-		mark()
+		if c.gens&genLists != 0 {
+			gathered[r] = g.AllgathervInt64(p, vec(c.size(gatheredLen, r, 0), r), nil, nil)
+			mark()
+			send := make([][]int64, np)
+			for d := range send {
+				send[d] = vec(c.size(exchangedLen, r, d), r*np+d)
+			}
+			p.Compute(float64(r%3) * 900)
+			exchanged[r] = g.AlltoallvInt64Into(p, send, nil, nil)
+			mark()
+		}
 		// A codec serves one collective at a time: the barriers stand for
 		// the engines' level-end allreduce.
-		for _, c := range codecs[r] {
+		for _, cd := range codecs[r] {
 			buf := make([]uint64, words)
 			fillVaried(buf, l, r)
-			g.AllgatherRingCompressed(p, buf, l, c)
+			g.AllgatherRingCompressed(p, buf, l, cd)
 			mark()
 			// A table reused across calls; the codec owns its entries, so
 			// clearing the vectors sent afterwards changes none of them.
-			mine, csend := vec(r%4, r+1), make([][]int64, np)
+			mine, csend := vec(c.size(codecListLen, r, 0), r+1), make([][]int64, np)
 			var tab [][]int64
 			for i := 0; i < 2; i++ {
 				p.Barrier()
-				tab = g.AllgathervInt64(p, mine[:len(mine)-i*min(len(mine), 1)], tab, c)
+				tab = g.AllgathervInt64(p, mine[:len(mine)-i*min(len(mine), 1)], tab, cd)
 				mark()
 			}
 			for d := range csend {
-				csend[d] = vec((r*d+1)%5, d-r)
+				csend[d] = vec(c.size(codecExchangeLen, r, d), d-r)
 			}
 			p.Barrier()
-			got := g.AlltoallvInt64Into(p, csend, nil, c)
+			got := g.AlltoallvInt64Into(p, csend, nil, cd)
 			mark()
 			p.Barrier()
 			clear(mine)
@@ -147,18 +191,23 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 			bufs[r] = append(bufs[r], buf...)
 			gathered[r] = append(append(gathered[r], tab...), got...)
 		}
-		sum := g.AllreduceSumInt64(p, int64(r*7-3))
-		mark()
-		var lanes [64]int64
-		for i := range lanes {
-			lanes[i] = int64(r*i - 5)
+		if c.gens&genAllreduce != 0 {
+			sum := g.AllreduceSumInt64(p, int64(r*7-3))
+			mark()
+			var lanes [64]int64
+			for i := range lanes {
+				lanes[i] = int64(r*i - 5)
+			}
+			g.AllreduceSumVec64(p, &lanes)
+			mark()
+			exchanged[r] = append(exchanged[r], []int64{sum}, lanes[:])
 		}
-		g.AllreduceSumVec64(p, &lanes)
-		mark()
-		exchanged[r] = append(exchanged[r], []int64{sum}, lanes[:])
-		gathers := []func(*Group, *mpi.Proc, []uint64, Layout){(*Group).AllgatherBruck}
-		if np&(np-1) == 0 {
-			gathers = append(gathers, (*Group).AllgatherRecDouble)
+		var gathers []func(*Group, *mpi.Proc, []uint64, Layout)
+		if c.gens&genLog != 0 {
+			gathers = append(gathers, (*Group).AllgatherBruck)
+			if np&(np-1) == 0 {
+				gathers = append(gathers, (*Group).AllgatherRecDouble)
+			}
 		}
 		for _, gather := range gathers {
 			buf := make([]uint64, words)
@@ -190,12 +239,12 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 			}
 		}
 		out.Clocks = append(out.Clocks, clocks[r]...)
-		for _, c := range codecs[r] {
-			out.Stats = append(out.Stats, c.Stats())
+		for _, cd := range codecs[r] {
+			out.Stats = append(out.Stats, cd.Stats())
 		}
 	}
 	if nc != nil {
-		for n := 0; n < nodes; n++ {
+		for n := 0; n < c.nodes; n++ {
 			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-inq@node%d", n), words)...)
 		}
 	}
@@ -208,6 +257,48 @@ func runShifts(t *testing.T, nodes, ppn int) shiftOutcome {
 	return out
 }
 
+// FuzzShiftExecutors: for a drawn group size (1-128) and shape, segment
+// and vector lengths, schedule families, codec selector and plan (a
+// bandwidth window, a straggler, jitter; never a crash or a lossy link),
+// replaying the schedules leaves exactly what running them as messages
+// does.
+func FuzzShiftExecutors(f *testing.F) {
+	f.Add(uint8(7), uint8(1), uint8(genAll), uint8(0), uint64(1), uint8(128), uint8(3), uint8(50))
+	f.Add(uint8(11), uint8(3), uint8(genAll), uint8(2), uint64(7), uint8(30), uint8(0), uint8(0))
+	f.Add(uint8(127), uint8(7), uint8(genRing|genLists|genCodec), uint8(4), uint64(3), uint8(255), uint8(9), uint8(99))
+	f.Fuzz(func(t *testing.T, n, ppn, gens, codec uint8, seed uint64, bw, straggle, jitter uint8) {
+		np, pp := int(n)%128+1, int(ppn)%8+1
+		for np%pp != 0 {
+			pp--
+		}
+		c := shiftCase{
+			nodes: np / pp, ppn: pp,
+			plan: fault.Plan{
+				Seed: seed,
+				BW: []fault.BWEvent{{Node: int(bw) % (np / pp), Src: -1, Dst: -1,
+					Factor: float64(bw%8+1) / 8, FromNs: float64(bw) * 100, UntilNs: float64(bw)*100 + 3e4}},
+				Stragglers:  []fault.Straggler{{Rank: int(straggle) % np, Factor: 1 + float64(straggle%4)}},
+				JitterMaxNs: float64(jitter),
+			},
+			size: func(kind, a, b int) int {
+				h := seed ^ uint64(kind)<<56 ^ uint64(a)<<28 ^ uint64(b) // splitmix64
+				h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+				h = (h ^ h>>27) * 0x94d049bb133111eb
+				return int((h ^ h>>31) % [...]uint64{13, 6, 6, 6, 6}[kind])
+			},
+			codecs: shiftCodecs[int(codec)%len(shiftCodecs):][:1],
+			gens:   uint(gens),
+		}
+		restore := runAsMessages()
+		want := runShifts(t, c)
+		restore()
+		if got := runShifts(t, c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d ranks (%d per node), families %#x: the replay differs from messages (volume %+v vs %+v, %d vs %d obs bytes)",
+				np, pp, gens, got.Volume, want.Volume, len(got.Obs), len(want.Obs))
+		}
+	})
+}
+
 // TestShiftExecutorsAgree: replaying a schedule at the group's gate
 // leaves exactly what running it as messages does — buffers, vectors,
 // sums, every clock bit, the codec statistics, the network volume and
@@ -218,7 +309,7 @@ func TestShiftExecutorsAgree(t *testing.T) {
 		t.Run(fmt.Sprintf("np%d", shape.nodes*shape.ppn), func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
 			restore := runAsMessages()
-			want := runShifts(t, shape.nodes, shape.ppn)
+			want := runShifts(t, fixedCase(shape.nodes, shape.ppn))
 			restore()
 			if len(want.Words) == 0 && shape.nodes*shape.ppn > 1 {
 				t.Fatal("nothing gathered")
@@ -229,7 +320,7 @@ func TestShiftExecutorsAgree(t *testing.T) {
 					if messages {
 						restore = runAsMessages()
 					}
-					got := runShifts(t, shape.nodes, shape.ppn)
+					got := runShifts(t, fixedCase(shape.nodes, shape.ppn))
 					if messages {
 						restore()
 					}

@@ -18,8 +18,8 @@ func (g *Group) GatherBinomial(p *mpi.Proc, buf []uint64, l Layout, rootPos int)
 	for k, d := 0, 1; d < n; k, d = k+1, d*2 {
 		if v&d != 0 && v&(d-1) == 0 {
 			// I send my subtree: virtual positions [v, min(v+d, n)).
-			pl, bytes := g.run(buf, l, (v+rootPos)%n, min(d, n-v))
-			p.SendPayload(g.ranks[(v-d+rootPos)%n], tagGather+k, bytes, pl, streams[k][me])
+			first, count := (v+rootPos)%n, min(d, n-v)
+			p.SendPayload(g.ranks[(v-d+rootPos)%n], tagGather+k, g.runBytes(l, first, count), mpi.Payload{ID: first, Q: count, Words: buf}, streams[k][me])
 			return // a sender is done after handing off its subtree
 		}
 		if v&(2*d-1) == 0 && v+d < n {

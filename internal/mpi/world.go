@@ -92,6 +92,7 @@ type World struct {
 	workers     []*worker
 	quiet       atomic.Int32
 	workersDone sync.WaitGroup
+	job         atomic.Pointer[Share] // the job idle workers help with (share.go)
 
 	shmMu      sync.Mutex
 	shmRegions map[string][]uint64
@@ -269,6 +270,7 @@ func (w *World) TryRun(body func(p *Proc)) error {
 func (w *World) rearm() {
 	w.faults, w.bug, w.stall = nil, nil, nil
 	w.jobAborted.Store(false)
+	w.job.Store(nil) // a walk that panicked may still hold it
 	w.rebuildMembership()
 	w.attempt++
 	for i := range w.slots {

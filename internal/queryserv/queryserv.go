@@ -149,15 +149,19 @@ func (res *Result) TEPSPercentile(p float64) float64 {
 }
 
 // Serve runs the workload through the runner under the policy. Queries
-// must be sorted by arrival time (ties kept in slice order). The runner
+// must arrive at finite, non-negative times, sorted (ties kept in slice
+// order). The runner
 // must be Setup; its clocks are reset per batch, with the server
 // keeping the virtual service timeline itself.
 func Serve(r *msbfs.Runner, po Policy, queries []Query) (*Result, error) {
 	if err := po.Validate(); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(queries); i++ {
-		if queries[i].ArriveNs < queries[i-1].ArriveNs {
+	for i, q := range queries {
+		if !(q.ArriveNs >= 0) || math.IsInf(q.ArriveNs, 0) { // NaN would pass the order check
+			return nil, fmt.Errorf("queryserv: query %d arrives at %g ns, want a finite time >= 0", q.ID, q.ArriveNs)
+		}
+		if i > 0 && q.ArriveNs < queries[i-1].ArriveNs {
 			return nil, fmt.Errorf("queryserv: queries not sorted by arrival (%d at %g after %d at %g)",
 				queries[i].ID, queries[i].ArriveNs, queries[i-1].ID, queries[i-1].ArriveNs)
 		}
@@ -227,8 +231,8 @@ func Serve(r *msbfs.Runner, po Policy, queries []Query) (*Result, error) {
 // roots picked uniformly from vertices with edges — the Graph500 root
 // rule. Deterministic in the seed.
 func PoissonWorkload(n int, qps float64, seed uint64, numVertices int64, hasEdge func(int64) bool) []Query {
-	if n < 0 || qps <= 0 {
-		panic(fmt.Sprintf("queryserv: workload needs n >= 0 and qps > 0 (n=%d, qps=%g)", n, qps))
+	if n < 0 || !(qps > 0) || math.IsInf(qps, 0) {
+		panic(fmt.Sprintf("queryserv: workload needs n >= 0 and a finite qps > 0 (n=%d, qps=%g)", n, qps))
 	}
 	rng := xrand.NewXoshiro256(seed)
 	qs := make([]Query, 0, n)

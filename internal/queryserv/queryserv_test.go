@@ -3,6 +3,7 @@ package queryserv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -235,6 +236,29 @@ func TestServeEdgeCases(t *testing.T) {
 	unsorted := []Query{{ID: 0, Root: root, ArriveNs: 10}, {ID: 1, Root: root, ArriveNs: 5}}
 	if _, err := Serve(r, Policy{MaxBatch: 8}, unsorted); err == nil {
 		t.Fatal("unsorted workload accepted")
+	}
+	// Every comparison with NaN is false, so no order check catches it.
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		bad := []Query{{ID: 0, Root: root, ArriveNs: 10}, {ID: 1, Root: root, ArriveNs: at}}
+		if _, err := Serve(r, Policy{MaxBatch: 8}, bad); err == nil {
+			t.Errorf("a query arriving at %g accepted", at)
+		}
+	}
+}
+
+// TestPoissonWorkloadRejectsNonFiniteRate: a NaN or infinite rate panics
+// up front, as a non-positive one does, instead of drawing a stream of
+// NaN (or all-zero) arrivals.
+func TestPoissonWorkloadRejectsNonFiniteRate(t *testing.T) {
+	for _, qps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("qps %g accepted", qps)
+				}
+			}()
+			PoissonWorkload(4, qps, 7, 64, func(int64) bool { return true })
+		}()
 	}
 }
 
