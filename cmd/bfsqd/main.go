@@ -81,8 +81,8 @@ func validateFlags(f qdFlags) []string {
 	if f.batch < 1 || f.batch > 64 {
 		errs = append(errs, fmt.Sprintf("-batch %d outside [1, 64]: a batch is at most one uint64 of lanes", f.batch))
 	}
-	if f.fillTimeoutNs < 0 {
-		errs = append(errs, "-fill-timeout-ns must be non-negative (0 = 2x the calibrated batch duration)")
+	if !(f.fillTimeoutNs >= 0) || math.IsInf(f.fillTimeoutNs, 0) {
+		errs = append(errs, "-fill-timeout-ns must be non-negative and finite (0 = 2x the calibrated batch duration)")
 	}
 	if f.seed == 0 {
 		errs = append(errs, "-seed must be nonzero (the workload stream is deterministic in it)")

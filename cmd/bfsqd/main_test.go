@@ -60,6 +60,9 @@ func TestValidateFlags(t *testing.T) {
 		{"negative rate", func(f *qdFlags) { f.rate = -2 }},
 		{"NaN rate", func(f *qdFlags) { f.rate = math.NaN() }},
 		{"infinite rate", func(f *qdFlags) { f.rate = math.Inf(1) }},
+		{"NaN fill timeout", func(f *qdFlags) { f.fillTimeoutNs = math.NaN() }},
+		{"infinite fill timeout", func(f *qdFlags) { f.fillTimeoutNs = math.Inf(1) }},
+		{"negative infinite fill timeout", func(f *qdFlags) { f.fillTimeoutNs = math.Inf(-1) }},
 		{"zero batch", func(f *qdFlags) { f.batch = 0 }},
 		{"oversized batch", func(f *qdFlags) { f.batch = 65 }},
 		{"negative fill timeout", func(f *qdFlags) { f.fillTimeoutNs = -1 }},

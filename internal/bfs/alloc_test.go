@@ -143,3 +143,24 @@ func TestTwoTransientCrashesKeepTree(t *testing.T) {
 	}
 	sameParents(t, "two crashes", r, probe)
 }
+
+// TestRootParksOverlapBounded: a warm top-rung root on 128 ranks
+// replays its pipelined in_queue rings at their subgroups' gates, so a
+// rank parks about once per collective call rather than once per chunk
+// step of the segment ring: 4 059 parks measured, at GOMAXPROCS 1 and 2,
+// against 9 459 and 10 434 while the rings ran as messages.
+func TestRootParksOverlapBounded(t *testing.T) {
+	const scale = 13
+	params := rmat.Graph500(scale)
+	r := setUp(t, testConfig(scale, 16, 8), machine.PPN8Bind, params, optOptions(OptOverlapAllgather))
+	root := params.Roots(1, r.HasEdgeGlobal)[0]
+	r.RunRoot(root)
+	before := r.W.Parks()
+	r.RunRoot(root)
+	parks := r.W.Parks() - before
+	const bound = 5000
+	if parks > bound {
+		t.Errorf("warm overlap root on 128 ranks parked %d times, want <= %d", parks, bound)
+	}
+	t.Logf("warm overlap root on 128 ranks: %d parks", parks)
+}

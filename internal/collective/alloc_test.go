@@ -106,9 +106,11 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 	}
 	// Looked up once: SharedWords formats its region name per call.
 	inq := make([][]uint64, np)
+	hooks := make([]func(w0, w1 int64) float64, np)
 	w.Run(func(p *mpi.Proc) {
 		inq[p.Rank()] = p.SharedWords("alloc-inq", words)
 		fillVaried(inq[p.Rank()], l, p.Rank())
+		hooks[p.Rank()] = chunkHook(inq[p.Rank()])
 	})
 	cases := []struct {
 		name string
@@ -153,13 +155,18 @@ func TestCollectiveStepsDoNotAllocate(t *testing.T) {
 			nc.ParallelAllgatherInPlaceCompressed(p, inq[p.Rank()], l, codecs[p.Rank()])
 		}},
 		// The segmented rings (the overlap level's pipeline), 4 chunks per
-		// segment, raw and compressed.
+		// segment, raw and compressed, replayed at the subgroups' gates; the
+		// last with a chunk hook, as the engine's top rung runs it.
 		{"ParallelPipelined", 0, func(p *mpi.Proc) {
 			nc.Allgather(p, SchemeParallel, inq[p.Rank()], bufs[p.Rank()], l, Exchange{Chunks: 4, Overlap: &ovs[p.Rank()]})
 		}},
 		{"ParallelPipelinedCompressed", 0, func(p *mpi.Proc) {
 			nc.Allgather(p, SchemeParallel, inq[p.Rank()], bufs[p.Rank()], l,
 				Exchange{Codec: codecs[p.Rank()], Chunks: 4, Overlap: &ovs[p.Rank()]})
+		}},
+		{"ParallelPipelinedCompressedHook", 0, func(p *mpi.Proc) {
+			nc.Allgather(p, SchemeParallel, inq[p.Rank()], bufs[p.Rank()], l,
+				Exchange{Codec: codecs[p.Rank()], Chunks: 4, OnChunk: hooks[p.Rank()], Overlap: &ovs[p.Rank()]})
 		}},
 	}
 	for _, c := range cases {

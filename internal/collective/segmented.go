@@ -24,6 +24,8 @@ type Exchange struct {
 	// collective. OnChunk, when non-nil, is called with every finalized
 	// word range of the destination buffer and returns compute ns to
 	// charge; Overlap (required) receives the hidden/exposed ledger.
+	// Replayed, OnChunk runs on the thread that walks the ring, so it may
+	// read only words its own ring has landed, or that were in place.
 	Chunks  int
 	OnChunk func(w0, w1 int64) float64
 	Overlap *Overlap
@@ -115,12 +117,44 @@ func chunkSpan(l Layout, id, q, Q int) (int64, int64) {
 	return d + c*int64(q)/int64(Q), d + c*int64(q+1)/int64(Q)
 }
 
+// segStep maps flattened step k of a ring of n members pipelined in Q
+// chunks to its ring step s, its chunk q and the origin of the chunk
+// member me receives; the member before me sends it. Both executors
+// walk these steps.
+func segStep(k, Q, me, n int) (s, q, from int) {
+	s, q = k/Q, k%Q
+	return s, q, (me - s - 1 + n) % n
+}
+
+// scanOwn calls hook, when non-nil, on each of member me's own chunks,
+// charging p what it returns.
+func scanOwn(p *mpi.Proc, l Layout, me, Q int, hook func(w0, w1 int64) float64) {
+	for q := 0; hook != nil && q < Q; q++ {
+		w0, w1 := chunkSpan(l, me, q, Q)
+		p.Compute(hook(w0, w1))
+	}
+}
+
+// wait books one chunk's Waits of p in the ledger: the clock p stalled
+// since it reached them at ready (exposed, and sampled as the
+// exposed-wait gauge), and the part of its received transfer [begin,
+// end) that ran before ready (hidden).
+func (o *Overlap) wait(p *mpi.Proc, ready, begin, end float64) {
+	if d := p.Clock() - ready; d > 0 {
+		o.ExposedNs += d
+		p.Obs().Sample(obs.GaugeExposedWait, ready, d)
+	}
+	if h := min(ready, end) - begin; h > 0 {
+		o.HiddenNs += h
+	}
+}
+
 // allgatherRingPipelined is the pipelined ring driver. The (n-1) ring
-// steps × Q chunks flatten to K exchanges; the loop keeps exactly one
-// send and one receive in flight: wait on pair k, post pair k+1, then
-// decode and scan chunk k while pair k+1's transfer runs. Send k+1
-// always forwards data whose receive completed at k+1-Q ≤ k, so the
-// pipeline can never deadlock on the capacity-1 slots, and the
+// steps × Q chunks flatten to K exchanges (segStep); the loop keeps
+// exactly one send and one receive in flight: wait on pair k, post pair
+// k+1, then decode and scan chunk k while pair k+1's transfer runs.
+// Send k+1 always forwards data whose receive completed at k+1-Q ≤ k,
+// so the pipeline can never deadlock on the capacity-1 slots, and the
 // per-chunk Wait bracketing splits every transfer into hidden and
 // exposed time via Request.BeginNs/EndNs. One pipelined message is a
 // typed mpi.Payload: chunk Q of origin segment ID, as raw Words
@@ -129,7 +163,10 @@ func chunkSpan(l Layout, id, q, Q int) (int64, int64) {
 // the origin's per-slot scratch (wire.EncodeSlot, stable until the
 // origin's next collective — forwarding never re-encodes). onChunk sees
 // the rank's own chunks first, right after the pipeline starts, so
-// their scan overlaps the first transfer.
+// their scan overlaps the first transfer. That is the first executor,
+// run with crashes or lossy links in the plan; otherwise every member
+// posts its arguments at the group's gate and the last one replays the
+// loop for all of them (walkSeg).
 func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, streams int, x Exchange) {
 	c, onChunk, ov := x.Codec, x.OnChunk, x.Overlap
 	Q := segChunkCount(l, x.Chunks)
@@ -137,12 +174,21 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 	n := g.Size()
 	me := g.Pos(p.Rank())
 	if n == 1 {
-		if onChunk != nil {
-			for q := 0; q < Q; q++ {
-				w0, w1 := chunkSpan(l, me, q, Q)
-				p.Compute(onChunk(w0, w1))
-			}
+		scanOwn(p, l, me, Q, onChunk)
+		return
+	}
+	if !forceMessages && p.World().Injector().Replayable() {
+		if c != nil && len(g.priced[me]) < Q {
+			g.priced[me] = make([]wire.Price, Q)
 		}
+		for q := 0; c != nil && q < Q; q++ { // price this member's chunks, on its worker
+			w0, w1 := chunkSpan(l, me, q, Q)
+			g.priced[me][q], _ = c.Price(buf[w0:w1])
+		}
+		g.posted[me] = shiftArgs{buf: buf, l: l, c: c, streams: streams, hook: onChunk, ov: ov}
+		g.gate.Streams[me] = streams
+		g.gate.Pass(p, me, tagSeg, func() { g.walkSeg() })
+		g.posted[me] = shiftArgs{}
 		return
 	}
 	next := g.ranks[(me+1)%n]
@@ -158,7 +204,7 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 	hold := ov.hold[:Q]
 
 	postPair := func(k int) (*mpi.Request, *mpi.Request) {
-		s, q := k/Q, k%Q
+		s, q, _ := segStep(k, Q, me, n)
 		tag := tagSeg + k
 		pl := hold[q]
 		if s == 0 {
@@ -182,17 +228,10 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 	}
 
 	sr, rr := postPair(0)
-	if onChunk != nil {
-		// Scan the rank's own segment while chunk 0 is in flight.
-		for q := 0; q < Q; q++ {
-			w0, w1 := chunkSpan(l, me, q, Q)
-			p.Compute(onChunk(w0, w1))
-		}
-	}
+	scanOwn(p, l, me, Q, onChunk) // while chunk 0 is in flight
 
 	for k := 0; k < K; k++ {
-		s, q := k/Q, k%Q
-		recvID := (me - s - 1 + n) % n
+		_, q, recvID := segStep(k, Q, me, n)
 
 		// Receive before the send wait: the send's ack only arrives once
 		// the successor executes its own receive, so waiting on the send
@@ -200,13 +239,7 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 		waitStart := p.Clock()
 		rr.Wait()
 		sr.Wait()
-		if d := p.Clock() - waitStart; d > 0 {
-			ov.ExposedNs += d
-			p.Obs().Sample(obs.GaugeExposedWait, waitStart, d)
-		}
-		if h := min(waitStart, rr.EndNs) - rr.BeginNs; h > 0 {
-			ov.HiddenNs += h
-		}
+		ov.wait(p, waitStart, rr.BeginNs, rr.EndNs)
 
 		// Extract and stash the payload before posting pair k+1: the
 		// pooled Request's message is only valid until then, and the
@@ -232,6 +265,57 @@ func (g *Group) allgatherRingPipelined(p *mpi.Proc, buf []uint64, l Layout, stre
 		}
 		if onChunk != nil {
 			p.Compute(onChunk(w0, w1))
+		}
+	}
+}
+
+// walkSeg replays the pipelined ring for every member, in its loop's
+// order: member i posts step k+1 once its Waits of step k are booked,
+// then lands chunk k, is charged its decode and scans it. A chunk lands
+// as a copy of its origin's raw words, so a hook reads them only once
+// they are in place, as in the loop; under a codec it is priced by its
+// origin before the gate, its encode charged at its first post and its
+// decode after it lands.
+func (g *Group) walkSeg() {
+	n, gt, ps := len(g.ranks), g.gate, g.posted
+	Q := ps[0].ov.Segments
+	K := (n - 1) * Q
+	post := func(i, k int) {
+		s, q, o := segStep(k, Q, (i+1)%n, n) // what i's successor receives
+		a := &ps[i]
+		if a.c == nil {
+			w0, w1 := chunkSpan(a.l, o, q, Q)
+			gt.Bytes[i], gt.Raw[i] = (w1-w0)*8, (w1-w0)*8
+		} else {
+			pr := g.priced[o][q]
+			if s == 0 {
+				gt.Member(i).Compute(a.c.Cost(pr, false))
+			}
+			gt.Bytes[i], gt.Raw[i] = pr.WireBytes, pr.RawBytes
+		}
+		gt.Post(i, (i+1)%n)
+	}
+	for i := range n {
+		post(i, 0)
+		scanOwn(gt.Member(i), ps[i].l, i, Q, ps[i].hook)
+	}
+	for k := range K {
+		gt.Step(1, false)
+		for r := range n {
+			p, a := gt.Member(r), &ps[r]
+			a.ov.wait(p, gt.Ready[r], gt.Begin[r], gt.End[r])
+			if k+1 < K {
+				post(r, k+1)
+			}
+			_, q, o := segStep(k, Q, r, n)
+			w0, w1 := chunkSpan(a.l, o, q, Q)
+			copy(a.buf[w0:w1], ps[o].buf[w0:w1])
+			if a.c != nil {
+				p.Compute(a.c.Cost(g.priced[o][q], true))
+			}
+			if a.hook != nil {
+				p.Compute(a.hook(w0, w1))
+			}
 		}
 	}
 }

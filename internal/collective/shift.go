@@ -18,7 +18,8 @@ var forceMessages bool
 
 // shiftArgs are one member's arguments: a segment buffer and layout,
 // the vectors it sends (a list ring's are its out) and gets, or an
-// allreduce's accumulator; its codec, and its ring's stream count.
+// allreduce's accumulator; its codec, and its ring's stream count; a
+// pipelined ring's chunk hook and ledger.
 type shiftArgs struct {
 	buf       []uint64
 	l         Layout
@@ -26,6 +27,8 @@ type shiftArgs struct {
 	sum       []int64
 	c         *wire.Codec
 	streams   int
+	hook      func(w0, w1 int64) float64
+	ov        *Overlap
 }
 
 // step is the generator: at step s of schedule op, each member i sends
@@ -204,7 +207,7 @@ func (g *Group) walk(op, steps int, codec bool) {
 			}
 			pr := g.priced[o][k]
 			if o == i {
-				gt.Compute(i, ps[i].c.Cost(pr, false))
+				gt.Member(i).Compute(ps[i].c.Cost(pr, false))
 			}
 			gt.Bytes[i], gt.Raw[i], gt.After[i] = pr.WireBytes, pr.RawBytes, ps[to].c.Cost(pr, true)
 		}

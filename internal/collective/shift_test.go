@@ -46,6 +46,7 @@ type shiftCase struct {
 	size   func(kind, a, b int) int
 	codecs []wire.Codec
 	gens   uint
+	chunks int // a pipelined ring's requested chunk count
 }
 
 const (
@@ -63,6 +64,7 @@ const (
 	genAllreduce             // the scalar and 64-lane allreduces
 	genLog                   // Bruck and, on a power-of-two world, recursive doubling
 	genNode                  // with more than one rank per node, the parallel and leader allgathers
+	genPipe                  // the pipelined ring, raw and under the codec, with and without a chunk hook
 	genAll       = 1<<iota - 1
 )
 
@@ -72,9 +74,11 @@ const (
 // one rank's compute without making anything lossy, and every selector
 // below 17 ranks.
 func fixedCase(nodes, ppn int) shiftCase {
-	sel := shiftCodecs
+	sel, chunks := shiftCodecs, 4
 	if nodes*ppn > 16 {
-		sel = sel[:1] // the sweep at 128 ranks costs a minute under -race
+		// The sweep at 128 ranks costs a minute under -race, and as much
+		// again per extra chunk of the pipelined ring.
+		sel, chunks = sel[:1], 1
 	}
 	return shiftCase{
 		nodes: nodes, ppn: ppn,
@@ -87,7 +91,20 @@ func fixedCase(nodes, ppn int) shiftCase {
 		size: func(kind, a, b int) int {
 			return [...]int{a * 7 % 5 * 3, a % 3, (a + b) % 4, a % 4, (a*b + 1) % 5}[kind]
 		},
-		codecs: sel, gens: genAll,
+		codecs: sel, gens: genAll, chunks: chunks,
+	}
+}
+
+// chunkHook is a pipelined ring's stub hook over buf: it charges a
+// function of the words it reads, so a call that sees a chunk before it
+// has landed moves the clocks.
+func chunkHook(buf []uint64) func(w0, w1 int64) float64 {
+	return func(w0, w1 int64) float64 {
+		ns := float64(w1 - w0)
+		for _, v := range buf[w0:w1] {
+			ns += float64(v % 97)
+		}
+		return ns
 	}
 }
 
@@ -142,6 +159,11 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 	w.Run(func(p *mpi.Proc) {
 		r := p.Rank()
 		mark := func() { clocks[r] = append(clocks[r], math.Float64bits(p.Clock())) }
+		var ov Overlap
+		markOv := func() {
+			mark()
+			clocks[r] = append(clocks[r], math.Float64bits(ov.HiddenNs), math.Float64bits(ov.ExposedNs), uint64(ov.Segments))
+		}
 		p.Compute(float64(r%5) * 700)
 		if c.gens&genRing != 0 {
 			bufs[r] = make([]uint64, words)
@@ -202,6 +224,25 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 			mark()
 			exchanged[r] = append(exchanged[r], []int64{sum}, lanes[:])
 		}
+		// The pipelined ring: raw, then under the codec, without and with a
+		// hook; a barrier stands for the level-end allreduce again.
+		for v := 0; c.gens&genPipe != 0 && v < 2+2*min(len(codecs[r]), 1); v++ {
+			buf := make([]uint64, words)
+			fillOwn(buf, l, r)
+			x := Exchange{Chunks: c.chunks, Overlap: &ov}
+			if v >= 2 {
+				fillVaried(buf, l, r)
+				x.Codec = codecs[r][0]
+			}
+			if v%2 == 1 {
+				x.OnChunk = chunkHook(buf)
+			}
+			p.Barrier()
+			ov.reset()
+			g.exchangeRing(p, buf, l, x)
+			markOv()
+			bufs[r] = append(bufs[r], buf...)
+		}
 		var gathers []func(*Group, *mpi.Proc, []uint64, Layout)
 		if c.gens&genLog != 0 {
 			gathers = append(gathers, (*Group).AllgatherBruck)
@@ -227,6 +268,12 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 		fillOwn(leaderBufs[r], l, r)
 		nc.Allgather(p, SchemeLeader, leaderBufs[r], nil, l, Exchange{})
 		mark()
+		if c.gens&genPipe != 0 { // every subgroup's ring into the node's buffer
+			seg := p.SharedWords("shift-seg", words)
+			fillOwn(seg, l, r)
+			nc.Allgather(p, SchemeParallel, seg, nil, l, Exchange{Chunks: c.chunks, OnChunk: chunkHook(seg), Overlap: &ov})
+			markOv()
+		}
 	})
 
 	var out shiftOutcome
@@ -246,6 +293,7 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 	if nc != nil {
 		for n := 0; n < c.nodes; n++ {
 			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-inq@node%d", n), words)...)
+			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-seg@node%d", n), words)...)
 		}
 	}
 	out.Volume = w.Net().Volume()
@@ -258,14 +306,15 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 }
 
 // FuzzShiftExecutors: for a drawn group size (1-128) and shape, segment
-// and vector lengths, schedule families, codec selector and plan (a
-// bandwidth window, a straggler, jitter; never a crash or a lossy link),
-// replaying the schedules leaves exactly what running them as messages
-// does.
+// and vector lengths, schedule families, codec selector, pipelined
+// chunk count (1-8, from the seed) and plan (a bandwidth window, a
+// straggler, jitter; never a crash or a lossy link), replaying the
+// schedules leaves exactly what running them as messages does.
 func FuzzShiftExecutors(f *testing.F) {
 	f.Add(uint8(7), uint8(1), uint8(genAll), uint8(0), uint64(1), uint8(128), uint8(3), uint8(50))
 	f.Add(uint8(11), uint8(3), uint8(genAll), uint8(2), uint64(7), uint8(30), uint8(0), uint8(0))
 	f.Add(uint8(127), uint8(7), uint8(genRing|genLists|genCodec), uint8(4), uint64(3), uint8(255), uint8(9), uint8(99))
+	f.Add(uint8(15), uint8(3), uint8(genPipe|genCodec|genNode), uint8(3), uint64(5<<40|9), uint8(60), uint8(2), uint8(20))
 	f.Fuzz(func(t *testing.T, n, ppn, gens, codec uint8, seed uint64, bw, straggle, jitter uint8) {
 		np, pp := int(n)%128+1, int(ppn)%8+1
 		for np%pp != 0 {
@@ -288,6 +337,7 @@ func FuzzShiftExecutors(f *testing.F) {
 			},
 			codecs: shiftCodecs[int(codec)%len(shiftCodecs):][:1],
 			gens:   uint(gens),
+			chunks: int(seed>>40%8) + 1,
 		}
 		restore := runAsMessages()
 		want := runShifts(t, c)
@@ -336,7 +386,7 @@ func TestShiftExecutorsAgree(t *testing.T) {
 
 // TestReplayParksOncePerMember: every schedule on 128 members, replayed
 // at its gate, parks each member at most once, where as messages every
-// member parks about once per step.
+// member parks about once per step (per chunk step, pipelined).
 func TestReplayParksOncePerMember(t *testing.T) {
 	w := testWorld(t, 16, 8)
 	g := WorldGroup(w)
@@ -353,6 +403,7 @@ func TestReplayParksOncePerMember(t *testing.T) {
 		}
 	}
 	var lanes [64]int64
+	ovs := make([]Overlap, n)
 	for _, c := range []struct {
 		name string
 		body func(p *mpi.Proc, r int)
@@ -365,6 +416,10 @@ func TestReplayParksOncePerMember(t *testing.T) {
 		{"allreduce-vec", func(p *mpi.Proc, r int) { v := lanes; g.AllreduceSumVec64(p, &v) }},
 		{"recdouble", func(p *mpi.Proc, r int) { g.AllgatherRecDouble(p, bufs[r], l) }},
 		{"bruck", func(p *mpi.Proc, r int) { g.AllgatherBruck(p, bufs[r], l) }},
+		{"ring-seg", func(p *mpi.Proc, r int) { g.exchangeRing(p, bufs[r], l, Exchange{Chunks: 4, Overlap: &ovs[r]}) }},
+		{"ring-seg-codec-hook", func(p *mpi.Proc, r int) {
+			g.exchangeRing(p, bufs[r], l, Exchange{Codec: codecs[r], Chunks: 4, OnChunk: chunkHook(bufs[r]), Overlap: &ovs[r]})
+		}},
 	} {
 		parks := func() int64 {
 			before := w.Parks()

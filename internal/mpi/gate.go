@@ -13,8 +13,9 @@ import (
 // and the last to arrive walks the whole schedule in one loop — moving
 // the data, pricing every message through deliver exactly as its
 // receiver would, and leaving every member at the clock its own
-// SendRecv calls would have reached — then wakes each member once. The
-// gate itself is host-only: arriving charges no virtual time.
+// SendRecv, or Isend, Irecv and Wait, calls would have reached — then
+// wakes each member once. The gate itself is host-only: arriving
+// charges no virtual time.
 type Gate struct {
 	b  barrier
 	op []int // per member: the collective it entered with
@@ -35,7 +36,14 @@ type Gate struct {
 	Streams    []int
 	After      []float64
 
-	recvEnd, sendEnd []float64 // Step's scratch
+	// What Step leaves, by receiver, for a nonblocking walk's ledger:
+	// the clock the member reached its wait at (Ready), and its
+	// transfer's Begin and End, as Request.BeginNs and EndNs give them.
+	Ready, Begin, End []float64
+
+	posted  []float64 // by member, the clock of its pending Post
+	pending bool      // the step was posted (Post): Step is its Waits
+	sendEnd []float64 // Step's scratch
 }
 
 // NewGate builds the gate over ranks, in group order. A failed attempt
@@ -44,7 +52,8 @@ func (w *World) NewGate(ranks []int) *Gate {
 	n := len(ranks)
 	g := &Gate{
 		op: make([]int, n), Bytes: make([]int64, n), Raw: make([]int64, n), Streams: make([]int, n),
-		After: make([]float64, n), recvEnd: make([]float64, n), sendEnd: make([]float64, n), w: w,
+		After: make([]float64, n), Ready: make([]float64, n), Begin: make([]float64, n), End: make([]float64, n),
+		posted: make([]float64, n), sendEnd: make([]float64, n), w: w,
 	}
 	g.armed.Store(w.attempt)
 	for _, r := range ranks {
@@ -100,38 +109,57 @@ func Peers(i, n, d int, xor bool) (to, from int) {
 	return to, from
 }
 
+// Post posts member i's send of Bytes[i] to member to, and its
+// receive, at its clock now: the send is counted there, as Isend counts
+// it. Once every member has posted, Step is the step's Waits.
+func (g *Gate) Post(i, to int) {
+	p := g.b.members[i]
+	g.posted[i], g.pending = p.clock, true
+	p.countMsg(g.b.members[to].rank, g.Bytes[i], g.Raw[i])
+}
+
 // Step replays one step of the permutation Peers(·, n, d, xor) whose
 // items the walk has moved already, pricing member i's message from
-// Bytes[i], Raw[i] and Streams[i] as SendRecv prices it: from the later
-// of both endpoints' clocks, on the receiver, which also makes the
-// receiver's obs calls in their SendRecv order — the receive's
-// LinkTransfer, then the count of its own send. Every member then takes
-// the later of its receive's and its send's end, and is charged its
-// receive's After. A member's sender is computed, not looked up, so the
-// walk's loads do not wait on one another.
+// Bytes[i], Raw[i] and Streams[i] on its receiver as a receive prices
+// it: from the later of both endpoints' post clocks, which also makes
+// the receiver's LinkTransfer obs call. A blocking step (no Post) is
+// SendRecv, posted at every member's clock now and counted after the
+// transfer, in SendRecv's obs order. Every member then waits: it takes
+// the later of its clock, its receive's end and its send's end, and is
+// charged its receive's After. A member's sender is computed, not
+// looked up, so the walk's loads do not wait on one another.
 func (g *Gate) Step(d int, xor bool) {
 	ms := g.b.members
 	n := len(ms)
 	for r, p := range ms {
 		to, i := Peers(r, n, d, xor)
 		q := ms[i]
-		h := hop{src: q.rank, bytes: g.Bytes[i], raw: g.Raw[i], streams: g.Streams[i], sent: q.clock}
-		g.recvEnd[r], g.sendEnd[i] = p.deliver(&h, max(q.clock, p.clock))
-		p.countMsg(ms[to].rank, g.Bytes[r], g.Raw[r])
+		sent, ready := q.clock, p.clock
+		if g.pending {
+			sent, ready = g.posted[i], g.posted[r]
+		}
+		h := hop{src: q.rank, bytes: g.Bytes[i], raw: g.Raw[i], streams: g.Streams[i], sent: sent}
+		g.Begin[r] = max(sent, ready)
+		g.End[r], g.sendEnd[i] = p.deliver(&h, g.Begin[r])
+		if !g.pending {
+			p.countMsg(ms[to].rank, g.Bytes[r], g.Raw[r])
+		}
 	}
 	for r, p := range ms {
-		p.clock = max(g.recvEnd[r], g.sendEnd[r])
+		g.Ready[r] = p.clock
+		p.clock = max(p.clock, g.End[r], g.sendEnd[r])
 		if _, i := Peers(r, n, d, xor); g.After[i] > 0 {
 			p.Compute(g.After[i])
 			g.After[i] = 0
 		}
 	}
+	g.pending = false
 }
 
-// Compute charges member i ns of modelled computation, as its own
-// Proc.Compute would, from within a walk: a codec's encode before the
-// step that sends it.
-func (g *Gate) Compute(i int, ns float64) { g.b.members[i].Compute(ns) }
+// Member returns the member at position i, for a walk to read its clock
+// and charge it computation (Proc.Compute) or obs samples as its own
+// calls would: a codec's encode before the step that sends it.
+func (g *Gate) Member(i int) *Proc { return g.b.members[i] }
 
 // Parks returns the number of times a rank of the world has parked,
 // summed over its ranks. Each rank counts its own; call between runs.
