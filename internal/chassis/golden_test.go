@@ -142,6 +142,8 @@ var goldenBFS = map[string]uint64{
 	"crash/spare/permanent=true":  0x2097c3b5ade2fd33,
 	"crash/spare/permanent=false": 0xd249cf9bb8638b35,
 	"crash/spare/two":             0x50d663586e3bb16,
+	"crash/spare/overlap":         0xbd098f65c7acb7ff,
+	"loss/overlap":                0x4f0b99feb9f360f4,
 }
 
 // sameParents fails t unless r holds exactly clean's parent arrays.
@@ -191,6 +193,36 @@ func TestGoldenBFS(t *testing.T) {
 			sameParents(t, name, r, clean)
 			checkGolden(t, name, bfsTraversal(r, res).hash(), goldenBFS)
 		}
+	}
+}
+
+// TestGoldenBFSOverlapFaults: the pipelined in_queue ring as messages,
+// the only place it runs so, and not against the replay: a permanent
+// crash with one spare per node, and lossy links on every node pair.
+func TestGoldenBFSOverlapFaults(t *testing.T) {
+	opts := bfs.DefaultOptions()
+	opts.Opt = bfs.OptOverlapAllgather
+	opts.SpareRanks = 1
+	clean, root := bfsRunner(t, opts)
+	cleanNs := clean.RunRoot(root).TimeNs
+	for _, tc := range []struct {
+		name   string
+		plan   fault.Plan
+		faults int
+	}{
+		{"crash/spare/overlap", fault.Plan{Crashes: []fault.Crash{{Rank: 2, AtNs: 0.5 * cleanNs, Permanent: true}}}, 1},
+		{"loss/overlap", fault.Lossy(3, 0.02), 0},
+	} {
+		r, _ := bfsRunner(t, opts)
+		if err := r.InjectFaults(tc.plan); err != nil {
+			t.Fatal(err)
+		}
+		res := r.RunRoot(root)
+		if len(res.Faults) != tc.faults {
+			t.Fatalf("%s: %d faults survived, want %d", tc.name, len(res.Faults), tc.faults)
+		}
+		sameParents(t, tc.name, r, clean)
+		checkGolden(t, tc.name, bfsTraversal(r, res).hash(), goldenBFS)
 	}
 }
 
