@@ -78,16 +78,18 @@ func (g *Group) exchangeRing(p *mpi.Proc, buf []uint64, l Layout, x Exchange) {
 
 // allgatherRing is the ring driver under an exchange description, with
 // an explicit stream count (the parallelized allgather's concurrent
-// subgroups each account for the others' NIC streams). Chunks select
-// the pipelined driver; otherwise the blocking ring is a schedule
-// (shift.go), under a codec encoded once at each segment's origin.
+// subgroups each account for the others' NIC streams). The ring is a
+// schedule (shift.go), under a codec encoded once at each segment's
+// origin; Chunks select its pipelined form, whose chunk count is
+// clamped (segChunkCount).
 func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, streams int, x Exchange) {
-	switch me := g.Pos(p.Rank()); {
-	case x.Chunks > 0:
-		g.allgatherRingPipelined(p, buf, l, streams, x)
-	case g.Size() > 1:
-		g.shift(p, me, [2]int{tagRing, tagRingC}[b2i(x.Codec != nil)], shiftArgs{buf: buf, l: l, c: x.Codec, streams: streams})
+	me := g.Pos(p.Rank())
+	op, a := [2]int{tagRing, tagRingC}[b2i(x.Codec != nil)], shiftArgs{buf: buf, l: l, c: x.Codec, streams: streams}
+	if x.Chunks > 0 {
+		op, a.chunks, a.hook, a.ov = tagSeg, segChunkCount(l, x.Chunks), x.OnChunk, x.Overlap
+		a.ov.Segments = a.chunks
 	}
+	g.shift(p, me, op, a)
 }
 
 // AllgatherRecDouble is the recursive-doubling allgatherv for
@@ -114,9 +116,7 @@ func (g *Group) AllgatherRecDouble(p *mpi.Proc, buf []uint64, l Layout) {
 // and recursive doubling on the in_queue allgather. It is a schedule
 // (shift.go).
 func (g *Group) AllgatherBruck(p *mpi.Proc, buf []uint64, l Layout) {
-	if g.Size() > 1 {
-		g.shift(p, g.Pos(p.Rank()), tagBruck, shiftArgs{buf: buf, l: l})
-	}
+	g.shift(p, g.Pos(p.Rank()), tagBruck, shiftArgs{buf: buf, l: l})
 }
 
 // AllreduceSumInt64 returns the sum of x over the group.

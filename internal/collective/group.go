@@ -41,19 +41,21 @@ type Group struct {
 	maxNode int
 
 	tables []atomic.Pointer[[][]int] // by slot (streamTable)
-	// The schedules' gate and, per member, arguments, codec prices and
-	// allreduce accumulators; the replay's result job and its op (shift.go).
+	// The schedules' gate and, per member, arguments, codec prices,
+	// allreduce accumulators and the chunks a ring holds to forward as
+	// messages; the replay's result job and its op (shift.go).
 	gate   *mpi.Gate
 	posted []shiftArgs
 	priced [][]wire.Price
 	acc    [][]int64
+	held   [][]mpi.Payload
 	result *mpi.Share
 	op     int
 }
 
-// The stream tables' slots; a tree's is tabTree + 2*rootPos, plus one
-// for the broadcast.
-const tabRing, tabXor, tabBruck, tabTree = 0, 1, 2, 3
+// The stream tables' slots: the schedules' shapes, then the binomial
+// gather and broadcast from position 0.
+const tabRing, tabXor, tabBruck, tabGather, tabBcast = 0, 1, 2, 3, 4
 
 // NewGroup builds a group over the given ranks (in order).
 func NewGroup(w *mpi.World, ranks []int) *Group {
@@ -61,9 +63,10 @@ func NewGroup(w *mpi.World, ranks []int) *Group {
 		ranks:  append([]int(nil), ranks...),
 		pos:    make(map[int]int, len(ranks)),
 		node:   make([]int, len(ranks)),
-		tables: make([]atomic.Pointer[[][]int], tabTree+2*len(ranks)),
+		tables: make([]atomic.Pointer[[][]int], tabBcast+1),
 		gate:   w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
 		priced: make([][]wire.Price, len(ranks)), acc: make([][]int64, len(ranks)),
+		held: make([][]mpi.Payload, len(ranks)),
 	}
 	g.result = w.NewShare(len(ranks), g.receive)
 	for i, r := range ranks {
@@ -139,15 +142,15 @@ func (g *Group) stepStreams(sendTo []int) []int {
 // streamTable returns the stream counts (stepStreams) of every round of
 // the topology in slot: the ring (i -> i+1, every round alike),
 // recursive doubling (i <-> i XOR 2^k), Bruck (i -> i-2^k), or the
-// binomial gather or broadcast from a root. It is built once per group,
-// by whichever member needs it first; members racing to build it build
-// identical tables, and either is kept.
+// binomial gather or broadcast from position 0. It is built once per
+// group, by whichever member needs it first; members racing to build it
+// build identical tables, and either is kept.
 func (g *Group) streamTable(slot int) [][]int {
 	if t := g.tables[slot].Load(); t != nil {
 		return *t
 	}
 	n := len(g.ranks)
-	root, bcast := (slot-tabTree)/2, slot >= tabTree && (slot-tabTree)%2 == 1
+	bcast := slot == tabBcast
 	t := make([][]int, max(bits.Len(uint(n-1)), 1))
 	sendTo := make([]int, n)
 	for k := range t {
@@ -156,13 +159,13 @@ func (g *Group) streamTable(slot int) [][]int {
 			d = 1 << (len(t) - 1 - k)
 		}
 		for i := range sendTo {
-			switch v := (i - root + n) % n; {
-			case slot < tabTree: // the schedules' shapes (Group.step)
+			switch {
+			case slot < tabGather: // the schedules' shapes (Group.step)
 				sendTo[i], _ = mpi.Peers(i, n, [3]int{1, d, n - d}[slot], slot == tabXor)
-			case bcast && v%(2*d) == 0 && v+d < n:
-				sendTo[i] = (v + d + root) % n
-			case !bcast && v&d != 0 && v&(d-1) == 0:
-				sendTo[i] = (v - d + root) % n
+			case bcast && i%(2*d) == 0 && i+d < n:
+				sendTo[i] = i + d
+			case !bcast && i&d != 0 && i&(d-1) == 0:
+				sendTo[i] = i - d
 			default:
 				sendTo[i] = -1
 			}

@@ -179,7 +179,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 	leader := nc.IsLeader(p)
 	tc := p.Clock()
 	if x.Chunks > 0 {
-		x.Overlap.reset()
+		*x.Overlap = Overlap{}
 	}
 
 	switch s {
@@ -198,7 +198,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		if src != nil {
 			stage(p, dst, src, l, me)
 		}
-		node.GatherBinomial(p, dst, nc.localView(l, me-me%nc.PPN), 0)
+		node.GatherBinomial(p, dst, nc.localView(l, me-me%nc.PPN))
 		st.GatherNs = p.Clock() - tc
 		if leader {
 			t0 := p.Clock()
@@ -206,7 +206,7 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 			st.InterNs = p.Clock() - t0
 		}
 		t0 := p.Clock()
-		node.BcastBinomial(p, dst, l.TotalWords(), 0)
+		node.BcastBinomial(p, dst, l.TotalWords())
 		st.BcastNs = p.Clock() - t0
 
 	case SchemeSharedIn, SchemeSharedAll:

@@ -85,9 +85,11 @@ func (nc *NodeComm) LeaderAllgatherPipelined(p *mpi.Proc, buf []uint64, l Layout
 				recvID := (meL - s - 1 + n) % n
 				seg := nl.seg(stage, sendID)
 				t0 = p.Clock()
-				m := p.SendRecvPayload(next, tagPipe+0x800+s, int64(len(seg))*8, mpi.Payload{Words: seg},
-					prev, tagPipe+0x800+s, 2)
-				copy(nl.seg(stage, recvID), m.Payload.Words)
+				sr := p.IsendPayload(next, tagPipe+0x800+s, int64(len(seg))*8, mpi.Payload{Words: seg}, 2)
+				rr := p.Irecv(prev, tagPipe+0x800+s, nil)
+				rr.Wait()
+				sr.Wait()
+				copy(nl.seg(stage, recvID), rr.Msg().Payload.Words)
 				st.InterNs += p.Clock() - t0
 				notify(s + 1)
 			}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"math/bits"
 
 	"numabfs/internal/mpi"
@@ -12,6 +13,10 @@ import (
 // links in the plan every member walks its steps as messages, encoding
 // for real; otherwise the last member at the group's gate replays them
 // (walk), pricing codec items unencoded while idle workers write results.
+// Each executor has one ring protocol. The pipelined ring (tagSeg)
+// differs from the blocking schedules in two places only: its steps are
+// cut into chunks (Q of them, chunkSpan), and a member posts step k+1
+// before it lands chunk k.
 
 // forceMessages runs every schedule as messages; tests set it.
 var forceMessages bool
@@ -19,7 +24,7 @@ var forceMessages bool
 // shiftArgs are one member's arguments: a segment buffer and layout,
 // the vectors it sends (a list ring's are its out) and gets, or an
 // allreduce's accumulator; its codec, and its ring's stream count; a
-// pipelined ring's chunk hook and ledger.
+// pipelined ring's chunk count, chunk hook and ledger.
 type shiftArgs struct {
 	buf       []uint64
 	l         Layout
@@ -27,165 +32,241 @@ type shiftArgs struct {
 	sum       []int64
 	c         *wire.Codec
 	streams   int
+	chunks    int
 	hook      func(w0, w1 int64) float64
 	ov        *Overlap
 }
 
-// step is the generator: at step s of schedule op, each member i sends
-// to the member d positions after it — or to i XOR d, under xor
-// (mpi.Peers) — its item ((i+off) mod n) &^ mask, over row[i] streams
-// (row nil: its own). A ring forwards item (i-s) mod n to its successor;
-// the pairwise exchange sends send_i[i+s+1] to i+s+1; recursive doubling
-// swaps with i XOR 2^s its 2^s-aligned block (or sum); Bruck sends its
-// run to i-2^s.
-func (g *Group) step(op, s int) (d int, xor bool, off, mask int, row []int) {
+// step is flattened step k of a schedule: ring step s, chunk q of its
+// items. Each member i sends to the member d positions after it — or to
+// i XOR d, under xor (mpi.Peers) — its item ((i+off) mod n) &^ mask,
+// over row[i] streams (row nil: its own).
+type step struct {
+	k, s, q, d, off, mask int
+	xor, ring             bool
+	row                   []int
+}
+
+// step is the generator: a ring forwards item (i-s) mod n to its
+// successor, what the step before brought; the pairwise exchange sends
+// send_i[i+s+1] to i+s+1; recursive doubling swaps with i XOR 2^s its
+// 2^s-aligned block (or sum); Bruck sends its run to i-2^s.
+func (g *Group) step(op, k, Q int) (t step) {
 	n := len(g.ranks)
+	t.k, t.s, t.q = k, k/Q, k%Q
 	switch op {
 	case tagAlltoall, tagAlltoallC:
-		return s + 1, false, s + 1, 0, nil
+		t.d, t.off = t.s+1, t.s+1
 	case tagBruck:
-		return n - 1<<s, false, 0, 0, g.streamTable(tabBruck)[s]
+		t.d, t.row = n-1<<t.s, g.streamTable(tabBruck)[t.s]
 	case tagRecDouble, tagAllreduce, tagAllreduceV:
-		return 1 << s, true, 0, 1<<s - 1, g.streamTable(tabXor)[s]
+		t.d, t.xor, t.mask, t.row = 1<<t.s, true, 1<<t.s-1, g.streamTable(tabXor)[t.s]
+	default:
+		t.d, t.off, t.ring = 1, n-t.s, true
 	}
-	return 1, false, n - s, 0, nil
+	return t
 }
+
+// item is the item member i of n sends at step t.
+func (t *step) item(i, n int) int { return (i + t.off) % n &^ t.mask }
 
 // runs reports whether op's items are runs of min(2^s, n-2^s) segments.
 func runs(op int) bool { return op == tagRecDouble || op == tagBruck }
 
-// item is a's item k, a segment or a vector.
-func (a *shiftArgs) item(k int) ([]uint64, []int64) {
-	if a.send == nil {
-		return a.l.seg(a.buf, k), nil
-	}
-	return nil, a.send[k]
+// exchange reports whether op is the pairwise exchange (of vectors).
+func exchange(op int) bool { return op == tagAlltoall || op == tagAlltoallC }
+
+// chunk is chunk q of a's segment k.
+func (a *shiftArgs) chunk(k, q int) []uint64 {
+	w0, w1 := chunkSpan(a.l, k, q, a.chunks)
+	return a.buf[w0:w1]
 }
 
-// bytes is the raw size of a's item k at step s of schedule op.
-func (g *Group) bytes(a *shiftArgs, op, s, k int) int64 {
+// bytes is the raw size of a's item k, chunk q, at step s of schedule op.
+func (g *Group) bytes(a *shiftArgs, op, s, k, q int) int64 {
 	switch {
 	case a.sum != nil:
 		return int64(len(a.sum)) * 8
 	case runs(op):
 		return g.runBytes(a.l, k, min(1<<s, len(g.ranks)-1<<s))
 	case a.send == nil:
-		return a.l.Counts[k] * 8
+		w0, w1 := chunkSpan(a.l, k, q, a.chunks)
+		return (w1 - w0) * 8
 	}
 	return int64(len(a.send[k])) * 8
 }
 
-// put stores member src's raw item k into a: a segment copied into
-// place, or a vector at out[src] (alltoallv) or out[k] (list ring) — an
-// alias of the sender's, or in the table's own storage under a codec.
-func (a *shiftArgs) put(op, src, k int, w []uint64, v []int64) {
-	if a.send == nil {
-		copy(a.l.seg(a.buf, k), w)
-		return
-	}
-	out := &a.out[[2]int{k, src}[b2i(op == tagAlltoall || op == tagAlltoallC)]]
+// put stores member src's raw vector k into a, at out[src] (alltoallv)
+// or out[k] (list ring): an alias of the sender's, or in the table's
+// own storage under a codec.
+func (a *shiftArgs) put(op, src, k int, v []int64) {
+	out := &a.out[[2]int{k, src}[b2i(exchange(op))]]
 	if a.c != nil {
 		v = append((*out)[:0], v...)
 	}
 	*out = v
 }
 
-// payload is a's item k at step s as a message: a run names its first
-// segment and its count (ID, Q) over the sender's buffer.
-func (g *Group) payload(a *shiftArgs, op, s, k int) mpi.Payload {
-	switch {
-	case a.sum != nil:
-		return sumPayload(a.sum, k)
-	case runs(op):
-		return mpi.Payload{ID: k, Q: min(1<<s, len(g.ranks)-1<<s), Words: a.buf}
-	}
-	w, v := a.item(k)
-	return mpi.Payload{ID: k, Words: w, Vals: v}
-}
-
-// land stores member src's item k of step s, arrived as pl, into a and
-// returns its decode time: a sum added in, a run copied into place, a
-// raw item put, or an encoded one decoded into the segment, or into the
-// table's own storage at out[src] (alltoallv) or out[k] (list ring).
-func (g *Group) land(a *shiftArgs, op, s, src, k int, pl *mpi.Payload) (ns float64) {
+// land stores member src's item k of step t, arrived as pl, into a and
+// returns its decode time: a sum added in, a run or a chunk copied or
+// decoded into place, a vector put or decoded into the table.
+func (g *Group) land(a *shiftArgs, op int, t *step, src, k int, pl *mpi.Payload) (ns float64) {
 	switch {
 	case a.sum != nil:
 		addInto(a.sum, *pl)
 	case runs(op):
-		g.landRun(a.buf, a.l, pl, k, min(1<<s, len(g.ranks)-1<<s))
-	case pl.Wire.Format == wire.FormatAuto:
-		a.put(op, src, k, pl.Words, pl.Vals)
+		g.landRun(a.buf, a.l, pl, k, min(1<<t.s, len(g.ranks)-1<<t.s))
+	case a.send == nil && a.c == nil:
+		copy(a.chunk(k, t.q), pl.Words)
 	case a.send == nil:
-		ns = a.c.Decode(a.l.seg(a.buf, k), pl.Wire)
+		ns = a.c.Decode(a.chunk(k, t.q), pl.Wire)
+	case a.c == nil:
+		a.put(op, src, k, pl.Vals)
 	default:
-		out := &a.out[[2]int{k, src}[b2i(op == tagAlltoallC)]]
+		out := &a.out[[2]int{k, src}[b2i(exchange(op))]]
 		*out, ns = a.c.DecodeList(pl.Wire, (*out)[:0])
 	}
 	return ns
 }
 
 // shift runs schedule op (a tag base) as the member at position me,
-// with arguments a. Under a codec the exchange encodes every vector it
-// sends, and a ring encodes its own item and forwards what it got.
+// with arguments a; a lone member only scans its own chunks. Under a
+// codec the exchange encodes every vector it sends, and a ring encodes
+// its own item and forwards what it got.
 func (g *Group) shift(p *mpi.Proc, me, op int, a shiftArgs) {
-	n, steps, exchange := g.Size(), g.Size()-1, op == tagAlltoallC
+	n, steps := g.Size(), g.Size()-1
 	if runs(op) || a.sum != nil {
 		steps = bits.Len(uint(n - 1))
 	}
-	if forceMessages || !p.World().Injector().Replayable() {
-		var held wire.Payload // the encoded item to send
-		for s := 0; s < steps; s++ {
-			d, xor, off, mask, row := g.step(op, s)
-			to, from := mpi.Peers(me, n, d, xor)
-			k, want, st := (me+off)%n&^mask, (from+off)%n&^mask, a.streams
-			if row != nil {
-				st = row[me]
-			}
-			var m mpi.Msg
-			if a.c == nil {
-				m = p.SendRecvPayload(g.ranks[to], op+s, g.bytes(&a, op, s, k), g.payload(&a, op, s, k), g.ranks[from], op+s, st)
-			} else {
-				var ns float64 // a ring encodes its own item, and forwards what it got
-				if k == me && a.send != nil || exchange {
-					held, ns = a.c.EncodeListSlot(a.send[k], s)
-				} else if k == me {
-					held, ns = a.c.EncodeSlot(a.l.seg(a.buf, k), s)
-				}
-				p.Compute(ns)
-				m = p.SendRecvWire(g.ranks[to], op+s, mpi.Payload{ID: k, Wire: held}, g.ranks[from], op+s, st)
-				held = m.Payload.Wire
-			}
-			if m.Payload.ID != want {
-				panic("collective: schedule received an unexpected item")
-			}
-			p.Compute(g.land(&a, op, s, from, want, &m.Payload))
-		}
+	if a.chunks = max(a.chunks, 1); n == 1 {
+		a.scan(p, me, 0, a.chunks)
 		return
 	}
-	if a.c != nil && len(g.priced[me]) < n {
-		g.priced[me] = make([]wire.Price, n)
+	if forceMessages || !p.World().Injector().Replayable() {
+		g.messages(p, me, op, steps, &a)
+		return
 	}
-	for k := range n * b2i(a.c != nil) { // price what this member encodes, on its worker
+	m := [2]int{a.chunks, n}[b2i(exchange(op))] * b2i(a.c != nil)
+	if len(g.priced[me]) < m {
+		g.priced[me] = make([]wire.Price, m)
+	}
+	for k := range m { // price what this member encodes, on its worker
 		switch {
-		case (k == me) == exchange:
-		case a.send != nil:
+		case !exchange(op) && a.send != nil:
+			g.priced[me][k], _ = a.c.PriceList(a.send[me])
+		case !exchange(op):
+			g.priced[me][k], _ = a.c.Price(a.chunk(me, k))
+		case k != me:
 			g.priced[me][k], _ = a.c.PriceList(a.send[k])
-		default:
-			g.priced[me][k], _ = a.c.Price(a.l.seg(a.buf, k))
 		}
 	}
 	g.posted[me], g.gate.Streams[me] = a, a.streams
-	g.gate.Pass(p, me, op, func() { g.walk(op, steps, a.c != nil) })
+	g.gate.Pass(p, me, op, func() { g.walk(op, steps) })
 	g.posted[me] = shiftArgs{} // pin no buffer past the call
+}
+
+// price is owner o's price of its item k, chunk q: an exchange prices
+// each vector it sends, a ring the chunks of its own item.
+func (g *Group) price(op, o, k, q int) wire.Price {
+	return g.priced[o][[2]int{q, k}[b2i(exchange(op))]]
+}
+
+// messages is the first executor: member me posts each step's send and
+// receive, waits for the receive, then the send (a send's ack arrives
+// only once its receiver runs), books a pipelined ring's ledger and
+// lands what it got. A ring holds each chunk it got until it forwards
+// it as it came: an alias of the origin's buffer, or bytes still encoded
+// in the origin's scratch (wire.EncodeSlot). A pipelined ring scans its
+// own chunks while step 0 flies, and posts step k+1 before landing chunk k.
+func (g *Group) messages(p *mpi.Proc, me, op, steps int, a *shiftArgs) {
+	n, Q, ahead := g.Size(), a.chunks, op == tagSeg
+	if len(g.held[me]) < Q {
+		g.held[me] = make([]mpi.Payload, Q)
+	}
+	var sr, rr *mpi.Request
+	for k := range steps * Q {
+		t := g.step(op, k, Q)
+		if k == 0 || !ahead {
+			sr, rr = g.send(p, me, op, &t, a)
+		}
+		if k == 0 {
+			a.scan(p, me, 0, Q)
+		}
+		ready := p.Clock()
+		rr.Wait()
+		sr.Wait()
+		if ahead {
+			a.ov.wait(p, ready, rr.BeginNs, rr.EndNs)
+		}
+		// Read the pooled Request's message before the next post reuses it.
+		in := rr.Msg().Payload
+		_, from := mpi.Peers(me, n, t.d, t.xor)
+		if want := t.item(from, n); in.ID != want {
+			panic(fmt.Sprintf("collective: schedule %#x step %d expected item %d, got %d", op, t.k, want, in.ID))
+		}
+		g.held[me][t.q] = in
+		if ahead && k+1 < steps*Q {
+			next := g.step(op, k+1, Q)
+			sr, rr = g.send(p, me, op, &next, a)
+		}
+		p.Compute(g.land(a, op, &t, from, in.ID, &in))
+		a.scan(p, in.ID, t.q, t.q+1)
+	}
+	clear(g.held[me])
+}
+
+// send posts member me's send and receive of step t of schedule op. A
+// ring forwards the chunk it got Q steps before; otherwise the member
+// sends its own item k: a sum, a run naming its first segment and its
+// count (ID, Q) over the sender's buffer, a chunk or a vector, raw or
+// encoded into slot t.k.
+func (g *Group) send(p *mpi.Proc, me, op int, t *step, a *shiftArgs) (sr, rr *mpi.Request) {
+	n := g.Size()
+	to, from := mpi.Peers(me, n, t.d, t.xor)
+	k, st, tag := t.item(me, n), a.streams, op+t.k
+	if t.row != nil {
+		st = t.row[me]
+	}
+	pl, ns := g.held[me][t.q], 0.0
+	switch {
+	case t.ring && t.s > 0:
+	case a.sum != nil:
+		pl = sumPayload(a.sum, k)
+	case runs(op):
+		pl = mpi.Payload{ID: k, Q: min(1<<t.s, n-1<<t.s), Words: a.buf}
+	case a.c == nil && a.send == nil:
+		pl = mpi.Payload{ID: k, Q: t.q, Words: a.chunk(k, t.q)}
+	case a.c == nil:
+		pl = mpi.Payload{ID: k, Vals: a.send[k]}
+	case a.send != nil:
+		pl = mpi.Payload{ID: k}
+		pl.Wire, ns = a.c.EncodeListSlot(a.send[k], t.k)
+	default:
+		pl = mpi.Payload{ID: k, Q: t.q}
+		pl.Wire, ns = a.c.EncodeSlot(a.chunk(k, t.q), t.k)
+	}
+	p.Compute(ns)
+	if a.c == nil {
+		sr = p.IsendPayload(g.ranks[to], tag, g.bytes(a, op, t.s, k, t.q), pl, st)
+	} else {
+		sr = p.IsendWire(g.ranks[to], tag, pl, st)
+	}
+	return sr, p.Irecv(g.ranks[from], tag, nil)
 }
 
 // walk replays schedule op as a result — its postcondition, written per
 // receiver (receive) by idle workers and this one — and a price, each
 // step's messages sized from the posted arguments alone (under a codec
-// its price, the owner's encode charged before the step that first
-// sends it, the receiver's decode after) and priced by the gate here.
-func (g *Group) walk(op, steps int, codec bool) {
+// its price, the owner's encode charged at the item's first send, the
+// receiver's decode after its wait) and priced by the gate here, in the
+// order messages posts and lands them — each member's charges in its
+// own order, which is all the order there is: members share no clock,
+// so the walk takes each part of a step for all of them at once. A hook
+// reads the chunk it is given, so a pipelined ring's result is in place
+// before its walk.
+func (g *Group) walk(op, steps int) {
 	n, gt, ps := len(g.ranks), g.gate, g.posted
+	Q, ahead := ps[0].chunks, op == tagSeg
 	for i := 1; i < n && ps[0].sum != nil; i++ {
 		for e, v := range ps[i].sum {
 			ps[0].sum[e] += v
@@ -193,32 +274,67 @@ func (g *Group) walk(op, steps int, codec bool) {
 	}
 	g.op = op
 	g.result.Start()
-	for s := 0; s < steps; s++ {
-		d, xor, off, mask, row := g.step(op, s)
-		copy(gt.Streams, row)
-		for i := range n {
-			to, _ := mpi.Peers(i, n, d, xor)
-			k := (i + off) % n &^ mask
-			o := [2]int{k, i}[b2i(op == tagAlltoall || op == tagAlltoallC)] // the item's owner
-			if !codec {
-				gt.Bytes[i] = g.bytes(&ps[o], op, s, k)
-				gt.Raw[i] = gt.Bytes[i]
-				continue
-			}
-			pr := g.priced[o][k]
-			if o == i {
-				gt.Member(i).Compute(ps[i].c.Cost(pr, false))
-			}
-			gt.Bytes[i], gt.Raw[i], gt.After[i] = pr.WireBytes, pr.RawBytes, ps[to].c.Cost(pr, true)
-		}
-		gt.Step(d, xor)
+	if ahead {
+		g.result.Finish()
 	}
-	g.result.Finish()
+	for k := range steps * Q {
+		t := g.step(op, k, Q)
+		copy(gt.Streams, t.row)
+		if k == 0 || !ahead {
+			g.post(op, &t)
+		}
+		for i := 0; i < n && k == 0; i++ {
+			ps[i].scan(gt.Member(i), i, 0, Q)
+		}
+		gt.Step(t.d, t.xor)
+		for r := 0; r < n && ahead; r++ {
+			ps[r].ov.wait(gt.Member(r), gt.Ready[r], gt.Begin[r], gt.End[r])
+		}
+		if ahead && k+1 < steps*Q {
+			next := g.step(op, k+1, Q)
+			g.post(op, &next)
+		}
+		for r := 0; r < n && (ahead || ps[0].c != nil); r++ { // land: decode, scan
+			p, a := gt.Member(r), &ps[r]
+			_, from := mpi.Peers(r, n, t.d, t.xor)
+			j := t.item(from, n)
+			if a.c != nil {
+				p.Compute(a.c.Cost(g.price(op, [2]int{j, from}[b2i(exchange(op))], j, t.q), true))
+			}
+			a.scan(p, j, t.q, t.q+1)
+		}
+	}
+	if !ahead {
+		g.result.Finish()
+	}
+}
+
+// post posts every member's send of step t in the walk, sized from its
+// item's owner: raw, or at the owner's price, the owner's encode charged
+// when it sends its own item.
+func (g *Group) post(op int, t *step) {
+	n, gt := len(g.ranks), g.gate
+	for i := range n {
+		k := t.item(i, n)
+		o := [2]int{k, i}[b2i(exchange(op))] // the item's owner
+		if a := &g.posted[o]; a.c == nil {
+			gt.Bytes[i] = g.bytes(a, op, t.s, k, t.q)
+			gt.Raw[i] = gt.Bytes[i]
+		} else {
+			pr := g.price(op, o, k, t.q)
+			if o == i {
+				gt.Member(i).Compute(a.c.Cost(pr, false))
+			}
+			gt.Bytes[i], gt.Raw[i] = pr.WireBytes, pr.RawBytes
+		}
+	}
+	gt.Post(t.d, t.xor)
 }
 
 // receive writes receiver r's result of schedule g.op: the total walk
 // summed into member 0's accumulator, or every other member j's item for
-// r (its own item j, or under an alltoallv its vector r), put in place.
+// r (its own segment or vector j, or under an alltoallv its vector r),
+// put in place.
 func (g *Group) receive(r int) {
 	a, ps := &g.posted[r], g.posted
 	if a.sum != nil {
@@ -228,10 +344,12 @@ func (g *Group) receive(r int) {
 		return
 	}
 	for j := range ps {
-		if j != r {
-			k := [2]int{j, r}[b2i(g.op == tagAlltoall || g.op == tagAlltoallC)]
-			w, v := ps[j].item(k)
-			a.put(g.op, j, k, w, v)
+		switch k := [2]int{j, r}[b2i(exchange(g.op))]; {
+		case j == r:
+		case a.send == nil:
+			copy(a.l.seg(a.buf, k), ps[j].l.seg(ps[j].buf, k))
+		default:
+			a.put(g.op, j, k, ps[j].send[k])
 		}
 	}
 }

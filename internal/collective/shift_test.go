@@ -238,7 +238,7 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 				x.OnChunk = chunkHook(buf)
 			}
 			p.Barrier()
-			ov.reset()
+			ov = Overlap{}
 			g.exchangeRing(p, buf, l, x)
 			markOv()
 			bufs[r] = append(bufs[r], buf...)

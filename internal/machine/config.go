@@ -160,14 +160,14 @@ func (c Config) CoresPerNode() int { return c.SocketsPerNode * c.CoresPerSocket 
 func (c Config) TotalCores() int { return c.Nodes * c.CoresPerNode() }
 
 // NodeIBBandwidth returns the aggregate InfiniBand bandwidth of one node.
-func (c Config) NodeIBBandwidth() float64 { return float64(c.IBPorts) * c.IBPortBW }
+func (c *Config) NodeIBBandwidth() float64 { return float64(c.IBPorts) * c.IBPortBW }
 
 // StreamBandwidth returns the per-stream inter-node bandwidth when k
 // same-node ranks drive the NIC concurrently: the node total is
 // min(k * PerStreamBW, NodeIBBandwidth), shared equally. This is the
 // model behind Fig. 4 — one rank per node only reaches about half of the
 // two-port peak, while eight concurrent ranks saturate it.
-func (c Config) StreamBandwidth(k int) float64 {
+func (c *Config) StreamBandwidth(k int) float64 {
 	if k < 1 {
 		k = 1
 	}

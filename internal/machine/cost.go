@@ -77,7 +77,7 @@ func (l *PhaseLoad) Add(o PhaseLoad) {
 }
 
 // missLatency returns the DRAM latency for loc.
-func (c Config) missLatency(loc Locality) float64 {
+func (c *Config) missLatency(loc Locality) float64 {
 	s := float64(c.SocketsPerNode)
 	switch loc {
 	case Local:
@@ -98,7 +98,7 @@ func (c Config) missLatency(loc Locality) float64 {
 // spansNode reports whether accesses to loc come from cores across the
 // whole node (an interleaved or unbound process, or a node-shared
 // structure) rather than from one bound socket.
-func (c Config) spansNode(loc Locality) bool {
+func (c *Config) spansNode(loc Locality) bool {
 	return loc != Local && loc != Remote
 }
 
@@ -108,7 +108,7 @@ func (c Config) spansNode(loc Locality) bool {
 // fits one L3 hits locally; the rest is found in a peer socket's cache —
 // still faster than local DRAM (Molka et al., the paper's argument (d)
 // for sharing in_queue).
-func (c Config) hitLatency(loc Locality, structBytes int64) float64 {
+func (c *Config) hitLatency(loc Locality, structBytes int64) float64 {
 	if !c.spansNode(loc) {
 		return c.L3LatencyNs
 	}
@@ -130,7 +130,7 @@ func (c Config) hitLatency(loc Locality, structBytes int64) float64 {
 // argument (b): sharing one in_queue enlarges its usable cache) — in
 // both cases reduced to the CacheResidency share a single hot structure
 // can defend against the other streams polluting the cache.
-func (c Config) cacheCapacity(loc Locality) int64 {
+func (c *Config) cacheCapacity(loc Locality) int64 {
 	cap := c.L3Bytes
 	if c.spansNode(loc) {
 		cap *= int64(c.SocketsPerNode)
@@ -144,7 +144,7 @@ func (c Config) cacheCapacity(loc Locality) int64 {
 
 // HitRate returns the modelled cache hit rate for random accesses to a
 // structure of structBytes at loc: min(1, capacity/size).
-func (c Config) HitRate(structBytes int64, loc Locality) float64 {
+func (c *Config) HitRate(structBytes int64, loc Locality) float64 {
 	if structBytes <= 0 {
 		return 1
 	}
@@ -156,7 +156,7 @@ func (c Config) HitRate(structBytes int64, loc Locality) float64 {
 }
 
 // AccessLatency returns the average latency of one random access.
-func (c Config) AccessLatency(a Access) float64 {
+func (c *Config) AccessLatency(a Access) float64 {
 	h := c.HitRate(a.StructBytes, a.Loc)
 	return h*c.hitLatency(a.Loc, a.StructBytes) + (1-h)*c.missLatency(a.Loc)
 }
@@ -169,7 +169,7 @@ func (c Config) AccessLatency(a Access) float64 {
 // sharing group's proportions. This is the model behind the
 // sharing-degree ablation — the paper's closing question of how far
 // sharing should go.
-func (c Config) SharedAccessLatency(structBytes int64, sockets int) float64 {
+func (c *Config) SharedAccessLatency(structBytes int64, sockets int) float64 {
 	if sockets < 1 {
 		sockets = 1
 	}
@@ -200,7 +200,7 @@ func (c Config) SharedAccessLatency(structBytes int64, sockets int) float64 {
 }
 
 // qpiDerate returns the configured random-transfer efficiency of QPI.
-func (c Config) qpiDerate() float64 {
+func (c *Config) qpiDerate() float64 {
 	if c.RandomQPIDerate <= 0 || c.RandomQPIDerate > 1 {
 		return 1
 	}
@@ -211,7 +211,7 @@ func (c Config) qpiDerate() float64 {
 // misses at loc for a rank spanning socketsUsed sockets. Traffic that
 // crosses QPI is derated: random remote lines move far less efficiently
 // than streams (directory snoops, page misses).
-func (c Config) randomBandwidth(loc Locality, socketsUsed int) float64 {
+func (c *Config) randomBandwidth(loc Locality, socketsUsed int) float64 {
 	s := float64(c.SocketsPerNode)
 	switch loc {
 	case Local:
@@ -234,7 +234,7 @@ func (c Config) randomBandwidth(loc Locality, socketsUsed int) float64 {
 
 // seqBandwidth returns the bandwidth for streaming (prefetchable)
 // accesses, which cross QPI at full link efficiency.
-func (c Config) seqBandwidth(loc Locality, socketsUsed int) float64 {
+func (c *Config) seqBandwidth(loc Locality, socketsUsed int) float64 {
 	s := float64(c.SocketsPerNode)
 	switch loc {
 	case Local:
@@ -261,7 +261,7 @@ func minf(a, b float64) float64 {
 // single rank receives when several co-located ranks compete for it.
 // Socket-local bandwidth (Local) is private to the bound rank and is not
 // shared.
-func (c Config) shareBandwidth(loc Locality, bw, bwShare float64) float64 {
+func (c *Config) shareBandwidth(loc Locality, bw, bwShare float64) float64 {
 	if loc == Local || bwShare <= 0 || bwShare >= 1 {
 		return bw
 	}
@@ -275,7 +275,7 @@ func (c Config) shareBandwidth(loc Locality, bw, bwShare float64) float64 {
 // phase is the max of a latency-limited term (each core sustains MLP
 // outstanding misses) and a bandwidth-limited term (lines moved by misses
 // plus streamed bytes over the available bandwidth), plus scalar CPU work.
-func (c Config) PhaseTime(load PhaseLoad, threads, socketsUsed int, bwShare float64) float64 {
+func (c *Config) PhaseTime(load PhaseLoad, threads, socketsUsed int, bwShare float64) float64 {
 	if threads < 1 {
 		threads = 1
 	}

@@ -207,7 +207,7 @@ func TestFreeListsPinNoPayload(t *testing.T) {
 		next, prev := (me+1)%n, (me+n-1)%n
 		vals := make([]int64, 1<<16)
 		vals[0] = int64(me)
-		if m := p.SendRecvPayload(next, 1, 8<<16, Payload{Vals: vals}, prev, 1, 1); m.Payload.Vals[0] != int64(prev) {
+		if m := p.SendRecv(next, 1, 8<<16, vals, prev, 1, 1); m.Payload.Any.([]int64)[0] != int64(prev) {
 			panic("blocking exchange delivered the wrong vector")
 		}
 		rr := p.Irecv(prev, 2, nil)

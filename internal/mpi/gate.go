@@ -12,10 +12,9 @@ import (
 // alone: every member posts its arguments and parks at the group's gate,
 // and the last to arrive walks the whole schedule in one loop — moving
 // the data, pricing every message through deliver exactly as its
-// receiver would, and leaving every member at the clock its own
-// SendRecv, or Isend, Irecv and Wait, calls would have reached — then
-// wakes each member once. The gate itself is host-only: arriving
-// charges no virtual time.
+// receiver would, and leaving every member at the clock its own Isend,
+// Irecv and Wait calls would have reached — then wakes each member
+// once. The gate itself is host-only: arriving charges no virtual time.
 type Gate struct {
 	b  barrier
 	op []int // per member: the collective it entered with
@@ -29,20 +28,17 @@ type Gate struct {
 	armed atomic.Uint64
 
 	// A walk step's messages, by sender, which the walk fills in before
-	// Step: the wire and the raw (pre-encoding) bytes, the stream count,
-	// and the compute its receiver is charged after the step (a decode;
-	// Step clears it).
+	// posting them: the wire and the raw (pre-encoding) bytes, and the
+	// stream count.
 	Bytes, Raw []int64
 	Streams    []int
-	After      []float64
 
-	// What Step leaves, by receiver, for a nonblocking walk's ledger:
-	// the clock the member reached its wait at (Ready), and its
-	// transfer's Begin and End, as Request.BeginNs and EndNs give them.
+	// What Step leaves, by receiver, for a pipelined walk's ledger: the
+	// clock the member reached its wait at (Ready), and its transfer's
+	// Begin and End, as Request.BeginNs and EndNs give them.
 	Ready, Begin, End []float64
 
-	posted  []float64 // by member, the clock of its pending Post
-	pending bool      // the step was posted (Post): Step is its Waits
+	posted  []float64 // by member, the clock of its Post
 	sendEnd []float64 // Step's scratch
 }
 
@@ -52,7 +48,7 @@ func (w *World) NewGate(ranks []int) *Gate {
 	n := len(ranks)
 	g := &Gate{
 		op: make([]int, n), Bytes: make([]int64, n), Raw: make([]int64, n), Streams: make([]int, n),
-		After: make([]float64, n), Ready: make([]float64, n), Begin: make([]float64, n), End: make([]float64, n),
+		Ready: make([]float64, n), Begin: make([]float64, n), End: make([]float64, n),
 		posted: make([]float64, n), sendEnd: make([]float64, n), w: w,
 	}
 	g.armed.Store(w.attempt)
@@ -109,56 +105,49 @@ func Peers(i, n, d int, xor bool) (to, from int) {
 	return to, from
 }
 
-// Post posts member i's send of Bytes[i] to member to, and its
-// receive, at its clock now: the send is counted there, as Isend counts
-// it. Once every member has posted, Step is the step's Waits.
-func (g *Gate) Post(i, to int) {
-	p := g.b.members[i]
-	g.posted[i], g.pending = p.clock, true
-	p.countMsg(g.b.members[to].rank, g.Bytes[i], g.Raw[i])
+// Post posts every member's send of a step of the permutation Peers(·,
+// n, d, xor) — member i's of Bytes[i] — and its receive, at its clock
+// now: the send is counted there, as Isend counts it. Step is then the
+// step's Waits.
+func (g *Gate) Post(d int, xor bool) {
+	ms := g.b.members
+	for i, p := range ms {
+		g.posted[i] = p.clock
+		if p.obs != nil { // only the counters look up the receiver
+			to, _ := Peers(i, len(ms), d, xor)
+			p.countMsg(ms[to].rank, g.Bytes[i], g.Raw[i])
+		}
+	}
 }
 
-// Step replays one step of the permutation Peers(·, n, d, xor) whose
-// items the walk has moved already, pricing member i's message from
-// Bytes[i], Raw[i] and Streams[i] on its receiver as a receive prices
-// it: from the later of both endpoints' post clocks, which also makes
-// the receiver's LinkTransfer obs call. A blocking step (no Post) is
-// SendRecv, posted at every member's clock now and counted after the
-// transfer, in SendRecv's obs order. Every member then waits: it takes
-// the later of its clock, its receive's end and its send's end, and is
-// charged its receive's After. A member's sender is computed, not
+// Step replays the Waits of one posted step of the permutation Peers(·,
+// n, d, xor) whose items the walk has moved already, pricing member i's
+// message from Bytes[i], Raw[i] and Streams[i] on its receiver as a
+// receive prices it: from the later of both endpoints' post clocks,
+// which also makes the receiver's LinkTransfer obs call. Every member
+// then takes the later of its clock, its receive's end and its send's
+// end, as its Wait calls would. A member's sender is computed, not
 // looked up, so the walk's loads do not wait on one another.
 func (g *Gate) Step(d int, xor bool) {
 	ms := g.b.members
 	n := len(ms)
 	for r, p := range ms {
-		to, i := Peers(r, n, d, xor)
-		q := ms[i]
-		sent, ready := q.clock, p.clock
-		if g.pending {
-			sent, ready = g.posted[i], g.posted[r]
-		}
-		h := hop{src: q.rank, bytes: g.Bytes[i], raw: g.Raw[i], streams: g.Streams[i], sent: sent}
-		g.Begin[r] = max(sent, ready)
+		_, i := Peers(r, n, d, xor)
+		sent := g.posted[i]
+		h := hop{src: ms[i].rank, bytes: g.Bytes[i], raw: g.Raw[i], streams: g.Streams[i], sent: sent}
+		g.Begin[r] = max(sent, g.posted[r])
 		g.End[r], g.sendEnd[i] = p.deliver(&h, g.Begin[r])
-		if !g.pending {
-			p.countMsg(ms[to].rank, g.Bytes[r], g.Raw[r])
-		}
 	}
 	for r, p := range ms {
 		g.Ready[r] = p.clock
 		p.clock = max(p.clock, g.End[r], g.sendEnd[r])
-		if _, i := Peers(r, n, d, xor); g.After[i] > 0 {
-			p.Compute(g.After[i])
-			g.After[i] = 0
-		}
 	}
-	g.pending = false
 }
 
 // Member returns the member at position i, for a walk to read its clock
 // and charge it computation (Proc.Compute) or obs samples as its own
-// calls would: a codec's encode before the step that sends it.
+// calls would: a codec's encode before the step that sends it, its
+// decode after.
 func (g *Gate) Member(i int) *Proc { return g.b.members[i] }
 
 // Parks returns the number of times a rank of the world has parked,

@@ -51,8 +51,9 @@ func (p *Proc) IsendPayload(dst, tag int, bytes int64, pl Payload, streams int) 
 	return p.isend(dst, tag, bytes, bytes, &pl, streams)
 }
 
-// IsendWire is IsendPayload for an encoded payload, the nonblocking
-// counterpart of SendRecvWire.
+// IsendWire is IsendPayload for an encoded payload: pl.Wire's WireBytes
+// cross the simulated network, its RawBytes (the pre-encoding size) go
+// to the raw-volume counters.
 func (p *Proc) IsendWire(dst, tag int, pl Payload, streams int) *Request {
 	return p.isend(dst, tag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, streams)
 }
@@ -73,12 +74,14 @@ func (p *Proc) isend(dst, tag int, wireBytes, rawBytes int64, pl *Payload, strea
 // Irecv posts a nonblocking receive from src with the given tag. The
 // message's transfer is timed from the later of the sender's post and
 // this receive's post, so work between Irecv and Wait overlaps the
-// incoming transfer. The received message is stored into out at Wait;
+// incoming transfer. Like every post, it fires a scheduled crash the
+// clock has reached. The received message is stored into out at Wait;
 // out may be nil, in which case the message is read from Request.Msg.
 func (p *Proc) Irecv(src, tag int, out *Msg) *Request {
 	if src == p.rank {
 		panic(fmt.Sprintf("mpi: rank %d irecv from self", p.rank))
 	}
+	p.checkCrash()
 	r := p.getReq()
 	r.isRecv = true
 	r.src, r.tag = src, tag

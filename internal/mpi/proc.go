@@ -168,31 +168,21 @@ func (p *Proc) Send(dst, tag int, bytes int64, payload any, streams int) {
 	p.SendPayload(dst, tag, bytes, Payload{Any: payload}, streams)
 }
 
-// SendPayload is Send with a typed payload, which boxes nothing.
+// SendPayload is Send with a typed payload, which boxes nothing: an
+// Isend and its Wait.
 func (p *Proc) SendPayload(dst, tag int, bytes int64, pl Payload, streams int) {
-	if dst == p.rank {
-		panic(fmt.Sprintf("mpi: rank %d send to self", p.rank))
-	}
-	p.checkCrash()
-	m := p.newMessage(tag, bytes, bytes, streams, &pl)
-	p.post(dst, m)
-	p.clock = p.await(m)
-	p.putMessage(m)
-	p.countMsg(dst, bytes, bytes)
+	p.isend(dst, tag, bytes, bytes, &pl, streams).Wait()
 }
 
 // Recv receives the next message from src, which must carry tag (the
 // simulated programs use fully matched, in-order communication; a tag
 // mismatch is a program bug and panics). The transfer starts when both
-// sides have arrived and both clocks advance to its end.
+// sides have arrived and both clocks advance to its end: an Irecv and
+// its Wait.
 func (p *Proc) Recv(src, tag int) Msg {
-	if src == p.rank {
-		panic(fmt.Sprintf("mpi: rank %d recv from self", p.rank))
-	}
-	p.checkCrash()
-	var msg Msg
-	_, p.clock = p.receive(src, tag, p.clock, &msg)
-	return msg
+	r := p.Irecv(src, tag, nil)
+	r.Wait()
+	return r.Msg()
 }
 
 // receive takes the next message from src, prices its delivery from the
@@ -213,40 +203,18 @@ func (p *Proc) receive(src, tag int, ready float64, out *Msg) (begin, recvEnd fl
 }
 
 // SendRecv posts a send to dst and a receive from src concurrently and
-// completes both, as MPI_Sendrecv does. Ring exchanges need this: with
-// blocking Send alone, a cycle of ranks would deadlock. The untyped
-// payload arrives as Msg.Payload.Any. The simulator sends typed payloads
-// through SendRecvPayload; only tests and the benchmark's probes use
-// this.
+// completes both, as MPI_Sendrecv does: an Isend and an Irecv, then the
+// receive's Wait and the send's, so the clock reaches the later of both
+// ends. Ring exchanges need this: with blocking Send alone, a cycle of
+// ranks would deadlock. The untyped payload arrives as Msg.Payload.Any;
+// only tests and the benchmark's probes use this, the simulator composes
+// the typed nonblocking calls.
 func (p *Proc) SendRecv(dst, sendTag int, bytes int64, payload any, src, recvTag int, streams int) Msg {
-	return p.sendRecv(dst, sendTag, bytes, bytes, &Payload{Any: payload}, src, recvTag, streams)
-}
-
-// SendRecvPayload is SendRecv with a typed payload, which boxes nothing.
-func (p *Proc) SendRecvPayload(dst, sendTag int, bytes int64, pl Payload, src, recvTag int, streams int) Msg {
-	return p.sendRecv(dst, sendTag, bytes, bytes, &pl, src, recvTag, streams)
-}
-
-// SendRecvWire is SendRecvPayload for an encoded payload: pl.Wire's
-// WireBytes cross the simulated network, its RawBytes (the pre-encoding
-// size) go to the raw-volume counters.
-func (p *Proc) SendRecvWire(dst, sendTag int, pl Payload, src, recvTag int, streams int) Msg {
-	return p.sendRecv(dst, sendTag, pl.Wire.WireBytes, pl.Wire.RawBytes, &pl, src, recvTag, streams)
-}
-
-func (p *Proc) sendRecv(dst, sendTag int, wire, raw int64, pl *Payload, src, recvTag int, streams int) (in Msg) {
-	p.checkCrash()
-	m := p.newMessage(sendTag, wire, raw, streams, pl)
-	p.post(dst, m)
-
-	// Receive inline while the send waits for its acknowledgement.
-	_, recvEnd := p.receive(src, recvTag, p.clock, &in)
-
-	sendEnd := p.await(m)
-	p.putMessage(m)
-	p.clock = max(recvEnd, sendEnd)
-	p.countMsg(dst, wire, raw)
-	return in
+	sr := p.Isend(dst, sendTag, bytes, payload, streams)
+	rr := p.Irecv(src, recvTag, nil)
+	rr.Wait()
+	sr.Wait()
+	return rr.Msg()
 }
 
 // Barrier synchronizes all ranks: every clock advances to the maximum

@@ -214,8 +214,8 @@ func TestWorldReusable100xAfterFailedTryRun(t *testing.T) {
 			err = w.TryRun(func(p *Proc) {
 				next, prev := (p.Rank()+1)%np, (p.Rank()+np-1)%np
 				for s := 0; s < 4; s++ {
-					m := p.SendRecvPayload(next, i, 8, Payload{Scalar: int64(p.Rank())}, prev, i, 1)
-					if m.Tag != i || m.Payload.Scalar != int64(prev) {
+					m := p.SendRecv(next, i, 8, p.Rank(), prev, i, 1)
+					if m.Tag != i || m.Payload.Any != prev {
 						panic(fmt.Sprintf("stale message leaked into retry: %+v", m))
 					}
 				}
@@ -359,11 +359,12 @@ func TestRing128LosesNoWakeup(t *testing.T) {
 			next, prev := (p.Rank()+1)%np, (p.Rank()+np-1)%np
 			carry := int64(p.Rank())
 			for s := 0; s < laps*(np-1); s++ {
-				m := p.SendRecvPayload(next, s, 8, Payload{ID: s, Scalar: carry}, prev, s, 1)
-				if m.Payload.ID != s {
+				m := p.SendRecv(next, s, 8, [2]int64{int64(s), carry}, prev, s, 1)
+				in := m.Payload.Any.([2]int64)
+				if in[0] != int64(s) {
 					panic("ring step out of order")
 				}
-				carry = m.Payload.Scalar
+				carry = in[1]
 			}
 			// After laps*(np-1) forwards the token that started at rank
 			// r-laps*(np-1) (mod np), i.e. r+laps, has arrived here.

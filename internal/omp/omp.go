@@ -111,7 +111,7 @@ func (t *Team) For(n, chunk int64, body func(lo, hi int64, load *machine.PhaseLo
 // splits without regard to vertex boundaries): only min(Threads,
 // ceil(items/chunk)) workers can be busy, but among them the work is
 // evenly divided. Returns the modelled region time.
-func (t Team) ForBalanced(items, chunk int64, load machine.PhaseLoad) float64 {
+func (t *Team) ForBalanced(items, chunk int64, load machine.PhaseLoad) float64 {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
@@ -129,7 +129,7 @@ func (t Team) ForBalanced(items, chunk int64, load machine.PhaseLoad) float64 {
 
 // Parallel charges a region executed by the whole team with perfect
 // balance (e.g. a bulk bitmap conversion).
-func (t Team) Parallel(load machine.PhaseLoad) float64 {
+func (t *Team) Parallel(load machine.PhaseLoad) float64 {
 	return t.Cfg.PhaseTime(load, t.Threads, t.SocketsUsed, t.BWShare)
 }
 
