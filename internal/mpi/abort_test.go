@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"numabfs/internal/fault"
+	"numabfs/internal/obs"
 )
 
 func TestAbortReleasesBlockedRecv(t *testing.T) {
@@ -243,6 +244,38 @@ func TestCrashRecoveryDisarm(t *testing.T) {
 	w.PrepareRecovery()
 	if err := w.TryRun(body); err != nil {
 		t.Fatalf("disarmed retry: %v", err)
+	}
+}
+
+// TestBlockingSendCountedAtPost: a blocking send is an Isend and its
+// Wait, so the obs counters take it at its post, as they take an Isend —
+// also when its receiver crashes and the attempt fails with the send
+// unanswered. The counters outlive the failed attempt.
+func TestBlockingSendCountedAtPost(t *testing.T) {
+	w := testWorld(t, 1)
+	if err := w.InjectFaults(fault.Plan{Crashes: []fault.Crash{{Rank: 1, AtNs: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	w.AttachObs(rec.NewSession("crash"))
+	err := w.TryRun(func(p *Proc) {
+		switch p.Rank() {
+		case 0:
+			p.Send(1, 1, 64, nil, 1)
+		case 1:
+			p.Recv(0, 1) // crashes at its post
+		}
+	})
+	if _, ok := err.(*FaultError); !ok {
+		t.Fatalf("TryRun = %v, want a *FaultError", err)
+	}
+	c := rec.Dump().Sessions[0].Ranks[0].Comm
+	var msgs, bytes int64
+	for h := range c.Msgs {
+		msgs, bytes = msgs+c.Msgs[h], bytes+c.Bytes[h]
+	}
+	if msgs != 1 || bytes != 64 {
+		t.Fatalf("rank 0 counted %d msgs, %d bytes; want the aborted send: 1, 64", msgs, bytes)
 	}
 }
 
