@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -128,11 +129,38 @@ func TestAllgatherVariantsAgreeProperty(t *testing.T) {
 	}
 }
 
+// treeRuns runs body on groups of 8 (2 nodes x 4), 3, 5 and 7 ranks,
+// from differing entry clocks, as messages and replayed, and requires
+// both executors to leave every rank at the same clock.
+func treeRuns(t *testing.T, body func(g *Group, p *mpi.Proc)) {
+	t.Helper()
+	for _, geo := range []struct{ nodes, ppn int }{{2, 4}, {3, 1}, {5, 1}, {7, 1}} {
+		var clocks [2][]float64
+		for i := range clocks {
+			restore := func() {}
+			if i == 0 {
+				restore = runAsMessages()
+			}
+			w := testWorld(t, geo.nodes, geo.ppn)
+			g := WorldGroup(w)
+			w.Run(func(p *mpi.Proc) {
+				p.Compute(float64(p.Rank()%3) * 500)
+				body(g, p)
+			})
+			restore()
+			for r := range w.NumProcs() {
+				clocks[i] = append(clocks[i], w.Proc(r).Clock())
+			}
+		}
+		if !slices.Equal(clocks[0], clocks[1]) {
+			t.Errorf("%d ranks: clocks as messages %v, replayed %v", geo.nodes*geo.ppn, clocks[0], clocks[1])
+		}
+	}
+}
+
 func TestGatherBinomial(t *testing.T) {
-	w := testWorld(t, 2, 4)
-	g := WorldGroup(w)
-	l := EvenLayout(123, g.Size())
-	w.Run(func(p *mpi.Proc) {
+	treeRuns(t, func(g *Group, p *mpi.Proc) {
+		l := EvenLayout(123, g.Size())
 		buf := make([]uint64, 123)
 		fillOwn(buf, l, g.Pos(p.Rank()))
 		g.GatherBinomial(p, buf, l)
@@ -143,10 +171,8 @@ func TestGatherBinomial(t *testing.T) {
 }
 
 func TestBcastBinomial(t *testing.T) {
-	w := testWorld(t, 2, 4)
-	g := WorldGroup(w)
 	const words = 99
-	w.Run(func(p *mpi.Proc) {
+	treeRuns(t, func(g *Group, p *mpi.Proc) {
 		buf := make([]uint64, words)
 		if g.Pos(p.Rank()) == 0 {
 			for i := range buf {

@@ -18,8 +18,13 @@ import (
 // clocks, StepTimes, the Overlap ledger, and the network's wire and raw
 // volumes, on the full 4x8 world. "Raw is the nil codec" and "in place
 // is the nil source" are exact identities, not approximations — a
-// changed hash is a changed clock.
+// changed hash is a changed clock. The 3x6 keys were captured at
+// d4392b1, the same way.
 var golden = map[string]uint64{
+	"3x6/allreduce":            0x25c5b54e1f49b137,
+	"3x6/leader":               0x12bb558a24397df8,
+	"3x6/leader-comp":          0x30ccdd1d28980ab8,
+	"3x6/shared-inq":           0x2dafc67bb346092e,
 	"4x8/allgatherv":           0x14e4c8578c78e47b,
 	"4x8/allgatherv-comp":      0x9da750b8afc407d1,
 	"4x8/alltoallv":            0x910c7202eb7e68cc,
@@ -139,29 +144,51 @@ func TestGoldenIdentityWithParent(t *testing.T) {
 		}
 	}
 
+	cell := func(geo agGeo, c goldenCell) {
+		e := newAgEnv(t, geo)
+		sts := make([]StepTimes, e.w.NumProcs())
+		e.w.Run(func(p *mpi.Proc) {
+			dst, src := e.buffers(p, c.s, c.staged)
+			var hook func(w0, w1 int64) float64
+			if c.hook {
+				hook = goldenHook
+			}
+			sts[p.Rank()] = e.nc.Allgather(p, c.s, dst, src, e.l, e.exchange(p, c.codec, c.q, hook))
+			checkVaried(t, geo.name+"/"+c.name, p.Rank(), dst, e.l)
+		})
+		check(geo.name+"/"+c.name, e, func(h goldenHash, r int) {
+			h.f64(sts[r].GatherNs)
+			h.f64(sts[r].InterNs)
+			h.f64(sts[r].BcastNs)
+			if c.q > 0 {
+				h.f64(e.ovs[r].HiddenNs)
+				h.f64(e.ovs[r].ExposedNs)
+				h.u64(uint64(e.ovs[r].Segments))
+			}
+		})
+	}
+
+	// Node groups of 6 and an 18-member world: the binomial trees with
+	// idle members in every round, the linear gather to the leader and
+	// the linear allreduce, pinned where each was still a message loop
+	// (d4392b1).
+	odd := agGeo{"3x6", 3, 6, 1301}
+	for _, c := range goldenCells()[1:4] { // leader, leader-comp, shared-inq
+		cell(odd, c)
+	}
+	e := newAgEnv(t, odd)
+	sums := make([]int64, e.w.NumProcs())
+	e.w.Run(func(p *mpi.Proc) {
+		p.Compute(float64(p.Rank()%4) * 700)
+		lanes := [64]int64{5: int64(p.Rank())}
+		e.g.AllreduceSumVec64(p, &lanes)
+		sums[p.Rank()] = e.g.AllreduceSumInt64(p, lanes[5]+int64(p.Rank()))
+	})
+	check("3x6/allreduce", e, func(h goldenHash, r int) { h.u64(uint64(sums[r])) })
+
 	for _, geo := range agGeos[:1] {
 		for _, c := range goldenCells() {
-			e := newAgEnv(t, geo)
-			sts := make([]StepTimes, e.w.NumProcs())
-			e.w.Run(func(p *mpi.Proc) {
-				dst, src := e.buffers(p, c.s, c.staged)
-				var hook func(w0, w1 int64) float64
-				if c.hook {
-					hook = goldenHook
-				}
-				sts[p.Rank()] = e.nc.Allgather(p, c.s, dst, src, e.l, e.exchange(p, c.codec, c.q, hook))
-				checkVaried(t, geo.name+"/"+c.name, p.Rank(), dst, e.l)
-			})
-			check(geo.name+"/"+c.name, e, func(h goldenHash, r int) {
-				h.f64(sts[r].GatherNs)
-				h.f64(sts[r].InterNs)
-				h.f64(sts[r].BcastNs)
-				if c.q > 0 {
-					h.f64(e.ovs[r].HiddenNs)
-					h.f64(e.ovs[r].ExposedNs)
-					h.u64(uint64(e.ovs[r].Segments))
-				}
-			})
+			cell(geo, c)
 		}
 
 		// The whole-group ring keeps its two names; StepTimes hash as zero.

@@ -1,16 +1,16 @@
 package collective
 
-import "testing"
+import (
+	"testing"
+
+	"numabfs/internal/mpi"
+)
 
 func TestStepStreamsCountsIntraAndInter(t *testing.T) {
 	// 2 nodes x 4 ranks; a ring send topology i -> i+1.
 	w := testWorld(t, 2, 4)
 	g := WorldGroup(w)
-	sendTo := make([]int, 8)
-	for i := range sendTo {
-		sendTo[i] = (i + 1) % 8
-	}
-	streams := g.stepStreams(sendTo)
+	streams := g.stepStreams(&mpi.Shift{D: 1, Every: 1, Below: 8})
 	// Ranks 0,1,2 send intra on node 0 (3 concurrent intra streams);
 	// rank 3 sends inter (node 0: 1 outbound + 1 inbound = 2 streams).
 	for _, i := range []int{0, 1, 2, 4, 5, 6} {
@@ -28,8 +28,8 @@ func TestStepStreamsCountsIntraAndInter(t *testing.T) {
 func TestStepStreamsIdleMembers(t *testing.T) {
 	w := testWorld(t, 2, 4)
 	g := WorldGroup(w)
-	sendTo := []int{4, -1, -1, -1, 0, -1, -1, -1} // one inter pair, rest idle
-	streams := g.stepStreams(sendTo)
+	// One inter pair, 0 <-> 4, the rest idle.
+	streams := g.stepStreams(&mpi.Shift{D: 4, Xor: true, Every: 4, Below: 8})
 	if streams[0] != 2 || streams[4] != 2 {
 		t.Errorf("pair streams = %d, %d, want 2 (own out + in)", streams[0], streams[4])
 	}

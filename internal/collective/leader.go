@@ -162,6 +162,19 @@ func stage(p *mpi.Proc, dst, src []uint64, l Layout, i int) {
 	p.Compute(float64(l.Counts[i]*8) / p.World().Config().ShmCopyBW)
 }
 
+// gatherToLeader is the shared in_queue gather, a schedule: the leader
+// stages its own segment of src in dst, then takes each child's there in
+// position order, while the children send at once (over n-1 streams).
+func (nc *NodeComm) gatherToLeader(p *mpi.Proc, dst, src []uint64, l Layout) {
+	node, me := nc.Nodes[p.Node()], nc.World.Pos(p.Rank())
+	if nc.IsLeader(p) {
+		stage(p, dst, src, l, me)
+		src = dst
+	}
+	a := shiftArgs{buf: src, l: nc.localView(l, me-me%nc.PPN), streams: node.Size() - 1}
+	node.shift(p, node.Pos(p.Rank()), tagToLeader, &a)
+}
+
 // Allgather is the node-aware allgatherv over the communicator's members
 // under scheme s and send path x: on return every member's view of dst
 // holds all segments of layout l (indexed by World position). src is the
@@ -214,7 +227,6 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 		if leader {
 			nl = nc.views(l).node
 		}
-		mine := node.Ranks()
 		switch {
 		case src == nil:
 			node.barrierVia(p)
@@ -222,16 +234,8 @@ func (nc *NodeComm) Allgather(p *mpi.Proc, s Scheme, dst, src []uint64, l Layout
 			if leader {
 				stage(p, dst, src, nl, me/nc.PPN)
 			}
-		case leader:
-			stage(p, dst, src, l, me)
-			for _, child := range mine[1:] {
-				m := p.Recv(child, tagGather)
-				copy(l.seg(dst, nc.World.Pos(child)), m.Payload.Words)
-			}
 		default:
-			// Children copy concurrently; the leader serializes receives.
-			seg := l.seg(src, me)
-			p.SendPayload(nc.leaderOf(p), tagGather, int64(len(seg))*8, mpi.Payload{Words: seg}, len(mine)-1)
+			nc.gatherToLeader(p, dst, src, l)
 		}
 		if src != nil {
 			st.GatherNs = p.Clock() - tc

@@ -51,13 +51,13 @@ func (g *Group) lists(p *mpi.Proc, op [2]int, send [][]int64, mine []int64, out 
 	}
 	a := shiftArgs{send: send, out: out, c: c, streams: 2}
 	if send == nil {
-		a.send, a.streams = out, g.streamTable(tabRing)[0][me]
+		a.send, a.streams = out, g.streamTable(tagRing)[0][me]
 	} else {
 		mine = send[me]
 	}
 	if out[me] = mine; n > 1 {
 		t0 := p.Clock()
-		g.shift(p, me, op[b2i(c != nil)], a)
+		g.shift(p, me, op[b2i(c != nil)], &a)
 		p.Obs().Collective(label[b2i(c != nil)], t0, p.Clock())
 	}
 	return out

@@ -63,7 +63,7 @@ const (
 	genCodec                 // the codec ring, list ring and alltoallv, under each selector
 	genAllreduce             // the scalar and 64-lane allreduces
 	genLog                   // Bruck and, on a power-of-two world, recursive doubling
-	genNode                  // with more than one rank per node, the parallel and leader allgathers
+	genNode                  // with more than one rank per node, the parallel, leader and staged shared in_queue allgathers
 	genPipe                  // the pipelined ring, raw and under the codec, with and without a chunk hook
 	genAll       = 1<<iota - 1
 )
@@ -268,6 +268,10 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 		fillOwn(leaderBufs[r], l, r)
 		nc.Allgather(p, SchemeLeader, leaderBufs[r], nil, l, Exchange{})
 		mark()
+		src := make([]uint64, words)
+		fillOwn(src, l, r)
+		nc.Allgather(p, SchemeSharedIn, p.SharedWords("shift-in", words), src, l, Exchange{})
+		mark()
 		if c.gens&genPipe != 0 { // every subgroup's ring into the node's buffer
 			seg := p.SharedWords("shift-seg", words)
 			fillOwn(seg, l, r)
@@ -294,6 +298,7 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 		for n := 0; n < c.nodes; n++ {
 			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-inq@node%d", n), words)...)
 			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-seg@node%d", n), words)...)
+			out.Words = append(out.Words, w.SharedWords(fmt.Sprintf("shift-in@node%d", n), words)...)
 		}
 	}
 	out.Volume = w.Net().Volume()
@@ -386,12 +391,26 @@ func TestShiftExecutorsAgree(t *testing.T) {
 
 // TestReplayParksOncePerMember: every schedule on 128 members, replayed
 // at its gate, parks each member at most once, where as messages every
-// member parks about once per step (per chunk step, pipelined).
+// member parks about once per step (per chunk step, pipelined). On 112
+// members — the same world with one spare parked per node — the leader
+// and shared in_queue allgathers (a tree or linear gather and a tree
+// broadcast or node barrier around the leaders' ring) and the linear
+// allreduce park each member at most twice.
 func TestReplayParksOncePerMember(t *testing.T) {
-	w := testWorld(t, 16, 8)
+	w, spared := testWorld(t, 16, 8), testWorld(t, 16, 8)
 	g := WorldGroup(w)
 	n := g.Size()
 	l := EvenLayout(4096, n)
+	var live, spares []int
+	for r := range n {
+		if r%8 == 7 {
+			spares = append(spares, r)
+		} else {
+			live = append(live, r)
+		}
+	}
+	spared.Park(spares)
+	nc, g112, l112 := NewNodeCommRanks(spared, live), NewGroup(spared, live), EvenLayout(4096, len(live))
 	bufs, codecs := make([][]uint64, n), make([]*wire.Codec, n)
 	lists, tabs := make([][][]int64, n), make([][][]int64, n)
 	for r := range bufs {
@@ -406,34 +425,44 @@ func TestReplayParksOncePerMember(t *testing.T) {
 	ovs := make([]Overlap, n)
 	for _, c := range []struct {
 		name string
+		w    *mpi.World // nil: w
 		body func(p *mpi.Proc, r int)
 	}{
-		{"ring", func(p *mpi.Proc, r int) { g.AllgatherRing(p, bufs[r], l) }},
-		{"ring-codec", func(p *mpi.Proc, r int) { g.AllgatherRingCompressed(p, bufs[r], l, codecs[r]) }},
-		{"list-ring-codec", func(p *mpi.Proc, r int) { tabs[r] = g.AllgathervInt64(p, lists[r][r], tabs[r], codecs[r]) }},
-		{"alltoallv-codec", func(p *mpi.Proc, r int) { tabs[r] = g.AlltoallvInt64Into(p, lists[r], tabs[r], codecs[r]) }},
-		{"allreduce", func(p *mpi.Proc, r int) { g.AllreduceSumInt64(p, int64(r)) }},
-		{"allreduce-vec", func(p *mpi.Proc, r int) { v := lanes; g.AllreduceSumVec64(p, &v) }},
-		{"recdouble", func(p *mpi.Proc, r int) { g.AllgatherRecDouble(p, bufs[r], l) }},
-		{"bruck", func(p *mpi.Proc, r int) { g.AllgatherBruck(p, bufs[r], l) }},
-		{"ring-seg", func(p *mpi.Proc, r int) { g.exchangeRing(p, bufs[r], l, Exchange{Chunks: 4, Overlap: &ovs[r]}) }},
-		{"ring-seg-codec-hook", func(p *mpi.Proc, r int) {
+		{"ring", nil, func(p *mpi.Proc, r int) { g.AllgatherRing(p, bufs[r], l) }},
+		{"ring-codec", nil, func(p *mpi.Proc, r int) { g.AllgatherRingCompressed(p, bufs[r], l, codecs[r]) }},
+		{"list-ring-codec", nil, func(p *mpi.Proc, r int) { tabs[r] = g.AllgathervInt64(p, lists[r][r], tabs[r], codecs[r]) }},
+		{"alltoallv-codec", nil, func(p *mpi.Proc, r int) { tabs[r] = g.AlltoallvInt64Into(p, lists[r], tabs[r], codecs[r]) }},
+		{"allreduce", nil, func(p *mpi.Proc, r int) { g.AllreduceSumInt64(p, int64(r)) }},
+		{"allreduce-vec", nil, func(p *mpi.Proc, r int) { v := lanes; g.AllreduceSumVec64(p, &v) }},
+		{"recdouble", nil, func(p *mpi.Proc, r int) { g.AllgatherRecDouble(p, bufs[r], l) }},
+		{"bruck", nil, func(p *mpi.Proc, r int) { g.AllgatherBruck(p, bufs[r], l) }},
+		{"ring-seg", nil, func(p *mpi.Proc, r int) { g.exchangeRing(p, bufs[r], l, Exchange{Chunks: 4, Overlap: &ovs[r]}) }},
+		{"ring-seg-codec-hook", nil, func(p *mpi.Proc, r int) {
 			g.exchangeRing(p, bufs[r], l, Exchange{Codec: codecs[r], Chunks: 4, OnChunk: chunkHook(bufs[r]), Overlap: &ovs[r]})
 		}},
+		{"leader", spared, func(p *mpi.Proc, r int) { nc.Allgather(p, SchemeLeader, bufs[r], nil, l112, Exchange{}) }},
+		{"shared-in", spared, func(p *mpi.Proc, r int) {
+			nc.Allgather(p, SchemeSharedIn, p.SharedWords("parks-inq", 4096), bufs[r], l112, Exchange{})
+		}},
+		{"allreduce-linear", spared, func(p *mpi.Proc, r int) { g112.AllreduceSumInt64(p, int64(r)) }},
 	} {
+		cw, members := w, n
+		if c.w != nil {
+			cw, members = c.w, len(live)
+		}
 		parks := func() int64 {
-			before := w.Parks()
-			w.Run(func(p *mpi.Proc) { c.body(p, p.Rank()) })
-			return w.Parks() - before
+			before := cw.Parks()
+			cw.Run(func(p *mpi.Proc) { c.body(p, p.Rank()) })
+			return cw.Parks() - before
 		}
 		restore := runAsMessages()
 		messages := parks()
 		restore()
 		tabs = make([][][]int64, n) // a codec table must not move between executors' calls
-		if replay := parks(); replay > int64(2*n) {
-			t.Errorf("replayed %s parked %d times, want <= %d", c.name, replay, 2*n)
+		if replay := parks(); replay > int64(2*members) {
+			t.Errorf("replayed %s parked %d times, want <= %d", c.name, replay, 2*members)
 		} else {
-			t.Logf("%s on %d members: %d parks as messages, %d replayed", c.name, n, messages, replay)
+			t.Logf("%s on %d members: %d parks as messages, %d replayed", c.name, members, messages, replay)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func RouteEdges(params rmat.Params, lo, hi int64, nd int, dest func(src, nbr int
 // BuildCostNs is the modelled cost of building a CSR of width rows from
 // the received pair vectors: the counting-sort passes stream the pairs
 // twice, and per-row sorting costs ~m log(avg degree) comparisons.
-func BuildCostNs(cfg machine.Config, recv [][]int64, width int64) float64 {
+func BuildCostNs(cfg *machine.Config, recv [][]int64, width int64) float64 {
 	var vals int
 	for _, vec := range recv {
 		vals += len(vec)

@@ -92,8 +92,12 @@ func (p *Proc) Irecv(src, tag int, out *Msg) *Request {
 
 // Wait completes the operation: it blocks until the rendezvous partner
 // has arrived, then advances the rank's clock to max(own clock, transfer
-// end) — the overlap semantics of MPI_Wait.
+// end) — the overlap semantics of MPI_Wait. A nil Request, as
+// MPI_REQUEST_NULL, completes at once.
 func (r *Request) Wait() {
+	if r == nil {
+		return
+	}
 	if r.done {
 		panic("mpi: Request waited on twice")
 	}

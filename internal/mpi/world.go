@@ -182,8 +182,8 @@ func (w *World) NumProcs() int { return len(w.procs) }
 // ProcsPerNode returns ranks per node.
 func (w *World) ProcsPerNode() int { return w.pl.ProcsPerNode }
 
-// Config returns the machine configuration.
-func (w *World) Config() machine.Config { return w.cfg }
+// Config returns the machine configuration, by pointer and read-only.
+func (w *World) Config() *machine.Config { return &w.cfg }
 
 // Placement returns the execution placement.
 func (w *World) Placement() machine.Placement { return w.pl }
