@@ -130,6 +130,14 @@ func (g *Group) GatherBinomial(p *mpi.Proc, buf []uint64, l Layout) {
 	g.shift(p, g.Pos(p.Rank()), tagGather, &shiftArgs{buf: buf, l: l})
 }
 
+// GatherLinear gathers every member's segment of buf (per layout l) into
+// the buffer of the member at group position 0, which takes them in
+// position order while the others send at once, each over `streams`
+// streams: a schedule (shift.go), whose position 0 stages nothing.
+func (g *Group) GatherLinear(p *mpi.Proc, buf []uint64, l Layout, streams int) {
+	g.shift(p, g.Pos(p.Rank()), tagToLeader, &shiftArgs{buf: buf, l: l, streams: streams})
+}
+
 // BcastBinomial broadcasts words[0:total] of buf from the member at group
 // position 0 to all members along a binomial tree, a schedule.
 func (g *Group) BcastBinomial(p *mpi.Proc, buf []uint64, total int64) {

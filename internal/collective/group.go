@@ -44,16 +44,24 @@ type Group struct {
 	tables [tagEnd >> 12]atomic.Pointer[[][]int] // by schedule (streamTable)
 	// The schedules' gate and, per member, arguments, codec prices,
 	// allreduce accumulators, the chunks a ring holds to forward as
-	// messages and a pipelined walk's clocks at a step's waits; the
-	// replay's result job and its op (shift.go).
-	gate   *mpi.Gate
-	posted []shiftArgs
-	priced [][]wire.Price
-	acc    [][]int64
-	held   [][]mpi.Payload
-	ready  []float64
-	result *mpi.Share
-	op     int
+	// messages, a pipelined walk's clocks at a step's waits and stream
+	// counts; the replay's result job and its op (shift.go).
+	gate    *mpi.Gate
+	posted  []shiftArgs
+	priced  [][]wire.Price
+	acc     [][]int64
+	held    [][]mpi.Payload
+	ready   []float64
+	streams []int
+	result  *mpi.Share
+	op      int
+
+	// The walk's message sizes, wire then raw (Group.size): an
+	// alltoallv's row s, [s*n, s*n+n), is every member's send of step s,
+	// written by its sender before the gate; otherwise [q*n+k] is item
+	// k's chunk q, written once per walk, and a step's sizes are gathered
+	// by sender into sent.
+	sizes, sent [2][]int64
 }
 
 // NewGroup builds a group over the given ranks (in order).
@@ -64,7 +72,10 @@ func NewGroup(w *mpi.World, ranks []int) *Group {
 		node:  make([]int, len(ranks)),
 		gate:  w.NewGate(ranks), posted: make([]shiftArgs, len(ranks)),
 		priced: make([][]wire.Price, len(ranks)), acc: make([][]int64, len(ranks)),
-		held: make([][]mpi.Payload, len(ranks)), ready: make([]float64, len(ranks)),
+		held: make([][]mpi.Payload, len(ranks)), ready: make([]float64, len(ranks)), streams: make([]int, len(ranks)),
+	}
+	for i := range g.sizes {
+		g.sizes[i], g.sent[i] = make([]int64, len(ranks)*len(ranks)), make([]int64, len(ranks))
 	}
 	g.result = w.NewShare(len(ranks), g.receive)
 	for i, r := range ranks {

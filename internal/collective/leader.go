@@ -162,17 +162,16 @@ func stage(p *mpi.Proc, dst, src []uint64, l Layout, i int) {
 	p.Compute(float64(l.Counts[i]*8) / p.World().Config().ShmCopyBW)
 }
 
-// gatherToLeader is the shared in_queue gather, a schedule: the leader
-// stages its own segment of src in dst, then takes each child's there in
-// position order, while the children send at once (over n-1 streams).
+// gatherToLeader is the shared in_queue gather: the leader stages its
+// own segment of src in dst, then gathers the children's there (over
+// n-1 streams, GatherLinear).
 func (nc *NodeComm) gatherToLeader(p *mpi.Proc, dst, src []uint64, l Layout) {
 	node, me := nc.Nodes[p.Node()], nc.World.Pos(p.Rank())
 	if nc.IsLeader(p) {
 		stage(p, dst, src, l, me)
 		src = dst
 	}
-	a := shiftArgs{buf: src, l: nc.localView(l, me-me%nc.PPN), streams: node.Size() - 1}
-	node.shift(p, node.Pos(p.Rank()), tagToLeader, &a)
+	node.GatherLinear(p, src, nc.localView(l, me-me%nc.PPN), node.Size()-1)
 }
 
 // Allgather is the node-aware allgatherv over the communicator's members

@@ -125,20 +125,28 @@ func (a *shiftArgs) chunk(k, q int) []uint64 {
 	return a.buf[w0:w1]
 }
 
-// bytes is the raw size of a's item k, chunk q, at step s of schedule op.
+// bytes is the raw size of a's item k, chunk q, at step s of schedule
+// op: the run from k, or the item itself.
 func (g *Group) bytes(a *shiftArgs, op, s, k, q int) int64 {
+	if runs(op) {
+		return g.runBytes(a.l, k, g.run(op, s, k))
+	}
+	return a.itemBytes(k, q)
+}
+
+// itemBytes is the raw size of a's item k, chunk q: its sum, its vector
+// k, a broadcast's buffer or chunk q of segment k.
+func (a *shiftArgs) itemBytes(k, q int) int64 {
 	switch {
 	case a.sum != nil:
 		return int64(len(a.sum)) * 8
-	case runs(op):
-		return g.runBytes(a.l, k, g.run(op, s, k))
-	case a.send == nil && a.l.Counts == nil:
+	case a.send != nil:
+		return int64(len(a.send[k])) * 8
+	case a.l.Counts == nil:
 		return int64(len(a.buf)) * 8
-	case a.send == nil:
-		w0, w1 := chunkSpan(a.l, k, q, a.chunks)
-		return (w1 - w0) * 8
 	}
-	return int64(len(a.send[k])) * 8
+	w0, w1 := chunkSpan(a.l, k, q, a.chunks)
+	return (w1 - w0) * 8
 }
 
 // put stores member src's raw vector k into a, at out[src] (alltoallv)
@@ -209,7 +217,10 @@ func (g *Group) shift(p *mpi.Proc, me, op int, a *shiftArgs) {
 			g.priced[me][k], _ = a.c.PriceList(a.send[k])
 		}
 	}
-	g.posted[me], g.gate.Streams[me] = *a, a.streams
+	for s := 0; exchange(op) && s < n-1; s++ { // its sends' sizes, by step
+		g.setSize(op, s*n+me, a, me, (me+s+1)%n, 0)
+	}
+	g.posted[me], g.streams[me] = *a, a.streams
 	g.gate.Pass(p, me, op, func() { g.walk(op, steps) })
 	g.posted[me] = shiftArgs{} // pin no buffer past the call
 }
@@ -334,13 +345,13 @@ func (g *Group) walk(op, steps int) {
 		}
 	}
 	g.op = op
+	g.size(op, Q)
 	g.result.Start()
 	if ahead {
 		g.result.Finish()
 	}
 	for k := range steps * Q {
 		t := g.step(op, k, Q)
-		copy(gt.Streams, t.row)
 		if k == 0 || !ahead {
 			g.post(op, &t)
 		}
@@ -373,26 +384,74 @@ func (g *Group) walk(op, steps int) {
 	}
 }
 
-// post posts every live sender's send of step t in the walk, sized from
-// its item's owner: raw, or at the owner's price, the owner's encode
-// charged when it sends its own item.
-func (g *Group) post(op int, t *step) {
-	n, gt := len(g.ranks), g.gate
-	for i := t.From; i < t.Below; i += t.Every {
-		k := t.item(i, n)
-		o := [2]int{k, i}[b2i(exchange(op))] // the item's owner
-		if a := &g.posted[o]; a.c == nil {
-			gt.Bytes[i] = g.bytes(a, op, t.s, k, t.q)
-			gt.Raw[i] = gt.Bytes[i]
-		} else {
-			pr := g.price(op, o, k, t.q)
-			if o == i {
-				gt.Member(i).Compute(a.c.Cost(pr, false))
+// size writes the walk's item sizes once, from the posted arguments:
+// item k's chunk q at [q*n+k]; under a run schedule the cyclic prefix
+// sums of the segments instead, whose differences are the runs (each
+// segment sized by its own member's layout: every member passes one
+// layout, as landing a run already assumes). An alltoallv's senders
+// wrote their rows before the gate.
+func (g *Group) size(op, Q int) {
+	n, ps := len(g.ranks), g.posted
+	if len(g.sizes[0]) < n*Q {
+		g.sizes = [2][]int64{make([]int64, n*Q), make([]int64, n*Q)}
+	}
+	switch w := g.sizes[0]; {
+	case exchange(op):
+	case runs(op):
+		w[0] = 0
+		for j := range 2*n - 2 {
+			w[j+1] = w[j] + ps[j%n].itemBytes(j%n, 0)
+		}
+	default:
+		for q := range Q {
+			for k := range n {
+				g.setSize(op, q*n+k, &ps[k], k, k, q)
 			}
-			gt.Bytes[i], gt.Raw[i] = pr.WireBytes, pr.RawBytes
 		}
 	}
-	gt.Post(t.Shift)
+}
+
+// setSize writes the wire and raw sizes of owner o's item k, chunk q, at
+// [at]: its raw size, or its owner's price under a codec.
+func (g *Group) setSize(op, at int, a *shiftArgs, o, k, q int) {
+	g.sizes[0][at] = a.itemBytes(k, q)
+	g.sizes[1][at] = g.sizes[0][at]
+	if a.c != nil {
+		pr := g.price(op, o, k, q)
+		g.sizes[0][at], g.sizes[1][at] = pr.WireBytes, pr.RawBytes
+	}
+}
+
+// post posts every live sender's send of step t in the walk, sized from
+// the walk's sizes: an alltoallv's row, or each sender's item (or run)
+// gathered into sent. Under a codec the owner's encode is charged when
+// it sends its own item.
+func (g *Group) post(op int, t *step) {
+	n, gt, coded := len(g.ranks), g.gate, g.posted[0].c != nil
+	w, r := g.sent[0], g.sent[1]
+	if exchange(op) {
+		w, r = g.sizes[0][t.s*n:][:n], g.sizes[1][t.s*n:][:n]
+	}
+	for i := t.From; i < t.Below; i += t.Every {
+		k := t.item(i, n)
+		switch {
+		case exchange(op):
+		case runs(op):
+			w[i] = g.sizes[0][k+g.run(op, t.s, k)] - g.sizes[0][k]
+			r[i] = w[i]
+		default:
+			w[i], r[i] = g.sizes[0][t.q*n+k], g.sizes[1][t.q*n+k]
+		}
+		if o := [2]int{k, i}[b2i(exchange(op))]; coded && o == i {
+			a := &g.posted[o]
+			gt.Member(i).Compute(a.c.Cost(g.price(op, o, k, t.q), false))
+		}
+	}
+	st := t.row
+	if st == nil {
+		st = g.streams
+	}
+	gt.Post(t.Shift, w, r, st)
 }
 
 // receive writes receiver r's result of schedule g.op: the total walk

@@ -313,13 +313,15 @@ func runShifts(t *testing.T, c shiftCase) shiftOutcome {
 // FuzzShiftExecutors: for a drawn group size (1-128) and shape, segment
 // and vector lengths, schedule families, codec selector, pipelined
 // chunk count (1-8, from the seed) and plan (a bandwidth window, a
-// straggler, jitter; never a crash or a lossy link), replaying the
-// schedules leaves exactly what running them as messages does.
+// straggler, jitter; never a crash or a lossy link; for one bw draw in
+// five, no plan at all, as the benchmark runs), replaying the schedules
+// leaves exactly what running them as messages does.
 func FuzzShiftExecutors(f *testing.F) {
 	f.Add(uint8(7), uint8(1), uint8(genAll), uint8(0), uint64(1), uint8(128), uint8(3), uint8(50))
 	f.Add(uint8(11), uint8(3), uint8(genAll), uint8(2), uint64(7), uint8(30), uint8(0), uint8(0))
 	f.Add(uint8(127), uint8(7), uint8(genRing|genLists|genCodec), uint8(4), uint64(3), uint8(255), uint8(9), uint8(99))
 	f.Add(uint8(15), uint8(3), uint8(genPipe|genCodec|genNode), uint8(3), uint64(5<<40|9), uint8(60), uint8(2), uint8(20))
+	f.Add(uint8(127), uint8(7), uint8(genRing|genLists|genAllreduce|genLog|genNode), uint8(0), uint64(11), uint8(6), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, n, ppn, gens, codec uint8, seed uint64, bw, straggle, jitter uint8) {
 		np, pp := int(n)%128+1, int(ppn)%8+1
 		for np%pp != 0 {
@@ -344,6 +346,9 @@ func FuzzShiftExecutors(f *testing.F) {
 			gens:   uint(gens),
 			chunks: int(seed>>40%8) + 1,
 		}
+		if bw%5 == 1 {
+			c.plan = fault.Plan{}
+		}
 		restore := runAsMessages()
 		want := runShifts(t, c)
 		restore()
@@ -357,17 +362,39 @@ func FuzzShiftExecutors(f *testing.F) {
 // TestShiftExecutorsAgree: replaying a schedule at the group's gate
 // leaves exactly what running it as messages does — buffers, vectors,
 // sums, every clock bit, the codec statistics, the network volume and
-// the obs export — across group sizes and host worker counts.
+// the obs export — across group sizes and host worker counts, under
+// fixedCase's time-dependent plan and, at 16x8, under the plans the
+// benchmark's workloads run: none, and a static weak node (every message
+// touching it degraded).
 func TestShiftExecutorsAgree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type agreeCase struct {
+		name string
+		c    shiftCase
+	}
+	var cases []agreeCase
 	for _, shape := range []struct{ nodes, ppn int }{{1, 1}, {1, 2}, {3, 1}, {7, 1}, {4, 4}, {16, 8}} {
-		t.Run(fmt.Sprintf("np%d", shape.nodes*shape.ppn), func(t *testing.T) {
+		cases = append(cases, agreeCase{fmt.Sprintf("np%d", shape.nodes*shape.ppn), fixedCase(shape.nodes, shape.ppn)})
+	}
+	for _, plan := range []struct {
+		name string
+		plan fault.Plan
+	}{{"noplan", fault.Plan{}}, {"weaknode", fault.WeakNode(5, 0.5)}} {
+		c := fixedCase(16, 8)
+		c.plan = plan.plan
+		cases = append(cases, agreeCase{"np128-" + plan.name, c})
+	}
+	for _, ac := range cases {
+		t.Run(ac.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
 			restore := runAsMessages()
-			want := runShifts(t, fixedCase(shape.nodes, shape.ppn))
+			want := runShifts(t, ac.c)
 			restore()
-			if len(want.Words) == 0 && shape.nodes*shape.ppn > 1 {
+			if len(want.Words) == 0 && ac.c.nodes*ac.c.ppn > 1 {
 				t.Fatal("nothing gathered")
+			}
+			if weak := len(ac.c.plan.BW) > 0 && ac.c.plan.BW[0].UntilNs <= 0; weak && want.Volume.DegradedMsgs == 0 {
+				t.Fatal("no message degraded under a static weak node")
 			}
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
@@ -375,7 +402,7 @@ func TestShiftExecutorsAgree(t *testing.T) {
 					if messages {
 						restore = runAsMessages()
 					}
-					got := runShifts(t, fixedCase(shape.nodes, shape.ppn))
+					got := runShifts(t, ac.c)
 					if messages {
 						restore()
 					}

@@ -60,9 +60,9 @@ type Spec struct {
 	// (internal/fault) to every graph500 cell the driver runs — the
 	// bfsbench -fault flag; the batched cells of ExtMSBFS and
 	// ExtMSBFSLoad run under it too. ExtFaults, ExtLoss and
-	// ExtAvailability build their own plans and ignore it; Fig4, Fig6,
-	// AblationAllgather and AblationShareDegree drive mpi directly and
-	// run fault-free.
+	// ExtAvailability build their own plans and ignore it; Fig4, Fig6
+	// and AblationShareDegree drive mpi directly and run fault-free, and
+	// AblationAllgather drives it directly under the plan.
 	Faults *fault.Plan
 	// Cache, when non-nil, shares constructed graphs across every cell
 	// the driver runs: cells differing only in optimization level, knobs

@@ -68,9 +68,10 @@ func AblationShareDegree(s Spec) (*Table, error) {
 }
 
 // shareDegreeAllgather measures one in_queue allgather when in_queue is
-// shared per k-socket group: each group's leader collects its k-1
-// children's segments, then all leaders allgather (a ring with 8/k
-// leaders per node driving the NIC).
+// shared per k-socket group: each group's leader gathers its k-1
+// children's segments (a linear gather, the children sending at once
+// over k-1 streams), then all leaders allgather (a ring with 8/k leaders
+// per node driving the NIC).
 func shareDegreeAllgather(cfg machine.Config, words int64, k int) (float64, error) {
 	pl := machine.PlacementFor(cfg, machine.PPN8Bind)
 	w := mpi.NewWorld(cfg, pl)
@@ -81,10 +82,20 @@ func shareDegreeAllgather(cfg machine.Config, words int64, k int) (float64, erro
 	l := collective.EvenLayout(words, np)
 
 	// Leaders: one per k consecutive ranks (k-groups never straddle a
-	// node because k divides the socket count).
+	// node because k divides the socket count). Each k-group gathers its
+	// slice of in_queue, [l.Displs[r], l.Displs[r+k]), under the layout
+	// of its k segments within that slice.
 	leaders := make([]int, 0, np/k)
+	groups := make([]*collective.Group, 0, np/k)
+	views := make([]collective.Layout, 0, np/k)
 	for r := 0; r < np; r += k {
 		leaders = append(leaders, r)
+		ranks, offs := make([]int, k), make([]int64, k+1)
+		for j := range ranks {
+			ranks[j], offs[j+1] = r+j, offs[j]+l.Counts[r+j]
+		}
+		groups = append(groups, collective.NewGroup(w, ranks))
+		views = append(views, collective.SegLayout(offs))
 	}
 	lg := collective.NewGroup(w, leaders)
 
@@ -99,22 +110,18 @@ func shareDegreeAllgather(cfg machine.Config, words int64, k int) (float64, erro
 	}
 	ll := collective.Layout{Counts: counts, Displs: displs}
 
-	const tag = 0xA000
 	w.Run(func(p *mpi.Proc) {
 		me := p.Rank()
-		seg := make([]uint64, l.Counts[me])
+		var inq, slice []uint64 // a leader's in_queue; the k-group's slice
 		if me%k == 0 {
-			buf := make([]uint64, words)
-			copy(buf[l.Displs[me]:], seg)
-			for j := 1; j < k; j++ {
-				m := p.Recv(me+j, tag)
-				child := m.Payload.Words
-				copy(buf[l.Displs[me+j]:l.Displs[me+j]+int64(len(child))], child)
-			}
-			lg.AllgatherRing(p, buf, ll)
+			inq = make([]uint64, words)
+			slice = inq[l.Displs[me]:]
 		} else {
-			leader := me - me%k
-			p.SendPayload(leader, tag, int64(len(seg))*8, mpi.Payload{Words: seg}, k-1)
+			slice = make([]uint64, views[me/k].TotalWords())
+		}
+		groups[me/k].GatherLinear(p, slice, views[me/k], k-1)
+		if inq != nil {
+			lg.AllgatherRing(p, inq, ll)
 		}
 		p.NodeBarrier()
 	})

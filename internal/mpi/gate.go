@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"numabfs/internal/simnet"
 )
 
 // Gate is a collective's second executor. Without a crash or a lossy
@@ -11,8 +13,8 @@ import (
 // steps are a fixed schedule is a function of its members' entry clocks
 // alone: every member posts its arguments and parks at the group's gate,
 // and the last to arrive walks the whole schedule in one loop — moving
-// the data, pricing every message through deliver exactly as its
-// receiver would, and leaving every member at the clock its own Isend,
+// the data, pricing every message exactly as its receiver's deliver
+// would, and leaving every member at the clock its own Isend,
 // Irecv and Wait calls would have reached — then wakes each member
 // once. The gate itself is host-only: arriving charges no virtual time.
 type Gate struct {
@@ -27,17 +29,20 @@ type Gate struct {
 	armMu sync.Mutex
 	armed atomic.Uint64
 
-	// A walk step's messages, by sender, which the walk fills in before
-	// posting them: the wire and the raw (pre-encoding) bytes, and the
-	// stream count.
-	Bytes, Raw []int64
-	Streams    []int
-
 	// What Step leaves, by receiver, for a pipelined walk's ledger: its
 	// transfer's Begin and End, as Request.BeginNs and EndNs give them.
 	Begin, End []float64
 
 	posted []float64 // by member, the clock of its Post
+
+	// The posted step's sizes and stream counts by sender (Post), the
+	// members' nodes and ranks, and the α–β price of each link class by
+	// stream count, 2·streams + intra (path): Step reads no *Proc to
+	// price a message.
+	wire, raw  []int64
+	streams    []int
+	node, rank []int
+	paths      []simnet.Path
 }
 
 // NewGate builds the gate over ranks, in group order. A failed attempt
@@ -45,12 +50,16 @@ type Gate struct {
 func (w *World) NewGate(ranks []int) *Gate {
 	n := len(ranks)
 	g := &Gate{
-		op: make([]int, n), Bytes: make([]int64, n), Raw: make([]int64, n), Streams: make([]int, n),
-		Begin: make([]float64, n), End: make([]float64, n), posted: make([]float64, n), w: w,
+		op: make([]int, n), Begin: make([]float64, n), End: make([]float64, n), posted: make([]float64, n),
+		node: make([]int, n), rank: append([]int(nil), ranks...), paths: make([]simnet.Path, 4*n+4), w: w,
 	}
 	g.armed.Store(w.attempt)
-	for _, r := range ranks {
+	for i, r := range ranks {
 		g.b.members = append(g.b.members, w.procs[r])
+		g.node[i] = w.procs[r].node
+	}
+	for k := 2; k < len(g.paths); k++ {
+		g.paths[k] = w.net.Path(k&1 == 1, k>>1)
 	}
 	return g
 }
@@ -117,36 +126,67 @@ func (s *Shift) Sends(i int) bool { return i >= s.From && i < s.Below && (i-s.Fr
 // live sender.
 func (s *Shift) Full(n int) bool { return s.Every == 1 && s.From == 0 && s.Below == n }
 
-// Post posts the sends of step s — live sender i's of Bytes[i] — and
-// their receives, at their members' clocks now: a send is counted there,
-// as Isend counts it. Step is then the step's Waits.
-func (g *Gate) Post(s Shift) {
+// Post posts the sends of step s — live sender i's of wire[i] bytes
+// (raw[i] before encoding) over streams[i] streams — and their receives,
+// at their members' clocks now: a send is counted there, as Isend counts
+// it. Step is then the step's Waits, over the same rows.
+func (g *Gate) Post(s Shift, wire, raw []int64, streams []int) {
 	ms := g.b.members
+	g.wire, g.raw, g.streams = wire, raw, streams
 	for i := s.From; i < s.Below; i += s.Every {
 		to, _ := s.Peers(i, len(ms))
 		g.posted[i], g.posted[to] = ms[i].clock, ms[to].clock
-		ms[i].countMsg(ms[to].rank, g.Bytes[i], g.Raw[i])
+		ms[i].countMsg(ms[to].rank, wire[i], raw[i])
 	}
 }
 
 // Step replays the Waits of posted step s, whose items the walk has
-// moved already, pricing live sender i's message from Bytes[i], Raw[i]
-// and Streams[i] on its receiver as a receive prices it: from the later
-// of both endpoints' post clocks, which also makes the receiver's
-// LinkTransfer obs call. The sender and the receiver then take the later
-// of their clock and the transfer's end, as their Wait calls would;
-// pricing reads no clock, so one pass does both. A receiver is computed,
-// not looked up, so the walk's loads do not wait on one another.
+// moved already, pricing live sender i's message on its receiver as a
+// receive prices it (Proc.deliver): from the later of both endpoints'
+// post clocks, over the path table's α and bandwidth, the link factor
+// and the jitter asked per message because they depend on virtual time;
+// the receiver's recorder gets its LinkTransfer. The sender and the
+// receiver then take the later of their clock and the transfer's end,
+// as their Wait calls would; pricing reads no clock, so one pass does
+// both. The step's volume is tallied here and added to the network
+// once. A receiver is computed, not looked up, so the walk's loads do
+// not wait on one another.
 func (g *Gate) Step(s Shift) {
-	ms, n := g.b.members, len(g.b.members)
+	ms, n, inj := g.b.members, len(g.b.members), g.w.inj
+	var v simnet.Volume
 	for i := s.From; i < s.Below; i += s.Every {
 		r, _ := s.Peers(i, n)
-		sent := g.posted[i]
-		h := hop{src: ms[i].rank, bytes: g.Bytes[i], raw: g.Raw[i], streams: g.Streams[i], sent: sent}
-		g.Begin[r] = max(sent, g.posted[r])
-		end, sendEnd := ms[r].deliver(&h, g.Begin[r])
-		g.End[r], ms[r].clock, ms[i].clock = end, max(ms[r].clock, end), max(ms[i].clock, sendEnd)
+		bytes, sent := g.wire[i], g.posted[i]
+		begin, intra, f := max(sent, g.posted[r]), g.node[i] == g.node[r], 1.0
+		if intra {
+			v.IntraMsgs, v.IntraBytes, v.RawIntraBytes = v.IntraMsgs+1, v.IntraBytes+bytes, v.RawIntraBytes+g.raw[i]
+		} else {
+			v.InterMsgs, v.InterBytes, v.RawInterBytes = v.InterMsgs+1, v.InterBytes+bytes, v.RawInterBytes+g.raw[i]
+			if f = inj.LinkFactor(g.node[i], g.node[r], begin); f != 1 {
+				v.DegradedMsgs++
+			}
+		}
+		dur := g.path(intra, g.streams[i]).Time(bytes, f) + inj.JitterNs(g.rank[i], g.rank[r], sent, bytes)
+		end := begin + dur
+		ms[r].obs.LinkTransfer(!intra, bytes, begin, end)
+		g.Begin[r], g.End[r] = begin, end
+		ms[r].clock, ms[i].clock = max(ms[r].clock, end), max(ms[i].clock, end)
 	}
+	g.w.net.Count(&v)
+}
+
+// path returns the α–β price of a message over streams streams, intra-
+// node or not: from the table NewGate filled, or past its end from the
+// network, whose price of fewer than one intra-node stream panics.
+func (g *Gate) path(intra bool, streams int) simnet.Path {
+	k := streams << 1
+	if intra {
+		k++
+	}
+	if k >= 2 && k < len(g.paths) {
+		return g.paths[k]
+	}
+	return g.w.net.Path(intra, streams)
 }
 
 // Member returns the member at position i, for a walk to read its clock

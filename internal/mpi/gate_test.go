@@ -1,6 +1,10 @@
 package mpi
 
-import "testing"
+import (
+	"testing"
+
+	"numabfs/internal/machine"
+)
 
 // TestGateForgetsFailedAttempt: a gate half passed in an attempt that
 // deadlocks forgets those arrivals by itself at its next pass — the
@@ -33,4 +37,29 @@ func TestGateForgetsFailedAttempt(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkGateStep prices one full shift of 128 members on 16 nodes per
+// op — each member sends 4 KiB to its successor, a ring step: seven
+// intra-node pairs per node over 7 streams, one inter-node pair over 2 —
+// through Post and Step, and reports the time per priced message.
+func BenchmarkGateStep(b *testing.B) {
+	cfg := machine.TableI()
+	cfg.Nodes, cfg.WeakNode = 16, -1
+	w := NewWorld(cfg, machine.PlacementFor(cfg, machine.PPN8Bind))
+	n := w.NumProcs()
+	ranks, wire, streams := make([]int, n), make([]int64, n), make([]int, n)
+	for i := range ranks {
+		ranks[i], wire[i], streams[i] = i, 4096, 7
+		if w.Proc(i).Node() != w.Proc((i+1)%n).Node() {
+			streams[i] = 2
+		}
+	}
+	g, s := w.NewGate(ranks), Shift{D: 1, Every: 1, Below: n}
+	b.ResetTimer()
+	for range b.N {
+		g.Post(s, wire, wire, streams)
+		g.Step(s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/msg")
 }

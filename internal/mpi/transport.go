@@ -41,8 +41,8 @@ const rtoCapFactor = 64
 // under the reliable transport; equal to recvEnd otherwise). begin is
 // the rendezvous start — the later of the sender's post and the
 // receiver's arrival. Exactly one CountRaw charge happens inside. A
-// message's receiver and a collective's replay (gate.go) both price
-// through it.
+// collective's replay (Gate.Step) prices as its fast path does, through
+// the same simnet.Path.
 func (p *Proc) deliver(m *hop, begin float64) (recvEnd, sendEnd float64) {
 	srcNode := p.w.procs[m.src].node
 	intra := srcNode == p.node

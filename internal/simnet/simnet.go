@@ -100,12 +100,38 @@ func (n *Network) IntraNodeBandwidth(streams int) float64 {
 	return n.cfg.ShmCopyBW / float64(streams)
 }
 
+// Path is the α–β price of one link class at one stream count: a
+// message of b bytes takes AlphaNs + b/BW (Time), BW in bytes/ns.
+type Path struct{ AlphaNs, BW float64 }
+
+// Path returns the price of the intra-node (shared-memory) or the
+// inter-node path when `streams` concurrent streams share its contended
+// resource. Every transfer is priced through it: TransferTimeAt per
+// message, and a replayed collective (mpi.Gate) from a table of them.
+func (n *Network) Path(intra bool, streams int) Path {
+	if intra {
+		return Path{n.cfg.IntraNodeAlphaNs, n.IntraNodeBandwidth(streams)}
+	}
+	return Path{n.cfg.InterNodeAlphaNs, n.cfg.StreamBandwidth(streams)}
+}
+
+// Time returns the duration (ns) of moving `bytes` over p with its
+// bandwidth scaled by f: a fault.Injector link factor, exactly 1 when
+// no event slows the link (and always 1 intra-node). A zero-byte
+// transfer still pays the alpha overhead — it is a synchronizing
+// message.
+func (p Path) Time(bytes int64, f float64) float64 {
+	if bytes < 0 {
+		panic(fmt.Sprintf("simnet: negative transfer size %d", bytes))
+	}
+	return p.AlphaNs + float64(bytes)/(p.BW*f)
+}
+
 // TransferTime returns the virtual duration (ns) of moving `bytes` from a
 // rank on srcNode to a rank on dstNode with `streams` concurrent streams
 // on the contended resource (the NIC for inter-node, the memory system
-// for intra-node). A zero-byte transfer still pays the alpha overhead —
-// it is a synchronizing message. Equivalent to TransferTimeAt at virtual
-// time zero (before any scheduled fault event can start).
+// for intra-node), and counts the message. Equivalent to TransferTimeAt
+// at virtual time zero (before any scheduled fault event can start).
 func (n *Network) TransferTime(bytes int64, srcNode, dstNode, streams int) float64 {
 	return n.TransferTimeAt(0, bytes, srcNode, dstNode, streams)
 }
@@ -116,22 +142,20 @@ func (n *Network) TransferTime(bytes int64, srcNode, dstNode, streams int) float
 // start — events are coarse relative to single messages, so integrating
 // the rate over a window boundary is not worth the model complexity.
 func (n *Network) TransferTimeAt(at float64, bytes int64, srcNode, dstNode, streams int) float64 {
-	if bytes < 0 {
-		panic(fmt.Sprintf("simnet: negative transfer size %d", bytes))
-	}
 	if srcNode == dstNode {
+		d := n.Path(true, streams).Time(bytes, 1)
 		n.intraBytes.Add(bytes)
 		n.intraMsgs.Add(1)
-		return n.cfg.IntraNodeAlphaNs + float64(bytes)/n.IntraNodeBandwidth(streams)
+		return d
 	}
+	f := n.inj.Load().LinkFactor(srcNode, dstNode, at)
+	d := n.Path(false, streams).Time(bytes, f)
 	n.interBytes.Add(bytes)
 	n.interMsgs.Add(1)
-	bw := n.cfg.StreamBandwidth(streams)
-	if f := n.inj.Load().LinkFactor(srcNode, dstNode, at); f != 1 {
-		bw *= f
+	if f != 1 {
 		n.degradedMsgs.Add(1)
 	}
-	return n.cfg.InterNodeAlphaNs + float64(bytes)/bw
+	return d
 }
 
 // CountRaw records the logical (pre-compression) size of one received
@@ -145,6 +169,29 @@ func (n *Network) CountRaw(bytes int64, intra bool) {
 	n.rawInterBytes.Add(bytes)
 }
 
+// Count adds a batch of transfers' counts at once, every field of v, as
+// their TransferTimeAt and CountRaw calls would have one by one: a
+// replayed collective step tallies its messages and adds them here, so
+// the shared counters are touched once per step, not per message.
+func (n *Network) Count(v *Volume) {
+	add(&n.intraBytes, v.IntraBytes)
+	add(&n.interBytes, v.InterBytes)
+	add(&n.intraMsgs, v.IntraMsgs)
+	add(&n.interMsgs, v.InterMsgs)
+	add(&n.rawIntraBytes, v.RawIntraBytes)
+	add(&n.rawInterBytes, v.RawInterBytes)
+	add(&n.degradedMsgs, v.DegradedMsgs)
+	add(&n.xportOverheadBytes, v.Xport.OverheadBytes)
+	n.CountXportEvents(v.Xport.Retransmits, v.Xport.Corruptions, v.Xport.Duplicates, v.Xport.Reorders, v.Xport.Acks)
+}
+
+// add adds d to c unless it is zero, sparing the shared cache line.
+func add(c *atomic.Int64, d int64) {
+	if d != 0 {
+		c.Add(d)
+	}
+}
+
 // CountXportOverhead attributes `bytes` of already-charged wire traffic
 // to the reliable-transport protocol (frame headers, retransmissions,
 // duplicates, acks). The transport calls it next to the TransferTimeAt
@@ -155,21 +202,11 @@ func (n *Network) CountXportOverhead(bytes int64) { n.xportOverheadBytes.Add(byt
 // retransmitted frames (of which `corruptions` arrived but failed the
 // CRC), duplicate deliveries, resequencing holds and ack frames.
 func (n *Network) CountXportEvents(retransmits, corruptions, duplicates, reorders, acks int64) {
-	if retransmits != 0 {
-		n.xportRetransmits.Add(retransmits)
-	}
-	if corruptions != 0 {
-		n.xportCorruptions.Add(corruptions)
-	}
-	if duplicates != 0 {
-		n.xportDuplicates.Add(duplicates)
-	}
-	if reorders != 0 {
-		n.xportReorders.Add(reorders)
-	}
-	if acks != 0 {
-		n.xportAcks.Add(acks)
-	}
+	add(&n.xportRetransmits, retransmits)
+	add(&n.xportCorruptions, corruptions)
+	add(&n.xportDuplicates, duplicates)
+	add(&n.xportReorders, reorders)
+	add(&n.xportAcks, acks)
 }
 
 // Xport is the reliable-transport slice of a Volume: how much of the

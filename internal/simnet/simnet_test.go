@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -218,4 +219,57 @@ func TestSetInjectorConcurrentWithTransfers(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestCountMatchesPerMessage: a mix of intra-node, inter-node and
+// degraded transfers, tallied and added once with Count, leaves the same
+// Volume, every field, as pricing each through TransferTimeAt and
+// counting its raw size with CountRaw; each message's duration priced
+// from Path and the link factor is bit-equal to TransferTimeAt's.
+func TestCountMatchesPerMessage(t *testing.T) {
+	inj, err := fault.NewInjector(fault.Plan{BW: []fault.BWEvent{
+		{Node: 2, Src: -1, Dst: -1, Factor: 0.5},
+		{Node: -1, Src: 0, Dst: 1, Factor: 0.75, FromNs: 100, UntilNs: 200},
+	}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each, batch := testNet(), testNet()
+	each.SetInjector(inj)
+	batch.SetInjector(inj)
+	var v Volume
+	for _, m := range []struct {
+		at              float64
+		bytes, raw      int64
+		src, dst, strms int
+	}{
+		{0, 100, 300, 0, 0, 1}, {50, 200, 200, 0, 1, 2}, {150, 4096, 8000, 0, 1, 8},
+		{150, 64, 64, 2, 3, 1}, {0, 0, 0, 2, 2, 3}, {300, 1 << 20, 3 << 20, 1, 2, 16},
+		{199.5, 777, 1000, 0, 1, 1}, {200, 777, 1000, 0, 1, 1}, {10, 12345, 12345, 3, 3, 7},
+	} {
+		intra, f := m.src == m.dst, 1.0
+		want := each.TransferTimeAt(m.at, m.bytes, m.src, m.dst, m.strms)
+		each.CountRaw(m.raw, intra)
+		if intra {
+			v.IntraMsgs, v.IntraBytes, v.RawIntraBytes = v.IntraMsgs+1, v.IntraBytes+m.bytes, v.RawIntraBytes+m.raw
+		} else {
+			v.InterMsgs, v.InterBytes, v.RawInterBytes = v.InterMsgs+1, v.InterBytes+m.bytes, v.RawInterBytes+m.raw
+			if f = inj.LinkFactor(m.src, m.dst, m.at); f != 1 {
+				v.DegradedMsgs++
+			}
+		}
+		if got := batch.Path(intra, m.strms).Time(m.bytes, f); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: Path prices %v, TransferTimeAt %v", m, got, want)
+		}
+	}
+	each.CountXportOverhead(48)
+	each.CountXportEvents(3, 1, 2, 1, 5)
+	v.Xport = Xport{OverheadBytes: 48, Retransmits: 3, Corruptions: 1, Duplicates: 2, Reorders: 1, Acks: 5}
+	batch.Count(&v)
+	if got, want := batch.Volume(), each.Volume(); got != want {
+		t.Fatalf("batched volume %+v, per message %+v", got, want)
+	}
+	if v.DegradedMsgs < 2 || v.IntraMsgs < 2 {
+		t.Fatalf("the mix lacks degraded or intra-node messages: %+v", v)
+	}
 }
